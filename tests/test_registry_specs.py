@@ -61,6 +61,15 @@ SMOKE_RESULT_SHA = "01218cc91332987a1658984959b634132ff53df4f721c9e5ed5f40b989f7
 SMOKE_BROKERS_CONFIG_HASH = "65d5faff74bf5437fbe010ef5bee2c2dfe13bc5d18f14a10e5d79e8f79120753"
 SMOKE_BROKERS_RESULT_SHA = "f57d57153497c6feab047314705f8fb4bc3fa773c2cd43fbdb7a39d8fc531a63"
 
+# Cyclon-heavy results the two smoke pins barely exercise (captured on the
+# PR-11 tree, before the simulator hot path was touched): many shuffle rounds,
+# the lazy digest/pull path under loss, and domain-scoped views with bridges.
+CYCLON_HEAVY_RESULT_SHAS = {
+    "fig4-push": "ea5a451340a18307b2fe5594c341ada502fd3b0f6eee3812b5c687eb072acfee",
+    "smoke-lazy": "cb44ad1bb5aa6276d3d75585a61ccf78d109151f32ea203d1d730a90d073d2a3",
+    "smoke-domains": "61841d5b193b8c8b95a4a615c26a0cca9bc8172dd629768ccdda3aca46b400ce",
+}
+
 
 def _smoke_config() -> ExperimentConfig:
     return get_scenario("smoke").config
@@ -140,6 +149,13 @@ class TestPinnedResults:
         config = _smoke_brokers_config()
         assert config_hash(config) == SMOKE_BROKERS_CONFIG_HASH
         assert _result_sha(run_experiment(config)) == SMOKE_BROKERS_RESULT_SHA
+
+    @pytest.mark.parametrize("scenario", sorted(CYCLON_HEAVY_RESULT_SHAS))
+    def test_cyclon_heavy_result_unchanged(self, scenario):
+        config = get_scenario(scenario).config
+        if scenario == "fig4-push":
+            config = config.with_overrides(nodes=48)
+        assert _result_sha(run_experiment(config)) == CYCLON_HEAVY_RESULT_SHAS[scenario]
 
 
 class TestRegistryErrors:
