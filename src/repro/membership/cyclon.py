@@ -126,27 +126,19 @@ class CyclonMembership(MembershipComponent):
     def _merge(
         self, received: Tuple[NodeDescriptor, ...], sent: Tuple[NodeDescriptor, ...]
     ) -> None:
-        """CYCLON merge: prefer received entries, fill spare slots with sent ones."""
+        """CYCLON merge: a new entry takes a spare slot, else the slot of one we offered away."""
+        view = self.view
         for descriptor in received:
-            if descriptor.node_id == self.owner.node_id:
+            node_id = descriptor.node_id
+            if node_id == self.owner.node_id:
                 continue
-            if descriptor.node_id in self.view:
-                self.view.add(descriptor)
-                continue
-            if len(self.view) < self.view.capacity:
-                self.view.add(descriptor)
-            else:
-                # Replace one of the entries we just offered away, if any
-                # are still present; otherwise fall back to age-based entry.
-                replaced = False
+            if node_id not in view and len(view) >= view.capacity:
+                # No offered entry left to trade: ``add`` falls back to its
+                # age rule (evict the oldest only for a younger descriptor).
                 for candidate in sent:
-                    if candidate.node_id in self.view and candidate.node_id != descriptor.node_id:
-                        self.view.remove(candidate.node_id)
-                        self.view.add(descriptor)
-                        replaced = True
+                    if view.remove(candidate.node_id):
                         break
-                if not replaced:
-                    self.view.add(descriptor)
+            view.add(descriptor)
 
     # -------------------------------------------------------------- queries
 

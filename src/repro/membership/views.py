@@ -11,8 +11,8 @@ targets.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["NodeDescriptor", "PartialView"]
 
@@ -40,11 +40,11 @@ class NodeDescriptor:
 
     def aged(self, increment: int = 1) -> "NodeDescriptor":
         """Return a copy with the age increased by ``increment``."""
-        return replace(self, age=self.age + increment)
+        return NodeDescriptor(self.node_id, self.age + increment, self.topics)
 
     def refreshed(self) -> "NodeDescriptor":
         """Return a copy with age reset to zero (a fresh sighting)."""
-        return replace(self, age=0)
+        return NodeDescriptor(self.node_id, 0, self.topics)
 
 
 class PartialView:
@@ -52,6 +52,12 @@ class PartialView:
 
     The view never contains its owner and never holds two descriptors for
     the same node; inserting a duplicate keeps the younger descriptor.
+
+    Ages are kept as a view-level epoch: an entry stores the epoch at which
+    its descriptor would have had age zero, so a shuffle round ages the whole
+    view by bumping one counter.  Every descriptor handed out is a fresh
+    snapshot (``age = epoch - birth`` at that moment) and never changes when
+    the view ages afterwards.
     """
 
     def __init__(self, owner_id: str, capacity: int = 20) -> None:
@@ -59,7 +65,9 @@ class PartialView:
             raise ValueError("capacity must be positive")
         self.owner_id = owner_id
         self.capacity = capacity
-        self._entries: Dict[str, NodeDescriptor] = {}
+        self._epoch = 0
+        #: node id -> (birth epoch, topics)
+        self._entries: Dict[str, Tuple[int, Tuple[str, ...]]] = {}
 
     # ------------------------------------------------------------ mutation
 
@@ -69,23 +77,22 @@ class PartialView:
         Returns ``True`` if the view changed.  When full, the oldest entry is
         evicted only if the incoming descriptor is younger than it.
         """
-        if descriptor.node_id == self.owner_id:
+        node_id = descriptor.node_id
+        if node_id == self.owner_id:
             return False
-        existing = self._entries.get(descriptor.node_id)
+        entries = self._entries
+        birth = self._epoch - descriptor.age
+        existing = entries.get(node_id)
         if existing is not None:
-            if descriptor.age < existing.age:
-                self._entries[descriptor.node_id] = descriptor
-                return True
-            return False
-        if len(self._entries) < self.capacity:
-            self._entries[descriptor.node_id] = descriptor
-            return True
-        oldest = self.oldest()
-        if oldest is not None and descriptor.age < oldest.age:
-            del self._entries[oldest.node_id]
-            self._entries[descriptor.node_id] = descriptor
-            return True
-        return False
+            if birth <= existing[0]:
+                return False
+        elif len(entries) >= self.capacity:
+            oldest_id = self._oldest_id()
+            if birth <= entries[oldest_id][0]:
+                return False
+            del entries[oldest_id]
+        entries[node_id] = (birth, descriptor.topics)
+        return True
 
     def add_all(self, descriptors: Iterable[NodeDescriptor]) -> int:
         """Insert several descriptors; returns how many changed the view."""
@@ -100,13 +107,14 @@ class PartialView:
         self._entries.clear()
         for descriptor in descriptors:
             if descriptor.node_id != self.owner_id and len(self._entries) < self.capacity:
-                self._entries[descriptor.node_id] = descriptor
+                self._entries[descriptor.node_id] = (
+                    self._epoch - descriptor.age,
+                    descriptor.topics,
+                )
 
     def age_all(self, increment: int = 1) -> None:
         """Increase the age of every descriptor (one shuffle round passed)."""
-        self._entries = {
-            node_id: descriptor.aged(increment) for node_id, descriptor in self._entries.items()
-        }
+        self._epoch += increment
 
     # ------------------------------------------------------------- queries
 
@@ -122,17 +130,15 @@ class PartialView:
 
     def descriptors(self) -> List[NodeDescriptor]:
         """All descriptors, sorted by node id."""
-        return [self._entries[node_id] for node_id in sorted(self._entries)]
+        return [self._describe(node_id) for node_id in sorted(self._entries)]
 
     def get(self, node_id: str) -> Optional[NodeDescriptor]:
         """Descriptor for ``node_id`` if present."""
-        return self._entries.get(node_id)
+        return self._describe(node_id) if node_id in self._entries else None
 
     def oldest(self) -> Optional[NodeDescriptor]:
         """The descriptor with the highest age (ties broken by node id)."""
-        if not self._entries:
-            return None
-        return max(self.descriptors(), key=lambda descriptor: (descriptor.age, descriptor.node_id))
+        return self._describe(self._oldest_id()) if self._entries else None
 
     def sample(self, rng: random.Random, count: int, exclude: Iterable[str] = ()) -> List[str]:
         """Uniformly sample up to ``count`` distinct node ids from the view."""
@@ -144,7 +150,25 @@ class PartialView:
 
     def sample_descriptors(self, rng: random.Random, count: int) -> List[NodeDescriptor]:
         """Uniformly sample up to ``count`` descriptors."""
-        descriptors = self.descriptors()
-        if count >= len(descriptors):
-            return descriptors
-        return rng.sample(descriptors, count)
+        node_ids = self.node_ids()
+        if count < len(node_ids):
+            node_ids = rng.sample(node_ids, count)
+        return [self._describe(node_id) for node_id in node_ids]
+
+    # ------------------------------------------------------------ internals
+
+    def _describe(self, node_id: str) -> NodeDescriptor:
+        birth, topics = self._entries[node_id]
+        return NodeDescriptor(node_id, self._epoch - birth, topics)
+
+    def _oldest_id(self) -> str:
+        """Id of the highest ``(age, node_id)`` entry; the view must not be empty."""
+        oldest_id, oldest_birth = "", None
+        for node_id, (birth, _) in self._entries.items():
+            if (
+                oldest_birth is None
+                or birth < oldest_birth
+                or (birth == oldest_birth and node_id > oldest_id)
+            ):
+                oldest_id, oldest_birth = node_id, birth
+        return oldest_id

@@ -101,6 +101,38 @@ class TestPartialView:
         with pytest.raises(ValueError):
             PartialView("me", capacity=0)
 
+    def test_handed_out_descriptors_are_snapshots(self):
+        view = PartialView("me", capacity=5)
+        view.add(NodeDescriptor("a", age=2, topics=("t",)))
+        view.add(NodeDescriptor("b", age=0))
+        import random
+
+        handed_out = [view.get("a"), view.oldest(), *view.descriptors()]
+        handed_out += view.sample_descriptors(random.Random(1), 1)
+        ages = [descriptor.age for descriptor in handed_out]
+        view.age_all(3)
+        assert [descriptor.age for descriptor in handed_out] == ages
+        assert view.get("a") == NodeDescriptor("a", age=5, topics=("t",))
+
+    def test_sample_descriptors_draws_like_sampling_the_descriptor_list(self):
+        import random
+
+        view = PartialView("me", capacity=10)
+        for index, name in enumerate("abcdefg"):
+            view.add(NodeDescriptor(name, age=index % 3))
+        view.age_all()
+        for count in (0, 3, 7, 9):
+            ours, reference = random.Random(5), random.Random(5)
+            descriptors = view.descriptors()
+            expected = descriptors if count >= len(descriptors) else reference.sample(descriptors, count)
+            assert view.sample_descriptors(ours, count) == expected
+            assert ours.getstate() == reference.getstate()
+
+    def test_aged_and_refreshed_keep_the_other_fields(self):
+        descriptor = NodeDescriptor("a", age=2, topics=("t",))
+        assert descriptor.aged(3) == NodeDescriptor("a", age=5, topics=("t",))
+        assert descriptor.refreshed() == NodeDescriptor("a", age=0, topics=("t",))
+
 
 class TestFullMembership:
     def test_selects_only_alive_nodes(self, simulator, network):

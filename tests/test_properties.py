@@ -153,6 +153,79 @@ class TestPartialViewProperties:
         assert len(set(sample)) == len(sample)
 
 
+class _ReagingView:
+    """Reference partial view that really rebuilds every entry on ``age_all``."""
+
+    def __init__(self, owner_id, capacity):
+        self.owner_id, self.capacity, self.entries = owner_id, capacity, {}
+
+    def oldest(self):
+        if not self.entries:
+            return None
+        return max(self.entries.values(), key=lambda d: (d.age, d.node_id))
+
+    def add(self, descriptor):
+        if descriptor.node_id == self.owner_id:
+            return False
+        existing = self.entries.get(descriptor.node_id)
+        if existing is None and len(self.entries) >= self.capacity:
+            existing = self.oldest()
+        if existing is not None and descriptor.age >= existing.age:
+            return False
+        if existing is not None:
+            del self.entries[existing.node_id]
+        self.entries[descriptor.node_id] = descriptor
+        return True
+
+    def replace_entries(self, descriptors):
+        self.entries.clear()
+        for descriptor in descriptors:
+            if descriptor.node_id != self.owner_id and len(self.entries) < self.capacity:
+                self.entries[descriptor.node_id] = descriptor
+
+    def age_all(self, increment):
+        self.entries = {
+            node_id: NodeDescriptor(node_id, descriptor.age + increment, descriptor.topics)
+            for node_id, descriptor in self.entries.items()
+        }
+
+    def descriptors(self):
+        return [self.entries[node_id] for node_id in sorted(self.entries)]
+
+
+_view_descriptors = st.builds(
+    NodeDescriptor,
+    node_id=st.sampled_from(["owner"] + [f"n{index}" for index in range(8)]),
+    age=st.integers(min_value=0, max_value=6),
+    topics=st.sampled_from([(), ("a",), ("a", "b")]),
+)
+_view_operations = st.one_of(
+    st.tuples(st.just("add"), _view_descriptors),
+    st.tuples(st.just("age_all"), st.integers(min_value=0, max_value=3)),
+    st.tuples(st.just("remove"), st.sampled_from([f"n{index}" for index in range(8)])),
+    st.tuples(st.just("replace_entries"), st.lists(_view_descriptors, max_size=6)),
+)
+
+
+class TestEpochAgeingAgainstReagingModel:
+    @given(st.integers(min_value=1, max_value=5), st.lists(_view_operations, max_size=40))
+    def test_view_agrees_with_model_after_every_step(self, capacity, operations):
+        view = PartialView("owner", capacity=capacity)
+        model = _ReagingView("owner", capacity)
+        for name, argument in operations:
+            if name == "add":
+                assert view.add(argument) == model.add(argument)
+            elif name == "remove":
+                assert view.remove(argument) == (model.entries.pop(argument, None) is not None)
+            else:
+                getattr(view, name)(argument)
+                getattr(model, name)(argument)
+            assert view.descriptors() == model.descriptors()
+            assert view.oldest() == model.oldest()
+            assert len(view) == len(model.entries)
+            assert [view.get(d.node_id) for d in model.descriptors()] == model.descriptors()
+
+
 class TestBufferProperties:
     @given(
         st.lists(st.integers(min_value=0, max_value=500), max_size=120),
