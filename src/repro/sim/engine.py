@@ -4,8 +4,10 @@ The engine owns a priority queue of timestamped callbacks and a
 :class:`~repro.sim.clock.VirtualClock`.  Protocol code never sleeps or spins:
 it schedules future work (a timer tick, a message arrival) and returns.  The
 engine pops events in timestamp order, advances the clock, and invokes the
-callbacks.  Ties are broken by insertion order so runs are fully
-deterministic for a given seed.
+callbacks.  The queue holds plain ``(timestamp, sequence, event)`` tuples;
+the sequence number is unique, so ties are broken by insertion order, the
+events themselves are never compared, and runs are fully deterministic for a
+given seed.
 
 The engine is deliberately minimal: everything network- or process-related
 lives in :mod:`repro.sim.network` and :mod:`repro.sim.node`, which are built
@@ -16,8 +18,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 from .clock import VirtualClock
 from .rng import RngRegistry
@@ -29,14 +31,7 @@ class SimulationError(RuntimeError):
     """Raised when the simulation is driven in an inconsistent way."""
 
 
-@dataclass(order=True)
-class _QueueEntry:
-    timestamp: float
-    sequence: int
-    event: "ScheduledEvent" = field(compare=False)
-
-
-@dataclass
+@dataclass(slots=True)
 class ScheduledEvent:
     """A single scheduled callback.
 
@@ -76,17 +71,16 @@ class Simulator:
     def __init__(self, seed: int = 0, start_time: float = 0.0) -> None:
         self.clock = VirtualClock(start_time)
         self.rng = RngRegistry(seed)
-        self._queue: List[_QueueEntry] = []
+        self._queue: List[Tuple[float, int, ScheduledEvent]] = []
         self._sequence = itertools.count()
         self._processed = 0
-        self._running = False
 
     # ------------------------------------------------------------------ time
 
     @property
     def now(self) -> float:
         """Current simulated time."""
-        return self.clock.now
+        return self.clock._now
 
     @property
     def processed_events(self) -> int:
@@ -106,19 +100,17 @@ class Simulator:
         """Schedule ``action`` to run ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self.now + delay, action, label)
+        return self.schedule_at(self.clock._now + delay, action, label)
 
     def schedule_at(
         self, timestamp: float, action: Callable[[], None], label: str = ""
     ) -> ScheduledEvent:
         """Schedule ``action`` to run at absolute time ``timestamp``."""
-        if timestamp < self.now:
-            raise SimulationError(
-                f"cannot schedule at {timestamp}, current time is {self.now}"
-            )
-        event = ScheduledEvent(timestamp=timestamp, action=action, label=label)
-        entry = _QueueEntry(timestamp=timestamp, sequence=next(self._sequence), event=event)
-        heapq.heappush(self._queue, entry)
+        now = self.clock._now
+        if timestamp < now:
+            raise SimulationError(f"cannot schedule at {timestamp}, current time is {now}")
+        event = ScheduledEvent(timestamp, action, label)
+        heapq.heappush(self._queue, (timestamp, next(self._sequence), event))
         return event
 
     def schedule_periodic(
@@ -149,16 +141,13 @@ class Simulator:
         Returns ``True`` if an event was executed, ``False`` if the queue was
         empty (or contained only cancelled events).
         """
-        while self._queue:
-            entry = heapq.heappop(self._queue)
-            if entry.event.cancelled:
+        queue = self._queue
+        while queue:
+            timestamp, _, event = heapq.heappop(queue)
+            if event.cancelled:
                 continue
-            self.clock.advance_to(entry.timestamp)
-            self._running = True
-            try:
-                entry.event.action()
-            finally:
-                self._running = False
+            self.clock.advance_to(timestamp)
+            event.action()
             self._processed += 1
             return True
         return False
@@ -174,6 +163,9 @@ class Simulator:
             window.  ``None`` runs until the queue drains.
         max_events:
             Safety valve against runaway schedules; ``None`` means unlimited.
+            When it stops the run with events still due at or before
+            ``until``, the clock stays at the last executed event so the
+            next ``run``/``step`` can pick them up.
 
         Returns
         -------
@@ -181,28 +173,21 @@ class Simulator:
             The number of events executed by this call.
         """
         executed = 0
-        while self._queue:
-            if max_events is not None and executed >= max_events:
+        queue = self._queue
+        while queue:
+            timestamp, _, event = queue[0]
+            if event.cancelled:
+                heapq.heappop(queue)
+            elif until is not None and timestamp > until:
                 break
-            next_entry = self._peek()
-            if next_entry is None:
-                break
-            if until is not None and next_entry.timestamp > until:
-                break
-            if self.step():
+            elif max_events is not None and executed >= max_events:
+                return executed
+            else:
+                self.step()
                 executed += 1
-        if until is not None and until > self.now:
+        if until is not None and until > self.clock._now:
             self.clock.advance_to(until)
         return executed
-
-    def _peek(self) -> Optional[_QueueEntry]:
-        while self._queue:
-            entry = self._queue[0]
-            if entry.event.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            return entry
-        return None
 
 
 class PeriodicTimer:

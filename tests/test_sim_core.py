@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.sim import (
     PeriodicTimer,
     RngRegistry,
+    ScheduledEvent,
     SimulationError,
     Simulator,
     VirtualClock,
@@ -163,6 +166,65 @@ class TestSimulator:
             simulator.schedule(float(index + 1), lambda index=index: fired.append(index))
         simulator.run(max_events=3)
         assert len(fired) == 3
+
+    def test_max_events_before_until_leaves_the_clock_behind_pending_events(self, simulator):
+        fired = []
+        for index in range(1, 6):
+            simulator.schedule_at(float(index), lambda index=index: fired.append(index))
+        assert simulator.run(until=10.0, max_events=2) == 2
+        assert simulator.now == 2.0
+        assert simulator.run() == 3
+        assert fired == [1, 2, 3, 4, 5]
+
+    def test_max_events_still_advances_to_until_when_nothing_earlier_remains(self, simulator):
+        simulator.schedule_at(1.0, lambda: None)
+        simulator.schedule_at(2.0, lambda: None).cancel()
+        simulator.schedule_at(20.0, lambda: None)
+        assert simulator.run(until=10.0, max_events=1) == 1
+        assert simulator.now == 10.0
+
+    def test_equal_timestamps_never_compare_the_events(self, simulator, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("heap entries must order on (timestamp, sequence) alone")
+
+        for name in ("__eq__", "__lt__", "__gt__", "__le__", "__ge__"):
+            monkeypatch.setattr(ScheduledEvent, name, refuse, raising=False)
+        order = []
+
+        class Recorder:
+            def mark(self):
+                order.append("bound method")
+
+        actions = [
+            lambda: order.append("lambda"),
+            Recorder().mark,
+            functools.partial(order.append, "partial"),
+            lambda: order.append("second lambda"),
+        ]
+        for action in actions:
+            simulator.schedule(1.0, action)
+        simulator.run()
+        assert order == ["lambda", "bound method", "partial", "second lambda"]
+
+    def test_cancelled_head_is_skipped_by_step_and_run_until(self, simulator):
+        fired = []
+        simulator.schedule(1.0, lambda: fired.append("cancelled")).cancel()
+        simulator.schedule(2.0, lambda: fired.append("step"))
+        simulator.schedule(3.0, lambda: fired.append("cancelled")).cancel()
+        simulator.schedule(4.0, lambda: fired.append("run"))
+        simulator.schedule(9.0, lambda: fired.append("late"))
+        assert simulator.step() is True
+        assert (fired, simulator.now) == (["step"], 2.0)
+        assert simulator.run(until=5.0) == 1
+        assert (fired, simulator.now) == (["step", "run"], 5.0)
+        assert simulator.processed_events == 2
+
+    def test_scheduled_event_rejects_stray_attributes(self, simulator):
+        event = simulator.schedule(1.0, lambda: None, label="tick")
+        assert (event.timestamp, event.label, event.cancelled) == (1.0, "tick", False)
+        with pytest.raises(AttributeError):
+            event.note = "stray"
+        assert not hasattr(event, "__dict__")
 
     def test_events_scheduled_during_run_execute(self, simulator):
         order = []
