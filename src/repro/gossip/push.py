@@ -271,15 +271,14 @@ class PushGossipNode(Process):
         )
         self.buffer.mark_forwarded([event.event_id for event in events])
         trace = self._trace_contexts(events, RELAY, fanout=len(neighbors))
+        size = message.size
         for neighbor in neighbors:
-            self.send(
-                neighbor, GOSSIP_MESSAGE_KIND, payload=message, size=message.size, trace=trace
-            )
+            self.send(neighbor, GOSSIP_MESSAGE_KIND, message, size, trace)
         self.ledger.record_gossip_send(
             self.node_id,
             messages=len(neighbors),
             events=len(events) * len(neighbors),
-            size=message.size * len(neighbors),
+            size=size * len(neighbors),
         )
         if self._messages_counter is not None:
             self._messages_counter.increment(len(neighbors))
@@ -464,7 +463,7 @@ class PushGossipNode(Process):
         trace: object = None,
     ):
         """Send a message, charging infrastructure messages to the ledger."""
-        message = super().send(recipient, kind, payload=payload, size=size, trace=trace)
+        message = super().send(recipient, kind, payload, size, trace)
         if message is not None and kind.startswith(MembershipComponent.MESSAGE_PREFIX):
             self.ledger.record_infrastructure(self.node_id)
         return message

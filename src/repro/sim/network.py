@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
 
 from .engine import Simulator
@@ -145,7 +146,7 @@ class FaultInjectionSurface:
         self._link_profile = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A message in flight between two processes.
 
@@ -270,7 +271,7 @@ class NetworkStats:
 
     def record_sent(self, message: Message) -> None:
         self.sent += 1
-        self.bytes_sent += max(message.size, 0)
+        self.bytes_sent += message.size
         self.sent_by_kind[message.kind] = self.sent_by_kind.get(message.kind, 0) + 1
 
 
@@ -366,18 +367,11 @@ class Network(FaultInjectionSurface):
         it does not affect physics — drops and latency are decided exactly
         as for an untraced message.
         """
-        message = Message(
-            sender=sender,
-            recipient=recipient,
-            kind=kind,
-            payload=payload,
-            size=size,
-            sent_at=self._simulator.now,
-            trace=trace,
-        )
+        simulator = self._simulator
+        message = Message(sender, recipient, kind, payload, size, simulator.now, trace)
         self.stats.record_sent(message)
 
-        rng = self._simulator.rng.stream("network")
+        rng = simulator.rng.stream("network")
         if recipient not in self._handlers:
             self.stats.dropped_dead += 1
             self._trace_drop(message, "dead")
@@ -404,9 +398,7 @@ class Network(FaultInjectionSurface):
             extra_latency += link_latency
 
         latency = self._latency.sample(rng, sender, recipient) + extra_latency
-        self._simulator.schedule(
-            latency, lambda: self._deliver(message), label=f"deliver:{kind}"
-        )
+        simulator.schedule(latency, partial(self._deliver, message), "deliver:" + kind)
         return message
 
     def broadcast(

@@ -136,9 +136,7 @@ class Process:
         """Send a message if this process is alive; returns the message or None."""
         if not self.alive:
             return None
-        return self.network.send(
-            self.node_id, recipient, kind, payload=payload, size=size, trace=trace
-        )
+        return self.network.send(self.node_id, recipient, kind, payload, size, trace)
 
     def _receive(self, message: Message) -> None:
         if not self.alive:
