@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-rt bench-metrics bench-faults bench-lazy bench-trace bench-domains bench-campaign serve-smoke serve-scenario-smoke registry-smoke report-smoke fault-smoke lazy-smoke trace-smoke domains-smoke campaign-smoke clean-cache
+.PHONY: test bench bench-smoke bench-rt bench-metrics bench-faults bench-lazy bench-trace bench-domains bench-campaign perfbench perfbench-quick serve-smoke serve-scenario-smoke registry-smoke report-smoke fault-smoke lazy-smoke trace-smoke domains-smoke campaign-smoke clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -61,7 +61,7 @@ fault-smoke:
 	$(PYTHON) -m repro serve --scenario smoke --fault examples/fault_plan.json --transport memory --duration 3 --rate 200 --drain 0.5
 
 # Fault-layer overhead: writes BENCH_fault_overhead.json (an active-but-idle
-# FaultController must stay <5% on the smoke scenario, physics untouched).
+# FaultController must stay <5% on smoke at 1024 nodes, physics untouched).
 bench-faults:
 	$(PYTHON) -m pytest benchmarks/bench_fault_overhead.py -q -s
 
@@ -90,7 +90,8 @@ trace-smoke:
 	$(PYTHON) -m repro trace out/live_trace.jsonl --max-events 1
 
 # Tracing hot-path overhead: writes BENCH_trace_overhead.json (a rate-0
-# tracer must stay <1% on smoke-lazy, physics byte-identical at every rate).
+# tracer must stay <1% on smoke-lazy at 768 nodes, physics byte-identical at
+# every rate).
 bench-trace:
 	$(PYTHON) -m pytest benchmarks/bench_trace_overhead.py -q -s
 
@@ -125,7 +126,18 @@ campaign-smoke:
 bench-campaign:
 	$(PYTHON) -m pytest benchmarks/bench_campaign.py -q -s
 
+# The performance yardstick (perfbench/README.md): six end-to-end workloads,
+# three runs each plus one traced run for the per-layer numbers (24 runs of
+# ~20 s).  perfbench patches ~140 attributes of src/repro by name; the quick
+# traced run (~1 min, what CI runs) is what notices a rename that broke one.
+perfbench:
+	$(PYTHON) perfbench/run.py --traced
+
+perfbench-quick:
+	$(PYTHON) -m pytest perfbench/tests -q
+	$(PYTHON) perfbench/run.py --quick --traced --reps 1
+
 # BENCH_metrics_overhead.json is tracked (it seeds the perf trajectory), so
 # clean-cache leaves it alone; re-run `make bench-metrics` to refresh it.
 clean-cache:
-	rm -rf .repro-cache .ci-cache out BENCH_rt_throughput.json
+	rm -rf .repro-cache .ci-cache out BENCH_rt_throughput.json perfbench-results.json

@@ -7,7 +7,9 @@ benchmark pins the next property: a controller that is *running* but whose
 entries do nothing observable — a churn entry with both probabilities at
 zero, ticking every round over the whole population and drawing only from
 its own isolated RNG stream — adds less than 5% wall-clock overhead to the
-smoke scenario, and leaves the measured physics bit-identical.
+smoke scenario (grown to :data:`NODES` nodes so one run takes over a second;
+at its own 24 nodes a run is ~50 ms and the noise exceeds the ceiling), and
+leaves the measured physics bit-identical.
 
 Methodology: baseline and idle-fault runs alternate (A/B/A/B…) so clock
 drift and cache warmth bias neither side, and the comparison uses the
@@ -33,6 +35,8 @@ from repro.experiments import get_scenario, run_experiment
 ARTIFACT = os.environ.get("REPRO_BENCH_FAULT_JSON", "BENCH_fault_overhead.json")
 REPEATS = int(os.environ.get("REPRO_BENCH_FAULT_REPEATS", "7"))
 MAX_OVERHEAD = float(os.environ.get("REPRO_BENCH_FAULT_MAX_OVERHEAD", "0.05"))
+#: Population of the timed run: large enough that one run is over a second.
+NODES = 1024
 
 #: A plan that keeps the controller busy every round without changing
 #: anything: zero-probability churn walks the registry and draws from its
@@ -45,7 +49,7 @@ IDLE_PLAN_ENTRIES = (
 
 
 def _configs():
-    base = get_scenario("smoke").config
+    base = get_scenario("smoke").config.with_overrides(nodes=NODES)
     idle = base.with_overrides(fault_plan=IDLE_PLAN_ENTRIES)
     return base, idle
 
@@ -80,6 +84,7 @@ def measure() -> dict:
     return {
         "schema": "bench-fault-overhead/v1",
         "scenario": "smoke",
+        "nodes": NODES,
         "repeats": REPEATS,
         "baseline_median_seconds": base_median,
         "idle_fault_median_seconds": idle_median,

@@ -133,8 +133,9 @@ class CyclonMembership(MembershipComponent):
             if node_id == self.owner.node_id:
                 continue
             if node_id not in view and len(view) >= view.capacity:
-                # No offered entry left to trade: ``add`` falls back to its
-                # age rule (evict the oldest only for a younger descriptor).
+                # Trade away the first offered entry still present; with none
+                # left, ``add`` applies its age rule (evict the oldest only
+                # for a younger descriptor).
                 for candidate in sent:
                     if view.remove(candidate.node_id):
                         break
