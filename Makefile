@@ -12,8 +12,8 @@ bench:
 # Fast end-to-end check of the orchestration layer: parallel sweep, then the
 # same sweep again served from the cache.
 bench-smoke:
-	$(PYTHON) -m repro sweep smoke --param fanout --values 2,4 --workers 2
-	$(PYTHON) -m repro sweep smoke --param fanout --values 2,4 --workers 2
+	$(PYTHON) -m repro sweep smoke --param system.fanout --values 2,4 --workers 2
+	$(PYTHON) -m repro sweep smoke --param system.fanout --values 2,4 --workers 2
 
 # Live-runtime throughput benchmark: writes BENCH_rt_throughput.json
 # (events/sec + delivery latency p50/p99 on the memory transport).

@@ -64,7 +64,7 @@ async def _drive() -> dict:
     await host.run_for(drain)  # let in-flight events settle
     await host.stop()
     report.latency_seconds = generator.latency_summary_seconds()
-    report.deliveries = int(host.metrics.counter_value("rt.deliveries"))
+    report.deliveries = int(host.telemetry.counter_value("rt.deliveries"))
     report.drain_seconds = drain
     return {
         "schema": "bench-rt-throughput/v1",

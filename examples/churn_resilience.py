@@ -23,7 +23,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 from repro.analysis import Table
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.pubsub import TopicFilter
-from repro.sim import PartitionInjector
+from repro.faults import PartitionInjector
 from repro.workloads import TopicPopularity, TopicPublicationWorkload
 from repro.experiments.scenarios import build_simulation, build_system
 

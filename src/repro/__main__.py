@@ -1,12 +1,12 @@
 """``python -m repro`` — the experiment orchestration CLI.
 
-The actual implementation lives in :mod:`repro.experiments.cli`; this module
+The actual implementation lives in :mod:`repro.cli`; this module
 only wires it to the interpreter's ``-m`` entry point.
 """
 
 import sys
 
-from .experiments.cli import main
+from .cli import main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 from ..pubsub.events import Event
 from ..pubsub.interfaces import DeliveryLog
 from ..pubsub.subscriptions import SubscriptionTable
-from ..sim.metrics import HistogramSummary, percentile
+from ..telemetry import HistogramSummary, percentile
 
 __all__ = [
     "EventReliability",

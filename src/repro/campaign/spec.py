@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple, Union
 
-from ..registry import RegistryError, resolve_spec_path
+from ..registry import STRUCTURED_PATHS, RegistryError, StackSpec, resolve_spec_path
 from ..registry.base import suggest
 
 __all__ = [
@@ -53,9 +53,6 @@ CONNECTOR_OPS = ("all", "seq", "one")
 
 #: Target artifact kinds the renderer understands.
 TARGET_KINDS = ("table", "report")
-
-#: Config fields that hold structured values and therefore cannot be swept.
-_UNSWEEPABLE = ("extra", "faults.plan", "topology.assignment", "topology.geo")
 
 
 class CampaignError(RegistryError):
@@ -377,19 +374,21 @@ class CampaignSpec:
                         f"nodes: {', '.join(all_nodes)}"
                     )
             # Overrides and sweep axes must resolve to real config paths
-            # (and settable ones) *before* anything runs.
-            for key, _value in service.set + tuple(
-                (axis, values) for axis, values in service.sweep
-            ):
+            # (settable ones), with values of the field's type, *before*
+            # anything runs.
+            overrides = tuple((key, (value,)) for key, value in service.set)
+            for key, values in overrides + service.sweep:
                 try:
                     path = resolve_spec_path(key)
+                    if path in STRUCTURED_PATHS:
+                        raise CampaignError(
+                            f"config field {path!r} is structured and "
+                            "cannot be set or swept from a campaign"
+                        )
+                    for value in values:
+                        StackSpec().with_value(path, value)
                 except RegistryError as error:
                     raise CampaignError(f"{context}: {error}") from None
-                if path in _UNSWEEPABLE:
-                    raise CampaignError(
-                        f"{context}: config field {path!r} is structured and "
-                        "cannot be set or swept from a campaign"
-                    )
         for target in self.targets:
             context = f"target {target.name!r}"
             for dependency in target.inputs.service_names():

@@ -123,8 +123,15 @@ def jain_index(values: Iterable[float]) -> float:
         return 1.0
     total = sum(data)
     squares = sum(value * value for value in data)
-    if squares == 0.0:
-        return 1.0
+    if squares < 1e-280:
+        # Squares this small have underflowed; the index is scale-free, so
+        # measure the values relative to their peak instead.
+        peak = max(data)
+        if peak == 0.0:
+            return 1.0
+        data = [value / peak for value in data]
+        total = sum(data)
+        squares = sum(value * value for value in data)
     return (total * total) / (len(data) * squares)
 
 

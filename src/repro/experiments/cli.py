@@ -1,35 +1,20 @@
-"""Command-line experiment orchestration: ``python -m repro ...``.
+"""The simulator subcommands of ``python -m repro``.
 
-Subcommands
------------
-``run``            run one named scenario (with optional field overrides)
-``sweep``          run a scenario across one parameter axis
-``compare``        run a scenario across several dissemination systems
-``list-scenarios`` show the named-scenario registry
-``describe``       show a scenario's resolved spec or a component's schema
-``report``         render fairness/reliability/latency tables from artifacts
-``trace``          reconstruct per-event infection trees from a --trace stream
-``campaign``       run a declarative experiment campaign incrementally
-                   (``campaign status SPEC.json`` shows fresh/stale marks)
-``serve``          run a *live* cluster on a real transport (asyncio runtime)
-``loadgen``        drive a live cluster at a target events/sec
+``run``, ``sweep``, ``compare``, ``list-scenarios``, ``describe``,
+``report`` and ``trace`` (see :mod:`repro.cli` for the full command list and
+for how a command line becomes a spec).
 
 ``run`` additionally accepts ``--telemetry jsonl:out/metrics.jsonl`` (and
 friends; repeatable) to stream periodic telemetry snapshots during the run;
 ``report`` then renders tables from that snapshot stream, from any
 ``--json`` result artifact, or from a cached result — no re-run needed.
 
-The first four orchestrate deterministic simulator experiments; ``serve``
-and ``loadgen`` run the same protocol stack on the live runtime
-(:mod:`repro.runtime.cli`) where time is wall-clock and transports are real.
-
 Every experiment-running subcommand shares the same orchestration options:
 ``--workers`` fans uncached grid points out over worker processes,
 ``--cache-dir``/``--no-cache`` control the content-addressed result cache,
-``--set key=value`` overrides any config field — by dotted spec path into
-the nested component specs (``system.fanout=5``, ``membership.kind=lpbcast``)
-or by legacy flat name (``fanout=5``) — and ``--json`` writes the full
-result artifacts for downstream analysis.
+``--set path=value`` overrides any spec field by dotted path
+(``system.fanout=5``, ``membership.kind=lpbcast``), and ``--json`` writes
+the full result artifacts for downstream analysis.
 Because experiments are deterministic, ``--workers N`` produces
 bit-identical artifacts for every ``N``, and a repeated invocation is served
 entirely from the cache (reported in the trailing status line).
@@ -41,97 +26,27 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from ..analysis.tables import Table
+from ..cli import add_stack_options, build_parser, main, parse_tracer, resolve_spec
 from ..registry import (
     PATH_TO_FLAT,
+    STRUCTURED_PATHS,
     RegistryError,
     all_registries,
     parse_scalar,
-    parse_spec_overrides,
     resolve_spec_path,
     workload_kind,
 )
 from ..registry.base import suggest
-from ..runtime.cli import add_runtime_subcommands
 from .cache import ARTIFACT_SCHEMA, DEFAULT_CACHE_DIR, ResultCache
-from .config import ExperimentConfig
 from .executor import ParallelSweepExecutor
 from .runner import ExperimentResult, run_experiment
 from .scenarios import SYSTEM_NAMES, get_scenario, iter_scenarios, scenario_names, system_names
 from .sweeps import results_table
 
-__all__ = ["main", "build_parser"]
-
-def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Scenario plus common flags plus ``--set`` overrides, in that order.
-
-    ``--set`` keys are dotted spec paths (``system.fanout``) or legacy flat
-    field names (``fanout``); they are applied through the nested
-    :class:`~repro.registry.specs.StackSpec` and converted back, which never
-    changes the cache identity of an untouched field (the flat/nested
-    mapping is a bijection).
-    """
-    try:
-        config = get_scenario(args.scenario).config
-    except KeyError as error:
-        # str(KeyError) wraps the message in quotes; unwrap for clean CLI output.
-        raise SystemExit(error.args[0])
-    overrides: Dict[str, object] = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.nodes is not None:
-        overrides["nodes"] = args.nodes
-    if args.system is not None:
-        overrides["system"] = args.system
-    if overrides:
-        config = config.with_overrides(**overrides)
-    if args.set:
-        try:
-            config = config.spec().with_values(parse_spec_overrides(args.set)).to_config()
-        except RegistryError as error:
-            raise SystemExit(str(error))
-    _validate_fault_config(config)
-    _validate_topology_config(config)
-    return config
-
-
-def _validate_topology_config(config: ExperimentConfig) -> None:
-    """Fail a bad topology (from --set or a merged --topology file) as a
-    clean CLI error before any experiment builds or workers spawn.
-
-    Compiling the domain map here catches everything the spec can get
-    wrong — bad domain counts, unknown bridge policies, assignments naming
-    nodes outside the run — with the same did-you-mean messages
-    ``build_stack`` would raise mid-run.
-    """
-    from ..topology import TopologyError, compile_domain_map
-
-    topology = config.spec().topology
-    if not topology.enabled:
-        return
-    try:
-        compile_domain_map(topology, config.node_ids())
-    except TopologyError as error:
-        raise SystemExit(str(error))
-
-
-def _validate_fault_config(config: ExperimentConfig) -> None:
-    """Fail a bad fault plan (from --set or merged --fault entries) as a
-    clean CLI error before any experiment builds or workers spawn.
-
-    The node universe is deliberately NOT pinned here: plans may target a
-    system's infra nodes (``broker-0``, rendezvous nodes), which only exist
-    once the system is built — ``run_experiment`` validates against the
-    built registry and its error flows through :func:`_run_clean`.
-    """
-    from ..faults import FaultPlan, FaultPlanError
-
-    try:
-        FaultPlan.from_flat(config).validate(total_time=config.total_time)
-    except FaultPlanError as error:
-        raise SystemExit(str(error))
+__all__ = ["main", "build_parser", "add_experiment_subcommands"]
 
 
 def _build_executor(args: argparse.Namespace) -> ParallelSweepExecutor:
@@ -166,44 +81,11 @@ def _emit_results(
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    if getattr(args, "fault", None):
-        # The plan entries become part of the flat config (fault_plan), so
-        # they feed the cache identity like any other physics parameter —
-        # and the very same JSON file drives `serve --fault` live.
-        from ..faults import FaultPlan, FaultPlanError
-
-        try:
-            plan = FaultPlan.from_file(args.fault).validate(
-                total_time=config.total_time
-            )
-        except FaultPlanError as error:
-            raise SystemExit(str(error))
-        config = config.with_overrides(
-            fault_plan=config.fault_plan + plan.entry_pairs()
-        )
-        # The file validated alone; the merge with the scenario's own fault
-        # entries (e.g. overlapping partition windows) must too.
-        _validate_fault_config(config)
-    if getattr(args, "topology", None):
-        # Like --fault: the file's fields become flat topology_* config
-        # fields, so a topology feeds the cache identity and the same JSON
-        # drives `serve --topology` live.
-        from ..topology import TopologyError, TopologySpec
-
-        try:
-            topology = TopologySpec.from_file(args.topology)
-        except TopologyError as error:
-            raise SystemExit(str(error))
-        config = config.with_overrides(**topology.to_flat())
-        _validate_topology_config(config)
-    # Validate the telemetry wiring before building the whole stack so a
-    # typo'd sink spec (or a dangling --telemetry-period) fails as a clean
-    # CLI error, not a traceback after the simulation ran (shared with
-    # serve/loadgen).
-    from ..runtime.cli import parse_telemetry_sinks, parse_tracer
-
-    sinks = parse_telemetry_sinks(args)
+    spec = resolve_spec(args)
+    # The flat config is the cache identity; fault and topology entries are
+    # part of it, telemetry and tracing are not.
+    config = spec.to_config()
+    sinks = spec.telemetry.sinks
     tracer = parse_tracer(args)
     if sinks or tracer is not None:
         # Telemetry sinks hold open files and are not picklable, so a
@@ -217,7 +99,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 lambda: run_experiment(
                     config,
                     snapshot_sinks=sinks,
-                    snapshot_period=args.telemetry_period,
+                    snapshot_period=spec.telemetry.period,
                     tracer=tracer,
                 )
             )
@@ -225,7 +107,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if tracer is not None:
                 tracer.close()
         _emit_results(args, None, [result], title=f"run — {config.name}")
-        for sink in args.telemetry or ():
+        for sink in sinks:
             print(f"telemetry sink: {sink}")
         if tracer is not None:
             print(
@@ -244,7 +126,7 @@ def _run_clean(execute):
 
     Swept grid points can carry fault values the base config never had
     (``sweep --param faults.churn.down_probability --values 1.5``), so the
-    up-front ``_validate_fault_config`` cannot catch everything.
+    up-front validation in ``resolve_spec`` cannot catch everything.
     """
     from ..faults import FaultPlanError
 
@@ -257,21 +139,21 @@ def _run_clean(execute):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    spec = resolve_spec(args)
     try:
         path = resolve_spec_path(args.param)
+        if path in STRUCTURED_PATHS:
+            raise SystemExit(f"config field {path!r} is structured and cannot be swept")
+        # Route each value through the spec so it is checked against (and
+        # coerced to) the field's type exactly as --set would.
+        values = [
+            spec.with_value(path, parse_scalar(value)).get(path)
+            for value in args.values.split(",")
+            if value != ""
+        ]
     except RegistryError as error:
         raise SystemExit(str(error))
-    if path in ("extra", "faults.plan", "topology.assignment", "topology.geo"):
-        raise SystemExit(f"config field {path!r} is structured and cannot be swept")
-    config = _resolve_config(args)
-    spec = config.spec()
-    # Route each value through the spec so type coercion (int → float for
-    # float-typed fields) matches what --set would produce.
-    values = [
-        spec.with_value(path, parse_scalar(value)).get(path)
-        for value in args.values.split(",")
-        if value != ""
-    ]
+    config = spec.to_config()
     if not values:
         raise SystemExit("--values must name at least one value")
     parameter = PATH_TO_FLAT[path]
@@ -294,7 +176,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             f"unknown systems {unknown}{suggest(unknown[0], known)}; "
             f"registered systems: {', '.join(known)}"
         )
-    config = _resolve_config(args)
+    config = resolve_spec(args).to_config()
     executor = _build_executor(args)
     results = _run_clean(lambda: executor.compare(config, systems))
     _emit_results(
@@ -427,81 +309,22 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--system", default=None, choices=SYSTEM_NAMES, help="override the dissemination system"
     )
-    parser.add_argument(
-        "--set",
-        action="append",
-        metavar="PATH=VALUE",
-        help="override any config field by dotted spec path (system.fanout=5, "
-        "membership.kind=lpbcast) or legacy flat name (fanout=5); repeatable",
-    )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The ``python -m repro`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Run, sweep, and compare fairness/reliability experiments "
-        "with multiprocess fan-out and a content-addressed result cache.",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
+def add_experiment_subcommands(subparsers) -> None:
+    """Register the simulator subcommands on the ``python -m repro`` parser."""
     run_parser = subparsers.add_parser("run", help="run one scenario")
     _add_common_options(run_parser)
-    run_parser.add_argument(
-        "--fault",
-        default=None,
-        metavar="PLAN.json",
-        help="inject a declarative fault plan (crash/churn/partition/perturb "
-        "entries; the same file drives `serve --fault` live); entries become "
-        "part of the config and its cache key",
-    )
-    run_parser.add_argument(
-        "--topology",
-        default=None,
-        metavar="TOPO.json",
-        help="load a multi-domain topology spec (domains, bridge policy, geo "
-        "latency/loss matrix; the same file drives `serve --topology` live); "
-        "fields become part of the config and its cache key",
-    )
-    run_parser.add_argument(
-        "--telemetry",
-        action="append",
-        metavar="SINK",
-        help="stream periodic telemetry snapshots to a sink during the run "
-        "(jsonl:PATH, csv:PATH, prom:PATH, memory); repeatable; implies an "
-        "in-process, cache-bypassing run",
-    )
-    run_parser.add_argument(
-        "--telemetry-period",
-        type=float,
-        default=None,
-        metavar="UNITS",
-        help="snapshot period in simulated time units (default: 5.0)",
-    )
-    run_parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="TRACE.jsonl",
-        help="record causal dissemination spans to a JSON-lines file "
-        "(implies an in-process, cache-bypassing run; render with "
-        "`python -m repro trace TRACE.jsonl`)",
-    )
-    run_parser.add_argument(
-        "--trace-sample-rate",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="fraction of published events to trace, decided "
-        "deterministically per event id (default with --trace: 1.0)",
-    )
+    add_stack_options(run_parser)
     run_parser.set_defaults(handler=_cmd_run)
 
     sweep_parser = subparsers.add_parser("sweep", help="sweep one parameter axis")
     _add_common_options(sweep_parser)
+    add_stack_options(sweep_parser, set_only=True)
     sweep_parser.add_argument(
         "--param",
         required=True,
-        help="config field to sweep, as dotted spec path (system.fanout) or flat name (fanout)",
+        help="spec field to sweep, as dotted path (system.fanout)",
     )
     sweep_parser.add_argument(
         "--values", required=True, help="comma-separated values (parsed as int/float/bool/str)"
@@ -515,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare_parser = subparsers.add_parser("compare", help="compare dissemination systems")
     _add_common_options(compare_parser)
+    add_stack_options(compare_parser, set_only=True)
     compare_parser.add_argument(
         "--systems",
         required=True,
@@ -579,21 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="row cap for the per-event table (default: 10)",
     )
     trace_parser.set_defaults(handler=_cmd_trace)
-
-    from ..campaign.cli import add_campaign_subcommand
-
-    add_campaign_subcommand(subparsers)
-
-    add_runtime_subcommands(subparsers)
-
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point used by ``python -m repro`` (and by the CLI smoke tests)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via python -m repro

@@ -44,6 +44,7 @@ __all__ = [
     "get_scenario",
     "scenario_names",
     "iter_scenarios",
+    "LIVE_SCENARIO",
 ]
 
 def system_names() -> Tuple[str, ...]:
@@ -360,6 +361,34 @@ register_scenario(
     ),
     "Smoke run of two-phase lazy-push under 15% loss (pull recovery fast path); "
     "the longer drain covers the slow digest cadence's convergence",
+)
+#: What ``serve``/``loadgen`` build when no ``--scenario`` is named.
+LIVE_SCENARIO = "live"
+
+register_scenario(
+    LIVE_SCENARIO,
+    ExperimentConfig(
+        name="live",
+        nodes=25,
+        seed=2007,
+        topics=8,
+        topic_exponent=1.0,
+        interest_model="zipf",
+        max_topics_per_node=4,
+        publisher_fraction=1.0,
+        fanout=5,
+        gossip_size=24,
+        round_period=1.0,
+        membership="cyclon",
+        # Live runs push far more events per time unit than the simulator
+        # scenarios; size the buffer so an event survives its dissemination
+        # window instead of being evicted mid-spread, and spread forwarding
+        # effort evenly across buffered events ("newest" starves anything
+        # older than a round under heavy load).  Only live builds read these.
+        extra=(("buffer_capacity", 4000), ("selection_strategy", "least-forwarded")),
+    ),
+    "Live-runtime default (serve/loadgen without --scenario): 25-node push "
+    "gossip, every node a publisher, buffers tuned for wall-clock load",
 )
 register_scenario(
     "subscription-churn",

@@ -18,8 +18,8 @@ Typical wiring::
     controller.start()
 
 The imperative injectors (:class:`CrashSchedule`, :class:`ChurnInjector`,
-:class:`PartitionInjector`) remain available for hand-wired experiments;
-``repro.sim.failure`` is a compatibility shim over this package.
+:class:`PartitionInjector`) are the independent reference the plan-parity
+tests compare the controller against, and serve hand-wired experiments.
 """
 
 from .controller import FaultController

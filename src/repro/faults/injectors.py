@@ -1,15 +1,13 @@
-"""Imperative failure injectors (the pre-FaultPlan API, kept first-class).
+"""Imperative failure injectors: the reference for plan-parity tests.
 
 These are the hand-wired counterparts of the declarative
-:class:`~repro.faults.plan.FaultPlan`: tests and examples that want to say
-"kill *this* node at *this* time" without building a plan keep using them.
-They share the skip-is-loud discipline of the
-:class:`~repro.faults.controller.FaultController`: an event aimed at a node
-that no longer exists records a ``fault.skipped`` trace/telemetry event
+:class:`~repro.faults.plan.FaultPlan`: the tests that check the
+:class:`~repro.faults.controller.FaultController` against an independent
+implementation (and examples that want to say "kill *this* node at *this*
+time" without building a plan) use them.
+They share the controller's skip-is-loud discipline: an event aimed at a
+node that no longer exists counts a ``fault.skipped`` telemetry event
 instead of vanishing.
-
-``repro.sim.failure`` re-exports everything here, so historical import
-paths keep working.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from typing import Dict, Iterable, List, Optional
 from ..sim.engine import Simulator
 from ..sim.network import Network
 from ..sim.node import ProcessRegistry
-from ..sim.trace import TraceRecorder
 from .actions import (
     FAULT_EVENTS_METRIC,
     FAULT_SKIPPED_METRIC,
@@ -54,12 +51,10 @@ class CrashSchedule:
         self,
         simulator: Simulator,
         registry: ProcessRegistry,
-        trace: Optional[TraceRecorder] = None,
         telemetry=None,
     ) -> None:
         self._simulator = simulator
         self._registry = registry
-        self._trace = trace
         self._telemetry = telemetry
         self.events: List[CrashEvent] = []
         self.skipped = 0
@@ -81,21 +76,9 @@ class CrashSchedule:
             self.skipped += 1
             if self._telemetry is not None:
                 self._telemetry.increment(FAULT_SKIPPED_METRIC, action=event.action)
-            if self._trace is not None:
-                self._trace.record(
-                    self._simulator.now,
-                    "fault",
-                    node=event.node_id,
-                    action="skipped",
-                    requested=event.action,
-                )
             return
         if self._telemetry is not None:
             self._telemetry.increment(FAULT_EVENTS_METRIC, action=event.action)
-        if self._trace is not None:
-            self._trace.record(
-                self._simulator.now, "churn", node=event.node_id, action=event.action
-            )
 
 
 class ChurnInjector:
@@ -115,7 +98,6 @@ class ChurnInjector:
         down_probability: float = 0.05,
         up_probability: float = 0.5,
         protected: Optional[Iterable[str]] = None,
-        trace: Optional[TraceRecorder] = None,
     ) -> None:
         if not 0.0 <= down_probability <= 1.0 or not 0.0 <= up_probability <= 1.0:
             raise ValueError("probabilities must be within [0, 1]")
@@ -125,7 +107,6 @@ class ChurnInjector:
         self.down_probability = down_probability
         self.up_probability = up_probability
         self.protected = set(protected or ())
-        self._trace = trace
         self._timer = None
         self.crashes = 0
         self.recoveries = 0
@@ -159,8 +140,6 @@ class ChurnInjector:
             self.crashes += 1
         else:
             self.recoveries += 1
-        if self._trace is not None:
-            self._trace.record(self._simulator.now, "churn", node=node_id, action=action)
 
 
 class PartitionInjector:

@@ -6,7 +6,7 @@ discrete-event simulator and the live asyncio runtime:
 * :mod:`repro.registry.base` — typed registries with per-component
   parameter schemas and did-you-mean errors;
 * :mod:`repro.registry.specs` — :class:`StackSpec` and its nested component
-  specs, with nested/legacy-flat dict round-trips and dotted-path access;
+  specs, with the nested dict round-trip and dotted-path access;
 * :mod:`repro.registry.builtins` — registrations for every built-in system,
   membership view, interest model, workload, and fairness policy, plus
   :func:`build_stack`.
@@ -31,6 +31,7 @@ from .builtins import (
 from .specs import (
     FLAT_TO_PATH,
     PATH_TO_FLAT,
+    STRUCTURED_PATHS,
     FaultChurnSpec,
     FaultPartitionSpec,
     FaultPerturbSpec,
@@ -45,7 +46,6 @@ from .specs import (
     WorkloadSpec,
     parse_scalar,
     parse_spec_overrides,
-    resolve_config_key,
     resolve_spec_path,
     spec_paths,
 )
@@ -82,8 +82,8 @@ __all__ = [
     "TopologySpec",
     "FLAT_TO_PATH",
     "PATH_TO_FLAT",
+    "STRUCTURED_PATHS",
     "spec_paths",
-    "resolve_config_key",
     "resolve_spec_path",
     "parse_scalar",
     "parse_spec_overrides",

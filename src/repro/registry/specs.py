@@ -6,37 +6,40 @@ component specs — :class:`SystemSpec`, :class:`MembershipSpec`,
 run-level fields (name, nodes, seed, duration, drain, loss).  It is the one
 construction vocabulary shared by the simulator
 (:func:`repro.experiments.runner.run_experiment`) and the live runtime
-(``python -m repro serve --scenario ...``): both worlds hand the same spec
+(``python -m repro serve``): both worlds hand the same spec
 to :func:`repro.registry.builtins.build_stack`.
 
-Back-compat contract
---------------------
+Cache identity
+--------------
 The flat :class:`~repro.experiments.config.ExperimentConfig` remains the
 *canonical cache identity*: :meth:`StackSpec.from_config` /
 :meth:`StackSpec.to_config` are an exact field-for-field bijection (driven
-by :data:`FLAT_TO_PATH`), so a spec round-trip never changes a cache key,
-and :meth:`StackSpec.from_dict` accepts both the nested encoding and the
-legacy flat dicts found in PR-1 cache artifacts.
+by :data:`FLAT_TO_PATH`), so a spec round-trip never changes a cache key.
+:meth:`StackSpec.to_dict` / :meth:`StackSpec.from_dict` are the nested JSON
+codec, one recursive walk over the dataclass fields; flat dicts (cache
+artifacts) are read by ``ExperimentConfig.from_dict``.
 
 Dotted paths
 ------------
 Every field is addressable by a dotted path (``system.fanout``,
-``membership.kind``, ``nodes``); the CLI's ``--set``/``--sweep`` use
-:meth:`StackSpec.with_values` and :func:`resolve_config_key`.  Legacy flat
-field names (``fanout``) remain accepted as aliases of their path.
+``membership.kind``, ``nodes``); ``--set``, ``--param`` and campaign
+``set``/``sweep`` all speak it through :meth:`StackSpec.with_values` and
+:func:`resolve_spec_path`.  A value must fit the type of the field it
+lands on (:meth:`StackSpec.with_value`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..faults.plan import (
     FaultPlanError,
     FaultSpec as _PlanFaultSpec,
-    jsonify as _plan_jsonify,
-    tuplify as _plan_tuplify,
+    jsonify as _jsonify,
+    tuplify as _tuplify,
 )
+from ..telemetry import DEFAULT_SNAPSHOT_PERIOD, parse_sink_spec
 from ..topology.spec import TopologyError, TopologySpec
 from .base import RegistryError, suggest
 
@@ -55,8 +58,8 @@ __all__ = [
     "StackSpec",
     "FLAT_TO_PATH",
     "PATH_TO_FLAT",
+    "STRUCTURED_PATHS",
     "spec_paths",
-    "resolve_config_key",
     "resolve_spec_path",
     "parse_scalar",
     "parse_spec_overrides",
@@ -182,103 +185,6 @@ class FaultsSpec:
     perturb: "FaultPerturbSpec" = field(default_factory=FaultPerturbSpec)
     plan: Tuple[Tuple[Tuple[str, object], ...], ...] = ()
 
-    _SUBSPECS = (
-        ("churn", FaultChurnSpec),
-        ("partition", FaultPartitionSpec),
-        ("perturb", FaultPerturbSpec),
-    )
-
-    def to_dict(self) -> Dict[str, object]:
-        """Nested JSON form; sub-specs at their defaults are omitted."""
-        payload: Dict[str, object] = {}
-        for name, spec_class in self._SUBSPECS:
-            sub = getattr(self, name)
-            if sub != spec_class():
-                payload[name] = {
-                    spec_field.name: getattr(sub, spec_field.name)
-                    for spec_field in fields(sub)
-                }
-        if self.plan:
-            payload["plan"] = [
-                [[key, _plan_jsonify(value)] for key, value in entry]
-                for entry in self.plan
-            ]
-        return payload
-
-    @staticmethod
-    def from_dict(payload: Mapping[str, object]) -> "FaultsSpec":
-        """Rebuild the section; unknown fields raise :class:`RegistryError`."""
-        if not isinstance(payload, Mapping):
-            raise RegistryError(
-                f"StackSpec section 'faults' must be a mapping, got {type(payload).__name__}"
-            )
-        known = [name for name, _ in FaultsSpec._SUBSPECS] + ["plan"]
-        unknown = [key for key in payload if key not in known]
-        if unknown:
-            raise RegistryError(
-                f"unknown faults spec fields {sorted(unknown)}"
-                f"{suggest(unknown[0], known)}; known fields: {', '.join(sorted(known))}"
-            )
-        values: Dict[str, object] = {}
-        for name, spec_class in FaultsSpec._SUBSPECS:
-            entry = payload.get(name)
-            if entry is None:
-                continue
-            if not isinstance(entry, Mapping):
-                raise RegistryError(
-                    f"faults spec section {name!r} must be a mapping, got {type(entry).__name__}"
-                )
-            valid = {spec_field.name for spec_field in fields(spec_class)}
-            bad = [key for key in entry if key not in valid]
-            if bad:
-                raise RegistryError(
-                    f"unknown faults.{name} spec fields {sorted(bad)}"
-                    f"{suggest(bad[0], valid)}; known fields: {', '.join(sorted(valid))}"
-                )
-            coerced: Dict[str, float] = {}
-            for key, value in entry.items():
-                # Every fault sub-spec field is a plain number; a bool here
-                # is a misplaced flag, not a 0/1 probability.
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise RegistryError(
-                        f"faults.{name} spec field {key!r} must be a number, got {value!r}"
-                    )
-                coerced[key] = float(value)
-            values[name] = spec_class(**coerced)
-        if "plan" in payload:
-            # Route every entry through the FaultSpec codec so unknown
-            # fields fail here (not at run time) and the encoding is
-            # canonical — the same logical plan must always embed, and
-            # therefore cache-hash, identically.  Entries come either as
-            # pair lists (our own to_dict output) or as plain mappings
-            # (the shape --fault plan.json files use).
-            try:
-                values["plan"] = tuple(
-                    FaultsSpec._parse_plan_entry(entry).to_pairs()
-                    for entry in payload["plan"]
-                )
-            except FaultPlanError as error:
-                raise RegistryError(f"invalid faults.plan entry: {error}")
-        return FaultsSpec(**values)
-
-    @staticmethod
-    def _parse_plan_entry(entry) -> "_PlanFaultSpec":
-        if isinstance(entry, Mapping):
-            return _PlanFaultSpec.from_dict(entry)
-        if not isinstance(entry, (list, tuple)) or not all(
-            isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in entry
-        ):
-            raise RegistryError(
-                "faults.plan entries must be mappings (like a --fault plan "
-                "file) or lists of [field, value] pairs, got "
-                f"{entry!r}"
-            )
-        return _PlanFaultSpec.from_pairs(
-            tuple((key, _plan_tuplify(value)) for key, value in entry)
-        )
-
-
-
 
 @dataclass(frozen=True)
 class TelemetrySpec:
@@ -301,12 +207,14 @@ class TelemetrySpec:
     """
 
     sinks: Tuple[str, ...] = ()
-    period: float = 5.0  # keep in sync via DEFAULT_SNAPSHOT_PERIOD (checked in tests)
+    period: float = DEFAULT_SNAPSHOT_PERIOD
+
+    def __post_init__(self) -> None:
+        if self.period <= 0:
+            raise RegistryError(f"telemetry.period must be positive, got {self.period!r}")
 
     def build_sinks(self):
         """Instantiate the configured sinks (empty list when unset)."""
-        from ..telemetry import parse_sink_spec
-
         return [parse_sink_spec(spec) for spec in self.sinks]
 
 
@@ -372,13 +280,157 @@ FLAT_TO_PATH: Dict[str, str] = {
 #: Dotted spec path → flat config field (inverse of :data:`FLAT_TO_PATH`).
 PATH_TO_FLAT: Dict[str, str] = {path: flat for flat, path in FLAT_TO_PATH.items()}
 
-_SECTIONS: Tuple[Tuple[str, type], ...] = (
-    ("system", SystemSpec),
-    ("membership", MembershipSpec),
-    ("interest", InterestSpec),
-    ("workload", WorkloadSpec),
-    ("policy", PolicySpec),
+#: Structured (tuple-valued) paths: not settable from ``--set``, not
+#: sweepable; each maps to the hint naming the option that does carry it.
+_STRUCTURED_HINTS: Dict[str, str] = {
+    "extra": "",
+    "faults.plan": "; pass a plan file via --fault instead",
+    "topology.assignment": "; pass a topology file via --topology instead",
+    "topology.geo": "; pass a topology file via --topology instead",
+}
+STRUCTURED_PATHS: Tuple[str, ...] = tuple(_STRUCTURED_HINTS)
+
+#: Sections added after the PR-1/PR-3 artifacts were written: omitted from
+#: :meth:`StackSpec.to_dict` at their defaults, so dicts of specs that never
+#: touch them stay byte-identical to the format of that era.
+_OMITTED_AT_DEFAULT = frozenset(
+    {
+        "faults",
+        "faults.churn",
+        "faults.partition",
+        "faults.perturb",
+        "faults.plan",
+        "topology",
+        "telemetry",
+    }
 )
+
+_TYPE_NAMES = {
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    tuple: "a list",
+}
+
+
+def _default(spec_field):
+    """The default value of a dataclass field (its type is the field's type)."""
+    if spec_field.default is not MISSING:
+        return spec_field.default
+    return spec_field.default_factory()
+
+
+def _fit(path: str, default, value):
+    """``value`` as the type of the field at ``path`` (the type of ``default``).
+
+    An ``int`` widens to a ``float`` field (``duration=5`` hashes like
+    ``5.0``), an integral ``float`` narrows to an ``int`` field and a list
+    becomes a tuple; anything else that is not exactly the field's type —
+    a ``bool`` for a number, a number for a ``bool``, a string for either —
+    raises :class:`RegistryError` naming the path and the expected type.
+    """
+    kind = type(default)
+    if kind is float and type(value) is int:
+        return float(value)
+    if kind is int and type(value) is float and value.is_integer():
+        return int(value)
+    if kind is tuple and type(value) is list:
+        return _tuplify(value)
+    if type(value) is not kind:
+        raise RegistryError(f"{path} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _parse_plan_entry(entry) -> "_PlanFaultSpec":
+    if isinstance(entry, Mapping):
+        return _PlanFaultSpec.from_dict(entry)
+    if not isinstance(entry, (list, tuple)) or not all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in entry
+    ):
+        raise RegistryError(
+            "faults.plan entries must be mappings (like a --fault plan "
+            "file) or lists of [field, value] pairs, got "
+            f"{entry!r}"
+        )
+    return _PlanFaultSpec.from_pairs(
+        tuple((key, _tuplify(value)) for key, value in entry)
+    )
+
+
+def _encode(spec, prefix: str = "") -> Dict[str, object]:
+    """Nested JSON form of a spec dataclass (see :meth:`StackSpec.to_dict`)."""
+    payload: Dict[str, object] = {}
+    for spec_field in fields(spec):
+        path = prefix + spec_field.name
+        value = getattr(spec, spec_field.name)
+        if path in _OMITTED_AT_DEFAULT and value == _default(spec_field):
+            continue
+        if isinstance(value, TopologySpec):
+            payload[spec_field.name] = value.to_dict()
+        elif is_dataclass(value):
+            payload[spec_field.name] = _encode(value, path + ".")
+        else:
+            payload[spec_field.name] = _jsonify(value)
+    return payload
+
+
+def _decode(spec_class, payload, prefix: str = ""):
+    """Rebuild a spec dataclass from :func:`_encode` output, checking as it goes."""
+    if not isinstance(payload, Mapping):
+        raise RegistryError(
+            f"StackSpec section {prefix[:-1]!r} must be a mapping, got {type(payload).__name__}"
+        )
+    known = {spec_field.name: spec_field for spec_field in fields(spec_class)}
+    unknown = [key for key in payload if key not in known]
+    if unknown:
+        label = f"{prefix[:-1]} spec" if prefix else "StackSpec"
+        raise RegistryError(
+            f"unknown {label} fields {sorted(unknown)}"
+            f"{suggest(unknown[0], known)}; known fields: {', '.join(sorted(known))}"
+        )
+    values: Dict[str, object] = {}
+    for key, raw in payload.items():
+        path = prefix + key
+        default = _default(known[key])
+        if isinstance(default, TopologySpec):
+            try:
+                values[key] = TopologySpec.from_dict(raw)
+            except TopologyError as error:
+                raise RegistryError(f"invalid topology spec: {error}")
+        elif is_dataclass(default):
+            values[key] = _decode(type(default), raw, path + ".")
+        elif path == "faults.plan":
+            # Route every entry through the FaultSpec codec so unknown
+            # fields fail here (not at run time) and the encoding is
+            # canonical — the same logical plan must always embed, and
+            # therefore cache-hash, identically.  Entries come either as
+            # pair lists (our own to_dict output) or as plain mappings
+            # (the shape --fault plan.json files use).
+            try:
+                values[key] = tuple(
+                    _parse_plan_entry(entry).to_pairs() for entry in _fit(path, default, raw)
+                )
+            except FaultPlanError as error:
+                raise RegistryError(f"invalid faults.plan entry: {error}")
+        else:
+            values[key] = _fit(path, default, raw)
+    return spec_class(**values)
+
+
+def _construct(spec_class, values: Dict[str, object]):
+    """Build a spec dataclass from nested, already-typed values (no checks).
+
+    A nested section is declared ``field(default_factory=ItsClass)``, so the
+    factory is the class to recurse into.
+    """
+    kwargs = dict(values)
+    for spec_field in fields(spec_class):
+        if isinstance(kwargs.get(spec_field.name), dict):
+            kwargs[spec_field.name] = _construct(
+                spec_field.default_factory, kwargs[spec_field.name]
+            )
+    return spec_class(**kwargs)
 
 
 def _get_path(obj, parts: List[str]):
@@ -402,24 +454,20 @@ def spec_paths() -> List[str]:
 
 
 def resolve_spec_path(key: str) -> str:
-    """Normalise a CLI key (dotted path or legacy flat name) to a dotted path.
+    """Check that ``key`` is a dotted spec path and return it.
 
-    Unknown keys raise :class:`RegistryError` with a did-you-mean suggestion
-    drawn from both vocabularies.
+    Unknown keys raise :class:`RegistryError` with a did-you-mean
+    suggestion; a flat config field name is answered with its dotted path.
     """
     if key in PATH_TO_FLAT:
         return key
     if key in FLAT_TO_PATH:
-        return FLAT_TO_PATH[key]
+        hint = f" — did you mean {FLAT_TO_PATH[key]!r}?"
+    else:
+        hint = suggest(key, PATH_TO_FLAT)
     raise RegistryError(
-        f"unknown config key {key!r}{suggest(key, list(PATH_TO_FLAT) + list(FLAT_TO_PATH))}; "
-        f"known paths: {', '.join(spec_paths())}"
+        f"unknown config key {key!r}{hint}; known paths: {', '.join(spec_paths())}"
     )
-
-
-def resolve_config_key(key: str) -> str:
-    """Normalise a CLI key (dotted path or flat name) to the flat field name."""
-    return PATH_TO_FLAT[resolve_spec_path(key)]
 
 
 def parse_scalar(text: str):
@@ -443,10 +491,9 @@ def parse_scalar(text: str):
 def parse_spec_overrides(pairs) -> Dict[str, object]:
     """Turn ``path=value`` strings into a dotted-path override mapping.
 
-    Accepts dotted spec paths (``system.fanout=5``) and legacy flat field
-    names (``fanout=5``); unknown keys raise :class:`RegistryError` with a
-    did-you-mean suggestion.  ``extra`` is structured and cannot be set this
-    way.
+    Unknown keys raise :class:`RegistryError` with a did-you-mean
+    suggestion.  Structured fields (:data:`STRUCTURED_PATHS`) cannot be set
+    this way.
     """
     overrides: Dict[str, object] = {}
     for pair in pairs:
@@ -454,17 +501,10 @@ def parse_spec_overrides(pairs) -> Dict[str, object]:
             raise RegistryError(f"expected path=value, got {pair!r}")
         key, _, raw = pair.partition("=")
         path = resolve_spec_path(key.strip())
-        if path == "extra":
-            raise RegistryError("config field 'extra' is structured and cannot be set from the CLI")
-        if path == "faults.plan":
-            raise RegistryError(
-                "config field 'faults.plan' is structured and cannot be set from "
-                "the CLI; pass a plan file via --fault instead"
-            )
-        if path in ("topology.assignment", "topology.geo"):
+        if path in _STRUCTURED_HINTS:
             raise RegistryError(
                 f"config field {path!r} is structured and cannot be set from "
-                "the CLI; pass a topology file via --topology instead"
+                f"the CLI{_STRUCTURED_HINTS[path]}"
             )
         overrides[path] = parse_scalar(raw.strip())
     return overrides
@@ -514,29 +554,14 @@ class StackSpec:
         runs on every ``config.spec()`` call, so it avoids the per-field
         frozen-dataclass churn a ``with_value`` loop would cost.
         """
-        values: Dict[str, object] = {}
-        nested: Dict[str, Dict[str, object]] = {}
+        nested: Dict[str, object] = {}
         for flat, path in FLAT_TO_PATH.items():
-            value = getattr(config, flat)
-            parts = path.split(".")
-            if len(parts) == 1:
-                values[path] = value
-            else:
-                node = nested.setdefault(parts[0], {})
-                for part in parts[1:-1]:
-                    node = node.setdefault(part, {})
-                node[parts[-1]] = value
-        for section, spec_class in _SECTIONS:
-            values[section] = spec_class(**nested.pop(section, {}))
-        faults_data = nested.pop("faults", {})
-        fault_values: Dict[str, object] = {
-            name: spec_class(**faults_data.pop(name, {}))
-            for name, spec_class in FaultsSpec._SUBSPECS
-        }
-        fault_values.update(faults_data)  # the free-form "plan" entries
-        values["faults"] = FaultsSpec(**fault_values)
-        values["topology"] = TopologySpec(**nested.pop("topology", {}))
-        return StackSpec(**values)
+            node = nested
+            *parents, leaf = path.split(".")
+            for part in parents:
+                node = node.setdefault(part, {})
+            node[leaf] = getattr(config, flat)
+        return _construct(StackSpec, nested)
 
     def to_config(self):
         """Recompose the flat :class:`ExperimentConfig` (exact inverse)."""
@@ -549,191 +574,23 @@ class StackSpec:
     # ------------------------------------------------------------ dict codecs
 
     def to_dict(self) -> Dict[str, object]:
-        """Nested JSON-serializable form; inverse of :meth:`from_dict`."""
-        payload: Dict[str, object] = {
-            "name": self.name,
-            "nodes": self.nodes,
-            "seed": self.seed,
-            "duration": self.duration,
-            "drain_time": self.drain_time,
-            "loss_rate": self.loss_rate,
-            "extra": [[key, value] for key, value in self.extra],
-        }
-        for section, _ in _SECTIONS:
-            spec = getattr(self, section)
-            payload[section] = {
-                spec_field.name: getattr(spec, spec_field.name) for spec_field in fields(spec)
-            }
-        # Faults are omitted at their default so dicts of fault-free specs
-        # are byte-identical to the pre-fault format (and old nested dicts
-        # keep loading).
-        if self.faults != FaultsSpec():
-            payload["faults"] = self.faults.to_dict()
-        # Topology follows the faults rule: omitted at its default so
-        # topology-free specs keep their pre-topology byte encoding.
-        if self.topology != TopologySpec():
-            payload["topology"] = self.topology.to_dict()
-        # Telemetry is observability-only; omit it at its default so dicts of
-        # telemetry-free specs are byte-identical to the pre-telemetry format.
-        if self.telemetry != TelemetrySpec():
-            payload["telemetry"] = {
-                "sinks": list(self.telemetry.sinks),
-                "period": self.telemetry.period,
-            }
-        return payload
+        """Nested JSON-serializable form; inverse of :meth:`from_dict`.
+
+        The faults, topology and telemetry sections (and the fault
+        sub-sections) are omitted at their defaults.
+        """
+        return _encode(self)
 
     @staticmethod
     def from_dict(payload: Mapping[str, object]) -> "StackSpec":
-        """Rebuild a spec from nested *or* legacy flat dictionaries.
+        """Rebuild a spec from its nested dictionary form.
 
-        Legacy dicts (``ExperimentConfig.to_dict()`` output, as stored in
-        PR-1 cache artifacts) are detected by their flat shape — ``system``
-        is a string and component fields sit at top level — and adapted via
-        :class:`ExperimentConfig`, so old artifacts keep resolving to the
-        same spec (and therefore the same cache key).
+        Unknown keys raise :class:`RegistryError` with a did-you-mean
+        suggestion and every value must fit its field's type.  Flat dicts
+        (``ExperimentConfig.to_dict()`` output, as stored in cache
+        artifacts) are read by ``ExperimentConfig.from_dict`` instead.
         """
-        if StackSpec._is_legacy(payload):
-            from ..experiments.config import ExperimentConfig
-
-            return StackSpec.from_config(ExperimentConfig.from_dict(payload))
-
-        payload = StackSpec._remap_workload_churn(payload)
-        section_names = {name for name, _ in _SECTIONS}
-        top_level = {
-            "name",
-            "nodes",
-            "seed",
-            "duration",
-            "drain_time",
-            "loss_rate",
-            "extra",
-            "faults",
-            "topology",
-            "telemetry",
-        }
-        unknown = [key for key in payload if key not in section_names | top_level]
-        if unknown:
-            known = sorted(section_names | top_level)
-            raise RegistryError(
-                f"unknown StackSpec fields {sorted(unknown)}"
-                f"{suggest(unknown[0], known)}; known fields: {', '.join(known)}"
-            )
-        values: Dict[str, object] = {
-            key: payload[key]
-            for key in top_level
-            if key in payload and key not in ("extra", "faults", "topology", "telemetry")
-        }
-        if "extra" in payload:
-            values["extra"] = tuple((key, value) for key, value in payload["extra"])
-        if "faults" in payload:
-            values["faults"] = FaultsSpec.from_dict(payload["faults"])
-        if "topology" in payload:
-            entry = payload["topology"]
-            if not isinstance(entry, Mapping):
-                raise RegistryError(
-                    f"StackSpec section 'topology' must be a mapping, got {type(entry).__name__}"
-                )
-            try:
-                values["topology"] = TopologySpec.from_dict(entry)
-            except TopologyError as error:
-                raise RegistryError(f"invalid topology spec: {error}")
-        if "telemetry" in payload:
-            entry = payload["telemetry"]
-            if not isinstance(entry, Mapping):
-                raise RegistryError(
-                    f"StackSpec section 'telemetry' must be a mapping, got {type(entry).__name__}"
-                )
-            bad = [key for key in entry if key not in ("sinks", "period")]
-            if bad:
-                raise RegistryError(
-                    f"unknown telemetry spec fields {sorted(bad)}"
-                    f"{suggest(bad[0], ('sinks', 'period'))}; known fields: period, sinks"
-                )
-            sinks = entry.get("sinks", ())
-            if isinstance(sinks, str) or not isinstance(sinks, (list, tuple)):
-                raise RegistryError(
-                    "telemetry spec field 'sinks' must be a list of sink specs, "
-                    f"got {sinks!r}"
-                )
-            period_raw = entry.get("period", TelemetrySpec().period)
-            try:
-                period = float(period_raw)
-            except (TypeError, ValueError):
-                raise RegistryError(
-                    f"telemetry spec field 'period' must be a number, got {period_raw!r}"
-                )
-            if period <= 0:
-                raise RegistryError(
-                    f"telemetry spec field 'period' must be positive, got {period_raw!r}"
-                )
-            values["telemetry"] = TelemetrySpec(
-                sinks=tuple(str(sink) for sink in sinks),
-                period=period,
-            )
-        for section, spec_class in _SECTIONS:
-            entry = payload.get(section)
-            if entry is None:
-                continue
-            if not isinstance(entry, Mapping):
-                raise RegistryError(
-                    f"StackSpec section {section!r} must be a mapping, got {type(entry).__name__}"
-                )
-            valid = {spec_field.name for spec_field in fields(spec_class)}
-            bad = [key for key in entry if key not in valid]
-            if bad:
-                raise RegistryError(
-                    f"unknown {section} spec fields {sorted(bad)}"
-                    f"{suggest(bad[0], valid)}; known fields: {', '.join(sorted(valid))}"
-                )
-            values[section] = spec_class(**entry)
-        return StackSpec(**values)
-
-    @staticmethod
-    def _remap_workload_churn(payload: Mapping[str, object]) -> Mapping[str, object]:
-        """Accept pre-fault nested dicts that carried churn under workload.
-
-        Before the fault layer existed, ``churn_down_probability`` /
-        ``churn_up_probability`` lived in the workload section; they now
-        live at ``faults.churn.*``.  Persisted nested encodings of that era
-        must keep loading, so the legacy keys are lifted into the faults
-        section here (an explicit ``faults.churn`` value wins over the
-        legacy spelling).
-        """
-        workload = payload.get("workload")
-        if not isinstance(workload, Mapping) or not (
-            "churn_down_probability" in workload or "churn_up_probability" in workload
-        ):
-            return payload
-        faults = payload.get("faults")
-        if faults is not None and not isinstance(faults, Mapping):
-            return payload  # malformed faults section: let validation report it
-        payload = dict(payload)
-        workload = dict(workload)
-        faults = dict(faults) if faults is not None else {}
-        churn_entry = faults.get("churn")
-        churn = dict(churn_entry) if isinstance(churn_entry, Mapping) else {}
-        for legacy, attr in (
-            ("churn_down_probability", "down_probability"),
-            ("churn_up_probability", "up_probability"),
-        ):
-            if legacy in workload:
-                churn.setdefault(attr, workload.pop(legacy))
-        faults["churn"] = churn
-        payload["workload"] = workload
-        payload["faults"] = faults
-        return payload
-
-    @staticmethod
-    def _is_legacy(payload: Mapping[str, object]) -> bool:
-        """Whether a dict uses the flat ``ExperimentConfig`` encoding."""
-        if isinstance(payload.get("system"), str) or isinstance(payload.get("membership"), str):
-            return True
-        # "system" and "membership" are both flat fields and section names,
-        # so only the unambiguous flat fields count as legacy evidence.
-        shared = {"name", "nodes", "seed", "duration", "drain_time", "loss_rate", "extra"}
-        sections = {name for name, _ in _SECTIONS}
-        flat_only = set(FLAT_TO_PATH) - shared - sections
-        return any(key in payload for key in flat_only)
+        return _decode(StackSpec, payload)
 
     # --------------------------------------------------------- dotted access
 
@@ -742,16 +599,15 @@ class StackSpec:
         return _get_path(self, resolve_spec_path(path).split("."))
 
     def with_value(self, path: str, value) -> "StackSpec":
-        """Copy with one dotted path replaced (types gently coerced).
+        """Copy with one dotted path replaced by a value of the field's type.
 
         An ``int`` assigned to a ``float``-typed field is widened so CLI
-        overrides like ``--set duration=5`` hash identically to ``5.0``.
+        overrides like ``--set duration=5`` hash identically to ``5.0``; a
+        value that does not fit (see :func:`_fit`) raises
+        :class:`RegistryError`.
         """
-        path = resolve_spec_path(path)
-        current = self.get(path)
-        if isinstance(current, float) and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        return _replace_path(self, path.split("."), value)
+        parts = resolve_spec_path(path).split(".")
+        return _replace_path(self, parts, _fit(path, _get_path(_DEFAULTS, parts), value))
 
     def with_values(self, overrides: Mapping[str, object]) -> "StackSpec":
         """Copy with several dotted-path overrides applied."""
@@ -793,9 +649,8 @@ class StackSpec:
 
     def describe(self) -> str:
         """Readable ``section.field = value`` listing of the resolved spec."""
-        structured = ("extra", "faults.plan", "topology.assignment", "topology.geo")
         lines = [
-            f"{path} = {self.get(path)!r}" for path in spec_paths() if path not in structured
+            f"{path} = {self.get(path)!r}" for path in spec_paths() if path not in STRUCTURED_PATHS
         ]
         if self.faults.plan:
             lines.append(f"faults.plan = {len(self.faults.plan)} entr"
@@ -813,3 +668,8 @@ class StackSpec:
         if self.extra:
             lines.append(f"extra = {dict(self.extra)!r}")
         return "\n".join(lines)
+
+
+#: The all-defaults spec; the type of each of its leaves is the type of
+#: that field (what :meth:`StackSpec.with_value` checks against).
+_DEFAULTS = StackSpec()

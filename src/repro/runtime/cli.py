@@ -9,17 +9,15 @@ fairness headline, which is what ``benchmarks/bench_rt_throughput.py``
 consumes.
 
 Both commands build from the same declarative vocabulary as the simulator:
+``--scenario NAME`` (default: the ``live`` scenario) resolves a registered
+scenario to its :class:`~repro.registry.specs.StackSpec`, the explicit
+flags and ``--set system.kind=brokers`` style dotted overrides adjust it
+(:func:`repro.cli.resolve_spec`), and the host builds *any* registered
+system — gossip or baseline — through the component registry
+(:func:`repro.registry.builtins.build_stack`), so every scenario the
+simulator can run also runs live.
 
-* ``--scenario NAME`` resolves a registered scenario to its
-  :class:`~repro.registry.specs.StackSpec` and builds *any* registered
-  system — gossip or baseline — through the component registry
-  (:func:`repro.registry.builtins.build_stack`), so every scenario the
-  simulator can run also runs live.  ``--set system.kind=brokers`` style
-  dotted overrides adjust the spec.
-* Without ``--scenario``, the classic flag set assembles a live gossip
-  cluster directly (the PR-2 behaviour, unchanged).
-
-Either way a live run and a simulated run of the same shape are directly
+A live run and a simulated run of the same shape are therefore directly
 comparable — the property the runtime-vs-simulator parity test checks.
 """
 
@@ -32,27 +30,18 @@ import os
 from typing import Dict, NamedTuple, Optional
 
 from ..analysis.reliability import measure_reliability
-from ..faults import FaultPlan, FaultPlanError
-from ..membership.cyclon import cyclon_provider
-from ..membership.lpbcast import lpbcast_provider
+from ..cli import add_stack_options, parse_tracer, resolve_spec
+from ..experiments.scenarios import LIVE_SCENARIO, get_scenario
+from ..faults import FaultPlanError
 from ..registry import StackSpec, build_interest_model, build_popularity
 from ..sim.rng import RngRegistry
-from ..workloads.interest import (
-    AttributeInterest,
-    CommunityInterest,
-    InterestAssignment,
-    UniformInterest,
-    ZipfInterest,
-)
-from ..workloads.popularity import TopicPopularity
+from ..workloads.interest import AttributeInterest, InterestAssignment
 from .host import DELIVERIES_METRIC, PUBLISHED_METRIC, NodeHost
 from .loadgen import LoadGenerator
 from .transport import MemoryTransport, TcpTransport, Transport, UdpTransport
 
 __all__ = [
     "add_runtime_subcommands",
-    "parse_telemetry_sinks",
-    "parse_tracer",
     "build_live_cluster",
     "LiveCluster",
     "RUNTIME_ARTIFACT_SCHEMA",
@@ -65,41 +54,6 @@ MEMBERSHIP_NAMES = ("cyclon", "lpbcast")
 #: Schema tag written into ``--json`` artifacts of the runtime commands.
 RUNTIME_ARTIFACT_SCHEMA = "rt-load/v1"
 
-#: Defaults of the flags that overlap the StackSpec vocabulary.  They are
-#: declared with ``default=None`` so a scenario run can tell "explicitly
-#: set" (overrides the spec) from "absent" (the spec governs); the classic
-#: path fills the gaps from this table.
-LEGACY_FLAG_DEFAULTS: Dict[str, object] = {
-    "nodes": 25,
-    "seed": 2007,
-    "topics": 8,
-    "topic_exponent": 1.0,
-    "interest": "zipf",
-    "topics_per_node": 2,
-    "max_topics_per_node": 4,
-    "fanout": 5,
-    "gossip_size": 24,
-    "round_period": 1.0,
-    "membership": "cyclon",
-    "buffer_capacity": 4000,
-    "selection_strategy": "least-forwarded",
-}
-
-#: Flag name → dotted spec path, for scenario-mode overrides.
-_FLAG_TO_PATH = {
-    "nodes": "nodes",
-    "seed": "seed",
-    "topics": "workload.topics",
-    "topic_exponent": "workload.topic_exponent",
-    "interest": "interest.kind",
-    "topics_per_node": "interest.topics_per_node",
-    "max_topics_per_node": "interest.max_topics_per_node",
-    "fanout": "system.fanout",
-    "gossip_size": "system.gossip_size",
-    "round_period": "system.round_period",
-    "membership": "membership.kind",
-}
-
 _GOSSIP_KINDS = ("gossip", "fair-gossip", "pushpull-gossip", "lazy-push")
 
 
@@ -108,68 +62,10 @@ class LiveCluster(NamedTuple):
 
     host: NodeHost
     generator: LoadGenerator
+    #: The host creates its nodes on ``start()``, so interest is applied
+    #: afterwards.
     interest: InterestAssignment
-    #: Spec-built hosts create their nodes on ``start()``, so interest must
-    #: be applied afterwards; the classic path applies it at build time.
-    apply_interest_after_start: bool
-    #: The resolved StackSpec (``None`` on the classic flag-driven path).
-    spec: Optional[StackSpec]
-
-
-def parse_telemetry_sinks(args: argparse.Namespace, spec_has_sinks: bool = False):
-    """Validate/construct the ``--telemetry`` sinks as a clean CLI error.
-
-    Also owns the dangling-flag guard: ``--telemetry-period`` without any
-    sink (from the CLI or, with ``spec_has_sinks``, from a scenario's
-    TelemetrySpec) is rejected rather than silently ignored.
-    """
-    from ..telemetry import parse_sink_spec
-
-    period = getattr(args, "telemetry_period", None)
-    if period is not None and period <= 0:
-        raise SystemExit("--telemetry-period must be positive")
-    try:
-        sinks = [parse_sink_spec(spec) for spec in (getattr(args, "telemetry", None) or [])]
-    except ValueError as error:
-        raise SystemExit(str(error))
-    if period is not None and not sinks and not spec_has_sinks:
-        raise SystemExit("--telemetry-period has no effect without --telemetry")
-    return sinks
-
-
-def parse_tracer(args: argparse.Namespace):
-    """Build the ``--trace`` tracer (or None) as a clean CLI error.
-
-    ``--trace PATH`` writes span JSON-lines to PATH; ``--trace-sample-rate``
-    defaults to 1.0 when tracing is on (trace everything — the flag exists
-    to dial volume *down*) and is rejected when dangling, mirroring the
-    ``--telemetry-period`` guard.  Shared by ``run`` and the live commands.
-    """
-    path = getattr(args, "trace", None)
-    rate = getattr(args, "trace_sample_rate", None)
-    if path is None:
-        if rate is not None:
-            raise SystemExit("--trace-sample-rate has no effect without --trace")
-        return None
-    from ..tracing import JsonlTraceSink, Tracer
-
-    try:
-        return Tracer(JsonlTraceSink(path), sample_rate=1.0 if rate is None else rate)
-    except (ValueError, OSError) as error:
-        raise SystemExit(str(error))
-
-
-def _load_fault_plan(path: str) -> FaultPlan:
-    """Load and pre-validate a ``--fault`` plan as a clean CLI error.
-
-    The node universe isn't known yet (spec-built hosts create their nodes
-    on start), so only universe-independent validation happens here; the
-    host re-validates against the real node ids when it starts.
-    """
-    try:
-        return FaultPlan.from_file(path).validate()
-    except FaultPlanError as error:
-        raise SystemExit(str(error))
+    spec: StackSpec
 
 
 def _build_transport(args: argparse.Namespace) -> Transport:
@@ -182,85 +78,35 @@ def _build_transport(args: argparse.Namespace) -> Transport:
     raise SystemExit(f"unknown transport {args.transport!r}; expected one of {TRANSPORT_NAMES}")
 
 
-def _resolve_spec(args: argparse.Namespace) -> StackSpec:
-    """Scenario spec plus explicit flag overrides plus ``--set`` paths."""
-    from ..experiments.scenarios import get_scenario
-    from ..registry import RegistryError, parse_spec_overrides
+def _live_buffer_tuning(spec: StackSpec, args: argparse.Namespace) -> StackSpec:
+    """Give gossip nodes the live buffer extras.
 
-    try:
-        spec = get_scenario(args.scenario).spec
-    except KeyError as error:
-        raise SystemExit(error.args[0])
-    for flag, path in _FLAG_TO_PATH.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            spec = spec.with_value(path, value)
-    try:
-        spec = spec.with_values(parse_spec_overrides(args.set or []))
-    except RegistryError as error:
-        raise SystemExit(str(error))
-    if getattr(args, "fault", None):
-        # Plan-file entries compose with (rather than replace) whatever the
-        # scenario's faults section already declares.
-        plan = _load_fault_plan(args.fault)
-        spec = spec.with_value(
-            "faults.plan", spec.get("faults.plan") + plan.entry_pairs()
-        )
-    if getattr(args, "topology", None):
-        from ..registry.specs import FLAT_TO_PATH
-        from ..topology import TopologyError, TopologySpec
-
-        try:
-            topology = TopologySpec.from_file(args.topology)
-        except TopologyError as error:
-            raise SystemExit(str(error))
-        for flat_key, value in topology.to_flat().items():
-            spec = spec.with_value(FLAT_TO_PATH[flat_key], value)
-    if spec.topology.enabled:
-        # Compile once up front so a bad topology (too few nodes per domain,
-        # unknown ids in the assignment, ...) is a clean CLI error instead
-        # of a traceback out of host.start().
-        from ..topology import TopologyError, compile_domain_map
-
-        try:
-            compile_domain_map(spec.topology, spec.node_ids())
-        except TopologyError as error:
-            raise SystemExit(str(error))
-    if spec.system.kind in _GOSSIP_KINDS:
-        # Live clusters push far more events per time unit than the default
-        # simulator scenarios; give gossip nodes the live buffer tuning.
-        # Explicit flags override the spec; absent both, the live defaults
-        # fill in.  These extras only take effect in live builds — the
-        # simulator's config→result function never reads them.
-        extras = spec.extra_dict()
-        for key, flag_value in (
-            ("buffer_capacity", args.buffer_capacity),
-            ("selection_strategy", args.selection_strategy),
-        ):
-            if flag_value is not None:
-                extras[key] = flag_value
-            else:
-                extras.setdefault(key, LEGACY_FLAG_DEFAULTS[key])
-        spec = spec.with_value("extra", tuple(sorted(extras.items())))
-    return spec
+    Live clusters push far more events per time unit than the default
+    simulator scenarios.  Explicit flags override the scenario's extras;
+    absent both, the ``live`` scenario's tuning fills in.  These extras
+    only take effect in live builds — the simulator's config→result
+    function never reads them.
+    """
+    if spec.system.kind not in _GOSSIP_KINDS:
+        return spec
+    extras = {**dict(get_scenario(LIVE_SCENARIO).config.extra), **spec.extra_dict()}
+    for key in ("buffer_capacity", "selection_strategy"):
+        if getattr(args, key) is not None:
+            extras[key] = getattr(args, key)
+    return spec.with_value("extra", tuple(sorted(extras.items())))
 
 
-def _build_from_spec(args: argparse.Namespace) -> LiveCluster:
-    spec = _resolve_spec(args)
-    sinks = parse_telemetry_sinks(args, spec_has_sinks=bool(spec.telemetry.sinks))
-    if sinks:
-        spec = spec.with_telemetry(
-            tuple(args.telemetry), period=getattr(args, "telemetry_period", None)
-        )
-    transport = _build_transport(args)
+def build_live_cluster(args: argparse.Namespace) -> LiveCluster:
+    """Build (but do not start) a host, its load generator, and interests.
+
+    The cluster is built from the resolved :class:`StackSpec` through the
+    component registry, so any registered system runs.
+    """
+    spec = _live_buffer_tuning(resolve_spec(args, live=True), args)
     host = NodeHost(
-        transport,
+        _build_transport(args),
         seed=spec.seed,
         time_scale=args.time_scale,
-        snapshot_sinks=sinks,
-        snapshot_period=getattr(args, "telemetry_period", None) or (
-            spec.telemetry.period if sinks else None
-        ),
         spec=spec,
         tracer=parse_tracer(args),
     )
@@ -269,8 +115,7 @@ def _build_from_spec(args: argparse.Namespace) -> LiveCluster:
     # Same stream name as the simulator runner, so a live cluster and a
     # simulated run of the same seed get identical interest assignments.
     interest_rng = RngRegistry(spec.seed).stream("experiment-interest")
-    node_ids = list(spec.node_ids())
-    interest = interest_model.assign(node_ids, interest_rng)
+    interest = interest_model.assign(list(spec.node_ids()), interest_rng)
     attribute_model = interest_model if isinstance(interest_model, AttributeInterest) else None
     generator = LoadGenerator(
         host,
@@ -279,92 +124,7 @@ def _build_from_spec(args: argparse.Namespace) -> LiveCluster:
         attribute_model=attribute_model,
         publishers=list(spec.publisher_ids()),
     )
-    return LiveCluster(host, generator, interest, apply_interest_after_start=True, spec=spec)
-
-
-def _build_classic(args: argparse.Namespace) -> LiveCluster:
-    transport = _build_transport(args)
-    provider = (
-        lpbcast_provider() if args.membership == "lpbcast" else cyclon_provider()
-    )
-    sinks = parse_telemetry_sinks(args)
-    fault_plan = (
-        _load_fault_plan(args.fault) if getattr(args, "fault", None) else None
-    )
-    host = NodeHost(
-        transport,
-        seed=args.seed,
-        time_scale=args.time_scale,
-        snapshot_sinks=sinks,
-        snapshot_period=getattr(args, "telemetry_period", None),
-        fault_plan=fault_plan,
-        tracer=parse_tracer(args),
-        membership_provider=provider,
-        node_kwargs={
-            "fanout": args.fanout,
-            "gossip_size": args.gossip_size,
-            "round_period": args.round_period,
-            # Live runs push far more events per time unit than the default
-            # simulator scenarios; size the buffer so an event survives its
-            # dissemination window instead of being evicted mid-spread, and
-            # spread forwarding effort evenly across buffered events ("newest"
-            # starves anything older than a round under heavy load).
-            "buffer_capacity": args.buffer_capacity,
-            "selection_strategy": args.selection_strategy,
-        },
-    )
-    node_ids = [f"node-{index:03d}" for index in range(args.nodes)]
-    host.add_nodes(node_ids)
-
-    if args.topic_exponent <= 0:
-        popularity = TopicPopularity.uniform(args.topics)
-    else:
-        popularity = TopicPopularity.zipf(args.topics, exponent=args.topic_exponent)
-    attribute_model: Optional[AttributeInterest] = None
-    if args.interest == "uniform":
-        interest_model = UniformInterest(popularity, topics_per_node=args.topics_per_node)
-    elif args.interest == "community":
-        interest_model = CommunityInterest(popularity, topics_per_node=args.topics_per_node)
-    elif args.interest == "content":
-        attribute_model = AttributeInterest(filters_per_node=args.topics_per_node)
-        interest_model = attribute_model
-    else:
-        interest_model = ZipfInterest(
-            popularity, min_topics=1, max_topics=args.max_topics_per_node
-        )
-    # Same stream name as the simulator runner, so a live cluster and a
-    # simulated run of the same seed get identical interest assignments.
-    interest_rng = RngRegistry(args.seed).stream("experiment-interest")
-    interest = interest_model.assign(node_ids, interest_rng)
-    interest.apply(host)
-
-    generator = LoadGenerator(
-        host,
-        rate=args.rate,
-        popularity=None if attribute_model is not None else popularity,
-        attribute_model=attribute_model,
-    )
-    return LiveCluster(host, generator, interest, apply_interest_after_start=False, spec=None)
-
-
-def build_live_cluster(args: argparse.Namespace) -> LiveCluster:
-    """Build (but do not start) a host, its load generator, and interests.
-
-    With ``--scenario`` the cluster is built from the scenario's
-    :class:`StackSpec` through the component registry (any registered system
-    runs); otherwise the classic flag-driven gossip cluster is assembled.
-    """
-    if getattr(args, "scenario", None):
-        return _build_from_spec(args)
-    if getattr(args, "topology", None):
-        raise SystemExit(
-            "--topology requires --scenario: multi-domain clusters are built "
-            "through the component registry (try --scenario smoke-domains)"
-        )
-    for flag, default in LEGACY_FLAG_DEFAULTS.items():
-        if getattr(args, flag, None) is None:
-            setattr(args, flag, default)
-    return _build_classic(args)
+    return LiveCluster(host, generator, interest, spec)
 
 
 def _write_artifact(path: str, artifact: Dict[str, object]) -> None:
@@ -386,8 +146,7 @@ async def _run_live(args: argparse.Namespace, live_report: bool) -> Dict[str, ob
         # built cluster) is a usage error, not a crash; the host already
         # tore itself down.
         raise SystemExit(str(error))
-    if cluster.apply_interest_after_start:
-        cluster.interest.apply(host)
+    cluster.interest.apply(host)
     reporter: Optional[asyncio.Task] = None
     if live_report:
 
@@ -421,19 +180,12 @@ async def _run_live(args: argparse.Namespace, live_report: bool) -> Dict[str, ob
         if host.tracer is not None:
             host.tracer.close()
 
-    round_period = args.round_period
-    if round_period is None:
-        round_period = (
-            cluster.spec.system.round_period
-            if cluster.spec is not None
-            else LEGACY_FLAG_DEFAULTS["round_period"]
-        )
     summary = host.fairness_summary(system_name=f"live/{args.transport}")
     reliability = measure_reliability(
         generator.schedule.events,
         host.delivery_log,
         host.subscriptions,
-        round_period=round_period,
+        round_period=cluster.spec.system.round_period,
     )
     # Latency and deliveries settle during the drain window; re-read them
     # after the run and widen the delivery-rate window accordingly.
@@ -459,10 +211,10 @@ async def _run_live(args: argparse.Namespace, live_report: bool) -> Dict[str, ob
     return {
         "schema": RUNTIME_ARTIFACT_SCHEMA,
         "transport": args.transport,
-        "scenario": getattr(args, "scenario", None),
-        "system": host.system.name if host.system is not None else "live-gossip",
+        "scenario": args.scenario,
+        "system": host.system.name,
         "nodes": len(host.nodes),
-        "seed": cluster.spec.seed if cluster.spec is not None else args.seed,
+        "seed": cluster.spec.seed,
         "time_scale": args.time_scale,
         "duration_seconds": args.duration,
         "load": load.to_dict(),
@@ -492,18 +244,12 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 def _add_common_runtime_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scenario",
-        default=None,
+        default=LIVE_SCENARIO,
         metavar="NAME",
-        help="build the cluster from a registered scenario's StackSpec "
-        "(any registered system runs live; see list-scenarios)",
+        help="build the cluster from a registered scenario's StackSpec (any "
+        f"registered system runs live; see list-scenarios; default: {LIVE_SCENARIO})",
     )
-    parser.add_argument(
-        "--set",
-        action="append",
-        metavar="PATH=VALUE",
-        help="with --scenario: override a spec path (e.g. system.kind=brokers, "
-        "system.fanout=5, membership.kind=lpbcast); repeatable",
-    )
+    add_stack_options(parser)
     parser.add_argument(
         "--nodes", type=int, default=None, help="cluster size (default: 25)"
     )
@@ -578,52 +324,6 @@ def _add_common_runtime_options(parser: argparse.ArgumentParser) -> None:
         "--bind-port", type=int, default=0, help="socket transports: bind port (0 = ephemeral)"
     )
     parser.add_argument("--json", default=None, metavar="PATH", help="write the run artifact")
-    parser.add_argument(
-        "--fault",
-        default=None,
-        metavar="PLAN.json",
-        help="drive the cluster with a declarative fault plan (crash/churn/"
-        "partition/perturb entries; the same file runs on the simulator via "
-        "'run --fault')",
-    )
-    parser.add_argument(
-        "--topology",
-        default=None,
-        metavar="TOPO.json",
-        help="with --scenario: load a multi-domain topology spec (domains, "
-        "bridges, geo latency/loss matrix); the same file drives the "
-        "simulator via 'run --topology'",
-    )
-    parser.add_argument(
-        "--telemetry",
-        action="append",
-        metavar="SINK",
-        help="stream periodic telemetry snapshots to a sink "
-        "(jsonl:PATH, csv:PATH, prom:PATH, memory); repeatable",
-    )
-    parser.add_argument(
-        "--telemetry-period",
-        type=float,
-        default=None,
-        metavar="UNITS",
-        help="snapshot period in protocol time units (default: 5.0; at "
-        "--time-scale 20 that is one snapshot every 0.25s)",
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="TRACE.jsonl",
-        help="record causal dissemination spans to a JSON-lines file "
-        "(render with `python -m repro trace TRACE.jsonl`)",
-    )
-    parser.add_argument(
-        "--trace-sample-rate",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="fraction of published events to trace, decided "
-        "deterministically per event id (default with --trace: 1.0)",
-    )
 
 
 def add_runtime_subcommands(subparsers) -> None:

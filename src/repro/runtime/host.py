@@ -34,7 +34,6 @@ from ..pubsub.events import Event, EventFactory
 from ..pubsub.filters import Filter
 from ..pubsub.interfaces import DeliveryCallback, DeliveryLog, DisseminationSystem
 from ..pubsub.subscriptions import SubscriptionTable
-from ..sim.metrics import MetricsRegistry
 from ..sim.node import ProcessRegistry
 from ..sim.rng import RngRegistry
 from ..registry import StackSpec, build_popularity, build_stack
@@ -81,7 +80,6 @@ class NodeHost(DisseminationSystem):
         membership_provider: Optional[MembershipProvider] = None,
         ledger: Optional[WorkLedger] = None,
         delivery_log: Optional[DeliveryLog] = None,
-        metrics: Optional[MetricsRegistry] = None,
         telemetry: Optional[Telemetry] = None,
         snapshot_sinks: Optional[Sequence[TelemetrySink]] = None,
         snapshot_period: Optional[float] = None,
@@ -104,14 +102,7 @@ class NodeHost(DisseminationSystem):
         self._delivery_log = delivery_log if delivery_log is not None else DeliveryLog()
         self.subscriptions = SubscriptionTable()
         self.registry = ProcessRegistry()
-        #: The telemetry store; ``metrics`` is the legacy ``(name, node)``
-        #: view over the *same* store, kept for compatibility call sites.
-        if metrics is not None:
-            self.metrics = metrics
-            self.telemetry = telemetry if telemetry is not None else metrics.telemetry
-        else:
-            self.telemetry = telemetry if telemetry is not None else Telemetry()
-            self.metrics = MetricsRegistry(telemetry=self.telemetry)
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._latency_histogram = self.telemetry.histogram(DELIVERY_LATENCY_METRIC)
         self._deliveries_counter = self.telemetry.counter(DELIVERIES_METRIC)
         self._published_counter = self.telemetry.counter(PUBLISHED_METRIC)

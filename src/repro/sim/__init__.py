@@ -2,8 +2,9 @@
 
 This package is the testbed substitute: a deterministic, seeded
 discrete-event simulator with a virtual clock, a message-passing network
-model (latency, loss, partitions), a process abstraction with periodic
-timers, failure/churn injection, trace recording, and metric collection.
+model (latency, loss, partitions), and a process abstraction with periodic
+timers.  Failure injection lives in :mod:`repro.faults`, metrics in
+:mod:`repro.telemetry`, and tracing in :mod:`repro.tracing`.
 
 Typical wiring::
 
@@ -18,8 +19,6 @@ Typical wiring::
 
 from .clock import Clock, VirtualClock
 from .engine import PeriodicTimer, ScheduledEvent, SimulationError, Simulator
-from .failure import ChurnInjector, CrashSchedule, PartitionInjector
-from .metrics import Counter, Gauge, Histogram, HistogramSummary, MetricsRegistry
 from .network import (
     BernoulliLoss,
     ConstantLatency,
@@ -34,7 +33,6 @@ from .network import (
 )
 from .node import Process, ProcessRegistry
 from .rng import RngRegistry, derive_seed, weighted_choice, zipf_weights
-from .trace import TraceRecord, TraceRecorder
 
 __all__ = [
     "Clock",
@@ -55,18 +53,8 @@ __all__ = [
     "BernoulliLoss",
     "Process",
     "ProcessRegistry",
-    "ChurnInjector",
-    "CrashSchedule",
-    "PartitionInjector",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "HistogramSummary",
-    "MetricsRegistry",
     "RngRegistry",
     "derive_seed",
     "zipf_weights",
     "weighted_choice",
-    "TraceRecord",
-    "TraceRecorder",
 ]

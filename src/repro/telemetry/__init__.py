@@ -15,17 +15,12 @@ Design constraints, in order:
 
 1. **O(1)-memory hot paths.** :class:`Histogram` is a bounded streaming
    estimator (fixed geometric buckets plus a small raw-sample buffer); it
-   never retains every observation the way the pre-telemetry
-   ``sim.metrics.Histogram`` did.
+   never retains every observation.
 2. **Determinism.** Nothing here draws randomness or reads wall time unless
    explicitly handed a clock; snapshots of a deterministic simulation are
    byte-identical across runs.
 3. **Zero new dependencies.** Sinks write plain text formats (JSON lines,
    CSV, Prometheus exposition) with the standard library only.
-
-``repro.sim.metrics`` remains as a thin compatibility shim whose
-``MetricsRegistry`` delegates to a :class:`Telemetry` instance, keyed by the
-legacy positional ``node`` parameter mapped onto the ``node`` tag.
 """
 
 from .instruments import (

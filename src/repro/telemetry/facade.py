@@ -2,12 +2,11 @@
 
 Instruments are keyed by ``(name, tags)`` where tags are structured
 ``key=value`` pairs (``node="node-007"``, ``topic="t3"``,
-``system="fair-gossip"``) normalised into a sorted tuple, replacing the
-legacy positional ``node: str`` parameter of ``sim.metrics``.  Hot-path
+``system="fair-gossip"``) normalised into a sorted tuple.  Hot-path
 callers fetch an instrument once and hold it (``self._latency =
 telemetry.histogram("rt.delivery_latency_units")``); the shortcut methods
 (:meth:`increment`, :meth:`observe`, :meth:`set_gauge`) exist for cold
-paths and compatibility shims.
+paths.
 """
 
 from __future__ import annotations

@@ -22,15 +22,10 @@ The moving parts:
 * :mod:`repro.tracing.analyze` reconstructs per-event infection trees and
   the aggregate hop/latency/redundancy/recovery numbers behind
   ``python -m repro trace``.
-
-The pre-span :class:`TraceRecorder` (flat category records, used by the
-failure injectors) lives on in :mod:`repro.tracing.legacy`, re-exported
-through the ``repro.sim.trace`` deprecation shim.
 """
 
 from .analyze import EventTrace, TraceAnalysis, analyze_spans, render_trace
 from .context import TraceContext, decode_contexts, encode_contexts
-from .legacy import TraceRecord, TraceRecorder
 from .sampler import TraceSampler
 from .spans import (
     DELIVER,
@@ -76,6 +71,4 @@ __all__ = [
     "TraceAnalysis",
     "analyze_spans",
     "render_trace",
-    "TraceRecord",
-    "TraceRecorder",
 ]

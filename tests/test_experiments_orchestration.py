@@ -230,7 +230,7 @@ class TestCli:
             "--nodes",
             "12",
             "--param",
-            "fanout",
+            "system.fanout",
             "--values",
             "2,3",
             "--workers",
@@ -281,7 +281,7 @@ class TestCli:
                 "run",
                 "smoke",
                 "--set",
-                "fanout=5",
+                "system.fanout=5",
                 "--no-cache",
                 "--nodes",
                 "12",

@@ -45,7 +45,7 @@ from repro.pubsub import TopicFilter
 from repro.registry import parse_spec_overrides
 from repro.runtime.host import NodeHost
 from repro.runtime.transport import MemoryTransport
-from repro.sim import Network, ProcessRegistry, Simulator, TraceRecorder
+from repro.sim import Network, ProcessRegistry, Simulator
 from repro.telemetry import Telemetry
 
 # Pinned on the PR-2 tree (see tests/test_registry_specs.py): fault-free
@@ -447,17 +447,13 @@ class TestSkipIsLoud:
         simulator = Simulator(seed=3)
         network = Network(simulator)
         registry = ProcessRegistry()
-        trace = TraceRecorder()
         telemetry = Telemetry()
-        schedule = CrashSchedule(simulator, registry, trace=trace, telemetry=telemetry)
+        schedule = CrashSchedule(simulator, registry, telemetry=telemetry)
         schedule.add(1.0, "ghost", "crash")
         simulator.run(until=2.0)
         assert schedule.skipped == 1
         assert telemetry.counter_value("fault.skipped", action="crash") == 1
-        records = trace.by_category("fault")
-        assert len(records) == 1
-        assert records[0].node == "ghost"
-        assert records[0].details["action"] == "skipped"
+        assert telemetry.counter_total("fault.events") == 0
 
     def test_controller_records_skip_when_target_left(self):
         simulator, network, system = _gossip_fixture(nodes=4)
@@ -522,11 +518,9 @@ class TestSpecFaultIntegration:
         # int → float widening applies on deep paths too
         assert spec.faults.partition.heal_after == 3.0
         assert isinstance(spec.faults.partition.heal_after, float)
-        # legacy flat aliases keep working
-        assert (
-            StackSpec().with_value("churn_down_probability", 0.2).faults.churn.down_probability
-            == 0.2
-        )
+        # a flat field name is answered with its dotted path
+        with pytest.raises(ValueError, match="faults.churn.down_probability"):
+            StackSpec().with_value("churn_down_probability", 0.2)
 
     def test_fault_plan_is_structured_and_not_settable(self):
         from repro.registry import RegistryError
@@ -578,30 +572,6 @@ class TestSpecFaultIntegration:
         # Malformed entries (neither mapping nor pair list) are clean errors.
         with pytest.raises(RegistryError, match="faults.plan entries"):
             StackSpec.from_dict({"faults": {"plan": [["at"]]}})
-
-    def test_pre_fault_nested_dicts_with_workload_churn_still_load(self):
-        # Exactly what StackSpec.to_dict() emitted before the fault layer:
-        # churn probabilities inside the workload section.
-        spec = StackSpec.from_dict(
-            {
-                "workload": {
-                    "topics": 6,
-                    "churn_down_probability": 0.05,
-                    "churn_up_probability": 0.4,
-                }
-            }
-        )
-        assert spec.workload.topics == 6
-        assert spec.faults.churn.down_probability == 0.05
-        assert spec.faults.churn.up_probability == 0.4
-        # An explicit faults.churn value wins over the legacy spelling.
-        merged = StackSpec.from_dict(
-            {
-                "workload": {"churn_down_probability": 0.05},
-                "faults": {"churn": {"down_probability": 0.2}},
-            }
-        )
-        assert merged.faults.churn.down_probability == 0.2
 
     def test_from_flat_compiles_expected_entries(self):
         config = ExperimentConfig(

@@ -13,7 +13,7 @@ from tests.conftest import build_gossip_system
 from repro.core import EXPRESSIVE_POLICY, TOPIC_BASED_POLICY, evaluate_fairness
 from repro.experiments import ExperimentConfig, compare, run_experiment
 from repro.pubsub import TopicFilter
-from repro.sim import ChurnInjector
+from repro.faults import ChurnInjector
 from repro.workloads import TopicPopularity, TopicPublicationWorkload, ZipfInterest
 
 

@@ -27,7 +27,7 @@ from repro.pubsub import (
     TopicHierarchy,
     topic_path,
 )
-from repro.sim.metrics import percentile
+from repro.telemetry import percentile
 from repro.sim.rng import zipf_weights
 
 # Bounded non-negative floats for metric inputs.
@@ -50,6 +50,11 @@ class TestFairnessIndexProperties:
     def test_jain_index_bounds(self, values):
         index = jain_index(values)
         assert 0.0 <= index <= 1.0 + 1e-9
+
+    def test_jain_index_survives_underflowing_squares(self):
+        # Found by test_jain_index_bounds: 6.4e-161 squared is subnormal.
+        assert jain_index([6.361920056959414e-161] * 2) == 1.0
+        assert jain_index([5e-324, 0.0]) == 0.5
 
     @given(st.floats(min_value=0.01, max_value=1e5), st.integers(min_value=1, max_value=30))
     def test_jain_index_is_one_for_equal_values(self, value, count):

@@ -4,8 +4,8 @@ Covers the back-compat contract of the construction redesign:
 
 * nested ``to_dict``/``from_dict`` round-trips and the flat↔nested bijection
   (``StackSpec.from_config(c).to_config() == c`` for every config);
-* the legacy flat-dict adapter: a PR-1 cache artifact's config dict loads
-  through ``StackSpec.from_dict`` and resolves to the *identical* cache key
+* the flat-dict reader: a PR-1 cache artifact's config dict loads through
+  ``ExperimentConfig.from_dict`` and resolves to the *identical* cache key
   (pinned sha256 literals);
 * pinned experiment results for two scenarios — the registry-driven build
   path must be bit-identical to the pre-redesign ``if/elif`` ladder;
@@ -44,7 +44,6 @@ from repro.registry import (
     build_interest_model,
     build_popularity,
     parse_spec_overrides,
-    resolve_config_key,
 )
 from repro.runtime.host import NodeHost
 from repro.runtime.transport import MemoryTransport
@@ -110,28 +109,59 @@ class TestSpecRoundTrips:
         spec = StackSpec()
         assert spec.get("system.fanout") == 3
         assert spec.with_value("system.fanout", 7).system.fanout == 7
-        # legacy flat names are path aliases
-        assert spec.with_value("fanout", 7) == spec.with_value("system.fanout", 7)
+        # a flat field name is answered with its dotted path
+        with pytest.raises(RegistryError, match="did you mean 'system.fanout'"):
+            spec.with_value("fanout", 7)
         # int → float widening for float-typed fields
         assert spec.with_value("duration", 5).duration == 5.0
         assert isinstance(spec.with_value("duration", 5).duration, float)
 
+    @pytest.mark.parametrize(
+        "path, value, expected",
+        [
+            ("system.fanout", "abc", "an integer"),
+            ("system.fanout", 2.5, "an integer"),
+            ("system.fanout", True, "an integer"),
+            ("system.adapt_fanout", 3, "a boolean"),
+            ("system.adapt_fanout", "yes", "a boolean"),
+            ("loss_rate", True, "a number"),
+            ("loss_rate", "lots", "a number"),
+            ("membership.kind", 5, "a string"),
+        ],
+    )
+    def test_with_value_rejects_values_that_do_not_fit_the_field(self, path, value, expected):
+        with pytest.raises(RegistryError, match=f"{path} must be {expected}"):
+            StackSpec().with_value(path, value)
 
-class TestLegacyFlatAdapter:
+    def test_with_value_narrows_integral_floats_for_int_fields(self):
+        narrowed = StackSpec().with_value("system.fanout", 2.0).system.fanout
+        assert narrowed == 2 and isinstance(narrowed, int)
+
+    def test_from_dict_runs_the_same_type_check(self):
+        with pytest.raises(RegistryError, match="system.fanout must be an integer"):
+            StackSpec.from_dict({"system": {"fanout": "abc"}})
+        assert StackSpec.from_dict({"duration": 5}).duration == 5.0
+
+
+class TestFlatDictReader:
     def test_pr1_artifact_config_dict_loads_and_keeps_cache_key(self):
         # Exactly what a PR-1 cache artifact carries in its "config" field.
-        legacy = _smoke_config().to_dict()
-        spec = StackSpec.from_dict(legacy)
+        flat = _smoke_config().to_dict()
+        spec = ExperimentConfig.from_dict(flat).spec()
         assert spec == _smoke_config().spec()
         assert config_hash(spec.to_config()) == SMOKE_CONFIG_HASH
-        assert config_hash(ExperimentConfig.from_dict(legacy)) == SMOKE_CONFIG_HASH
+        assert config_hash(ExperimentConfig.from_dict(flat)) == SMOKE_CONFIG_HASH
 
-    def test_legacy_and_nested_dicts_resolve_identically(self):
+    def test_flat_and_nested_dicts_resolve_identically(self):
         for config in (_smoke_config(), _smoke_brokers_config()):
-            from_legacy = StackSpec.from_dict(config.to_dict())
+            from_flat = ExperimentConfig.from_dict(config.to_dict()).spec()
             from_nested = StackSpec.from_dict(StackSpec.from_config(config).to_dict())
-            assert from_legacy == from_nested
-            assert config_hash(from_legacy.to_config()) == config_hash(config)
+            assert from_flat == from_nested
+            assert config_hash(from_flat.to_config()) == config_hash(config)
+
+    def test_stack_spec_reads_the_nested_form_only(self):
+        with pytest.raises(RegistryError, match="unknown StackSpec fields"):
+            StackSpec.from_dict(_smoke_config().to_dict())
 
     def test_spec_round_trip_never_perturbs_cache_keys(self):
         for scenario in iter_scenarios():
@@ -199,7 +229,6 @@ class TestRegistryErrors:
     def test_parse_spec_overrides(self):
         overrides = parse_spec_overrides(["system.fanout=5", "membership.kind=lpbcast"])
         assert overrides == {"system.fanout": 5, "membership.kind": "lpbcast"}
-        assert resolve_config_key("system.fanout") == "fanout"
         with pytest.raises(RegistryError):
             parse_spec_overrides(["extra=nope"])
         with pytest.raises(RegistryError):
@@ -243,6 +272,37 @@ class TestCliSurface:
         with pytest.raises(SystemExit) as excinfo:
             cli_main(["run", "smoke", "--no-cache", "--set", "membership.kin=lpbcast"])
         assert "membership.kind" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "override", ["system.fanout=abc", "system.fanout=2.5", "system.adapt_fanout=3"]
+    )
+    def test_set_rejects_a_mistyped_value_before_anything_runs(
+        self, override, monkeypatch, tmp_path
+    ):
+        # A bad value must never reach the cache identity, let alone a run.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a mistyped override reached config_hash")
+
+        monkeypatch.setattr("repro.experiments.cache.config_hash", unreachable)
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["run", "smoke", "--cache-dir", str(tmp_path), "--set", override])
+        message = str(excinfo.value)
+        assert override.split("=")[0] in message and "must be" in message
+        assert "\n" not in message
+
+    def test_sweep_rejects_a_mistyped_value(self):
+        with pytest.raises(SystemExit, match="system.fanout must be an integer"):
+            cli_main(
+                ["sweep", "smoke", "--no-cache", "--param", "system.fanout", "--values", "2,x"]
+            )
+
+    def test_flat_names_are_answered_with_their_dotted_path(self):
+        with pytest.raises(SystemExit, match="did you mean 'system.fanout'"):
+            cli_main(["run", "smoke", "--no-cache", "--set", "fanout=2"])
+        with pytest.raises(SystemExit, match="did you mean 'system.fanout'"):
+            cli_main(
+                ["sweep", "smoke", "--no-cache", "--param", "fanout", "--values", "2,3"]
+            )
 
     def test_sweep_accepts_dotted_param(self, capsys):
         code = cli_main(

@@ -145,7 +145,7 @@ class TestNodeHostMemory:
         assert totals.gossip_messages_sent > 0
         assert host.transport.frames_sent > 0
         # Delivery latency landed in the metrics registry.
-        latency = host.metrics.histogram_summary("rt.delivery_latency_units")
+        latency = host.telemetry.histogram_summary("rt.delivery_latency_units")
         assert latency.count == host.delivery_log.total_deliveries()
         assert latency.p50 > 0
         # The live fairness summary is readable and covers every node.

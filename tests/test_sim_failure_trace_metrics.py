@@ -1,22 +1,12 @@
-"""Tests for failure injection, trace recording, and metric primitives."""
+"""Tests for the imperative failure injectors and the metric primitives."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim import (
-    ChurnInjector,
-    CrashSchedule,
-    Histogram,
-    MetricsRegistry,
-    Network,
-    PartitionInjector,
-    Process,
-    ProcessRegistry,
-    Simulator,
-    TraceRecorder,
-)
-from repro.sim.metrics import percentile
+from repro.faults import ChurnInjector, CrashSchedule, PartitionInjector
+from repro.sim import Network, Process, ProcessRegistry, Simulator
+from repro.telemetry import Histogram, Telemetry, percentile
 
 
 class Dummy(Process):
@@ -56,13 +46,13 @@ class TestCrashSchedule:
         with pytest.raises(ValueError):
             schedule.add(1.0, "n0", "explode")
 
-    def test_trace_records_events(self, simulator, network):
+    def test_telemetry_counts_events(self, simulator, network):
         registry = build_population(simulator, network, 1)
-        trace = TraceRecorder()
-        schedule = CrashSchedule(simulator, registry, trace=trace)
+        telemetry = Telemetry()
+        schedule = CrashSchedule(simulator, registry, telemetry=telemetry)
         schedule.add(1.0, "n0", "crash")
         simulator.run(until=2.0)
-        assert trace.count("churn", "n0") == 1
+        assert telemetry.counter_value("fault.events", action="crash") == 1
 
 
 class TestChurnInjector:
@@ -173,57 +163,27 @@ class TestPartitionInjector:
         assert network._same_partition("n2", "n3")
 
 
-class TestTraceRecorder:
-    def test_records_and_filters(self):
-        trace = TraceRecorder()
-        trace.record(1.0, "publish", node="a", event="e1")
-        trace.record(2.0, "deliver", node="b", event="e1")
-        trace.record(3.0, "deliver", node="b", event="e2")
-        assert len(trace) == 3
-        assert len(trace.by_category("deliver")) == 2
-        assert len(trace.by_node("b")) == 2
-        assert trace.count("deliver", node="b") == 2
-
-    def test_disabled_recorder_keeps_nothing(self):
-        trace = TraceRecorder(enabled=False)
-        assert trace.record(1.0, "publish") is None
-        assert len(trace) == 0
-
-    def test_listener_notified(self):
-        trace = TraceRecorder()
-        seen = []
-        trace.add_listener(lambda record: seen.append(record.category))
-        trace.record(1.0, "publish")
-        assert seen == ["publish"]
-
-    def test_clear(self):
-        trace = TraceRecorder()
-        trace.record(1.0, "publish")
-        trace.clear()
-        assert len(trace) == 0
-
-
 class TestMetrics:
     def test_counter_increments_and_rejects_negative(self):
-        registry = MetricsRegistry()
-        registry.increment("sent", node="a", amount=3)
-        registry.increment("sent", node="a")
-        assert registry.counter_value("sent", "a") == 4
+        telemetry = Telemetry()
+        telemetry.increment("sent", 3, node="a")
+        telemetry.increment("sent", node="a")
+        assert telemetry.counter_value("sent", node="a") == 4
         with pytest.raises(ValueError):
-            registry.counter("sent", "a").increment(-1)
+            telemetry.counter("sent", node="a").increment(-1)
 
     def test_counter_total_and_per_node(self):
-        registry = MetricsRegistry()
-        registry.increment("sent", node="a", amount=2)
-        registry.increment("sent", node="b", amount=3)
-        assert registry.counter_total("sent") == 5
-        assert registry.per_node_counter("sent") == {"a": 2, "b": 3}
+        telemetry = Telemetry()
+        telemetry.increment("sent", 2, node="a")
+        telemetry.increment("sent", 3, node="b")
+        assert telemetry.counter_total("sent") == 5
+        assert telemetry.counters_by_tag("sent", "node") == {"a": 2, "b": 3}
 
     def test_gauge_set(self):
-        registry = MetricsRegistry()
-        registry.gauge("fanout", "a").set(4)
-        registry.gauge("fanout", "a").set(2)
-        assert registry.per_node_gauge("fanout") == {"a": 2}
+        telemetry = Telemetry()
+        telemetry.gauge("fanout", node="a").set(4)
+        telemetry.gauge("fanout", node="a").set(2)
+        assert telemetry.gauges_by_tag("fanout", "node") == {"a": 2}
 
     def test_histogram_summary(self):
         histogram = Histogram()
@@ -248,13 +208,13 @@ class TestMetrics:
             percentile([1.0], 1.5)
 
     def test_names_and_reset(self):
-        registry = MetricsRegistry()
-        registry.increment("sent")
-        registry.gauge("fanout").set(1)
-        registry.observe("latency", 0.3)
-        names = registry.names()
+        telemetry = Telemetry()
+        telemetry.increment("sent")
+        telemetry.gauge("fanout").set(1)
+        telemetry.observe("latency", 0.3)
+        names = telemetry.names()
         assert names["counters"] == ["sent"]
         assert names["gauges"] == ["fanout"]
         assert names["histograms"] == ["latency"]
-        registry.reset()
-        assert registry.counter_total("sent") == 0
+        telemetry.reset()
+        assert telemetry.counter_total("sent") == 0

@@ -27,7 +27,6 @@ from repro.experiments import ExperimentConfig, ResultCache, get_scenario, run_e
 from repro.experiments.cli import main as cli_main
 from repro.registry import StackSpec, TelemetrySpec
 from repro.runtime import MemoryTransport, NodeHost
-from repro.sim.metrics import MetricsRegistry
 from repro.telemetry import (
     Histogram,
     HistogramState,
@@ -208,16 +207,6 @@ class TestTelemetryFacade:
         assert telemetry.counter_value("ev", node="a") == 1.0
         assert telemetry.histogram_summary("lat").count == 1
 
-    def test_metrics_registry_shares_the_telemetry_store(self):
-        telemetry = Telemetry()
-        registry = MetricsRegistry(telemetry=telemetry)
-        registry.increment("sent", node="a", amount=4.0)
-        telemetry.increment("sent", 1.0, node="a")
-        assert registry.counter_value("sent", "a") == 5.0
-        assert registry.per_node_counter("sent") == {"a": 5.0}
-        registry.observe("lat", 0.5, node="a")
-        assert telemetry.histogram_summary("lat", node="a").count == 1
-
 
 # ---------------------------------------------------------------------------
 # Snapshots and sinks
@@ -339,7 +328,7 @@ class TestTelemetrySpec:
     def test_from_dict_rejects_string_sinks(self):
         from repro.registry import RegistryError
 
-        with pytest.raises(RegistryError, match="list of sink specs"):
+        with pytest.raises(RegistryError, match="must be a list"):
             StackSpec.from_dict({"telemetry": {"sinks": "jsonl:out.jsonl"}})
         with pytest.raises(RegistryError, match="unknown telemetry spec fields"):
             StackSpec.from_dict({"telemetry": {"sink": ["jsonl:out.jsonl"]}})

@@ -35,7 +35,6 @@ from repro.tracing import (
     MemoryTraceSink,
     SpanRecord,
     TraceContext,
-    TraceRecorder,
     TraceSampler,
     Tracer,
     analyze_spans,
@@ -327,17 +326,6 @@ class TestSimLiveParity:
         assert len(drops) == 1
         assert drops[0].node == "node-999"
         assert drops[0].details["reason"] == "dead"
-
-
-class TestLegacyShim:
-    def test_sim_trace_still_importable(self):
-        from repro.sim.trace import TraceRecorder as ShimRecorder
-
-        assert ShimRecorder is TraceRecorder
-        recorder = ShimRecorder(enabled=True)
-        recorder.record(1.0, "fault", node="n1", action="crash")
-        assert recorder.count("fault") == 1
-        assert recorder.by_node("n1")[0].details["action"] == "crash"
 
 
 class TestTraceCli:
