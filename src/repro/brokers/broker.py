@@ -20,14 +20,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..core.accounting import WorkLedger
-from ..pubsub.events import Event, EventFactory
+from ..pubsub.events import Event
 from ..pubsub.filters import Filter, filter_from_dict
-from ..pubsub.interfaces import DeliveryCallback, DeliveryLog, DisseminationSystem
+from ..pubsub.interfaces import DeliveryCallback, DeliveryLog, DisseminationSystem, Participant
 from ..pubsub.matching import MatchingEngine
-from ..pubsub.subscriptions import SubscriptionTable
 from ..sim.engine import Simulator
 from ..sim.network import Message, Network
-from ..sim.node import Process, ProcessRegistry
 
 __all__ = ["BrokerNode", "ClientNode", "BrokerSystem"]
 
@@ -87,8 +85,12 @@ WIRE_CODECS = {
 }
 
 
-class BrokerNode(Process):
-    """A broker: matches events against subscriptions and forwards them."""
+class BrokerNode(Participant):
+    """A broker: matches events against subscriptions and forwards them.
+
+    Brokers are infrastructure: they share the ledger (all their work is
+    contribution) but never deliver to an application.
+    """
 
     def __init__(
         self,
@@ -98,9 +100,7 @@ class BrokerNode(Process):
         ledger: WorkLedger,
         delivery_log: DeliveryLog,
     ) -> None:
-        super().__init__(node_id, simulator, network)
-        self.ledger = ledger
-        self.delivery_log = delivery_log
+        super().__init__(node_id, simulator, network, ledger, delivery_log)
         self.matching = MatchingEngine()
         #: Which broker hosts each remotely subscribed client.
         self.peers: List[str] = []
@@ -108,7 +108,6 @@ class BrokerNode(Process):
         self.client_home: Dict[str, str] = {}
         self.local_clients: Set[str] = set()
         self.seen_event_ids: Set[str] = set()
-        self.ledger.ensure_node(node_id)
 
     def set_peers(self, peers: Sequence[str]) -> None:
         """Tell this broker about the other brokers."""
@@ -177,11 +176,8 @@ class BrokerNode(Process):
         """Record which broker hosts a remote client (filled in by the system)."""
         self.client_home[client_id] = home_broker
 
-    def on_crash(self) -> None:
-        self.ledger.record_crash(self.node_id)
 
-
-class ClientNode(Process):
+class ClientNode(Participant):
     """A pure client: publishes to and receives deliveries from its broker."""
 
     def __init__(
@@ -193,33 +189,24 @@ class ClientNode(Process):
         ledger: WorkLedger,
         delivery_log: DeliveryLog,
     ) -> None:
-        super().__init__(node_id, simulator, network)
+        super().__init__(node_id, simulator, network, ledger, delivery_log)
         self.home_broker = home_broker
-        self.ledger = ledger
-        self.delivery_log = delivery_log
-        self.delivered_event_ids: Set[str] = set()
-        self._callbacks: List[DeliveryCallback] = []
-        self.ledger.ensure_node(node_id)
-
-    def add_delivery_callback(self, callback: DeliveryCallback) -> None:
-        """Register an application callback invoked on every delivery."""
-        self._callbacks.append(callback)
 
     def subscribe(self, subscription_filter: Filter) -> None:
         """Send the subscription to the home broker."""
         self.ledger.record_subscribe(self.node_id)
-        payload = _SubscriptionPayload(
-            client_id=self.node_id, subscription_filter=subscription_filter, add=True
-        )
-        self.send(self.home_broker, SUBSCRIBE_KIND, payload=payload, size=1)
+        self._tell_broker(SUBSCRIBE_KIND, subscription_filter, add=True)
 
     def unsubscribe(self, subscription_filter: Filter) -> None:
         """Withdraw the subscription at the home broker."""
         self.ledger.record_unsubscribe(self.node_id)
+        self._tell_broker(UNSUBSCRIBE_KIND, subscription_filter, add=False)
+
+    def _tell_broker(self, kind: str, subscription_filter: Filter, add: bool) -> None:
         payload = _SubscriptionPayload(
-            client_id=self.node_id, subscription_filter=subscription_filter, add=False
+            client_id=self.node_id, subscription_filter=subscription_filter, add=add
         )
-        self.send(self.home_broker, UNSUBSCRIBE_KIND, payload=payload, size=1)
+        self.send(self.home_broker, kind, payload=payload, size=1)
 
     def publish(self, event: Event) -> None:
         """Hand the event to the home broker for dissemination."""
@@ -229,19 +216,8 @@ class ClientNode(Process):
         self.send(self.home_broker, PUBLISH_KIND, payload=_EventPayload(event=event), size=event.size)
 
     def on_message(self, message: Message) -> None:
-        if message.kind != DELIVER_KIND:
-            return
-        event: Event = message.payload.event
-        if event.event_id in self.delivered_event_ids:
-            return
-        self.delivered_event_ids.add(event.event_id)
-        self.ledger.record_delivery(self.node_id)
-        self.delivery_log.record(self.node_id, event, delivered_at=self.simulator.now)
-        for callback in self._callbacks:
-            callback(self.node_id, event)
-
-    def on_crash(self) -> None:
-        self.ledger.record_crash(self.node_id)
+        if message.kind == DELIVER_KIND:
+            self.deliver(message.payload.event)
 
 
 class BrokerSystem(DisseminationSystem):
@@ -262,15 +238,10 @@ class BrokerSystem(DisseminationSystem):
             raise ValueError("a broker system needs at least one client")
         if broker_count <= 0:
             raise ValueError("broker_count must be positive")
-        self.simulator = simulator
-        self.network = network
-        self.ledger = ledger if ledger is not None else WorkLedger()
-        self._delivery_log = delivery_log if delivery_log is not None else DeliveryLog()
-        self.subscriptions = SubscriptionTable()
-        self.registry = ProcessRegistry()
+        super().__init__(simulator, network, ledger, delivery_log)
         self.brokers: Dict[str, BrokerNode] = {}
-        self.clients: Dict[str, ClientNode] = {}
-        self._factories: Dict[str, EventFactory] = {}
+        #: The clients are the system's application-facing nodes.
+        self.clients: Dict[str, ClientNode] = self.nodes
 
         broker_ids = [f"broker-{index}" for index in range(broker_count)]
         for broker_id in broker_ids:
@@ -287,9 +258,7 @@ class BrokerSystem(DisseminationSystem):
                 client_id, simulator, network, home, self.ledger, self._delivery_log
             )
             client.start()
-            self.clients[client_id] = client
-            self.registry.add(client)
-            self._factories[client_id] = EventFactory(client_id)
+            self._adopt(client)
             self.brokers[home].attach_client(client_id)
             for broker in self.brokers.values():
                 broker.register_remote_client(client_id, home)
@@ -297,12 +266,7 @@ class BrokerSystem(DisseminationSystem):
     # ------------------------------------------------------------- §2 API
 
     def publish(self, publisher_id: str, event: Optional[Event] = None, **attributes) -> Event:
-        if event is None:
-            factory = self._factories[publisher_id]
-            topic = attributes.pop("topic", None)
-            size = attributes.pop("size", 1)
-            event = factory.create(attributes=attributes, topic=topic, size=size)
-        event = event.with_time(self.simulator.now)
+        event = self._stamp(publisher_id, event, attributes)
         self.clients[publisher_id].publish(event)
         return event
 
@@ -312,34 +276,15 @@ class BrokerSystem(DisseminationSystem):
         subscription_filter: Filter,
         callbacks: Sequence[DeliveryCallback] = (),
     ) -> None:
-        client = self.clients[node_id]
-        client.subscribe(subscription_filter)
-        self.subscriptions.subscribe(node_id, subscription_filter, timestamp=self.simulator.now)
-        for callback in callbacks:
-            client.add_delivery_callback(callback)
+        self.clients[node_id].subscribe(subscription_filter)
+        self._subscribed(node_id, subscription_filter, callbacks)
 
     def unsubscribe(self, node_id: str, subscription_filter: Filter) -> None:
         self.clients[node_id].unsubscribe(subscription_filter)
-        self.subscriptions.unsubscribe(node_id, subscription_filter, timestamp=self.simulator.now)
+        self._unsubscribed(node_id, subscription_filter)
 
     # -------------------------------------------------------------- queries
-
-    @property
-    def delivery_log(self) -> DeliveryLog:
-        return self._delivery_log
-
-    def node_ids(self) -> List[str]:
-        """Client ids (the participants in the paper's sense)."""
-        return sorted(self.clients)
-
-    def client_nodes(self) -> Dict[str, "ClientNode"]:
-        """Application-facing nodes: the clients (brokers are infrastructure)."""
-        return self.clients
 
     def broker_ids(self) -> List[str]:
         """Ids of the broker nodes."""
         return sorted(self.brokers)
-
-    def run(self, until: float) -> None:
-        """Advance the simulation to time ``until``."""
-        self.simulator.run(until=until)

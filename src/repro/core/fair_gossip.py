@@ -32,10 +32,6 @@ from typing import Dict, Optional, Sequence
 from ..gossip.push import PushGossipNode
 from ..gossip.system import GossipSystem
 from ..membership.base import MembershipProvider
-from ..pubsub.interfaces import DeliveryLog
-from ..sim.engine import Simulator
-from ..sim.network import Network
-from .accounting import WorkLedger
 from .adaptive_fanout import AdaptiveFanoutController, FanoutSchedule
 from .adaptive_payload import AdaptivePayloadController, PayloadSchedule
 from .estimators import BenefitEstimator
@@ -191,29 +187,22 @@ class FairGossipNode(PushGossipNode):
 
 
 class FairGossipSystem(GossipSystem):
-    """Gossip system whose nodes run the fair (adaptive) protocol."""
+    """Gossip system whose nodes run the fair (adaptive) protocol.
+
+    Takes :class:`~repro.gossip.system.GossipSystem`'s arguments except
+    ``node_class``, which is :class:`FairGossipNode`.
+    """
 
     name = "fair-gossip"
 
     def __init__(
         self,
-        simulator: Simulator,
-        network: Network,
+        simulator,
+        network,
         node_ids: Sequence[str],
         membership_provider: Optional[MembershipProvider] = None,
-        node_kwargs: Optional[Dict] = None,
-        bootstrap_degree: int = 10,
-        ledger: Optional[WorkLedger] = None,
-        delivery_log: Optional[DeliveryLog] = None,
+        **kwargs,
     ) -> None:
         super().__init__(
-            simulator,
-            network,
-            node_ids,
-            membership_provider=membership_provider,
-            node_class=FairGossipNode,
-            node_kwargs=node_kwargs,
-            bootstrap_degree=bootstrap_degree,
-            ledger=ledger,
-            delivery_log=delivery_log,
+            simulator, network, node_ids, membership_provider, FairGossipNode, **kwargs
         )

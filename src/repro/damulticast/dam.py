@@ -32,14 +32,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..core.accounting import WorkLedger
-from ..pubsub.events import Event, EventFactory
-from ..pubsub.filters import Filter, TopicFilter
-from ..pubsub.interfaces import DeliveryCallback, DeliveryLog, DisseminationSystem
-from ..pubsub.subscriptions import SubscriptionTable
+from ..pubsub.events import Event
+from ..pubsub.filters import Filter
+from ..pubsub.interfaces import DeliveryCallback, DeliveryLog, DisseminationSystem, Participant
 from ..pubsub.topics import TopicHierarchy, topic_path
 from ..sim.engine import Simulator
 from ..sim.network import Message, Network
-from ..sim.node import Process, ProcessRegistry
 
 __all__ = ["DamNode", "DataAwareMulticastSystem"]
 
@@ -69,7 +67,7 @@ WIRE_CODECS = {
 }
 
 
-class DamNode(Process):
+class DamNode(Participant):
     """A data-aware multicast participant."""
 
     def __init__(
@@ -82,24 +80,15 @@ class DamNode(Process):
         delivery_log: DeliveryLog,
         fanout: int = 3,
     ) -> None:
-        super().__init__(node_id, simulator, network)
+        super().__init__(node_id, simulator, network, ledger, delivery_log)
         self.system = system
-        self.ledger = ledger
-        self.delivery_log = delivery_log
         self.fanout = fanout
         self.subscribed_topics: Set[str] = set()
         #: Topics whose group this node belongs to (subscriptions + delegate duties).
         self.group_topics: Set[str] = set()
         self.seen_event_ids: Set[str] = set()
-        self.delivered_event_ids: Set[str] = set()
-        self._callbacks: List[DeliveryCallback] = []
-        self.ledger.ensure_node(node_id)
 
     # ------------------------------------------------------------ user API
-
-    def add_delivery_callback(self, callback: DeliveryCallback) -> None:
-        """Register an application callback invoked on every delivery."""
-        self._callbacks.append(callback)
 
     def subscribe_topic(self, topic: str) -> None:
         """Subscribe to a topic (joins its gossip group)."""
@@ -139,15 +128,16 @@ class DamNode(Process):
     # ------------------------------------------------------------- gossip
 
     def _spread(self, topic: str, event: Event, first_touch: bool) -> None:
-        """Infect-and-die: deliver if interested, forward to random group members."""
+        """Infect-and-die: deliver if interested, forward to random group members.
+
+        ``first_touch`` is the publisher's own injection or a handoff to a
+        delegate, which spreads even an event the node has already seen.
+        """
         if event.event_id in self.seen_event_ids and not first_touch:
             return
-        newly_seen = event.event_id not in self.seen_event_ids
         self.seen_event_ids.add(event.event_id)
         if topic in self.subscribed_topics:
-            self._deliver(event)
-        if not newly_seen and not first_touch:
-            return
+            self.deliver(event)
         members = self.system.group_members(topic)
         rng = self.simulator.rng.stream(f"dam:{self.node_id}")
         candidates = [member for member in members if member != self.node_id]
@@ -162,34 +152,17 @@ class DamNode(Process):
         )
 
     def on_message(self, message: Message) -> None:
-        if message.kind not in (GROUP_GOSSIP_KIND, HANDOFF_KIND):
-            return
-        payload: _GossipPayload = message.payload
-        if message.kind == HANDOFF_KIND:
-            # A publisher outside the group handed us the event to spread.
-            self._spread(payload.topic, payload.event, first_touch=True)
-        else:
-            if payload.event.event_id in self.seen_event_ids:
-                return
-            self._spread(payload.topic, payload.event, first_touch=False)
-
-    def _deliver(self, event: Event) -> None:
-        if event.event_id in self.delivered_event_ids:
-            return
-        self.delivered_event_ids.add(event.event_id)
-        self.ledger.record_delivery(self.node_id)
-        self.delivery_log.record(self.node_id, event, delivered_at=self.simulator.now)
-        for callback in self._callbacks:
-            callback(self.node_id, event)
-
-    def on_crash(self) -> None:
-        self.ledger.record_crash(self.node_id)
+        if message.kind in (GROUP_GOSSIP_KIND, HANDOFF_KIND):
+            # A handoff comes from a publisher outside the group: spread it.
+            payload: _GossipPayload = message.payload
+            self._spread(payload.topic, payload.event, message.kind == HANDOFF_KIND)
 
 
 class DataAwareMulticastSystem(DisseminationSystem):
     """Topic-hierarchy gossip groups with supertopic delegates."""
 
     name = "data-aware-multicast"
+    topic_only = "data-aware multicast"
 
     def __init__(
         self,
@@ -206,17 +179,10 @@ class DataAwareMulticastSystem(DisseminationSystem):
             raise ValueError("a dam system needs at least one node")
         if delegates_per_root <= 0:
             raise ValueError("delegates_per_root must be positive")
-        self.simulator = simulator
-        self.network = network
+        super().__init__(simulator, network, ledger, delivery_log)
         self.hierarchy = hierarchy if hierarchy is not None else TopicHierarchy()
         self.fanout = fanout
         self.delegates_per_root = delegates_per_root
-        self.ledger = ledger if ledger is not None else WorkLedger()
-        self._delivery_log = delivery_log if delivery_log is not None else DeliveryLog()
-        self.subscriptions = SubscriptionTable()
-        self.registry = ProcessRegistry()
-        self.nodes: Dict[str, DamNode] = {}
-        self._factories: Dict[str, EventFactory] = {}
         self._groups: Dict[str, Set[str]] = {}
         self._delegates: Dict[str, List[str]] = {}
         for node_id in node_ids:
@@ -224,9 +190,7 @@ class DataAwareMulticastSystem(DisseminationSystem):
                 node_id, simulator, network, self, self.ledger, self._delivery_log, fanout=fanout
             )
             node.start()
-            self.nodes[node_id] = node
-            self.registry.add(node)
-            self._factories[node_id] = EventFactory(node_id)
+            self._adopt(node)
 
     # ------------------------------------------------------------ grouping
 
@@ -285,16 +249,9 @@ class DataAwareMulticastSystem(DisseminationSystem):
     # ------------------------------------------------------------- §2 API
 
     def publish(self, publisher_id: str, event: Optional[Event] = None, **attributes) -> Event:
-        if event is None:
-            factory = self._factories[publisher_id]
-            topic = attributes.pop("topic", None)
-            size = attributes.pop("size", 1)
-            event = factory.create(attributes=attributes, topic=topic, size=size)
-        if event.topic is None:
-            raise ValueError("data-aware multicast is topic-based: the event needs a topic")
+        event = self._stamp(publisher_id, event, attributes)
         if event.topic not in self.hierarchy:
             self.hierarchy.add(event.topic)
-        event = event.with_time(self.simulator.now)
         self._ensure_delegates(topic_path(event.topic)[0])
         self.nodes[publisher_id].publish(event)
         return event
@@ -305,44 +262,22 @@ class DataAwareMulticastSystem(DisseminationSystem):
         subscription_filter: Filter,
         callbacks: Sequence[DeliveryCallback] = (),
     ) -> None:
-        if not isinstance(subscription_filter, TopicFilter):
-            raise TypeError("data-aware multicast supports topic-based subscriptions only")
-        topic = subscription_filter.topic
+        topic = self._topic_of(subscription_filter)
         if topic not in self.hierarchy:
             self.hierarchy.add(topic)
-        node = self.nodes[node_id]
-        node.subscribe_topic(topic)
+        self.nodes[node_id].subscribe_topic(topic)
         self._groups.setdefault(topic, set()).add(node_id)
-        self.subscriptions.subscribe(node_id, subscription_filter, timestamp=self.simulator.now)
-        for callback in callbacks:
-            node.add_delivery_callback(callback)
+        self._subscribed(node_id, subscription_filter, callbacks)
 
     def unsubscribe(self, node_id: str, subscription_filter: Filter) -> None:
-        if not isinstance(subscription_filter, TopicFilter):
-            raise TypeError("data-aware multicast supports topic-based subscriptions only")
-        topic = subscription_filter.topic
+        topic = self._topic_of(subscription_filter)
         self.nodes[node_id].unsubscribe_topic(topic)
         if not self.is_delegate(node_id, topic):
             self._groups.get(topic, set()).discard(node_id)
-        self.subscriptions.unsubscribe(node_id, subscription_filter, timestamp=self.simulator.now)
+        self._unsubscribed(node_id, subscription_filter)
 
     # -------------------------------------------------------------- queries
-
-    @property
-    def delivery_log(self) -> DeliveryLog:
-        return self._delivery_log
-
-    def node_ids(self) -> List[str]:
-        return sorted(self.nodes)
-
-    def node(self, node_id: str) -> DamNode:
-        """Return the node object for ``node_id``."""
-        return self.nodes[node_id]
 
     def delegates(self) -> Dict[str, List[str]]:
         """Current delegates per root topic."""
         return {root: list(nodes) for root, nodes in self._delegates.items()}
-
-    def run(self, until: float) -> None:
-        """Advance the simulation to time ``until``."""
-        self.simulator.run(until=until)

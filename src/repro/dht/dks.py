@@ -20,16 +20,14 @@ coordinator and the index-route forwarders do the unpaid work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence, Set
 
 from ..core.accounting import WorkLedger
-from ..pubsub.events import Event, EventFactory
-from ..pubsub.filters import Filter, TopicFilter
-from ..pubsub.interfaces import DeliveryCallback, DeliveryLog, DisseminationSystem
-from ..pubsub.subscriptions import SubscriptionTable
+from ..pubsub.events import Event
+from ..pubsub.filters import Filter
+from ..pubsub.interfaces import DeliveryCallback, DeliveryLog, DisseminationSystem, Participant
 from ..sim.engine import Simulator
 from ..sim.network import Message, Network
-from ..sim.node import Process, ProcessRegistry
 from .pastry import PastryRouter
 
 __all__ = ["DksNode", "DksSystem"]
@@ -83,7 +81,7 @@ WIRE_CODECS = {
 }
 
 
-class DksNode(Process):
+class DksNode(Participant):
     """A DKS participant: index forwarder, possibly coordinator, possibly member."""
 
     def __init__(
@@ -95,22 +93,13 @@ class DksNode(Process):
         ledger: WorkLedger,
         delivery_log: DeliveryLog,
     ) -> None:
-        super().__init__(node_id, simulator, network)
+        super().__init__(node_id, simulator, network, ledger, delivery_log)
         self.router = router
-        self.ledger = ledger
-        self.delivery_log = delivery_log
         self.subscribed_topics: Set[str] = set()
         #: Member lists for topics this node coordinates (is rendezvous for).
         self.coordinated_groups: Dict[str, Set[str]] = {}
-        self.delivered_event_ids: Set[str] = set()
-        self._callbacks: List[DeliveryCallback] = []
-        self.ledger.ensure_node(node_id)
 
     # ------------------------------------------------------------ user API
-
-    def add_delivery_callback(self, callback: DeliveryCallback) -> None:
-        """Register an application callback invoked on every delivery."""
-        self._callbacks.append(callback)
 
     def subscribe_topic(self, topic: str) -> None:
         """Subscribe and register with the topic's coordinator via the index."""
@@ -141,6 +130,7 @@ class DksNode(Process):
         self._route(REGISTER_KIND if register else UNREGISTER_KIND, topic, payload, size=1)
 
     def _route(self, kind: str, topic: str, payload, size: int) -> None:
+        """One index hop towards the topic's coordinator (or arrival at it)."""
         key = self.router.key_for(topic)
         next_hop = self.router.next_hop(self.node_id, key)
         if next_hop is None:
@@ -150,28 +140,19 @@ class DksNode(Process):
             if kind == ROUTE_PUBLISH_KIND:
                 self.ledger.record_gossip_send(self.node_id, messages=1, events=1, size=size)
             else:
+                # An (un)subscription hop: on every node but the subscriber
+                # this is pure index maintenance work for someone else, the
+                # DKS unfairness the paper names.
                 self.ledger.record_subscription_forward(self.node_id)
 
     # ------------------------------------------------------------- messages
 
     def on_message(self, message: Message) -> None:
         if message.kind in (REGISTER_KIND, UNREGISTER_KIND, ROUTE_PUBLISH_KIND):
-            key = self.router.key_for(message.payload.topic)
-            next_hop = self.router.next_hop(self.node_id, key)
-            if next_hop is None:
-                self._arrived(message.kind, message.payload)
-            else:
-                self.send(next_hop, message.kind, payload=message.payload, size=message.size)
-                if message.kind == ROUTE_PUBLISH_KIND:
-                    self.ledger.record_gossip_send(
-                        self.node_id, messages=1, events=1, size=message.size
-                    )
-                else:
-                    # Forwarding someone else's (un)subscription: pure index
-                    # maintenance work, the DKS unfairness the paper names.
-                    self.ledger.record_subscription_forward(self.node_id)
+            self._route(message.kind, message.payload.topic, message.payload, message.size)
         elif message.kind == GROUP_SEND_KIND:
-            self._deliver(message.payload.event)
+            if message.payload.event.topic in self.subscribed_topics:
+                self.deliver(message.payload.event)
 
     def _arrived(self, kind: str, payload) -> None:
         """Handle a message whose route ended at this node (the coordinator)."""
@@ -186,7 +167,7 @@ class DksNode(Process):
         members = sorted(self.coordinated_groups.get(payload.topic, set()))
         event = payload.event
         if payload.topic in self.subscribed_topics:
-            self._deliver(event)
+            self.deliver(event)
         targets = [member for member in members if member != self.node_id]
         for member in targets:
             self.send(member, GROUP_SEND_KIND, payload=payload, size=event.size)
@@ -198,19 +179,8 @@ class DksNode(Process):
                 size=event.size * len(targets),
             )
 
-    def _deliver(self, event: Event) -> None:
-        if event.topic not in self.subscribed_topics:
-            return
-        if event.event_id in self.delivered_event_ids:
-            return
-        self.delivered_event_ids.add(event.event_id)
-        self.ledger.record_delivery(self.node_id)
-        self.delivery_log.record(self.node_id, event, delivered_at=self.simulator.now)
-        for callback in self._callbacks:
-            callback(self.node_id, event)
-
     def on_crash(self) -> None:
-        self.ledger.record_crash(self.node_id)
+        super().on_crash()
         self.router.set_alive(self.node_id, False)
 
     def on_recover(self) -> None:
@@ -221,6 +191,7 @@ class DksSystem(DisseminationSystem):
     """Topic-based dissemination with per-topic groups and an index DHT."""
 
     name = "dks"
+    topic_only = "DKS grouping"
 
     def __init__(
         self,
@@ -232,35 +203,19 @@ class DksSystem(DisseminationSystem):
     ) -> None:
         if not node_ids:
             raise ValueError("a DKS system needs at least one node")
-        self.simulator = simulator
-        self.network = network
-        self.ledger = ledger if ledger is not None else WorkLedger()
-        self._delivery_log = delivery_log if delivery_log is not None else DeliveryLog()
-        self.subscriptions = SubscriptionTable()
+        super().__init__(simulator, network, ledger, delivery_log)
         self.router = PastryRouter(list(node_ids))
-        self.registry = ProcessRegistry()
-        self.nodes: Dict[str, DksNode] = {}
-        self._factories: Dict[str, EventFactory] = {}
         for node_id in node_ids:
             node = DksNode(
                 node_id, simulator, network, self.router, self.ledger, self._delivery_log
             )
             node.start()
-            self.nodes[node_id] = node
-            self.registry.add(node)
-            self._factories[node_id] = EventFactory(node_id)
+            self._adopt(node)
 
     # ------------------------------------------------------------- §2 API
 
     def publish(self, publisher_id: str, event: Optional[Event] = None, **attributes) -> Event:
-        if event is None:
-            factory = self._factories[publisher_id]
-            topic = attributes.pop("topic", None)
-            size = attributes.pop("size", 1)
-            event = factory.create(attributes=attributes, topic=topic, size=size)
-        if event.topic is None:
-            raise ValueError("DKS grouping is topic-based: the event needs a topic")
-        event = event.with_time(self.simulator.now)
+        event = self._stamp(publisher_id, event, attributes)
         self.nodes[publisher_id].publish(event)
         return event
 
@@ -270,36 +225,14 @@ class DksSystem(DisseminationSystem):
         subscription_filter: Filter,
         callbacks: Sequence[DeliveryCallback] = (),
     ) -> None:
-        if not isinstance(subscription_filter, TopicFilter):
-            raise TypeError("DKS grouping supports topic-based subscriptions only")
-        node = self.nodes[node_id]
-        node.subscribe_topic(subscription_filter.topic)
-        self.subscriptions.subscribe(node_id, subscription_filter, timestamp=self.simulator.now)
-        for callback in callbacks:
-            node.add_delivery_callback(callback)
+        self.nodes[node_id].subscribe_topic(self._topic_of(subscription_filter))
+        self._subscribed(node_id, subscription_filter, callbacks)
 
     def unsubscribe(self, node_id: str, subscription_filter: Filter) -> None:
-        if not isinstance(subscription_filter, TopicFilter):
-            raise TypeError("DKS grouping supports topic-based subscriptions only")
-        self.nodes[node_id].unsubscribe_topic(subscription_filter.topic)
-        self.subscriptions.unsubscribe(node_id, subscription_filter, timestamp=self.simulator.now)
+        self.nodes[node_id].unsubscribe_topic(self._topic_of(subscription_filter))
+        self._unsubscribed(node_id, subscription_filter)
 
     # -------------------------------------------------------------- queries
-
-    @property
-    def delivery_log(self) -> DeliveryLog:
-        return self._delivery_log
-
-    def node_ids(self) -> List[str]:
-        return sorted(self.nodes)
-
-    def node(self, node_id: str) -> DksNode:
-        """Return the node object for ``node_id``."""
-        return self.nodes[node_id]
-
-    def run(self, until: float) -> None:
-        """Advance the simulation to time ``until``."""
-        self.simulator.run(until=until)
 
     def coordinator_of(self, topic: str) -> str:
         """The index node coordinating a topic's group."""

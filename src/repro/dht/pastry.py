@@ -173,7 +173,3 @@ class PastryRouter:
         raise RuntimeError(
             f"route from {start} to key {self.space.format(key)} exceeded {limit} hops"
         )
-
-    def route_to_name(self, start: str, name: str) -> RouteResult:
-        """Convenience: route towards the root of ``hash(name)``."""
-        return self.route(start, self.key_for(name))

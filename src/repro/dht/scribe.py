@@ -18,17 +18,15 @@ exactly that effect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..core.accounting import WorkLedger
-from ..pubsub.events import Event, EventFactory
-from ..pubsub.filters import Filter, TopicFilter
-from ..pubsub.interfaces import DeliveryCallback, DeliveryLog, DisseminationSystem
-from ..pubsub.subscriptions import SubscriptionTable
+from ..pubsub.events import Event
+from ..pubsub.filters import Filter
+from ..pubsub.interfaces import DeliveryCallback, DeliveryLog, DisseminationSystem, Participant
 from ..sim.engine import Simulator
 from ..sim.network import Message, Network
-from ..sim.node import Process, ProcessRegistry
 from .pastry import PastryRouter
 
 __all__ = ["ScribeNode", "ScribeSystem"]
@@ -89,7 +87,7 @@ WIRE_CODECS = {
 }
 
 
-class ScribeNode(Process):
+class ScribeNode(Participant):
     """One Pastry/Scribe participant.
 
     ``routing_topic`` is the name hashed to pick the rendezvous (it differs
@@ -106,23 +104,14 @@ class ScribeNode(Process):
         ledger: WorkLedger,
         delivery_log: DeliveryLog,
     ) -> None:
-        super().__init__(node_id, simulator, network)
+        super().__init__(node_id, simulator, network, ledger, delivery_log)
         self.router = router
-        self.ledger = ledger
-        self.delivery_log = delivery_log
         self.subscribed_topics: Set[str] = set()
         self.children: Dict[str, Set[str]] = {}
         self.parent: Dict[str, Optional[str]] = {}
         self.forwarder_topics: Set[str] = set()
-        self.delivered_event_ids: Set[str] = set()
-        self._callbacks: List[DeliveryCallback] = []
-        self.ledger.ensure_node(node_id)
 
     # ------------------------------------------------------------ user API
-
-    def add_delivery_callback(self, callback: DeliveryCallback) -> None:
-        """Register an application callback invoked on every delivery."""
-        self._callbacks.append(callback)
 
     def subscribe_topic(self, topic: str, routing_topic: Optional[str] = None) -> None:
         """Subscribe to ``topic`` and join the multicast tree for it."""
@@ -144,17 +133,10 @@ class ScribeNode(Process):
         """Publish an event: route it to the rendezvous of its topic."""
         if not self.alive:
             return
-        topic = routing_topic or (event.topic or "")
         self.ledger.record_publish(self.node_id)
-        key = self.router.key_for(topic)
-        next_hop = self.router.next_hop(self.node_id, key)
-        payload = _PublishPayload(routing_topic=topic, event=event)
-        if next_hop is None:
-            # This node is the rendezvous: start the downward multicast.
-            self._multicast(payload, received_from=None)
-        else:
-            self.send(next_hop, ROUTE_PUBLISH_KIND, payload=payload, size=event.size)
-            self.ledger.record_gossip_send(self.node_id, messages=1, events=1, size=event.size)
+        self._route_publish(
+            _PublishPayload(routing_topic=routing_topic or (event.topic or ""), event=event)
+        )
 
     # ------------------------------------------------------------ tree join
 
@@ -202,33 +184,23 @@ class ScribeNode(Process):
         elif message.kind == LEAVE_KIND:
             self._handle_leave(message.payload)
         elif message.kind == ROUTE_PUBLISH_KIND:
-            self._handle_route_publish(message.payload)
+            self._route_publish(message.payload)
         elif message.kind == MULTICAST_KIND:
-            self._handle_multicast(message)
+            self._multicast(message.payload, received_from=message.sender)
 
     def _handle_join(self, payload: _JoinPayload) -> None:
-        topic = payload.routing_topic
-        self.children.setdefault(topic, set()).add(payload.child)
-        if topic in self.forwarder_topics:
-            return
+        self.children.setdefault(payload.routing_topic, set()).add(payload.child)
         # Become a forwarder (possibly without any interest of our own) and
         # keep joining towards the rendezvous — this is Scribe's unfairness.
-        self.forwarder_topics.add(topic)
-        key = self.router.key_for(topic)
-        next_hop = self.router.next_hop(self.node_id, key)
-        self.parent[topic] = next_hop
-        if next_hop is not None:
-            self.send(
-                next_hop, JOIN_KIND, payload=_JoinPayload(routing_topic=topic, child=self.node_id)
-            )
-            self.ledger.record_subscription_forward(self.node_id)
+        self._join_tree(payload.routing_topic)
 
     def _handle_leave(self, payload: _LeavePayload) -> None:
         topic = payload.routing_topic
         self.children.get(topic, set()).discard(payload.child)
         self._maybe_leave(topic)
 
-    def _handle_route_publish(self, payload: _PublishPayload) -> None:
+    def _route_publish(self, payload: _PublishPayload) -> None:
+        """One hop towards the rendezvous, which starts the downward multicast."""
         key = self.router.key_for(payload.routing_topic)
         next_hop = self.router.next_hop(self.node_id, key)
         if next_hop is None:
@@ -239,15 +211,11 @@ class ScribeNode(Process):
                 self.node_id, messages=1, events=1, size=payload.event.size
             )
 
-    def _handle_multicast(self, message: Message) -> None:
-        payload: _PublishPayload = message.payload
-        self._multicast(payload, received_from=message.sender)
-
     def _multicast(self, payload: _PublishPayload, received_from: Optional[str]) -> None:
         """Deliver locally if interested and forward down the tree."""
         event = payload.event
         if event.topic in self.subscribed_topics:
-            self._deliver(event)
+            self.deliver(event)
         children = self.children.get(payload.routing_topic, set())
         targets = [child for child in sorted(children) if child != received_from]
         for child in targets:
@@ -257,19 +225,10 @@ class ScribeNode(Process):
                 self.node_id, messages=len(targets), events=len(targets), size=event.size * len(targets)
             )
 
-    def _deliver(self, event: Event) -> None:
-        if event.event_id in self.delivered_event_ids:
-            return
-        self.delivered_event_ids.add(event.event_id)
-        self.ledger.record_delivery(self.node_id)
-        self.delivery_log.record(self.node_id, event, delivered_at=self.simulator.now)
-        for callback in self._callbacks:
-            callback(self.node_id, event)
-
     # ----------------------------------------------------------- accounting
 
     def on_crash(self) -> None:
-        self.ledger.record_crash(self.node_id)
+        super().on_crash()
         self.router.set_alive(self.node_id, False)
 
     def on_recover(self) -> None:
@@ -280,6 +239,7 @@ class ScribeSystem(DisseminationSystem):
     """Topic-based dissemination over Scribe-style multicast trees."""
 
     name = "scribe"
+    topic_only = "Scribe (like the paper's description of it)"
 
     def __init__(
         self,
@@ -291,35 +251,19 @@ class ScribeSystem(DisseminationSystem):
     ) -> None:
         if not node_ids:
             raise ValueError("a Scribe system needs at least one node")
-        self.simulator = simulator
-        self.network = network
-        self.ledger = ledger if ledger is not None else WorkLedger()
-        self._delivery_log = delivery_log if delivery_log is not None else DeliveryLog()
-        self.subscriptions = SubscriptionTable()
+        super().__init__(simulator, network, ledger, delivery_log)
         self.router = PastryRouter(list(node_ids))
-        self.registry = ProcessRegistry()
-        self.nodes: Dict[str, ScribeNode] = {}
-        self._factories: Dict[str, EventFactory] = {}
         for node_id in node_ids:
             node = ScribeNode(
                 node_id, simulator, network, self.router, self.ledger, self._delivery_log
             )
             node.start()
-            self.nodes[node_id] = node
-            self.registry.add(node)
-            self._factories[node_id] = EventFactory(node_id)
+            self._adopt(node)
 
     # ------------------------------------------------------------- §2 API
 
     def publish(self, publisher_id: str, event: Optional[Event] = None, **attributes) -> Event:
-        if event is None:
-            factory = self._factories[publisher_id]
-            topic = attributes.pop("topic", None)
-            size = attributes.pop("size", 1)
-            event = factory.create(attributes=attributes, topic=topic, size=size)
-        if event.topic is None:
-            raise ValueError("Scribe is topic-based: the event needs a topic")
-        event = event.with_time(self.simulator.now)
+        event = self._stamp(publisher_id, event, attributes)
         self.nodes[publisher_id].publish(event)
         return event
 
@@ -329,43 +273,14 @@ class ScribeSystem(DisseminationSystem):
         subscription_filter: Filter,
         callbacks: Sequence[DeliveryCallback] = (),
     ) -> None:
-        topic = self._topic_of(subscription_filter)
-        node = self.nodes[node_id]
-        node.subscribe_topic(topic)
-        self.subscriptions.subscribe(node_id, subscription_filter, timestamp=self.simulator.now)
-        for callback in callbacks:
-            node.add_delivery_callback(callback)
+        self.nodes[node_id].subscribe_topic(self._topic_of(subscription_filter))
+        self._subscribed(node_id, subscription_filter, callbacks)
 
     def unsubscribe(self, node_id: str, subscription_filter: Filter) -> None:
-        topic = self._topic_of(subscription_filter)
-        self.nodes[node_id].unsubscribe_topic(topic)
-        self.subscriptions.unsubscribe(node_id, subscription_filter, timestamp=self.simulator.now)
-
-    @staticmethod
-    def _topic_of(subscription_filter: Filter) -> str:
-        if not isinstance(subscription_filter, TopicFilter):
-            raise TypeError(
-                "Scribe (like the paper's description of it) supports topic-based "
-                "subscriptions only; use a TopicFilter"
-            )
-        return subscription_filter.topic
+        self.nodes[node_id].unsubscribe_topic(self._topic_of(subscription_filter))
+        self._unsubscribed(node_id, subscription_filter)
 
     # -------------------------------------------------------------- queries
-
-    @property
-    def delivery_log(self) -> DeliveryLog:
-        return self._delivery_log
-
-    def node_ids(self) -> List[str]:
-        return sorted(self.nodes)
-
-    def node(self, node_id: str) -> ScribeNode:
-        """Return the node object for ``node_id``."""
-        return self.nodes[node_id]
-
-    def run(self, until: float) -> None:
-        """Advance the simulation to time ``until``."""
-        self.simulator.run(until=until)
 
     def rendezvous_of(self, topic: str) -> str:
         """The rendezvous (tree root) node of a topic."""

@@ -23,34 +23,30 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from ..core.accounting import WorkLedger
 from ..pubsub.events import Event
-from ..pubsub.filters import Filter, TopicFilter
-from ..pubsub.interfaces import DeliveryCallback, DeliveryLog
-from ..sim.engine import Simulator
-from ..sim.network import Network
+from ..pubsub.filters import Filter
+from ..pubsub.interfaces import DeliveryCallback
 from .scribe import ScribeSystem
 
 __all__ = ["SplitStreamSystem"]
 
 
 class SplitStreamSystem(ScribeSystem):
-    """Scribe with per-topic striping across multiple trees."""
+    """Scribe with per-topic striping across multiple trees.
+
+    Takes :class:`~repro.dht.scribe.ScribeSystem`'s arguments plus
+    ``stripes``, the number of trees per topic.
+    """
 
     name = "splitstream"
+    topic_only = "SplitStream"
 
     def __init__(
-        self,
-        simulator: Simulator,
-        network: Network,
-        node_ids: Sequence[str],
-        stripes: int = 4,
-        ledger: Optional[WorkLedger] = None,
-        delivery_log: Optional[DeliveryLog] = None,
+        self, simulator, network, node_ids: Sequence[str], stripes: int = 4, **shared_state
     ) -> None:
         if stripes <= 0:
             raise ValueError("stripes must be positive")
-        super().__init__(simulator, network, node_ids, ledger=ledger, delivery_log=delivery_log)
+        super().__init__(simulator, network, node_ids, **shared_state)
         self.stripes = stripes
         self._stripe_counter: Dict[str, int] = {}
 
@@ -74,31 +70,19 @@ class SplitStreamSystem(ScribeSystem):
         callbacks: Sequence[DeliveryCallback] = (),
     ) -> None:
         topic = self._topic_of(subscription_filter)
-        node = self.nodes[node_id]
         # Join every stripe tree; interest is still keyed on the real topic
         # (and the ledger counts one filter, however many stripe trees back it).
         for routing_topic in self.stripe_topics(topic):
-            node.subscribe_topic(topic, routing_topic=routing_topic)
-        self.subscriptions.subscribe(node_id, subscription_filter, timestamp=self.simulator.now)
-        for callback in callbacks:
-            node.add_delivery_callback(callback)
+            self.nodes[node_id].subscribe_topic(topic, routing_topic=routing_topic)
+        self._subscribed(node_id, subscription_filter, callbacks)
 
     def unsubscribe(self, node_id: str, subscription_filter: Filter) -> None:
         topic = self._topic_of(subscription_filter)
-        node = self.nodes[node_id]
         for routing_topic in self.stripe_topics(topic):
-            node.unsubscribe_topic(topic, routing_topic=routing_topic)
-        self.subscriptions.unsubscribe(node_id, subscription_filter, timestamp=self.simulator.now)
+            self.nodes[node_id].unsubscribe_topic(topic, routing_topic=routing_topic)
+        self._unsubscribed(node_id, subscription_filter)
 
     def publish(self, publisher_id: str, event: Optional[Event] = None, **attributes) -> Event:
-        if event is None:
-            factory = self._factories[publisher_id]
-            topic = attributes.pop("topic", None)
-            size = attributes.pop("size", 1)
-            event = factory.create(attributes=attributes, topic=topic, size=size)
-        if event.topic is None:
-            raise ValueError("SplitStream is topic-based: the event needs a topic")
-        event = event.with_time(self.simulator.now)
-        routing_topic = self._next_stripe(event.topic)
-        self.nodes[publisher_id].publish(event, routing_topic=routing_topic)
+        event = self._stamp(publisher_id, event, attributes)
+        self.nodes[publisher_id].publish(event, routing_topic=self._next_stripe(event.topic))
         return event

@@ -40,7 +40,7 @@ schedules nothing and draws nothing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -570,10 +570,6 @@ class FaultPlan:
             )
 
     # ------------------------------------------------------------- helpers
-
-    def with_entry(self, entry: FaultSpec) -> "FaultPlan":
-        """Copy with one entry appended."""
-        return replace(self, entries=self.entries + (entry,))
 
     def describe(self) -> str:
         """Readable one-line-per-entry listing."""

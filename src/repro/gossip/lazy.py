@@ -23,6 +23,13 @@ memory is bounded by the store capacity, and aged ids are garbage-collected
 after ``id_gc_rounds`` so neither the digests nor the stores grow with the
 run length.
 
+Sending, serving and absorbing are the exchange primitives of
+:class:`~repro.gossip.push.PushGossipNode` (``push_events``, ``advertise``,
+``digest_gaps``, ``request_pull``, ``serve_pull``, ``absorb_payload``); this
+module keeps what is the lazy protocol's own: which events are still hot,
+which ids are still advertised, whom to pull from, the store, and the
+garbage collection.
+
 The node runs unmodified on the discrete-event simulator and on the live
 runtime (it only uses the duck-typed ``simulator``/``network`` surface), and
 its four message kinds have wire codecs so live clusters speak it over real
@@ -39,15 +46,12 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
-from ..membership.lpbcast import LpbcastMembership
 from ..pubsub.events import Event
 from ..sim.network import Message
 from ..tracing.context import TraceContext
-from ..tracing.spans import DIGEST_ADVERT, RELAY
-from .push import GossipMessage, PushGossipNode
-from .pushpull import DigestMessage, PullRequest
+from .push import PushGossipNode
 
 __all__ = [
     "LazyPushGossipNode",
@@ -136,6 +140,8 @@ class LazyPushGossipNode(PushGossipNode):
             frozenset(store_ids) if store_ids is not None else frozenset((self.node_id,))
         )
         self.is_store = self.node_id in self.store_ids
+        #: Store nodes other than this one, in the fixed order pulls draw from.
+        self._pull_candidates = sorted(self.store_ids - {self.node_id})
         self.population = max(2, int(population)) if population else max(2, len(self.store_ids))
         self.eager_rounds = eager_push_rounds(self.population, max(1, self.fanout))
         self.id_gc_rounds = (
@@ -191,78 +197,31 @@ class LazyPushGossipNode(PushGossipNode):
     # ----------------------------------------------------------- the round
 
     def execute_gossip_round(self) -> None:
-        fanout = self.current_fanout()
-        if fanout <= 0:
+        partners, _ = self._round_partners()
+        if not partners:
             return
-        rng = self.simulator.rng.stream(f"gossip:{self.node_id}")
-        neighbors = self.select_participants(fanout, rng)
-        if not neighbors:
-            return
-        self._push_hot_events(neighbors)
+        self.push_events(partners, self._hot_events(), LAZY_PUSH_KIND)
         if (self.rounds_executed + self._digest_phase) % self.digest_period == 0:
-            self._gossip_digest(neighbors)
+            self.advertise(partners, self._advertised_ids(), LAZY_DIGEST_KIND)
 
-    def _push_hot_events(self, neighbors: Sequence[str]) -> None:
-        """Phase 1: full-payload push of events still inside their budget."""
+    def _hot_events(self) -> List[Event]:
+        """Phase 1: the events still inside their eager budget, newest first."""
         hot_ids = [
             event_id for event_id in self._id_age if self._hot_budget.get(event_id, 0) > 0
         ]
-        # Newest first (ids are appended on first sight) up to the gossip size.
+        # Ids are appended on first sight, so the tail is the newest.
         hot_ids = hot_ids[-self.current_gossip_size():]
-        events = [
-            event
-            for event in (self._event_payload(event_id) for event_id in hot_ids)
-            if event is not None
+        return [
+            event for event in map(self._event_payload, hot_ids) if event is not None
         ]
-        if not events:
-            return
-        digest = None
-        if isinstance(self.membership, LpbcastMembership):
-            digest = self.membership.digest_for_gossip()
-        message = GossipMessage(
-            events=tuple(events),
-            sender_benefit_rate=self.benefit_rate(),
-            membership_digest=digest,
-        )
-        self.buffer.mark_forwarded([event.event_id for event in events])
-        trace = self._trace_contexts(events, RELAY, fanout=len(neighbors))
-        for neighbor in neighbors:
-            self.send(
-                neighbor, LAZY_PUSH_KIND, payload=message, size=message.size, trace=trace
-            )
-        self.ledger.record_gossip_send(
-            self.node_id,
-            messages=len(neighbors),
-            events=len(events) * len(neighbors),
-            size=message.size * len(neighbors),
-        )
-        if self._messages_counter is not None:
-            self._messages_counter.increment(len(neighbors))
-            self._payload_histogram.observe(len(events))
 
-    def _gossip_digest(self, neighbors: Sequence[str]) -> None:
-        """Phase 2: advertise recently seen ids so receivers can pull gaps."""
-        ids = [
+    def _advertised_ids(self) -> List[str]:
+        """Phase 2: recently seen ids, so receivers can pull their gaps."""
+        return [
             event_id
             for event_id, age in self._id_age.items()
             if age <= self.advert_rounds
         ][-self.digest_cap:]
-        if not ids:
-            return
-        payload = DigestMessage(
-            event_ids=tuple(ids), sender_benefit_rate=self.benefit_rate()
-        )
-        size = max(1, len(ids) // 4)
-        trace = None
-        if self.tracer is not None and self._trace_state:
-            trace = self._trace_contexts_for_ids(
-                ids, DIGEST_ADVERT, fanout=len(neighbors)
-            )
-        for neighbor in neighbors:
-            self.send(neighbor, LAZY_DIGEST_KIND, payload=payload, size=size, trace=trace)
-        self.ledger.record_gossip_send(
-            self.node_id, messages=len(neighbors), events=0, size=size * len(neighbors)
-        )
 
     def after_round(self) -> None:
         """Age ids, retire spent eager budgets, and garbage-collect."""
@@ -305,23 +264,24 @@ class LazyPushGossipNode(PushGossipNode):
         if self.membership.handle(message):
             return
         if message.kind == LAZY_PUSH_KIND:
-            self._handle_gossip(message)
+            self.absorb_payload(message)
         elif message.kind == LAZY_DIGEST_KIND:
             self._handle_lazy_digest(message)
         elif message.kind == LAZY_REQUEST_KIND:
-            self._handle_pull_request(message)
+            if self.serve_pull(message, LAZY_REPLY_KIND):
+                self.pulls_served += 1
+                if self._pulls_served_counter is not None:
+                    self._pulls_served_counter.increment()
         elif message.kind == LAZY_REPLY_KIND:
-            self._handle_pull_reply(message)
+            recovered = self.absorb_payload(message, recovered=True)
+            if recovered:
+                self.recoveries += recovered
+                if self._recoveries_counter is not None:
+                    self._recoveries_counter.increment(recovered)
 
     def _handle_lazy_digest(self, message: Message) -> None:
-        payload: DigestMessage = message.payload
-        self.observe_peer_benefit(message.sender, payload.sender_benefit_rate)
-        unseen = [
-            event_id
-            for event_id in payload.event_ids
-            if event_id not in self.seen_event_ids
-        ]
-        already_known = len(payload.event_ids) - len(unseen)
+        unseen = self.digest_gaps(message)
+        already_known = len(message.payload.event_ids) - len(unseen)
         if already_known:
             # Each known id advertised instead of re-pushed is payload the
             # eager protocol would have resent; the report's "bytes saved"
@@ -329,9 +289,7 @@ class LazyPushGossipNode(PushGossipNode):
             self.events_saved += already_known
             if self._saved_counter is not None:
                 self._saved_counter.increment(already_known)
-        missing = tuple(
-            event_id for event_id in unseen if event_id not in self._pending_pull
-        )
+        missing = [event_id for event_id in unseen if event_id not in self._pending_pull]
         if not missing:
             return
         target = self._recovery_target(message.sender)
@@ -342,62 +300,16 @@ class LazyPushGossipNode(PushGossipNode):
         self.pulls_issued += 1
         if self._pulls_issued_counter is not None:
             self._pulls_issued_counter.increment()
-        self.send(
-            target,
-            LAZY_REQUEST_KIND,
-            payload=PullRequest(event_ids=missing),
-            size=max(1, len(missing) // 4),
-        )
+        self.request_pull(target, missing, LAZY_REQUEST_KIND)
 
     def _recovery_target(self, sender: str) -> Optional[str]:
         """Who to pull from: the digest sender if it stores, else a store node."""
         if sender in self.store_ids:
             return sender
-        candidates = sorted(self.store_ids - {self.node_id})
-        if not candidates:
+        if not self._pull_candidates:
             return sender if sender != self.node_id else None
         rng = self.simulator.rng.stream(f"gossip:{self.node_id}")
-        return rng.choice(candidates)
-
-    def _handle_pull_request(self, message: Message) -> None:
-        payload: PullRequest = message.payload
-        events = [
-            event
-            for event in (self._event_payload(event_id) for event_id in payload.event_ids)
-            if event is not None
-        ]
-        if not events:
-            return
-        reply = GossipMessage(events=tuple(events), sender_benefit_rate=self.benefit_rate())
-        self.pulls_served += 1
-        if self._pulls_served_counter is not None:
-            self._pulls_served_counter.increment()
-        # The reply's spans parent on *this* node's own trace state — the
-        # requester may have learned the id from a third party's digest, but
-        # the payload (and therefore the infection edge) comes from here.
-        trace = self._trace_contexts(events, RELAY, via="pull", peer=message.sender)
-        self.send(message.sender, LAZY_REPLY_KIND, payload=reply, size=reply.size, trace=trace)
-        self.ledger.record_gossip_send(
-            self.node_id, messages=1, events=len(events), size=reply.size
-        )
-
-    def _handle_pull_reply(self, message: Message) -> None:
-        payload: GossipMessage = message.payload
-        self.observe_peer_benefit(message.sender, payload.sender_benefit_rate)
-        contexts = self._contexts_by_event(message) if message.trace else None
-        recovered = 0
-        for event in payload.events:
-            if self._absorb_event(
-                event,
-                from_peer=message.sender,
-                trace_ctx=None if contexts is None else contexts.get(event.event_id),
-                recovered=True,
-            ):
-                recovered += 1
-        if recovered:
-            self.recoveries += recovered
-            if self._recoveries_counter is not None:
-                self._recoveries_counter.increment(recovered)
+        return rng.choice(self._pull_candidates)
 
     # ----------------------------------------------------------- event state
 

@@ -18,28 +18,61 @@ Accounting: every gossip message sent adds to the sender's contribution,
 every membership message adds to its infrastructure contribution, and every
 delivery adds to the receiver's benefit (see
 :class:`~repro.core.accounting.WorkLedger`).
+
+:class:`PushGossipNode` is also the *exchange core* of the gossip family.
+Every variant's round and message handler is made of the same few moves, and
+each exists once, here, with its ledger entry, telemetry and trace contexts
+attached:
+
+========================  ===================================================
+``_round_partners``       ``SELECTPARTICIPANTS(F)`` on the round's RNG stream
+``push_events``           eager payload batch to the round's partners
+``advertise``             digest of event ids to the round's partners
+``digest_gaps``           the ids of a received digest this node has not seen
+``request_pull``          ask a peer for the payloads of some ids
+``serve_pull``            answer such a request from whatever is still held
+``absorb_payload``        take in a payload message, pushed or pulled
+========================  ===================================================
+
+Push composes ``_round_partners`` + ``push_events`` / ``absorb_payload``;
+the push-pull, lazy and fair variants (:mod:`~repro.gossip.pushpull`,
+:mod:`~repro.gossip.lazy`, :mod:`repro.core.fair_gossip`) are subclasses that
+keep only their message kinds and what they decide differently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.accounting import WorkLedger
 from ..membership.base import MembershipComponent, MembershipProvider
 from ..membership.lpbcast import LpbcastMembership, MembershipDigest
 from ..pubsub.events import Event
 from ..pubsub.filters import Filter, InterestFunction
-from ..pubsub.interfaces import DeliveryCallback, DeliveryLog
+from ..pubsub.interfaces import DeliveryLog, Participant
 from ..sim.engine import Simulator
 from ..sim.network import Message, Network
-from ..sim.node import Process
 from ..telemetry import Telemetry
 from ..tracing.context import TraceContext
-from ..tracing.spans import DELIVER, DUPLICATE, PUBLISH, PULL_RECOVER, RECEIVE, RELAY
+from ..tracing.spans import (
+    DELIVER,
+    DIGEST_ADVERT,
+    DUPLICATE,
+    PUBLISH,
+    PULL_RECOVER,
+    RECEIVE,
+    RELAY,
+)
 from .buffers import EventBuffer
 
-__all__ = ["GossipMessage", "PushGossipNode", "GOSSIP_MESSAGE_KIND"]
+__all__ = [
+    "GossipMessage",
+    "DigestMessage",
+    "PullRequest",
+    "PushGossipNode",
+    "GOSSIP_MESSAGE_KIND",
+]
 
 GOSSIP_MESSAGE_KIND = "gossip.push"
 
@@ -71,7 +104,31 @@ class GossipMessage:
         return sum(event.size for event in self.events) or 1
 
 
-class PushGossipNode(Process):
+@dataclass(frozen=True)
+class DigestMessage:
+    """Advertisement of event ids known by the sender."""
+
+    event_ids: Tuple[str, ...]
+    sender_benefit_rate: float = 0.0
+
+    @property
+    def size(self) -> int:
+        """Abstract size: ids are small next to payloads, four to a unit."""
+        return max(1, len(self.event_ids) // 4)
+
+
+@dataclass(frozen=True)
+class PullRequest:
+    """Request for the events the receiver was missing."""
+
+    event_ids: Tuple[str, ...]
+
+    @property
+    def size(self) -> int:
+        return max(1, len(self.event_ids) // 4)
+
+
+class PushGossipNode(Participant):
     """One participant running the Figure 4 push gossip algorithm.
 
     Parameters
@@ -119,7 +176,7 @@ class PushGossipNode(Process):
         round_jitter: float = 0.05,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
-        super().__init__(node_id, simulator, network)
+        super().__init__(node_id, simulator, network, ledger, delivery_log)
         if fanout < 0:
             raise ValueError("fanout must be non-negative")
         if gossip_size <= 0:
@@ -127,8 +184,6 @@ class PushGossipNode(Process):
         if round_period <= 0:
             raise ValueError("round_period must be positive")
         self.membership: MembershipComponent = membership_provider(self)
-        self.ledger = ledger
-        self.delivery_log = delivery_log
         self.fanout = fanout
         self.gossip_size = gossip_size
         self.round_period = round_period
@@ -137,10 +192,8 @@ class PushGossipNode(Process):
         self.interest = InterestFunction()
         self.buffer = EventBuffer(capacity=buffer_capacity, max_rounds=buffer_max_rounds)
         self.seen_event_ids: set = set()
-        self.delivered_event_ids: set = set()
         self.rounds_executed = 0
         self.deliveries_this_window = 0
-        self._callbacks: List[DeliveryCallback] = []
         #: Optional audit sink (see :mod:`repro.core.bias`); receivers report
         #: how useful each sender's forwards were, which the bias detector
         #: uses to spot peers inflating their contribution with stale events.
@@ -167,13 +220,8 @@ class PushGossipNode(Process):
             self._messages_counter = None
             self._deliveries_counter = None
             self._payload_histogram = None
-        self.ledger.ensure_node(node_id)
 
     # -------------------------------------------------------------- wiring
-
-    def add_delivery_callback(self, callback: DeliveryCallback) -> None:
-        """Register an application callback invoked on every delivery."""
-        self._callbacks.append(callback)
 
     def bootstrap(self, seeds: Sequence[str]) -> None:
         """Seed the membership component with initial contacts."""
@@ -188,9 +236,6 @@ class PushGossipNode(Process):
             initial_delay=self.round_period,
             jitter=self.round_jitter,
         )
-
-    def on_crash(self) -> None:
-        self.ledger.record_crash(self.node_id)
 
     # -------------------------------------------------------- subscription
 
@@ -250,39 +295,11 @@ class PushGossipNode(Process):
 
     def execute_gossip_round(self) -> None:
         """Lines 4–10 of Figure 4."""
-        fanout = self.current_fanout()
-        gossip_size = self.current_gossip_size()
-        if fanout <= 0:
-            return
-        rng = self.simulator.rng.stream(f"gossip:{self.node_id}")
-        neighbors = self.select_participants(fanout, rng)
-        if not neighbors:
-            return
-        events = self.select_events(gossip_size, rng)
-        if not events:
-            return
-        digest = None
-        if isinstance(self.membership, LpbcastMembership):
-            digest = self.membership.digest_for_gossip()
-        message = GossipMessage(
-            events=tuple(events),
-            sender_benefit_rate=self.benefit_rate(),
-            membership_digest=digest,
-        )
-        self.buffer.mark_forwarded([event.event_id for event in events])
-        trace = self._trace_contexts(events, RELAY, fanout=len(neighbors))
-        size = message.size
-        for neighbor in neighbors:
-            self.send(neighbor, GOSSIP_MESSAGE_KIND, message, size, trace)
-        self.ledger.record_gossip_send(
-            self.node_id,
-            messages=len(neighbors),
-            events=len(events) * len(neighbors),
-            size=size * len(neighbors),
-        )
-        if self._messages_counter is not None:
-            self._messages_counter.increment(len(neighbors))
-            self._payload_histogram.observe(len(events))
+        partners, rng = self._round_partners()
+        if partners:
+            self.push_events(
+                partners, self.select_events(self.current_gossip_size(), rng), GOSSIP_MESSAGE_KIND
+            )
 
     def select_participants(self, fanout: int, rng) -> List[str]:
         """``SELECTPARTICIPANTS(F)`` — uniform selection from the membership view."""
@@ -295,32 +312,149 @@ class PushGossipNode(Process):
     def after_round(self) -> None:
         """Hook for subclasses (adaptive controllers run here)."""
 
-    # ------------------------------------------------------------ receiving
+    # ------------------------------------------------- exchange primitives
 
-    def on_message(self, message: Message) -> None:
-        if self.membership.handle(message):
+    def _round_partners(self) -> Tuple[List[str], object]:
+        """This round's partners and the round's RNG stream.
+
+        No partners (fanout zero, or an empty view) means the round sends
+        nothing; the stream is returned so event selection draws from it
+        right after partner selection, as Figure 4 orders them.
+        """
+        fanout = self.current_fanout()
+        if fanout <= 0:
+            return [], None
+        rng = self.simulator.rng.stream(f"gossip:{self.node_id}")
+        return self.select_participants(fanout, rng), rng
+
+    def push_events(self, partners: Sequence[str], events: Sequence[Event], kind: str) -> None:
+        """Eagerly push ``events`` (with the lpbcast digest, if any) to every partner."""
+        if not events:
             return
-        if message.kind == GOSSIP_MESSAGE_KIND:
-            self._handle_gossip(message)
+        digest = None
+        if isinstance(self.membership, LpbcastMembership):
+            digest = self.membership.digest_for_gossip()
+        self.buffer.mark_forwarded([event.event_id for event in events])
+        self._send_payload(partners, events, kind, digest, fanout=len(partners))
+        if self._messages_counter is not None:
+            self._messages_counter.increment(len(partners))
+            self._payload_histogram.observe(len(events))
 
-    def _handle_gossip(self, message: Message) -> None:
+    def _send_payload(
+        self,
+        recipients: Sequence[str],
+        events: Sequence[Event],
+        kind: str,
+        membership_digest: Optional[MembershipDigest] = None,
+        **span_details,
+    ) -> None:
+        """One :class:`GossipMessage` to every recipient, traced and charged.
+
+        One ``relay`` span per traced event covers the whole batch — every
+        recipient shares it as parent — and the sender's contribution grows
+        by what was actually put on the wire.
+        """
+        message = GossipMessage(tuple(events), self.benefit_rate(), membership_digest)
+        trace = self._trace_contexts((event.event_id for event in events), RELAY, **span_details)
+        size = message.size
+        for recipient in recipients:
+            self.send(recipient, kind, message, size, trace)
+        self.ledger.record_gossip_send(
+            self.node_id,
+            messages=len(recipients),
+            events=len(events) * len(recipients),
+            size=size * len(recipients),
+        )
+
+    def advertise(self, partners: Sequence[str], event_ids: Sequence[str], kind: str) -> None:
+        """Send a digest of ``event_ids`` to every partner (ids only, no payload)."""
+        if not event_ids:
+            return
+        digest = DigestMessage(tuple(event_ids), self.benefit_rate())
+        trace = self._trace_contexts(event_ids, DIGEST_ADVERT, fanout=len(partners))
+        size = digest.size
+        for partner in partners:
+            self.send(partner, kind, digest, size, trace)
+        self.ledger.record_gossip_send(
+            self.node_id, messages=len(partners), events=0, size=size * len(partners)
+        )
+
+    def digest_gaps(self, message: Message) -> List[str]:
+        """The ids a received digest advertises that this node has never seen."""
+        digest: DigestMessage = message.payload
+        self.observe_peer_benefit(message.sender, digest.sender_benefit_rate)
+        return [
+            event_id for event_id in digest.event_ids if event_id not in self.seen_event_ids
+        ]
+
+    def request_pull(self, target: str, event_ids: Sequence[str], kind: str) -> None:
+        """Ask ``target`` for the payloads of ``event_ids``."""
+        request = PullRequest(tuple(event_ids))
+        self.send(target, kind, request, request.size)
+
+    def serve_pull(self, message: Message, reply_kind: str) -> bool:
+        """Answer a pull request with what this node still holds; False if nothing.
+
+        The reply's spans parent on *this* node's own trace state — the
+        requester may have learned the id from a third party's digest, but
+        the payload (and therefore the infection edge) comes from here.
+        """
+        events = [
+            event
+            for event in map(self._event_payload, message.payload.event_ids)
+            if event is not None
+        ]
+        if events:
+            self._send_payload(
+                [message.sender], events, reply_kind, via="pull", peer=message.sender
+            )
+        return bool(events)
+
+    def _event_payload(self, event_id: str) -> Optional[Event]:
+        """The full event if this node still holds it."""
+        return self.buffer.get(event_id)
+
+    def absorb_payload(self, message: Message, recovered: bool = False) -> int:
+        """Take in a payload message; returns how many of its events were new.
+
+        ``recovered`` marks a pull reply (first sights become ``pull-recover``
+        spans instead of ``receive``); everything else is the same for an
+        eager push and a recovered one.
+        """
         payload: GossipMessage = message.payload
         if payload.membership_digest is not None and isinstance(
             self.membership, LpbcastMembership
         ):
             self.membership.absorb_digest(payload.membership_digest)
         self.observe_peer_benefit(message.sender, payload.sender_benefit_rate)
-        contexts = self._contexts_by_event(message) if message.trace else None
-        new_events = 0
-        for event in payload.events:
-            if self._absorb_event(
-                event,
-                from_peer=message.sender,
-                trace_ctx=None if contexts is None else contexts.get(event.event_id),
-            ):
-                new_events += 1
+        new_events = self.absorb_events(message, recovered)
         if self.forward_audit is not None and payload.events:
             self.forward_audit.observe(message.sender, new_events, len(payload.events))
+        return new_events
+
+    def absorb_events(self, message: Message, recovered: bool = False) -> int:
+        """Lines 12–20 of Figure 4 for every carried event; returns the first sights.
+
+        Each event meets the trace context the sender propagated for it.
+        Bridge ingress enters here: a relay carries events but no peer
+        benefit rate or membership digest worth observing.
+        """
+        sender = message.sender
+        contexts = {ctx.trace_id: ctx for ctx in message.trace} if message.trace else None
+        new_events = 0
+        for event in message.payload.events:
+            trace_ctx = contexts.get(event.event_id) if contexts else None
+            if self._absorb_event(event, sender, trace_ctx, recovered):
+                new_events += 1
+        return new_events
+
+    # ------------------------------------------------------------ receiving
+
+    def on_message(self, message: Message) -> None:
+        if self.membership.handle(message):
+            return
+        if message.kind == GOSSIP_MESSAGE_KIND:
+            self.absorb_payload(message)
 
     def observe_peer_benefit(self, peer_id: str, benefit_rate: float) -> None:
         """Hook used by the adaptive fair protocol to track peer benefits."""
@@ -357,11 +491,10 @@ class PushGossipNode(Process):
             self.deliver(event)
         return True
 
-    def deliver(self, event: Event) -> None:
-        """``DELIVER(e)``: record the delivery and notify application callbacks."""
-        if event.event_id in self.delivered_event_ids:
-            return
-        self.delivered_event_ids.add(event.event_id)
+    def deliver(self, event: Event) -> bool:
+        """``DELIVER(e)`` plus the node's own benefit window, counter and span."""
+        if not super().deliver(event):
+            return False
         self.deliveries_this_window += 1
         if self._deliveries_counter is not None:
             self._deliveries_counter.increment()
@@ -371,10 +504,7 @@ class PushGossipNode(Process):
                 self.tracer.emit(
                     DELIVER, event.event_id, self.node_id, parent_id=state[0], hops=state[1]
                 )
-        self.ledger.record_delivery(self.node_id)
-        self.delivery_log.record(self.node_id, event, delivered_at=self.simulator.now)
-        for callback in self._callbacks:
-            callback(self.node_id, event)
+        return True
 
     # -------------------------------------------------------------- tracing
 
@@ -410,25 +540,17 @@ class PushGossipNode(Process):
             self._trace_state[event.event_id] = (span, trace_ctx.hops)
 
     def _trace_contexts(
-        self, events: Sequence[Event], span_kind: str, **details
+        self, event_ids: Iterable[str], span_kind: str, **details
     ) -> Optional[Tuple[TraceContext, ...]]:
-        """Relay-side spans + contexts for the traced subset of ``events``.
+        """Sender-side spans + contexts for the traced subset of ``event_ids``.
 
-        One span per (event, round batch) — every recipient of the batch
-        shares it as parent — which bounds span volume by rounds, not by
+        One span per (event, batch) — every recipient of the batch shares it
+        as parent — which bounds span volume by rounds, not by
         ``rounds × fanout``.  Returns ``None`` when nothing is traced so
         untraced messages carry no trace field at all.
         """
         if self.tracer is None or not self._trace_state:
             return None
-        return self._trace_contexts_for_ids(
-            [event.event_id for event in events], span_kind, **details
-        )
-
-    def _trace_contexts_for_ids(
-        self, event_ids: Sequence[str], span_kind: str, **details
-    ) -> Optional[Tuple[TraceContext, ...]]:
-        """Id-keyed core of :meth:`_trace_contexts` (digests carry ids only)."""
         contexts: List[TraceContext] = []
         for event_id in event_ids:
             state = self._trace_state.get(event_id)
@@ -444,13 +566,6 @@ class PushGossipNode(Process):
             )
             contexts.append(TraceContext(event_id, span, state[1] + 1))
         return tuple(contexts) if contexts else None
-
-    @staticmethod
-    def _contexts_by_event(message: Message) -> Dict[str, TraceContext]:
-        """The message's trace contexts keyed by event id (empty when untraced)."""
-        if not message.trace:
-            return {}
-        return {ctx.trace_id: ctx for ctx in message.trace}
 
     # ----------------------------------------------------------- accounting
 

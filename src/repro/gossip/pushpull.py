@@ -2,22 +2,25 @@
 
 The push protocol of Figure 4 sends full events eagerly; when events are
 large, most of that traffic is redundant because receivers already know most
-of what they are sent.  The push-pull variant first advertises event *ids*
-(a digest), and the receiver pulls only the events it is missing.  The
+of what they are sent.  The push-pull variant advertises event *ids* (a
+digest) instead, and the receiver pulls only the events it is missing.  The
 variant is included because it changes what "contribution" means physically:
 digest messages are small, pull replies are large, so the payload-weighted
 fairness accounting of Figure 3 treats the two protocols differently even
 when their message counts are similar.
+
+Everything the node does is one of :class:`~repro.gossip.push.PushGossipNode`'s
+exchange primitives — ``advertise`` each round, ``digest_gaps`` +
+``request_pull`` on a digest, ``serve_pull`` on a request, ``absorb_payload``
+on a reply — so ledger entries and trace spans (``digest-advert``, ``relay
+via=pull``, ``pull-recover``) come with them; what is left here is the three
+message kinds, the dispatch, and two counters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-from ..pubsub.events import Event
 from ..sim.network import Message
-from .push import GOSSIP_MESSAGE_KIND, GossipMessage, PushGossipNode
+from .push import GOSSIP_MESSAGE_KIND, DigestMessage, PullRequest, PushGossipNode
 
 __all__ = ["DigestMessage", "PullRequest", "PushPullGossipNode"]
 
@@ -26,27 +29,12 @@ PULL_REQUEST_KIND = "gossip.pull-request"
 PULL_REPLY_KIND = "gossip.pull-reply"
 
 
-@dataclass(frozen=True)
-class DigestMessage:
-    """Advertisement of event ids known by the sender."""
-
-    event_ids: Tuple[str, ...]
-    sender_benefit_rate: float = 0.0
-
-
-@dataclass(frozen=True)
-class PullRequest:
-    """Request for the events the receiver was missing."""
-
-    event_ids: Tuple[str, ...]
-
-
 class PushPullGossipNode(PushGossipNode):
     """Gossip node that advertises digests and serves pull requests.
 
-    The node still pushes full events for *fresh* events it published itself
-    this round (so new events enter the system without an extra round-trip),
-    and uses digests for everything else.
+    Each round the events ``SELECTEVENTS(N)`` picks are advertised by id to
+    the round's partners; payloads only travel in pull replies, always from
+    the node that advertised them.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -57,30 +45,15 @@ class PushPullGossipNode(PushGossipNode):
     # ----------------------------------------------------------- the round
 
     def execute_gossip_round(self) -> None:
-        fanout = self.current_fanout()
-        gossip_size = self.current_gossip_size()
-        if fanout <= 0:
+        partners, rng = self._round_partners()
+        if not partners:
             return
-        rng = self.simulator.rng.stream(f"gossip:{self.node_id}")
-        neighbors = self.select_participants(fanout, rng)
-        if not neighbors:
-            return
-        events = self.select_events(gossip_size, rng)
-        if not events:
-            return
-        digest = DigestMessage(
-            event_ids=tuple(event.event_id for event in events),
-            sender_benefit_rate=self.benefit_rate(),
-        )
-        self.buffer.mark_forwarded(digest.event_ids)
-        for neighbor in neighbors:
-            self.send(neighbor, DIGEST_KIND, payload=digest, size=max(1, len(digest.event_ids) // 4))
-        self.ledger.record_gossip_send(
-            self.node_id,
-            messages=len(neighbors),
-            events=0,
-            size=max(1, len(digest.event_ids) // 4) * len(neighbors),
-        )
+        event_ids = [
+            event.event_id for event in self.select_events(self.current_gossip_size(), rng)
+        ]
+        if event_ids:
+            self.buffer.mark_forwarded(event_ids)
+            self.advertise(partners, event_ids, DIGEST_KIND)
 
     # ------------------------------------------------------------ receiving
 
@@ -88,40 +61,14 @@ class PushPullGossipNode(PushGossipNode):
         if self.membership.handle(message):
             return
         if message.kind == DIGEST_KIND:
-            self._handle_digest(message)
+            missing = self.digest_gaps(message)
+            if missing:
+                self.pull_requests_sent += 1
+                self.request_pull(message.sender, missing, PULL_REQUEST_KIND)
         elif message.kind == PULL_REQUEST_KIND:
-            self._handle_pull_request(message)
-        elif message.kind in (PULL_REPLY_KIND, GOSSIP_MESSAGE_KIND):
-            self._handle_gossip(message)
-
-    def _handle_digest(self, message: Message) -> None:
-        payload: DigestMessage = message.payload
-        self.observe_peer_benefit(message.sender, payload.sender_benefit_rate)
-        missing = tuple(
-            event_id for event_id in payload.event_ids if event_id not in self.seen_event_ids
-        )
-        if not missing:
-            return
-        self.pull_requests_sent += 1
-        self.send(
-            message.sender,
-            PULL_REQUEST_KIND,
-            payload=PullRequest(event_ids=missing),
-            size=max(1, len(missing) // 4),
-        )
-
-    def _handle_pull_request(self, message: Message) -> None:
-        payload: PullRequest = message.payload
-        events = [
-            event
-            for event in (self.buffer.get(event_id) for event_id in payload.event_ids)
-            if event is not None
-        ]
-        if not events:
-            return
-        reply = GossipMessage(events=tuple(events), sender_benefit_rate=self.benefit_rate())
-        self.pull_requests_served += 1
-        self.send(message.sender, PULL_REPLY_KIND, payload=reply, size=reply.size)
-        self.ledger.record_gossip_send(
-            self.node_id, messages=1, events=len(events), size=reply.size
-        )
+            if self.serve_pull(message, PULL_REPLY_KIND):
+                self.pull_requests_served += 1
+        elif message.kind == PULL_REPLY_KIND:
+            self.absorb_payload(message, recovered=True)
+        elif message.kind == GOSSIP_MESSAGE_KIND:
+            self.absorb_payload(message)

@@ -10,21 +10,27 @@ push-pull variant, and the fair protocol of :mod:`repro.core.fair_gossip`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Type
+from typing import Dict, Optional, Sequence, Type
 
 from ..core.accounting import WorkLedger
 from ..membership.base import MembershipProvider
 from ..membership.cyclon import cyclon_provider
-from ..pubsub.events import Event, EventFactory
+from ..pubsub.events import Event
 from ..pubsub.filters import Filter
 from ..pubsub.interfaces import DeliveryCallback, DeliveryLog, DisseminationSystem
-from ..pubsub.subscriptions import SubscriptionTable
 from ..sim.engine import Simulator
 from ..sim.network import Network
-from ..sim.node import ProcessRegistry
 from .push import PushGossipNode
 
-__all__ = ["GossipSystem"]
+__all__ = ["GossipSystem", "bootstrap_views"]
+
+
+def bootstrap_views(nodes: Dict[str, PushGossipNode], rng, degree: int) -> None:
+    """Give every node ``degree`` random initial contacts (all others if fewer)."""
+    ids = list(nodes)
+    for node_id, node in nodes.items():
+        others = [candidate for candidate in ids if candidate != node_id]
+        node.bootstrap(others if degree >= len(others) else rng.sample(others, degree))
 
 
 class GossipSystem(DisseminationSystem):
@@ -62,70 +68,28 @@ class GossipSystem(DisseminationSystem):
     ) -> None:
         if not node_ids:
             raise ValueError("a gossip system needs at least one node")
-        self.simulator = simulator
-        self.network = network
-        self.ledger = ledger if ledger is not None else WorkLedger()
-        self._delivery_log = delivery_log if delivery_log is not None else DeliveryLog()
-        self.subscriptions = SubscriptionTable()
-        self.registry = ProcessRegistry()
-        self.nodes: Dict[str, PushGossipNode] = {}
-        self._factories: Dict[str, EventFactory] = {}
+        super().__init__(simulator, network, ledger, delivery_log)
         provider = membership_provider if membership_provider is not None else cyclon_provider()
-        kwargs = dict(node_kwargs or {})
-
         for node_id in node_ids:
-            node = node_class(
-                node_id,
-                simulator,
-                network,
-                membership_provider=provider,
-                ledger=self.ledger,
-                delivery_log=self._delivery_log,
-                **kwargs,
+            self._adopt(
+                node_class(
+                    node_id,
+                    simulator,
+                    network,
+                    membership_provider=provider,
+                    ledger=self.ledger,
+                    delivery_log=self._delivery_log,
+                    **(node_kwargs or {}),
+                )
             )
-            self.nodes[node_id] = node
-            self.registry.add(node)
-            self._factories[node_id] = EventFactory(node_id)
-
-        self._bootstrap(bootstrap_degree)
-
-    # -------------------------------------------------------------- wiring
-
-    def _bootstrap(self, degree: int) -> None:
-        """Give every node a random set of initial contacts and start it."""
-        ids = list(self.nodes)
-        rng = self.simulator.rng.stream("bootstrap")
-        for node_id, node in self.nodes.items():
-            others = [candidate for candidate in ids if candidate != node_id]
-            seeds = others if degree >= len(others) else rng.sample(others, degree)
-            node.bootstrap(seeds)
+        bootstrap_views(self.nodes, simulator.rng.stream("bootstrap"), bootstrap_degree)
+        for node in self.nodes.values():
             node.start()
-
-    @property
-    def delivery_log(self) -> DeliveryLog:
-        return self._delivery_log
-
-    def node_ids(self) -> List[str]:
-        return sorted(self.nodes)
-
-    def node(self, node_id: str) -> PushGossipNode:
-        """Return the node object for ``node_id``."""
-        return self.nodes[node_id]
 
     # ----------------------------------------------------------- operations
 
     def publish(self, publisher_id: str, event: Optional[Event] = None, **attributes) -> Event:
-        """Publish an event from ``publisher_id``.
-
-        Either pass a pre-built :class:`Event` or keyword attributes (with an
-        optional ``topic=...``) and the system builds one.
-        """
-        if event is None:
-            factory = self._factories[publisher_id]
-            topic = attributes.pop("topic", None)
-            size = attributes.pop("size", 1)
-            event = factory.create(attributes=attributes, topic=topic, size=size)
-        event = event.with_time(self.simulator.now)
+        event = self._stamp(publisher_id, event, attributes)
         self.nodes[publisher_id].publish(event)
         return event
 
@@ -135,22 +99,14 @@ class GossipSystem(DisseminationSystem):
         subscription_filter: Filter,
         callbacks: Sequence[DeliveryCallback] = (),
     ) -> None:
-        node = self.nodes[node_id]
-        if node.subscribe(subscription_filter):
-            self.subscriptions.subscribe(node_id, subscription_filter, timestamp=self.simulator.now)
-        for callback in callbacks:
-            node.add_delivery_callback(callback)
+        added = self.nodes[node_id].subscribe(subscription_filter)
+        self._subscribed(node_id, subscription_filter, callbacks, record=added)
 
     def unsubscribe(self, node_id: str, subscription_filter: Filter) -> None:
-        node = self.nodes[node_id]
-        if node.unsubscribe(subscription_filter):
-            self.subscriptions.unsubscribe(node_id, subscription_filter, timestamp=self.simulator.now)
+        if self.nodes[node_id].unsubscribe(subscription_filter):
+            self._unsubscribed(node_id, subscription_filter)
 
     # -------------------------------------------------------------- running
-
-    def run(self, until: float) -> None:
-        """Advance the simulation to time ``until``."""
-        self.simulator.run(until=until)
 
     def run_rounds(self, rounds: int, round_period: Optional[float] = None) -> None:
         """Advance the simulation by ``rounds`` gossip rounds."""
@@ -158,13 +114,3 @@ class GossipSystem(DisseminationSystem):
             any_node = next(iter(self.nodes.values()))
             round_period = any_node.round_period
         self.simulator.run(until=self.simulator.now + rounds * round_period)
-
-    # -------------------------------------------------------------- queries
-
-    def interested_nodes(self, event: Event) -> List[str]:
-        """Oracle: which nodes should deliver this event (from the table)."""
-        return self.subscriptions.interested_nodes(event)
-
-    def topics_of(self, node_id: str) -> List[str]:
-        """Topics a node is subscribed to (per the subscription table)."""
-        return self.subscriptions.topics_of_node(node_id)

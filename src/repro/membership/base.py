@@ -65,10 +65,6 @@ class MembershipComponent:
         """All peers currently known to this component (sorted)."""
         raise NotImplementedError
 
-    def peer_count(self) -> int:
-        """Number of currently known peers."""
-        return len(self.known_peers())
-
     def notify_left(self, node_id: str) -> None:
         """Hint that ``node_id`` is suspected dead (e.g. a send failed)."""
 

@@ -94,10 +94,6 @@ class PartialView:
         entries[node_id] = (birth, descriptor.topics)
         return True
 
-    def add_all(self, descriptors: Iterable[NodeDescriptor]) -> int:
-        """Insert several descriptors; returns how many changed the view."""
-        return sum(1 for descriptor in descriptors if self.add(descriptor))
-
     def remove(self, node_id: str) -> bool:
         """Drop the descriptor for ``node_id`` if present."""
         return self._entries.pop(node_id, None) is not None

@@ -8,22 +8,40 @@ implements the same three operations the paper defines:
 * ``subscribe(f, callbacks)``
 * ``unsubscribe(f)``
 
-:class:`DisseminationSystem` is the abstract interface;
-:class:`DeliveryLog` is the shared helper that records deliveries on behalf
-of a node (it backs both the user-facing callbacks and the analysis layer),
-and :class:`SystemFacade` offers the convenience entry point used by the
-examples: build a system, subscribe nodes, publish, run, report.
+and every one of them is a set of participants sharing a work ledger, a
+delivery log and a subscription table.  That scaffolding lives here, once:
+
+* :class:`DeliveryLog` records deliveries on behalf of a node (it backs both
+  the user-facing callbacks and the analysis layer);
+* :class:`Participant` is the process every node class extends: it holds the
+  shared ledger and log, the application callbacks, and the at-most-once
+  ``DELIVER(e)`` path;
+* :class:`DisseminationSystem` is the skeleton every ``*System`` (and the
+  live :class:`~repro.runtime.host.NodeHost`) extends: shared state, node
+  adoption, event stamping, subscription-table bookkeeping and the
+  ``delivery_log`` / ``node_ids`` / ``node`` / ``run`` accessors.  A system
+  keeps only its own ``publish`` / ``subscribe`` / ``unsubscribe`` — which
+  ``perfbench/layers.py`` patches by name, so they stay defined per class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from .events import Event
-from .filters import Filter
+from ..core.accounting import WorkLedger
+from ..sim.node import Process, ProcessRegistry
+from .events import Event, EventFactory
+from .filters import Filter, TopicFilter
+from .subscriptions import SubscriptionTable
 
-__all__ = ["DeliveryCallback", "DeliveryLog", "DeliveryRecord", "DisseminationSystem"]
+__all__ = [
+    "DeliveryCallback",
+    "DeliveryLog",
+    "DeliveryRecord",
+    "DisseminationSystem",
+    "Participant",
+]
 
 #: Signature of a subscriber callback: ``callback(node_id, event)``.
 DeliveryCallback = Callable[[str, Event], None]
@@ -122,19 +140,103 @@ class DeliveryLog:
         ]
 
 
-class DisseminationSystem:
-    """Abstract selective information dissemination system (§2).
+class Participant(Process):
+    """A process that takes part in a dissemination system.
 
-    Concrete systems wire themselves to a simulator, a network, and a set of
-    processes; this interface only fixes the three operations and the access
-    to the shared :class:`DeliveryLog` the analysis layer depends on.
+    Holds what every node class of every system needs next to its protocol
+    state: the shared :class:`~repro.core.accounting.WorkLedger` and
+    :class:`DeliveryLog`, the application callbacks, and the set of event ids
+    already delivered.
+    """
+
+    def __init__(
+        self, node_id: str, simulator, network, ledger: WorkLedger, delivery_log: DeliveryLog
+    ) -> None:
+        super().__init__(node_id, simulator, network)
+        self.ledger = ledger
+        self.delivery_log = delivery_log
+        self.delivered_event_ids: Set[str] = set()
+        self._callbacks: List[DeliveryCallback] = []
+        ledger.ensure_node(node_id)
+
+    def add_delivery_callback(self, callback: DeliveryCallback) -> None:
+        """Register an application callback invoked on every delivery."""
+        self._callbacks.append(callback)
+
+    def deliver(self, event: Event) -> bool:
+        """``DELIVER(e)``, at most once per event; returns False on a repeat.
+
+        A first delivery is the receiver's benefit in the ledger, one record
+        in the delivery log, and one call of every application callback.
+        """
+        if event.event_id in self.delivered_event_ids:
+            return False
+        self.delivered_event_ids.add(event.event_id)
+        self.ledger.record_delivery(self.node_id)
+        self.delivery_log.record(self.node_id, event, delivered_at=self.simulator.now)
+        for callback in self._callbacks:
+            callback(self.node_id, event)
+        return True
+
+    def on_crash(self) -> None:
+        self.ledger.record_crash(self.node_id)
+
+
+class DisseminationSystem:
+    """Selective information dissemination system (§2): the shared skeleton.
+
+    A concrete system builds its participants, hands each to :meth:`_adopt`,
+    and defines the three operations on top of :meth:`_stamp` (publish) and
+    :meth:`_subscribed` / :meth:`_unsubscribed` (subscription table).
+
+    Parameters
+    ----------
+    simulator / network:
+        Pre-built substrate — the discrete-event pair or the live runtime's
+        scheduler and network, which duck-type it.
+    ledger / delivery_log:
+        Shared accounting state; fresh ones are created when omitted.
     """
 
     #: Short machine-readable name used in reports and benchmark tables.
     name: str = "abstract"
+    #: What a topic-only system calls itself in its errors; systems that
+    #: also carry content-based events and filters leave it ``None``.
+    topic_only: Optional[str] = None
 
-    def publish(self, publisher_id: str, event: Event) -> Event:
-        """Publish ``event`` from ``publisher_id``; returns the stamped event."""
+    def __init__(
+        self,
+        simulator,
+        network,
+        ledger: Optional[WorkLedger] = None,
+        delivery_log: Optional[DeliveryLog] = None,
+    ) -> None:
+        self.simulator = simulator
+        self.network = network
+        self.ledger = ledger if ledger is not None else WorkLedger()
+        self._delivery_log = delivery_log if delivery_log is not None else DeliveryLog()
+        self.subscriptions = SubscriptionTable()
+        #: Every process of the system, infrastructure-only ones included
+        #: (fault injection crashes and recovers nodes through it).
+        self.registry = ProcessRegistry()
+        #: Application-facing participants: they publish, subscribe, deliver.
+        self.nodes: Dict[str, Participant] = {}
+        self._factories: Dict[str, EventFactory] = {}
+
+    def _adopt(self, node: Participant) -> None:
+        """Take an application-facing participant into the system."""
+        self.nodes[node.node_id] = node
+        self.registry.add(node)
+        self._factories[node.node_id] = EventFactory(node.node_id)
+
+    # ------------------------------------------------------------- §2 API
+
+    def publish(self, publisher_id: str, event: Optional[Event] = None, **attributes) -> Event:
+        """Publish from ``publisher_id``; returns the stamped event.
+
+        Either pass a pre-built :class:`Event` or keyword attributes (with an
+        optional ``topic=...`` and ``size=...``) and the system builds one.
+        """
         raise NotImplementedError
 
     def subscribe(
@@ -150,25 +252,81 @@ class DisseminationSystem:
         """Withdraw a previously registered interest."""
         raise NotImplementedError
 
+    # ------------------------------------------------- shared by the three
+
+    def _stamp(self, publisher_id: str, event: Optional[Event], attributes: dict) -> Event:
+        """The event to publish: built from ``attributes`` if needed, timed now."""
+        if event is None:
+            topic = attributes.pop("topic", None)
+            size = attributes.pop("size", 1)
+            factory = self._factories[publisher_id]
+            event = factory.create(attributes=attributes, topic=topic, size=size)
+        if self.topic_only and event.topic is None:
+            raise ValueError(f"{self.topic_only} is topic-based: the event needs a topic")
+        return event.with_time(self.simulator.now)
+
+    def _topic_of(self, subscription_filter: Filter) -> str:
+        """The topic of a filter handed to a topic-only system."""
+        if not isinstance(subscription_filter, TopicFilter):
+            raise TypeError(
+                f"{self.topic_only} supports topic-based subscriptions only; use a TopicFilter"
+            )
+        return subscription_filter.topic
+
+    def _subscribed(
+        self,
+        node_id: str,
+        subscription_filter: Filter,
+        callbacks: Sequence[DeliveryCallback] = (),
+        record: bool = True,
+    ) -> None:
+        """Table entry (unless the node already had the filter) and callbacks."""
+        if record:
+            self.subscriptions.subscribe(
+                node_id, subscription_filter, timestamp=self.simulator.now
+            )
+        node = self.nodes[node_id]
+        for callback in callbacks:
+            node.add_delivery_callback(callback)
+
+    def _unsubscribed(self, node_id: str, subscription_filter: Filter) -> None:
+        self.subscriptions.unsubscribe(
+            node_id, subscription_filter, timestamp=self.simulator.now
+        )
+
+    # -------------------------------------------------------------- queries
+
     @property
     def delivery_log(self) -> DeliveryLog:
         """The log of all deliveries performed so far."""
-        raise NotImplementedError
+        return self._delivery_log
 
     def node_ids(self) -> List[str]:
-        """Identifiers of all participants of the system."""
-        raise NotImplementedError
+        """Identifiers of all participants of the system (sorted)."""
+        return sorted(self.nodes)
 
-    def client_nodes(self) -> Dict[str, object]:
+    def node(self, node_id: str) -> Participant:
+        """Return the node object for ``node_id``."""
+        return self.nodes[node_id]
+
+    def client_nodes(self) -> Dict[str, Participant]:
         """Application-facing nodes, keyed by node id.
 
         These are the participants that publish, subscribe, and deliver —
-        the nodes a host attaches delivery callbacks to.  Systems with
-        infrastructure-only participants (for example the broker overlay,
-        whose brokers never deliver to an application) override this to
-        exclude them.
+        the nodes a host attaches delivery callbacks to.  Infrastructure-only
+        processes (the broker overlay's brokers, which never deliver to an
+        application) are in :attr:`registry` but not here.
         """
-        nodes = getattr(self, "nodes", None)
-        if nodes is None:
-            raise NotImplementedError(f"{type(self).__name__} exposes no client node map")
-        return nodes
+        return self.nodes
+
+    def interested_nodes(self, event: Event) -> List[str]:
+        """Oracle: which nodes should deliver this event (from the table)."""
+        return self.subscriptions.interested_nodes(event)
+
+    def topics_of(self, node_id: str) -> List[str]:
+        """Topics a node is subscribed to (per the subscription table)."""
+        return self.subscriptions.topics_of_node(node_id)
+
+    def run(self, until: float) -> None:
+        """Advance the simulation to time ``until``."""
+        self.simulator.run(until=until)

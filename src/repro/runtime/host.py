@@ -21,20 +21,19 @@ subscriptions over the wire:
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, Optional, Sequence, Type
 
 from ..core.accounting import WorkLedger
 from ..core.policy import EXPRESSIVE_POLICY, FairnessPolicy
 from ..analysis.fairness_report import SystemFairnessSummary, summarise_fairness
 from ..faults import FaultController, FaultPlan, FaultPlanError
 from ..gossip.push import PushGossipNode
+from ..gossip.system import bootstrap_views
 from ..membership.base import MembershipProvider
 from ..membership.cyclon import cyclon_provider
-from ..pubsub.events import Event, EventFactory
+from ..pubsub.events import Event
 from ..pubsub.filters import Filter
 from ..pubsub.interfaces import DeliveryCallback, DeliveryLog, DisseminationSystem
-from ..pubsub.subscriptions import SubscriptionTable
-from ..sim.node import ProcessRegistry
 from ..sim.rng import RngRegistry
 from ..registry import StackSpec, build_popularity, build_stack
 from ..telemetry import DEFAULT_SNAPSHOT_PERIOD, SnapshotScheduler, Telemetry, TelemetrySink
@@ -89,7 +88,10 @@ class NodeHost(DisseminationSystem):
     ) -> None:
         self.clock = WallClock(time_scale=time_scale)
         self.scheduler = AsyncScheduler(self.clock, RngRegistry(seed))
-        self.network = RuntimeNetwork(self.scheduler, transport)
+        # The scheduler stands where the skeleton expects a simulator.
+        super().__init__(
+            self.scheduler, RuntimeNetwork(self.scheduler, transport), ledger, delivery_log
+        )
         self.network.control_handler = self._handle_control
         #: Dissemination tracing: spans stamp protocol time (scheduler.now)
         #: so sim and live traces of the same scenario line up.  Tracing is
@@ -98,10 +100,6 @@ class NodeHost(DisseminationSystem):
         if tracer is not None:
             tracer.attach_clock(lambda: self.scheduler.now)
             self.network.tracer = tracer
-        self.ledger = ledger if ledger is not None else WorkLedger()
-        self._delivery_log = delivery_log if delivery_log is not None else DeliveryLog()
-        self.subscriptions = SubscriptionTable()
-        self.registry = ProcessRegistry()
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._latency_histogram = self.telemetry.histogram(DELIVERY_LATENCY_METRIC)
         self._deliveries_counter = self.telemetry.counter(DELIVERIES_METRIC)
@@ -116,8 +114,6 @@ class NodeHost(DisseminationSystem):
             if self._snapshot_period is None:
                 self._snapshot_period = spec.telemetry.period
         self.snapshot_scheduler: Optional[SnapshotScheduler] = None
-        self.nodes: Dict[str, PushGossipNode] = {}
-        self._factories: Dict[str, EventFactory] = {}
         self._node_class = node_class
         self._node_kwargs = dict(node_kwargs or {})
         self._provider = (
@@ -147,17 +143,6 @@ class NodeHost(DisseminationSystem):
         """The transport underneath this host."""
         return self.network.transport
 
-    @property
-    def delivery_log(self) -> DeliveryLog:
-        return self._delivery_log
-
-    def node_ids(self) -> List[str]:
-        return sorted(self.nodes)
-
-    def node(self, node_id: str) -> PushGossipNode:
-        """Return the node object for ``node_id``."""
-        return self.nodes[node_id]
-
     def add_node(
         self,
         node_id: str,
@@ -184,13 +169,15 @@ class NodeHost(DisseminationSystem):
             delivery_log=self._delivery_log,
             **kwargs,
         )
+        self._observe(node)
+        self._adopt(node)
+        return node
+
+    def _observe(self, node) -> None:
+        """Hook the host's delivery metrics (and tracer, if any) into a node."""
         node.add_delivery_callback(self._record_delivery)
         if self.tracer is not None and hasattr(node, "_trace_state"):
             node.tracer = self.tracer
-        self.nodes[node_id] = node
-        self.registry.add(node)
-        self._factories[node_id] = EventFactory(node_id)
-        return node
 
     def add_nodes(self, node_ids: Sequence[str], **overrides) -> None:
         """Create several nodes in one call."""
@@ -199,12 +186,7 @@ class NodeHost(DisseminationSystem):
 
     def bootstrap(self, degree: int = 10) -> None:
         """Give every node a random set of initial contacts."""
-        ids = list(self.nodes)
-        rng = self.scheduler.rng.stream("bootstrap")
-        for node_id, node in self.nodes.items():
-            others = [candidate for candidate in ids if candidate != node_id]
-            seeds = others if degree >= len(others) else rng.sample(others, degree)
-            node.bootstrap(seeds)
+        bootstrap_views(self.nodes, self.scheduler.rng.stream("bootstrap"), degree)
 
     # ------------------------------------------------------------- lifecycle
 
@@ -305,13 +287,10 @@ class NodeHost(DisseminationSystem):
         self._delivery_log = system.delivery_log
         self.subscriptions = system.subscriptions
         self._topology = getattr(system, "topology", None)
-        if hasattr(system, "registry"):
-            self.registry = system.registry
+        self.registry = system.registry
         self.nodes = dict(system.client_nodes())
         for node in self.nodes.values():
-            node.add_delivery_callback(self._record_delivery)
-            if self.tracer is not None and hasattr(node, "_trace_state"):
-                node.tracer = self.tracer
+            self._observe(node)
 
     async def stop(self) -> None:
         """Stop all timers and tear the transport down.
@@ -358,15 +337,9 @@ class NodeHost(DisseminationSystem):
         """Publish an event from ``publisher_id`` (same API as GossipSystem)."""
         if self.system is not None:
             event = self.system.publish(publisher_id, event=event, **attributes)
-            self._published_counter.increment()
-            return event
-        if event is None:
-            factory = self._factories[publisher_id]
-            topic = attributes.pop("topic", None)
-            size = attributes.pop("size", 1)
-            event = factory.create(attributes=attributes, topic=topic, size=size)
-        event = event.with_time(self.scheduler.now)
-        self.nodes[publisher_id].publish(event)
+        else:
+            event = self._stamp(publisher_id, event, attributes)
+            self.nodes[publisher_id].publish(event)
         self._published_counter.increment()
         return event
 
@@ -378,24 +351,15 @@ class NodeHost(DisseminationSystem):
     ) -> None:
         if self.system is not None:
             self.system.subscribe(node_id, subscription_filter, callbacks=callbacks)
-            return
-        node = self.nodes[node_id]
-        if node.subscribe(subscription_filter):
-            self.subscriptions.subscribe(
-                node_id, subscription_filter, timestamp=self.scheduler.now
-            )
-        for callback in callbacks:
-            node.add_delivery_callback(callback)
+        else:
+            added = self.nodes[node_id].subscribe(subscription_filter)
+            self._subscribed(node_id, subscription_filter, callbacks, record=added)
 
     def unsubscribe(self, node_id: str, subscription_filter: Filter) -> None:
         if self.system is not None:
             self.system.unsubscribe(node_id, subscription_filter)
-            return
-        node = self.nodes[node_id]
-        if node.unsubscribe(subscription_filter):
-            self.subscriptions.unsubscribe(
-                node_id, subscription_filter, timestamp=self.scheduler.now
-            )
+        elif self.nodes[node_id].unsubscribe(subscription_filter):
+            self._unsubscribed(node_id, subscription_filter)
 
     # -------------------------------------------------------------- control
 
@@ -432,14 +396,6 @@ class NodeHost(DisseminationSystem):
         self.telemetry.set_gauge("fairness.wasted_share", fairness.wasted_share)
 
     # -------------------------------------------------------------- queries
-
-    def interested_nodes(self, event: Event) -> List[str]:
-        """Oracle: which nodes should deliver this event (from the table)."""
-        return self.subscriptions.interested_nodes(event)
-
-    def topics_of(self, node_id: str) -> List[str]:
-        """Topics a node is subscribed to (per the subscription table)."""
-        return self.subscriptions.topics_of_node(node_id)
 
     def fairness_summary(
         self, policy: FairnessPolicy = EXPRESSIVE_POLICY, system_name: Optional[str] = None

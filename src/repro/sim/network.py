@@ -141,9 +141,6 @@ class FaultInjectionSurface:
         """
         self._link_profile = profile
 
-    def clear_link_profile(self) -> None:
-        """Remove the per-link profile (back to flat physics)."""
-        self._link_profile = None
 
 
 @dataclass(slots=True)

@@ -154,13 +154,6 @@ class TelemetrySnapshot:
         """Summary of one histogram (empty summary if absent)."""
         return self.histogram_state(name, **tags).summary()
 
-    def metric_names(self) -> Dict[str, List[str]]:
-        """All metric names grouped by instrument type."""
-        return {
-            "counters": sorted({name for name, _, _ in self.counters}),
-            "gauges": sorted({name for name, _, _ in self.gauges}),
-            "histograms": sorted({name for name, _, _ in self.histograms}),
-        }
 
 
 class SnapshotScheduler:

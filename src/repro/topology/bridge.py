@@ -17,8 +17,9 @@ serves the simulator and the live runtime:
   simply because bridges re-relay on every duplicate gossip receipt while
   the event is still circulating;
 * on arrival, the *ingress* bridge absorbs the events into its local
-  gossip node (:meth:`_absorb_event`, the duplicate-suppressed injection
-  path), from where normal intra-domain gossip takes over.
+  gossip node (its ``absorb_events`` primitive, the duplicate-suppressed
+  injection path every received payload takes), from where normal
+  intra-domain gossip takes over.
 
 Bridge traffic is infrastructure: it bypasses the nodes' ``send`` overrides,
 so it never counts towards the paper's per-node fairness contribution.
@@ -61,7 +62,7 @@ class BridgeRouter:
         The compiled topology (bridge sets, domain membership).
     nodes:
         ``node_id -> gossip node`` for the locally hosted nodes; ingress
-        absorption duck-types the node's ``_absorb_event`` method.
+        absorption duck-types the node's ``absorb_events`` method.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` for ``bridge.*``
         counters.
@@ -160,22 +161,17 @@ class BridgeRouter:
 
     def _absorb(self, message: Message) -> None:
         node = self._nodes.get(message.recipient)
-        absorb = getattr(node, "_absorb_event", None)
-        if absorb is None:
+        absorb = getattr(node, "absorb_events", None)
+        events = getattr(message.payload, "events", None)
+        if absorb is None or not events:
             return
-        domain = self._domain_map.domain(message.recipient)
-        events = getattr(message.payload, "events", ()) or ()
-        contexts = {ctx.trace_id: ctx for ctx in (message.trace or ())}
-        for event in events:
-            if absorb(
-                event,
-                from_peer=message.sender,
-                trace_ctx=contexts.get(event.event_id),
-            ):
-                self.absorbed += 1
-                if self._telemetry is not None:
-                    self._telemetry.increment("bridge.absorbed", domain=domain)
-            else:
-                self.duplicates += 1
-                if self._telemetry is not None:
-                    self._telemetry.increment("bridge.duplicate", domain=domain)
+        absorbed = absorb(message)
+        duplicates = len(events) - absorbed
+        self.absorbed += absorbed
+        self.duplicates += duplicates
+        if self._telemetry is not None:
+            domain = self._domain_map.domain(message.recipient)
+            if absorbed:
+                self._telemetry.increment("bridge.absorbed", amount=absorbed, domain=domain)
+            if duplicates:
+                self._telemetry.increment("bridge.duplicate", amount=duplicates, domain=domain)

@@ -77,8 +77,3 @@ class GeoLinkProfile:
         if domain_a > domain_b:
             domain_a, domain_b = domain_b, domain_a
         return self._effects.get((domain_a, domain_b), _NO_EFFECTS)
-
-    @property
-    def has_loss(self) -> bool:
-        """Whether any resolved link can drop messages."""
-        return any(loss > 0.0 for _, loss in self._effects.values())

@@ -89,9 +89,6 @@ class EventTrace:
             return []
         return [span.ts - root.ts for span in self.spans if span.kind == DELIVER]
 
-    def pull_recovered_nodes(self) -> List[str]:
-        """Nodes whose first copy of the payload arrived via a pull reply."""
-        return [span.node for span in self.spans if span.kind == PULL_RECOVER]
 
 
 @dataclass

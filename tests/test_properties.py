@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,7 @@ from repro.pubsub import (
     TopicHierarchy,
     topic_path,
 )
+from repro.registry import SYSTEMS
 from repro.telemetry import percentile
 from repro.sim.rng import zipf_weights
 
@@ -412,3 +414,54 @@ class TestLazyBroadcastProperties:
         assert served <= issued
         if issued == 0:
             assert sum(node.recoveries for node in nodes) == 0
+
+
+class TestEverySystemInvariants:
+    """What must hold for any registered system, lossy or not."""
+
+    @pytest.mark.parametrize("kind", sorted(SYSTEMS.names()))
+    @settings(deadline=None, max_examples=4)
+    @given(
+        st.sampled_from([0.0, 0.2]),
+        st.integers(min_value=6, max_value=10),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_deliveries_are_wanted_unique_counted_and_messages_conserved(
+        self, kind, loss, nodes, seed
+    ):
+        from repro.experiments import ExperimentConfig, run_experiment
+
+        config = ExperimentConfig(
+            name="every-system-invariants",
+            system=kind,
+            nodes=nodes,
+            topics=4,
+            interest_model="uniform",
+            topics_per_node=2,
+            publication_rate=2.0,
+            duration=3.0,
+            drain_time=4.0,
+            gossip_size=4,
+            seed=seed,
+            loss_rate=loss,
+        )
+        result = run_experiment(config, keep_system=True)
+        system = result.system
+        events = {event.event_id: event for event in result.published_events}
+        records = system.delivery_log.ordered_records()
+        for record in records:
+            # No delivery without a filter of that node matching the event.
+            wanted_by = system.subscriptions.interested_nodes(events[record.event_id])
+            assert record.node_id in wanted_by
+        pairs = [(record.node_id, record.event_id) for record in records]
+        assert len(pairs) == len(set(pairs))
+        assert system.ledger.totals().events_delivered == len(records)
+        # Stop every process and let what is in flight land: each message
+        # ever sent was then delivered or dropped for exactly one reason.
+        for process in system.registry.all():
+            process.crash()
+        system.simulator.run(until=system.simulator.now + 100.0)
+        stats = system.network.stats
+        assert stats.sent == (
+            stats.delivered + stats.lost + stats.dropped_dead + stats.dropped_partition
+        )

@@ -52,9 +52,11 @@ from repro.tracing import (
 PARITY_SPAN_RATIO_TOLERANCE = 0.5
 
 
-def traced_smoke_lazy(sample_rate: float = 1.0, sink=None, keep_system: bool = False):
+def traced_smoke_lazy(
+    sample_rate: float = 1.0, sink=None, keep_system: bool = False, system: str = "lazy-push"
+):
     """One pinned-seed smoke-lazy run with tracing; returns (result, tracer)."""
-    config = get_scenario("smoke-lazy").config
+    config = get_scenario("smoke-lazy").config.with_overrides(system=system)
     tracer = Tracer(sink if sink is not None else MemoryTraceSink(), sample_rate=sample_rate)
     result = run_experiment(config, keep_system=keep_system, tracer=tracer)
     return result, tracer
@@ -176,11 +178,15 @@ class TestTraceDeterminism:
 
 
 class TestInfectionTree:
-    """Acceptance: correct trees for a pinned-seed smoke-lazy run."""
+    """Acceptance: correct trees for a pinned-seed smoke-lazy run.
 
-    @pytest.fixture(scope="class")
-    def analysis(self):
-        result, tracer = traced_smoke_lazy(keep_system=True)
+    Both digest-and-pull variants run it: their adverts, pull replies and
+    recoveries are traced by the same exchange primitives.
+    """
+
+    @pytest.fixture(scope="class", params=["lazy-push", "pushpull-gossip"])
+    def analysis(self, request):
+        result, tracer = traced_smoke_lazy(keep_system=True, system=request.param)
         return result, analyze_spans(tracer.sink.records())
 
     def test_every_published_event_is_traced(self, analysis):
