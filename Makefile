@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-rt bench-metrics bench-faults bench-lazy bench-trace bench-domains bench-campaign perfbench perfbench-quick serve-smoke serve-scenario-smoke registry-smoke report-smoke fault-smoke lazy-smoke trace-smoke domains-smoke campaign-smoke clean-cache
+.PHONY: test bench bench-smoke bench-metrics bench-faults bench-lazy bench-trace bench-domains bench-campaign perfbench perfbench-quick serve-smoke serve-scenario-smoke registry-smoke report-smoke fault-smoke lazy-smoke trace-smoke domains-smoke campaign-smoke clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -14,11 +14,6 @@ bench:
 bench-smoke:
 	$(PYTHON) -m repro sweep smoke --param system.fanout --values 2,4 --workers 2
 	$(PYTHON) -m repro sweep smoke --param system.fanout --values 2,4 --workers 2
-
-# Live-runtime throughput benchmark: writes BENCH_rt_throughput.json
-# (events/sec + delivery latency p50/p99 on the memory transport).
-bench-rt:
-	$(PYTHON) -m pytest benchmarks/bench_rt_throughput.py -q -s
 
 # Metrics hot-path overhead: writes BENCH_metrics_overhead.json
 # (ns/record, legacy list-backed histogram vs streaming telemetry).
@@ -140,4 +135,4 @@ perfbench-quick:
 # BENCH_metrics_overhead.json is tracked (it seeds the perf trajectory), so
 # clean-cache leaves it alone; re-run `make bench-metrics` to refresh it.
 clean-cache:
-	rm -rf .repro-cache .ci-cache out BENCH_rt_throughput.json perfbench-results.json
+	rm -rf .repro-cache .ci-cache out perfbench-results.json

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from ..telemetry import Telemetry
 from .estimators import BenefitEstimator, Ewma
 
 __all__ = ["AdaptiveFanoutController", "FanoutSchedule"]
@@ -72,7 +73,7 @@ class AdaptiveFanoutController:
         schedule: Optional[FanoutSchedule] = None,
         estimator: Optional[BenefitEstimator] = None,
         smoothing: float = 0.5,
-        telemetry=None,
+        telemetry: Optional[Telemetry] = None,
         telemetry_tags: Optional[dict] = None,
     ) -> None:
         self.schedule = schedule if schedule is not None else FanoutSchedule()
@@ -80,18 +81,14 @@ class AdaptiveFanoutController:
         self._smoothed = Ewma(alpha=smoothing)
         self._current = self.schedule.base_fanout
         self.history: List[int] = []
-        #: Optional telemetry gauge mirroring the live recommendation, so
-        #: snapshots expose each node's current fanout mid-run.
-        self._gauge = (
-            telemetry.gauge("controller.fanout", **(telemetry_tags or {}))
-            if telemetry is not None
-            else None
-        )
-        if self._gauge is not None:
-            # Publish the neutral operating point immediately so snapshots
-            # taken before the first adaptation (or in ablations that never
-            # adapt this lever) show the effective value, not 0.
-            self._gauge.set(self._current)
+        #: Telemetry gauge mirroring the live recommendation, so snapshots
+        #: expose each node's current fanout mid-run.
+        telemetry = telemetry if telemetry is not None else Telemetry()
+        self._gauge = telemetry.gauge("controller.fanout", **(telemetry_tags or {}))
+        # Publish the neutral operating point immediately so snapshots
+        # taken before the first adaptation (or in ablations that never
+        # adapt this lever) show the effective value, not 0.
+        self._gauge.set(self._current)
 
     # ----------------------------------------------------------- observing
 
@@ -109,8 +106,7 @@ class AdaptiveFanoutController:
         smoothed = self._smoothed.observe(raw)
         self._current = self.schedule.clamp(smoothed)
         self.history.append(self._current)
-        if self._gauge is not None:
-            self._gauge.set(self._current)
+        self._gauge.set(self._current)
 
     # ------------------------------------------------------------- reading
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..telemetry import Telemetry
 from .estimators import BenefitEstimator, Ewma
 
 __all__ = ["AdaptivePayloadController", "PayloadSchedule"]
@@ -71,7 +72,7 @@ class AdaptivePayloadController:
         estimator: Optional[BenefitEstimator] = None,
         smoothing: float = 0.5,
         backlog_fraction: float = 0.25,
-        telemetry=None,
+        telemetry: Optional[Telemetry] = None,
         telemetry_tags: Optional[dict] = None,
     ) -> None:
         if not 0.0 <= backlog_fraction <= 1.0:
@@ -82,18 +83,14 @@ class AdaptivePayloadController:
         self._current = self.schedule.base_payload
         self.backlog_fraction = backlog_fraction
         self.history: List[int] = []
-        #: Optional telemetry gauge mirroring the live recommendation, so
-        #: snapshots expose each node's current payload size mid-run.
-        self._gauge = (
-            telemetry.gauge("controller.payload", **(telemetry_tags or {}))
-            if telemetry is not None
-            else None
-        )
-        if self._gauge is not None:
-            # Publish the neutral operating point immediately so snapshots
-            # taken before the first adaptation (or in ablations that never
-            # adapt this lever) show the effective value, not 0.
-            self._gauge.set(self._current)
+        #: Telemetry gauge mirroring the live recommendation, so snapshots
+        #: expose each node's current payload size mid-run.
+        telemetry = telemetry if telemetry is not None else Telemetry()
+        self._gauge = telemetry.gauge("controller.payload", **(telemetry_tags or {}))
+        # Publish the neutral operating point immediately so snapshots
+        # taken before the first adaptation (or in ablations that never
+        # adapt this lever) show the effective value, not 0.
+        self._gauge.set(self._current)
 
     # ----------------------------------------------------------- observing
 
@@ -114,8 +111,7 @@ class AdaptivePayloadController:
         )
         self._current = self.schedule.clamp(max(smoothed, backlog_floor))
         self.history.append(self._current)
-        if self._gauge is not None:
-            self._gauge.set(self._current)
+        self._gauge.set(self._current)
 
     # ------------------------------------------------------------- reading
 

@@ -119,7 +119,7 @@ class FairGossipNode(PushGossipNode):
         self.adapt_fanout = adapt_fanout
         self.adapt_payload = adapt_payload
         self.estimator = BenefitEstimator(own_alpha=own_alpha, peer_alpha=peer_alpha)
-        controller_tags = {"node": self.node_id} if self.telemetry is not None else None
+        controller_tags = {"node": self.node_id}
         self.fanout_controller = AdaptiveFanoutController(
             schedule=fanout_schedule,
             estimator=self.estimator,
@@ -136,13 +136,11 @@ class FairGossipNode(PushGossipNode):
         )
         #: Pre-bound benefit gauges (telemetry's hot-path convention): the
         #: estimator exports every round, so avoid a facade lookup per call.
-        self._benefit_gauges = None
-        if self.telemetry is not None:
-            self._benefit_gauges = (
-                self.telemetry.gauge("benefit.own_rate", node=self.node_id),
-                self.telemetry.gauge("benefit.population_rate", node=self.node_id),
-                self.telemetry.gauge("benefit.relative", node=self.node_id),
-            )
+        self._benefit_gauges = (
+            self.telemetry.gauge("benefit.own_rate", node=self.node_id),
+            self.telemetry.gauge("benefit.population_rate", node=self.node_id),
+            self.telemetry.gauge("benefit.relative", node=self.node_id),
+        )
         self._deliveries_at_round_start = 0
 
     # -------------------------------------------------------- benefit signal
@@ -179,11 +177,10 @@ class FairGossipNode(PushGossipNode):
             # Keep the estimator warm even when both levers are frozen, so
             # ablation runs still report benefit rates.
             self.estimator.observe_own_round(deliveries_this_round)
-        if self._benefit_gauges is not None:
-            own_gauge, population_gauge, relative_gauge = self._benefit_gauges
-            own_gauge.set(self.estimator.own_rate)
-            population_gauge.set(self.estimator.population_rate)
-            relative_gauge.set(self.estimator.relative_benefit())
+        own_gauge, population_gauge, relative_gauge = self._benefit_gauges
+        own_gauge.set(self.estimator.own_rate)
+        population_gauge.set(self.estimator.population_rate)
+        relative_gauge.set(self.estimator.relative_benefit())
 
 
 class FairGossipSystem(GossipSystem):

@@ -28,7 +28,7 @@ from ..analysis import (
 )
 from ..core import FairnessPolicy
 from ..core.fairness import evaluate_fairness
-from ..faults import FaultController, FaultPlan, FaultPlanError
+from ..faults import FaultController, FaultPlan
 from ..pubsub.events import Event
 from ..telemetry import (
     DEFAULT_SNAPSHOT_PERIOD,
@@ -37,13 +37,8 @@ from ..telemetry import (
     TelemetrySnapshot,
     parse_sink_spec,
 )
-from ..workloads import (
-    AttributeInterest,
-    ContentPublicationWorkload,
-    InterestAssignment,
-    SubscriptionChurnWorkload,
-    TopicPublicationWorkload,
-)
+from ..registry import StackSpec, build_workload
+from ..workloads import InterestAssignment, SubscriptionChurnWorkload
 from .config import ExperimentConfig
 from .scenarios import build_interest, build_popularity, build_simulation, build_system, resolve_policy
 
@@ -224,69 +219,23 @@ def run_experiment(
         config, simulator, network, popularity=popularity, telemetry=telemetry
     )
     if tracer is not None:
-        tracer.attach_clock(lambda: simulator.now)
-        network.tracer = tracer
-        for node in system.client_nodes().values():
-            if hasattr(node, "_trace_state"):
-                node.tracer = tracer
+        system.attach_tracer(tracer)
     interest_model = build_interest(config, popularity)
     rng = simulator.rng.stream("experiment-interest")
     interest = interest_model.assign(list(config.node_ids()), rng)
     interest.apply(system)
 
     publishers = list(config.publisher_ids())
-    if config.interest_model == "content":
-        assert isinstance(interest_model, AttributeInterest)
-        workload = ContentPublicationWorkload(
-            system,
-            simulator,
-            interest_model,
-            publishers,
-            rate=config.publication_rate,
-        )
-    else:
-        workload = TopicPublicationWorkload(
-            system,
-            simulator,
-            popularity,
-            publishers,
-            rate=config.publication_rate,
-            event_size=config.event_size,
-        )
+    workload = build_workload(
+        StackSpec.from_config(config), system, simulator, popularity, publishers, interest_model
+    )
     workload.start(duration=config.duration, start_at=config.round_period)
 
     plan = FaultPlan.from_flat(config)
     fault_controller: Optional[FaultController] = None
     if not plan.is_empty():
-        # Fail fast, before any simulated time passes: an invalid or
-        # unsatisfiable plan (unknown nodes, bad probabilities, a system
-        # without a process registry) must not quietly measure a calmer run
-        # than the config's name claims.  The node universe is the built
-        # system's *registry*, not just the client nodes, so plans may
-        # target infra participants too (brokers, rendezvous nodes — "kill
-        # the rendezvous node of the most popular topic at t=20").
-        registry = getattr(system, "registry", None)
-        if plan.needs_registry() and registry is None:
-            raise FaultPlanError(
-                f"config {config.name!r} requests node faults "
-                "(churn/crash/recover/leave) but system "
-                f"{config.system!r} exposes no process registry; pick a "
-                "registry-backed system or drop the node-fault entries"
-            )
-        universe = (
-            registry.ids()
-            if registry is not None and len(registry)
-            else config.node_ids()
-        )
-        plan.validate(node_ids=universe, total_time=config.total_time)
-        topology = getattr(system, "topology", None)
-        fault_controller = FaultController(
-            simulator,
-            network,
-            registry,
-            plan,
-            domain_map=topology.domain_map if topology is not None else None,
-            telemetry=telemetry,
+        fault_controller = FaultController.for_system(
+            system, plan, telemetry=telemetry, total_time=config.total_time
         )
         fault_controller.start()
 

@@ -13,8 +13,8 @@ Typical wiring::
 
     from repro.faults import FaultController, FaultPlan
 
-    plan = FaultPlan.from_file("plan.json").validate(node_ids=ids)
-    controller = FaultController(simulator, network, system.registry, plan)
+    plan = FaultPlan.from_file("plan.json")
+    controller = FaultController.for_system(system, plan)  # validates, binds
     controller.start()
 
 The imperative injectors (:class:`CrashSchedule`, :class:`ChurnInjector`,

@@ -30,6 +30,7 @@ from .actions import (
     apply_node_action,
     churn_tick,
 )
+from ..telemetry import Telemetry
 from .plan import FaultPlan, FaultPlanError, FaultSpec
 
 __all__ = ["FaultController"]
@@ -54,9 +55,10 @@ class FaultController:
         The run's :class:`~repro.topology.domains.DomainMap`, required when
         the plan contains domain-partition entries (``domains=...``); those
         entries resolve domain names into a group map at install time.
-    telemetry / trace:
-        Optional observability hooks; recording draws no randomness and
-        schedules nothing, so attaching them cannot perturb a run.
+    telemetry:
+        The run's :class:`~repro.telemetry.Telemetry` store (a private one
+        when omitted); recording draws no randomness and schedules nothing,
+        so it cannot perturb a run.
     """
 
     def __init__(
@@ -67,13 +69,13 @@ class FaultController:
         plan: FaultPlan = FaultPlan(),
         *,
         domain_map=None,
-        telemetry=None,
-        trace=None,
+        telemetry: Optional[Telemetry] = None,
     ) -> None:
         if plan.needs_registry() and registry is None:
             raise FaultPlanError(
                 "fault plan contains node-level entries (crash/recover/leave/churn) "
-                "but no process registry is available"
+                "but no process registry is available; pick a registry-backed "
+                "system or drop the node-fault entries"
             )
         if plan.needs_network() and network is None:
             raise FaultPlanError(
@@ -102,8 +104,7 @@ class FaultController:
         self._network = network
         self._registry = registry
         self.plan = plan
-        self._telemetry = telemetry
-        self._trace = trace
+        self._telemetry = telemetry if telemetry is not None else Telemetry()
         self._events: List = []
         self._timers: List = []
         self._started = False
@@ -120,6 +121,42 @@ class FaultController:
         #: Event counts by action (``crash``/``recover``/``leave``/
         #: ``skipped``/``partition``/``heal``/``perturb``).
         self.counts: Dict[str, int] = {}
+
+    @classmethod
+    def for_system(
+        cls,
+        system,
+        plan: FaultPlan,
+        *,
+        telemetry: Optional[Telemetry] = None,
+        total_time: Optional[float] = None,
+    ) -> "FaultController":
+        """Validate ``plan`` against a built system and bind a controller to it.
+
+        ``system`` — a simulated stack or the live
+        :class:`~repro.runtime.host.NodeHost` — supplies the scheduler, the
+        fabric, the process registry and (under a topology) the domain map.
+        The node universe is the *registry*, not just the client nodes, so
+        plans may target infra participants too (brokers, rendezvous
+        nodes).  An invalid or unsatisfiable plan raises
+        :class:`FaultPlanError` here, before any time passes, instead of
+        quietly measuring a calmer run; that includes node faults on a
+        system without member processes (an externally registered system
+        may expose no registry at all).
+        """
+        # ``or None``: a registry nobody is in counts as none, so the
+        # constructor's guard rejects node-level entries.
+        registry = getattr(system, "registry", None) or None
+        plan.validate(node_ids=registry.ids() if registry else None, total_time=total_time)
+        topology = system.topology
+        return cls(
+            system.simulator,
+            system.network,
+            registry,
+            plan,
+            domain_map=topology.domain_map if topology is not None else None,
+            telemetry=telemetry,
+        )
 
     # ------------------------------------------------------------ lifecycle
 
@@ -156,11 +193,11 @@ class FaultController:
         if self._network is not None and self._perturb_active:
             self._network.clear_perturbation()
             self._perturb_active = 0
-            self._set_gauge("fault.perturb_active", 0.0)
+            self._telemetry.set_gauge("fault.perturb_active", 0.0)
         if self._network is not None and self._partition_active:
             self._network.clear_partition()
             self._partition_active = 0
-            self._set_gauge("fault.partition_active", 0.0)
+            self._telemetry.set_gauge("fault.partition_active", 0.0)
         self._started = False
 
     # ----------------------------------------------------------- schedulers
@@ -194,8 +231,8 @@ class FaultController:
                 entry.down_probability,
                 entry.up_probability,
                 protected,
-                on_crash=lambda node_id: self._record("crash", node_id),
-                on_recover=lambda node_id: self._record("recover", node_id),
+                on_crash=lambda node_id: self._record("crash"),
+                on_recover=lambda node_id: self._record("recover"),
             )
 
         timers: List = []
@@ -232,7 +269,7 @@ class FaultController:
             generation["installed"] = self._partition_generation
             self._partition_active += 1
             self._record("partition")
-            self._set_gauge("fault.partition_active", 1.0)
+            self._telemetry.set_gauge("fault.partition_active", 1.0)
 
         def heal() -> None:
             self._partition_active = max(0, self._partition_active - 1)
@@ -240,7 +277,7 @@ class FaultController:
                 return  # a newer window's install superseded this one
             self._network.clear_partition()
             self._record("heal")
-            self._set_gauge("fault.partition_active", 0.0)
+            self._telemetry.set_gauge("fault.partition_active", 0.0)
 
         self._at(entry.at, install, label="fault:partition:install")
         self._at(entry.at + entry.heal_after, heal, label="fault:partition:heal")
@@ -258,14 +295,14 @@ class FaultController:
             generation["installed"] = self._perturb_generation
             self._perturb_active += 1
             self._record("perturb")
-            self._set_gauge("fault.perturb_active", 1.0)
+            self._telemetry.set_gauge("fault.perturb_active", 1.0)
 
         def lift() -> None:
             self._perturb_active = max(0, self._perturb_active - 1)
             if generation["installed"] != self._perturb_generation:
                 return  # a newer window's install superseded this one
             self._network.clear_perturbation()
-            self._set_gauge("fault.perturb_active", 0.0)
+            self._telemetry.set_gauge("fault.perturb_active", 0.0)
 
         self._at(entry.at, install, label="fault:perturb:install")
         if entry.until > 0:
@@ -276,42 +313,25 @@ class FaultController:
     def _apply_node(self, action: str, node_id: str) -> None:
         """Apply one crash/recover/leave; unknown targets become ``skipped``."""
         if apply_node_action(self._registry, node_id, action):
-            self._record(action, node_id)
+            self._record(action)
         else:
-            self._skip(action, node_id)
+            self._skip(action)
 
     # -------------------------------------------------------- observability
 
-    def _record(self, action: str, node_id: str = "") -> None:
+    def _record(self, action: str) -> None:
         self.counts[action] = self.counts.get(action, 0) + 1
-        if self._telemetry is not None:
-            self._telemetry.increment(FAULT_EVENTS_METRIC, action=action)
-            if self._registry is not None:
-                down = len(self._registry.all()) - len(self._registry.alive())
-                self._telemetry.set_gauge("fault.nodes_down", float(down))
-        if self._trace is not None:
-            self._trace.record(self._scheduler.now, "fault", node=node_id, action=action)
+        self._telemetry.increment(FAULT_EVENTS_METRIC, action=action)
+        if self._registry is not None:
+            down = len(self._registry.all()) - len(self._registry.alive())
+            self._telemetry.set_gauge("fault.nodes_down", float(down))
 
-    def _skip(self, action: str, node_id: str) -> None:
+    def _skip(self, action: str) -> None:
         """A fault targeted a node that no longer exists: make it loud.
 
         Dropping the event silently would let a mistyped or already-left
         node id turn a failure experiment into a quieter one with nobody
-        noticing; instead the skip lands in telemetry (``fault.skipped``)
-        and the trace.
+        noticing; instead the skip lands in telemetry (``fault.skipped``).
         """
         self.counts["skipped"] = self.counts.get("skipped", 0) + 1
-        if self._telemetry is not None:
-            self._telemetry.increment(FAULT_SKIPPED_METRIC, action=action)
-        if self._trace is not None:
-            self._trace.record(
-                self._scheduler.now,
-                "fault",
-                node=node_id,
-                action="skipped",
-                requested=action,
-            )
-
-    def _set_gauge(self, name: str, value: float) -> None:
-        if self._telemetry is not None:
-            self._telemetry.set_gauge(name, value)
+        self._telemetry.increment(FAULT_SKIPPED_METRIC, action=action)

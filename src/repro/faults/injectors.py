@@ -18,6 +18,7 @@ from typing import Dict, Iterable, List, Optional
 from ..sim.engine import Simulator
 from ..sim.network import Network
 from ..sim.node import ProcessRegistry
+from ..telemetry import Telemetry
 from .actions import (
     FAULT_EVENTS_METRIC,
     FAULT_SKIPPED_METRIC,
@@ -51,11 +52,11 @@ class CrashSchedule:
         self,
         simulator: Simulator,
         registry: ProcessRegistry,
-        telemetry=None,
+        telemetry: Optional[Telemetry] = None,
     ) -> None:
         self._simulator = simulator
         self._registry = registry
-        self._telemetry = telemetry
+        self._telemetry = telemetry if telemetry is not None else Telemetry()
         self.events: List[CrashEvent] = []
         self.skipped = 0
 
@@ -74,11 +75,9 @@ class CrashSchedule:
             # would mislabel the run as having executed its failure pattern,
             # so the skip is recorded where analysis code will see it.
             self.skipped += 1
-            if self._telemetry is not None:
-                self._telemetry.increment(FAULT_SKIPPED_METRIC, action=event.action)
+            self._telemetry.increment(FAULT_SKIPPED_METRIC, action=event.action)
             return
-        if self._telemetry is not None:
-            self._telemetry.increment(FAULT_EVENTS_METRIC, action=event.action)
+        self._telemetry.increment(FAULT_EVENTS_METRIC, action=event.action)
 
 
 class ChurnInjector:

@@ -46,11 +46,11 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import OrderedDict
+from itertools import takewhile
 from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from ..pubsub.events import Event
 from ..sim.network import Message
-from ..tracing.context import TraceContext
 from .push import PushGossipNode
 
 __all__ = [
@@ -151,7 +151,7 @@ class LazyPushGossipNode(PushGossipNode):
         #: Event payloads retained past the eager phase (store nodes only).
         self.store: "OrderedDict[str, Event]" = OrderedDict()
         #: id → rounds since first seen (insertion order = oldest first).
-        self._id_age: "OrderedDict[str, int]" = OrderedDict()
+        self._id_age: Dict[str, int] = {}
         #: id → remaining eager-push rounds.
         self._hot_budget: Dict[str, int] = {}
         #: Ids per digest message (caps digest size on long runs).
@@ -176,23 +176,14 @@ class LazyPushGossipNode(PushGossipNode):
         self.pulls_served = 0
         self.recoveries = 0
         self.events_saved = 0
-        if self.telemetry is not None:
-            telemetry = self.telemetry
-            self._pulls_issued_counter = telemetry.counter("lazy.pulls_issued", node=self.node_id)
-            self._pulls_served_counter = telemetry.counter("lazy.pulls_served", node=self.node_id)
-            self._recoveries_counter = telemetry.counter("lazy.recoveries", node=self.node_id)
-            self._saved_counter = telemetry.counter("lazy.events_saved", node=self.node_id)
-            self._hot_gauge = telemetry.gauge("lazy.hot_events", node=self.node_id)
-            self._store_gauge = telemetry.gauge("lazy.store_events", node=self.node_id)
-            self._store_bytes_gauge = telemetry.gauge("lazy.store_bytes", node=self.node_id)
-        else:
-            self._pulls_issued_counter = None
-            self._pulls_served_counter = None
-            self._recoveries_counter = None
-            self._saved_counter = None
-            self._hot_gauge = None
-            self._store_gauge = None
-            self._store_bytes_gauge = None
+        telemetry = self.telemetry
+        self._pulls_issued_counter = telemetry.counter("lazy.pulls_issued", node=self.node_id)
+        self._pulls_served_counter = telemetry.counter("lazy.pulls_served", node=self.node_id)
+        self._recoveries_counter = telemetry.counter("lazy.recoveries", node=self.node_id)
+        self._saved_counter = telemetry.counter("lazy.events_saved", node=self.node_id)
+        self._hot_gauge = telemetry.gauge("lazy.hot_events", node=self.node_id)
+        self._store_gauge = telemetry.gauge("lazy.store_events", node=self.node_id)
+        self._store_bytes_gauge = telemetry.gauge("lazy.store_bytes", node=self.node_id)
 
     # ----------------------------------------------------------- the round
 
@@ -206,10 +197,9 @@ class LazyPushGossipNode(PushGossipNode):
 
     def _hot_events(self) -> List[Event]:
         """Phase 1: the events still inside their eager budget, newest first."""
-        hot_ids = [
-            event_id for event_id in self._id_age if self._hot_budget.get(event_id, 0) > 0
-        ]
-        # Ids are appended on first sight, so the tail is the newest.
+        # Budgets are granted on first sight, in ``_id_age`` order, so the
+        # tail is the newest.
+        hot_ids = [event_id for event_id, budget in self._hot_budget.items() if budget > 0]
         hot_ids = hot_ids[-self.current_gossip_size():]
         return [
             event for event in map(self._event_payload, hot_ids) if event is not None
@@ -225,11 +215,11 @@ class LazyPushGossipNode(PushGossipNode):
 
     def after_round(self) -> None:
         """Age ids, retire spent eager budgets, and garbage-collect."""
-        expired: List[str] = []
-        for event_id in self._id_age:
-            self._id_age[event_id] += 1
-            if self._id_age[event_id] > self.id_gc_rounds:
-                expired.append(event_id)
+        id_age = self._id_age
+        for event_id, age in id_age.items():
+            id_age[event_id] = age + 1
+        # Oldest first (insertion order), so the expired ids are a prefix.
+        expired = list(takewhile(lambda event_id: id_age[event_id] > self.id_gc_rounds, id_age))
         for event_id in list(self._hot_budget):
             self._hot_budget[event_id] -= 1
             if self._hot_budget[event_id] <= 0:
@@ -251,12 +241,9 @@ class LazyPushGossipNode(PushGossipNode):
             # so its trace anchor is dead weight; dropping it bounds the
             # trace state the same way _id_age bounds the digests.
             self._trace_state.pop(event_id, None)
-        if self._store_gauge is not None:
-            self._hot_gauge.set(len(self._hot_budget))
-            self._store_gauge.set(len(self.store))
-            self._store_bytes_gauge.set(
-                float(sum(event.size for event in self.store.values()))
-            )
+        self._hot_gauge.set(len(self._hot_budget))
+        self._store_gauge.set(len(self.store))
+        self._store_bytes_gauge.set(float(sum(event.size for event in self.store.values())))
 
     # ------------------------------------------------------------ receiving
 
@@ -270,14 +257,12 @@ class LazyPushGossipNode(PushGossipNode):
         elif message.kind == LAZY_REQUEST_KIND:
             if self.serve_pull(message, LAZY_REPLY_KIND):
                 self.pulls_served += 1
-                if self._pulls_served_counter is not None:
-                    self._pulls_served_counter.increment()
+                self._pulls_served_counter.increment()
         elif message.kind == LAZY_REPLY_KIND:
             recovered = self.absorb_payload(message, recovered=True)
             if recovered:
                 self.recoveries += recovered
-                if self._recoveries_counter is not None:
-                    self._recoveries_counter.increment(recovered)
+                self._recoveries_counter.increment(recovered)
 
     def _handle_lazy_digest(self, message: Message) -> None:
         unseen = self.digest_gaps(message)
@@ -287,8 +272,7 @@ class LazyPushGossipNode(PushGossipNode):
             # eager protocol would have resent; the report's "bytes saved"
             # column reads this counter.
             self.events_saved += already_known
-            if self._saved_counter is not None:
-                self._saved_counter.increment(already_known)
+            self._saved_counter.increment(already_known)
         missing = [event_id for event_id in unseen if event_id not in self._pending_pull]
         if not missing:
             return
@@ -298,8 +282,7 @@ class LazyPushGossipNode(PushGossipNode):
         for event_id in missing:
             self._pending_pull[event_id] = self.pull_retry_rounds
         self.pulls_issued += 1
-        if self._pulls_issued_counter is not None:
-            self._pulls_issued_counter.increment()
+        self._pulls_issued_counter.increment()
         self.request_pull(target, missing, LAZY_REQUEST_KIND)
 
     def _recovery_target(self, sender: str) -> Optional[str]:
@@ -313,23 +296,13 @@ class LazyPushGossipNode(PushGossipNode):
 
     # ----------------------------------------------------------- event state
 
-    def _absorb_event(
-        self,
-        event: Event,
-        from_peer: Optional[str] = None,
-        trace_ctx: Optional[TraceContext] = None,
-        recovered: bool = False,
-    ) -> bool:
-        if not super()._absorb_event(
-            event, from_peer=from_peer, trace_ctx=trace_ctx, recovered=recovered
-        ):
-            return False
+    def _on_first_sight(self, event: Event) -> None:
+        """A new event starts its eager budget and its id clock; stores keep it."""
         self._pending_pull.pop(event.event_id, None)
         self._id_age[event.event_id] = 0
         self._hot_budget[event.event_id] = self.eager_rounds
         if self.is_store:
             self._store_put(event)
-        return True
 
     def _store_put(self, event: Event) -> None:
         self.store[event.event_id] = event

@@ -154,9 +154,9 @@ class PushGossipNode(Participant):
     round_jitter:
         Uniform jitter added to each round to avoid lock-step rounds.
     telemetry:
-        Optional shared :class:`~repro.telemetry.Telemetry` store; when set
-        the node records node-tagged round/message/delivery counters and a
-        payload-size histogram (the live host injects its own store here).
+        Shared :class:`~repro.telemetry.Telemetry` store for the node-tagged
+        round/message/delivery counters and the payload-size histogram (the
+        live host injects its own store here); a private store when omitted.
     """
 
     def __init__(
@@ -206,20 +206,14 @@ class PushGossipNode(Participant):
         #: span is the node's own publish/receive span, which its relays and
         #: deliveries parent on.
         self._trace_state: Dict[str, Tuple[int, int]] = {}
-        #: Optional shared telemetry store (node-tagged instruments).  The
-        #: instruments are pre-bound here so the per-round/per-delivery hot
-        #: paths pay one None check, not a facade lookup.
-        self.telemetry = telemetry
-        if telemetry is not None:
-            self._rounds_counter = telemetry.counter("gossip.rounds", node=node_id)
-            self._messages_counter = telemetry.counter("gossip.messages_sent", node=node_id)
-            self._deliveries_counter = telemetry.counter("gossip.deliveries", node=node_id)
-            self._payload_histogram = telemetry.histogram("gossip.payload_events", node=node_id)
-        else:
-            self._rounds_counter = None
-            self._messages_counter = None
-            self._deliveries_counter = None
-            self._payload_histogram = None
+        #: Telemetry store (node-tagged instruments).  The instruments are
+        #: pre-bound here so the per-round/per-delivery hot paths pay no
+        #: facade lookup.
+        self.telemetry = telemetry = telemetry if telemetry is not None else Telemetry()
+        self._rounds_counter = telemetry.counter("gossip.rounds", node=node_id)
+        self._messages_counter = telemetry.counter("gossip.messages_sent", node=node_id)
+        self._deliveries_counter = telemetry.counter("gossip.deliveries", node=node_id)
+        self._payload_histogram = telemetry.histogram("gossip.payload_events", node=node_id)
 
     # -------------------------------------------------------------- wiring
 
@@ -272,8 +266,7 @@ class PushGossipNode(Participant):
         if name != "gossip-round":
             return
         self.rounds_executed += 1
-        if self._rounds_counter is not None:
-            self._rounds_counter.increment()
+        self._rounds_counter.increment()
         self.buffer.start_round()
         self.membership.on_round()
         self.execute_gossip_round()
@@ -336,9 +329,8 @@ class PushGossipNode(Participant):
             digest = self.membership.digest_for_gossip()
         self.buffer.mark_forwarded([event.event_id for event in events])
         self._send_payload(partners, events, kind, digest, fanout=len(partners))
-        if self._messages_counter is not None:
-            self._messages_counter.increment(len(partners))
-            self._payload_histogram.observe(len(events))
+        self._messages_counter.increment(len(partners))
+        self._payload_histogram.observe(len(events))
 
     def _send_payload(
         self,
@@ -489,15 +481,18 @@ class PushGossipNode(Participant):
         self.buffer.add(event, received_at=self.simulator.now)
         if self.is_interested(event):
             self.deliver(event)
+        self._on_first_sight(event)
         return True
+
+    def _on_first_sight(self, event: Event) -> None:
+        """Hook: variant state for a newly absorbed event (lazy push keeps it)."""
 
     def deliver(self, event: Event) -> bool:
         """``DELIVER(e)`` plus the node's own benefit window, counter and span."""
         if not super().deliver(event):
             return False
         self.deliveries_this_window += 1
-        if self._deliveries_counter is not None:
-            self._deliveries_counter.increment()
+        self._deliveries_counter.increment()
         if self.tracer is not None:
             state = self._trace_state.get(event.event_id)
             if state is not None:

@@ -138,8 +138,12 @@ class PartialView:
 
     def sample(self, rng: random.Random, count: int, exclude: Iterable[str] = ()) -> List[str]:
         """Uniformly sample up to ``count`` distinct node ids from the view."""
-        excluded = set(exclude) | {self.owner_id}
-        candidates = [node_id for node_id in self.node_ids() if node_id not in excluded]
+        if not isinstance(exclude, (set, frozenset)):
+            exclude = set(exclude)
+        owner = self.owner_id
+        candidates = [
+            node_id for node_id in self.node_ids() if node_id != owner and node_id not in exclude
+        ]
         if count >= len(candidates):
             return candidates
         return rng.sample(candidates, count)

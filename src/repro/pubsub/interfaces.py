@@ -203,6 +203,9 @@ class DisseminationSystem:
     #: What a topic-only system calls itself in its errors; systems that
     #: also carry content-based events and filters leave it ``None``.
     topic_only: Optional[str] = None
+    #: :class:`~repro.topology.runtime.TopologyRuntime` of a multi-domain
+    #: stack (set by ``build_stack``); ``None`` on a flat one.
+    topology = None
 
     def __init__(
         self,
@@ -228,6 +231,20 @@ class DisseminationSystem:
         self.nodes[node.node_id] = node
         self.registry.add(node)
         self._factories[node.node_id] = EventFactory(node.node_id)
+
+    def attach_tracer(self, tracer) -> None:
+        """Attach a :class:`~repro.tracing.Tracer` to the built system.
+
+        Spans stamp protocol time (``simulator.now`` on either engine, so
+        sim and live traces of one scenario line up), the fabric emits
+        ``drop`` spans, and every node that traces (the gossip family)
+        gets the tracer.  Tracing only reads: no RNG draw, nothing scheduled.
+        """
+        tracer.attach_clock(lambda: self.simulator.now)
+        self.network.tracer = tracer
+        for node in self.client_nodes().values():
+            if hasattr(node, "_trace_state"):
+                node.tracer = tracer
 
     # ------------------------------------------------------------- §2 API
 

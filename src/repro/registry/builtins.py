@@ -197,9 +197,8 @@ def _gossip_node_kwargs(ctx: BuildContext) -> Dict[str, object]:
         "fanout": spec.system.fanout,
         "gossip_size": spec.system.gossip_size,
         "round_period": spec.system.round_period,
+        "telemetry": ctx.telemetry,
     }
-    if ctx.telemetry is not None:
-        kwargs["telemetry"] = ctx.telemetry
     return _apply_live_extras(kwargs, ctx)
 
 
@@ -227,8 +226,7 @@ def _build_fair_gossip(ctx: BuildContext) -> FairGossipSystem:
         adapt_fanout=spec.system.adapt_fanout,
         adapt_payload=spec.system.adapt_payload,
     )
-    if ctx.telemetry is not None:
-        node_kwargs["telemetry"] = ctx.telemetry
+    node_kwargs["telemetry"] = ctx.telemetry
     node_kwargs = _apply_live_extras(node_kwargs, ctx)
     return FairGossipSystem(
         ctx.scheduler,

@@ -5,8 +5,7 @@ drives it with an embedded load generator, and prints a live fairness report
 while it runs.  ``python -m repro loadgen`` runs the same cluster but
 focuses on load numbers: it prints (and optionally writes as JSON) the
 achieved events/sec, delivery latency percentiles, delivery ratio, and the
-fairness headline, which is what ``benchmarks/bench_rt_throughput.py``
-consumes.
+fairness headline.
 
 Both commands build from the same declarative vocabulary as the simulator:
 ``--scenario NAME`` (default: the ``live`` scenario) resolves a registered

@@ -93,13 +93,10 @@ class NodeHost(DisseminationSystem):
             self.scheduler, RuntimeNetwork(self.scheduler, transport), ledger, delivery_log
         )
         self.network.control_handler = self._handle_control
-        #: Dissemination tracing: spans stamp protocol time (scheduler.now)
-        #: so sim and live traces of the same scenario line up.  Tracing is
-        #: observability, not configuration — it never appears in the spec.
+        #: Dissemination tracer, attached on :meth:`start` once the nodes
+        #: exist.  Tracing is observability, not configuration — it never
+        #: appears in the spec.
         self.tracer = tracer
-        if tracer is not None:
-            tracer.attach_clock(lambda: self.scheduler.now)
-            self.network.tracer = tracer
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._latency_histogram = self.telemetry.histogram(DELIVERY_LATENCY_METRIC)
         self._deliveries_counter = self.telemetry.counter(DELIVERIES_METRIC)
@@ -124,9 +121,6 @@ class NodeHost(DisseminationSystem):
         #: asyncio loop) and delegates the §2 API to it.
         self._spec = spec
         self.system: Optional[DisseminationSystem] = None
-        #: Topology runtime (domain map, bridge router, geo profile) of an
-        #: adopted multi-domain system; ``None`` on flat clusters.
-        self._topology = None
         if spec is not None:
             self.name = f"live-{spec.system.kind}"
         #: Fault injection: an explicit plan wins; otherwise the spec's
@@ -169,15 +163,9 @@ class NodeHost(DisseminationSystem):
             delivery_log=self._delivery_log,
             **kwargs,
         )
-        self._observe(node)
+        node.add_delivery_callback(self._record_delivery)
         self._adopt(node)
         return node
-
-    def _observe(self, node) -> None:
-        """Hook the host's delivery metrics (and tracer, if any) into a node."""
-        node.add_delivery_callback(self._record_delivery)
-        if self.tracer is not None and hasattr(node, "_trace_state"):
-            node.tracer = self.tracer
 
     def add_nodes(self, node_ids: Sequence[str], **overrides) -> None:
         """Create several nodes in one call."""
@@ -207,6 +195,8 @@ class NodeHost(DisseminationSystem):
             self.bootstrap(bootstrap_degree)
             for node in self.nodes.values():
                 node.start()
+        if self.tracer is not None:
+            self.attach_tracer(self.tracer)
         if self._snapshot_sinks and self.snapshot_scheduler is None:
             period = (
                 self._snapshot_period
@@ -244,21 +234,7 @@ class NodeHost(DisseminationSystem):
             plan = FaultPlan.from_flat(self._spec.to_config())
         if plan is None or plan.is_empty():
             return
-        if plan.needs_registry() and len(self.registry) == 0:
-            raise FaultPlanError(
-                f"fault plan requests node faults but host {self.name!r} has "
-                "no registered member processes"
-            )
-        node_ids = self.registry.ids() if len(self.registry) else None
-        plan.validate(node_ids=node_ids)
-        self.fault_controller = FaultController(
-            self.scheduler,
-            self.network,
-            self.registry,
-            plan,
-            domain_map=self._topology.domain_map if self._topology is not None else None,
-            telemetry=self.telemetry,
-        )
+        self.fault_controller = FaultController.for_system(self, plan, telemetry=self.telemetry)
         self.fault_controller.start()
 
     def _build_from_spec(self, spec: StackSpec) -> None:
@@ -286,11 +262,11 @@ class NodeHost(DisseminationSystem):
         self.ledger = system.ledger
         self._delivery_log = system.delivery_log
         self.subscriptions = system.subscriptions
-        self._topology = getattr(system, "topology", None)
+        self.topology = system.topology
         self.registry = system.registry
         self.nodes = dict(system.client_nodes())
         for node in self.nodes.values():
-            self._observe(node)
+            node.add_delivery_callback(self._record_delivery)
 
     async def stop(self) -> None:
         """Stop all timers and tear the transport down.
@@ -380,8 +356,8 @@ class NodeHost(DisseminationSystem):
         latency_units = max(0.0, self.scheduler.now - event.published_at)
         self._latency_histogram.observe(latency_units)
         self._deliveries_counter.increment()
-        if self._topology is not None:
-            domain = self._topology.domain(node_id)
+        if self.topology is not None:
+            domain = self.topology.domain(node_id)
             if domain is not None:
                 self.telemetry.observe(
                     DELIVERY_LATENCY_METRIC, latency_units, domain=domain

@@ -1,33 +1,32 @@
-"""Live message fabric with the simulator network's interface.
+"""Live message fabric: the shared fabric over a wire.
 
-:class:`RuntimeNetwork` implements the surface of
-:class:`~repro.sim.network.Network` that processes and membership components
-touch (``register`` / ``set_alive`` / ``send`` / ``alive_nodes`` / stats /
-delivery hooks), but instead of scheduling a delivery on the event queue it
-encodes the message with the wire codec and hands the frame to a
-:class:`~repro.runtime.transport.Transport`.  Latency is whatever the
-transport and the kernel provide; loss is whatever the wire loses — the
-simulator's latency/loss *models* have no live counterpart by design.
+:class:`RuntimeNetwork` is the same
+:class:`~repro.sim.network.FaultInjectionSurface` the simulator's
+:class:`~repro.sim.network.Network` is built on — node table, stats,
+delivery hooks, drop accounting, partition map, perturbation and link
+profile, and the hand-over to the recipient all come from there, which is
+what lets one :class:`~repro.faults.plan.FaultPlan` run unmodified on either
+substrate.  What it keeps is what differs: instead of scheduling a delivery
+on the event queue, ``send`` encodes the message with the wire codec and
+hands the frame to a :class:`~repro.runtime.transport.Transport`.  Latency
+is whatever the transport and the kernel provide; loss is whatever the wire
+loses — the simulator's latency/loss *models* have no live counterpart by
+design.  A fault's extra latency holds the encoded frame back on the
+runtime's own scheduler.
 
-The fault layer, however, needs live actuators: :meth:`set_partition`
-installs the same group map the simulator's network uses (frames across
-groups are dropped, on the send side and for frames arriving from remote
-peers), and :meth:`set_perturbation` adds artificial per-frame latency
-(scheduled on the runtime's own scheduler) and Bernoulli loss drawn from a
-named fault RNG stream.  Both default to off and cost nothing while off,
-which is what lets one :class:`~repro.faults.plan.FaultPlan` run unmodified
-on either substrate.
-
-Control frames (kinds starting with ``runtime.``) are routed to the host's
+Frames arriving from remote peers are checked against the partition map
+again (see :meth:`RuntimeNetwork._deliver`).  Control frames (kinds starting
+with ``runtime.``) bypass fault injection and are routed to the host's
 control handler instead of a node, which is how remote publish and
 subscription exchanges enter a live cluster.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
+from functools import partial
+from typing import Any, Callable, Optional, Tuple
 
-from ..sim.network import FaultInjectionSurface, Message, NetworkStats
+from ..sim.network import FaultInjectionSurface, Message
 from .scheduler import AsyncScheduler
 from .transport import Transport
 from .wire import WireError, decode_message, encode_message
@@ -51,73 +50,18 @@ class RuntimeNetwork(FaultInjectionSurface):
     """
 
     def __init__(self, scheduler: AsyncScheduler, transport: Transport) -> None:
-        self._scheduler = scheduler
-        self._transport = transport
-        self._handlers: Dict[str, Callable[[Message], None]] = {}
-        self._alive: Set[str] = set()
-        self.stats = NetworkStats()
+        #: The frame carrier underneath this network.
+        self.transport = transport
         self.decode_errors = 0
-        self._init_fault_state()
-        self._delivery_hooks: list = []
-        #: Optional :class:`~repro.tracing.tracer.Tracer`; when set, dropped
-        #: traced frames emit ``drop`` spans (same contract as the simulator
-        #: network's ``tracer`` attribute).
-        self.tracer = None
+        self._init_fabric(scheduler)
         #: Installed by the host; receives decoded ``runtime.*`` messages.
         self.control_handler: Optional[Callable[[Message], None]] = None
         transport.set_receiver(self._on_frame)
 
-    # --------------------------------------------------------------- wiring
-
-    @property
-    def simulator(self) -> AsyncScheduler:
-        """The scheduler driving the hosted processes."""
-        return self._scheduler
-
-    @property
-    def transport(self) -> Transport:
-        """The frame carrier underneath this network."""
-        return self._transport
-
     def register(self, node_id: str, handler: Callable[[Message], None]) -> None:
-        """Attach a process; it becomes reachable and alive."""
-        self._handlers[node_id] = handler
-        self._alive.add(node_id)
-        self._transport.register_node(node_id)
-
-    def unregister(self, node_id: str) -> None:
-        """Detach a process completely."""
-        self._handlers.pop(node_id, None)
-        self._alive.discard(node_id)
-
-    def set_alive(self, node_id: str, alive: bool) -> None:
-        """Mark a registered process up or down without unregistering it."""
-        if node_id not in self._handlers:
-            raise KeyError(f"unknown node {node_id!r}")
-        if alive:
-            self._alive.add(node_id)
-        else:
-            self._alive.discard(node_id)
-
-    def is_alive(self, node_id: str) -> bool:
-        """Whether the local node is currently able to receive messages."""
-        return node_id in self._alive
-
-    def known_nodes(self) -> Set[str]:
-        """All locally registered node identifiers."""
-        return set(self._handlers)
-
-    def alive_nodes(self) -> Set[str]:
-        """Identifiers of local nodes currently alive."""
-        return set(self._alive)
-
-    def add_delivery_hook(self, hook: Callable[[Message, float], None]) -> None:
-        """Register a callback invoked as ``hook(message, delivered_at)``."""
-        self._delivery_hooks.append(hook)
-
-    # Partition and perturbation actuators are inherited from
-    # FaultInjectionSurface — the same implementation the simulator's
-    # Network uses, so one FaultPlan means the same physics in both worlds.
+        """Attach a process and announce it to the transport."""
+        super().register(node_id, handler)
+        self.transport.register_node(node_id)
 
     # --------------------------------------------------------------- sending
 
@@ -131,67 +75,33 @@ class RuntimeNetwork(FaultInjectionSurface):
         trace: Optional[Tuple] = None,
     ) -> Message:
         """Encode a message and hand it to the transport."""
-        message = Message(
-            sender=sender,
-            recipient=recipient,
-            kind=kind,
-            payload=payload,
-            size=size,
-            sent_at=self._scheduler.now,
-            trace=trace,
-        )
+        message = Message(sender, recipient, kind, payload, size, self.simulator.now, trace)
         self.stats.record_sent(message)
         extra_latency = 0.0
-        if not message.kind.startswith(CONTROL_PREFIX):
+        if not kind.startswith(CONTROL_PREFIX):
             if not self._same_partition(sender, recipient):
-                self.stats.dropped_partition += 1
-                self._trace_drop(message, "partition")
+                self._drop(message, "partition")
                 return message
-            if self._perturb_loss > 0.0 and self._perturb_rng.random() < self._perturb_loss:
-                self.stats.lost += 1
-                self._trace_drop(message, "lost")
+            extra_latency = self._link_fate(message)
+            if extra_latency is None:
                 return message
-            extra_latency = self._perturb_latency
-            if self._link_profile is not None:
-                link_latency, link_loss = self._link_profile.effects(sender, recipient)
-                if link_loss > 0.0 and self._link_profile.rng.random() < link_loss:
-                    self.stats.lost += 1
-                    self._trace_drop(message, "lost")
-                    return message
-                extra_latency += link_latency
         body = encode_message(message)
         if extra_latency > 0.0:
-            def deliver_later(recipient=recipient, body=body, message=message) -> None:
-                if not self._transport.send(recipient, body):
-                    self.stats.dropped_dead += 1
-                    self._trace_drop(message, "dead")
-
-            self._scheduler.schedule(
-                extra_latency, deliver_later, label="fault:extra-latency"
+            self.simulator.schedule(
+                extra_latency, partial(self._transmit, message, body), label="fault:extra-latency"
             )
-        elif not self._transport.send(recipient, body):
-            self.stats.dropped_dead += 1
-            self._trace_drop(message, "dead")
+        else:
+            self._transmit(message, body)
         return message
 
-    def broadcast(
-        self,
-        sender: str,
-        recipients: Iterable[str],
-        kind: str,
-        payload: Any = None,
-        size: int = 1,
-        trace: Optional[Tuple] = None,
-    ) -> Tuple[Message, ...]:
-        """Send the same payload to several recipients (one message each)."""
-        return tuple(
-            self.send(sender, recipient, kind, payload=payload, size=size, trace=trace)
-            for recipient in recipients
-        )
+    def _transmit(self, message: Message, body: bytes) -> None:
+        if not self.transport.send(message.recipient, body):
+            self._drop(message, "dead")
 
+    # Defined here, not only in the fabric: perfbench spans it by patching
+    # ``RuntimeNetwork.__dict__``.
     def _trace_drop(self, message: Message, reason: str) -> None:
-        if message.trace and self.tracer is not None:
-            self.tracer.record_drop(message, reason)
+        super()._trace_drop(message, reason)
 
     # ------------------------------------------------------------- receiving
 
@@ -212,16 +122,6 @@ class RuntimeNetwork(FaultInjectionSurface):
         # cluster only the host running the fault controller knows about the
         # partition, so the receive side must enforce it as well.
         if not self._same_partition(message.sender, message.recipient):
-            self.stats.dropped_partition += 1
-            self._trace_drop(message, "partition")
+            self._drop(message, "partition")
             return
-        handler = self._handlers.get(message.recipient)
-        if handler is None or message.recipient not in self._alive:
-            self.stats.dropped_dead += 1
-            self._trace_drop(message, "dead")
-            return
-        self.stats.delivered += 1
-        now = self._scheduler.now
-        for hook in self._delivery_hooks:
-            hook(message, now)
-        handler(message)
+        self._hand_over(message)

@@ -6,9 +6,12 @@ interacts with the engine exclusively through ``simulator.now``,
 :class:`AsyncScheduler` implements exactly that surface on top of a running
 asyncio event loop, so the simulator-facing protocol classes run live
 without modification: a :class:`~repro.runtime.clock.WallClock` supplies
-``now``, timer delays are converted from time units to real seconds, and
-jitter is drawn from the same ``"periodic-timers"`` RNG stream the
-discrete-event engine uses.
+``now`` and timer delays are converted from time units to real seconds.
+Only the one-shot path differs from the engine (``loop.call_later`` instead
+of a heap): :class:`AsyncPeriodicTimer` *is* the engine's
+:class:`~repro.sim.engine.PeriodicTimer` — same ``"periodic-timers"`` jitter
+stream, same re-arming — plus leaving the scheduler's shutdown set on
+``stop``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import asyncio
 from typing import Callable, Optional, Set
 
-from ..sim.engine import SimulationError
+from ..sim.engine import PeriodicTimer, SimulationError
 from ..sim.rng import RngRegistry
 from .clock import WallClock
 
@@ -113,8 +116,6 @@ class AsyncScheduler:
         jitter: float = 0.0,
     ) -> "AsyncPeriodicTimer":
         """Schedule ``action`` every ``period`` units until the timer stops."""
-        if period <= 0:
-            raise SimulationError("period must be positive")
         timer = AsyncPeriodicTimer(self, period, action, label=label, jitter=jitter)
         timer.start(initial_delay if initial_delay is not None else period)
         self._timers.add(timer)
@@ -132,70 +133,19 @@ class AsyncScheduler:
         self._timers.clear()
 
 
-class AsyncPeriodicTimer:
-    """Repeating timer with the :class:`~repro.sim.engine.PeriodicTimer` API."""
+class AsyncPeriodicTimer(PeriodicTimer):
+    """The engine's :class:`~repro.sim.engine.PeriodicTimer` on an :class:`AsyncScheduler`.
 
-    def __init__(
-        self,
-        scheduler: AsyncScheduler,
-        period: float,
-        action: Callable[[], None],
-        label: str = "",
-        jitter: float = 0.0,
-    ) -> None:
-        if period <= 0:
-            raise SimulationError("period must be positive")
-        if jitter < 0:
-            raise SimulationError("jitter must be non-negative")
-        self._scheduler = scheduler
-        self._period = period
-        self._action = action
-        self._label = label or "periodic"
-        self._jitter = jitter
-        self._pending: Optional[AsyncScheduledEvent] = None
-        self._stopped = True
-        self.fire_count = 0
-
-    @property
-    def period(self) -> float:
-        """Current period between firings (time units)."""
-        return self._period
-
-    @period.setter
-    def period(self, value: float) -> None:
-        if value <= 0:
-            raise SimulationError("period must be positive")
-        self._period = value
-
-    @property
-    def running(self) -> bool:
-        """Whether the timer will keep firing."""
-        return not self._stopped
-
-    def start(self, initial_delay: Optional[float] = None) -> None:
-        """Arm the timer; the first firing happens after ``initial_delay``."""
-        self._stopped = False
-        delay = self._period if initial_delay is None else initial_delay
-        self._schedule(delay)
+    Period, jitter stream, start/stop and the re-arming are the engine's;
+    the timer only needs a scheduler with ``schedule`` and ``rng``.
+    """
 
     def stop(self) -> None:
-        """Cancel any pending firing and stop rescheduling."""
-        self._stopped = True
-        if self._pending is not None:
-            self._pending.cancel()
-            self._pending = None
-        self._scheduler._timers.discard(self)
+        """Cancel any pending firing and leave the scheduler's shutdown set."""
+        super().stop()
+        self._simulator._timers.discard(self)
 
-    def _schedule(self, delay: float) -> None:
-        offset = 0.0
-        if self._jitter:
-            offset = self._scheduler.rng.stream("periodic-timers").uniform(0.0, self._jitter)
-        self._pending = self._scheduler.schedule(delay + offset, self._fire, label=self._label)
-
+    # Not inherited: perfbench spans the live timer by patching this class's
+    # own ``_fire``, and a live run must not enter the engine's spanned one.
     def _fire(self) -> None:
-        if self._stopped:
-            return
-        self.fire_count += 1
-        self._action()
-        if not self._stopped:
-            self._schedule(self._period)
+        self._fire_once()

@@ -127,8 +127,6 @@ class Simulator:
         firing, drawn from the ``"periodic-timers"`` stream; gossip protocols
         use it to avoid artificial round synchronisation across nodes.
         """
-        if period <= 0:
-            raise SimulationError("period must be positive")
         timer = PeriodicTimer(self, period, action, label=label, jitter=jitter)
         timer.start(initial_delay if initial_delay is not None else period)
         return timer
@@ -254,6 +252,15 @@ class PeriodicTimer:
         self._pending = self._simulator.schedule(delay + offset, self._fire, label=self._label)
 
     def _fire(self) -> None:
+        self._fire_once()
+
+    def _fire_once(self) -> None:
+        """One firing: count, act, re-arm unless the action stopped the timer.
+
+        Kept apart from :meth:`_fire` so the live runtime's timer subclass
+        can define a ``_fire`` of its own over the same body (perfbench
+        spans each engine's ``_fire`` separately by patching its class).
+        """
         if self._stopped:
             return
         self.fire_count += 1

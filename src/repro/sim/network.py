@@ -1,4 +1,4 @@
-"""Message-passing network model.
+"""Message-passing network model, and the fabric both engines share.
 
 The network sits between processes and the event engine.  Sending a message
 costs the sender one "send" (counted towards its contribution by the
@@ -10,6 +10,12 @@ models transient network splits.
 The model is intentionally simple — per-message independent latency and
 loss — because the paper's claims are about message *counts* and *delivery*,
 not about queueing effects.
+
+:class:`FaultInjectionSurface` is the one fabric under both engines;
+:class:`Network` adds only what the discrete-event engine differs in — the
+latency and loss *models* and a ``send`` that schedules the delivery on the
+engine.  The live :class:`~repro.runtime.network.RuntimeNetwork` adds only
+the wire.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from .engine import Simulator
 
@@ -55,24 +61,105 @@ def validate_link_perturbation(
 
 
 class FaultInjectionSurface:
-    """Partition and perturbation state shared by both network fabrics.
+    """The message fabric shared by both engines.
 
     The fault layer's contract is that one
     :class:`~repro.faults.plan.FaultPlan` means the same physics on either
-    substrate, so the actuator surface — partition maps, link-level
-    latency/loss perturbation, and their validation — lives here once and
-    is inherited by :class:`Network` (discrete-event) and
-    :class:`~repro.runtime.network.RuntimeNetwork` (live).  Subclasses call
-    :meth:`_init_fault_state` in ``__init__`` and consult
-    ``_same_partition`` / ``_perturb_*`` on their send/deliver paths.
+    substrate, so everything that is not the substrate itself lives here
+    once and is inherited by :class:`Network` (discrete-event) and
+    :class:`~repro.runtime.network.RuntimeNetwork` (live): the node table,
+    the counters, the delivery hooks, the partition map, link-level
+    latency/loss perturbation with its validation, and the hand-over of an
+    arrived message to its recipient.  Subclasses call :meth:`_init_fabric`
+    in ``__init__`` and write ``send`` / ``_deliver`` over
+    ``_same_partition``, :meth:`_link_fate`, :meth:`_drop` and
+    :meth:`_hand_over`.
     """
 
-    def _init_fault_state(self) -> None:
+    def _init_fabric(self, simulator) -> None:
+        #: The engine — or live scheduler — whose clock the fabric stamps with.
+        self.simulator = simulator
+        self._handlers: Dict[str, Callable[[Message], None]] = {}
+        self._alive: Set[str] = set()
+        self.stats = NetworkStats()
+        self._delivery_hooks: list[Callable[[Message, float], None]] = []
+        #: Optional :class:`~repro.tracing.tracer.Tracer` (duck-typed so the
+        #: sim package stays import-independent of the tracing package);
+        #: when set, dropped traced frames emit ``drop`` spans.
+        self.tracer = None
         self._partitions: Dict[str, int] = {}
         self._perturb_latency = 0.0
         self._perturb_loss = 0.0
         self._perturb_rng: Optional[random.Random] = None
         self._link_profile = None
+
+    # ----------------------------------------------------------- node table
+
+    def register(self, node_id: str, handler: Callable[[Message], None]) -> None:
+        """Attach a process; it becomes reachable and alive."""
+        self._handlers[node_id] = handler
+        self._alive.add(node_id)
+
+    def unregister(self, node_id: str) -> None:
+        """Detach a process completely (used when a node leaves for good)."""
+        self._handlers.pop(node_id, None)
+        self._alive.discard(node_id)
+        self._partitions.pop(node_id, None)
+
+    def set_alive(self, node_id: str, alive: bool) -> None:
+        """Mark a registered process up or down without unregistering it."""
+        if node_id not in self._handlers:
+            raise KeyError(f"unknown node {node_id!r}")
+        if alive:
+            self._alive.add(node_id)
+        else:
+            self._alive.discard(node_id)
+
+    def is_alive(self, node_id: str) -> bool:
+        """Whether the node is currently able to receive messages."""
+        return node_id in self._alive
+
+    def known_nodes(self) -> Set[str]:
+        """All registered node identifiers (alive or not)."""
+        return set(self._handlers)
+
+    def alive_nodes(self) -> Set[str]:
+        """Identifiers of nodes currently alive."""
+        return set(self._alive)
+
+    def add_delivery_hook(self, hook: Callable[[Message, float], None]) -> None:
+        """Register a callback invoked as ``hook(message, delivered_at)``."""
+        self._delivery_hooks.append(hook)
+
+    # ------------------------------------------------------- drops, delivery
+
+    def _drop(self, message: Message, reason: str) -> None:
+        """Count a frame that will not arrive (``"dead"``, ``"partition"``
+        or ``"lost"``) and emit its ``drop`` span."""
+        stats = self.stats
+        if reason == "lost":
+            stats.lost += 1
+        elif reason == "dead":
+            stats.dropped_dead += 1
+        else:
+            stats.dropped_partition += 1
+        self._trace_drop(message, reason)
+
+    def _trace_drop(self, message: Message, reason: str) -> None:
+        if message.trace and self.tracer is not None:
+            self.tracer.record_drop(message, reason)
+
+    def _hand_over(self, message: Message) -> None:
+        """Give an arrived message to its recipient, if it can take it."""
+        handler = self._handlers.get(message.recipient)
+        if handler is None or message.recipient not in self._alive:
+            self._drop(message, "dead")
+            return
+        self.stats.delivered += 1
+        now = self.simulator.now
+        for hook in self._delivery_hooks:
+            hook(message, now)
+        handler(message)
 
     # ----------------------------------------------------------- partitions
 
@@ -141,6 +228,27 @@ class FaultInjectionSurface:
         """
         self._link_profile = profile
 
+    def _link_fate(self, message: Message) -> Optional[float]:
+        """What the installed faults and geography do to one frame.
+
+        Perturbation loss first, then the link profile's loss, each drawn
+        from its own stream (an inactive one draws nothing); a lost frame is
+        counted and ``None`` returned, otherwise the extra latency in time
+        units.
+        """
+        if self._perturb_loss > 0.0 and self._perturb_rng.random() < self._perturb_loss:
+            self._drop(message, "lost")
+            return None
+        extra_latency = self._perturb_latency
+        if self._link_profile is not None:
+            link_latency, link_loss = self._link_profile.effects(
+                message.sender, message.recipient
+            )
+            if link_loss > 0.0 and self._link_profile.rng.random() < link_loss:
+                self._drop(message, "lost")
+                return None
+            extra_latency += link_latency
+        return extra_latency
 
 
 @dataclass(slots=True)
@@ -289,63 +397,9 @@ class Network(FaultInjectionSurface):
         latency_model: Optional[LatencyModel] = None,
         loss_model: Optional[LossModel] = None,
     ) -> None:
-        self._simulator = simulator
         self._latency = latency_model or ConstantLatency(0.1)
         self._loss = loss_model or NoLoss()
-        self._handlers: Dict[str, Callable[[Message], None]] = {}
-        self._alive: Set[str] = set()
-        self.stats = NetworkStats()
-        self._delivery_hooks: list[Callable[[Message, float], None]] = []
-        #: Optional :class:`~repro.tracing.tracer.Tracer` (duck-typed so the
-        #: sim package stays import-independent of the tracing package);
-        #: when set, dropped traced frames emit ``drop`` spans.
-        self.tracer = None
-        self._init_fault_state()
-
-    # --------------------------------------------------------------- wiring
-
-    @property
-    def simulator(self) -> Simulator:
-        """The engine this network schedules deliveries on."""
-        return self._simulator
-
-    def register(self, node_id: str, handler: Callable[[Message], None]) -> None:
-        """Attach a process; it becomes reachable and alive."""
-        self._handlers[node_id] = handler
-        self._alive.add(node_id)
-
-    def unregister(self, node_id: str) -> None:
-        """Detach a process completely (used when a node leaves for good)."""
-        self._handlers.pop(node_id, None)
-        self._alive.discard(node_id)
-        self._partitions.pop(node_id, None)
-
-    def set_alive(self, node_id: str, alive: bool) -> None:
-        """Mark a registered process up or down without unregistering it."""
-        if node_id not in self._handlers:
-            raise KeyError(f"unknown node {node_id!r}")
-        if alive:
-            self._alive.add(node_id)
-        else:
-            self._alive.discard(node_id)
-
-    def is_alive(self, node_id: str) -> bool:
-        """Whether the node is currently able to receive messages."""
-        return node_id in self._alive
-
-    def known_nodes(self) -> Set[str]:
-        """All registered node identifiers (alive or not)."""
-        return set(self._handlers)
-
-    def alive_nodes(self) -> Set[str]:
-        """Identifiers of nodes currently alive."""
-        return set(self._alive)
-
-    def add_delivery_hook(self, hook: Callable[[Message, float], None]) -> None:
-        """Register a callback invoked as ``hook(message, delivered_at)``."""
-        self._delivery_hooks.append(hook)
-
-    # --------------------------------------------------------------- sending
+        self._init_fabric(simulator)
 
     def send(
         self,
@@ -364,67 +418,31 @@ class Network(FaultInjectionSurface):
         it does not affect physics — drops and latency are decided exactly
         as for an untraced message.
         """
-        simulator = self._simulator
+        simulator = self.simulator
         message = Message(sender, recipient, kind, payload, size, simulator.now, trace)
         self.stats.record_sent(message)
 
         rng = simulator.rng.stream("network")
         if recipient not in self._handlers:
-            self.stats.dropped_dead += 1
-            self._trace_drop(message, "dead")
+            self._drop(message, "dead")
             return message
         if not self._same_partition(sender, recipient):
-            self.stats.dropped_partition += 1
-            self._trace_drop(message, "partition")
+            self._drop(message, "partition")
             return message
         if self._loss.is_lost(rng, message):
-            self.stats.lost += 1
-            self._trace_drop(message, "lost")
+            self._drop(message, "lost")
             return message
-        if self._perturb_loss > 0.0 and self._perturb_rng.random() < self._perturb_loss:
-            self.stats.lost += 1
-            self._trace_drop(message, "lost")
+        extra_latency = self._link_fate(message)
+        if extra_latency is None:
             return message
-        extra_latency = self._perturb_latency
-        if self._link_profile is not None:
-            link_latency, link_loss = self._link_profile.effects(sender, recipient)
-            if link_loss > 0.0 and self._link_profile.rng.random() < link_loss:
-                self.stats.lost += 1
-                self._trace_drop(message, "lost")
-                return message
-            extra_latency += link_latency
-
         latency = self._latency.sample(rng, sender, recipient) + extra_latency
         simulator.schedule(latency, partial(self._deliver, message), "deliver:" + kind)
         return message
 
-    def broadcast(
-        self,
-        sender: str,
-        recipients: Iterable[str],
-        kind: str,
-        payload: Any = None,
-        size: int = 1,
-        trace: Optional[Tuple] = None,
-    ) -> Tuple[Message, ...]:
-        """Send the same payload to several recipients (one message each)."""
-        return tuple(
-            self.send(sender, recipient, kind, payload=payload, size=size, trace=trace)
-            for recipient in recipients
-        )
-
+    # Defined here, not only in the fabric: perfbench spans both by
+    # patching ``Network.__dict__``.
     def _trace_drop(self, message: Message, reason: str) -> None:
-        if message.trace and self.tracer is not None:
-            self.tracer.record_drop(message, reason)
+        super()._trace_drop(message, reason)
 
     def _deliver(self, message: Message) -> None:
-        handler = self._handlers.get(message.recipient)
-        if handler is None or message.recipient not in self._alive:
-            self.stats.dropped_dead += 1
-            self._trace_drop(message, "dead")
-            return
-        self.stats.delivered += 1
-        now = self._simulator.now
-        for hook in self._delivery_hooks:
-            hook(message, now)
-        handler(message)
+        self._hand_over(message)

@@ -35,6 +35,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..gossip.push import GossipMessage
 from ..sim.network import Message
+from ..telemetry import Telemetry
 from ..tracing.context import TraceContext
 from ..tracing.spans import BRIDGE_HOP
 from .domains import DomainMap
@@ -64,8 +65,8 @@ class BridgeRouter:
         ``node_id -> gossip node`` for the locally hosted nodes; ingress
         absorption duck-types the node's ``absorb_events`` method.
     telemetry:
-        Optional :class:`~repro.telemetry.Telemetry` for ``bridge.*``
-        counters.
+        :class:`~repro.telemetry.Telemetry` store for the ``bridge.*``
+        counters (a private one when omitted).
     """
 
     def __init__(
@@ -73,12 +74,12 @@ class BridgeRouter:
         network,
         domain_map: DomainMap,
         nodes: Mapping[str, object],
-        telemetry=None,
+        telemetry: Optional[Telemetry] = None,
     ) -> None:
         self._network = network
         self._domain_map = domain_map
         self._nodes = dict(nodes)
-        self._telemetry = telemetry
+        self._telemetry = telemetry if telemetry is not None else Telemetry()
         self._bridge_set = frozenset(domain_map.bridge_nodes())
         self.relayed = 0
         self.absorbed = 0
@@ -152,10 +153,7 @@ class BridgeRouter:
                     trace=trace,
                 )
                 self.relayed += len(batch)
-                if self._telemetry is not None:
-                    self._telemetry.increment(
-                        "bridge.relayed", amount=len(batch), domain=home
-                    )
+                self._telemetry.increment("bridge.relayed", amount=len(batch), domain=home)
 
     # --------------------------------------------------------------- ingress
 
@@ -169,9 +167,8 @@ class BridgeRouter:
         duplicates = len(events) - absorbed
         self.absorbed += absorbed
         self.duplicates += duplicates
-        if self._telemetry is not None:
-            domain = self._domain_map.domain(message.recipient)
-            if absorbed:
-                self._telemetry.increment("bridge.absorbed", amount=absorbed, domain=domain)
-            if duplicates:
-                self._telemetry.increment("bridge.duplicate", amount=duplicates, domain=domain)
+        domain = self._domain_map.domain(message.recipient)
+        if absorbed:
+            self._telemetry.increment("bridge.absorbed", amount=absorbed, domain=domain)
+        if duplicates:
+            self._telemetry.increment("bridge.duplicate", amount=duplicates, domain=domain)

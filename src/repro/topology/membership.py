@@ -67,7 +67,7 @@ class DomainScopedMembership(MembershipComponent):
     def select_partners(
         self, count: int, rng: random.Random, exclude: Iterable[str] = ()
     ) -> List[str]:
-        excluded = set(exclude) | self._foreign
+        excluded = self._foreign.union(exclude) if exclude else self._foreign
         partners = self.inner.select_partners(count, rng, exclude=excluded)
         # The exclusion list already guarantees intra-domain partners for
         # every in-tree component; the filter is a final safety net against

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import asyncio
 import os
 import sys
+import time
+from typing import Callable
 
 import pytest
 
@@ -39,6 +42,23 @@ def ledger() -> WorkLedger:
 def delivery_log() -> DeliveryLog:
     """An empty delivery log."""
     return DeliveryLog()
+
+
+async def settle(predicate: Callable[[], object], timeout: float = 5.0) -> bool:
+    """Let a live cluster run until ``predicate()`` holds; False on timeout.
+
+    Live tests that expect a *count* (all 25 deliveries, one recovery) wait
+    on that count instead of sleeping a fixed time and hoping the host was
+    fast enough: an idle machine returns as soon as the cluster got there,
+    a loaded one gets up to ``timeout`` seconds.  Windows that assert
+    *absence* (nothing crosses a partition) must keep a fixed length.
+    """
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= deadline:
+            return False
+        await asyncio.sleep(0.005)
+    return True
 
 
 def build_gossip_system(

@@ -47,6 +47,7 @@ from repro.runtime.host import NodeHost
 from repro.runtime.transport import MemoryTransport
 from repro.sim import Network, ProcessRegistry, Simulator
 from repro.telemetry import Telemetry
+from tests.conftest import settle
 
 # Pinned on the PR-2 tree (see tests/test_registry_specs.py): fault-free
 # configs must keep hashing to their historical cache keys.
@@ -743,20 +744,22 @@ class TestLiveFaults:
             await host.start()
             for node_id in node_ids:
                 host.subscribe(node_id, TopicFilter("news"))
-            await asyncio.sleep(0.05)  # partition is installed and active
+
+            def delivered_to():
+                return {
+                    record.node_id
+                    for record in host.delivery_log.deliveries_of_event(event.event_id)
+                }
+
+            # The partition is installed and active...
+            await settle(lambda: host.fault_controller.counts.get("partition"))
             event = host.publish("node-000", topic="news")
             await asyncio.sleep(0.1)  # still split: far group stays dark
-            mid_run = {
-                record.node_id
-                for record in host.delivery_log.deliveries_of_event(event.event_id)
-            }
-            await asyncio.sleep(2.0)  # healed at 0.2s; gossip catches up
+            mid_run = delivered_to()
+            # ...healed at 0.2s; gossip catches up.
+            await settle(lambda: delivered_to() == set(node_ids))
             await host.stop()
-            delivered_to = {
-                record.node_id
-                for record in host.delivery_log.deliveries_of_event(event.event_id)
-            }
-            return host, mid_run, delivered_to, set(node_ids)
+            return host, mid_run, delivered_to(), set(node_ids)
 
         return asyncio.run(scenario())
 

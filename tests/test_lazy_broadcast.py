@@ -66,6 +66,7 @@ from repro.sim.rng import RngRegistry
 from repro.telemetry.report import _recovery_table, load_report_source, render_snapshots
 from repro.telemetry.snapshot import TelemetrySnapshot
 from repro.workloads import TopicPopularity, TopicPublicationWorkload
+from tests.conftest import settle
 
 # Pinned pre-lazy cache keys (identical literals to test_registry_specs):
 # the ``alpha`` field must not disturb them.
@@ -743,8 +744,8 @@ class TestFaultPlanAcceptance:
             for index in range(40):
                 host.publish(f"node-{index % 12:03d}", topic=popularity.sample(rng))
                 await asyncio.sleep(0.005)
-            # ...and drain well past it so digests pull them closed.
-            await asyncio.sleep(0.8)
+            # ...and drain past it until digests pull one closed.
+            await settle(lambda: host.telemetry.counter_total("lazy.recoveries") > 0)
             await host.stop()
             return host
 
@@ -759,7 +760,9 @@ class TestFaultPlanAcceptance:
 
 
 class TestLiveParity:
-    def _run_live(self, publications: int = 30) -> NodeHost:
+    def _run_live(self, publications: int = 30, deliveries: int = 1) -> NodeHost:
+        """Publish, then run until ``deliveries`` deliveries were logged."""
+
         async def scenario() -> NodeHost:
             spec = get_scenario("smoke").spec.with_values(
                 {"nodes": 10, "system.kind": "lazy-push"}
@@ -777,7 +780,7 @@ class TestLiveParity:
             for index in range(publications):
                 host.publish(f"node-{index % 10:03d}", topic=popularity.sample(rng))
                 await asyncio.sleep(0.005)
-            await asyncio.sleep(0.4)
+            await settle(lambda: host.delivery_log.total_deliveries() >= deliveries)
             await host.stop()
             return host
 
@@ -813,7 +816,6 @@ class TestLiveParity:
         # a protocol that only works on one engine, loose enough for
         # wall-clock scheduling jitter.
         publications = 30
-        host = self._run_live(publications=publications)
         spec = get_scenario("smoke").spec.with_values(
             {"nodes": 10, "system.kind": "lazy-push"}
         )
@@ -821,6 +823,10 @@ class TestLiveParity:
             spec.to_config().with_overrides(name="lazy-parity-sim")
         )
         assert sim_result.delivery_ratio > 0.9
-        live_per_event = host.delivery_log.total_deliveries() / publications
         sim_per_event = sim_result.total_deliveries / len(sim_result.published_events)
+        host = self._run_live(
+            publications=publications,
+            deliveries=int(0.5 * sim_per_event * publications) + 1,
+        )
+        live_per_event = host.delivery_log.total_deliveries() / publications
         assert live_per_event > 0.5 * sim_per_event

@@ -26,13 +26,35 @@ def _patch_targets():
     return layers.TARGETS + [layers.COUNT_ONLY]
 
 
-def test_every_patched_name_is_defined_where_perfbench_patches_it():
-    targets = _patch_targets()
-    assert len(targets) > 100
-    missing = []
-    for module_name, class_name, attribute, _span in targets:
+def _patched_objects():
+    """``where -> object`` for every target that resolves in its owner's ``__dict__``."""
+    found, missing = {}, []
+    for module_name, class_name, attribute, _span in _patch_targets():
         module = importlib.import_module(module_name)
         owner = module if class_name is None else getattr(module, class_name, None)
+        where = f"{module_name}:{class_name or '<module>'}.{attribute}"
         if owner is None or attribute not in vars(owner):
-            missing.append(f"{module_name}:{class_name or '<module>'}.{attribute}")
+            missing.append(where)
+        else:
+            found[where] = vars(owner)[attribute]
+    return found, missing
+
+
+def test_every_patched_name_is_defined_where_perfbench_patches_it():
+    found, missing = _patched_objects()
+    assert len(found) + len(missing) > 100
     assert not missing, "perfbench/layers.py patches names that moved: " + ", ".join(missing)
+
+
+def test_patched_names_are_pairwise_distinct_functions():
+    """An alias (``AsyncPeriodicTimer = PeriodicTimer``, ``B._fire = A._fire``)
+    resolves in both owners, so the check above passes — and perfbench then
+    wraps one function twice, charging simulator time to ``runtime.*`` spans
+    (or the reverse)."""
+    found, _missing = _patched_objects()
+    owners_by_object = {}
+    for where, patched in found.items():
+        assert callable(patched), f"{where} is not a function"
+        owners_by_object.setdefault(id(patched), []).append(where)
+    aliased = [names for names in owners_by_object.values() if len(names) > 1]
+    assert not aliased, f"perfbench would wrap the same function twice: {aliased}"

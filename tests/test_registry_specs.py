@@ -48,6 +48,7 @@ from repro.registry import (
 from repro.runtime.host import NodeHost
 from repro.runtime.transport import MemoryTransport
 from repro.sim.rng import RngRegistry
+from tests.conftest import settle
 
 # --------------------------------------------------------------------------
 # Pinned pre-redesign values (computed on the PR-2 tree, before the registry
@@ -374,7 +375,7 @@ def _run_live_spec(kind: str, publications: int = 20) -> NodeHost:
         for index in range(publications):
             host.publish(f"node-{index % 10:03d}", topic=popularity.sample(rng))
             await asyncio.sleep(0.005)
-        await asyncio.sleep(0.4)
+        await settle(lambda: host.delivery_log.total_deliveries() > 0)
         await host.stop()
         return host
 

@@ -32,6 +32,7 @@ from repro.sim.engine import SimulationError
 from repro.sim.network import Message
 from repro.sim.rng import RngRegistry
 from repro.workloads import TopicPopularity, ZipfInterest
+from tests.conftest import settle
 
 #: Documented tolerance of the runtime-vs-simulator parity check: the live
 #: run shares the simulator's protocol code, seeds, interest assignment, and
@@ -131,7 +132,9 @@ class TestNodeHostMemory:
             await host.start()
             for index in range(10):
                 host.publish(host.node_ids()[-1], topic="news")
-            await host.run_for(0.4)  # ~20 rounds at time_scale 50
+            await settle(
+                lambda: host.delivery_log.total_deliveries() == len(subscribers) * 10
+            )
             await host.stop()
             return host, subscribers
 
@@ -166,14 +169,14 @@ class TestNodeHostMemory:
                 payload=TopicFilter("wire"),
             )
             assert client.send("node-001", encode_message(subscribe))
-            await asyncio.sleep(0.02)
+            await settle(lambda: host.topics_of("node-001") == ["wire"])
 
             event = host._factories["node-000"].create(topic="wire")
             publish = Message(
                 sender="client", recipient="node-000", kind=PUBLISH_KIND, payload=event
             )
             assert client.send("node-000", encode_message(publish))
-            await host.run_for(0.3)
+            await settle(lambda: host.delivery_log.delivery_count("node-001") == 1)
             await host.stop()
             await client.stop()
             return host
@@ -224,7 +227,7 @@ class TestSocketTransports:
             await host.start()
             for _ in range(5):
                 host.publish("node-000", topic="news")
-            await host.run_for(0.5)
+            await settle(lambda: host.delivery_log.total_deliveries() == 25)
             await host.stop()
             return host
 

@@ -96,17 +96,6 @@ class TestNetwork:
         simulator.run()
         assert len(b.received) == 1
 
-    def test_broadcast_sends_one_message_per_recipient(self, simulator, network):
-        a = Recorder("a", simulator, network)
-        b = Recorder("b", simulator, network)
-        c = Recorder("c", simulator, network)
-        for process in (a, b, c):
-            process.start()
-        network.broadcast("a", ["b", "c"], "hello", payload=1)
-        simulator.run()
-        assert len(b.received) == 1 and len(c.received) == 1
-        assert network.stats.sent == 2
-
     def test_stats_track_kinds_and_bytes(self, simulator, network):
         a, b = make_pair(simulator, network)
         a.send("b", "gossip", size=5)

@@ -41,6 +41,7 @@ from repro.telemetry import (
     render_prometheus,
 )
 from repro.telemetry.report import load_report_source, render_report, render_results
+from tests.conftest import settle
 
 
 def _fast_config() -> ExperimentConfig:
@@ -435,7 +436,7 @@ class TestSimulatorSnapshots:
             for index in range(30):
                 host.publish(f"node-{index % 8:03d}", topic="t")
                 await asyncio.sleep(0.002)
-            await asyncio.sleep(0.3)
+            await settle(lambda: telemetry.counter_total("gossip.deliveries") > 0)
             await host.stop()
 
         asyncio.run(scenario())

@@ -45,6 +45,7 @@ from repro.topology import (
     TopologySpec,
     compile_domain_map,
 )
+from tests.conftest import settle
 
 # Pinned on the PR-2 tree (see tests/test_registry_specs.py): topology-free
 # configs must keep hashing to their historical cache keys.
@@ -525,23 +526,25 @@ class TestDomainPartitionHeal:
             node_ids = host.node_ids()
             for node_id in node_ids:
                 host.subscribe(node_id, TopicFilter("news"))
-            await asyncio.sleep(0.05)  # partition is installed and active
+
+            def delivered_to():
+                return {
+                    record.node_id
+                    for record in host.delivery_log.deliveries_of_event(event.event_id)
+                }
+
+            # The partition is installed and active...
+            await settle(lambda: host.fault_controller.counts.get("partition"))
             event = host.publish("node-000", topic="news")  # publisher in d0
             await asyncio.sleep(0.1)  # still split: d1 stays dark
-            mid_run = {
-                record.node_id
-                for record in host.delivery_log.deliveries_of_event(event.event_id)
-            }
-            await asyncio.sleep(3.0)  # healed at 0.2s; bridges catch up
+            mid_run = delivered_to()
+            # ...healed at 0.2s; bridges catch up.
+            await settle(lambda: d1 <= delivered_to())
             await host.stop()
-            delivered_to = {
-                record.node_id
-                for record in host.delivery_log.deliveries_of_event(event.event_id)
-            }
-            return host, mid_run, delivered_to, set(node_ids)
+            return host, mid_run, delivered_to(), set(node_ids)
 
-        host, mid_run, delivered_to, universe = asyncio.run(scenario())
         d1 = {"node-004", "node-005", "node-006", "node-007"}
+        host, mid_run, delivered_to, universe = asyncio.run(scenario())
         assert not (mid_run & d1)  # the isolated domain was dark mid-split
         assert host.network.stats.dropped_partition > 0
         # The topology claim: every node of the *isolated* domain lights up

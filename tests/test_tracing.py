@@ -41,6 +41,7 @@ from repro.tracing import (
     read_spans_jsonl,
     render_trace,
 )
+from tests.conftest import settle
 
 #: Documented tolerance of the sim-vs-live trace parity check: both engines
 #: run the same lazy-push node classes with the same seed, so the *kinds* of
@@ -261,6 +262,9 @@ class TestSimLiveParity:
     def test_live_spans_share_the_sim_structure(self):
         sim_result, sim_tracer = traced_smoke_lazy()
         sim_kinds = {span.kind for span in sim_tracer.sink.records()}
+        sim_totals = analyze_spans(sim_tracer.sink.records()).totals()
+        sim_per_event = sim_totals["deliveries"] / sim_totals["events_traced"]
+        published = 4
 
         async def scenario():
             from repro.registry import build_interest_model, build_popularity
@@ -282,15 +286,18 @@ class TestSimLiveParity:
             )
             await host.start()
             interest.apply(host)
-            for index, node_id in enumerate(sorted(host.nodes)[:4]):
+            for index, node_id in enumerate(sorted(host.nodes)[:published]):
                 host.publish(node_id, topic=popularity.topics[index % 3])
-            await host.run_for(0.3)
+            await settle(
+                lambda: host.delivery_log.total_deliveries()
+                >= published * sim_per_event * PARITY_SPAN_RATIO_TOLERANCE
+            )
             await host.stop()
             return tracer
 
         live_tracer = asyncio.run(scenario())
         live = analyze_spans(live_tracer.sink.records())
-        assert len(live.events) == 4
+        assert len(live.events) == published
         live_kinds = set()
         for event in live.events.values():
             assert event.root is not None and event.root.kind == PUBLISH
@@ -305,8 +312,6 @@ class TestSimLiveParity:
         assert totals["deliveries"] > 0
         # Volume parity within the documented tolerance: deliveries per
         # traced event in the same ballpark as the simulator run.
-        sim_totals = analyze_spans(sim_tracer.sink.records()).totals()
-        sim_per_event = sim_totals["deliveries"] / sim_totals["events_traced"]
         live_per_event = totals["deliveries"] / totals["events_traced"]
         assert live_per_event >= sim_per_event * PARITY_SPAN_RATIO_TOLERANCE
 
@@ -323,7 +328,7 @@ class TestSimLiveParity:
                 payload={"x": 1},
                 trace=(TraceContext("e#0", 0, 1),),
             )
-            await asyncio.sleep(0.05)
+            await settle(lambda: host.network.stats.dropped_dead == 1)
             await host.stop()
             return tracer
 
