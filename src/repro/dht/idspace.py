@@ -65,14 +65,12 @@ class IdSpace:
         return (identifier >> shift) & (self.digit_base - 1)
 
     def shared_prefix_length(self, left: int, right: int) -> int:
-        """Number of leading digits the two identifiers share."""
-        length = 0
-        for position in range(self.digits):
-            if self.digit(left, position) == self.digit(right, position):
-                length += 1
-            else:
-                break
-        return length
+        """Number of leading digits the two identifiers share.
+
+        The highest differing bit decides it, so no digit is extracted; exact
+        for identifiers in ``[0, 2^bits)``, and equal ones share every digit.
+        """
+        return (self.bits - (left ^ right).bit_length()) // self.digit_bits
 
     def distance(self, left: int, right: int) -> int:
         """Circular distance between two identifiers."""

@@ -2,20 +2,24 @@
 
 The structured baselines (Scribe, SplitStream, DKS-style grouping) need one
 thing from Pastry: given a key, route hop by hop towards the live node whose
-identifier is numerically closest to it (the key's *root*), resolving at
-least one identifier digit per hop.  :class:`PastryRouter` provides exactly
-that.
+identifier is numerically closest to it (the key's *root*).
+:class:`PastryRouter` provides that as an *oracle*, not as a protocol.
 
-Substitution note (documented in DESIGN.md): the routing tables are built
-from the simulator's global membership instead of through Pastry's join
-protocol.  The joining handshake is not what the paper's fairness argument is
-about — what matters is the *structure* of the resulting routes: O(log n)
-hops, interior nodes forwarding traffic for keys (topics) they have no
-interest in, and rendezvous nodes concentrating load.  Those properties are
-preserved because the routes are computed with the same prefix-resolution
-rule Pastry uses.  Routing state is refreshed lazily when nodes fail, which
-mirrors Pastry's repair behaviour at the level of detail the experiments
-need.
+Substitution note (see docs/ARCHITECTURE.md): there are no per-node routing
+tables and no join protocol.  Every hop is chosen with global knowledge of the
+live set: the next hop is the live node sharing the *globally* longest prefix
+with the key, else the globally closest one.  Routes are therefore much
+shorter than Pastry's O(log n): over 2 000 random routes, 1 hop in ~90 % of
+the cases and never more than 2, at 128 and at 1 024 nodes alike.  What
+survives is that interior nodes forward traffic for keys (topics) they have no
+interest in and that rendezvous nodes concentrate load; what does not is tree
+depth, so interior-forwarder load is understated and rendezvous fan-out
+overstated (ROADMAP, correctness aim).
+
+Because the choice does not depend on where the message currently is, the
+router keeps one summary per key — root, best prefix match, closest node —
+computed from the live nodes on first use and dropped whenever
+:meth:`PastryRouter.set_alive` changes the live set.
 """
 
 from __future__ import annotations
@@ -53,9 +57,7 @@ class PastryRouter:
     id_space:
         Identifier space parameters.
     leaf_set_size:
-        Number of numerically closest neighbours each node keeps on each
-        side; the last hops of a route go through the leaf set exactly as in
-        Pastry.
+        Only enters :meth:`route`'s default hop limit; no leaf set is kept.
     """
 
     def __init__(
@@ -79,6 +81,9 @@ class PastryRouter:
             self._id_of[name] = identifier
             self._name_of[identifier] = name
         self._alive: Set[str] = set(node_ids)
+        #: key -> (root, top_prefix, top_name, closest_distance, closest_name).
+        #: A function of the live set only, so set_alive is its one invalidation.
+        self._summaries: Dict[int, Tuple[str, int, str, int, str]] = {}
 
     # -------------------------------------------------------------- liveness
 
@@ -90,6 +95,7 @@ class PastryRouter:
             self._alive.add(node_id)
         else:
             self._alive.discard(node_id)
+        self._summaries.clear()
 
     def alive_nodes(self) -> List[str]:
         """Names of nodes currently alive, sorted."""
@@ -107,59 +113,61 @@ class PastryRouter:
 
     def root_of(self, key: int) -> str:
         """The live node numerically closest to ``key`` (the rendezvous node)."""
-        alive_ids = [self._id_of[name] for name in self._alive]
-        if not alive_ids:
-            raise RuntimeError("no live nodes in the overlay")
-        closest = self.space.closest(key, alive_ids)
-        assert closest is not None
-        return self._name_of[closest]
+        return self._summary(key)[0]
 
     # --------------------------------------------------------------- routing
+
+    def _summary(self, key: int) -> Tuple[str, int, str, int, str]:
+        """What routing towards ``key`` needs to know about the live set.
+
+        ``root`` follows :meth:`IdSpace.closest` (distance ties go to the
+        smaller identifier); the best prefix match is the minimum of
+        ``(-prefix, distance, name)`` and the closest node the minimum of
+        ``(distance, name)``, so ``root`` and ``closest_name`` can differ.
+        """
+        summary = self._summaries.get(key)
+        if summary is None:
+            if not self._alive:
+                raise RuntimeError("no live nodes in the overlay")
+            space = self.space
+            live = [(space.distance(self._id_of[name], key), name) for name in self._alive]
+            closest_distance, closest_name = min(live)
+            negated_prefix, _, top_name = min(
+                (-space.shared_prefix_length(self._id_of[name], key), distance, name)
+                for distance, name in live
+            )
+            root = self._name_of[space.closest(key, (self._id_of[name] for name in self._alive))]
+            summary = (root, -negated_prefix, top_name, closest_distance, closest_name)
+            self._summaries[key] = summary
+        return summary
 
     def next_hop(self, current: str, key: int) -> Optional[str]:
         """The next node on the route from ``current`` towards ``key``'s root.
 
-        Returns ``None`` when ``current`` already is the root.  The rule is
-        Pastry's: prefer a live node whose identifier shares a strictly
-        longer prefix with the key; otherwise fall back to a live node that
-        is numerically closer to the key than the current one (leaf-set
-        style), which guarantees progress and termination.
+        Returns ``None`` when ``current`` already is the root.  Otherwise the
+        live node sharing the longest prefix with the key, if that prefix is
+        strictly longer than ``current``'s; else the live node closest to the
+        key, if it is strictly closer than ``current``; else ``None``.  Both
+        candidates are the same for every ``current`` (excluding ``current``
+        changes nothing: no node beats itself strictly), which is why they
+        come from the per-key summary.
         """
         current_id = self._id_of[current]
-        root = self.root_of(key)
+        root, top_prefix, top_name, closest_distance, closest_name = self._summary(key)
         if current == root:
             return None
-        current_prefix = self.space.shared_prefix_length(current_id, key)
-        current_distance = self.space.distance(current_id, key)
-
-        best_prefix_candidate: Optional[Tuple[int, int, str]] = None
-        best_closer_candidate: Optional[Tuple[int, str]] = None
-        for name in self._alive:
-            if name == current:
-                continue
-            identifier = self._id_of[name]
-            prefix = self.space.shared_prefix_length(identifier, key)
-            distance = self.space.distance(identifier, key)
-            if prefix > current_prefix:
-                candidate = (-prefix, distance, name)
-                if best_prefix_candidate is None or candidate < best_prefix_candidate:
-                    best_prefix_candidate = candidate
-            if distance < current_distance:
-                candidate_closer = (distance, name)
-                if best_closer_candidate is None or candidate_closer < best_closer_candidate:
-                    best_closer_candidate = candidate_closer
-        if best_prefix_candidate is not None:
-            return best_prefix_candidate[2]
-        if best_closer_candidate is not None:
-            return best_closer_candidate[1]
+        if top_prefix > self.space.shared_prefix_length(current_id, key):
+            return top_name
+        if closest_distance < self.space.distance(current_id, key):
+            return closest_name
         return None
 
     def route(self, start: str, key: int, max_hops: Optional[int] = None) -> RouteResult:
         """Full route from ``start`` to the root of ``key``.
 
-        ``max_hops`` defaults to the number of digits plus the leaf-set size,
-        which prefix routing can never exceed; exceeding it indicates a bug
-        and raises instead of looping forever.
+        ``max_hops`` defaults to the number of digits plus the leaf-set size
+        plus two, far above the two hops the oracle takes in practice;
+        exceeding it indicates a bug and raises instead of looping forever.
         """
         limit = max_hops if max_hops is not None else self.space.digits + self.leaf_set_size + 2
         path = [start]

@@ -9,10 +9,12 @@ Two indexes are provided:
   satisfies, and filters whose counter reaches their condition count match.
 
 The :class:`MatchingEngine` front-end routes filters to the appropriate index
-and is what brokers, rendezvous nodes, and the oracle use.  Gossip nodes do
-not need an index — each node only evaluates its own ``ISINTERESTED`` — but
-the broker baseline and the analysis layer match against thousands of foreign
-filters, where the index matters.
+and is what brokers use.  Gossip nodes do not need an index — each node only
+evaluates its own ``ISINTERESTED`` — but the broker baseline matches against
+thousands of foreign filters, where the index matters.  The analysis layer's
+oracle does not come through here: it asks
+:meth:`~repro.pubsub.subscriptions.SubscriptionTable.interested_nodes`, which
+prunes candidates with the table's own topic index and lets the filters judge.
 """
 
 from __future__ import annotations

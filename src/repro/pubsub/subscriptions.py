@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .events import Event
+from .events import Event, TOPIC_ATTRIBUTE
 from .filters import Filter
 
 __all__ = ["Subscription", "SubscriptionTable"]
@@ -63,6 +63,9 @@ class SubscriptionTable:
         self._by_id: Dict[str, Subscription] = {}
         self._active_by_node: Dict[str, Set[str]] = {}
         self._active_by_topic: Dict[str, Set[str]] = {}
+        #: Active subscriptions whose filter pins no topic: they can match an
+        #: event of any topic, so the topic index alone would miss them.
+        self._active_unpinned: Set[str] = set()
         self.total_subscribes = 0
         self.total_unsubscribes = 0
 
@@ -80,8 +83,11 @@ class SubscriptionTable:
         )
         self._by_id[subscription.subscription_id] = subscription
         self._active_by_node.setdefault(node_id, set()).add(subscription.subscription_id)
-        for topic in subscription_filter.topics:
+        topics = subscription_filter.topics
+        for topic in topics:
             self._active_by_topic.setdefault(topic, set()).add(subscription.subscription_id)
+        if not topics:
+            self._active_unpinned.add(subscription.subscription_id)
         self.total_subscribes += 1
         return subscription
 
@@ -125,6 +131,7 @@ class SubscriptionTable:
         self._active_by_node.get(subscription.node_id, set()).discard(subscription.subscription_id)
         for topic in subscription.subscription_filter.topics:
             self._active_by_topic.get(topic, set()).discard(subscription.subscription_id)
+        self._active_unpinned.discard(subscription.subscription_id)
 
     # ------------------------------------------------------------- queries
 
@@ -161,13 +168,19 @@ class SubscriptionTable:
 
         This is the oracle answer for "who should deliver e"; the analysis
         layer compares protocol deliveries against it to compute reliability.
+        The filters are the judge; the topic index only prunes candidates,
+        which is sound because a filter that pins topics matches no event of
+        another topic.  A ``ContentFilter`` pins ``str(value)`` but compares the
+        raw value, so an event whose topic is not a string (or is absent) is
+        judged against every active subscription.
         """
-        interested: Set[str] = set()
-        for subscription in self._by_id.values():
-            if subscription.active and subscription.node_id not in interested:
-                if subscription.matches(event):
-                    interested.add(subscription.node_id)
-        return sorted(interested)
+        topic = event.attribute(TOPIC_ATTRIBUTE)
+        if isinstance(topic, str):
+            pinned = self._active_by_topic.get(topic, set())
+            candidates = [self._by_id[subscription_id] for subscription_id in pinned | self._active_unpinned]
+        else:
+            candidates = self.active_subscriptions()
+        return sorted({subscription.node_id for subscription in candidates if subscription.matches(event)})
 
     def nodes_with_subscriptions(self) -> List[str]:
         """Nodes that currently hold at least one active subscription."""

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import json
 import os
 import sys
 import time
@@ -42,6 +44,12 @@ def ledger() -> WorkLedger:
 def delivery_log() -> DeliveryLog:
     """An empty delivery log."""
     return DeliveryLog()
+
+
+def result_sha(result) -> str:
+    """sha256 of an ``ExperimentResult``'s canonical JSON: the pinned-result digest."""
+    blob = json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 async def settle(predicate: Callable[[], object], timeout: float = 5.0) -> bool:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import EXPRESSIVE_POLICY, evaluate_fairness
 from repro.dht import DksSystem, IdSpace, PastryRouter, ScribeSystem, SplitStreamSystem
@@ -12,6 +14,79 @@ from repro.sim import Network, Simulator
 
 def make_ids(count):
     return [f"n{index:02d}" for index in range(count)]
+
+
+def reference_prefix(space, left, right):
+    """Shared prefix length by comparing digit by digit."""
+    length = 0
+    while length < space.digits and space.digit(left, length) == space.digit(right, length):
+        length += 1
+    return length
+
+
+class ReferenceRouter:
+    """The per-hop scan over every live node that ``PastryRouter`` used to run.
+
+    Kept as the oracle for the per-key summaries: it keeps its own live set,
+    excludes ``current`` from the candidates, and recomputes everything on
+    every call, so it cannot share a stale cache with the router under test.
+    """
+
+    def __init__(self, router):
+        self.space = router.space
+        self.limit = router.space.digits + router.leaf_set_size + 2
+        self.id_of = {name: router.node_identifier(name) for name in router.alive_nodes()}
+        self.alive = set(self.id_of)
+
+    def set_alive(self, name, alive):
+        (self.alive.add if alive else self.alive.discard)(name)
+
+    def root_of(self, key):
+        if not self.alive:
+            raise RuntimeError("no live nodes in the overlay")
+        return min(self.alive, key=lambda name: (self.space.distance(self.id_of[name], key), self.id_of[name]))
+
+    def next_hop(self, current, key):
+        if current == self.root_of(key):
+            return None
+        current_prefix = reference_prefix(self.space, self.id_of[current], key)
+        current_distance = self.space.distance(self.id_of[current], key)
+        longer, closer = [], []
+        for name in self.alive - {current}:
+            prefix = reference_prefix(self.space, self.id_of[name], key)
+            distance = self.space.distance(self.id_of[name], key)
+            if prefix > current_prefix:
+                longer.append((-prefix, distance, name))
+            if distance < current_distance:
+                closer.append((distance, name))
+        if longer:
+            return min(longer)[2]
+        return min(closer)[1] if closer else None
+
+    def path(self, start, key):
+        path = [start]
+        for _ in range(self.limit):
+            nxt = self.next_hop(path[-1], key)
+            if nxt is None:
+                return tuple(path)
+            path.append(nxt)
+        raise RuntimeError("hop limit exceeded")
+
+
+def outcome(call, *args):
+    """The call's result, or the type of what it raised (so raises compare too)."""
+    try:
+        return call(*args)
+    except RuntimeError as error:
+        return type(error)
+
+
+def assert_router_matches_reference(router, reference, currents, keys):
+    for key in keys:
+        assert outcome(router.root_of, key) == outcome(reference.root_of, key)
+        for current in currents:
+            assert outcome(router.next_hop, current, key) == outcome(reference.next_hop, current, key)
+            assert outcome(lambda: router.route(current, key).path) == outcome(reference.path, current, key)
 
 
 class TestIdSpace:
@@ -44,6 +119,15 @@ class TestIdSpace:
         space = IdSpace(bits=8, digit_bits=4)
         assert space.closest(10, [5, 15]) == 5
         assert space.closest(10, []) is None
+
+    @pytest.mark.parametrize("digit_bits", [1, 2, 4, 8])
+    def test_shared_prefix_length_equals_the_digit_loop_for_all_pairs(self, digit_bits):
+        space = IdSpace(bits=8, digit_bits=digit_bits)
+        for left in range(space.size):
+            for right in range(left, space.size):
+                expected = reference_prefix(space, left, right)
+                assert space.shared_prefix_length(left, right) == expected
+                assert space.shared_prefix_length(right, left) == expected
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -89,6 +173,48 @@ class TestPastryRouter:
         router = PastryRouter(make_ids(100))
         identifiers = [router.node_identifier(name) for name in make_ids(100)]
         assert len(set(identifiers)) == 100
+
+    #: 256 identifiers with 4-ary digits: up to 60 hashed names collide (and
+    #: get probed apart) and keys sit at equal distance from two nodes.
+    TIGHT_SPACE = IdSpace(bits=8, digit_bits=2)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(min_value=1, max_value=60),
+        st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=4),
+        st.lists(st.tuples(st.integers(min_value=0), st.booleans()), max_size=12),
+        st.lists(st.integers(min_value=0), min_size=1, max_size=4),
+    )
+    def test_matches_the_reference_scan_across_liveness_changes(self, count, keys, flips, picks):
+        names = make_ids(count)
+        router = PastryRouter(names, id_space=self.TIGHT_SPACE)
+        reference = ReferenceRouter(router)
+        currents = [names[pick % count] for pick in picks]
+        assert_router_matches_reference(router, reference, currents, keys)
+        for pick, alive in flips:
+            # The same keys are asked before and after every flip, and the
+            # flipped node is one of the currents (a dead current included).
+            flipped = names[pick % count]
+            router.set_alive(flipped, alive)
+            reference.set_alive(flipped, alive)
+            assert_router_matches_reference(router, reference, currents + [flipped], keys)
+
+    def test_matches_the_reference_scan_down_to_an_empty_overlay_and_back(self):
+        names = make_ids(24)
+        router = PastryRouter(names, id_space=self.TIGHT_SPACE)
+        reference = ReferenceRouter(router)
+        keys = [0, 77, 128, 255]
+        for alive in (False, True):
+            for name in names:
+                router.set_alive(name, alive)
+                reference.set_alive(name, alive)
+                assert_router_matches_reference(router, reference, names, keys)
+        for name in names:
+            router.set_alive(name, False)
+        with pytest.raises(RuntimeError, match="no live nodes in the overlay"):
+            router.root_of(0)
+        with pytest.raises(RuntimeError, match="no live nodes in the overlay"):
+            router.next_hop(names[0], 0)
 
     def test_unknown_node_rejected(self):
         router = PastryRouter(make_ids(5))

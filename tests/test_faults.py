@@ -19,7 +19,6 @@ Covers the contract the multi-layer refactor promises:
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
 
 import pytest
@@ -47,16 +46,11 @@ from repro.runtime.host import NodeHost
 from repro.runtime.transport import MemoryTransport
 from repro.sim import Network, ProcessRegistry, Simulator
 from repro.telemetry import Telemetry
-from tests.conftest import settle
+from tests.conftest import result_sha, settle
 
 # Pinned on the PR-2 tree (see tests/test_registry_specs.py): fault-free
 # configs must keep hashing to their historical cache keys.
 SMOKE_CONFIG_HASH = "1cf8fcce9dce9547b8ba7d369156e39045a0194e020f154fe35dce71c1866442"
-
-
-def _result_sha(result) -> str:
-    blob = json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _physics(result) -> dict:
@@ -435,7 +429,7 @@ class TestSimulatorFaults:
             result = run_experiment(
                 config, snapshot_sinks=[f"jsonl:{path}"], snapshot_period=2.0
             )
-            shas.append(_result_sha(result))
+            shas.append(result_sha(result))
             streams.append(path.read_bytes())
         assert shas[0] == shas[1]
         assert streams[0] == streams[1]

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.pubsub import (
+    AndFilter,
+    AttributeCondition,
     ContentFilter,
     CountingContentIndex,
     DeliveryLog,
     Event,
     MatchAllFilter,
     MatchingEngine,
+    NotFilter,
+    OrFilter,
     SubscriptionTable,
     TopicFilter,
     TopicIndex,
@@ -66,6 +72,54 @@ class TestSubscriptionTable:
         table.subscribe("c", TopicFilter("sports"))
         interested = table.interested_nodes(make_event(topic="news", level=3))
         assert interested == ["a", "b"]
+
+    def test_interested_nodes_equals_brute_force_under_subscription_churn(self):
+        # The topic index may only prune candidates that cannot match: every
+        # filter kind, pinned and unpinned, against string, non-string and
+        # absent topics, while subscriptions come and go.
+        level_at_least_2 = ContentFilter(conditions=(AttributeCondition("level", ">=", 2),))
+        filters = [
+            TopicFilter("a"),
+            TopicFilter("b"),
+            TopicFilter(5),  # pins the raw 5, where the content filter below pins "5"
+            ContentFilter.build(topic="a", level=2),
+            ContentFilter.build(topic=5),  # pins "5", matches only the integer 5
+            level_at_least_2,
+            AndFilter((TopicFilter("b"), level_at_least_2)),
+            OrFilter((TopicFilter("a"), TopicFilter("b"))),
+            OrFilter((TopicFilter("a"), level_at_least_2)),  # one unpinned branch
+            NotFilter(TopicFilter("a")),
+            MatchAllFilter(),
+        ]
+        events = [
+            make_event(f"e{index}", **attributes)
+            for index, attributes in enumerate(
+                dict(level=level, **topic)
+                for level in (1, 2)
+                for topic in ({"topic": "a"}, {"topic": "b"}, {"topic": "5"}, {"topic": 5}, {})
+            )
+        ]
+        nodes = [f"n{index}" for index in range(6)]
+        rng = random.Random(17)
+        table = SubscriptionTable()
+        matched = set()
+        for step in range(400):
+            action = rng.random()
+            if action < 0.55:
+                table.subscribe(rng.choice(nodes), rng.choice(filters), timestamp=step)
+            elif action < 0.9:
+                table.unsubscribe(rng.choice(nodes), rng.choice(filters), timestamp=step)
+            else:
+                table.unsubscribe_all(rng.choice(nodes), timestamp=step)
+            for event in events:
+                expected = sorted(
+                    {s.node_id for s in table.active_subscriptions() if s.matches(event)}
+                )
+                assert table.interested_nodes(event) == expected
+                matched.update((event.event_id, node) for node in expected)
+        # Guard against a vacuous run: every event was wanted at some point.
+        assert {event_id for event_id, _ in matched} == {event.event_id for event in events}
+        assert table.churn_counts()[1] > 100 and len(table) > 0
 
     def test_topics_of_node_and_churn_counts(self):
         table = SubscriptionTable()

@@ -19,7 +19,6 @@ Covers the back-compat contract of the construction redesign:
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
 
 import pytest
@@ -48,7 +47,7 @@ from repro.registry import (
 from repro.runtime.host import NodeHost
 from repro.runtime.transport import MemoryTransport
 from repro.sim.rng import RngRegistry
-from tests.conftest import settle
+from tests.conftest import result_sha, settle
 
 # --------------------------------------------------------------------------
 # Pinned pre-redesign values (computed on the PR-2 tree, before the registry
@@ -77,11 +76,6 @@ def _smoke_config() -> ExperimentConfig:
 
 def _smoke_brokers_config() -> ExperimentConfig:
     return _smoke_config().with_overrides(system="brokers", name="smoke-brokers")
-
-
-def _result_sha(result) -> str:
-    blob = json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class TestSpecRoundTrips:
@@ -174,19 +168,19 @@ class TestPinnedResults:
 
     def test_smoke_result_unchanged(self):
         assert config_hash(_smoke_config()) == SMOKE_CONFIG_HASH
-        assert _result_sha(run_experiment(_smoke_config())) == SMOKE_RESULT_SHA
+        assert result_sha(run_experiment(_smoke_config())) == SMOKE_RESULT_SHA
 
     def test_smoke_brokers_result_unchanged(self):
         config = _smoke_brokers_config()
         assert config_hash(config) == SMOKE_BROKERS_CONFIG_HASH
-        assert _result_sha(run_experiment(config)) == SMOKE_BROKERS_RESULT_SHA
+        assert result_sha(run_experiment(config)) == SMOKE_BROKERS_RESULT_SHA
 
     @pytest.mark.parametrize("scenario", sorted(CYCLON_HEAVY_RESULT_SHAS))
     def test_cyclon_heavy_result_unchanged(self, scenario):
         config = get_scenario(scenario).config
         if scenario == "fig4-push":
             config = config.with_overrides(nodes=48)
-        assert _result_sha(run_experiment(config)) == CYCLON_HEAVY_RESULT_SHAS[scenario]
+        assert result_sha(run_experiment(config)) == CYCLON_HEAVY_RESULT_SHAS[scenario]
 
 
 class TestRegistryErrors:

@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import json
 
-from repro.experiments import ExperimentConfig, run_experiment
+import pytest
+
+from repro.experiments import ExperimentConfig, get_scenario, run_experiment
+from repro.faults import FaultPlan, FaultSpec
 from repro.gossip import GossipSystem
 from repro.pubsub import TopicFilter
 from repro.sim import BernoulliLoss, Network, Simulator, UniformLatency
 from repro.workloads import TopicPopularity, TopicPublicationWorkload
+from tests.conftest import result_sha
 
 
 def run_traced_system(seed: int) -> bytes:
@@ -100,3 +104,43 @@ class TestSeedDeterminism:
         first = json.dumps(run_experiment(config).to_dict(), sort_keys=True)
         second = json.dumps(run_experiment(config).to_dict(), sort_keys=True)
         assert first == second
+
+
+class TestStructuredBaselinesArePinned:
+    """``fig1`` at 32 nodes on every structured baseline, byte for byte.
+
+    Recorded before ``PastryRouter`` got per-key route summaries and the
+    subscription oracle its topic index; a digest that moves means routing,
+    tree building or reliability accounting changed behaviour.
+    """
+
+    FIG1 = get_scenario("fig1").config.with_overrides(nodes=32)
+
+    @pytest.mark.parametrize(
+        "system, digest",
+        [
+            ("scribe", "98a2cce75ebb899d94028f6020fc8df0e1c36997982e16332bfce127b54b22c2"),
+            ("dks", "895fbb0ced1fd384731e06dce15c874e8a13600f188eeea9080674ea7e64256a"),
+            ("splitstream", "070e00c16f2517c1249f734f11cd0f5556ed12372a0db4be32b5e7988e513142"),
+            ("brokers", "6ca4eca6f2a47bd3b46e2ae3653c94c2c6dd22aa42f50d0f9b6945d5c8979c8a"),
+            ("dam", "8f381fa891a26191bce238bf220fcad34d85738918e77dc4d6ea4da98664b655"),
+        ],
+    )
+    def test_fig1_result_digest(self, system, digest):
+        assert result_sha(run_experiment(self.FIG1.with_overrides(system=system))) == digest
+
+    def test_scribe_with_a_crash_and_recovery(self):
+        # The victims are the rendezvous roots of topic-00, topic-01 and
+        # topic-03, so popular traffic is re-routed while they are down: the
+        # run goes through PastryRouter.set_alive, the one place that
+        # invalidates the route summaries, and its digest moves if that is
+        # skipped.
+        victims = ("node-012", "node-022", "node-018")
+        plan = FaultPlan(
+            (
+                FaultSpec(kind="crash", at=5.0, nodes=victims),
+                FaultSpec(kind="recover", at=12.0, nodes=victims),
+            )
+        )
+        config = self.FIG1.with_overrides(system="scribe", fault_plan=plan.entry_pairs())
+        assert result_sha(run_experiment(config)) == "1b99d027dee6b11b60a11374886ac73f42ff179021cabc2921938093a2323605"

@@ -21,7 +21,6 @@ Covers the contract the topology subsystem promises:
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
 
 import pytest
@@ -45,16 +44,11 @@ from repro.topology import (
     TopologySpec,
     compile_domain_map,
 )
-from tests.conftest import settle
+from tests.conftest import result_sha, settle
 
 # Pinned on the PR-2 tree (see tests/test_registry_specs.py): topology-free
 # configs must keep hashing to their historical cache keys.
 SMOKE_CONFIG_HASH = "1cf8fcce9dce9547b8ba7d369156e39045a0194e020f154fe35dce71c1866442"
-
-
-def _result_sha(result) -> str:
-    blob = json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _node_ids(count: int):
@@ -563,8 +557,8 @@ class TestTopologyDeterminism:
         config = _domains_config(topology_cross_latency=1.0, topology_cross_loss=0.02)
         first = run_experiment(config)
         second = run_experiment(config)
-        assert _result_sha(first) == _result_sha(second)
+        assert result_sha(first) == result_sha(second)
 
     def test_smoke_domains_scenario_is_deterministic(self):
         config = get_scenario("smoke-domains").config
-        assert _result_sha(run_experiment(config)) == _result_sha(run_experiment(config))
+        assert result_sha(run_experiment(config)) == result_sha(run_experiment(config))
