@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-metrics bench-faults bench-lazy bench-trace bench-domains bench-campaign perfbench perfbench-quick serve-smoke serve-scenario-smoke registry-smoke report-smoke fault-smoke lazy-smoke trace-smoke domains-smoke campaign-smoke clean-cache
+.PHONY: test bench bench-smoke bench-metrics bench-faults bench-lazy bench-trace bench-domains bench-campaign perfbench perfbench-quick serve-smoke loadgen-smoke serve-scenario-smoke registry-smoke report-smoke fault-smoke lazy-smoke trace-smoke domains-smoke campaign-smoke clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -9,20 +9,27 @@ test:
 bench:
 	$(PYTHON) -m pytest benchmarks/ -q
 
+# The *-smoke targets are what CI runs (.github/workflows/ci.yml calls them by
+# name); a `| grep` is the target's assertion about the output.
+
 # Fast end-to-end check of the orchestration layer: parallel sweep, then the
-# same sweep again served from the cache.
+# same sweep again served entirely from the cache.
 bench-smoke:
-	$(PYTHON) -m repro sweep smoke --param system.fanout --values 2,4 --workers 2
-	$(PYTHON) -m repro sweep smoke --param system.fanout --values 2,4 --workers 2
+	$(PYTHON) -m repro sweep smoke --param system.fanout --values 2,4 --workers 2 --cache-dir .ci-cache
+	$(PYTHON) -m repro sweep smoke --param system.fanout --values 2,4 --workers 2 --cache-dir .ci-cache | grep "cache hits: 2"
 
 # Metrics hot-path overhead: writes BENCH_metrics_overhead.json
-# (ns/record, legacy list-backed histogram vs streaming telemetry).
+# (ns/record of the streaming telemetry histogram, observe and all-in).
 bench-metrics:
 	$(PYTHON) -m pytest benchmarks/bench_metrics_overhead.py -q -s
 
 # Short live cluster run with the embedded load generator (memory transport).
 serve-smoke:
 	$(PYTHON) -m repro serve --nodes 25 --transport memory --duration 5
+
+# Short open-loop load run against a live cluster (memory transport).
+loadgen-smoke:
+	$(PYTHON) -m repro loadgen --nodes 10 --transport memory --duration 2 --rate 300 --drain 0.5
 
 # Registry/StackSpec sanity: list, describe, then run a registered scenario
 # live on the memory transport — once as gossip, once as a non-gossip baseline.
@@ -51,7 +58,7 @@ report-smoke:
 fault-smoke:
 	$(PYTHON) -m repro run smoke-churn --no-cache --set faults.partition.at=2 --set faults.partition.heal_after=2
 	$(PYTHON) -m repro run smoke-partition --no-cache --telemetry jsonl:out/fault_metrics.jsonl
-	$(PYTHON) -m repro report out/fault_metrics.jsonl
+	$(PYTHON) -m repro report out/fault_metrics.jsonl | grep "fault timeline"
 	$(PYTHON) -m repro run smoke --no-cache --fault examples/fault_plan.json
 	$(PYTHON) -m repro serve --scenario smoke --fault examples/fault_plan.json --transport memory --duration 3 --rate 200 --drain 0.5
 
@@ -65,7 +72,7 @@ bench-faults:
 # a simulated run and a short live cluster speaking the lazy wire kinds.
 lazy-smoke:
 	$(PYTHON) -m repro run smoke-lazy --no-cache --telemetry jsonl:out/lazy_metrics.jsonl
-	$(PYTHON) -m repro report out/lazy_metrics.jsonl
+	$(PYTHON) -m repro report out/lazy_metrics.jsonl | grep "lazy recovery"
 	$(PYTHON) -m repro run smoke-lazy --no-cache --fault examples/loss_plan.json
 	$(PYTHON) -m repro serve --scenario smoke-lazy --fault examples/loss_plan.json --transport memory --duration 3 --rate 200 --drain 1
 
@@ -79,7 +86,7 @@ bench-lazy:
 # a short live cluster to confirm contexts survive the wire.
 trace-smoke:
 	$(PYTHON) -m repro run smoke-lazy --no-cache --trace out/lazy_trace.jsonl
-	$(PYTHON) -m repro trace out/lazy_trace.jsonl
+	$(PYTHON) -m repro trace out/lazy_trace.jsonl | grep "trace aggregates"
 	$(PYTHON) -m repro report out/lazy_trace.jsonl
 	$(PYTHON) -m repro serve --scenario smoke-lazy --transport memory --duration 3 --rate 200 --drain 1 --trace out/live_trace.jsonl
 	$(PYTHON) -m repro trace out/live_trace.jsonl --max-events 1
@@ -96,7 +103,7 @@ bench-trace:
 # and the bridge hops visible in a trace.
 domains-smoke:
 	$(PYTHON) -m repro run smoke-domains --no-cache --telemetry jsonl:out/domain_metrics.jsonl
-	$(PYTHON) -m repro report out/domain_metrics.jsonl
+	$(PYTHON) -m repro report out/domain_metrics.jsonl | grep "per-domain deliveries"
 	$(PYTHON) -m repro run smoke --no-cache --topology examples/geo_topology.json
 	$(PYTHON) -m repro serve --scenario smoke --topology examples/geo_topology.json --transport memory --duration 3 --rate 200 --drain 0.5
 	$(PYTHON) -m repro run smoke-domains --no-cache --trace out/domain_trace.jsonl

@@ -3,8 +3,8 @@
 A step change in interest at mid-run: a set of nodes that benefited nothing
 suddenly subscribes to the hot topic.  The benchmark measures how many rounds
 their fanout controllers need to settle on a new stable recommendation, and
-compares two smoothing settings (the ablation DESIGN.md calls out: reactive
-vs heavily smoothed benefit signal).  Expected shape: convergence within a
+compares two smoothing settings (an ablation: reactive vs heavily smoothed
+benefit signal).  Expected shape: convergence within a
 couple of dozen rounds, faster (but noisier) with less smoothing.
 """
 

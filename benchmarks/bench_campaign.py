@@ -14,17 +14,11 @@ This benchmark quantifies that on two campaigns:
   propagation, dependency closure, staleness probes, and cache loads with
   zero simulation.
 
-Writes ``BENCH_campaign.json`` (override with ``REPRO_BENCH_CAMPAIGN_JSON``).
-
-Environment knobs:
-
-* ``REPRO_BENCH_CAMPAIGN_DEPTH`` — chain length (default 8).
-* ``REPRO_BENCH_CAMPAIGN_JSON``  — artifact path.
+Writes ``BENCH_campaign.json``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 
@@ -33,9 +27,11 @@ from common import ExperimentConfig  # noqa: F401  (sys.path side effect)
 from repro.campaign import CampaignExecutor, CampaignSpec
 from repro.experiments.cache import ResultCache
 from repro.experiments.executor import ParallelSweepExecutor
+from repro.jsonio import write_json
 
-ARTIFACT = os.environ.get("REPRO_BENCH_CAMPAIGN_JSON", "BENCH_campaign.json")
-DEPTH = int(os.environ.get("REPRO_BENCH_CAMPAIGN_DEPTH", "8"))
+ARTIFACT = "BENCH_campaign.json"
+#: Length of the ``after`` chain.
+DEPTH = 8
 
 MINI_SPEC = {
     "schema": "campaign/v1",
@@ -127,9 +123,7 @@ def measure() -> dict:
 def test_campaign_cold_vs_warm(benchmark):
     artifact = benchmark.pedantic(measure, rounds=1, iterations=1)
     benchmark.extra_info["rows"] = artifact["rows"]
-    with open(ARTIFACT, "w", encoding="utf-8") as handle:
-        json.dump(artifact, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_json(ARTIFACT, artifact)
     print()
     for row in artifact["rows"]:
         print(

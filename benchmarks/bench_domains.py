@@ -17,27 +17,17 @@ buys and costs at 2/4/8 domains on the same 48-node workload:
   events published in *other* domains during the window still reach ``d1``
   after the heal (bridges re-relay across the healed cut).
 
-Writes ``BENCH_domains.json`` (override with ``REPRO_BENCH_DOMAINS_JSON``).
-
-Environment knobs:
-
-* ``REPRO_BENCH_DOMAINS_SEEDS`` — comma-separated seeds (default ``7,23``).
-* ``REPRO_BENCH_DOMAINS_NODES`` — population size (default 48).
-* ``REPRO_BENCH_DOMAINS_JSON``  — artifact path.
+Writes ``BENCH_domains.json``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-
 from repro.experiments import ExperimentConfig, run_experiment
+from repro.jsonio import write_json
 
-ARTIFACT = os.environ.get("REPRO_BENCH_DOMAINS_JSON", "BENCH_domains.json")
-SEEDS = tuple(
-    int(seed) for seed in os.environ.get("REPRO_BENCH_DOMAINS_SEEDS", "7,23").split(",")
-)
-NODES = int(os.environ.get("REPRO_BENCH_DOMAINS_NODES", "48"))
+ARTIFACT = "BENCH_domains.json"
+SEEDS = (7, 23)
+NODES = 48
 
 DOMAIN_COUNTS = (2, 4, 8)
 
@@ -152,9 +142,7 @@ def measure() -> dict:
 def test_domain_topology_latency_and_partition_survival(benchmark):
     artifact = benchmark.pedantic(measure, rounds=1, iterations=1)
     benchmark.extra_info["rows"] = artifact["rows"]
-    with open(ARTIFACT, "w", encoding="utf-8") as handle:
-        json.dump(artifact, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_json(ARTIFACT, artifact)
     print()
     for domains, entry in artifact["summary"].items():
         print(

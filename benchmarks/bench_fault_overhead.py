@@ -13,28 +13,22 @@ leaves the measured physics bit-identical.
 
 Methodology: baseline and idle-fault runs alternate (A/B/A/B…) so clock
 drift and cache warmth bias neither side, and the comparison uses the
-*median* of the per-run timings.  Writes ``BENCH_fault_overhead.json``
-(override with ``REPRO_BENCH_FAULT_JSON``).
-
-Environment knobs:
-
-* ``REPRO_BENCH_FAULT_REPEATS``      — paired runs (default 7).
-* ``REPRO_BENCH_FAULT_MAX_OVERHEAD`` — acceptance ceiling (default 0.05).
-* ``REPRO_BENCH_FAULT_JSON``         — artifact path.
+*median* of the per-run timings.  Writes ``BENCH_fault_overhead.json``.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import statistics
 import time
 
 from repro.experiments import get_scenario, run_experiment
+from repro.jsonio import write_json
 
-ARTIFACT = os.environ.get("REPRO_BENCH_FAULT_JSON", "BENCH_fault_overhead.json")
-REPEATS = int(os.environ.get("REPRO_BENCH_FAULT_REPEATS", "7"))
-MAX_OVERHEAD = float(os.environ.get("REPRO_BENCH_FAULT_MAX_OVERHEAD", "0.05"))
+ARTIFACT = "BENCH_fault_overhead.json"
+#: Paired (baseline, idle-fault) runs.
+REPEATS = 7
+#: Acceptance ceiling on the idle controller's relative overhead.
+MAX_OVERHEAD = 0.05
 #: Population of the timed run: large enough that one run is over a second.
 NODES = 1024
 
@@ -97,9 +91,7 @@ def measure() -> dict:
 def test_fault_controller_idle_overhead(benchmark):
     row = benchmark.pedantic(measure, rounds=1, iterations=1)
     benchmark.extra_info["rows"] = [row]
-    with open(ARTIFACT, "w", encoding="utf-8") as handle:
-        json.dump(row, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_json(ARTIFACT, row)
     print()
     print(
         f"fault overhead: baseline {row['baseline_median_seconds']*1e3:.1f}ms, "

@@ -15,28 +15,17 @@ under two FaultPlan scenarios:
 Both systems run the same 40-node, 18-round workload with a drain long
 enough for the lazy digest cadence to converge.  The headline assertion:
 lazy-push beats plain push on mean reliability-per-byte under the loss
-scenario.  Writes ``BENCH_lazy_recovery.json`` (override with
-``REPRO_BENCH_LAZY_JSON``).
-
-Environment knobs:
-
-* ``REPRO_BENCH_LAZY_SEEDS`` — comma-separated seeds (default ``7,11,23,42``).
-* ``REPRO_BENCH_LAZY_NODES`` — population size (default 40).
-* ``REPRO_BENCH_LAZY_JSON``  — artifact path.
+scenario.  Writes ``BENCH_lazy_recovery.json``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-
 from repro.experiments import ExperimentConfig, run_experiment
+from repro.jsonio import write_json
 
-ARTIFACT = os.environ.get("REPRO_BENCH_LAZY_JSON", "BENCH_lazy_recovery.json")
-SEEDS = tuple(
-    int(seed) for seed in os.environ.get("REPRO_BENCH_LAZY_SEEDS", "7,11,23,42").split(",")
-)
-NODES = int(os.environ.get("REPRO_BENCH_LAZY_NODES", "40"))
+ARTIFACT = "BENCH_lazy_recovery.json"
+SEEDS = (7, 11, 23, 42)
+NODES = 40
 
 #: FaultPlan entries per scenario (the encoding ``--fault plan.json`` uses).
 SCENARIO_FAULTS = {
@@ -129,9 +118,7 @@ def measure() -> dict:
 def test_lazy_recovery_reliability_per_byte(benchmark):
     artifact = benchmark.pedantic(measure, rounds=1, iterations=1)
     benchmark.extra_info["rows"] = artifact["rows"]
-    with open(ARTIFACT, "w", encoding="utf-8") as handle:
-        json.dump(artifact, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_json(ARTIFACT, artifact)
     print()
     for scenario, entry in artifact["summary"].items():
         print(

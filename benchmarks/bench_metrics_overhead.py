@@ -1,85 +1,33 @@
-"""Metrics hot-path overhead: legacy list-backed metrics vs telemetry.
+"""Metrics hot-path overhead of the streaming telemetry histogram.
 
-Seeds the perf trajectory for the telemetry redesign with an
-apples-to-apples accounting of the two histogram designs:
+``repro.telemetry``'s :class:`Histogram` writes each observation into a
+bounded preallocated buffer and amortises a sort-and-bucket fold every
+``fold_threshold`` records, so memory is O(buckets) and ``summary()`` is
+O(buckets) no matter how many records were observed.
 
-* **legacy** (pre-telemetry ``sim.metrics``): ``observe`` appends every
-  sample to a list — the cheapest possible record — but the design hoards
-  O(n) memory and defers its real work to ``summary()``, which sorts the
-  full list (O(n log n)) *every time it is called*;
-* **streaming** (``repro.telemetry``): ``observe`` writes into a bounded
-  preallocated buffer and amortises a sort-and-bucket fold every
-  ``fold_threshold`` records, so memory is O(buckets) and ``summary()`` is
-  O(buckets) no matter how many records were observed.
+The headline metric is **ns per record all-in** — record N samples and
+produce one summary, divided by N — because a histogram nobody summarises
+is dead weight.  The raw ``observe``-only figure, the pre-bound instrument
+path through the :class:`Telemetry` facade and a counter increment are
+reported alongside, so the hot-path cost is visible in isolation.
 
-The headline metric is therefore **ns per record all-in** — record N
-samples and produce one summary, divided by N — because a histogram nobody
-summarises is dead weight, and any periodic consumer (the snapshot
-scheduler, a live report loop) pays the legacy sort repeatedly.  The raw
-``observe``-only figures are reported alongside so the hot-path cost is
-visible in isolation, as are the old facade path (``MetricsRegistry``
-keyed by ``(name, node)``) vs the new pre-bound instrument path.
-
-Writes ``BENCH_metrics_overhead.json`` (override with
-``REPRO_BENCH_METRICS_JSON``) and asserts the acceptance criteria:
-streaming ``observe`` is O(1) memory, and per record (all-in) it is no
-slower than the list-append baseline.
+Writes ``BENCH_metrics_overhead.json`` and asserts the acceptance criteria:
+``observe`` is O(1) memory, and the bucket-interpolated quantiles stay close
+to the exact ones of the fed stream.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import os
 import time
 from typing import Callable, Dict, List
 
+import pytest
+
+from repro.jsonio import write_json
 from repro.telemetry import Histogram, Telemetry, percentile
 
-ARTIFACT = os.environ.get("REPRO_BENCH_METRICS_JSON", "BENCH_metrics_overhead.json")
-RECORDS = int(os.environ.get("REPRO_BENCH_METRICS_RECORDS", "1000000"))
-
-
-class LegacyHistogram:
-    """The pre-telemetry histogram: unbounded sample list, sort-on-summary."""
-
-    __slots__ = ("samples",)
-
-    def __init__(self) -> None:
-        self.samples: List[float] = []
-
-    def observe(self, value: float) -> None:
-        self.samples.append(float(value))
-
-    def summary(self) -> Dict[str, float]:
-        ordered = sorted(self.samples)
-        count = len(ordered)
-        mean = sum(ordered) / count
-        variance = sum((sample - mean) ** 2 for sample in ordered) / count
-        return {
-            "count": count,
-            "mean": mean,
-            "stddev": math.sqrt(variance),
-            "p50": percentile(ordered, 0.50),
-            "p95": percentile(ordered, 0.95),
-            "p99": percentile(ordered, 0.99),
-        }
-
-
-class LegacyRegistry:
-    """The pre-telemetry facade hot path: a dict keyed by ``(name, node)``."""
-
-    def __init__(self) -> None:
-        self._histograms: Dict[tuple, LegacyHistogram] = {}
-        self._counters: Dict[tuple, List[float]] = {}
-
-    def observe(self, name: str, value: float, node: str = "") -> None:
-        key = (name, node)
-        metric = self._histograms.get(key)
-        if metric is None:
-            metric = LegacyHistogram()
-            self._histograms[key] = metric
-        metric.observe(value)
+ARTIFACT = "BENCH_metrics_overhead.json"
+RECORDS = 1_000_000
 
 
 def _values(count: int) -> List[float]:
@@ -102,67 +50,36 @@ def _time_per_record(record: Callable[[float], None], values: List[float], total
 def run_benchmark() -> Dict[str, object]:
     values = _values(10_000)
 
-    # -- raw observe hot paths ------------------------------------------------
-    legacy_hist = LegacyHistogram()
-    legacy_append_ns = _time_per_record(legacy_hist.observe, values, RECORDS)
-
-    streaming_hist = Histogram()
-    streaming_observe_ns = _time_per_record(streaming_hist.observe, values, RECORDS)
-
-    legacy_registry = LegacyRegistry()
-    legacy_facade_ns = _time_per_record(
-        lambda value: legacy_registry.observe("latency", value, "node-001"), values, RECORDS
-    )
+    histogram = Histogram()
+    observe_ns = _time_per_record(histogram.observe, values, RECORDS)
 
     telemetry = Telemetry()
     bound_instrument = telemetry.histogram("latency", node="node-001")
-    new_instrument_ns = _time_per_record(bound_instrument.observe, values, RECORDS)
+    prebound_ns = _time_per_record(bound_instrument.observe, values, RECORDS)
 
     counter = telemetry.counter("events", node="node-001")
     counter_increment_ns = _time_per_record(lambda _v: counter.increment(), values, RECORDS)
 
-    # -- all-in cost: record everything, then produce one summary -------------
+    # All-in cost: record everything, then produce one summary.
     started = time.perf_counter()
-    legacy_summary = legacy_hist.summary()
-    legacy_summary_seconds = time.perf_counter() - started
-    legacy_all_in_ns = legacy_append_ns + legacy_summary_seconds / RECORDS * 1e9
+    summary = histogram.summary()
+    summary_seconds = time.perf_counter() - started
 
-    started = time.perf_counter()
-    streaming_summary = streaming_hist.summary()
-    streaming_summary_seconds = time.perf_counter() - started
-    streaming_all_in_ns = streaming_observe_ns + streaming_summary_seconds / RECORDS * 1e9
-
-    # -- memory bound ----------------------------------------------------------
-    legacy_retained = len(legacy_hist.samples)
-    streaming_retained = streaming_hist.pending_count + streaming_hist.bucket_count
+    # The exact quantiles of the stream that was fed (whole blocks of ``values``).
+    exact = sorted(values * (RECORDS // len(values)))
 
     return {
-        "schema": "bench-metrics-overhead/v1",
+        "schema": "bench-metrics-overhead/v2",
         "records": RECORDS,
-        "histogram_observe_ns": {
-            "legacy_list_append": legacy_append_ns,
-            "streaming": streaming_observe_ns,
-        },
-        "histogram_per_record_all_in_ns": {
-            "legacy_list_append": legacy_all_in_ns,
-            "streaming": streaming_all_in_ns,
-        },
-        "summary_seconds": {
-            "legacy_sort_everything": legacy_summary_seconds,
-            "streaming_bounded": streaming_summary_seconds,
-        },
-        "facade_observe_ns": {
-            "legacy_registry_by_name_node": legacy_facade_ns,
-            "telemetry_prebound_instrument": new_instrument_ns,
-        },
+        "histogram_observe_ns": observe_ns,
+        "histogram_per_record_all_in_ns": observe_ns + summary_seconds / RECORDS * 1e9,
+        "summary_seconds": summary_seconds,
+        "prebound_instrument_observe_ns": prebound_ns,
         "counter_increment_ns": counter_increment_ns,
-        "retained_objects": {
-            "legacy_samples": legacy_retained,
-            "streaming_buffer_plus_buckets": streaming_retained,
-        },
+        "retained_buffer_plus_buckets": histogram.pending_count + histogram.bucket_count,
         "quantile_agreement": {
-            "p50": {"legacy": legacy_summary["p50"], "streaming": streaming_summary.p50},
-            "p99": {"legacy": legacy_summary["p99"], "streaming": streaming_summary.p99},
+            "p50": {"exact": percentile(exact, 0.50), "streaming": summary.p50},
+            "p99": {"exact": percentile(exact, 0.99), "streaming": summary.p99},
         },
     }
 
@@ -170,43 +87,21 @@ def run_benchmark() -> Dict[str, object]:
 def test_metrics_overhead(benchmark):
     row = benchmark.pedantic(run_benchmark, rounds=1, iterations=1)
     benchmark.extra_info["rows"] = [row]
-    with open(ARTIFACT, "w", encoding="utf-8") as handle:
-        json.dump(row, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_json(ARTIFACT, row)
 
-    observe = row["histogram_observe_ns"]
-    all_in = row["histogram_per_record_all_in_ns"]
-    facade = row["facade_observe_ns"]
-    retained = row["retained_objects"]
     print()
     print(
-        f"histogram observe: legacy {observe['legacy_list_append']:.0f} ns/record, "
-        f"streaming {observe['streaming']:.0f} ns/record | "
-        f"all-in (record + summary): legacy {all_in['legacy_list_append']:.0f}, "
-        f"streaming {all_in['streaming']:.0f} | "
-        f"retained: legacy {retained['legacy_samples']} samples, "
-        f"streaming {retained['streaming_buffer_plus_buckets']} buffer+buckets "
-        f"-> {ARTIFACT}"
+        f"histogram observe: {row['histogram_observe_ns']:.0f} ns/record | "
+        f"all-in (record + summary): {row['histogram_per_record_all_in_ns']:.0f} | "
+        f"pre-bound instrument: {row['prebound_instrument_observe_ns']:.0f} | "
+        f"retained: {row['retained_buffer_plus_buckets']} buffer+buckets "
+        f"after {RECORDS} records -> {ARTIFACT}"
     )
 
-    # O(1) memory: the streaming histogram retains a bounded buffer plus
-    # bounded buckets after RECORDS observations; the legacy one keeps all.
-    assert retained["legacy_samples"] == RECORDS
-    assert retained["streaming_buffer_plus_buckets"] < 8192
-
-    # Per record all-in, streaming must not lose to the list-append baseline
-    # (the baseline's deferred sort is part of its per-record price).
-    assert all_in["streaming"] <= all_in["legacy_list_append"]
-
-    # The migrated facade hot path (pre-bound instrument) must beat the old
-    # (name, node)-keyed registry lookup it replaces.
-    assert facade["telemetry_prebound_instrument"] <= facade["legacy_registry_by_name_node"]
-
-    # The raw streaming observe stays within a small constant factor of a
-    # bare list append (it does strictly more work per record yet must not
-    # regress the hot path meaningfully).
-    assert observe["streaming"] <= observe["legacy_list_append"] * 2.5
+    # O(1) memory: a bounded buffer plus bounded buckets after RECORDS
+    # observations.
+    assert row["retained_buffer_plus_buckets"] < 8192
 
     # Bounded quantiles stay close to the exact ones on latency-shaped data.
-    p99 = row["quantile_agreement"]["p99"]
-    assert p99["streaming"] == __import__("pytest").approx(p99["legacy"], rel=0.15)
+    for quantile in row["quantile_agreement"].values():
+        assert quantile["streaming"] == pytest.approx(quantile["exact"], rel=0.15)

@@ -22,24 +22,23 @@ The contract being priced:
   measured physics (the full result artifact) must be byte-identical to the
   untraced run's.
 
-Writes ``BENCH_trace_overhead.json`` (override with
-``REPRO_BENCH_TRACE_JSON``) and asserts both properties.
+Writes ``BENCH_trace_overhead.json`` and asserts both properties.
 """
 
 from __future__ import annotations
 
 import gc
-import json
-import os
 import time
 from typing import Dict, Optional
 
 from repro.experiments import run_experiment
 from repro.experiments.scenarios import get_scenario
-from repro.tracing import MemoryTraceSink, Tracer
+from repro.jsonio import MemorySink, write_json
+from repro.tracing import Tracer
 
-ARTIFACT = os.environ.get("REPRO_BENCH_TRACE_JSON", "BENCH_trace_overhead.json")
-ROUNDS = int(os.environ.get("REPRO_BENCH_TRACE_ROUNDS", "7"))
+ARTIFACT = "BENCH_trace_overhead.json"
+#: Interleaved measurement rounds (one run per arm per round).
+ROUNDS = 7
 #: Population of the timed run: large enough that one run is over a second.
 NODES = 768
 
@@ -52,7 +51,7 @@ RATE0_BOUND = 0.01
 def _run_once(rate: Optional[float]) -> Dict[str, object]:
     """One timed run; seconds, physics, spans."""
     config = get_scenario("smoke-lazy").config.with_overrides(nodes=NODES)
-    tracer = None if rate is None else Tracer(MemoryTraceSink(), sample_rate=rate)
+    tracer = None if rate is None else Tracer(MemorySink(), sample_rate=rate)
     # Collector pauses land on whichever variant happens to trip the
     # threshold and dwarf the sub-1% effect being measured, so each sample
     # starts from a collected heap and runs with the collector off.
@@ -114,9 +113,7 @@ def run_benchmark() -> Dict[str, object]:
 def test_trace_overhead(benchmark):
     row = benchmark.pedantic(run_benchmark, rounds=1, iterations=1)
     benchmark.extra_info["rows"] = [row]
-    with open(ARTIFACT, "w", encoding="utf-8") as handle:
-        json.dump(row, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_json(ARTIFACT, row)
 
     overhead = row["overhead_vs_untraced"]
     spans = row["spans_emitted"]

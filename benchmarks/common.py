@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark file regenerates one experiment from the DESIGN.md index
-(one per paper figure or §5 challenge).  The pattern is always the same:
+Every benchmark file regenerates one experiment from the figure map in
+``benchmarks/README.md`` (one per paper figure or §5 challenge).  The pattern is always the same:
 build the experiment configs, run them once inside ``benchmark.pedantic``
 (the simulation itself is the thing being timed; statistical repetition is
 pointless because the runs are deterministic), print the table the paper
@@ -22,7 +22,7 @@ multiprocess fan-out and result caching from two environment variables:
 Benchmarks use smaller populations than a paper deployment would (hundreds
 of nodes, not tens of thousands) so the whole suite finishes in minutes;
 the *shape* of the comparisons is what is being reproduced, as explained in
-EXPERIMENTS.md.
+``benchmarks/README.md``.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..core.accounting import WorkLedger
 from ..core.fairness import FairnessReport, evaluate_fairness
 from ..core.policy import EXPRESSIVE_POLICY, FairnessPolicy
+from ..jsonio import decode, encode
 from .tables import Table, format_table
 
 __all__ = [
@@ -41,30 +42,12 @@ class NodeFairnessRow:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable form; inverse of :meth:`from_dict`."""
-        return {
-            "node_id": self.node_id,
-            "contribution": self.contribution,
-            "benefit": self.benefit,
-            "ratio": self.ratio,
-            "filters": self.filters,
-            "delivered": self.delivered,
-            "forwarded_messages": self.forwarded_messages,
-            "crashes": self.crashes,
-        }
+        return encode(self)
 
     @staticmethod
     def from_dict(payload: Mapping[str, object]) -> "NodeFairnessRow":
         """Rebuild a row from :meth:`to_dict` output."""
-        return NodeFairnessRow(
-            node_id=payload["node_id"],
-            contribution=payload["contribution"],
-            benefit=payload["benefit"],
-            ratio=payload["ratio"],
-            filters=int(payload["filters"]),
-            delivered=int(payload["delivered"]),
-            forwarded_messages=int(payload["forwarded_messages"]),
-            crashes=int(payload["crashes"]),
-        )
+        return decode(NodeFairnessRow, payload, ValueError, "fairness row")
 
 
 @dataclass(frozen=True)
@@ -86,22 +69,12 @@ class SystemFairnessSummary:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable form; inverse of :meth:`from_dict`."""
-        return {
-            "system_name": self.system_name,
-            "policy_name": self.policy_name,
-            "report": self.report.to_dict(),
-            "per_node": [row.to_dict() for row in self.per_node],
-        }
+        return encode(self)
 
     @staticmethod
     def from_dict(payload: Mapping[str, object]) -> "SystemFairnessSummary":
         """Rebuild a summary from :meth:`to_dict` output."""
-        return SystemFairnessSummary(
-            system_name=payload["system_name"],
-            policy_name=payload["policy_name"],
-            report=FairnessReport.from_dict(payload["report"]),
-            per_node=[NodeFairnessRow.from_dict(row) for row in payload.get("per_node", [])],
-        )
+        return decode(SystemFairnessSummary, payload, ValueError, "fairness summary")
 
     def render(self, max_rows: int = 10) -> str:
         """Printable summary: aggregate indices plus the heaviest contributors."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
+from ..jsonio import decode, encode
 from ..pubsub.events import Event
 from ..pubsub.interfaces import DeliveryLog
 from ..pubsub.subscriptions import SubscriptionTable
@@ -48,20 +49,12 @@ class EventReliability:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable form; inverse of :meth:`from_dict`."""
-        return {
-            "event_id": self.event_id,
-            "interested": self.interested,
-            "delivered": self.delivered,
-        }
+        return encode(self)
 
     @staticmethod
     def from_dict(payload: Mapping[str, object]) -> "EventReliability":
         """Rebuild a per-event record from :meth:`to_dict` output."""
-        return EventReliability(
-            event_id=payload["event_id"],
-            interested=int(payload["interested"]),
-            delivered=int(payload["delivered"]),
-        )
+        return decode(EventReliability, payload, ValueError, "event reliability")
 
 
 @dataclass(frozen=True)
@@ -91,30 +84,12 @@ class ReliabilityReport:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable form; inverse of :meth:`from_dict`."""
-        return {
-            "events": [entry.to_dict() for entry in self.events],
-            "delivery_ratio": self.delivery_ratio,
-            "complete_fraction": self.complete_fraction,
-            "mean_latency": self.mean_latency,
-            "p95_latency": self.p95_latency,
-            "max_latency": self.max_latency,
-            "mean_rounds": self.mean_rounds,
-            "p95_rounds": self.p95_rounds,
-        }
+        return encode(self)
 
     @staticmethod
     def from_dict(payload: Mapping[str, object]) -> "ReliabilityReport":
         """Rebuild a report from :meth:`to_dict` output."""
-        return ReliabilityReport(
-            events=[EventReliability.from_dict(entry) for entry in payload.get("events", [])],
-            delivery_ratio=payload["delivery_ratio"],
-            complete_fraction=payload["complete_fraction"],
-            mean_latency=payload["mean_latency"],
-            p95_latency=payload["p95_latency"],
-            max_latency=payload["max_latency"],
-            mean_rounds=payload["mean_rounds"],
-            p95_rounds=payload["p95_rounds"],
-        )
+        return decode(ReliabilityReport, payload, ValueError, "reliability report")
 
 
 def measure_reliability(

@@ -3,8 +3,7 @@
 The benchmarks print the same kind of rows the paper's figures would carry
 (per-protocol fairness indices, per-parameter reliability curves).  No
 plotting library is assumed; tables render as aligned monospace text which
-`pytest -s` and the example scripts write to stdout and EXPERIMENTS.md
-quotes verbatim.
+`pytest -s` and the example scripts write to stdout.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ from ..experiments.runner import ExperimentResult
 from ..experiments.scenarios import get_scenario
 from ..experiments.sweeps import compare_configs, grid_configs
 from ..registry import PATH_TO_FLAT, RegistryError, resolve_spec_path
-from ..registry.base import suggest
+from ..jsonio import encode, suggest, write_json, write_text
 from .graph import CampaignGraph, compile_graph
 from .manifest import RunManifest, PointRecord, ServiceRecord, TargetRecord
 from .spec import CampaignError, CampaignSpec, Connector, ServiceSpec, TargetSpec
@@ -351,10 +351,9 @@ class CampaignExecutor:
                 )
 
         if self.cache is not None:
-            manifest.cache_stats = self.cache.stats.as_dict()
+            manifest.cache_stats = encode(self.cache.stats)
         manifest.wall_seconds = time.perf_counter() - started
         if not dry_run:
-            os.makedirs(self.out_dir, exist_ok=True)
             manifest.write(os.path.join(self.out_dir, "manifest.json"))
         return manifest
 
@@ -422,31 +421,24 @@ class CampaignExecutor:
         states: Dict[str, str],
         results: Dict[str, List[ExperimentResult]],
     ) -> TargetRecord:
-        import json
-
         from ..experiments.cache import ARTIFACT_SCHEMA
         from ..experiments.sweeps import results_table
         from ..telemetry.report import render_results
 
         collected = self._collect(target.inputs, states, results)
-        os.makedirs(self.out_dir, exist_ok=True)
         json_name = f"{target.name}.json"
         text_name = f"{target.name}.txt"
         artifact = {
             "schema": ARTIFACT_SCHEMA,
             "results": [result.to_dict() for result in collected],
         }
-        with open(os.path.join(self.out_dir, json_name), "w", encoding="utf-8") as handle:
-            json.dump(artifact, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        write_json(os.path.join(self.out_dir, json_name), artifact)
         title = target.title or f"{self.spec.name} — {target.name}"
         if target.kind == "report":
             text = render_results(collected)
         else:
             text = results_table(collected, title=title).render()
-        with open(os.path.join(self.out_dir, text_name), "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.write("\n")
+        write_text(os.path.join(self.out_dir, text_name), text + "\n")
         return TargetRecord(
             name=target.name,
             status=DONE,

@@ -19,6 +19,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from ..jsonio import write_json
+
 __all__ = ["MANIFEST_SCHEMA", "PointRecord", "ServiceRecord", "TargetRecord", "RunManifest"]
 
 #: Schema tag of the manifest layout; ``repro report`` sniffs on it.
@@ -156,9 +158,7 @@ class RunManifest:
         return payload
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        write_json(path, self.to_dict())
 
     def describe(self) -> str:
         """The one-line summary the CLI prints after a run."""

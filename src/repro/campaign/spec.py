@@ -29,12 +29,11 @@ component registries.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple, Union
 
 from ..registry import STRUCTURED_PATHS, RegistryError, StackSpec, resolve_spec_path
-from ..registry.base import suggest
+from ..jsonio import load_json, reject_unknown, suggest
 
 __all__ = [
     "CAMPAIGN_SCHEMA",
@@ -198,13 +197,7 @@ class ServiceSpec:
         if not isinstance(payload, Mapping):
             raise CampaignError(f"{context}: expected an object, got {type(payload).__name__}")
         known = {"scenario", "set", "compare", "sweep", "seeds", "reseed", "after"}
-        unknown = set(payload) - known
-        if unknown:
-            first = sorted(unknown)[0]
-            raise CampaignError(
-                f"{context}: unknown field(s) {sorted(unknown)}"
-                f"{suggest(first, known)}; known fields: {', '.join(sorted(known))}"
-            )
+        reject_unknown(payload, known, CampaignError, context)
         if "scenario" not in payload or not isinstance(payload["scenario"], str):
             raise CampaignError(f"{context}: needs a 'scenario' name (see list-scenarios)")
         overrides = payload.get("set", {})
@@ -261,14 +254,7 @@ class TargetSpec:
         context = f"target {name!r}"
         if not isinstance(payload, Mapping):
             raise CampaignError(f"{context}: expected an object, got {type(payload).__name__}")
-        known = {"inputs", "kind", "title"}
-        unknown = set(payload) - known
-        if unknown:
-            first = sorted(unknown)[0]
-            raise CampaignError(
-                f"{context}: unknown field(s) {sorted(unknown)}"
-                f"{suggest(first, known)}; known fields: {', '.join(sorted(known))}"
-            )
+        reject_unknown(payload, {"inputs", "kind", "title"}, CampaignError, context)
         if "inputs" not in payload:
             raise CampaignError(f"{context}: needs 'inputs' naming its service(s)")
         kind = payload.get("kind", "table")
@@ -426,13 +412,7 @@ class CampaignSpec:
                 f"unsupported campaign schema {schema!r}; expected {CAMPAIGN_SCHEMA!r}"
             )
         known = {"schema", "name", "description", "services", "targets"}
-        unknown = set(payload) - known
-        if unknown:
-            first = sorted(unknown)[0]
-            raise CampaignError(
-                f"campaign spec: unknown field(s) {sorted(unknown)}"
-                f"{suggest(first, known)}; known fields: {', '.join(sorted(known))}"
-            )
+        reject_unknown(payload, known, CampaignError, "campaign spec")
         services_raw = payload.get("services", {})
         targets_raw = payload.get("targets", {})
         if not isinstance(services_raw, Mapping) or not isinstance(targets_raw, Mapping):
@@ -453,11 +433,5 @@ class CampaignSpec:
     @staticmethod
     def from_file(path: str) -> "CampaignSpec":
         """Load, parse, and validate a campaign spec from a JSON file."""
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except OSError as error:
-            raise CampaignError(f"cannot read campaign spec {path!r}: {error}") from None
-        except ValueError as error:
-            raise CampaignError(f"campaign spec {path!r} is not valid JSON: {error}") from None
+        payload = load_json(path, CAMPAIGN_SCHEMA, CampaignError, "campaign spec")
         return CampaignSpec.from_dict(payload).validate()

@@ -38,10 +38,18 @@ from typing import Optional, Sequence
 
 from .experiments.scenarios import get_scenario
 from .faults import FaultPlan, FaultPlanError
+from .jsonio import write_json
 from .registry import RegistryError, StackSpec, parse_spec_overrides
 from .topology import TopologyError, TopologySpec, compile_domain_map
 
-__all__ = ["main", "build_parser", "add_stack_options", "resolve_spec", "parse_tracer"]
+__all__ = [
+    "main",
+    "build_parser",
+    "add_stack_options",
+    "resolve_spec",
+    "parse_tracer",
+    "write_artifact",
+]
 
 #: Explicit flag → dotted spec path.  The flags default to ``None`` so
 #: "explicitly set" (overrides the scenario) differs from "absent" (the
@@ -195,13 +203,24 @@ def parse_tracer(args: argparse.Namespace):
         if args.trace_sample_rate is not None:
             raise SystemExit("--trace-sample-rate has no effect without --trace")
         return None
-    from .tracing import JsonlTraceSink, Tracer
+    from .jsonio import JsonlSink
+    from .tracing import Tracer
 
     rate = args.trace_sample_rate
     try:
-        return Tracer(JsonlTraceSink(args.trace), sample_rate=1.0 if rate is None else rate)
+        sink = JsonlSink(args.trace)
+        sink.open()  # an unwritable path fails here, not at the first span
+        return Tracer(sink, sample_rate=1.0 if rate is None else rate)
     except (ValueError, OSError) as error:
         raise SystemExit(str(error))
+
+
+def write_artifact(path: str, artifact) -> None:
+    """Write a ``--json`` artifact; a target that cannot be written is a CLI error."""
+    try:
+        write_json(path, artifact)
+    except OSError as error:
+        raise SystemExit(f"cannot write --json artifact {path!r}: {error}")
 
 
 def build_parser() -> argparse.ArgumentParser:

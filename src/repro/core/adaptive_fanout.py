@@ -25,11 +25,11 @@ after an interest change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ..telemetry import Telemetry
-from .estimators import BenefitEstimator, Ewma
+from .estimators import BenefitEstimator, ContributionLever
 
 __all__ = ["AdaptiveFanoutController", "FanoutSchedule"]
 
@@ -53,7 +53,7 @@ class FanoutSchedule:
         return int(min(self.max_fanout, max(self.min_fanout, round(value))))
 
 
-class AdaptiveFanoutController:
+class AdaptiveFanoutController(ContributionLever):
     """Per-node fanout controller driven by a :class:`BenefitEstimator`.
 
     Parameters
@@ -68,6 +68,8 @@ class AdaptiveFanoutController:
         noise.
     """
 
+    gauge_name = "controller.fanout"
+
     def __init__(
         self,
         schedule: Optional[FanoutSchedule] = None,
@@ -77,18 +79,9 @@ class AdaptiveFanoutController:
         telemetry_tags: Optional[dict] = None,
     ) -> None:
         self.schedule = schedule if schedule is not None else FanoutSchedule()
-        self.estimator = estimator if estimator is not None else BenefitEstimator()
-        self._smoothed = Ewma(alpha=smoothing)
-        self._current = self.schedule.base_fanout
-        self.history: List[int] = []
-        #: Telemetry gauge mirroring the live recommendation, so snapshots
-        #: expose each node's current fanout mid-run.
-        telemetry = telemetry if telemetry is not None else Telemetry()
-        self._gauge = telemetry.gauge("controller.fanout", **(telemetry_tags or {}))
-        # Publish the neutral operating point immediately so snapshots
-        # taken before the first adaptation (or in ablations that never
-        # adapt this lever) show the effective value, not 0.
-        self._gauge.set(self._current)
+        super().__init__(
+            self.schedule.base_fanout, estimator, smoothing, telemetry, telemetry_tags
+        )
 
     # ----------------------------------------------------------- observing
 
@@ -96,10 +89,6 @@ class AdaptiveFanoutController:
         """Record the deliveries of the round that just ended and re-plan."""
         self.estimator.observe_own_round(own_deliveries)
         self._recompute()
-
-    def observe_peer_rate(self, rate: float) -> None:
-        """Record a peer's advertised benefit rate."""
-        self.estimator.observe_peer_rate(rate)
 
     def _recompute(self) -> None:
         raw = self.schedule.base_fanout * self.estimator.relative_benefit()
@@ -114,20 +103,3 @@ class AdaptiveFanoutController:
     def current_fanout(self) -> int:
         """The fanout to use in the next round."""
         return self._current
-
-    def rounds_to_converge(self, target: Optional[int] = None, stable_rounds: int = 5) -> Optional[int]:
-        """Number of rounds until the recommendation stabilised.
-
-        Convergence means ``stable_rounds`` consecutive identical
-        recommendations (optionally equal to ``target``).  Returns ``None``
-        if the controller never stabilised within the recorded history —
-        callers treat that as "did not converge".
-        """
-        if stable_rounds <= 0:
-            raise ValueError("stable_rounds must be positive")
-        history = self.history
-        for index in range(len(history) - stable_rounds + 1):
-            window = history[index : index + stable_rounds]
-            if len(set(window)) == 1 and (target is None or window[0] == target):
-                return index + 1
-        return None

@@ -21,10 +21,10 @@ cliff when the floor is set too low.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..telemetry import Telemetry
-from .estimators import BenefitEstimator, Ewma
+from .estimators import BenefitEstimator, ContributionLever
 
 __all__ = ["AdaptivePayloadController", "PayloadSchedule"]
 
@@ -48,7 +48,7 @@ class PayloadSchedule:
         return int(min(self.max_payload, max(self.min_payload, round(value))))
 
 
-class AdaptivePayloadController:
+class AdaptivePayloadController(ContributionLever):
     """Per-node gossip payload-size controller.
 
     Parameters
@@ -66,6 +66,8 @@ class AdaptivePayloadController:
         drain events they are momentarily responsible for.
     """
 
+    gauge_name = "controller.payload"
+
     def __init__(
         self,
         schedule: Optional[PayloadSchedule] = None,
@@ -78,19 +80,10 @@ class AdaptivePayloadController:
         if not 0.0 <= backlog_fraction <= 1.0:
             raise ValueError("backlog_fraction must be within [0, 1]")
         self.schedule = schedule if schedule is not None else PayloadSchedule()
-        self.estimator = estimator if estimator is not None else BenefitEstimator()
-        self._smoothed = Ewma(alpha=smoothing)
-        self._current = self.schedule.base_payload
+        super().__init__(
+            self.schedule.base_payload, estimator, smoothing, telemetry, telemetry_tags
+        )
         self.backlog_fraction = backlog_fraction
-        self.history: List[int] = []
-        #: Telemetry gauge mirroring the live recommendation, so snapshots
-        #: expose each node's current payload size mid-run.
-        telemetry = telemetry if telemetry is not None else Telemetry()
-        self._gauge = telemetry.gauge("controller.payload", **(telemetry_tags or {}))
-        # Publish the neutral operating point immediately so snapshots
-        # taken before the first adaptation (or in ablations that never
-        # adapt this lever) show the effective value, not 0.
-        self._gauge.set(self._current)
 
     # ----------------------------------------------------------- observing
 
@@ -98,10 +91,6 @@ class AdaptivePayloadController:
         """Record the finished round (deliveries and current buffer backlog)."""
         self.estimator.observe_own_round(own_deliveries)
         self._recompute(backlog)
-
-    def observe_peer_rate(self, rate: float) -> None:
-        """Record a peer's advertised benefit rate."""
-        self.estimator.observe_peer_rate(rate)
 
     def _recompute(self, backlog: int) -> None:
         raw = self.schedule.base_payload * self.estimator.relative_benefit()
@@ -119,14 +108,3 @@ class AdaptivePayloadController:
     def current_payload(self) -> int:
         """Events per gossip message to use in the next round."""
         return self._current
-
-    def rounds_to_converge(self, target: Optional[int] = None, stable_rounds: int = 5) -> Optional[int]:
-        """Rounds until ``stable_rounds`` consecutive identical recommendations."""
-        if stable_rounds <= 0:
-            raise ValueError("stable_rounds must be positive")
-        history = self.history
-        for index in range(len(history) - stable_rounds + 1):
-            window = history[index : index + stable_rounds]
-            if len(set(window)) == 1 and (target is None or window[0] == target):
-                return index + 1
-        return None

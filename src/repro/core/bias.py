@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..gossip.push import PushGossipNode
+from ..telemetry import Telemetry
 from .fairness import gini_coefficient
 
 __all__ = ["ForwardAudit", "BiasFinding", "BiasReport", "BiasDetector", "SelfishGossipNode"]
@@ -159,14 +160,15 @@ class BiasDetector:
         self.concentration_threshold = concentration_threshold
         self.min_messages = min_messages
 
-    def analyse(self, audit: ForwardAudit, telemetry=None) -> BiasReport:
+    def analyse(self, audit: ForwardAudit, telemetry: Optional[Telemetry] = None) -> BiasReport:
         """Run the detector over an audit and return per-node findings.
 
-        With ``telemetry`` the verdicts are also published as node-tagged
-        gauges (``bias.useful_ratio``, ``bias.flagged``) plus the aggregate
-        ``bias.flagged_nodes``, so periodic snapshots show the detector's
-        view evolving during a run.
+        The verdicts are also published to ``telemetry`` (a throwaway store
+        when none is given) as node-tagged gauges (``bias.useful_ratio``,
+        ``bias.flagged``) plus the aggregate ``bias.flagged_nodes``, so
+        periodic snapshots show the detector's view evolving during a run.
         """
+        telemetry = telemetry if telemetry is not None else Telemetry()
         senders = audit.senders()
         ratios = sorted(audit.useful_ratio(sender) for sender in senders)
         median_ratio = ratios[len(ratios) // 2] if ratios else 1.0
@@ -190,15 +192,12 @@ class BiasDetector:
                 reasons=tuple(reasons),
             )
         report = BiasReport(findings=findings, median_useful_ratio=median_ratio)
-        if telemetry is not None:
-            telemetry.set_gauge("bias.median_useful_ratio", median_ratio)
-            telemetry.set_gauge("bias.flagged_nodes", len(report.flagged_nodes()))
-            for sender in senders:
-                finding = findings[sender]
-                telemetry.set_gauge("bias.useful_ratio", finding.useful_ratio, node=sender)
-                telemetry.set_gauge(
-                    "bias.flagged", 1.0 if finding.flagged else 0.0, node=sender
-                )
+        telemetry.set_gauge("bias.median_useful_ratio", median_ratio)
+        telemetry.set_gauge("bias.flagged_nodes", len(report.flagged_nodes()))
+        for sender in senders:
+            finding = findings[sender]
+            telemetry.set_gauge("bias.useful_ratio", finding.useful_ratio, node=sender)
+            telemetry.set_gauge("bias.flagged", 1.0 if finding.flagged else 0.0, node=sender)
         return report
 
 

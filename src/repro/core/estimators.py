@@ -11,6 +11,9 @@ receives anyway.
 Both signals are smoothed with exponentially weighted moving averages so the
 controllers neither oscillate on bursty traffic nor take forever to react to
 an interest change (the convergence question of challenge 1).
+
+:class:`ContributionLever` is what the two controllers driven by these
+signals (fanout and payload size) have in common.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-__all__ = ["Ewma", "BenefitEstimator"]
+from ..telemetry import Telemetry
+
+__all__ = ["Ewma", "BenefitEstimator", "ContributionLever"]
 
 
 @dataclass
@@ -116,3 +121,57 @@ class BenefitEstimator:
             # proportionally more of the work.
             return 1.0 if self.own_rate <= 0.0 else 2.0
         return self.own_rate / population
+
+
+class ContributionLever:
+    """The part of an adaptive controller that does not depend on its lever.
+
+    A controller scales one contribution lever (fanout, payload size) by the
+    node's relative benefit.  Subclasses keep what differs — their schedule
+    and ``_recompute`` — and set :attr:`gauge_name`; this base holds the
+    shared estimator, the smoothing filter, the recommendation history and
+    the telemetry gauge mirroring the live recommendation.
+    """
+
+    #: Telemetry gauge the live recommendation is published under.
+    gauge_name = ""
+
+    def __init__(
+        self,
+        neutral: int,
+        estimator: Optional[BenefitEstimator],
+        smoothing: float,
+        telemetry: Optional[Telemetry],
+        telemetry_tags: Optional[dict],
+    ) -> None:
+        self.estimator = estimator if estimator is not None else BenefitEstimator()
+        self._smoothed = Ewma(alpha=smoothing)
+        self._current = neutral
+        self.history: List[int] = []
+        telemetry = telemetry if telemetry is not None else Telemetry()
+        self._gauge = telemetry.gauge(self.gauge_name, **(telemetry_tags or {}))
+        # Publish the neutral operating point immediately so snapshots
+        # taken before the first adaptation (or in ablations that never
+        # adapt this lever) show the effective value, not 0.
+        self._gauge.set(self._current)
+
+    def observe_peer_rate(self, rate: float) -> None:
+        """Record a peer's advertised benefit rate."""
+        self.estimator.observe_peer_rate(rate)
+
+    def rounds_to_converge(self, target: Optional[int] = None, stable_rounds: int = 5) -> Optional[int]:
+        """Number of rounds until the recommendation stabilised.
+
+        Convergence means ``stable_rounds`` consecutive identical
+        recommendations (optionally equal to ``target``).  Returns ``None``
+        if the controller never stabilised within the recorded history —
+        callers treat that as "did not converge".
+        """
+        if stable_rounds <= 0:
+            raise ValueError("stable_rounds must be positive")
+        history = self.history
+        for index in range(len(history) - stable_rounds + 1):
+            window = history[index : index + stable_rounds]
+            if len(set(window)) == 1 and (target is None or window[0] == target):
+                return index + 1
+        return None

@@ -9,7 +9,7 @@ system.  This module turns that statement into measurable quantities:
   coefficient, the coefficient of variation, and the max/min spread;
 * the same indices over raw contributions, which measure *load balancing*
   (§3.1) rather than fairness, so experiments can show the two notions
-  diverging (experiment S2 in DESIGN.md).
+  diverging (experiment S2, ``benchmarks/bench_s2_load_vs_fairness.py``).
 
 All functions accept plain ``{node_id: value}`` mappings so they are usable
 on ledger outputs, on windowed differences, and on synthetic data in tests.
@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+from ..jsonio import decode, encode
 
 __all__ = [
     "FairnessReport",
@@ -238,50 +240,12 @@ class FairnessReport:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable form; inverse of :meth:`from_dict`."""
-        return {
-            "node_count": self.node_count,
-            "ratios": dict(self.ratios),
-            "smoothed": dict(self.smoothed),
-            "ratio_jain": self.ratio_jain,
-            "ratio_gini": self.ratio_gini,
-            "ratio_cv": self.ratio_cv,
-            "ratio_spread": self.ratio_spread,
-            "ratio_deviation": self.ratio_deviation,
-            "benefiting_ratio_jain": self.benefiting_ratio_jain,
-            "benefiting_ratio_spread": self.benefiting_ratio_spread,
-            "wasted_share": self.wasted_share,
-            "contribution_jain": self.contribution_jain,
-            "contribution_gini": self.contribution_gini,
-            "contribution_cv": self.contribution_cv,
-            "mean_contribution": self.mean_contribution,
-            "mean_benefit": self.mean_benefit,
-            "freeriders": self.freeriders,
-            "exploited": self.exploited,
-        }
+        return encode(self)
 
     @staticmethod
-    def from_dict(payload: Dict[str, object]) -> "FairnessReport":
+    def from_dict(payload: Mapping[str, object]) -> "FairnessReport":
         """Rebuild a report from :meth:`to_dict` output."""
-        return FairnessReport(
-            node_count=int(payload["node_count"]),
-            ratios=dict(payload.get("ratios", {})),
-            smoothed=dict(payload.get("smoothed", {})),
-            ratio_jain=payload["ratio_jain"],
-            ratio_gini=payload["ratio_gini"],
-            ratio_cv=payload["ratio_cv"],
-            ratio_spread=payload["ratio_spread"],
-            ratio_deviation=payload["ratio_deviation"],
-            benefiting_ratio_jain=payload["benefiting_ratio_jain"],
-            benefiting_ratio_spread=payload["benefiting_ratio_spread"],
-            wasted_share=payload["wasted_share"],
-            contribution_jain=payload["contribution_jain"],
-            contribution_gini=payload["contribution_gini"],
-            contribution_cv=payload["contribution_cv"],
-            mean_contribution=payload["mean_contribution"],
-            mean_benefit=payload["mean_benefit"],
-            freeriders=int(payload["freeriders"]),
-            exploited=int(payload["exploited"]),
-        )
+        return decode(FairnessReport, payload, ValueError, "fairness report")
 
 
 def evaluate_fairness(

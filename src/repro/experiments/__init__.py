@@ -27,21 +27,12 @@ from .scenarios import (
     resolve_policy,
     scenario_names,
 )
-from .sweeps import (
-    compare,
-    compare_configs,
-    grid_configs,
-    results_table,
-    sweep,
-    sweep_configs,
-)
+from .sweeps import compare_configs, grid_configs, results_table, sweep_configs
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "run_experiment",
-    "sweep",
-    "compare",
     "results_table",
     "sweep_configs",
     "compare_configs",

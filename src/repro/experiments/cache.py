@@ -31,13 +31,14 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple
 
 from .. import __version__ as _CODE_VERSION
+from ..jsonio import write_json
+from ..telemetry import Telemetry
 from .config import ExperimentConfig
 from .runner import ExperimentResult
 
@@ -83,14 +84,6 @@ class CacheStats:
     corrupt: int = 0
     stores: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "corrupt": self.corrupt,
-            "stores": self.stores,
-        }
-
 
 class ResultCache:
     """Load and store experiment results keyed by config hash.
@@ -98,9 +91,10 @@ class ResultCache:
     The cache is safe against corrupt or stale files: anything that fails to
     parse or fails the schema check reads as a miss and is overwritten by the
     next store.  A *corrupt* entry (the file exists but is truncated or
-    undecodable) is additionally counted in ``stats.corrupt``, logged, and —
-    when a :class:`~repro.telemetry.Telemetry` store is attached via
-    ``telemetry=`` — recorded as a ``cache.corrupt`` counter.  Writes are
+    undecodable) is additionally counted in ``stats.corrupt``, logged, and
+    recorded as a ``cache.corrupt`` counter in the
+    :class:`~repro.telemetry.Telemetry` store (a private one unless the
+    owner attaches its own via ``telemetry=``).  Writes are
     atomic (temp file + rename) so two processes of a parallel sweep racing
     on the same point cannot leave a torn artifact.
 
@@ -114,7 +108,7 @@ class ResultCache:
         resolved = directory or os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
         self.directory = Path(resolved)
         self.stats = CacheStats()
-        self.telemetry = telemetry
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
 
     def path_for(self, config: ExperimentConfig) -> Path:
         """Artifact path a result for ``config`` would be stored at."""
@@ -150,8 +144,7 @@ class ResultCache:
         self.stats.corrupt += 1
         self.stats.misses += 1
         _logger.warning("cache entry %s is corrupt (%s); treating as a miss", path, reason)
-        if self.telemetry is not None:
-            self.telemetry.increment("cache.corrupt")
+        self.telemetry.increment("cache.corrupt")
 
     def load(self, config: ExperimentConfig) -> Optional[ExperimentResult]:
         """Return the cached result for ``config``, or ``None`` on a miss."""
@@ -162,13 +155,7 @@ class ResultCache:
         try:
             result = ExperimentResult.from_dict(payload["result"])
         except (KeyError, TypeError, ValueError, AttributeError) as error:
-            self.stats.corrupt += 1
-            self.stats.misses += 1
-            _logger.warning(
-                "cache entry %s failed to decode (%s); treating as a miss", path, error
-            )
-            if self.telemetry is not None:
-                self.telemetry.increment("cache.corrupt")
+            self._corrupt(path, f"failed to decode: {error}")
             return None
         self.stats.hits += 1
         return result
@@ -217,7 +204,6 @@ class ResultCache:
     def store(self, result: ExperimentResult) -> Path:
         """Persist ``result`` and return the artifact path."""
         path = self.path_for(result.config)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema": ARTIFACT_SCHEMA,
             "config_hash": config_hash(result.config),
@@ -229,20 +215,7 @@ class ResultCache:
             },
         }
         self.stats.stores += 1
-        encoded = json.dumps(payload, sort_keys=True, indent=2)
-        handle = tempfile.NamedTemporaryFile(
-            "w", encoding="utf-8", dir=path.parent, suffix=".tmp", delete=False
-        )
-        try:
-            with handle:
-                handle.write(encoded)
-            os.replace(handle.name, path)
-        except OSError:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        write_json(path, payload)
         return path
 
     def entry_count(self) -> int:

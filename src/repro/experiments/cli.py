@@ -23,13 +23,19 @@ entirely from the cache (reported in the trailing status line).
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from typing import List, Optional
 
 from ..analysis.tables import Table
-from ..cli import add_stack_options, build_parser, main, parse_tracer, resolve_spec
+from ..cli import (
+    add_stack_options,
+    build_parser,
+    main,
+    parse_tracer,
+    resolve_spec,
+    write_artifact,
+)
+from ..jsonio import suggest
 from ..registry import (
     PATH_TO_FLAT,
     STRUCTURED_PATHS,
@@ -39,7 +45,6 @@ from ..registry import (
     resolve_spec_path,
     workload_kind,
 )
-from ..registry.base import suggest
 from .cache import ARTIFACT_SCHEMA, DEFAULT_CACHE_DIR, ResultCache
 from .executor import ParallelSweepExecutor
 from .runner import ExperimentResult, run_experiment
@@ -71,12 +76,7 @@ def _emit_results(
             "schema": ARTIFACT_SCHEMA,
             "results": [result.to_dict() for result in results],
         }
-        parent = os.path.dirname(args.json)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(artifact, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        write_artifact(args.json, artifact)
         print(f"wrote {len(results)} result artifact(s) to {args.json}")
 
 

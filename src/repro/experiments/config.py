@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Mapping, Optional, Tuple
 
-from ..faults.plan import jsonify as _deep_jsonify, tuplify as _deep_tuplify
+from ..jsonio import jsonify as _deep_jsonify, tuplify as _deep_tuplify
 
 __all__ = ["ExperimentConfig"]
 
@@ -163,7 +163,9 @@ class ExperimentConfig:
         ``fault_*`` fields at their defaults are omitted entirely: a
         fault-free config therefore encodes byte-for-byte as it did before
         fault injection existed, which is what keeps historical cache keys
-        (and cached artifacts) valid.
+        (and cached artifacts) valid.  That per-field history is why this
+        codec is written out rather than left to the :mod:`repro.jsonio`
+        walker the other specs use.
         """
         payload: Dict[str, object] = {}
         for config_field in fields(self):

@@ -151,7 +151,7 @@ class ParallelSweepExecutor:
         reseed: bool = False,
         keep_system: bool = False,
     ) -> List[ExperimentResult]:
-        """Parallel, cached equivalent of :func:`repro.experiments.sweeps.sweep`."""
+        """Run ``base`` once per value of ``parameter`` (see :func:`sweep_configs`)."""
         configs = sweep_configs(base, parameter, values, rename=rename, reseed=reseed)
         return self.run_many(configs, keep_system=keep_system)
 
@@ -161,7 +161,7 @@ class ParallelSweepExecutor:
         systems: Sequence[str],
         keep_system: bool = False,
     ) -> List[ExperimentResult]:
-        """Parallel, cached equivalent of :func:`repro.experiments.sweeps.compare`."""
+        """Run the same scenario on several dissemination systems."""
         return self.run_many(compare_configs(base, systems), keep_system=keep_system)
 
     def grid(

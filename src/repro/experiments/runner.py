@@ -30,13 +30,7 @@ from ..core import FairnessPolicy
 from ..core.fairness import evaluate_fairness
 from ..faults import FaultController, FaultPlan
 from ..pubsub.events import Event
-from ..telemetry import (
-    DEFAULT_SNAPSHOT_PERIOD,
-    SnapshotScheduler,
-    Telemetry,
-    TelemetrySnapshot,
-    parse_sink_spec,
-)
+from ..telemetry import SnapshotScheduler, Telemetry, TelemetrySnapshot
 from ..registry import StackSpec, build_workload
 from ..workloads import InterestAssignment, SubscriptionChurnWorkload
 from .config import ExperimentConfig
@@ -83,7 +77,9 @@ class ExperimentResult:
 
         The live ``system`` object is never serialized: a result loaded from
         disk always carries ``system=None``, which is why cache-backed
-        executors recompute runs that need ``keep_system``.
+        executors recompute runs that need ``keep_system``.  Skipping those
+        live extras (and the hand-written event / interest codecs below) is
+        why this is spelled out rather than one ``jsonio.encode``.
         """
         return {
             "config": self.config.to_dict(),
@@ -253,17 +249,9 @@ def run_experiment(
 
     policy = resolve_policy(config)
     collect = _telemetry_collector(simulator, system, policy, telemetry)
-    scheduler: Optional[SnapshotScheduler] = None
-    if snapshot_sinks:
-        sinks = [
-            parse_sink_spec(sink) if isinstance(sink, str) else sink
-            for sink in snapshot_sinks
-        ]
-        period = snapshot_period if snapshot_period is not None else DEFAULT_SNAPSHOT_PERIOD
-        scheduler = SnapshotScheduler(
-            telemetry, sinks, period, simulator, collect=collect
-        )
-        scheduler.start()
+    scheduler = SnapshotScheduler.attach(
+        telemetry, snapshot_sinks, snapshot_period, simulator, collect=collect
+    )
 
     simulator.run(until=config.total_time)
 

@@ -2,20 +2,17 @@
 
 The paper's open questions are mostly of the form "how does X behave as Y
 varies" (reliability vs fanout, fairness vs interest skew, convergence vs
-churn).  This module has two halves:
+churn).  This module is the **grid expansion**: :func:`sweep_configs`,
+:func:`compare_configs`, and :func:`grid_configs` turn a base config plus a
+parameter grid into the list of concrete :class:`ExperimentConfig` points,
+with optional per-point seed derivation (:func:`repro.sim.rng.derive_seed`)
+so grid points are statistically decorrelated yet fully deterministic.
 
-* **grid expansion** — :func:`sweep_configs`, :func:`compare_configs`, and
-  :func:`grid_configs` turn a base config plus a parameter grid into the
-  list of concrete :class:`ExperimentConfig` points, with optional per-point
-  seed derivation (:func:`repro.sim.rng.derive_seed`) so grid points are
-  statistically decorrelated yet fully deterministic;
-* **serial execution** — :func:`sweep` and :func:`compare` run those points
-  in-process, which is what small tests and examples want.
-
-For parallel execution and result caching over the same grids, use
-:class:`repro.experiments.executor.ParallelSweepExecutor`, which consumes
-the expansion helpers unchanged — so parallel runs execute exactly the same
-configs (and therefore produce bit-identical results) as serial ones.
+:class:`repro.experiments.executor.ParallelSweepExecutor` runs those points
+(``workers=1`` serially in-process, which is what small tests and examples
+want; more workers and a result cache for real grids) — every worker count
+executes exactly the same configs and therefore produces bit-identical
+results.
 """
 
 from __future__ import annotations
@@ -25,11 +22,9 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 from ..analysis.tables import Table
 from ..sim.rng import derive_seed
 from .config import ExperimentConfig
-from .runner import ExperimentResult, run_experiment
+from .runner import ExperimentResult
 
 __all__ = [
-    "sweep",
-    "compare",
     "results_table",
     "sweep_configs",
     "compare_configs",
@@ -101,32 +96,6 @@ def grid_configs(
             overrides["seed"] = derive_seed(base.seed, name)
         finished.append(config.with_overrides(**overrides))
     return finished
-
-
-def sweep(
-    base: ExperimentConfig,
-    parameter: str,
-    values: Sequence,
-    rename: Optional[Callable[[object], str]] = None,
-    keep_system: bool = False,
-) -> List[ExperimentResult]:
-    """Run ``base`` once per value of ``parameter``, serially in-process."""
-    return [
-        run_experiment(config, keep_system=keep_system)
-        for config in sweep_configs(base, parameter, values, rename=rename)
-    ]
-
-
-def compare(
-    base: ExperimentConfig,
-    systems: Sequence[str],
-    keep_system: bool = False,
-) -> List[ExperimentResult]:
-    """Run the same scenario on several dissemination systems."""
-    return [
-        run_experiment(config, keep_system=keep_system)
-        for config in compare_configs(base, systems)
-    ]
 
 
 def results_table(results: Sequence[ExperimentResult], title: str = "") -> Table:

@@ -41,7 +41,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+from ..jsonio import ALL_FIELDS, decode, encode, load_json, reject_unknown, suggest
 
 __all__ = [
     "FAULT_KINDS",
@@ -49,8 +51,6 @@ __all__ = [
     "FaultPlanError",
     "FaultSpec",
     "FaultPlan",
-    "jsonify",
-    "tuplify",
 ]
 
 #: Recognised entry kinds, in documentation order.
@@ -86,34 +86,6 @@ PLAN_SCHEMA = "fault-plan/v1"
 
 class FaultPlanError(ValueError):
     """An invalid or unsatisfiable fault plan (registry-style message)."""
-
-
-def _suggest(name: str, candidates: Iterable[str]) -> str:
-    # Lazy import keeps this package importable before repro.registry
-    # finishes initialising (registry.specs imports this module).
-    from ..registry.base import suggest
-
-    return suggest(name, candidates)
-
-
-def tuplify(value):
-    """Deep list→tuple conversion (inverse of :func:`jsonify`).
-
-    The one converter pair shared by every encoding of fault-plan entries:
-    the JSON codec here, the ``faults.plan`` spec section, and the flat
-    config's ``fault_plan`` field — so the three stay exact inverses of one
-    another by construction.
-    """
-    if isinstance(value, (list, tuple)):
-        return tuple(tuplify(entry) for entry in value)
-    return value
-
-
-def jsonify(value):
-    """Deep tuple→list conversion for JSON encoding (see :func:`tuplify`)."""
-    if isinstance(value, (list, tuple)):
-        return [jsonify(entry) for entry in value]
-    return value
 
 
 @dataclass(frozen=True)
@@ -167,82 +139,24 @@ class FaultSpec:
 
     def to_dict(self) -> Dict[str, object]:
         """Compact JSON form: ``kind`` plus every non-default field."""
-        payload: Dict[str, object] = {"kind": self.kind}
-        for spec_field in fields(self):
-            if spec_field.name == "kind":
-                continue
-            value = getattr(self, spec_field.name)
-            if value != spec_field.default:
-                payload[spec_field.name] = jsonify(value)
-        return payload
+        return {"kind": self.kind, **encode(self, sparse=ALL_FIELDS)}
 
     @staticmethod
     def from_dict(payload: Mapping[str, object]) -> "FaultSpec":
-        """Rebuild an entry; unknown fields raise :class:`FaultPlanError`."""
-        if not isinstance(payload, Mapping):
-            raise FaultPlanError(
-                f"fault entry must be a mapping, got {type(payload).__name__}"
-            )
-        known = {spec_field.name for spec_field in fields(FaultSpec)}
-        unknown = [key for key in payload if key not in known]
-        if unknown:
-            raise FaultPlanError(
-                f"unknown fault entry fields {sorted(unknown)}"
-                f"{_suggest(unknown[0], known)}; known fields: {', '.join(sorted(known))}"
-            )
-        defaults = {spec_field.name: spec_field.default for spec_field in fields(FaultSpec)}
-        values = {}
-        for key, value in payload.items():
-            value = tuplify(value)
-            default = defaults[key]
-            # Type-check against the field's default so mistyped JSON (a
-            # quoted number, a bare string where a list belongs) fails here
-            # as a FaultPlanError, not as a raw TypeError downstream.
-            # Integers are canonicalised into float-typed fields so the
-            # same plan always embeds (and hashes) identically.
-            if isinstance(default, float):
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise FaultPlanError(
-                        f"fault entry field {key!r} must be a number, got {value!r}"
-                    )
-                value = float(value)
-            elif isinstance(default, str) and not isinstance(value, str):
-                raise FaultPlanError(
-                    f"fault entry field {key!r} must be a string, got {value!r}"
-                )
-            elif isinstance(default, tuple):
-                if not isinstance(value, tuple):
-                    raise FaultPlanError(
-                        f"fault entry field {key!r} must be a list, got {value!r}"
-                    )
-                if key in ("nodes", "protected", "domains"):
-                    for element in value:
-                        if not isinstance(element, str):
-                            raise FaultPlanError(
-                                f"fault entry field {key!r} must be a list of "
-                                f"node ids, got element {element!r}"
-                            )
-                elif key == "groups":
-                    for element in value:
-                        if not (
-                            isinstance(element, tuple)
-                            and len(element) == 2
-                            and isinstance(element[0], str)
-                            and isinstance(element[1], int)
-                            and not isinstance(element[1], bool)
-                        ):
-                            raise FaultPlanError(
-                                "fault entry field 'groups' must be a list of "
-                                f"[node_id, group] pairs, got element {element!r}"
-                            )
-            values[key] = value
-        return FaultSpec(**values)
+        """Rebuild an entry; unknown or mistyped fields raise :class:`FaultPlanError`.
+
+        Integers are canonicalised into float-typed fields, so the same plan
+        always embeds (and hashes) identically.
+        """
+        return decode(FaultSpec, payload, FaultPlanError, "fault entry")
 
     def to_pairs(self) -> Tuple[Tuple[str, object], ...]:
         """Deterministic tuple-of-pairs encoding (flat-config embedding).
 
         Field order follows the dataclass, so two equal specs always encode
-        identically — the property the result-cache key relies on.
+        identically — the property the result-cache key relies on.  Kept
+        beside the :mod:`repro.jsonio` walker on purpose: the pair tuples
+        are the cache identity, and callers build them by hand.
         """
         pairs: List[Tuple[str, object]] = []
         for spec_field in fields(self):
@@ -254,19 +168,15 @@ class FaultSpec:
     @staticmethod
     def from_pairs(pairs: Sequence) -> "FaultSpec":
         """Inverse of :meth:`to_pairs` (also accepts the JSON list form)."""
-        if isinstance(pairs, (str, Mapping)) or not isinstance(pairs, (list, tuple)):
+        if not isinstance(pairs, (list, tuple)) or not all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2 and isinstance(pair[0], str)
+            for pair in pairs
+        ):
             raise FaultPlanError(
                 "fault plan entry must be a sequence of (field, value) "
                 f"pairs, got {pairs!r}"
             )
-        try:
-            mapping = {key: value for key, value in pairs}
-        except (TypeError, ValueError):
-            raise FaultPlanError(
-                "fault plan entry must be a sequence of (field, value) "
-                f"pairs, got {pairs!r}"
-            )
-        return FaultSpec.from_dict(mapping)
+        return FaultSpec.from_dict(dict(pairs))
 
 
 @dataclass(frozen=True)
@@ -310,13 +220,7 @@ class FaultPlan:
                 raise FaultPlanError(
                     f"unsupported fault plan schema {schema!r}; expected {PLAN_SCHEMA!r}"
                 )
-            unknown = [key for key in payload if key not in ("schema", "faults")]
-            if unknown:
-                raise FaultPlanError(
-                    f"unknown fault plan fields {sorted(unknown)}"
-                    f"{_suggest(unknown[0], ('schema', 'faults'))}; "
-                    "known fields: faults, schema"
-                )
+            reject_unknown(payload, ("schema", "faults"), FaultPlanError, "fault plan")
             entries = payload.get("faults", [])
         else:
             entries = payload
@@ -331,31 +235,13 @@ class FaultPlan:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     @staticmethod
-    def from_json(text: str) -> "FaultPlan":
-        try:
-            payload = json.loads(text)
-        except ValueError as error:
-            raise FaultPlanError(f"fault plan is not valid JSON: {error}")
-        return FaultPlan.from_dict(payload)
-
-    @staticmethod
     def from_file(path: str) -> "FaultPlan":
         """Load a plan from a JSON file (``--fault plan.json``)."""
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as error:
-            raise FaultPlanError(f"cannot read fault plan {path!r}: {error}")
-        return FaultPlan.from_json(text)
+        return FaultPlan.from_dict(load_json(path, PLAN_SCHEMA, FaultPlanError, "fault plan"))
 
     def entry_pairs(self) -> Tuple[Tuple[Tuple[str, object], ...], ...]:
         """The plan as tuple-of-pairs entries (flat-config embedding)."""
         return tuple(entry.to_pairs() for entry in self.entries)
-
-    @staticmethod
-    def from_entry_pairs(pairs_entries: Sequence) -> "FaultPlan":
-        """Inverse of :meth:`entry_pairs`."""
-        return FaultPlan(tuple(FaultSpec.from_pairs(pairs) for pairs in pairs_entries))
 
     # -------------------------------------------------------- flat adapter
 
@@ -454,7 +340,7 @@ class FaultPlan:
             where = f"fault entry #{index} ({entry.kind!r})"
             if entry.kind not in FAULT_KINDS:
                 raise FaultPlanError(
-                    f"{where}: unknown fault kind{_suggest(entry.kind, FAULT_KINDS)}; "
+                    f"{where}: unknown fault kind{suggest(entry.kind, FAULT_KINDS)}; "
                     f"known kinds: {', '.join(FAULT_KINDS)}"
                 )
             read = _KIND_FIELDS[entry.kind]
@@ -566,7 +452,7 @@ class FaultPlan:
         if unknown:
             raise FaultPlanError(
                 f"{where}: unknown node ids {unknown}"
-                f"{_suggest(unknown[0], universe)}; the run has {len(universe)} nodes"
+                f"{suggest(unknown[0], universe)}; the run has {len(universe)} nodes"
             )
 
     # ------------------------------------------------------------- helpers

@@ -1,0 +1,421 @@
+"""The JSON boundary: every document the program reads and every record it writes.
+
+One stdlib-only leaf module (nothing here imports the rest of ``repro``, so
+``topology.spec`` and ``faults.plan`` can use it without a cycle) that owns
+what JSON looks like at the edge of the program:
+
+* :func:`encode` / :func:`decode` / :func:`fit` — one walker over dataclass
+  fields, driven by their annotations, behind the ``to_dict`` / ``from_dict``
+  of the specs the program reads and the records it writes;
+* :func:`load_json` / :func:`write_json` — one way in and one way out for
+  whole-file documents (domain errors naming the path; atomic, canonical
+  writes);
+* :class:`JsonlSink` / :class:`MemorySink` / :func:`read_jsonl` — the
+  byte-reproducible JSON-lines stream shared by telemetry snapshots and
+  trace spans.
+
+"The JSON boundary" in ``docs/ARCHITECTURE.md`` lists what goes through here
+and which codecs are deliberately hand-written instead.
+"""
+
+from __future__ import annotations
+
+import collections
+import difflib
+import json
+import os
+from dataclasses import MISSING, fields, is_dataclass
+from functools import lru_cache
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    get_type_hints,
+)
+
+__all__ = [
+    "ALL_FIELDS",
+    "suggest",
+    "reject_unknown",
+    "jsonify",
+    "tuplify",
+    "encode",
+    "decode",
+    "fit",
+    "annotation_at",
+    "load_json",
+    "write_json",
+    "write_text",
+    "JsonlSink",
+    "MemorySink",
+    "read_jsonl",
+]
+
+#: ``sparse=`` value omitting *every* field at its default (see :func:`encode`).
+ALL_FIELDS = frozenset({"*"})
+
+
+def suggest(name: object, candidates: Iterable[object]) -> str:
+    """A ``did you mean`` clause for ``name`` against ``candidates`` ("" if none)."""
+    matches = difflib.get_close_matches(
+        str(name), [str(candidate) for candidate in candidates], n=3, cutoff=0.5
+    )
+    if not matches:
+        return ""
+    return f" — did you mean {', '.join(repr(match) for match in matches)}?"
+
+
+def reject_unknown(payload, known, error: Callable[[str], Exception], what: str) -> None:
+    """Raise ``error`` (with a did-you-mean) if ``payload`` has keys outside ``known``."""
+    unknown = sorted(key for key in payload if key not in known)
+    if unknown:
+        raise error(
+            f"unknown {what} fields {unknown}"
+            f"{suggest(unknown[0], known)}; known fields: {', '.join(sorted(known))}"
+        )
+
+
+def tuplify(value):
+    """Deep list→tuple conversion (inverse of :func:`jsonify`).
+
+    The one converter pair shared by every encoding of structured fields —
+    the walker here, the ``faults.plan`` spec section and the flat config's
+    ``fault_plan`` / ``topology_*`` fields — so they stay exact inverses of
+    one another by construction.
+    """
+    if isinstance(value, (list, tuple)):
+        return tuple(tuplify(entry) for entry in value)
+    return value
+
+
+def jsonify(value):
+    """Deep tuple→list conversion for JSON encoding (see :func:`tuplify`)."""
+    if isinstance(value, (list, tuple)):
+        return [jsonify(entry) for entry in value]
+    return value
+
+
+# ------------------------------------------------------------------ the walker
+
+
+@lru_cache(maxsize=None)
+def _schema(record_class) -> Dict[str, Tuple[object, object]]:
+    """``name -> (annotation, dataclass field)`` of a dataclass, declaration order."""
+    hints = get_type_hints(record_class)
+    return {
+        record_field.name: (hints[record_field.name], record_field)
+        for record_field in fields(record_class)
+    }
+
+
+def _default(record_field):
+    """A field's default value (``MISSING`` for a required field)."""
+    if record_field.default_factory is not MISSING:
+        return record_field.default_factory()
+    return record_field.default
+
+
+def annotation_at(record_class, path: str):
+    """The annotation of the field at a dotted ``path`` below ``record_class``."""
+    annotation = record_class
+    for part in path.split("."):
+        annotation = _schema(annotation)[part][0]
+    return annotation
+
+
+#: Types that are JSON as they stand: the walker's per-value fast path.
+_JSON_LEAVES = frozenset({str, int, float, bool, type(None)})
+
+
+def encode(record, sparse: Collection[str] = (), prefix: str = "") -> Dict[str, object]:
+    """JSON form of a dataclass: one key per field, nested records recursed.
+
+    ``sparse`` names the dotted paths omitted while at their default (a
+    trailing ``*`` covers every field of that section, :data:`ALL_FIELDS`
+    every field of ``record``): sections added after an artifact format was
+    pinned stay out of encodings that never touch them.
+    """
+    every = prefix + "*" in sparse
+    payload: Dict[str, object] = {}
+    for name, (_, record_field) in _schema(type(record)).items():
+        value = getattr(record, name)
+        path = prefix + name
+        if (every or path in sparse) and value == _default(record_field):
+            continue
+        payload[name] = _encode_value(value, sparse, path + ".")
+    return payload
+
+
+def _encode_value(value, sparse: Collection[str], prefix: str):
+    # Leaves are tested inline: snapshots carry thousands of them and are
+    # encoded on every emit, so a call per leaf is what this loop avoids.
+    kind = type(value)
+    if kind is tuple or kind is list:
+        return [
+            entry if type(entry) in _JSON_LEAVES else _encode_value(entry, sparse, prefix)
+            for entry in value
+        ]
+    if kind is dict:
+        return {
+            key: entry if type(entry) in _JSON_LEAVES else _encode_value(entry, sparse, prefix)
+            for key, entry in value.items()
+        }
+    if is_dataclass(value):
+        return encode(value, sparse, prefix)
+    return value
+
+
+def decode(
+    record_class,
+    payload,
+    error: Callable[[str], Exception],
+    what: str,
+    schema: Optional[str] = None,
+    prefix: str = "",
+):
+    """Rebuild a dataclass from :func:`encode` output, checking as it goes.
+
+    Every rejection raises ``error`` (the caller's domain error class) with a
+    message that starts from ``what`` (``"fault entry"``, ``"topology
+    spec"``, ``"StackSpec"``): a non-mapping, unknown keys (with a
+    did-you-mean), an absent required field, a value that does not
+    :func:`fit` its field's annotation.  A nested section is labelled by its
+    dotted path (``"faults.churn spec"``).  With ``schema`` set the payload
+    may carry that ``"schema"`` tag.  A field declared with
+    ``metadata={"decode": function}`` is decoded by ``function(raw, label)``
+    instead of by its annotation.  The built record's ``validate()`` (when it
+    has one) runs here too, so range checks fail at the boundary; a foreign
+    ``ValueError`` from it or from ``__post_init__`` is re-raised as ``error``.
+    """
+    if not isinstance(payload, Mapping):
+        raise error(f"{what} must be a mapping, got {type(payload).__name__}")
+    known = _schema(record_class)
+    if schema is not None:
+        if payload.get("schema", schema) != schema:
+            raise error(f"{what} has schema {payload['schema']!r}; expected {schema!r}")
+        payload = {key: value for key, value in payload.items() if key != "schema"}
+    reject_unknown(payload, known, error, what)
+    values: Dict[str, object] = {}
+    for key, raw in payload.items():
+        annotation, record_field = known[key]
+        label = f"{what} field {key!r}"
+        custom = record_field.metadata.get("decode")
+        if custom is not None:
+            values[key] = custom(raw, label)
+        else:
+            values[key] = fit(annotation, raw, label, error, prefix + key)
+    try:
+        record = record_class(**values)
+        if hasattr(record, "validate"):
+            record.validate()
+    except error:
+        raise
+    except (TypeError, ValueError) as problem:  # a required field is absent; a range check
+        raise error(f"invalid {what}: {problem}") from None
+    return record
+
+
+_TYPE_NAMES = {
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+}
+
+
+def fit(annotation, value, label: str, error: Callable[[str], Exception], path: str = ""):
+    """``value`` as the type ``annotation`` declares, or ``error`` naming ``label``.
+
+    An ``int`` widens into a ``float`` field (``duration=5`` hashes like
+    ``5.0``); a list or tuple becomes the declared ``Tuple`` / ``List`` with
+    every element fitted in turn (``Tuple[X, ...]`` any length,
+    ``Tuple[A, B]`` exactly that shape); a mapping becomes the declared
+    ``Dict``; a dataclass annotation recurses into :func:`decode` (``path``
+    is its dotted section path); ``object`` takes anything, lists as tuples.
+    Everything else must be exactly the declared type — a ``bool`` is not a
+    number, a number is not a ``bool``, a string is neither.
+    """
+    if type(value) is annotation:
+        return value
+    if annotation is float and type(value) is int:
+        return float(value)
+    if annotation is object or annotation is Any:
+        return tuplify(value)
+    if type(annotation) is type:  # a plain class: a record, or a leaf that did not match
+        if is_dataclass(annotation):
+            return decode(annotation, value, error, f"{path} spec", prefix=path + ".")
+        raise error(f"{label} must be {_TYPE_NAMES[annotation]}, got {value!r}")
+    # A generic alias (``Tuple[str, ...]``): its attributes are read directly,
+    # ``typing.get_origin`` / ``get_args`` cost more than the rest of this call.
+    origin, arguments = annotation.__origin__, annotation.__args__
+    # Elements of exactly the declared type are taken inline (the common
+    # case by far); only the rest pay a call and a label.
+    if origin is dict:
+        if not isinstance(value, Mapping):
+            raise error(f"{label} must be a mapping, got {value!r}")
+        shape = arguments[1]
+        return {
+            key: entry
+            if type(entry) is shape
+            else fit(shape, entry, f"{label}[{key!r}]", error, path)
+            for key, entry in value.items()
+        }
+    if not isinstance(value, (list, tuple)):
+        raise error(f"{label} must be a list, got {value!r}")
+    if origin is tuple and arguments[-1] is not Ellipsis:
+        if len(value) != len(arguments):
+            raise error(f"{label} must be a list of {len(arguments)} items, got {value!r}")
+        shapes = arguments
+    else:
+        shapes = (arguments[0],) * len(value)
+    return origin(
+        [
+            entry
+            if type(entry) is shape
+            else fit(shape, entry, f"{label}[{index}]", error, path)
+            for index, (shape, entry) in enumerate(zip(shapes, value))
+        ]
+    )
+
+
+# ------------------------------------------------------------ whole documents
+
+
+def load_json(path: str, schema: str, error: Callable[[str], Exception], what: str) -> dict:
+    """The JSON object stored at ``path``, or ``error`` naming the path.
+
+    An unreadable file, invalid JSON, a document that is not an object and a
+    ``"schema"`` tag other than ``schema`` (the tag is optional) each raise
+    the caller's ``error``; ``what`` names the kind of document
+    (``"fault plan"``, ``"topology file"``, ``"campaign spec"``).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except OSError as problem:
+        raise error(f"cannot read {what} {path!r}: {problem}") from None
+    except ValueError as problem:
+        raise error(f"{what} {path!r} is not valid JSON: {problem}") from None
+    if not isinstance(payload, dict):
+        raise error(f"{what} {path!r} must hold a JSON object, got {type(payload).__name__}")
+    if payload.get("schema", schema) != schema:
+        raise error(f"{what} {path!r} has schema {payload['schema']!r}; expected {schema!r}")
+    return payload
+
+
+def write_text(path, text: str) -> None:
+    """Atomically replace ``path`` with ``text``, creating its parent directory.
+
+    The text goes to a temporary file in the same directory and is renamed
+    over the target, so a reader (a metrics scraper, a parallel worker
+    racing on the same cache entry) never sees a torn file.
+    """
+    path = os.fspath(path)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(temporary, path)
+    except OSError:
+        try:
+            os.unlink(temporary)
+        except OSError:
+            pass
+        raise
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as a canonical JSON document (see :func:`write_text`)."""
+    write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+# ---------------------------------------------------------------- JSON lines
+
+
+class JsonlSink:
+    """One canonical JSON object per line, for anything with ``to_dict()``.
+
+    Sorted keys and fixed separators make the stream byte-reproducible: two
+    runs of one seed write the same bytes, not merely equivalent JSON.  The
+    file is created on the first ``emit`` (building a sink to validate its
+    spec touches nothing); :meth:`open` creates it earlier for a caller that
+    wants an unwritable path to fail before the run.  Emits after
+    :meth:`close` are dropped.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._handle = None
+        self._closed = False
+
+    def open(self) -> None:
+        if self._handle is None and not self._closed:
+            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+            self._handle = open(self.path, "w", encoding="utf-8")
+
+    def emit(self, record) -> None:
+        self.open()
+        if self._handle is not None:
+            self._handle.write(
+                json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+            )
+
+    def close(self) -> None:
+        self._closed = True
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+
+class MemorySink:
+    """Bounded in-memory ring of the most recent records (tests, live peeks)."""
+
+    def __init__(self, capacity: int = 100_000) -> None:
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
+        self._records: collections.deque = collections.deque(maxlen=capacity)
+
+    def emit(self, record) -> None:
+        self._records.append(record)
+
+    def close(self) -> None:  # a ring holds no resources
+        pass
+
+    def records(self) -> List[Any]:
+        """The retained records, oldest first."""
+        return list(self._records)
+
+    @property
+    def latest(self):
+        """The most recent record (None before the first emit)."""
+        return self._records[-1] if self._records else None
+
+
+def read_jsonl(path: str, schema: str, decode_record: Callable[[dict], Any]) -> List[Any]:
+    """Load a stream written by :class:`JsonlSink`: one ``decode_record`` per line.
+
+    Raises ``ValueError`` naming ``path:line`` for a line that is not valid
+    JSON or does not carry the ``schema`` tag, so the CLI can turn it into a
+    one-line error.
+    """
+    records: List[Any] = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                payload = json.loads(line)
+            except ValueError as problem:
+                raise ValueError(f"{path}:{number}: not valid JSON: {problem}") from None
+            if not isinstance(payload, dict) or payload.get("schema") != schema:
+                raise ValueError(f"{path}:{number}: not a {schema} record")
+            records.append(decode_record(payload))
+    return records

@@ -16,23 +16,16 @@ did-you-mean suggestion and the full list of registered names.
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["Param", "ComponentEntry", "Registry", "RegistryError", "suggest"]
+from ..jsonio import suggest
+
+__all__ = ["Param", "ComponentEntry", "Registry", "RegistryError"]
 
 
 class RegistryError(ValueError):
     """Unknown component name or invalid component parameters."""
-
-
-def suggest(name: str, candidates: Iterable[str]) -> str:
-    """A ``did you mean`` clause for ``name`` against ``candidates`` ("" if none)."""
-    matches = difflib.get_close_matches(name, list(candidates), n=3, cutoff=0.5)
-    if not matches:
-        return ""
-    return f" — did you mean {', '.join(repr(match) for match in matches)}?"
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,8 @@ from ..workloads import (
     UniformInterest,
     ZipfInterest,
 )
-from .base import Param, Registry, RegistryError, suggest
+from ..jsonio import suggest
+from .base import Param, Registry, RegistryError
 from .specs import StackSpec
 
 __all__ = [

@@ -16,8 +16,9 @@ The flat :class:`~repro.experiments.config.ExperimentConfig` remains the
 :meth:`StackSpec.to_config` are an exact field-for-field bijection (driven
 by :data:`FLAT_TO_PATH`), so a spec round-trip never changes a cache key.
 :meth:`StackSpec.to_dict` / :meth:`StackSpec.from_dict` are the nested JSON
-codec, one recursive walk over the dataclass fields; flat dicts (cache
-artifacts) are read by ``ExperimentConfig.from_dict``.
+codec, the dataclass walker of :mod:`repro.jsonio` (every section, the
+topology included, is an ordinary nested dataclass to it); flat dicts
+(cache artifacts) are read by ``ExperimentConfig.from_dict``.
 
 Dotted paths
 ------------
@@ -30,18 +31,14 @@ lands on (:meth:`StackSpec.with_value`).
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..faults.plan import (
-    FaultPlanError,
-    FaultSpec as _PlanFaultSpec,
-    jsonify as _jsonify,
-    tuplify as _tuplify,
-)
+from ..faults.plan import FaultPlanError, FaultSpec as _PlanFaultSpec
+from ..jsonio import annotation_at, decode, encode, fit, suggest
 from ..telemetry import DEFAULT_SNAPSHOT_PERIOD, parse_sink_spec
-from ..topology.spec import TopologyError, TopologySpec
-from .base import RegistryError, suggest
+from ..topology.spec import TopologySpec
+from .base import RegistryError
 
 __all__ = [
     "SystemSpec",
@@ -163,6 +160,27 @@ class FaultPerturbSpec:
     loss_rate: float = 0.0
 
 
+def _plan_pairs(raw, label: str):
+    """Decode ``faults.plan``: every entry through the FaultSpec codec.
+
+    Unknown fields fail here (not at run time) and the encoding is canonical
+    — the same logical plan must always embed, and therefore cache-hash,
+    identically.  Entries come either as pair lists (our own ``to_dict``
+    output) or as plain mappings (the shape ``--fault plan.json`` files use).
+    """
+    try:
+        return tuple(
+            (
+                _PlanFaultSpec.from_dict(entry)
+                if isinstance(entry, Mapping)
+                else _PlanFaultSpec.from_pairs(entry)
+            ).to_pairs()
+            for entry in fit(Tuple[object, ...], raw, label, RegistryError)
+        )
+    except FaultPlanError as error:
+        raise RegistryError(f"invalid faults.plan entry: {error}") from None
+
+
 @dataclass(frozen=True)
 class FaultsSpec:
     """Declarative fault injection: the spec-side face of ``repro.faults``.
@@ -183,7 +201,9 @@ class FaultsSpec:
     churn: "FaultChurnSpec" = field(default_factory=FaultChurnSpec)
     partition: "FaultPartitionSpec" = field(default_factory=FaultPartitionSpec)
     perturb: "FaultPerturbSpec" = field(default_factory=FaultPerturbSpec)
-    plan: Tuple[Tuple[Tuple[str, object], ...], ...] = ()
+    plan: Tuple[Tuple[Tuple[str, object], ...], ...] = field(
+        default=(), metadata={"decode": _plan_pairs}
+    )
 
 
 @dataclass(frozen=True)
@@ -204,6 +224,9 @@ class TelemetrySpec:
     cannot carry this spec — simulator runs attach sinks explicitly via
     ``run_experiment(snapshot_sinks=...)`` or the CLI's ``--telemetry``;
     the spec-mode live host (``NodeHost(spec=...)``) is what honours it.
+    Either way the sink specs reach
+    :meth:`repro.telemetry.SnapshotScheduler.attach`, which parses them;
+    :meth:`build_sinks` is the up-front validity check ``resolve_spec`` runs.
     """
 
     sinks: Tuple[str, ...] = ()
@@ -291,8 +314,9 @@ _STRUCTURED_HINTS: Dict[str, str] = {
 STRUCTURED_PATHS: Tuple[str, ...] = tuple(_STRUCTURED_HINTS)
 
 #: Sections added after the PR-1/PR-3 artifacts were written: omitted from
-#: :meth:`StackSpec.to_dict` at their defaults, so dicts of specs that never
-#: touch them stay byte-identical to the format of that era.
+#: :meth:`StackSpec.to_dict` at their defaults (the topology section field by
+#: field), so dicts of specs that never touch them stay byte-identical to the
+#: format of that era.
 _OMITTED_AT_DEFAULT = frozenset(
     {
         "faults",
@@ -301,121 +325,10 @@ _OMITTED_AT_DEFAULT = frozenset(
         "faults.perturb",
         "faults.plan",
         "topology",
+        "topology.*",
         "telemetry",
     }
 )
-
-_TYPE_NAMES = {
-    bool: "a boolean",
-    int: "an integer",
-    float: "a number",
-    str: "a string",
-    tuple: "a list",
-}
-
-
-def _default(spec_field):
-    """The default value of a dataclass field (its type is the field's type)."""
-    if spec_field.default is not MISSING:
-        return spec_field.default
-    return spec_field.default_factory()
-
-
-def _fit(path: str, default, value):
-    """``value`` as the type of the field at ``path`` (the type of ``default``).
-
-    An ``int`` widens to a ``float`` field (``duration=5`` hashes like
-    ``5.0``), an integral ``float`` narrows to an ``int`` field and a list
-    becomes a tuple; anything else that is not exactly the field's type —
-    a ``bool`` for a number, a number for a ``bool``, a string for either —
-    raises :class:`RegistryError` naming the path and the expected type.
-    """
-    kind = type(default)
-    if kind is float and type(value) is int:
-        return float(value)
-    if kind is int and type(value) is float and value.is_integer():
-        return int(value)
-    if kind is tuple and type(value) is list:
-        return _tuplify(value)
-    if type(value) is not kind:
-        raise RegistryError(f"{path} must be {_TYPE_NAMES[kind]}, got {value!r}")
-    return value
-
-
-def _parse_plan_entry(entry) -> "_PlanFaultSpec":
-    if isinstance(entry, Mapping):
-        return _PlanFaultSpec.from_dict(entry)
-    if not isinstance(entry, (list, tuple)) or not all(
-        isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in entry
-    ):
-        raise RegistryError(
-            "faults.plan entries must be mappings (like a --fault plan "
-            "file) or lists of [field, value] pairs, got "
-            f"{entry!r}"
-        )
-    return _PlanFaultSpec.from_pairs(
-        tuple((key, _tuplify(value)) for key, value in entry)
-    )
-
-
-def _encode(spec, prefix: str = "") -> Dict[str, object]:
-    """Nested JSON form of a spec dataclass (see :meth:`StackSpec.to_dict`)."""
-    payload: Dict[str, object] = {}
-    for spec_field in fields(spec):
-        path = prefix + spec_field.name
-        value = getattr(spec, spec_field.name)
-        if path in _OMITTED_AT_DEFAULT and value == _default(spec_field):
-            continue
-        if isinstance(value, TopologySpec):
-            payload[spec_field.name] = value.to_dict()
-        elif is_dataclass(value):
-            payload[spec_field.name] = _encode(value, path + ".")
-        else:
-            payload[spec_field.name] = _jsonify(value)
-    return payload
-
-
-def _decode(spec_class, payload, prefix: str = ""):
-    """Rebuild a spec dataclass from :func:`_encode` output, checking as it goes."""
-    if not isinstance(payload, Mapping):
-        raise RegistryError(
-            f"StackSpec section {prefix[:-1]!r} must be a mapping, got {type(payload).__name__}"
-        )
-    known = {spec_field.name: spec_field for spec_field in fields(spec_class)}
-    unknown = [key for key in payload if key not in known]
-    if unknown:
-        label = f"{prefix[:-1]} spec" if prefix else "StackSpec"
-        raise RegistryError(
-            f"unknown {label} fields {sorted(unknown)}"
-            f"{suggest(unknown[0], known)}; known fields: {', '.join(sorted(known))}"
-        )
-    values: Dict[str, object] = {}
-    for key, raw in payload.items():
-        path = prefix + key
-        default = _default(known[key])
-        if isinstance(default, TopologySpec):
-            try:
-                values[key] = TopologySpec.from_dict(raw)
-            except TopologyError as error:
-                raise RegistryError(f"invalid topology spec: {error}")
-        elif is_dataclass(default):
-            values[key] = _decode(type(default), raw, path + ".")
-        elif path == "faults.plan":
-            # Route every entry through the FaultSpec codec so unknown
-            # fields fail here (not at run time) and the encoding is
-            # canonical — the same logical plan must always embed, and
-            # therefore cache-hash, identically.  Entries come either as
-            # pair lists (our own to_dict output) or as plain mappings
-            # (the shape --fault plan.json files use).
-            try:
-                values[key] = tuple(
-                    _parse_plan_entry(entry).to_pairs() for entry in _fit(path, default, raw)
-                )
-            except FaultPlanError as error:
-                raise RegistryError(f"invalid faults.plan entry: {error}")
-        else:
-            values[key] = _fit(path, default, raw)
-    return spec_class(**values)
 
 
 def _construct(spec_class, values: Dict[str, object]):
@@ -579,7 +492,7 @@ class StackSpec:
         The faults, topology and telemetry sections (and the fault
         sub-sections) are omitted at their defaults.
         """
-        return _encode(self)
+        return encode(self, sparse=_OMITTED_AT_DEFAULT)
 
     @staticmethod
     def from_dict(payload: Mapping[str, object]) -> "StackSpec":
@@ -590,7 +503,7 @@ class StackSpec:
         (``ExperimentConfig.to_dict()`` output, as stored in cache
         artifacts) are read by ``ExperimentConfig.from_dict`` instead.
         """
-        return _decode(StackSpec, payload)
+        return decode(StackSpec, payload, RegistryError, "StackSpec")
 
     # --------------------------------------------------------- dotted access
 
@@ -602,12 +515,18 @@ class StackSpec:
         """Copy with one dotted path replaced by a value of the field's type.
 
         An ``int`` assigned to a ``float``-typed field is widened so CLI
-        overrides like ``--set duration=5`` hash identically to ``5.0``; a
-        value that does not fit (see :func:`_fit`) raises
-        :class:`RegistryError`.
+        overrides like ``--set duration=5`` hash identically to ``5.0``, an
+        integral ``float`` (``--set system.fanout=2.0``) narrows to an
+        ``int`` field; a value that does not fit (see
+        :func:`repro.jsonio.fit`) raises :class:`RegistryError`.
         """
-        parts = resolve_spec_path(path).split(".")
-        return _replace_path(self, parts, _fit(path, _get_path(_DEFAULTS, parts), value))
+        path = resolve_spec_path(path)
+        annotation = annotation_at(StackSpec, path)
+        if annotation is int and type(value) is float and value.is_integer():
+            value = int(value)
+        return _replace_path(
+            self, path.split("."), fit(annotation, value, path, RegistryError)
+        )
 
     def with_values(self, overrides: Mapping[str, object]) -> "StackSpec":
         """Copy with several dotted-path overrides applied."""
@@ -668,8 +587,3 @@ class StackSpec:
         if self.extra:
             lines.append(f"extra = {dict(self.extra)!r}")
         return "\n".join(lines)
-
-
-#: The all-defaults spec; the type of each of its leaves is the type of
-#: that field (what :meth:`StackSpec.with_value` checks against).
-_DEFAULTS = StackSpec()

@@ -34,7 +34,6 @@ from .transport import (
     MemoryTransport,
     TcpTransport,
     Transport,
-    TransportError,
     UdpTransport,
 )
 from .wire import (
@@ -57,7 +56,6 @@ __all__ = [
     "AsyncPeriodicTimer",
     "RuntimeNetwork",
     "Transport",
-    "TransportError",
     "MemoryHub",
     "MemoryTransport",
     "UdpTransport",

@@ -24,12 +24,10 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
-import os
 from typing import Dict, NamedTuple, Optional
 
 from ..analysis.reliability import measure_reliability
-from ..cli import add_stack_options, parse_tracer, resolve_spec
+from ..cli import add_stack_options, parse_tracer, resolve_spec, write_artifact
 from ..experiments.scenarios import LIVE_SCENARIO, get_scenario
 from ..faults import FaultPlanError
 from ..registry import StackSpec, build_interest_model, build_popularity
@@ -126,15 +124,6 @@ def build_live_cluster(args: argparse.Namespace) -> LiveCluster:
     return LiveCluster(host, generator, interest, spec)
 
 
-def _write_artifact(path: str, artifact: Dict[str, object]) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(artifact, handle, sort_keys=True, indent=2)
-        handle.write("\n")
-
-
 async def _run_live(args: argparse.Namespace, live_report: bool) -> Dict[str, object]:
     cluster = build_live_cluster(args)
     host, generator = cluster.host, cluster.generator
@@ -227,7 +216,7 @@ async def _run_live(args: argparse.Namespace, live_report: bool) -> Dict[str, ob
 def _cmd_serve(args: argparse.Namespace) -> int:
     artifact = asyncio.run(_run_live(args, live_report=True))
     if args.json:
-        _write_artifact(args.json, artifact)
+        write_artifact(args.json, artifact)
         print(f"wrote runtime artifact to {args.json}")
     return 0
 
@@ -235,7 +224,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     artifact = asyncio.run(_run_live(args, live_report=False))
     if args.json:
-        _write_artifact(args.json, artifact)
+        write_artifact(args.json, artifact)
         print(f"wrote runtime artifact to {args.json}")
     return 0
 

@@ -36,7 +36,7 @@ from ..pubsub.filters import Filter
 from ..pubsub.interfaces import DeliveryCallback, DeliveryLog, DisseminationSystem
 from ..sim.rng import RngRegistry
 from ..registry import StackSpec, build_popularity, build_stack
-from ..telemetry import DEFAULT_SNAPSHOT_PERIOD, SnapshotScheduler, Telemetry, TelemetrySink
+from ..telemetry import SnapshotScheduler, Telemetry, TelemetrySink
 from .clock import WallClock
 from .network import RuntimeNetwork
 from .scheduler import AsyncScheduler
@@ -104,12 +104,12 @@ class NodeHost(DisseminationSystem):
         #: Periodic snapshot wiring: explicit arguments win, otherwise the
         #: spec's TelemetrySpec applies.  Periods are in protocol time units
         #: (the wall clock's scale maps them onto real seconds).
-        self._snapshot_sinks = list(snapshot_sinks) if snapshot_sinks else []
+        if spec is not None and not snapshot_sinks:
+            snapshot_sinks = spec.telemetry.sinks
+            if snapshot_period is None:
+                snapshot_period = spec.telemetry.period
+        self._snapshot_sinks = snapshot_sinks
         self._snapshot_period = snapshot_period
-        if spec is not None and spec.telemetry.sinks and not self._snapshot_sinks:
-            self._snapshot_sinks = spec.telemetry.build_sinks()
-            if self._snapshot_period is None:
-                self._snapshot_period = spec.telemetry.period
         self.snapshot_scheduler: Optional[SnapshotScheduler] = None
         self._node_class = node_class
         self._node_kwargs = dict(node_kwargs or {})
@@ -197,20 +197,13 @@ class NodeHost(DisseminationSystem):
                 node.start()
         if self.tracer is not None:
             self.attach_tracer(self.tracer)
-        if self._snapshot_sinks and self.snapshot_scheduler is None:
-            period = (
-                self._snapshot_period
-                if self._snapshot_period is not None
-                else DEFAULT_SNAPSHOT_PERIOD
-            )
-            self.snapshot_scheduler = SnapshotScheduler(
-                self.telemetry,
-                self._snapshot_sinks,
-                period,
-                self.scheduler,
-                collect=self._collect_telemetry,
-            )
-            self.snapshot_scheduler.start()
+        self.snapshot_scheduler = SnapshotScheduler.attach(
+            self.telemetry,
+            self._snapshot_sinks,
+            self._snapshot_period,
+            self.scheduler,
+            collect=self._collect_telemetry,
+        )
         self._started = True
         try:
             self._start_faults()

@@ -31,7 +31,6 @@ from .wire import FrameDecoder, frame
 __all__ = [
     "Receiver",
     "Transport",
-    "TransportError",
     "MemoryHub",
     "MemoryTransport",
     "UdpTransport",
@@ -44,18 +43,13 @@ Receiver = Callable[[bytes], None]
 Address = Tuple[str, int]
 
 
-class TransportError(RuntimeError):
-    """Raised when a transport is driven in an inconsistent way."""
-
-
 class Transport:
-    """Base class: frame delivery plus local-node bookkeeping."""
+    """Base class: frame delivery and its counters."""
 
     name = "abstract"
 
     def __init__(self) -> None:
         self._receiver: Optional[Receiver] = None
-        self._local_ids: Set[str] = set()
         self.frames_sent = 0
         self.frames_received = 0
         self.bytes_sent = 0
@@ -69,11 +63,6 @@ class Transport:
 
     def register_node(self, node_id: str) -> None:
         """Declare that ``node_id`` is hosted behind this transport."""
-        self._local_ids.add(node_id)
-
-    def is_local(self, node_id: str) -> bool:
-        """Whether ``node_id`` is hosted behind this transport."""
-        return node_id in self._local_ids
 
     def _dispatch(self, data: bytes) -> None:
         self.frames_received += 1
@@ -136,7 +125,6 @@ class MemoryTransport(Transport):
         return self._hub
 
     def register_node(self, node_id: str) -> None:
-        super().register_node(node_id)
         self._hub.attach(node_id, self)
 
     async def start(self) -> None:
@@ -178,20 +166,8 @@ class _DirectoryTransport(Transport):
         self._directory: Dict[str, Optional[Address]] = dict(directory or {})
         self._local_address: Optional[Address] = None
 
-    @property
-    def local_address(self) -> Address:
-        """The bound ``(host, port)`` of this host (available after start)."""
-        if self._local_address is None:
-            raise TransportError("transport is not started")
-        return self._local_address
-
     def register_node(self, node_id: str, address: Optional[Address] = None) -> None:
         """Add a node to the directory; ``None`` means "this host"."""
-        super().register_node(node_id)
-        self._directory[node_id] = address
-
-    def add_remote(self, node_id: str, address: Address) -> None:
-        """Add a directory entry for a node hosted elsewhere."""
         self._directory[node_id] = address
 
     def _resolve(self, node_id: str) -> Optional[Address]:

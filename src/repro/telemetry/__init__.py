@@ -33,7 +33,7 @@ from .instruments import (
     percentile,
 )
 from .facade import Telemetry
-from .snapshot import SnapshotScheduler, TelemetrySnapshot
+from .snapshot import SNAPSHOT_SCHEMA, SnapshotScheduler, TelemetrySnapshot
 from .sinks import (
     DEFAULT_SNAPSHOT_PERIOD,
     CsvSink,
@@ -42,7 +42,6 @@ from .sinks import (
     PrometheusSink,
     TelemetrySink,
     parse_sink_spec,
-    read_snapshots_jsonl,
     render_prometheus,
 )
 
@@ -64,6 +63,6 @@ __all__ = [
     "CsvSink",
     "PrometheusSink",
     "parse_sink_spec",
-    "read_snapshots_jsonl",
+    "SNAPSHOT_SCHEMA",
     "render_prometheus",
 ]

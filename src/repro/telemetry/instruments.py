@@ -29,6 +29,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..jsonio import decode, encode
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -138,28 +140,12 @@ class HistogramState:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable form; inverse of :meth:`from_dict`."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "minimum": self.minimum,
-            "maximum": self.maximum,
-            "zeros": self.zeros,
-            "positive": [[index, count] for index, count in self.positive],
-            "negative": [[index, count] for index, count in self.negative],
-        }
+        return encode(self)
 
     @staticmethod
     def from_dict(payload: Mapping[str, object]) -> "HistogramState":
         """Rebuild a state from :meth:`to_dict` output."""
-        return HistogramState(
-            count=int(payload["count"]),
-            total=float(payload["total"]),
-            minimum=float(payload["minimum"]),
-            maximum=float(payload["maximum"]),
-            zeros=int(payload.get("zeros", 0)),
-            positive=tuple((int(i), int(c)) for i, c in payload.get("positive", ())),
-            negative=tuple((int(i), int(c)) for i, c in payload.get("negative", ())),
-        )
+        return decode(HistogramState, payload, ValueError, "histogram state")
 
     # ------------------------------------------------------------- summaries
 

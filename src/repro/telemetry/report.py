@@ -27,8 +27,8 @@ import json
 import os
 from typing import Dict, List, Sequence, Tuple
 
+from ..jsonio import read_jsonl
 from .snapshot import SNAPSHOT_SCHEMA, TelemetrySnapshot
-from .sinks import read_snapshots_jsonl
 
 __all__ = [
     "load_report_source",
@@ -72,11 +72,12 @@ def load_report_source(path: str) -> ReportSource:
     # can plausibly be a snapshot (pretty-printed artifacts start with a
     # bare "{" and are skipped without parsing anything twice).
     if SNAPSHOT_SCHEMA in head and _looks_like_snapshot_line(head):
-        return ReportSource("snapshots", path, snapshots=read_snapshots_jsonl(path))
-    from ..tracing import TRACE_SCHEMA, read_spans_jsonl
+        snapshots = read_jsonl(path, SNAPSHOT_SCHEMA, TelemetrySnapshot.from_dict)
+        return ReportSource("snapshots", path, snapshots=snapshots)
+    from ..tracing import TRACE_SCHEMA, SpanRecord
 
     if TRACE_SCHEMA in head:
-        return ReportSource("trace", path, spans=read_spans_jsonl(path))
+        return ReportSource("trace", path, spans=read_jsonl(path, TRACE_SCHEMA, SpanRecord.from_dict))
 
     from ..experiments.runner import ExperimentResult
 

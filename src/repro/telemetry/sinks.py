@@ -13,21 +13,23 @@ a dozen lines.  Sinks are addressable from the CLI via compact specs::
 
 JSON-lines output is the canonical archival format: one canonical-JSON
 snapshot per line (sorted keys, no whitespace), so two deterministic runs
-produce byte-identical streams and :func:`read_snapshots_jsonl` restores
+produce byte-identical streams and :func:`repro.jsonio.read_jsonl` restores
 the exact snapshots (``TelemetrySnapshot.from_dict(s.to_dict()) == s``).
+The JSON-lines sink, the memory ring and the reader are the ones of
+:mod:`repro.jsonio`, shared with the trace spans; this module keeps the
+snapshot-specific renderings (CSV, Prometheus) and the CLI spec parser.
 """
 
 from __future__ import annotations
 
-import collections
 import csv
-import json
 import os
-import tempfile
-from typing import Deque, Dict, IO, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, IO, List, Optional, Protocol, runtime_checkable
 
-from .instruments import HistogramState
-from .snapshot import TelemetrySnapshot
+from ..jsonio import JsonlSink, MemorySink, write_text
+
+if TYPE_CHECKING:  # annotations only: snapshot.py imports this module
+    from .snapshot import TelemetrySnapshot
 
 __all__ = [
     "DEFAULT_SNAPSHOT_PERIOD",
@@ -37,7 +39,6 @@ __all__ = [
     "CsvSink",
     "PrometheusSink",
     "parse_sink_spec",
-    "read_snapshots_jsonl",
     "render_prometheus",
 ]
 
@@ -46,92 +47,20 @@ __all__ = [
 #: runner, and the live host so the default cannot drift between them.
 DEFAULT_SNAPSHOT_PERIOD = 5.0
 
-try:  # Python < 3.8 has no typing.Protocol; degrade to a plain base class.
-    from typing import Protocol, runtime_checkable
-
-    @runtime_checkable
-    class TelemetrySink(Protocol):
-        """What a snapshot consumer must implement."""
-
-        def emit(self, snapshot: TelemetrySnapshot) -> None:
-            """Receive one snapshot."""
-
-        def close(self) -> None:
-            """Flush and release resources (idempotent)."""
-
-except ImportError:  # pragma: no cover - ancient interpreters only
-
-    class TelemetrySink:  # type: ignore[no-redef]
-        def emit(self, snapshot: TelemetrySnapshot) -> None:
-            raise NotImplementedError
-
-        def close(self) -> None:
-            raise NotImplementedError
+#: Ring size of a ``memory`` sink built from a CLI spec without a capacity:
+#: snapshots of a long live run are large, so the default stays small.
+DEFAULT_MEMORY_CAPACITY = 256
 
 
-def _ensure_parent(path: str) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-
-
-class MemorySink:
-    """Bounded in-memory ring buffer of the most recent snapshots."""
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._snapshots: Deque[TelemetrySnapshot] = collections.deque(maxlen=capacity)
+@runtime_checkable
+class TelemetrySink(Protocol):
+    """What a snapshot consumer must implement."""
 
     def emit(self, snapshot: TelemetrySnapshot) -> None:
-        self._snapshots.append(snapshot)
-
-    def close(self) -> None:  # ring buffers hold no resources
-        pass
-
-    @property
-    def snapshots(self) -> List[TelemetrySnapshot]:
-        """The retained snapshots, oldest first."""
-        return list(self._snapshots)
-
-    @property
-    def latest(self) -> Optional[TelemetrySnapshot]:
-        """The most recent snapshot (None before the first emit)."""
-        return self._snapshots[-1] if self._snapshots else None
-
-
-class JsonlSink:
-    """One canonical-JSON snapshot per line; the archival format."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._handle: Optional[IO[str]] = None
-
-    def emit(self, snapshot: TelemetrySnapshot) -> None:
-        if self._handle is None:
-            _ensure_parent(self.path)
-            self._handle = open(self.path, "w", encoding="utf-8")
-        self._handle.write(
-            json.dumps(snapshot.to_dict(), sort_keys=True, separators=(",", ":"))
-        )
-        self._handle.write("\n")
+        """Receive one snapshot."""
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-
-def read_snapshots_jsonl(path: str) -> List[TelemetrySnapshot]:
-    """Load every snapshot from a JSON-lines file written by :class:`JsonlSink`."""
-    snapshots: List[TelemetrySnapshot] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                snapshots.append(TelemetrySnapshot.from_dict(json.loads(line)))
-    return snapshots
+        """Flush and release resources (idempotent)."""
 
 
 def _metric_column(kind: str, name: str, tags) -> str:
@@ -173,7 +102,7 @@ class CsvSink:
 
     def emit(self, snapshot: TelemetrySnapshot) -> None:
         if self._handle is None:
-            _ensure_parent(self.path)
+            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
             self._handle = open(self.path, "w", encoding="utf-8", newline="")
             self._writer = csv.writer(self._handle)
             self._columns = self._columns_for(snapshot)
@@ -270,21 +199,7 @@ class PrometheusSink:
         self.path = path
 
     def emit(self, snapshot: TelemetrySnapshot) -> None:
-        _ensure_parent(self.path)
-        directory = os.path.dirname(self.path) or "."
-        handle = tempfile.NamedTemporaryFile(
-            "w", encoding="utf-8", dir=directory, suffix=".tmp", delete=False
-        )
-        try:
-            with handle:
-                handle.write(render_prometheus(snapshot))
-            os.replace(handle.name, self.path)
-        except OSError:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        write_text(self.path, render_prometheus(snapshot))
 
     def close(self) -> None:  # the latest exposition stays on disk
         pass
@@ -304,7 +219,7 @@ def parse_sink_spec(spec: str):
             f"unknown telemetry sink kind {kind!r}; expected jsonl, csv, prom, or memory"
         )
     if kind == "memory":
-        return MemorySink(capacity=int(argument)) if argument else MemorySink()
+        return MemorySink(capacity=int(argument) if argument else DEFAULT_MEMORY_CAPACITY)
     if not argument:
         raise ValueError(
             f"telemetry sink {spec!r} needs a path, e.g. {kind}:out/metrics.{kind}"

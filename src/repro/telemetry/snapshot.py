@@ -14,11 +14,13 @@ deterministic simulation stays deterministic with snapshots enabled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
+from ..jsonio import decode, encode
 from .instruments import HistogramState, HistogramSummary
+from .sinks import DEFAULT_SNAPSHOT_PERIOD, parse_sink_spec
 
-__all__ = ["TelemetrySnapshot", "SnapshotScheduler"]
+__all__ = ["SNAPSHOT_SCHEMA", "TelemetrySnapshot", "SnapshotScheduler"]
 
 #: Normalised tag form: sorted ``(key, value)`` pairs with values coerced
 #: to strings.  This module owns the definition; the facade imports it so
@@ -27,14 +29,6 @@ TagTuple = Tuple[Tuple[str, str], ...]
 
 #: Schema tag carried by every serialized snapshot.
 SNAPSHOT_SCHEMA = "telemetry-snapshot/v1"
-
-
-def _tags_to_list(tags: TagTuple) -> List[List[str]]:
-    return [[key, value] for key, value in tags]
-
-
-def _tags_from_payload(payload: Sequence[Sequence[str]]) -> TagTuple:
-    return tuple((str(key), str(value)) for key, value in payload)
 
 
 def _normalise_tags(tags: Dict[str, object]) -> TagTuple:
@@ -62,41 +56,12 @@ class TelemetrySnapshot:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable form; exact inverse of :meth:`from_dict`."""
-        return {
-            "schema": SNAPSHOT_SCHEMA,
-            "at": self.at,
-            "sequence": self.sequence,
-            "counters": [
-                [name, _tags_to_list(tags), value] for name, tags, value in self.counters
-            ],
-            "gauges": [
-                [name, _tags_to_list(tags), value] for name, tags, value in self.gauges
-            ],
-            "histograms": [
-                [name, _tags_to_list(tags), state.to_dict()]
-                for name, tags, state in self.histograms
-            ],
-        }
+        return {"schema": SNAPSHOT_SCHEMA, **encode(self)}
 
     @staticmethod
     def from_dict(payload: Mapping[str, object]) -> "TelemetrySnapshot":
         """Rebuild a snapshot from :meth:`to_dict` output (or its JSON)."""
-        return TelemetrySnapshot(
-            at=float(payload["at"]),
-            sequence=int(payload["sequence"]),
-            counters=tuple(
-                (str(name), _tags_from_payload(tags), float(value))
-                for name, tags, value in payload.get("counters", ())
-            ),
-            gauges=tuple(
-                (str(name), _tags_from_payload(tags), float(value))
-                for name, tags, value in payload.get("gauges", ())
-            ),
-            histograms=tuple(
-                (str(name), _tags_from_payload(tags), HistogramState.from_dict(state))
-                for name, tags, state in payload.get("histograms", ())
-            ),
-        )
+        return decode(TelemetrySnapshot, payload, ValueError, "telemetry snapshot", SNAPSHOT_SCHEMA)
 
     # --------------------------------------------------------------- queries
 
@@ -155,7 +120,6 @@ class TelemetrySnapshot:
         return self.histogram_state(name, **tags).summary()
 
 
-
 class SnapshotScheduler:
     """Emits periodic telemetry snapshots to a set of sinks.
 
@@ -199,6 +163,34 @@ class SnapshotScheduler:
         self._timer = None
         self.emitted = 0
         self._last_snapshot: Optional["TelemetrySnapshot"] = None
+
+    @classmethod
+    def attach(
+        cls,
+        telemetry,
+        sinks: Sequence,
+        period: Optional[float],
+        scheduler,
+        collect: Optional[Callable[[], None]] = None,
+    ) -> Optional["SnapshotScheduler"]:
+        """The engines' one way to snapshots: resolve, default, build, start.
+
+        ``sinks`` mixes sink objects and compact specs (``"jsonl:PATH"``, see
+        :func:`~repro.telemetry.sinks.parse_sink_spec`); ``period`` of
+        ``None`` means :data:`DEFAULT_SNAPSHOT_PERIOD`.  Returns the started
+        scheduler, or ``None`` when there are no sinks.
+        """
+        if not sinks:
+            return None
+        attached = cls(
+            telemetry,
+            [parse_sink_spec(sink) if isinstance(sink, str) else sink for sink in sinks],
+            DEFAULT_SNAPSHOT_PERIOD if period is None else period,
+            scheduler,
+            collect=collect,
+        )
+        attached.start()
+        return attached
 
     # ------------------------------------------------------------- lifecycle
 

@@ -20,7 +20,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .spec import TopologyError, TopologySpec, _suggest
+from ..jsonio import suggest
+from .spec import TopologyError, TopologySpec
 
 __all__ = ["DomainMap", "compile_domain_map"]
 
@@ -86,7 +87,7 @@ class DomainMap:
         if unknown:
             raise TopologyError(
                 f"unknown partition domain(s) {sorted(unknown)}"
-                f"{_suggest(unknown[0], self.domains)}; "
+                f"{suggest(unknown[0], self.domains)}; "
                 f"known domains: {', '.join(self.domains)}"
             )
         isolated = set(domain_names)
@@ -126,7 +127,7 @@ def compile_domain_map(spec: TopologySpec, node_ids: Sequence[str]) -> DomainMap
             if node not in known:
                 raise TopologyError(
                     f"topology.assignment names unknown node {node!r}"
-                    f"{_suggest(node, ordered_nodes)}"
+                    f"{suggest(node, ordered_nodes)}"
                 )
             domain_of[node] = domain
         missing = [node for node in ordered_nodes if node not in domain_of]
@@ -174,7 +175,7 @@ def compile_domain_map(spec: TopologySpec, node_ids: Sequence[str]) -> DomainMap
             if name not in members:
                 raise TopologyError(
                     f"topology.geo names unknown domain {name!r}"
-                    f"{_suggest(name, domains)}; known domains: {', '.join(domains)}"
+                    f"{suggest(name, domains)}; known domains: {', '.join(domains)}"
                 )
         key = (domain_a, domain_b) if domain_a <= domain_b else (domain_b, domain_a)
         links[key] = (float(latency), float(loss))

@@ -9,17 +9,17 @@ for ``--topology topo.json`` files.  A spec at its default (``domains=0``)
 means "flat population" and is omitted from every serialised form, so
 topology-free configs hash byte-identically to their pre-topology selves.
 
-This module is dependency-light on purpose (stdlib only): the registry's
-spec layer imports it, and nothing here may pull protocol code into that
-import graph.
+This module is dependency-light on purpose (stdlib and :mod:`repro.jsonio`
+only): the registry's spec layer imports it, and nothing here may pull
+protocol code into that import graph.
 """
 
 from __future__ import annotations
 
-import difflib
-import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
+
+from ..jsonio import ALL_FIELDS, decode, encode, load_json, suggest
 
 __all__ = ["TOPOLOGY_SCHEMA", "TopologyError", "TopologySpec", "BRIDGE_POLICIES"]
 
@@ -35,13 +35,6 @@ BRIDGE_POLICIES: Tuple[str, ...] = ("sha256", "lexical")
 
 class TopologyError(ValueError):
     """Invalid topology specification or compilation input."""
-
-
-def _suggest(name: str, candidates) -> str:
-    matches = difflib.get_close_matches(str(name), [str(c) for c in candidates], n=3, cutoff=0.5)
-    if not matches:
-        return ""
-    return f" — did you mean {', '.join(repr(match) for match in matches)}?"
 
 
 @dataclass(frozen=True)
@@ -98,7 +91,7 @@ class TopologySpec:
         if self.bridge_policy not in BRIDGE_POLICIES:
             raise TopologyError(
                 f"unknown topology.bridge_policy {self.bridge_policy!r}"
-                f"{_suggest(self.bridge_policy, BRIDGE_POLICIES)}; "
+                f"{suggest(self.bridge_policy, BRIDGE_POLICIES)}; "
                 f"known policies: {', '.join(BRIDGE_POLICIES)}"
             )
         if self.cross_latency < 0:
@@ -143,125 +136,20 @@ class TopologySpec:
 
     def to_dict(self) -> Dict[str, object]:
         """Nested JSON form; fields at their defaults are omitted."""
-        payload: Dict[str, object] = {}
-        for spec_field in fields(self):
-            value = getattr(self, spec_field.name)
-            if value == spec_field.default:
-                continue
-            if spec_field.name in ("assignment", "geo"):
-                payload[spec_field.name] = [list(entry) for entry in value]
-            else:
-                payload[spec_field.name] = value
-        return payload
+        return encode(self, sparse=ALL_FIELDS)
 
     @staticmethod
     def from_dict(payload: Mapping[str, object]) -> "TopologySpec":
-        """Rebuild a spec; unknown fields raise with a did-you-mean hint."""
-        if not isinstance(payload, Mapping):
-            raise TopologyError(
-                f"topology spec must be a mapping, got {type(payload).__name__}"
-            )
-        known = [spec_field.name for spec_field in fields(TopologySpec)]
-        payload = {key: value for key, value in payload.items() if key != "schema"}
-        unknown = [key for key in payload if key not in known]
-        if unknown:
-            raise TopologyError(
-                f"unknown topology spec fields {sorted(unknown)}"
-                f"{_suggest(unknown[0], known)}; known fields: {', '.join(sorted(known))}"
-            )
-        values: Dict[str, object] = {}
-        for key in ("domains", "bridges_per_domain"):
-            if key in payload:
-                value = payload[key]
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise TopologyError(
-                        f"topology spec field {key!r} must be an integer, got {value!r}"
-                    )
-                values[key] = value
-        if "bridge_policy" in payload:
-            value = payload["bridge_policy"]
-            if not isinstance(value, str):
-                raise TopologyError(
-                    f"topology spec field 'bridge_policy' must be a string, got {value!r}"
-                )
-            values["bridge_policy"] = value
-        for key in ("cross_latency", "cross_loss"):
-            if key in payload:
-                value = payload[key]
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise TopologyError(
-                        f"topology spec field {key!r} must be a number, got {value!r}"
-                    )
-                values[key] = float(value)
-        if "assignment" in payload:
-            entries = payload["assignment"]
-            if isinstance(entries, str) or not isinstance(entries, (list, tuple)):
-                raise TopologyError(
-                    f"topology spec field 'assignment' must be a list of [node, domain] "
-                    f"pairs, got {entries!r}"
-                )
-            assignment = []
-            for entry in entries:
-                if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                    raise TopologyError(
-                        f"topology.assignment entries must be [node, domain] pairs, got {entry!r}"
-                    )
-                assignment.append((str(entry[0]), str(entry[1])))
-            values["assignment"] = tuple(assignment)
-        if "geo" in payload:
-            entries = payload["geo"]
-            if isinstance(entries, str) or not isinstance(entries, (list, tuple)):
-                raise TopologyError(
-                    "topology spec field 'geo' must be a list of "
-                    f"[domain_a, domain_b, latency, loss] entries, got {entries!r}"
-                )
-            geo = []
-            for entry in entries:
-                if not isinstance(entry, (list, tuple)) or len(entry) != 4:
-                    raise TopologyError(
-                        "topology.geo entries must be [domain_a, domain_b, latency, loss], "
-                        f"got {entry!r}"
-                    )
-                domain_a, domain_b, latency, loss = entry
-                for number in (latency, loss):
-                    if isinstance(number, bool) or not isinstance(number, (int, float)):
-                        raise TopologyError(
-                            f"topology.geo latency/loss must be numbers, got {entry!r}"
-                        )
-                geo.append((str(domain_a), str(domain_b), float(latency), float(loss)))
-            values["geo"] = tuple(geo)
-        spec = TopologySpec(**values)
-        spec.validate()
-        return spec
+        """Rebuild and :meth:`validate` a spec; a ``schema`` tag is accepted.
+
+        Unknown fields raise with a did-you-mean hint, mistyped ones (a
+        2-item ``geo`` row, a quoted number) with the field's name.
+        """
+        return decode(TopologySpec, payload, TopologyError, "topology spec", TOPOLOGY_SCHEMA)
 
     @staticmethod
     def from_file(path: str) -> "TopologySpec":
         """Load a spec from a ``--topology`` JSON file."""
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                payload = json.load(handle)
-            except json.JSONDecodeError as error:
-                raise TopologyError(f"malformed topology file {path!r}: {error}") from None
-        if not isinstance(payload, Mapping):
-            raise TopologyError(f"topology file {path!r} must hold a JSON object")
-        schema = payload.get("schema")
-        if schema is not None and schema != TOPOLOGY_SCHEMA:
-            raise TopologyError(
-                f"topology file {path!r} has schema {schema!r} (expected {TOPOLOGY_SCHEMA!r})"
-            )
-        return TopologySpec.from_dict(payload)
-
-    def to_file_dict(self) -> Dict[str, object]:
-        """Standalone-file form: :meth:`to_dict` plus the schema tag."""
-        payload: Dict[str, object] = {"schema": TOPOLOGY_SCHEMA}
-        payload.update(self.to_dict())
-        return payload
-
-    # ------------------------------------------------------------ flat fields
-
-    def to_flat(self) -> Dict[str, object]:
-        """The spec as flat ``topology_*`` config overrides (all fields)."""
-        return {
-            f"topology_{spec_field.name}": getattr(self, spec_field.name)
-            for spec_field in fields(self)
-        }
+        return TopologySpec.from_dict(
+            load_json(path, TOPOLOGY_SCHEMA, TopologyError, "topology file")
+        )

@@ -14,7 +14,9 @@ The moving parts:
 * protocol nodes and networks emit :class:`SpanRecord` observations
   (``publish`` / ``relay`` / ``receive`` / ``duplicate`` / ``digest-advert``
   / ``pull-recover`` / ``deliver`` / ``drop``) through a shared
-  :class:`Tracer` into a pluggable :class:`TraceSink`;
+  :class:`Tracer` into a pluggable sink (``emit(record)`` / ``close()``;
+  :class:`repro.jsonio.JsonlSink` and :class:`repro.jsonio.MemorySink` are
+  the two shipped, shared with telemetry snapshots);
 * sampling is head-based and hash-deterministic (:class:`TraceSampler`):
   the publisher decides once per event, downstream contexts are always
   honoured, and the default rate of 0 means untraced runs carry no
@@ -38,11 +40,7 @@ from .spans import (
     RELAY,
     SPAN_KINDS,
     TRACE_SCHEMA,
-    JsonlTraceSink,
-    MemoryTraceSink,
     SpanRecord,
-    TraceSink,
-    read_spans_jsonl,
 )
 from .tracer import Tracer
 
@@ -61,10 +59,6 @@ __all__ = [
     "encode_contexts",
     "decode_contexts",
     "SpanRecord",
-    "TraceSink",
-    "MemoryTraceSink",
-    "JsonlTraceSink",
-    "read_spans_jsonl",
     "TraceSampler",
     "Tracer",
     "EventTrace",

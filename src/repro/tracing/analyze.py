@@ -1,7 +1,7 @@
 """Trace analysis: infection trees and dissemination statistics from spans.
 
 Backs ``python -m repro trace``.  Input is a span stream (from a
-:class:`~repro.tracing.spans.MemoryTraceSink` or a JSON-lines trace
+:class:`~repro.jsonio.MemorySink` or a JSON-lines trace
 artifact); output is per-event infection trees (who infected whom, hop by
 hop, including drops and pull recoveries) plus the aggregate numbers the
 paper's dissemination claims are phrased in: hop-count distribution, path

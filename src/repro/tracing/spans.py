@@ -1,11 +1,13 @@
-"""Span records and trace sinks.
+"""Span records and span kinds.
 
 One :class:`SpanRecord` is one observation about one event at one node: it
 was published, relayed, received, received again (``duplicate``), advertised
 in a digest, recovered via pull, delivered to the application, or dropped by
-the network.  Records stream into a :class:`TraceSink` as they happen; the
-sinks mirror the telemetry sinks (bounded memory ring for tests and live
-inspection, JSON-lines for artifacts the ``repro trace`` CLI reads back).
+the network.  Records stream into a sink as they happen — the sinks are the
+ones telemetry snapshots use (:class:`repro.jsonio.MemorySink`, a bounded
+ring for tests and live inspection; :class:`repro.jsonio.JsonlSink` for the
+artifacts the ``repro trace`` CLI reads back through
+:func:`repro.jsonio.read_jsonl`).
 
 Determinism contract: span records contain only protocol time, sequential
 span ids, and protocol identifiers — no wall time, no randomness — and the
@@ -15,10 +17,8 @@ pinned-seed simulator run writes a byte-identical trace stream every time.
 
 from __future__ import annotations
 
-import json
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, IO, Iterator, List, Optional
+from typing import Any, Dict, Optional
 
 __all__ = [
     "TRACE_SCHEMA",
@@ -33,10 +33,6 @@ __all__ = [
     "DROP",
     "BRIDGE_HOP",
     "SpanRecord",
-    "TraceSink",
-    "MemoryTraceSink",
-    "JsonlTraceSink",
-    "read_spans_jsonl",
 ]
 
 #: Schema tag written into every JSON-lines span record (sniffed by
@@ -103,6 +99,10 @@ class SpanRecord:
     hops: int = 0
     details: Dict[str, Any] = field(default_factory=dict)
 
+    # Hand-written codec, deliberately not the jsonio walker: one record per
+    # span is the tracing hot path, and ``parent_id`` / ``details`` are
+    # omitted when unset (canonical bytes stay minimal), a rule of its own.
+
     def to_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
             "schema": TRACE_SCHEMA,
@@ -133,90 +133,3 @@ class SpanRecord:
             hops=int(payload.get("hops", 0)),
             details=dict(payload.get("details", {})),
         )
-
-
-class TraceSink:
-    """Destination for span records; implementations must not raise."""
-
-    def emit(self, record: SpanRecord) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release resources; further emits are undefined."""
-
-
-class MemoryTraceSink(TraceSink):
-    """Bounded in-memory ring of the most recent spans (tests, live peeks)."""
-
-    def __init__(self, capacity: int = 100_000) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self._records: "deque[SpanRecord]" = deque(maxlen=capacity)
-
-    def emit(self, record: SpanRecord) -> None:
-        self._records.append(record)
-
-    def records(self) -> List[SpanRecord]:
-        """The retained spans, oldest first."""
-        return list(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[SpanRecord]:
-        return iter(self._records)
-
-
-class JsonlTraceSink(TraceSink):
-    """Appends one canonical JSON object per span to a text file.
-
-    Canonical encoding (sorted keys, no extra whitespace) is what makes the
-    byte-identical-reruns test meaningful: two runs of the same seed must
-    produce the same bytes, not merely equivalent JSON.
-    """
-
-    def __init__(self, path: str) -> None:
-        import os
-
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        self.path = path
-        self._handle: Optional[IO[str]] = open(path, "w", encoding="utf-8")
-
-    def emit(self, record: SpanRecord) -> None:
-        if self._handle is None:
-            return
-        self._handle.write(
-            json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":"))
-        )
-        self._handle.write("\n")
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-
-def read_spans_jsonl(path: str) -> List[SpanRecord]:
-    """Load a JSON-lines span stream written by :class:`JsonlTraceSink`.
-
-    Raises ``ValueError`` (with the offending line number) on lines that are
-    not span records, so the CLI can turn it into a friendly error.
-    """
-    records: List[SpanRecord] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except ValueError as error:
-                raise ValueError(f"{path}:{number}: not valid JSON: {error}") from None
-            if not isinstance(payload, dict) or payload.get("schema") != TRACE_SCHEMA:
-                raise ValueError(
-                    f"{path}:{number}: not a {TRACE_SCHEMA} span record"
-                )
-            records.append(SpanRecord.from_dict(payload))
-    return records

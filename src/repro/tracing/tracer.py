@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+from ..jsonio import MemorySink
 from .sampler import TraceSampler
-from .spans import DROP, MemoryTraceSink, SpanRecord, TraceSink
+from .spans import DROP, SpanRecord
 
 __all__ = ["Tracer"]
 
@@ -39,12 +40,12 @@ class Tracer:
 
     def __init__(
         self,
-        sink: Optional[TraceSink] = None,
+        sink=None,
         sample_rate: float = 0.0,
         time_source: Optional[Callable[[], float]] = None,
         salt: str = "",
     ) -> None:
-        self.sink = sink if sink is not None else MemoryTraceSink()
+        self.sink = sink if sink is not None else MemorySink()
         self.sampler = TraceSampler(sample_rate, salt=salt)
         self._time = time_source if time_source is not None else (lambda: 0.0)
         self._next_span_id = 0

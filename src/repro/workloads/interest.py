@@ -72,7 +72,11 @@ class InterestAssignment:
         return sorted(topics)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form; inverse of :meth:`from_dict`."""
+        """JSON-serializable form; inverse of :meth:`from_dict`.
+
+        Filters are polymorphic (``filter_from_dict``'s ``kind`` tag), which
+        the annotation-driven :mod:`repro.jsonio` walker does not express.
+        """
         return {
             "filters_by_node": {
                 node_id: [subscription_filter.to_dict() for subscription_filter in filters]

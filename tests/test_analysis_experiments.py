@@ -16,15 +16,14 @@ from repro.analysis import (
 from repro.core import EXPRESSIVE_POLICY, TOPIC_BASED_POLICY, WorkLedger
 from repro.experiments import (
     ExperimentConfig,
+    ParallelSweepExecutor,
     SYSTEM_NAMES,
     build_popularity,
     build_system,
     build_simulation,
-    compare,
     resolve_policy,
     results_table,
     run_experiment,
-    sweep,
 )
 from repro.pubsub import DeliveryLog, Event, SubscriptionTable, TopicFilter
 
@@ -194,9 +193,12 @@ class TestExperimentHarness:
         assert first.total_messages != second.total_messages
 
     def test_sweep_and_compare_helpers(self):
-        results = sweep(self.BASE.with_overrides(duration=5.0), "fanout", [2, 4])
+        executor = ParallelSweepExecutor(workers=1)
+        results = executor.sweep(self.BASE.with_overrides(duration=5.0), "fanout", [2, 4])
         assert [r.config.fanout for r in results] == [2, 4]
-        comparison = compare(self.BASE.with_overrides(duration=5.0), ["gossip", "brokers"])
+        comparison = executor.compare(
+            self.BASE.with_overrides(duration=5.0), ["gossip", "brokers"]
+        )
         assert [r.config.system for r in comparison] == ["gossip", "brokers"]
         table = results_table(results, title="sweep")
         assert "sweep" in table.render()

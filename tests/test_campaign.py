@@ -147,9 +147,9 @@ class TestValidation:
             make_spec(clash)
 
     def test_unknown_fields_suggest(self):
-        with pytest.raises(CampaignError, match="unknown field"):
+        with pytest.raises(CampaignError, match="unknown service 'alt-cold' fields .*'set'"):
             make_spec(lambda p: p["services"]["alt-cold"].update(sets={"x": 1}))
-        with pytest.raises(CampaignError, match="unknown field"):
+        with pytest.raises(CampaignError, match="unknown target 'one-table' fields .*'kind'"):
             make_spec(lambda p: p["targets"]["one-table"].update(kindd="table"))
 
     def test_cycle_detected(self):

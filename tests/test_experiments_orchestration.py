@@ -28,7 +28,6 @@ from repro.experiments import (
     grid_configs,
     run_experiment,
     scenario_names,
-    sweep,
     sweep_configs,
 )
 from repro.experiments.cli import main as cli_main
@@ -94,7 +93,7 @@ class TestGridExpansion:
 
 class TestParallelEqualsSerial:
     def test_parallel_sweep_is_bit_identical_to_serial(self):
-        serial = sweep(SMALL, "fanout", [2, 4])
+        serial = ParallelSweepExecutor(workers=1).sweep(SMALL, "fanout", [2, 4])
         executor = ParallelSweepExecutor(workers=2)
         parallel = executor.sweep(SMALL, "fanout", [2, 4])
         assert result_fingerprints(parallel) == result_fingerprints(serial)

@@ -15,10 +15,11 @@ import asyncio
 import random
 from dataclasses import asdict
 
+from repro.jsonio import MemorySink
 from repro.runtime import AsyncScheduler, MemoryTransport, RuntimeNetwork, WallClock
 from repro.sim import Network, Simulator
 from repro.sim.rng import RngRegistry
-from repro.tracing import DROP, MemoryTraceSink, TraceContext, Tracer
+from repro.tracing import DROP, TraceContext, Tracer
 from tests.conftest import settle
 from tests.test_sim_network_node import Recorder
 
@@ -116,7 +117,7 @@ def finish(network, tracer, outcome):
 def run_on_simulator():
     simulator = Simulator(seed=1)
     network = Network(simulator)
-    network.tracer = tracer = Tracer(MemoryTraceSink(), time_source=lambda: simulator.now)
+    network.tracer = tracer = Tracer(MemorySink(), time_source=lambda: simulator.now)
     outcome = {}
     for _ in script(simulator, network, outcome):
         simulator.run()
@@ -128,7 +129,7 @@ def run_live():
         scheduler = AsyncScheduler(WallClock(time_scale=200.0), RngRegistry(1))
         transport = MemoryTransport()
         network = RuntimeNetwork(scheduler, transport)
-        network.tracer = tracer = Tracer(MemoryTraceSink(), time_source=lambda: scheduler.now)
+        network.tracer = tracer = Tracer(MemorySink(), time_source=lambda: scheduler.now)
         await transport.start()
         outcome = {}
         for _ in script(scheduler, network, outcome):

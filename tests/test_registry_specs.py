@@ -133,7 +133,7 @@ class TestSpecRoundTrips:
         assert narrowed == 2 and isinstance(narrowed, int)
 
     def test_from_dict_runs_the_same_type_check(self):
-        with pytest.raises(RegistryError, match="system.fanout must be an integer"):
+        with pytest.raises(RegistryError, match="system spec field 'fanout' must be an integer"):
             StackSpec.from_dict({"system": {"fanout": "abc"}})
         assert StackSpec.from_dict({"duration": 5}).duration == 5.0
 

@@ -27,7 +27,9 @@ from repro.experiments import ExperimentConfig, ResultCache, get_scenario, run_e
 from repro.experiments.cli import main as cli_main
 from repro.registry import StackSpec, TelemetrySpec
 from repro.runtime import MemoryTransport, NodeHost
+from repro.jsonio import read_jsonl
 from repro.telemetry import (
+    SNAPSHOT_SCHEMA,
     Histogram,
     HistogramState,
     JsonlSink,
@@ -37,11 +39,14 @@ from repro.telemetry import (
     TelemetrySnapshot,
     parse_sink_spec,
     percentile,
-    read_snapshots_jsonl,
     render_prometheus,
 )
 from repro.telemetry.report import load_report_source, render_report, render_results
 from tests.conftest import settle
+
+
+def read_snapshots_jsonl(path):
+    return read_jsonl(path, SNAPSHOT_SCHEMA, TelemetrySnapshot.from_dict)
 
 
 def _fast_config() -> ExperimentConfig:
@@ -285,7 +290,7 @@ class TestSnapshotRoundTrip:
         for index in range(4):
             telemetry.increment("ticks")
             sink.emit(telemetry.snapshot(at=float(index)))
-        assert len(sink.snapshots) == 2
+        assert len(sink.records()) == 2
         assert sink.latest.at == 3.0
 
     def test_parse_sink_spec_errors(self):
@@ -515,7 +520,7 @@ class TestRuntimeSnapshots:
             await host.stop()
 
         asyncio.run(scenario())
-        snapshots = sink.snapshots
+        snapshots = sink.records()
         # Wall-time cadence is not exact; require at least the final snapshot
         # plus one periodic tick, and monotonically increasing timestamps.
         assert len(snapshots) >= 2

@@ -21,6 +21,7 @@ Covers the contract the topology subsystem promises:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 
 import pytest
@@ -82,8 +83,7 @@ class TestTopologySpecCodec:
     def test_file_round_trip_with_schema_tag(self, tmp_path):
         spec = TopologySpec(domains=2, cross_latency=1.0)
         path = tmp_path / "topo.json"
-        path.write_text(json.dumps(spec.to_file_dict()))
-        assert spec.to_file_dict()["schema"] == "topology/v1"
+        path.write_text(json.dumps({"schema": "topology/v1", **spec.to_dict()}))
         assert TopologySpec.from_file(str(path)) == spec
 
     def test_wrong_schema_tag_rejected(self, tmp_path):
@@ -248,9 +248,13 @@ class TestSpecTopologyIntegration:
         json.dumps(spec.to_dict())  # nested encoding must be JSON-clean
         json.dumps(config.to_dict())
 
-    def test_to_flat_covers_every_spec_field(self):
+    def test_flat_config_covers_every_spec_field(self):
         spec = TopologySpec(domains=3, bridge_policy="lexical")
-        config = ExperimentConfig().with_overrides(**spec.to_flat())
+        flat = {
+            f"topology_{spec_field.name}": getattr(spec, spec_field.name)
+            for spec_field in dataclasses.fields(spec)
+        }
+        config = ExperimentConfig().with_overrides(**flat)
         assert StackSpec.from_config(config).topology == spec
 
     def test_scenario_round_trips_never_perturb_cache_keys(self):

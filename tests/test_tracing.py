@@ -22,6 +22,7 @@ from repro.experiments.cache import config_hash
 from repro.experiments.scenarios import get_scenario
 from repro.pubsub.events import Event
 from repro.runtime import MemoryTransport, NodeHost, decode_message, encode_message
+from repro.jsonio import JsonlSink, MemorySink, read_jsonl
 from repro.sim.network import Message
 from repro.tracing import (
     DELIVER,
@@ -31,17 +32,19 @@ from repro.tracing import (
     PULL_RECOVER,
     RECEIVE,
     SPAN_KINDS,
-    JsonlTraceSink,
-    MemoryTraceSink,
+    TRACE_SCHEMA,
     SpanRecord,
     TraceContext,
     TraceSampler,
     Tracer,
     analyze_spans,
-    read_spans_jsonl,
     render_trace,
 )
 from tests.conftest import settle
+
+
+def read_spans_jsonl(path):
+    return read_jsonl(path, TRACE_SCHEMA, SpanRecord.from_dict)
 
 #: Documented tolerance of the sim-vs-live trace parity check: both engines
 #: run the same lazy-push node classes with the same seed, so the *kinds* of
@@ -58,7 +61,7 @@ def traced_smoke_lazy(
 ):
     """One pinned-seed smoke-lazy run with tracing; returns (result, tracer)."""
     config = get_scenario("smoke-lazy").config.with_overrides(system=system)
-    tracer = Tracer(sink if sink is not None else MemoryTraceSink(), sample_rate=sample_rate)
+    tracer = Tracer(sink if sink is not None else MemorySink(), sample_rate=sample_rate)
     result = run_experiment(config, keep_system=keep_system, tracer=tracer)
     return result, tracer
 
@@ -102,7 +105,7 @@ class TestSpanRecords:
 
     def test_jsonl_sink_and_reader(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
-        sink = JsonlTraceSink(path)
+        sink = JsonlSink(path)
         tracer = Tracer(sink, sample_rate=1.0)
         root = tracer.emit(PUBLISH, "e#1", "n0")
         tracer.emit(RECEIVE, "e#1", "n1", parent_id=root, hops=1, peer="n0")
@@ -162,7 +165,7 @@ class TestTraceDeterminism:
         streams = []
         for index in range(2):
             path = str(tmp_path / f"run{index}.jsonl")
-            _, tracer = traced_smoke_lazy(sink=JsonlTraceSink(path))
+            _, tracer = traced_smoke_lazy(sink=JsonlSink(path))
             tracer.close()
             with open(path, "rb") as handle:
                 streams.append(handle.read())
@@ -270,7 +273,7 @@ class TestSimLiveParity:
             from repro.registry import build_interest_model, build_popularity
             from repro.sim.rng import RngRegistry
 
-            tracer = Tracer(MemoryTraceSink(), sample_rate=1.0)
+            tracer = Tracer(MemorySink(), sample_rate=1.0)
             spec = get_scenario("smoke-lazy").spec
             host = NodeHost(
                 MemoryTransport(),
@@ -317,7 +320,7 @@ class TestSimLiveParity:
 
     def test_drop_spans_on_live_dead_recipient(self):
         async def scenario():
-            tracer = Tracer(MemoryTraceSink(), sample_rate=1.0)
+            tracer = Tracer(MemorySink(), sample_rate=1.0)
             host = NodeHost(MemoryTransport(), seed=3, tracer=tracer)
             host.add_nodes(["node-000", "node-001"])
             await host.start()
