@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-metrics bench-faults bench-lazy bench-trace bench-domains bench-campaign perfbench perfbench-quick serve-smoke loadgen-smoke serve-scenario-smoke registry-smoke report-smoke fault-smoke lazy-smoke trace-smoke domains-smoke campaign-smoke clean-cache
+.PHONY: test bench bench-smoke bench-metrics bench-faults bench-lazy bench-trace bench-domains bench-campaign bench-scale bench-scale-quick perfbench perfbench-quick serve-smoke loadgen-smoke serve-scenario-smoke registry-smoke report-smoke fault-smoke lazy-smoke trace-smoke domains-smoke campaign-smoke clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -127,6 +127,15 @@ campaign-smoke:
 # time and the warm per-point scheduling overhead; warm computes nothing).
 bench-campaign:
 	$(PYTHON) -m pytest benchmarks/bench_campaign.py -q -s
+
+# Scale curve: writes the "result" rows of BENCH_scale.json (fig4-push against
+# nodes, fig3-expressive against publication rate; one child process per row,
+# ~1.5 min).  The quick size (~5 s, what CI runs) only checks the schema.
+bench-scale:
+	$(PYTHON) benchmarks/bench_scale.py
+
+bench-scale-quick:
+	$(PYTHON) benchmarks/bench_scale.py --quick
 
 # The performance yardstick (perfbench/README.md): six end-to-end workloads,
 # three runs each plus one traced run for the per-layer numbers (24 runs of

@@ -1,0 +1,152 @@
+"""Scale curve of the simulator: wall time against nodes and against buffered events.
+
+Two axes, one row per point, every row in a fresh child process (so peak RSS
+is the row's own and nothing is warm from the previous one):
+
+* ``fig4-push`` at :data:`NODE_COUNTS` nodes — cost against population at a
+  low publication rate, where engine, network and membership do the work;
+* ``fig3-expressive`` at 128 nodes with ``publication_rate``
+  :data:`PUBLICATION_RATES` — cost against what every node *holds*: the rate
+  sets how many events sit in each gossip buffer, while a round still sends
+  at most ``gossip_size`` of them, so ``ms_per_gossip_round`` flat along this
+  axis is what "a round costs what it sends" means.
+
+A row's wall time is :func:`perfbench.stats.undisturbed_median` over
+:data:`REPS` repetitions of the same deterministic run.  Rows carry a
+``label`` (the code they were measured on); a run replaces the rows of its
+own label in ``BENCH_scale.json`` and keeps the others, so the file can hold
+a change and the parent it is compared against::
+
+    PYTHONPATH=src python benchmarks/bench_scale.py                   # label "result"
+    PYTHONPATH=<parent checkout>/src python benchmarks/bench_scale.py --label parent
+    PYTHONPATH=src python benchmarks/bench_scale.py --quick            # small, schema check only
+
+Open on ROADMAP item 2(a): N = 8192 and the lazy / multi-domain / structured rows.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from typing import Dict, List
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, _ROOT)  # perfbench
+sys.path.append(os.path.join(_ROOT, "src"))  # repro, unless PYTHONPATH already has one
+
+from perfbench.stats import undisturbed_median  # noqa: E402
+
+ARTIFACT = "BENCH_scale.json"
+SCHEMA = "bench-scale/v1"
+REPS = 3
+NODE_COUNTS = (128, 512, 2048)
+PUBLICATION_RATES = (5.0, 20.0, 80.0)
+ROW_FIELDS = (
+    "label", "scenario", "nodes", "publication_rate", "reps", "wall_s", "peak_rss_mb",
+    "engine_events_per_s", "ms_per_node", "ms_per_gossip_round", "gossip_rounds", "delivery_ratio",
+)
+
+
+def points(quick: bool) -> List[Dict[str, object]]:
+    """The curve's points as ``run_experiment`` overrides per scenario."""
+    node_counts = (24, 48) if quick else NODE_COUNTS
+    rates = (5.0, 20.0) if quick else PUBLICATION_RATES
+    return [
+        {"scenario": "fig4-push", "overrides": {"nodes": nodes}} for nodes in node_counts
+    ] + [
+        {
+            "scenario": "fig3-expressive",
+            "overrides": {"nodes": 24 if quick else 128, "publication_rate": rate, "gossip_size": 32},
+        }
+        for rate in rates
+    ]
+
+
+def measure_point(point: Dict[str, object], reps: int) -> Dict[str, object]:
+    """Child side: run one point ``reps`` times in this process and describe it."""
+    import gc
+    import resource
+    import time
+
+    from repro.experiments import get_scenario, run_experiment
+
+    config = get_scenario(point["scenario"]).config.with_overrides(**point["overrides"])
+    walls = []
+    for _ in range(reps):
+        gc.collect()
+        started = time.perf_counter()
+        result = run_experiment(config, keep_system=True)
+        walls.append(time.perf_counter() - started)
+    wall = undisturbed_median(walls)
+    rounds = result.final_snapshot.counter_total("gossip.rounds")
+    return {
+        "scenario": point["scenario"],
+        "nodes": config.nodes,
+        "publication_rate": config.publication_rate,
+        "reps": reps,
+        "wall_s": round(wall, 4),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+        "engine_events_per_s": round(result.system.simulator.processed_events / wall),
+        "ms_per_node": round(wall * 1000.0 / config.nodes, 4),
+        "ms_per_gossip_round": round(wall * 1000.0 / rounds, 4),
+        "gossip_rounds": int(rounds),
+        "delivery_ratio": round(result.reliability.delivery_ratio, 4),
+    }
+
+
+def measure(label: str, quick: bool) -> List[Dict[str, object]]:
+    """Parent side: one child process per point, in curve order."""
+    reps = 2 if quick else REPS
+    rows = []
+    for point in points(quick):
+        child = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--child", json.dumps(point), "--reps", str(reps)],
+            check=True, capture_output=True, text=True,
+        )
+        row = {"label": label, **json.loads(child.stdout)}
+        rows.append(row)
+        print("  ".join(f"{key}={row[key]}" for key in ROW_FIELDS), flush=True)
+    return rows
+
+
+def check_schema(artifact: Dict[str, object]) -> None:
+    assert artifact["schema"] == SCHEMA
+    assert artifact["rows"], "no rows"
+    for row in artifact["rows"]:
+        assert tuple(row) == ROW_FIELDS, sorted(set(row) ^ set(ROW_FIELDS))
+        assert row["wall_s"] > 0 and row["gossip_rounds"] > 0 and row["peak_rss_mb"] > 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--label", default="result", help="whose code the rows describe")
+    parser.add_argument("--quick", action="store_true", help="small sizes; check the schema, write nothing")
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    parser.add_argument("--reps", type=int, default=REPS, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        print(json.dumps(measure_point(json.loads(args.child), args.reps)))
+        return 0
+    rows = measure(args.label, args.quick)
+    if not args.quick and os.path.exists(ARTIFACT):
+        with open(ARTIFACT, encoding="utf-8") as handle:
+            rows = [row for row in json.load(handle)["rows"] if row["label"] != args.label] + rows
+    artifact = {"schema": SCHEMA, "reps": REPS, "rows": rows}
+    check_schema(artifact)
+    if not args.quick:
+        from repro.jsonio import write_json
+
+        write_json(ARTIFACT, artifact)
+    return 0
+
+
+def test_scale_curve_schema():
+    """``pytest benchmarks/`` runs the quick size: every point builds, runs and fits the schema."""
+    assert main(["--quick"]) == 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,34 +13,41 @@ challenge 6 of §5.2 — see :mod:`repro.core.bias`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from dataclasses import dataclass
+from itertools import groupby, takewhile
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional
 
 from ..pubsub.events import Event
 
 __all__ = ["BufferedEvent", "EventBuffer", "SELECTION_STRATEGIES"]
 
 
-@dataclass
+@dataclass(slots=True)
 class BufferedEvent:
-    """An event held in a node's gossip buffer with local bookkeeping."""
+    """An event held in a node's gossip buffer with local bookkeeping.
+
+    ``arrived_round`` is the buffer's round counter when the event came in:
+    rounds held is the counter's distance from it, so ageing rewrites no entry.
+    """
 
     event: Event
     received_at: float
+    arrived_round: int
     forwarded_count: int = 0
-    rounds_held: int = 0
-
-    @property
-    def event_id(self) -> str:
-        return self.event.event_id
 
 
 #: Names of the built-in selection strategies.
 SELECTION_STRATEGIES = ("random", "newest", "oldest", "least-forwarded", "stale-first")
 
+_ARRIVAL = attrgetter("arrived_round")
+
 
 class EventBuffer:
-    """Bounded buffer of recently seen events.
+    """Bounded buffer of recently seen events, kept in arrival order.
+
+    Entries of one round are neighbours (a *round group*), oldest group first, so
+    a round costs what it expires, evicts and selects, not what the buffer holds.
 
     Parameters
     ----------
@@ -59,6 +66,7 @@ class EventBuffer:
         self.capacity = capacity
         self.max_rounds = max_rounds
         self._entries: Dict[str, BufferedEvent] = {}
+        self._round = 0
         self.evictions = 0
         self.expirations = 0
 
@@ -70,29 +78,24 @@ class EventBuffer:
             return False
         if len(self._entries) >= self.capacity:
             self._evict_one()
-        self._entries[event.event_id] = BufferedEvent(event=event, received_at=received_at)
+        self._entries[event.event_id] = BufferedEvent(event, received_at, self._round)
         return True
 
     def _evict_one(self) -> None:
-        victim = max(
-            self._entries.values(),
-            key=lambda entry: (entry.rounds_held, entry.forwarded_count, entry.event_id),
-        )
-        del self._entries[victim.event_id]
+        """Drop from the oldest round group the most forwarded entry (largest id on ties)."""
+        _, group = next(groupby(self._entries.values(), _ARRIVAL))
+        victim = max(group, key=lambda entry: (entry.forwarded_count, entry.event.event_id))
+        del self._entries[victim.event.event_id]
         self.evictions += 1
 
     def start_round(self) -> int:
-        """Age all entries by one round and expire old ones; returns expirations."""
-        expired = [
-            entry.event_id
-            for entry in self._entries.values()
-            if entry.rounds_held + 1 > self.max_rounds
-        ]
+        """Age the buffer by one round and expire old entries; returns expirations."""
+        self._round += 1
+        entries, horizon = self._entries, self._round - self.max_rounds
+        expired = list(takewhile(lambda event_id: entries[event_id].arrived_round < horizon, entries))
         for event_id in expired:
-            del self._entries[event_id]
+            del entries[event_id]
         self.expirations += len(expired)
-        for entry in self._entries.values():
-            entry.rounds_held += 1
         return len(expired)
 
     def mark_forwarded(self, event_ids: Iterable[str]) -> None:
@@ -139,12 +142,12 @@ class EventBuffer:
         if strategy == "random":
             chosen = entries[:count]
         elif strategy == "newest":
-            chosen = sorted(entries, key=lambda entry: entry.rounds_held)[:count]
+            chosen = sorted(entries, key=lambda entry: -entry.arrived_round)[:count]
         elif strategy in ("oldest", "stale-first"):
-            chosen = sorted(entries, key=lambda entry: -entry.rounds_held)[:count]
+            chosen = sorted(entries, key=_ARRIVAL)[:count]
         elif strategy == "least-forwarded":
             chosen = sorted(
-                entries, key=lambda entry: (entry.forwarded_count, entry.rounds_held)
+                entries, key=lambda entry: (entry.forwarded_count, -entry.arrived_round)
             )[:count]
         else:
             raise ValueError(

@@ -46,7 +46,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import OrderedDict
-from itertools import takewhile
+from itertools import islice, takewhile
 from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from ..pubsub.events import Event
@@ -101,6 +101,14 @@ def eager_push_rounds(population: int, fanout: int, target_fraction: float = 0.5
     return max(1, math.ceil(math.log(target) / math.log(base))) + 1
 
 
+def _pop_due(table: Dict[str, int], now: int) -> List[str]:
+    """Remove and return the leading ids of ``table`` whose round is ``now`` or earlier."""
+    due = list(takewhile(lambda event_id: table[event_id] <= now, table))
+    for event_id in due:
+        del table[event_id]
+    return due
+
+
 class LazyPushGossipNode(PushGossipNode):
     """One participant of the two-phase lazy probabilistic broadcast.
 
@@ -150,10 +158,13 @@ class LazyPushGossipNode(PushGossipNode):
         self.store_capacity = self.buffer.capacity
         #: Event payloads retained past the eager phase (store nodes only).
         self.store: "OrderedDict[str, Event]" = OrderedDict()
-        #: id → rounds since first seen (insertion order = oldest first).
-        self._id_age: Dict[str, int] = {}
-        #: id → remaining eager-push rounds.
-        self._hot_budget: Dict[str, int] = {}
+        #: Rounds finished (``after_round`` calls).  The three tables below hold a round
+        #: per id and fill in round order, so what is due is a prefix (:func:`_pop_due`).
+        self._rounds_done = 0
+        #: id → the round it was first seen after (oldest first).
+        self._first_seen: Dict[str, int] = {}
+        #: id → the round that spends its eager-push budget.
+        self._hot_until: Dict[str, int] = {}
         #: Ids per digest message (caps digest size on long runs).
         self.digest_cap = max(8, 4 * self.gossip_size)
         #: Digests go out every this many rounds — the recovery phase is
@@ -169,7 +180,7 @@ class LazyPushGossipNode(PushGossipNode):
         #: horizon itself) keeps every live id recoverable — a gap only
         #: becomes permanent once the id is garbage-collected everywhere.
         self.advert_rounds = self.id_gc_rounds
-        #: id → rounds left before re-requesting it (duplicate-pull damping).
+        #: id → the round after which it may be re-requested (duplicate-pull damping).
         self._pending_pull: Dict[str, int] = {}
         self.pull_retry_rounds = 1
         self.pulls_issued = 0
@@ -197,51 +208,37 @@ class LazyPushGossipNode(PushGossipNode):
 
     def _hot_events(self) -> List[Event]:
         """Phase 1: the events still inside their eager budget, newest first."""
-        # Budgets are granted on first sight, in ``_id_age`` order, so the
-        # tail is the newest.
-        hot_ids = [event_id for event_id, budget in self._hot_budget.items() if budget > 0]
-        hot_ids = hot_ids[-self.current_gossip_size():]
+        # Budgets are granted on first sight, so the tail is the newest.
+        hot_ids = list(islice(reversed(self._hot_until), self.current_gossip_size()))[::-1]
         return [
             event for event in map(self._event_payload, hot_ids) if event is not None
         ]
 
     def _advertised_ids(self) -> List[str]:
         """Phase 2: recently seen ids, so receivers can pull their gaps."""
-        return [
-            event_id
-            for event_id, age in self._id_age.items()
-            if age <= self.advert_rounds
-        ][-self.digest_cap:]
+        first_seen, oldest = self._first_seen, self._rounds_done - self.advert_rounds
+        recent = takewhile(lambda event_id: first_seen[event_id] >= oldest, reversed(first_seen))
+        return list(islice(recent, self.digest_cap))[::-1]
 
     def after_round(self) -> None:
-        """Age ids, retire spent eager budgets, and garbage-collect."""
-        id_age = self._id_age
-        for event_id, age in id_age.items():
-            id_age[event_id] = age + 1
-        # Oldest first (insertion order), so the expired ids are a prefix.
-        expired = list(takewhile(lambda event_id: id_age[event_id] > self.id_gc_rounds, id_age))
-        for event_id in list(self._hot_budget):
-            self._hot_budget[event_id] -= 1
-            if self._hot_budget[event_id] <= 0:
-                del self._hot_budget[event_id]
-                if not self.is_store:
-                    # The eager phase is over: non-store nodes drop the
-                    # payload and keep only the id for digests.
-                    self.buffer.remove(event_id)
-        for event_id in list(self._pending_pull):
-            self._pending_pull[event_id] -= 1
-            if self._pending_pull[event_id] <= 0:
-                del self._pending_pull[event_id]
-        for event_id in expired:
-            del self._id_age[event_id]
-            self._hot_budget.pop(event_id, None)
+        """Finish the round: retire spent eager budgets and retries, garbage-collect."""
+        self._rounds_done = now = self._rounds_done + 1
+        spent = _pop_due(self._hot_until, now)
+        if not self.is_store:
+            # The eager phase is over: non-store nodes drop the payload and
+            # keep only the id for digests.
+            for event_id in spent:
+                self.buffer.remove(event_id)
+        _pop_due(self._pending_pull, now)
+        for event_id in _pop_due(self._first_seen, now - self.id_gc_rounds - 1):
+            self._hot_until.pop(event_id, None)
             self.store.pop(event_id, None)
             self.buffer.remove(event_id)
             # A garbage-collected id can no longer be relayed or advertised,
             # so its trace anchor is dead weight; dropping it bounds the
-            # trace state the same way _id_age bounds the digests.
+            # trace state the same way _first_seen bounds the digests.
             self._trace_state.pop(event_id, None)
-        self._hot_gauge.set(len(self._hot_budget))
+        self._hot_gauge.set(len(self._hot_until))
         self._store_gauge.set(len(self.store))
         self._store_bytes_gauge.set(float(sum(event.size for event in self.store.values())))
 
@@ -280,7 +277,7 @@ class LazyPushGossipNode(PushGossipNode):
         if target is None:
             return
         for event_id in missing:
-            self._pending_pull[event_id] = self.pull_retry_rounds
+            self._pending_pull[event_id] = self._rounds_done + self.pull_retry_rounds
         self.pulls_issued += 1
         self._pulls_issued_counter.increment()
         self.request_pull(target, missing, LAZY_REQUEST_KIND)
@@ -299,8 +296,8 @@ class LazyPushGossipNode(PushGossipNode):
     def _on_first_sight(self, event: Event) -> None:
         """A new event starts its eager budget and its id clock; stores keep it."""
         self._pending_pull.pop(event.event_id, None)
-        self._id_age[event.event_id] = 0
-        self._hot_budget[event.event_id] = self.eager_rounds
+        self._first_seen[event.event_id] = self._rounds_done
+        self._hot_until[event.event_id] = self._rounds_done + self.eager_rounds
         if self.is_store:
             self._store_put(event)
 

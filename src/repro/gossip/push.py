@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.accounting import WorkLedger
+from ..jsonio import suggest
 from ..membership.base import MembershipComponent, MembershipProvider
 from ..membership.lpbcast import LpbcastMembership, MembershipDigest
 from ..pubsub.events import Event
@@ -64,7 +65,7 @@ from ..tracing.spans import (
     RECEIVE,
     RELAY,
 )
-from .buffers import EventBuffer
+from .buffers import SELECTION_STRATEGIES, EventBuffer
 
 __all__ = [
     "GossipMessage",
@@ -183,6 +184,11 @@ class PushGossipNode(Participant):
             raise ValueError("gossip_size must be positive")
         if round_period <= 0:
             raise ValueError("round_period must be positive")
+        if selection_strategy not in SELECTION_STRATEGIES:
+            hint = suggest(selection_strategy, SELECTION_STRATEGIES)
+            raise ValueError(
+                f"unknown selection strategy {selection_strategy!r}{hint}; expected one of {SELECTION_STRATEGIES}"
+            )
         self.membership: MembershipComponent = membership_provider(self)
         self.fanout = fanout
         self.gossip_size = gossip_size

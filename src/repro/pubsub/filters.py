@@ -16,8 +16,9 @@ predicate used by the gossip algorithm of Figure 4.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .events import Event, TOPIC_ATTRIBUTE
 
@@ -73,7 +74,7 @@ class TopicFilter(Filter):
     topic: str
 
     def matches(self, event: Event) -> bool:
-        return event.attribute(TOPIC_ATTRIBUTE) == self.topic
+        return event.attributes.get(TOPIC_ATTRIBUTE) == self.topic
 
     def to_dict(self) -> Dict[str, Any]:
         return {"kind": "topic", "topic": self.topic}
@@ -87,17 +88,25 @@ class TopicFilter(Filter):
         return (self.topic,)
 
 
-#: Comparison operators allowed in attribute conditions.
+def _is_in(left: Any, right: Any) -> bool:
+    return left in right
+
+
+def _has_prefix(left: Any, right: Any) -> bool:
+    return str(left).startswith(str(right))
+
+
+#: Comparison operators allowed in attribute conditions (picklable: filters hold them).
 _OPERATORS: Dict[str, Callable[[Any, Any], bool]] = {
-    "==": lambda left, right: left == right,
-    "!=": lambda left, right: left != right,
-    "<": lambda left, right: left < right,
-    "<=": lambda left, right: left <= right,
-    ">": lambda left, right: left > right,
-    ">=": lambda left, right: left >= right,
-    "in": lambda left, right: left in right,
-    "contains": lambda left, right: right in left,
-    "prefix": lambda left, right: str(left).startswith(str(right)),
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "in": _is_in,
+    "contains": operator.contains,
+    "prefix": _has_prefix,
 }
 
 
@@ -156,6 +165,11 @@ class ContentFilter(Filter):
     conditions: Tuple[AttributeCondition, ...] = ()
     name: str = ""
 
+    def __post_init__(self) -> None:
+        # Compiled once so a match is one loop; not a field: outside ==, hash, repr, filter_id, to_dict.
+        tests = tuple((c.attribute, _OPERATORS[c.operator], c.value) for c in self.conditions)
+        object.__setattr__(self, "_tests", tests)
+
     @staticmethod
     def build(name: str = "", **equalities: Any) -> "ContentFilter":
         """Shorthand for an equality-only content filter."""
@@ -165,7 +179,14 @@ class ContentFilter(Filter):
         return ContentFilter(conditions=conditions, name=name)
 
     def matches(self, event: Event) -> bool:
-        return all(condition.holds_for(event) for condition in self.conditions)
+        attributes = event.attributes
+        try:
+            for attribute, test, value in self._tests:
+                if attribute not in attributes or not test(attributes[attribute], value):
+                    return False
+        except TypeError:  # incomparable types (string vs number) simply do not match
+            return False
+        return True
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -349,7 +370,10 @@ class InterestFunction:
 
     def is_interested(self, event: Event) -> bool:
         """The paper's ``ISINTERESTED(e)``."""
-        return any(subscription_filter.matches(event) for subscription_filter in self._filters.values())
+        for subscription_filter in self._filters.values():
+            if subscription_filter.matches(event):
+                return True
+        return False
 
     def matching_filters(self, event: Event) -> List[Filter]:
         """All active filters matched by the event."""

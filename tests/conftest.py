@@ -46,6 +46,14 @@ def delivery_log() -> DeliveryLog:
     return DeliveryLog()
 
 
+#: Cache keys of the ``smoke`` scenario, as gossip and with ``system="brokers"``:
+#: sha256 over schema, ``repro.__version__`` and the flat config dict (see
+#: ``experiments/cache.py``).  A new optional config field must leave them
+#: alone; a release whose numbers differ bumps the version and re-pins them here.
+SMOKE_CONFIG_HASH = "1cf8fcce9dce9547b8ba7d369156e39045a0194e020f154fe35dce71c1866442"
+SMOKE_BROKERS_CONFIG_HASH = "65d5faff74bf5437fbe010ef5bee2c2dfe13bc5d18f14a10e5d79e8f79120753"
+
+
 def result_sha(result) -> str:
     """sha256 of an ``ExperimentResult``'s canonical JSON: the pinned-result digest."""
     blob = json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))

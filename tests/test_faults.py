@@ -46,11 +46,7 @@ from repro.runtime.host import NodeHost
 from repro.runtime.transport import MemoryTransport
 from repro.sim import Network, ProcessRegistry, Simulator
 from repro.telemetry import Telemetry
-from tests.conftest import result_sha, settle
-
-# Pinned on the PR-2 tree (see tests/test_registry_specs.py): fault-free
-# configs must keep hashing to their historical cache keys.
-SMOKE_CONFIG_HASH = "1cf8fcce9dce9547b8ba7d369156e39045a0194e020f154fe35dce71c1866442"
+from tests.conftest import SMOKE_CONFIG_HASH, result_sha, settle
 
 
 def _physics(result) -> dict:

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from typing import Dict, Iterable, List
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gossip import EventBuffer, SELECTION_STRATEGIES
 from repro.pubsub import Event
@@ -12,6 +16,149 @@ from repro.pubsub import Event
 
 def make_event(index: int, size: int = 1) -> Event:
     return Event(event_id=f"e{index}", publisher="p", attributes={"topic": "t"}, size=size)
+
+
+# ------------------------------------------------------------ the reference
+
+
+@dataclass
+class ReferenceBufferedEvent:
+    event: Event
+    received_at: float
+    forwarded_count: int = 0
+    rounds_held: int = 0
+
+    @property
+    def event_id(self) -> str:
+        return self.event.event_id
+
+
+class ReferenceEventBuffer:
+    """The buffer as it was before it was indexed by arrival round, verbatim.
+
+    Every entry carries its own ``rounds_held``; a round rewrites all of
+    them, eviction scans all of them, and ``select`` shuffles all of them
+    and sorts the shuffled list.  Kept as the oracle: it shares no state
+    layout with :class:`EventBuffer`, so the two can only agree by meaning
+    the same thing.
+    """
+
+    def __init__(self, capacity: int = 200, max_rounds: int = 20) -> None:
+        if capacity <= 0 or max_rounds <= 0:
+            raise ValueError("capacity and max_rounds must be positive")
+        self.capacity = capacity
+        self.max_rounds = max_rounds
+        self._entries: Dict[str, ReferenceBufferedEvent] = {}
+        self.evictions = 0
+        self.expirations = 0
+
+    def add(self, event: Event, received_at: float) -> bool:
+        if event.event_id in self._entries:
+            return False
+        if len(self._entries) >= self.capacity:
+            self._evict_one()
+        self._entries[event.event_id] = ReferenceBufferedEvent(event=event, received_at=received_at)
+        return True
+
+    def _evict_one(self) -> None:
+        victim = max(
+            self._entries.values(),
+            key=lambda entry: (entry.rounds_held, entry.forwarded_count, entry.event_id),
+        )
+        del self._entries[victim.event_id]
+        self.evictions += 1
+
+    def start_round(self) -> int:
+        expired = [
+            entry.event_id
+            for entry in self._entries.values()
+            if entry.rounds_held + 1 > self.max_rounds
+        ]
+        for event_id in expired:
+            del self._entries[event_id]
+        self.expirations += len(expired)
+        for entry in self._entries.values():
+            entry.rounds_held += 1
+        return len(expired)
+
+    def mark_forwarded(self, event_ids: Iterable[str]) -> None:
+        for event_id in event_ids:
+            entry = self._entries.get(event_id)
+            if entry is not None:
+                entry.forwarded_count += 1
+
+    def remove(self, event_id: str) -> bool:
+        return self._entries.pop(event_id, None) is not None
+
+    def select(self, count: int, rng: random.Random, strategy: str = "random") -> List[Event]:
+        if count <= 0 or not self._entries:
+            return []
+        entries = list(self._entries.values())
+        rng.shuffle(entries)
+        if strategy == "random":
+            chosen = entries[:count]
+        elif strategy == "newest":
+            chosen = sorted(entries, key=lambda entry: entry.rounds_held)[:count]
+        elif strategy in ("oldest", "stale-first"):
+            chosen = sorted(entries, key=lambda entry: -entry.rounds_held)[:count]
+        elif strategy == "least-forwarded":
+            chosen = sorted(
+                entries, key=lambda entry: (entry.forwarded_count, entry.rounds_held)
+            )[:count]
+        else:
+            raise ValueError(f"unknown selection strategy {strategy!r}")
+        return [entry.event for entry in chosen]
+
+    def state(self) -> Dict[str, tuple]:
+        """id -> (rounds held, times forwarded), in storage order."""
+        return {
+            event_id: (entry.rounds_held, entry.forwarded_count)
+            for event_id, entry in self._entries.items()
+        }
+
+
+def state_of(buffer: EventBuffer) -> Dict[str, tuple]:
+    """The same view of the buffer under test (white box: its round counter)."""
+    return {
+        event_id: (buffer._round - entry.arrived_round, entry.forwarded_count)
+        for event_id, entry in buffer._entries.items()
+    }
+
+
+_ids = st.integers(min_value=0, max_value=15)
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _ids),
+        st.tuples(st.just("add"), _ids),  # adds outnumber the rest, so capacity is reached
+        st.tuples(st.just("start_round"), st.none()),
+        st.tuples(st.just("mark_forwarded"), st.lists(_ids, max_size=4)),
+        st.tuples(st.just("remove"), _ids),
+    ),
+    max_size=80,
+)
+
+
+class TestAgainstTheReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_operations, st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=4))
+    def test_same_contents_counters_and_victims_after_every_step(self, operations, capacity, max_rounds):
+        buffer = EventBuffer(capacity=capacity, max_rounds=max_rounds)
+        reference = ReferenceEventBuffer(capacity=capacity, max_rounds=max_rounds)
+        for name, argument in operations:
+            if name == "add":
+                outcomes = [side.add(make_event(argument), received_at=0.0) for side in (buffer, reference)]
+            elif name == "start_round":
+                outcomes = [side.start_round() for side in (buffer, reference)]
+            elif name == "mark_forwarded":
+                outcomes = [side.mark_forwarded([f"e{index}" for index in argument]) for side in (buffer, reference)]
+            else:
+                outcomes = [side.remove(f"e{argument}") for side in (buffer, reference)]
+            assert outcomes[0] == outcomes[1]
+            # Equal contents in equal order after a step that may have evicted
+            # or expired means the same victims went.
+            assert list(state_of(buffer).items()) == list(reference.state().items())
+            assert (buffer.evictions, buffer.expirations) == (reference.evictions, reference.expirations)
+            assert len(buffer) == len(reference._entries) <= capacity
 
 
 class TestEventBuffer:

@@ -181,6 +181,16 @@ class TestGossipSystemApi:
         with pytest.raises(ValueError):
             GossipSystem(simulator, network, [])
 
+    def test_misspelt_selection_strategy_is_rejected_when_the_node_is_built(self, simulator, network):
+        # It used to build, run quietly while buffers were empty, and raise
+        # from the first round timer that had something to select.
+        with pytest.raises(ValueError, match="unknown selection strategy 'newst'.*did you mean 'newest'"):
+            GossipSystem(
+                simulator, network, ["a", "b"],
+                membership_provider=full_membership_provider(network),
+                node_kwargs={"selection_strategy": "newst"},
+            )
+
     def test_delivery_callback_invoked(self):
         system = build_gossip_system(nodes=8, seed=16)
         received = []

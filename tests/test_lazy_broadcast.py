@@ -66,12 +66,7 @@ from repro.sim.rng import RngRegistry
 from repro.telemetry.report import _recovery_table, load_report_source, render_snapshots
 from repro.telemetry.snapshot import TelemetrySnapshot
 from repro.workloads import TopicPopularity, TopicPublicationWorkload
-from tests.conftest import settle
-
-# Pinned pre-lazy cache keys (identical literals to test_registry_specs):
-# the ``alpha`` field must not disturb them.
-SMOKE_CONFIG_HASH = "1cf8fcce9dce9547b8ba7d369156e39045a0194e020f154fe35dce71c1866442"
-SMOKE_BROKERS_CONFIG_HASH = "65d5faff74bf5437fbe010ef5bee2c2dfe13bc5d18f14a10e5d79e8f79120753"
+from tests.conftest import SMOKE_BROKERS_CONFIG_HASH, SMOKE_CONFIG_HASH, settle
 
 
 def make_event(index: int = 0, topic: str = "news", size: int = 32) -> Event:
@@ -242,8 +237,8 @@ class TestNodeMechanics:
         for node in (store, plain):
             event = make_event()
             node._absorb_event(event)
-            assert node._id_age[event.event_id] == 0
-            assert node._hot_budget[event.event_id] == node.eager_rounds
+            assert node._first_seen[event.event_id] == 0
+            assert node._hot_until[event.event_id] == node.eager_rounds
         assert make_event().event_id in store.store
         assert make_event().event_id not in plain.store
 
@@ -257,7 +252,7 @@ class TestNodeMechanics:
         assert plain._event_payload(event.event_id) is None
         assert plain.buffer.get(event.event_id) is None
         # ...but the id survives for digests until GC.
-        assert event.event_id in plain._id_age
+        assert event.event_id in plain._first_seen
 
     def test_store_node_keeps_payload_after_the_eager_phase(self):
         _, _, system = quiet_lazy_system()
@@ -285,7 +280,7 @@ class TestNodeMechanics:
         assert store.id_gc_rounds == 3
         for _ in range(store.id_gc_rounds + 1):
             store.after_round()
-        assert event.event_id not in store._id_age
+        assert event.event_id not in store._first_seen
         assert event.event_id not in store.store
         assert store.buffer.get(event.event_id) is None
 

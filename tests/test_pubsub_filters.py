@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.pubsub import (
     AndFilter,
@@ -109,6 +113,82 @@ class TestContentFilter:
         third = ContentFilter.build(category="b")
         assert first.filter_id == second.filter_id
         assert first.filter_id != third.filter_id
+
+
+_OPERATOR_NAMES = ("==", "!=", "<", "<=", ">", ">=", "in", "contains", "prefix")
+#: Values of every kind a condition or an event may carry: numbers against
+#: strings do not order, a number is no container, ``None`` is neither.
+_values = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from(["", "a", "ab", "abc"]),
+    st.tuples(st.sampled_from(["a", 1]), st.sampled_from(["ab", 2])),
+    st.none(),
+    st.floats(allow_nan=False, min_value=-2.0, max_value=2.0),
+)
+_attribute_names = st.sampled_from(["x", "y", "z"])
+_conditions = st.builds(AttributeCondition, _attribute_names, st.sampled_from(_OPERATOR_NAMES), _values)
+
+#: One filter of every kind, nested ones included.
+EVERY_KIND = (
+    TopicFilter("news"),
+    ContentFilter.build(name="metals", category="metals", level=5),
+    ContentFilter(conditions=tuple(AttributeCondition("x", name, "ab") for name in _OPERATOR_NAMES)),
+    AndFilter((TopicFilter("news"), ContentFilter.build(level=5))),
+    OrFilter((TopicFilter("news"), ContentFilter.build(level=5))),
+    NotFilter(ContentFilter.build(level=5)),
+    MatchAllFilter(),
+    MatchNoneFilter(),
+)
+_PROBES = (
+    make_event(topic="news"),
+    make_event(category="metals", level=5),
+    make_event(level=5, x="ab"),
+    make_event(x="abc"),
+    make_event(x=3),
+    make_event(),
+)
+
+
+class TestCompiledContentFilter:
+    @given(st.lists(_conditions, max_size=4), st.dictionaries(_attribute_names, _values, max_size=3))
+    def test_matches_is_the_conjunction_of_its_conditions(self, conditions, attributes):
+        event = Event(event_id="e", publisher="p", attributes=attributes)
+        filter_ = ContentFilter(conditions=tuple(conditions))
+        assert filter_.matches(event) == all(condition.holds_for(event) for condition in conditions)
+
+    def test_absent_attribute_and_incomparable_types_do_not_match(self):
+        filter_ = ContentFilter(conditions=(AttributeCondition("x", "<", 5),))
+        assert not filter_.matches(make_event(y=1))
+        assert not filter_.matches(make_event(x="a string"))
+        assert not ContentFilter(conditions=(AttributeCondition("x", "in", 5),)).matches(make_event(x=1))
+
+    def test_the_compiled_form_is_no_part_of_the_filters_identity(self):
+        filter_ = ContentFilter.build(name="metals", category="metals", level=5)
+        assert repr(filter_) == (
+            "ContentFilter(conditions=(AttributeCondition(attribute='category', operator='==', "
+            "value='metals'), AttributeCondition(attribute='level', operator='==', value=5)), name='metals')"
+        )
+        assert filter_.filter_id == "content:metals:category=='metals'&level==5"
+        assert set(filter_.to_dict()) == {"kind", "name", "conditions"}
+        twin = ContentFilter.build(name="metals", category="metals", level=5)
+        assert filter_ == twin and hash(filter_) == hash(twin)
+
+    @pytest.mark.parametrize("filter_", EVERY_KIND, ids=lambda filter_: type(filter_).__name__)
+    def test_every_kind_survives_pickle_and_still_matches(self, filter_):
+        copy = pickle.loads(pickle.dumps(filter_))
+        assert copy == filter_ and copy.filter_id == filter_.filter_id
+        assert [copy.matches(event) for event in _PROBES] == [filter_.matches(event) for event in _PROBES]
+
+    def test_content_filters_cross_the_process_boundary_of_a_parallel_sweep(self):
+        from repro.experiments import ParallelSweepExecutor, get_scenario
+
+        base = get_scenario("fig3-expressive").config.with_overrides(nodes=12, duration=3.0, drain_time=3.0)
+        results = ParallelSweepExecutor(workers=2).sweep(base, "fanout", [2, 3])
+        for result in results:
+            filters = [f for node in result.config.node_ids() for f in result.interest.filters_of(node)]
+            assert filters and all(isinstance(f, ContentFilter) for f in filters)
+            carried = {event.event_id: event for event in result.published_events}
+            assert carried and any(f.matches(event) for f in filters for event in carried.values())
 
 
 class TestCompositeFilters:

@@ -19,6 +19,7 @@ Covers the back-compat contract of the construction redesign:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 
 import pytest
@@ -47,7 +48,7 @@ from repro.registry import (
 from repro.runtime.host import NodeHost
 from repro.runtime.transport import MemoryTransport
 from repro.sim.rng import RngRegistry
-from tests.conftest import result_sha, settle
+from tests.conftest import SMOKE_BROKERS_CONFIG_HASH, SMOKE_CONFIG_HASH, result_sha, settle
 
 # --------------------------------------------------------------------------
 # Pinned pre-redesign values (computed on the PR-2 tree, before the registry
@@ -55,9 +56,7 @@ from tests.conftest import result_sha, settle
 # the redesign is NOT behavior-preserving.
 # --------------------------------------------------------------------------
 
-SMOKE_CONFIG_HASH = "1cf8fcce9dce9547b8ba7d369156e39045a0194e020f154fe35dce71c1866442"
 SMOKE_RESULT_SHA = "01218cc91332987a1658984959b634132ff53df4f721c9e5ed5f40b989f78d83"
-SMOKE_BROKERS_CONFIG_HASH = "65d5faff74bf5437fbe010ef5bee2c2dfe13bc5d18f14a10e5d79e8f79120753"
 SMOKE_BROKERS_RESULT_SHA = "f57d57153497c6feab047314705f8fb4bc3fa773c2cd43fbdb7a39d8fc531a63"
 
 # Cyclon-heavy results the two smoke pins barely exercise (captured on the
@@ -394,6 +393,18 @@ class TestSpecModeHost:
         assert all(node_id.startswith("node-") for node_id in host.node_ids())
         # the shared ledger sees broker work (fairness reads the real data)
         assert "broker-0" in host.ledger.node_ids()
+
+    def test_misspelt_selection_strategy_extra_fails_before_the_first_event(self):
+        spec = dataclasses.replace(
+            get_scenario("smoke").spec, extra=(("selection_strategy", "newst"),)
+        )
+
+        async def scenario() -> None:
+            host = NodeHost(MemoryTransport(), spec=spec)
+            with pytest.raises(ValueError, match="did you mean 'newest'"):
+                await host.start()
+
+        asyncio.run(scenario())
 
     def test_spec_mode_rejects_manual_add_node(self):
         spec = get_scenario("smoke").spec
