@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from itertools import groupby, takewhile
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from ..pubsub.events import Event
 
@@ -41,6 +41,24 @@ class BufferedEvent:
 SELECTION_STRATEGIES = ("random", "newest", "oldest", "least-forwarded", "stale-first")
 
 _ARRIVAL = attrgetter("arrived_round")
+_FORWARDS_THEN_ARRIVAL = attrgetter("forwarded_count", "arrived_round")
+
+
+def _best(
+    ranked: Iterable[BufferedEvent], rank: Callable, count: int, rng: random.Random
+) -> List[BufferedEvent]:
+    """The first ``count`` of ``ranked`` (best first), ties at the cut broken at random.
+
+    Neighbours of equal ``rank`` form a tie group: groups are taken whole while they
+    fit, the one that straddles the cut is sampled, and the walk stops right behind it.
+    """
+    chosen: List[BufferedEvent] = []
+    for _, tied in groupby(ranked, rank):
+        group, need = list(tied), count - len(chosen)
+        if len(group) >= need:
+            return chosen + (group if len(group) == need else rng.sample(group, need))
+        chosen += group
+    return chosen
 
 
 class EventBuffer:
@@ -116,6 +134,11 @@ class EventBuffer:
     ) -> List[Event]:
         """Pick up to ``count`` events according to ``strategy``.
 
+        Entries of equal rank that straddle the cut are sampled uniformly (a
+        fixed tie-break would starve whichever events sort last when more than
+        ``count`` tie, as when a publisher injects a burst within one round);
+        only that sample draws from ``rng``.
+
         Strategies
         ----------
         ``random``
@@ -133,22 +156,18 @@ class EventBuffer:
         """
         if count <= 0 or not self._entries:
             return []
-        entries = list(self._entries.values())
-        # Ties (events with identical age or forward counts) are broken at
-        # random; a deterministic tie-break would starve whichever events
-        # happen to sort last when more than ``count`` tie, as can occur
-        # when a publisher injects a burst within one round.
-        rng.shuffle(entries)
+        entries = self._entries.values()
         if strategy == "random":
-            chosen = entries[:count]
+            chosen = _best(entries, lambda entry: None, count, rng)  # all tie
         elif strategy == "newest":
-            chosen = sorted(entries, key=lambda entry: -entry.arrived_round)[:count]
+            chosen = _best(reversed(entries), _ARRIVAL, count, rng)
         elif strategy in ("oldest", "stale-first"):
-            chosen = sorted(entries, key=_ARRIVAL)[:count]
+            chosen = _best(entries, _ARRIVAL, count, rng)
         elif strategy == "least-forwarded":
-            chosen = sorted(
+            ranked = sorted(
                 entries, key=lambda entry: (entry.forwarded_count, -entry.arrived_round)
-            )[:count]
+            )
+            chosen = _best(ranked, _FORWARDS_THEN_ARRIVAL, count, rng)
         else:
             raise ValueError(
                 f"unknown selection strategy {strategy!r}; expected one of {SELECTION_STRATEGIES}"

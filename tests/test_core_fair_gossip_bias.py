@@ -34,10 +34,24 @@ def skewed_workload(system, publishers=4, events=40, spacing=0.5):
 
 class TestFairGossipProtocol:
     def test_reliability_preserved(self):
-        system = build_gossip_system(nodes=30, seed=31, fair=True)
-        skewed_workload(system)
-        interested = len([n for i, n in enumerate(system.node_ids()) if i % 2 == 0])
-        assert system.delivery_log.total_deliveries() == interested * 40
+        """Fair gossip keeps delivering: ratio >= 0.97 on average, no seed under 0.90.
+
+        A run delivers 40 events to 15 subscribers and loses whole events or
+        none, so its ratio moves in steps of 0.025.  Measured over seeds
+        100-399: all 600 deliveries in 209 of 300 runs before
+        ``EventBuffer.select`` stopped drawing for entries off the cut and in
+        214 of 300 after; mean 0.9921 / 0.9918; worst run 0.950 / 0.925.  (The
+        test used to demand 600 of 600 at seed 31, which 91 of those 300
+        seeds miss on either side of that change.)
+        """
+        ratios = []
+        for seed in range(31, 41):
+            system = build_gossip_system(nodes=30, seed=seed, fair=True)
+            skewed_workload(system)
+            interested = len([n for i, n in enumerate(system.node_ids()) if i % 2 == 0])
+            ratios.append(system.delivery_log.total_deliveries() / (interested * 40))
+        assert sum(ratios) / len(ratios) >= 0.97
+        assert min(ratios) >= 0.90
 
     def test_fairness_better_than_classic(self):
         fair = build_gossip_system(nodes=30, seed=32, fair=True)

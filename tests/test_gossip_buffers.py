@@ -256,3 +256,107 @@ class TestEventBuffer:
         rng = random.Random(2)
         for strategy in SELECTION_STRATEGIES:
             assert len(buffer.select(2, rng, strategy=strategy)) == 2
+
+
+# ---------------------------------------------------------------- selection
+
+#: strategy -> rank of an entry from (rounds held, times forwarded); lower is better.
+RANKS = {
+    "random": lambda held, forwarded: 0,
+    "newest": lambda held, forwarded: held,
+    "oldest": lambda held, forwarded: -held,
+    "stale-first": lambda held, forwarded: -held,
+    "least-forwarded": lambda held, forwarded: (forwarded, held),
+}
+
+_fills = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(min_value=0, max_value=40)),
+        st.tuples(st.just("add"), st.integers(min_value=0, max_value=40)),
+        st.tuples(st.just("start_round"), st.none()),
+        st.tuples(st.just("mark_forwarded"), st.lists(st.integers(min_value=0, max_value=40), max_size=6)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def filled(buffer_class, fills):
+    buffer = buffer_class(capacity=100, max_rounds=100)
+    for name, argument in fills:
+        if name == "add":
+            buffer.add(make_event(argument), received_at=0.0)
+        elif name == "start_round":
+            buffer.start_round()
+        else:
+            buffer.mark_forwarded([f"e{index}" for index in argument])
+    state = state_of(buffer) if buffer_class is EventBuffer else buffer.state()
+    return buffer, state
+
+
+class TestSelectionCut:
+    @pytest.mark.parametrize("buffer_class", [EventBuffer, ReferenceEventBuffer])
+    @pytest.mark.parametrize("strategy", SELECTION_STRATEGIES)
+    @settings(max_examples=60, deadline=None)
+    @given(fills=_fills, count=st.integers(min_value=1, max_value=45), seed=st.integers(0, 10_000))
+    def test_everything_better_than_the_cut_nothing_worse_than_the_tie(
+        self, buffer_class, strategy, fills, count, seed
+    ):
+        buffer, state = filled(buffer_class, fills)
+        rank = {event_id: RANKS[strategy](*entry) for event_id, entry in state.items()}
+        rng = random.Random(seed)
+        before = rng.getstate()
+        selected = [event.event_id for event in buffer.select(count, rng, strategy=strategy)]
+        assert len(selected) == len(set(selected)) == min(count, len(state))
+        if count >= len(state):
+            assert set(selected) == set(state)
+            tied_at_cut = 0
+        else:
+            cut = sorted(rank.values())[count - 1]
+            assert {event_id for event_id in state if rank[event_id] < cut} <= set(selected)
+            assert all(rank[event_id] <= cut for event_id in selected)
+            within = sum(1 for value in rank.values() if value <= cut)
+            tied_at_cut = 0 if within == count else within
+        if buffer_class is EventBuffer and not tied_at_cut:
+            # Nothing ties at the cut: the stream is left where it was.
+            assert rng.getstate() == before
+
+    @pytest.mark.parametrize("buffer_class", [EventBuffer, ReferenceEventBuffer])
+    @pytest.mark.parametrize(
+        "strategy,count,group,need",
+        [
+            ("random", 4, range(9), 4),
+            ("newest", 4, range(3, 9), 4),
+            ("oldest", 5, range(3, 9), 2),
+            ("stale-first", 5, range(3, 9), 2),
+            ("least-forwarded", 6, (3, 4, 5, 6), 3),
+        ],
+    )
+    def test_tied_entries_are_picked_uniformly(self, buffer_class, strategy, count, group, need):
+        """Three old entries, six new ones, the last two and an old one forwarded once."""
+        buffer = buffer_class(capacity=100, max_rounds=100)
+        for index in range(3):
+            buffer.add(make_event(index), received_at=0.0)
+        buffer.start_round()
+        for index in range(3, 9):
+            buffer.add(make_event(index), received_at=0.0)
+        if strategy == "least-forwarded":
+            # Rank order: e3..e6 (never forwarded, new), e1 e2 (never, old), e7 e8, e0.
+            buffer.mark_forwarded(["e0", "e7", "e8"])
+            buffer.start_round()
+            buffer.add(make_event(9), received_at=0.0)
+            buffer.add(make_event(10), received_at=0.0)
+            buffer.add(make_event(11), received_at=0.0)  # three newer ones, taken whole
+        runs = 2000
+        picks = dict.fromkeys((f"e{index}" for index in group), 0)
+        for seed in range(runs):
+            selected = [event.event_id for event in buffer.select(count, random.Random(seed), strategy)]
+            assert len(selected) == count
+            for event_id in selected:
+                if event_id in picks:
+                    picks[event_id] += 1
+        expected = need / len(picks)
+        four_sigma = 4 * (expected * (1 - expected) / runs) ** 0.5
+        assert sum(picks.values()) == need * runs
+        for event_id, picked in picks.items():
+            assert abs(picked / runs - expected) <= four_sigma, (event_id, picked / runs, expected)

@@ -59,7 +59,6 @@ def reference_gossip(rngs, nodes, fanout, rounds, publications, interested,
             partners = peers if fanout >= len(peers) else rng.sample(peers, fanout)
             held = list(age[node])
             if eager_rounds is None:
-                rng.shuffle(held)  # N >= |events|: all are sent, the tie-break draws are spent
                 pushes += [(node, peer, held) for peer in partners]
             else:
                 hot = [event for event in held if age[node][event] < eager_rounds]

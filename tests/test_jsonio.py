@@ -371,11 +371,12 @@ class TestFiles:
 
 #: sha256 of the three artifacts of
 #: ``run smoke --no-cache --json A --telemetry jsonl:B --trace C``, captured on
-#: the parent of the commit that introduced ``repro.jsonio`` (PR 17's head).
+#: the parent of the commit that introduced ``repro.jsonio`` (PR 17's head) and
+#: re-captured at 1.1.0, when the ``gossip:<node>`` stream of ``select`` changed.
 PARENT_SHA256 = {
-    "A.json": "7ce390dcf1a46b72b9c2211dfae41d52a56c8fc179a503dfb8983918402edc7e",
-    "B.jsonl": "3dac1eb95de015fcce66d4e3a0b4b226e7bccea05933e1be7feef9c5cb9a620e",
-    "C.jsonl": "3697cdd839683b2e5898fc7b16c8bc610a8c4fb02e9daf5163888b7a954d2984",
+    "A.json": "a84c755674b7c7a29c36ae9d8b416bfe81ea570c36efc108c5a9c4e330358d28",
+    "B.jsonl": "7a96c3ef45bbbc84346e45397f14d9a81672d0a7a7f47166b918f690e24a03d6",
+    "C.jsonl": "c15540cc5588b0884e82d0c3113c53be7e69671653a2f17463225799497d0de1",
 }
 
 

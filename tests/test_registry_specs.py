@@ -51,21 +51,25 @@ from repro.sim.rng import RngRegistry
 from tests.conftest import SMOKE_BROKERS_CONFIG_HASH, SMOKE_CONFIG_HASH, result_sha, settle
 
 # --------------------------------------------------------------------------
-# Pinned pre-redesign values (computed on the PR-2 tree, before the registry
-# existed).  If these change, cached PR-1/PR-2 artifacts stop resolving and
-# the redesign is NOT behavior-preserving.
+# Pinned results: a change that moves one is NOT behavior-preserving.  The
+# brokers digest dates from the PR-2 tree, before the registry existed; the
+# push-gossip ones (smoke, fig4-push, smoke-domains) were re-pinned at 1.1.0,
+# when ``EventBuffer.select`` stopped spending draws on entries off the cut
+# (docs/ARCHITECTURE.md, "Which literals pin what").  The cache keys that go
+# with them are in tests/conftest.py.
 # --------------------------------------------------------------------------
 
-SMOKE_RESULT_SHA = "01218cc91332987a1658984959b634132ff53df4f721c9e5ed5f40b989f78d83"
+SMOKE_RESULT_SHA = "caa6a1f189110d9fbba7f1ce95d7a671071dd9332857504f7829306da9573d30"
 SMOKE_BROKERS_RESULT_SHA = "f57d57153497c6feab047314705f8fb4bc3fa773c2cd43fbdb7a39d8fc531a63"
 
-# Cyclon-heavy results the two smoke pins barely exercise (captured on the
-# PR-11 tree, before the simulator hot path was touched): many shuffle rounds,
-# the lazy digest/pull path under loss, and domain-scoped views with bridges.
+# Cyclon-heavy results the two smoke pins barely exercise: many shuffle rounds,
+# the lazy digest/pull path under loss (captured on the PR-11 tree, before the
+# simulator hot path was touched, and never moved since: lazy push does not
+# call ``select``), and domain-scoped views with bridges.
 CYCLON_HEAVY_RESULT_SHAS = {
-    "fig4-push": "ea5a451340a18307b2fe5594c341ada502fd3b0f6eee3812b5c687eb072acfee",
+    "fig4-push": "623f7d3301522e9b0f595894cb1aaece1c7ea09155893ca8925f2d1180d54992",
     "smoke-lazy": "cb44ad1bb5aa6276d3d75585a61ccf78d109151f32ea203d1d730a90d073d2a3",
-    "smoke-domains": "61841d5b193b8c8b95a4a615c26a0cca9bc8172dd629768ccdda3aca46b400ce",
+    "smoke-domains": "f02ce5af8dff891a62c2a82ee06feb62267f80a4a7258519e19c342aa2ff7898",
 }
 
 
