@@ -116,7 +116,7 @@ def check_schema(artifact: Dict[str, object]) -> None:
     assert artifact["schema"] == SCHEMA
     assert artifact["rows"], "no rows"
     for row in artifact["rows"]:
-        assert tuple(row) == ROW_FIELDS, sorted(set(row) ^ set(ROW_FIELDS))
+        assert set(row) == set(ROW_FIELDS), sorted(set(row) ^ set(ROW_FIELDS))
         assert row["wall_s"] > 0 and row["gossip_rounds"] > 0 and row["peak_rss_mb"] > 0
 
 
@@ -130,15 +130,15 @@ def main(argv=None) -> int:
     if args.child:
         print(json.dumps(measure_point(json.loads(args.child), args.reps)))
         return 0
+    from repro.jsonio import load_json, write_json
+
     rows = measure(args.label, args.quick)
     if not args.quick and os.path.exists(ARTIFACT):
-        with open(ARTIFACT, encoding="utf-8") as handle:
-            rows = [row for row in json.load(handle)["rows"] if row["label"] != args.label] + rows
-    artifact = {"schema": SCHEMA, "reps": REPS, "rows": rows}
+        kept = load_json(ARTIFACT, SCHEMA, ValueError, "scale curve")["rows"]
+        rows = [row for row in kept if row["label"] != args.label] + rows
+    artifact = {"schema": SCHEMA, "rows": rows}
     check_schema(artifact)
     if not args.quick:
-        from repro.jsonio import write_json
-
         write_json(ARTIFACT, artifact)
     return 0
 

@@ -182,8 +182,8 @@ class TestGossipSystemApi:
             GossipSystem(simulator, network, [])
 
     def test_misspelt_selection_strategy_is_rejected_when_the_node_is_built(self, simulator, network):
-        # It used to build, run quietly while buffers were empty, and raise
-        # from the first round timer that had something to select.
+        # Not later: ``select`` only meets the name in the first round that has
+        # something to select, inside a timer callback of the engine.
         with pytest.raises(ValueError, match="unknown selection strategy 'newst'.*did you mean 'newest'"):
             GossipSystem(
                 simulator, network, ["a", "b"],
