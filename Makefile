@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-metrics bench-faults bench-lazy bench-trace bench-domains bench-campaign bench-scale bench-scale-quick perfbench perfbench-quick serve-smoke loadgen-smoke serve-scenario-smoke registry-smoke report-smoke fault-smoke lazy-smoke trace-smoke domains-smoke campaign-smoke clean-cache
+.PHONY: test bench bench-smoke bench-metrics bench-faults bench-lazy bench-trace bench-domains bench-campaign bench-scale bench-scale-quick perfbench perfbench-quick serve-smoke loadgen-smoke serve-scenario-smoke registry-smoke report-smoke parity-smoke fault-smoke lazy-smoke trace-smoke domains-smoke campaign-smoke clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -51,6 +51,13 @@ report-smoke:
 	$(PYTHON) -m repro serve --scenario smoke --transport memory --duration 2 --rate 100 --drain 0.5 --telemetry jsonl:out/live_metrics.jsonl
 	$(PYTHON) -m repro report out/live_metrics.jsonl
 
+# One run record under both engines: a live run of a topic-policy scenario
+# is judged under that policy, and its snapshot stream carries the per-node
+# fairness gauges `repro report` builds the fairness table from.
+parity-smoke:
+	$(PYTHON) -m repro serve --scenario fig2-topic --transport memory --duration 2 --rate 100 --drain 0.5 --telemetry jsonl:out/parity_live.jsonl | grep "under topic-based policy"
+	$(PYTHON) -m repro report out/parity_live.jsonl | grep "fairness at t="
+
 # Fault-injection round trip: the registered fault scenarios on the
 # simulator (churn + a mid-run partition, with a fault timeline in the
 # report), then the SAME fault plan JSON driving a simulated run and a
@@ -63,7 +70,8 @@ fault-smoke:
 	$(PYTHON) -m repro serve --scenario smoke --fault examples/fault_plan.json --transport memory --duration 3 --rate 200 --drain 0.5
 
 # Fault-layer overhead: writes BENCH_fault_overhead.json (an active-but-idle
-# FaultController must stay <5% on smoke at 1024 nodes, physics untouched).
+# FaultController must stay <5% plus the measured noise floor on smoke at
+# 1024 nodes, physics untouched).
 bench-faults:
 	$(PYTHON) -m pytest benchmarks/bench_fault_overhead.py -q -s
 

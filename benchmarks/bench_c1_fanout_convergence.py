@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from common import BASE_CONFIG, attach_extra_info
 from repro.analysis.tables import Table
-from repro.core import FairGossipSystem, FanoutSchedule, PayloadSchedule
+from repro.core import FairGossipSystem
 from repro.pubsub import TopicFilter
 from repro.sim import Network, Simulator
 from repro.workloads import TopicPopularity, TopicPublicationWorkload
@@ -46,8 +46,6 @@ def run_step_change(smoothing: float, seed: int = 77):
             "gossip_size": 8,
             "round_period": 1.0,
             "smoothing": smoothing,
-            "fanout_schedule": FanoutSchedule(base_fanout=4, min_fanout=1, max_fanout=12),
-            "payload_schedule": PayloadSchedule(base_payload=8, min_payload=1, max_payload=32),
         },
     )
     popularity = TopicPopularity.uniform(1, prefix="hot")
@@ -65,15 +63,15 @@ def run_step_change(smoothing: float, seed: int = 77):
     for node_id in late_subscribers:
         system.subscribe(node_id, TopicFilter(topic))
     rounds_before = {
-        node_id: len(system.node(node_id).fanout_controller.history) for node_id in late_subscribers
+        node_id: len(system.node(node_id).fanout_lever.history) for node_id in late_subscribers
     }
     system.run(until=100.0)
     convergence_rounds = []
     final_fanouts = []
     for node_id in late_subscribers:
-        controller = system.node(node_id).fanout_controller
-        post_change = controller.history[rounds_before[node_id]:]
-        final_fanouts.append(controller.current_fanout)
+        lever = system.node(node_id).fanout_lever
+        post_change = lever.history[rounds_before[node_id]:]
+        final_fanouts.append(lever.current)
         for index in range(len(post_change) - 5 + 1):
             window = post_change[index : index + 5]
             if len(set(window)) == 1 and window[0] > 1:

@@ -36,16 +36,15 @@ def run_bursty(seed: int = 101):
     phases = [(1.0, 20.0), (12.0, 20.0), (1.0, 20.0), (12.0, 20.0)]
     start = 1.0
     payload_samples = {"quiet": [], "busy": []}
-    for index, (rate, duration) in enumerate(phases):
+    for rate, duration in phases:
         workload = TopicPublicationWorkload(
-            system, simulator, popularity, publishers=publishers, rate=rate,
-            rng_name=f"burst-{index}",
+            system, simulator, popularity, publishers=publishers, rate=rate
         )
         workload.start(duration=duration, start_at=start)
         system.run(until=start + duration)
         label = "busy" if rate > 5 else "quiet"
         payload_samples[label].extend(
-            system.node(node_id).payload_controller.current_payload for node_id in subscribers
+            system.node(node_id).payload_lever.current for node_id in subscribers
         )
         start += duration
     system.run(until=start + 10.0)

@@ -4,14 +4,10 @@ Runs the pinned-seed ``smoke-lazy`` experiment, grown to :data:`NODES` nodes
 so one run takes over a second, untraced and with a
 :class:`~repro.tracing.Tracer` at sample rates 0.0 / 0.1 / 1.0 (memory
 sink), and reports the wall-time overhead of each against the untraced
-baseline.  Timings are min-of-N with the variants interleaved round-robin,
-so scheduler noise and cache warmth hit every variant equally and the *best*
-run — the one closest to the true cost — is what gets compared.  (At the
-scenario's own 24 nodes a run is ~50 ms and run-to-run noise is several
-times the 1% being asserted.)  The untraced variant is timed twice, as two
-interleaved variants of the same code: the gap between their best runs is
-the noise floor of this host, recorded next to the overheads so a reading
-of either sign can be judged against it.
+baseline.  Timing is :func:`common.time_interleaved`: interleaved min-of-N
+with the untraced arm timed twice, whose gap is the noise floor recorded
+next to the overheads.  (At the scenario's own 24 nodes a run is ~50 ms and
+run-to-run noise is several times the 1% being asserted.)
 
 The contract being priced:
 
@@ -27,10 +23,9 @@ Writes ``BENCH_trace_overhead.json`` and asserts both properties.
 
 from __future__ import annotations
 
-import gc
-import time
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
+from common import time_interleaved
 from repro.experiments import run_experiment
 from repro.experiments.scenarios import get_scenario
 from repro.jsonio import MemorySink, write_json
@@ -48,65 +43,40 @@ RATES = (0.0, 0.1, 1.0)
 RATE0_BOUND = 0.01
 
 
-def _run_once(rate: Optional[float]) -> Dict[str, object]:
-    """One timed run; seconds, physics, spans."""
+def _arm(rate: Optional[float]) -> Callable[[], tuple]:
+    """One variant: a run of the scenario, untraced or traced at ``rate``."""
     config = get_scenario("smoke-lazy").config.with_overrides(nodes=NODES)
-    tracer = None if rate is None else Tracer(MemorySink(), sample_rate=rate)
-    # Collector pauses land on whichever variant happens to trip the
-    # threshold and dwarf the sub-1% effect being measured, so each sample
-    # starts from a collected heap and runs with the collector off.
-    gc.collect()
-    gc.disable()
-    started = time.perf_counter()
-    try:
-        result = run_experiment(config, tracer=tracer)
-        elapsed = time.perf_counter() - started
-    finally:
-        gc.enable()
-    return {
-        "seconds": elapsed,
-        "physics": result.to_dict(),
-        "spans": 0 if tracer is None else tracer.spans_emitted,
-    }
+
+    def run() -> tuple:
+        tracer = None if rate is None else Tracer(MemorySink(), sample_rate=rate)
+        return run_experiment(config, tracer=tracer), tracer
+
+    return run
 
 
 def run_benchmark() -> Dict[str, object]:
-    variants: Dict[str, Optional[float]] = {"untraced": None, "untraced_again": None}
-    for rate in RATES:
-        variants[f"rate_{rate}"] = rate
-
-    # Warm-up (imports, code caches), then interleaved min-of-N timing.
-    for rate in variants.values():
-        _run_once(rate)
-    best: Dict[str, float] = {name: float("inf") for name in variants}
-    sample: Dict[str, Dict[str, object]] = {}
-    for _ in range(ROUNDS):
-        for name, rate in variants.items():
-            run = _run_once(rate)
-            best[name] = min(best[name], run["seconds"])
-            sample[name] = run
-
-    baseline = best["untraced"]
-    overhead = {
-        name: (best[name] - baseline) / baseline
-        for name, rate in variants.items()
-        if rate is not None
-    }
-    physics_identical = {
-        name: sample[name]["physics"] == sample["untraced"]["physics"]
-        for name, rate in variants.items()
-        if rate is not None
-    }
+    best, sample, noise_floor = time_interleaved(
+        {"untraced": _arm(None), **{f"rate_{rate}": _arm(rate) for rate in RATES}}, ROUNDS
+    )
+    traced = [f"rate_{rate}" for rate in RATES]
+    physics = {name: result.to_dict() for name, (result, _tracer) in sample.items()}
     return {
         "schema": "bench-trace-overhead/v1",
         "scenario": "smoke-lazy",
         "nodes": NODES,
         "rounds": ROUNDS,
         "best_seconds": best,
-        "overhead_vs_untraced": overhead,
-        "noise_floor": abs(best["untraced_again"] - baseline) / baseline,
-        "spans_emitted": {name: sample[name]["spans"] for name in variants},
-        "physics_identical_to_untraced": physics_identical,
+        "overhead_vs_untraced": {
+            name: (best[name] - best["untraced"]) / best["untraced"] for name in traced
+        },
+        "noise_floor": noise_floor,
+        "spans_emitted": {
+            name: 0 if tracer is None else tracer.spans_emitted
+            for name, (_result, tracer) in sample.items()
+        },
+        "physics_identical_to_untraced": {
+            name: physics[name] == physics["untraced"] for name in traced
+        },
     }
 
 

@@ -27,9 +27,11 @@ the *shape* of the comparisons is what is being reproduced, as explained in
 
 from __future__ import annotations
 
+import gc
 import sys
 import os
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+import time
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
@@ -40,6 +42,7 @@ from repro.experiments import (  # noqa: E402
     ParallelSweepExecutor,
     ResultCache,
     get_scenario,
+    results_table,
 )
 
 __all__ = [
@@ -51,6 +54,7 @@ __all__ = [
     "run_compare",
     "print_results",
     "attach_extra_info",
+    "time_interleaved",
     "Table",
     "ExperimentConfig",
 ]
@@ -109,26 +113,10 @@ def run_compare(
 def print_results(title: str, results: Sequence[ExperimentResult], extra_columns: Dict[str, Dict[str, object]] = None) -> None:
     """Print the standard result table (plus optional per-run extra columns)."""
     extra_columns = extra_columns or {}
-    extra_names = sorted({key for values in extra_columns.values() for key in values})
-    table = Table(
-        ["name", "delivery_ratio", "mean_rounds", "ratio_jain", "ratio_spread", "wasted_share",
-         "contribution_jain", "total_messages"] + extra_names,
-        title=title,
-    )
-    for result in results:
-        report = result.fairness.report
-        row = {
-            "name": result.config.name,
-            "delivery_ratio": result.reliability.delivery_ratio,
-            "mean_rounds": result.reliability.mean_rounds,
-            "ratio_jain": report.ratio_jain,
-            "ratio_spread": report.ratio_spread,
-            "wasted_share": report.wasted_share,
-            "contribution_jain": report.contribution_jain,
-            "total_messages": result.total_messages,
-        }
-        row.update(extra_columns.get(result.config.name, {}))
-        table.add_row(**row)
+    table = results_table(results, title=title)
+    table.columns += sorted({key for values in extra_columns.values() for key in values})
+    for row in table.rows:
+        row.update(extra_columns.get(row["name"], {}))
     print()
     print(table.render())
 
@@ -147,3 +135,46 @@ def attach_extra_info(benchmark, results: Sequence[ExperimentResult]) -> None:
         }
         for result in results
     ]
+
+
+def time_interleaved(
+    arms: Dict[str, Callable[[], object]], rounds: int
+) -> Tuple[Dict[str, float], Dict[str, object], float]:
+    """Interleaved min-of-N wall time of several arms of one experiment.
+
+    For overhead benchmarks whose effect is a few percent of a run of a
+    second or more.  The arms run round-robin, ``rounds`` times after one
+    untimed warm-up each (imports, code caches), so scheduler noise and
+    cache warmth hit every arm equally, and the *best* run of each — the one
+    closest to its true cost — is what gets compared.  Collector pauses land
+    on whichever arm happens to trip the threshold and dwarf a sub-5 %
+    effect, so each sample starts from a collected heap and runs with the
+    collector off.
+
+    The first arm is the baseline and is timed twice, as two interleaved
+    arms of the same code (``<name>`` and ``<name>_again``): the gap between
+    their best runs is the noise floor of this host, so a reading of either
+    sign can be judged against it.
+
+    Returns ``(best seconds per arm, last result per arm, noise floor as a
+    fraction of the baseline)``.
+    """
+    baseline = next(iter(arms))
+    arms = {baseline: arms[baseline], f"{baseline}_again": arms[baseline], **arms}
+    for run in arms.values():
+        run()
+    best = {name: float("inf") for name in arms}
+    sample: Dict[str, object] = {}
+    for _ in range(rounds):
+        for name, run in arms.items():
+            gc.collect()
+            gc.disable()
+            started = time.perf_counter()
+            try:
+                sample[name] = run()
+                elapsed = time.perf_counter() - started
+            finally:
+                gc.enable()
+            best[name] = min(best[name], elapsed)
+    noise_floor = abs(best[f"{baseline}_again"] - best[baseline]) / best[baseline]
+    return best, sample, noise_floor

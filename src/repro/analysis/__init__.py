@@ -5,6 +5,7 @@ from .fairness_report import (
     SystemFairnessSummary,
     compare_systems,
     fairness_table_from_snapshot,
+    publish_fairness_gauges,
     summarise_fairness,
 )
 from .reliability import (
@@ -19,6 +20,7 @@ __all__ = [
     "NodeFairnessRow",
     "SystemFairnessSummary",
     "summarise_fairness",
+    "publish_fairness_gauges",
     "fairness_table_from_snapshot",
     "compare_systems",
     "EventReliability",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.accounting import WorkLedger
-from ..core.fairness import FairnessReport, evaluate_fairness
+from ..core.fairness import FairnessReport, contribution_benefit_ratios, evaluate_fairness
 from ..core.policy import EXPRESSIVE_POLICY, FairnessPolicy
 from ..jsonio import decode, encode
 from .tables import Table, format_table
@@ -22,6 +22,7 @@ __all__ = [
     "NodeFairnessRow",
     "SystemFairnessSummary",
     "summarise_fairness",
+    "publish_fairness_gauges",
     "fairness_table_from_snapshot",
     "compare_systems",
 ]
@@ -131,18 +132,41 @@ def summarise_fairness(
     )
 
 
+def publish_fairness_gauges(telemetry, ledger: WorkLedger, policy: FairnessPolicy, topology=None) -> None:
+    """Write the fairness view of ``ledger`` into ``telemetry``'s gauges.
+
+    The aggregate ``fairness.ratio_jain`` / ``fairness.wasted_share`` and one
+    ``node.contribution`` / ``node.benefit`` gauge per node, tagged with the
+    node's domain under a multi-domain ``topology`` so ``repro report`` can
+    render the per-domain table without re-deriving the assignment.  Both
+    engines call this right before a snapshot is frozen (the simulator's
+    collector and the live host's); :func:`fairness_table_from_snapshot` is
+    the reader.  Everything is read from the ledger — no RNG draws, no
+    scheduling.
+    """
+    contributions = policy.contributions(ledger)
+    benefits = policy.benefits(ledger)
+    report = evaluate_fairness(contributions, benefits)
+    telemetry.set_gauge("fairness.ratio_jain", report.ratio_jain)
+    telemetry.set_gauge("fairness.wasted_share", report.wasted_share)
+    for name, values in (("node.contribution", contributions), ("node.benefit", benefits)):
+        for node_id in sorted(values):
+            tags = {"node": node_id}
+            domain = topology.domain(node_id) if topology is not None else None
+            if domain is not None:
+                tags["domain"] = domain
+            telemetry.set_gauge(name, values[node_id], **tags)
+
+
 def fairness_table_from_snapshot(snapshot, max_rows: int = 10) -> Optional[Table]:
     """Per-node fairness table built from a telemetry snapshot.
 
-    Reads the per-node ``node.contribution`` / ``node.benefit`` gauges (and
-    the aggregate ``fairness.ratio_jain`` / ``fairness.wasted_share``) that
-    the experiment runner's telemetry collector publishes, so mid-run
-    snapshots carry the same fairness view the end-of-run summary computes
-    from the ledger.  Returns ``None`` when the snapshot carries no per-node
-    fairness gauges (for example a runtime snapshot with aggregates only).
+    Reads the gauges :func:`publish_fairness_gauges` writes, so mid-run
+    snapshots of either engine carry the same fairness view the end-of-run
+    summary computes from the ledger.  Returns ``None`` when the snapshot
+    carries no per-node fairness gauges (a snapshot stream some other
+    program wrote).
     """
-    from ..core.fairness import contribution_benefit_ratios
-
     contributions = snapshot.gauges_by_tag("node.contribution", "node")
     benefits = snapshot.gauges_by_tag("node.benefit", "node")
     if not contributions and not benefits:

@@ -4,8 +4,8 @@
 * fairness — the metrics that quantify "the ratio contribution/benefit of
   each peer must be equivalent" (Figure 1);
 * policy — topic-based (Figure 2) vs expressive (Figure 3) interpretations;
-* estimators / adaptive_fanout / adaptive_payload — the decentralised
-  mechanisms that let a node choose its contribution level from its benefit;
+* estimators — the decentralised mechanism that lets a node choose its
+  contribution level (fanout, payload size) from its benefit;
 * fair_gossip — the adaptive protocol built on the Figure 4 baseline;
 * bias — selfishness models and the receiver-side auditing defence.
 """
@@ -17,11 +17,9 @@ from .accounting import (
     NodeAccount,
     WorkLedger,
 )
-from .adaptive_fanout import AdaptiveFanoutController, FanoutSchedule
-from .adaptive_payload import AdaptivePayloadController, PayloadSchedule
 from .bias import BiasDetector, BiasFinding, BiasReport, ForwardAudit, SelfishGossipNode
-from .estimators import BenefitEstimator, Ewma
-from .fair_gossip import FairGossipNode, FairGossipSystem, fair_node_kwargs
+from .estimators import FANOUT, PAYLOAD, BenefitEstimator, ContributionLever, Ewma, LeverKind
+from .fair_gossip import FairGossipNode, FairGossipSystem
 from .fairness import (
     FairnessReport,
     contribution_benefit_ratios,
@@ -57,13 +55,12 @@ __all__ = [
     "EXPRESSIVE_POLICY",
     "BenefitEstimator",
     "Ewma",
-    "AdaptiveFanoutController",
-    "FanoutSchedule",
-    "AdaptivePayloadController",
-    "PayloadSchedule",
+    "ContributionLever",
+    "LeverKind",
+    "FANOUT",
+    "PAYLOAD",
     "FairGossipNode",
     "FairGossipSystem",
-    "fair_node_kwargs",
     "ForwardAudit",
     "BiasDetector",
     "BiasReport",

@@ -12,18 +12,22 @@ Both signals are smoothed with exponentially weighted moving averages so the
 controllers neither oscillate on bursty traffic nor take forever to react to
 an interest change (the convergence question of challenge 1).
 
-:class:`ContributionLever` is what the two controllers driven by these
-signals (fanout and payload size) have in common.
+:class:`ContributionLever` turns those signals into a contribution level.
+The paper offers two levers — the fanout ("changing the fanout precisely
+means changing the contribution of the process") and the gossip message size
+("by selecting more or less messages to forward, the contribution of the
+sender can also be modulated", Figure 3) — and both are the same controller:
+:data:`FANOUT` and :data:`PAYLOAD` name what differs between them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..telemetry import Telemetry
 
-__all__ = ["Ewma", "BenefitEstimator", "ContributionLever"]
+__all__ = ["Ewma", "BenefitEstimator", "LeverKind", "FANOUT", "PAYLOAD", "ContributionLever"]
 
 
 @dataclass
@@ -123,48 +127,113 @@ class BenefitEstimator:
         return self.own_rate / population
 
 
-class ContributionLever:
-    """The part of an adaptive controller that does not depend on its lever.
-
-    A controller scales one contribution lever (fanout, payload size) by the
-    node's relative benefit.  Subclasses keep what differs — their schedule
-    and ``_recompute`` — and set :attr:`gauge_name`; this base holds the
-    shared estimator, the smoothing filter, the recommendation history and
-    the telemetry gauge mirroring the live recommendation.
-    """
+@dataclass(frozen=True)
+class LeverKind:
+    """What tells one contribution lever from the other."""
 
     #: Telemetry gauge the live recommendation is published under.
-    gauge_name = ""
+    gauge_name: str
+    #: Lowest floor a lever of this kind may be given: a node may be told to
+    #: contact nobody, but a gossip message carries at least one event.
+    lowest_floor: int
+    #: Fraction of the current buffer backlog that must fit into one round's
+    #: recommendation regardless of fairness.  Shrinking the payload of a
+    #: node that holds many fresh events would delay dissemination for
+    #: everyone, so low-benefit nodes still drain what they are momentarily
+    #: responsible for; the fanout has no such input.
+    backlog_fraction: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.backlog_fraction <= 1.0:
+            raise ValueError("backlog_fraction must be within [0, 1]")
+
+
+FANOUT = LeverKind("controller.fanout", lowest_floor=0)
+PAYLOAD = LeverKind("controller.payload", lowest_floor=1, backlog_fraction=0.25)
+
+
+class ContributionLever:
+    """One contribution lever of §5.2, scaled by the node's relative benefit.
+
+    Every round the lever recommends
+
+    ``clamp(round(max(smoothed(base * relative_benefit), backlog floor)), floor, ceiling)``
+
+    where the relative benefit is the node's own benefit rate divided by the
+    estimated population rate.  ``floor`` answers the paper's "is there any
+    requirement on the size of the fanout / the gossip message size?":
+    epidemic dissemination needs an average fanout of about ``ln(n)`` and a
+    system-wide throughput (average payload x average fanout per round) no
+    lower than the publication rate, so the lever redistributes work from
+    low-benefit to high-benefit nodes around ``base`` rather than removing
+    it, and the floor keeps even zero-benefit nodes connected and draining.
+
+    Parameters
+    ----------
+    kind:
+        :data:`FANOUT` or :data:`PAYLOAD`.
+    base / floor / ceiling:
+        The neutral operating point (Figure 4's static ``F`` or ``N``) and
+        the allowed range around it.
+    estimator:
+        Benefit estimator, shared by a node's levers so both respond to the
+        same signal; whoever owns it feeds it.
+    smoothing:
+        EWMA weight applied to the raw recommendation before clamping;
+        1.0 reacts instantly, smaller values react more slowly but resist
+        noise.
+
+    The recommendation history is kept so the convergence benchmarks (C1,
+    C2) can measure how many rounds the lever takes to settle after an
+    interest change.
+    """
 
     def __init__(
         self,
-        neutral: int,
-        estimator: Optional[BenefitEstimator],
-        smoothing: float,
-        telemetry: Optional[Telemetry],
-        telemetry_tags: Optional[dict],
+        kind: LeverKind,
+        base: int,
+        floor: int,
+        ceiling: int,
+        estimator: Optional[BenefitEstimator] = None,
+        smoothing: float = 0.5,
+        telemetry: Optional[Telemetry] = None,
+        telemetry_tags: Optional[dict] = None,
     ) -> None:
+        if floor < kind.lowest_floor:
+            raise ValueError(f"the floor of {kind.gauge_name} must be at least {kind.lowest_floor}")
+        if not floor <= base <= ceiling:
+            raise ValueError("require floor <= base <= ceiling")
+        self.kind = kind
+        self.base = base
+        self.floor = floor
+        self.ceiling = ceiling
         self.estimator = estimator if estimator is not None else BenefitEstimator()
         self._smoothed = Ewma(alpha=smoothing)
-        self._current = neutral
+        #: The value to use in the next round.
+        self.current = base
         self.history: List[int] = []
         telemetry = telemetry if telemetry is not None else Telemetry()
-        self._gauge = telemetry.gauge(self.gauge_name, **(telemetry_tags or {}))
+        self._gauge = telemetry.gauge(kind.gauge_name, **(telemetry_tags or {}))
         # Publish the neutral operating point immediately so snapshots
         # taken before the first adaptation (or in ablations that never
         # adapt this lever) show the effective value, not 0.
-        self._gauge.set(self._current)
+        self._gauge.set(self.current)
 
-    def observe_peer_rate(self, rate: float) -> None:
-        """Record a peer's advertised benefit rate."""
-        self.estimator.observe_peer_rate(rate)
+    def recompute(self, backlog: int = 0) -> None:
+        """Re-plan from the estimator's current rates (and the buffer backlog)."""
+        smoothed = self._smoothed.observe(self.base * self.estimator.relative_benefit())
+        backlog_floor = min(self.ceiling, int(round(backlog * self.kind.backlog_fraction)))
+        wanted = round(max(smoothed, backlog_floor))
+        self.current = int(min(self.ceiling, max(self.floor, wanted)))
+        self.history.append(self.current)
+        self._gauge.set(self.current)
 
     def rounds_to_converge(self, target: Optional[int] = None, stable_rounds: int = 5) -> Optional[int]:
         """Number of rounds until the recommendation stabilised.
 
         Convergence means ``stable_rounds`` consecutive identical
         recommendations (optionally equal to ``target``).  Returns ``None``
-        if the controller never stabilised within the recorded history —
+        if the lever never stabilised within the recorded history —
         callers treat that as "did not converge".
         """
         if stable_rounds <= 0:

@@ -9,10 +9,9 @@ push protocol of Figure 4 with both levers:
 * each node measures its own benefit (interesting events delivered per
   round) and estimates the population's benefit from the rates piggybacked
   on received gossip messages (:class:`~repro.core.estimators.BenefitEstimator`);
-* an :class:`~repro.core.adaptive_fanout.AdaptiveFanoutController` scales the
-  node's fanout with its relative benefit;
-* an :class:`~repro.core.adaptive_payload.AdaptivePayloadController` does the
-  same for the number of events per gossip message;
+* two :class:`~repro.core.estimators.ContributionLever` instances scale the
+  node's fanout and the number of events per gossip message with its
+  relative benefit;
 * a :class:`~repro.core.policy.FairnessPolicy` decides which of the two
   levers are active and how benefit is defined (topic-based vs expressive).
 
@@ -27,53 +26,15 @@ requirement of challenges 3–4).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..gossip.push import PushGossipNode
 from ..gossip.system import GossipSystem
 from ..membership.base import MembershipProvider
-from .adaptive_fanout import AdaptiveFanoutController, FanoutSchedule
-from .adaptive_payload import AdaptivePayloadController, PayloadSchedule
-from .estimators import BenefitEstimator
+from .estimators import FANOUT, PAYLOAD, BenefitEstimator, ContributionLever
 from .policy import EXPRESSIVE_POLICY, FairnessPolicy
 
-__all__ = ["FairGossipNode", "FairGossipSystem", "fair_node_kwargs"]
-
-
-def fair_node_kwargs(
-    *,
-    fanout: int,
-    gossip_size: int,
-    round_period: float,
-    min_fanout: int,
-    max_fanout: int,
-    min_payload: int,
-    max_payload: int,
-    policy: FairnessPolicy,
-    adapt_fanout: bool = True,
-    adapt_payload: bool = True,
-) -> Dict:
-    """Node kwargs for a :class:`FairGossipSystem` from scalar parameters.
-
-    This is the protocol's own translation of a declarative spec (flat
-    config fields or a ``SystemSpec``) into the schedule objects
-    :class:`FairGossipNode` expects; the component registry's
-    ``fair-gossip`` factory builds through it.
-    """
-    return {
-        "fanout": fanout,
-        "gossip_size": gossip_size,
-        "round_period": round_period,
-        "fanout_schedule": FanoutSchedule(
-            base_fanout=fanout, min_fanout=min_fanout, max_fanout=max_fanout
-        ),
-        "payload_schedule": PayloadSchedule(
-            base_payload=gossip_size, min_payload=min_payload, max_payload=max_payload
-        ),
-        "policy": policy,
-        "adapt_fanout": adapt_fanout,
-        "adapt_payload": adapt_payload,
-    }
+__all__ = ["FairGossipNode", "FairGossipSystem"]
 
 
 class FairGossipNode(PushGossipNode):
@@ -81,23 +42,26 @@ class FairGossipNode(PushGossipNode):
 
     Parameters (in addition to :class:`PushGossipNode`)
     ----------
-    fanout_schedule / payload_schedule:
-        Allowed ranges for the two contribution levers; the ``base_*`` values
-        play the role of Figure 4's static ``F`` and ``N``.
+    min_fanout / max_fanout / min_payload / max_payload:
+        Allowed ranges for the two contribution levers; ``fanout`` and
+        ``gossip_size`` (Figure 4's static ``F`` and ``N``) are their
+        neutral operating points.
     policy:
         Fairness policy; its name is only used in reports but its
-        ``minimum_share`` intent is honoured through the schedule floors.
+        ``minimum_share`` intent is honoured through the lever floors.
     adapt_fanout / adapt_payload:
         Switches for ablation experiments (fanout-only, payload-only, both).
     own_alpha / peer_alpha / smoothing:
-        Estimator and controller smoothing parameters.
+        Estimator and lever smoothing parameters.
     """
 
     def __init__(
         self,
         *args,
-        fanout_schedule: Optional[FanoutSchedule] = None,
-        payload_schedule: Optional[PayloadSchedule] = None,
+        min_fanout: int = 1,
+        max_fanout: int = 12,
+        min_payload: int = 1,
+        max_payload: int = 32,
         policy: FairnessPolicy = EXPRESSIVE_POLICY,
         adapt_fanout: bool = True,
         adapt_payload: bool = True,
@@ -106,33 +70,19 @@ class FairGossipNode(PushGossipNode):
         smoothing: float = 0.5,
         **kwargs,
     ) -> None:
-        fanout_schedule = fanout_schedule or FanoutSchedule(
-            base_fanout=kwargs.get("fanout", 3) or 3
-        )
-        payload_schedule = payload_schedule or PayloadSchedule(
-            base_payload=kwargs.get("gossip_size", 8) or 8
-        )
-        kwargs.setdefault("fanout", fanout_schedule.base_fanout)
-        kwargs.setdefault("gossip_size", payload_schedule.base_payload)
         super().__init__(*args, **kwargs)
         self.policy = policy
         self.adapt_fanout = adapt_fanout
         self.adapt_payload = adapt_payload
         self.estimator = BenefitEstimator(own_alpha=own_alpha, peer_alpha=peer_alpha)
-        controller_tags = {"node": self.node_id}
-        self.fanout_controller = AdaptiveFanoutController(
-            schedule=fanout_schedule,
-            estimator=self.estimator,
-            smoothing=smoothing,
-            telemetry=self.telemetry,
-            telemetry_tags=controller_tags,
+        lever_tags = {"node": self.node_id}
+        self.fanout_lever = ContributionLever(
+            FANOUT, self.fanout, min_fanout, max_fanout,
+            self.estimator, smoothing, self.telemetry, lever_tags,
         )
-        self.payload_controller = AdaptivePayloadController(
-            schedule=payload_schedule,
-            estimator=self.estimator,
-            smoothing=smoothing,
-            telemetry=self.telemetry,
-            telemetry_tags=controller_tags,
+        self.payload_lever = ContributionLever(
+            PAYLOAD, self.gossip_size, min_payload, max_payload,
+            self.estimator, smoothing, self.telemetry, lever_tags,
         )
         #: Pre-bound benefit gauges (telemetry's hot-path convention): the
         #: estimator exports every round, so avoid a facade lookup per call.
@@ -156,23 +106,24 @@ class FairGossipNode(PushGossipNode):
     def current_fanout(self) -> int:
         if not self.adapt_fanout:
             return self.fanout
-        return self.fanout_controller.current_fanout
+        return self.fanout_lever.current
 
     def current_gossip_size(self) -> int:
         if not self.adapt_payload:
             return self.gossip_size
-        return self.payload_controller.current_payload
+        return self.payload_lever.current
 
     # ---------------------------------------------------------------- rounds
 
     def after_round(self) -> None:
         deliveries_this_round = len(self.delivered_event_ids) - self._deliveries_at_round_start
         self._deliveries_at_round_start = len(self.delivered_event_ids)
-        backlog = len(self.buffer)
         if self.adapt_fanout:
-            self.fanout_controller.observe_round(deliveries_this_round)
+            self.estimator.observe_own_round(deliveries_this_round)
+            self.fanout_lever.recompute()
         if self.adapt_payload:
-            self.payload_controller.observe_round(deliveries_this_round, backlog=backlog)
+            self.estimator.observe_own_round(deliveries_this_round)
+            self.payload_lever.recompute(len(self.buffer))
         if not self.adapt_fanout and not self.adapt_payload:
             # Keep the estimator warm even when both levers are frozen, so
             # ablation runs still report benefit rates.

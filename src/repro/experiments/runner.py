@@ -24,10 +24,9 @@ from ..analysis import (
     ReliabilityReport,
     SystemFairnessSummary,
     measure_reliability,
+    publish_fairness_gauges,
     summarise_fairness,
 )
-from ..core import FairnessPolicy
-from ..core.fairness import evaluate_fairness
 from ..faults import FaultController, FaultPlan
 from ..pubsub.events import Event
 from ..telemetry import SnapshotScheduler, Telemetry, TelemetrySnapshot
@@ -117,10 +116,10 @@ def _telemetry_collector(simulator, system, policy, telemetry: Telemetry):
     arrived since the previous tick).
 
     Under a multi-domain topology (``system.topology``) every delivery also
-    lands in a ``domain=``-tagged ``sim.delivery_latency`` histogram and
-    the per-node contribution/benefit gauges carry the node's domain, so
-    ``repro report`` can render the per-domain table without re-deriving
-    the assignment.
+    lands in a ``domain=``-tagged ``sim.delivery_latency`` histogram.  The
+    fairness gauges come from
+    :func:`~repro.analysis.fairness_report.publish_fairness_gauges`, the same
+    call the live host makes.
     """
     topology = getattr(system, "topology", None)
     latency_histogram = telemetry.histogram("sim.delivery_latency")
@@ -131,14 +130,6 @@ def _telemetry_collector(simulator, system, policy, telemetry: Telemetry):
             for name in topology.domain_map.domains
         }
     consumed = 0
-
-    def _node_tags(node_id: str) -> Dict[str, object]:
-        tags: Dict[str, object] = {"node": node_id}
-        if topology is not None:
-            domain = topology.domain(node_id)
-            if domain is not None:
-                tags["domain"] = domain
-        return tags
 
     def collect() -> None:
         nonlocal consumed
@@ -165,17 +156,7 @@ def _telemetry_collector(simulator, system, policy, telemetry: Telemetry):
             "sim.messages.subscription_forwards", totals.subscription_forwards
         )
         telemetry.set_gauge("sim.messages.total", total_messages)
-        contributions = policy.contributions(system.ledger)
-        benefits = policy.benefits(system.ledger)
-        fairness_report = evaluate_fairness(contributions, benefits)
-        telemetry.set_gauge("fairness.ratio_jain", fairness_report.ratio_jain)
-        telemetry.set_gauge("fairness.wasted_share", fairness_report.wasted_share)
-        for node_id in sorted(contributions):
-            telemetry.set_gauge(
-                "node.contribution", contributions[node_id], **_node_tags(node_id)
-            )
-        for node_id in sorted(benefits):
-            telemetry.set_gauge("node.benefit", benefits[node_id], **_node_tags(node_id))
+        publish_fairness_gauges(telemetry, system.ledger, policy, topology)
 
     return collect
 

@@ -42,7 +42,6 @@ from ..core import (
     TOPIC_BASED_POLICY,
     FairGossipSystem,
     FairnessPolicy,
-    fair_node_kwargs,
 )
 from ..damulticast import DataAwareMulticastSystem
 from ..dht import DksSystem, ScribeSystem, SplitStreamSystem
@@ -85,6 +84,7 @@ __all__ = [
     "resolve_policy_kind",
     "all_registries",
     "DIGEST_MEMBERSHIP_KINDS",
+    "GOSSIP_KINDS",
 ]
 
 SYSTEMS = Registry("system")
@@ -176,77 +176,61 @@ def build_popularity(spec: StackSpec) -> TopicPopularity:
 # ------------------------------------------------------------------ systems
 
 
-def _apply_live_extras(kwargs: Dict[str, object], ctx: BuildContext) -> Dict[str, object]:
-    """Apply live-only gossip tuning extras (no-op in simulator builds).
+def _gossip_system(ctx: BuildContext, node_class=None, system_class=GossipSystem, **extra):
+    """Build a gossip-family system: the one call the four kinds share.
+
+    ``extra`` are the node parameters beyond Figure 4's three;
+    ``node_class=None`` leaves the choice to ``system_class``.
 
     ``buffer_capacity``/``selection_strategy`` in ``spec.extra`` tune live
     clusters for wall-clock load.  Simulator builds ignore them so the
     cached config→result function is bit-identical to pre-registry code.
     """
+    system = ctx.spec.system
+    node_kwargs: Dict[str, object] = {
+        "fanout": system.fanout,
+        "gossip_size": system.gossip_size,
+        "round_period": system.round_period,
+        "telemetry": ctx.telemetry,
+        **extra,
+    }
     if ctx.live:
         extras = ctx.spec.extra_dict()
         for key in ("buffer_capacity", "selection_strategy"):
             if key in extras:
-                kwargs[key] = extras[key]
-    return kwargs
-
-
-def _gossip_node_kwargs(ctx: BuildContext) -> Dict[str, object]:
-    """Common gossip node parameters, plus live-tuning extras if live."""
-    spec = ctx.spec
-    kwargs: Dict[str, object] = {
-        "fanout": spec.system.fanout,
-        "gossip_size": spec.system.gossip_size,
-        "round_period": spec.system.round_period,
-        "telemetry": ctx.telemetry,
-    }
-    return _apply_live_extras(kwargs, ctx)
-
-
-def _build_push_gossip(ctx: BuildContext) -> GossipSystem:
-    return GossipSystem(
-        ctx.scheduler,
-        ctx.network,
-        list(ctx.node_ids),
-        membership_provider=ctx.membership_provider(),
-        node_kwargs=_gossip_node_kwargs(ctx),
-    )
-
-
-def _build_fair_gossip(ctx: BuildContext) -> FairGossipSystem:
-    spec = ctx.spec
-    node_kwargs = fair_node_kwargs(
-        fanout=spec.system.fanout,
-        gossip_size=spec.system.gossip_size,
-        round_period=spec.system.round_period,
-        min_fanout=spec.system.min_fanout,
-        max_fanout=spec.system.max_fanout,
-        min_payload=spec.system.min_payload,
-        max_payload=spec.system.max_payload,
-        policy=ctx.policy(),
-        adapt_fanout=spec.system.adapt_fanout,
-        adapt_payload=spec.system.adapt_payload,
-    )
-    node_kwargs["telemetry"] = ctx.telemetry
-    node_kwargs = _apply_live_extras(node_kwargs, ctx)
-    return FairGossipSystem(
+                node_kwargs[key] = extras[key]
+    class_kwargs = {} if node_class is None else {"node_class": node_class}
+    return system_class(
         ctx.scheduler,
         ctx.network,
         list(ctx.node_ids),
         membership_provider=ctx.membership_provider(),
         node_kwargs=node_kwargs,
+        **class_kwargs,
+    )
+
+
+def _build_push_gossip(ctx: BuildContext) -> GossipSystem:
+    return _gossip_system(ctx)
+
+
+def _build_fair_gossip(ctx: BuildContext) -> FairGossipSystem:
+    system = ctx.spec.system
+    return _gossip_system(
+        ctx,
+        system_class=FairGossipSystem,
+        min_fanout=system.min_fanout,
+        max_fanout=system.max_fanout,
+        min_payload=system.min_payload,
+        max_payload=system.max_payload,
+        policy=ctx.policy(),
+        adapt_fanout=system.adapt_fanout,
+        adapt_payload=system.adapt_payload,
     )
 
 
 def _build_pushpull_gossip(ctx: BuildContext) -> GossipSystem:
-    return GossipSystem(
-        ctx.scheduler,
-        ctx.network,
-        list(ctx.node_ids),
-        membership_provider=ctx.membership_provider(),
-        node_class=PushPullGossipNode,
-        node_kwargs=_gossip_node_kwargs(ctx),
-    )
+    return _gossip_system(ctx, PushPullGossipNode)
 
 
 #: Membership kinds whose views keep pace with digest-driven recovery.
@@ -272,17 +256,12 @@ def _build_lazy_push(ctx: BuildContext) -> GossipSystem:
             f"{suggest(membership_kind, DIGEST_MEMBERSHIP_KINDS)}; "
             f"digest-capable kinds: {', '.join(sorted(DIGEST_MEMBERSHIP_KINDS))}"
         )
-    node_kwargs = _gossip_node_kwargs(ctx)
-    node_kwargs["alpha"] = float(alpha)
-    node_kwargs["store_ids"] = lazy_store_ids(ctx.node_ids, float(alpha))
-    node_kwargs["population"] = len(ctx.node_ids)
-    return GossipSystem(
-        ctx.scheduler,
-        ctx.network,
-        list(ctx.node_ids),
-        membership_provider=ctx.membership_provider(),
-        node_class=LazyPushGossipNode,
-        node_kwargs=node_kwargs,
+    return _gossip_system(
+        ctx,
+        LazyPushGossipNode,
+        alpha=float(alpha),
+        store_ids=lazy_store_ids(ctx.node_ids, float(alpha)),
+        population=len(ctx.node_ids),
     )
 
 
@@ -539,11 +518,12 @@ def resolve_policy_kind(kind: str) -> FairnessPolicy:
 
 # -------------------------------------------------------------- build_stack
 
-#: System kinds a multi-domain topology can constrain: the gossip family,
-#: whose nodes sample partners through a membership provider the topology
-#: layer can scope.  Tree/DHT/broker baselines route by identifier, so a
-#: domain map would silently mean nothing there — reject instead.
-_TOPOLOGY_SYSTEM_KINDS = frozenset({"gossip", "fair-gossip", "pushpull-gossip", "lazy-push"})
+#: The gossip family: the kinds built by :func:`_gossip_system`.  They are
+#: what a multi-domain topology can constrain (their nodes sample partners
+#: through a membership provider the topology layer can scope; tree/DHT/broker
+#: baselines route by identifier, so a domain map would silently mean nothing
+#: there — reject instead) and what the live buffer tuning applies to.
+GOSSIP_KINDS = frozenset({"gossip", "fair-gossip", "pushpull-gossip", "lazy-push"})
 
 
 def build_stack(
@@ -580,11 +560,11 @@ def build_stack(
     )
     if spec.topology.enabled:
         kind = spec.system.kind
-        if kind not in _TOPOLOGY_SYSTEM_KINDS:
+        if kind not in GOSSIP_KINDS:
             raise RegistryError(
                 f"topology requires a gossip-family system, got system.kind {kind!r}"
-                f"{suggest(kind, _TOPOLOGY_SYSTEM_KINDS)}; topology-capable "
-                f"kinds: {', '.join(sorted(_TOPOLOGY_SYSTEM_KINDS))}"
+                f"{suggest(kind, GOSSIP_KINDS)}; topology-capable "
+                f"kinds: {', '.join(sorted(GOSSIP_KINDS))}"
             )
         try:
             context.domain_map = compile_domain_map(spec.topology, context.node_ids)

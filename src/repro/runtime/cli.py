@@ -30,9 +30,9 @@ from ..analysis.reliability import measure_reliability
 from ..cli import add_stack_options, parse_tracer, resolve_spec, write_artifact
 from ..experiments.scenarios import LIVE_SCENARIO, get_scenario
 from ..faults import FaultPlanError
-from ..registry import StackSpec, build_interest_model, build_popularity
-from ..sim.rng import RngRegistry
-from ..workloads.interest import AttributeInterest, InterestAssignment
+from ..registry import StackSpec, build_interest_model, build_popularity, build_workload
+from ..registry.builtins import GOSSIP_KINDS
+from ..workloads.interest import InterestAssignment
 from .host import DELIVERIES_METRIC, PUBLISHED_METRIC, NodeHost
 from .loadgen import LoadGenerator
 from .transport import MemoryTransport, TcpTransport, Transport, UdpTransport
@@ -50,8 +50,6 @@ MEMBERSHIP_NAMES = ("cyclon", "lpbcast")
 
 #: Schema tag written into ``--json`` artifacts of the runtime commands.
 RUNTIME_ARTIFACT_SCHEMA = "rt-load/v1"
-
-_GOSSIP_KINDS = ("gossip", "fair-gossip", "pushpull-gossip", "lazy-push")
 
 
 class LiveCluster(NamedTuple):
@@ -84,7 +82,7 @@ def _live_buffer_tuning(spec: StackSpec, args: argparse.Namespace) -> StackSpec:
     only take effect in live builds — the simulator's config→result
     function never reads them.
     """
-    if spec.system.kind not in _GOSSIP_KINDS:
+    if spec.system.kind not in GOSSIP_KINDS:
         return spec
     extras = {**dict(get_scenario(LIVE_SCENARIO).config.extra), **spec.extra_dict()}
     for key in ("buffer_capacity", "selection_strategy"):
@@ -93,39 +91,39 @@ def _live_buffer_tuning(spec: StackSpec, args: argparse.Namespace) -> StackSpec:
     return spec.with_value("extra", tuple(sorted(extras.items())))
 
 
-def build_live_cluster(args: argparse.Namespace) -> LiveCluster:
+def build_live_cluster(
+    spec: StackSpec, transport: Transport, time_scale: float, rate: float, tracer=None
+) -> LiveCluster:
     """Build (but do not start) a host, its load generator, and interests.
 
-    The cluster is built from the resolved :class:`StackSpec` through the
-    component registry, so any registered system runs.
+    Everything follows from the spec the way :func:`run_experiment` derives
+    it — system, policy, interest assignment and publication workload come
+    from the component registry and draw from the streams of the same names
+    — so a live cluster and a simulated run of one spec are assigned the
+    same interests and publish the same events in the same order.
     """
-    spec = _live_buffer_tuning(resolve_spec(args, live=True), args)
-    host = NodeHost(
-        _build_transport(args),
-        seed=spec.seed,
-        time_scale=args.time_scale,
-        spec=spec,
-        tracer=parse_tracer(args),
-    )
+    host = NodeHost(transport, seed=spec.seed, time_scale=time_scale, spec=spec, tracer=tracer)
     popularity = build_popularity(spec)
     interest_model = build_interest_model(spec, popularity)
-    # Same stream name as the simulator runner, so a live cluster and a
-    # simulated run of the same seed get identical interest assignments.
-    interest_rng = RngRegistry(spec.seed).stream("experiment-interest")
-    interest = interest_model.assign(list(spec.node_ids()), interest_rng)
-    attribute_model = interest_model if isinstance(interest_model, AttributeInterest) else None
-    generator = LoadGenerator(
-        host,
-        rate=args.rate,
-        popularity=None if attribute_model is not None else popularity,
-        attribute_model=attribute_model,
-        publishers=list(spec.publisher_ids()),
+    interest = interest_model.assign(
+        list(spec.node_ids()), host.scheduler.rng.stream("experiment-interest")
     )
-    return LiveCluster(host, generator, interest, spec)
+    workload = build_workload(
+        spec, host, host.scheduler, popularity, list(spec.publisher_ids()), interest_model
+    )
+    return LiveCluster(host, LoadGenerator(host, rate, workload), interest, spec)
+
+
+def _cluster_from_args(args: argparse.Namespace) -> LiveCluster:
+    """The cluster a ``serve`` / ``loadgen`` command line describes."""
+    spec = _live_buffer_tuning(resolve_spec(args, live=True), args)
+    return build_live_cluster(
+        spec, _build_transport(args), args.time_scale, args.rate, parse_tracer(args)
+    )
 
 
 async def _run_live(args: argparse.Namespace, live_report: bool) -> Dict[str, object]:
-    cluster = build_live_cluster(args)
+    cluster = _cluster_from_args(args)
     host, generator = cluster.host, cluster.generator
     try:
         await host.start()

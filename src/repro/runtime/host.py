@@ -25,7 +25,11 @@ from typing import Dict, Optional, Sequence, Type
 
 from ..core.accounting import WorkLedger
 from ..core.policy import EXPRESSIVE_POLICY, FairnessPolicy
-from ..analysis.fairness_report import SystemFairnessSummary, summarise_fairness
+from ..analysis.fairness_report import (
+    SystemFairnessSummary,
+    publish_fairness_gauges,
+    summarise_fairness,
+)
 from ..faults import FaultController, FaultPlan, FaultPlanError
 from ..gossip.push import PushGossipNode
 from ..gossip.system import bootstrap_views
@@ -35,7 +39,7 @@ from ..pubsub.events import Event
 from ..pubsub.filters import Filter
 from ..pubsub.interfaces import DeliveryCallback, DeliveryLog, DisseminationSystem
 from ..sim.rng import RngRegistry
-from ..registry import StackSpec, build_popularity, build_stack
+from ..registry import StackSpec, build_popularity, build_stack, resolve_policy_kind
 from ..telemetry import SnapshotScheduler, Telemetry, TelemetrySink
 from .clock import WallClock
 from .network import RuntimeNetwork
@@ -121,8 +125,11 @@ class NodeHost(DisseminationSystem):
         #: asyncio loop) and delegates the §2 API to it.
         self._spec = spec
         self.system: Optional[DisseminationSystem] = None
+        #: Fairness is judged the way the simulator judges the same spec.
+        self.policy: FairnessPolicy = EXPRESSIVE_POLICY
         if spec is not None:
             self.name = f"live-{spec.system.kind}"
+            self.policy = resolve_policy_kind(spec.policy.kind)
         #: Fault injection: an explicit plan wins; otherwise the spec's
         #: faults section is compiled on :meth:`start` (after the nodes
         #: exist, so the plan can be validated against the real universe).
@@ -360,16 +367,12 @@ class NodeHost(DisseminationSystem):
         """Refresh derived gauges right before a snapshot is frozen."""
         self.telemetry.set_gauge("rt.time_units", self.scheduler.now)
         self.telemetry.set_gauge("rt.nodes", len(self.nodes))
-        fairness = self.fairness_summary().report
-        self.telemetry.set_gauge("fairness.ratio_jain", fairness.ratio_jain)
-        self.telemetry.set_gauge("fairness.wasted_share", fairness.wasted_share)
+        publish_fairness_gauges(self.telemetry, self.ledger, self.policy, self.topology)
 
     # -------------------------------------------------------------- queries
 
-    def fairness_summary(
-        self, policy: FairnessPolicy = EXPRESSIVE_POLICY, system_name: Optional[str] = None
-    ) -> SystemFairnessSummary:
+    def fairness_summary(self, system_name: Optional[str] = None) -> SystemFairnessSummary:
         """Fairness summary of everything recorded so far (live-readable)."""
         return summarise_fairness(
-            self.ledger, policy=policy, system_name=system_name or self.name
+            self.ledger, policy=self.policy, system_name=system_name or self.name
         )

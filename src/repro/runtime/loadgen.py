@@ -1,18 +1,19 @@
 """Load generation for live clusters.
 
-The :class:`LoadGenerator` drives publications into a
-:class:`~repro.runtime.host.NodeHost` at a target events-per-second, reusing
-the simulator's workload models for *what* gets published (Zipf topic
-popularity via :class:`~repro.workloads.popularity.TopicPopularity`, or the
-content-based attribute space of
-:class:`~repro.workloads.interest.AttributeInterest`) while pacing *when* on
-the wall clock.  Pacing uses catch-up ticks: each tick publishes however
-many events the target rate says should have been published by now, so a
-slow tick is repaid on the next one instead of silently lowering the rate.
+The :class:`LoadGenerator` paces publications into a
+:class:`~repro.runtime.host.NodeHost` at a target events-per-second.  *What*
+gets published is the simulator's business: the generator is handed the
+same workload object a simulated run of the spec builds
+(:func:`~repro.registry.builtins.build_workload` — topic or content events,
+publisher rotation, event size, the named RNG stream) and only decides
+*when* its next publication happens on the wall clock.  Pacing uses catch-up
+ticks: each tick publishes however many events the target rate says should
+have been published by now, so a slow tick is repaid on the next one instead
+of silently lowering the rate.
 
 Throughput and latency land in the host's
 :class:`~repro.telemetry.Telemetry` store (the same instruments the
-simulator uses), and the published events are recorded in a
+simulator uses), and the published events are recorded in the workload's
 :class:`~repro.workloads.publications.PublicationSchedule` so the existing
 reliability analysis works on live runs unchanged.
 """
@@ -21,12 +22,9 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
 from ..telemetry import HistogramSummary
-from ..workloads.interest import AttributeInterest
-from ..workloads.popularity import TopicPopularity
-from ..workloads.publications import PublicationSchedule
 from .host import DELIVERIES_METRIC, DELIVERY_LATENCY_METRIC, NodeHost
 
 __all__ = ["LoadGenerator", "LoadReport"]
@@ -96,8 +94,13 @@ class LoadReport:
         )
 
 
+#: Pacing granularity in real seconds; smaller ticks smooth the arrival
+#: process at the cost of more loop wakeups.
+TICK_SECONDS = 0.02
+
+
 class LoadGenerator:
-    """Publishes events into a live host at a target real-time rate.
+    """Publishes a workload into a live host at a target real-time rate.
 
     Parameters
     ----------
@@ -105,48 +108,19 @@ class LoadGenerator:
         The cluster to drive.
     rate:
         Target publications per real second.
-    popularity:
-        Topic model for topic-based events (mutually exclusive with
-        ``attribute_model``).
-    attribute_model:
-        Content-based attribute space; when given, events carry attributes
-        instead of topics.
-    publishers:
-        Node ids allowed to publish (defaults to every hosted node),
-        round-robin.
-    tick_seconds:
-        Pacing granularity; smaller ticks smooth the arrival process at the
-        cost of more loop wakeups.
+    workload:
+        A publication workload built over ``host`` and ``host.scheduler``
+        (see :mod:`repro.workloads.publications`); each publication is one
+        call of its ``_publish_one``, the step a simulator schedules.
     """
 
-    def __init__(
-        self,
-        host: NodeHost,
-        rate: float,
-        popularity: Optional[TopicPopularity] = None,
-        attribute_model: Optional[AttributeInterest] = None,
-        publishers: Optional[Sequence[str]] = None,
-        event_size: int = 1,
-        tick_seconds: float = 0.02,
-        rng_name: str = "runtime-loadgen",
-    ) -> None:
+    def __init__(self, host: NodeHost, rate: float, workload) -> None:
         if rate <= 0:
             raise ValueError("rate must be positive")
-        if popularity is not None and attribute_model is not None:
-            raise ValueError("pass either popularity or attribute_model, not both")
-        if tick_seconds <= 0:
-            raise ValueError("tick_seconds must be positive")
         self.host = host
         self.rate = float(rate)
-        self.popularity = popularity
-        self.attribute_model = attribute_model
-        self.publishers = list(publishers) if publishers else None
-        self.event_size = event_size
-        self.tick_seconds = tick_seconds
-        self.schedule = PublicationSchedule()
-        self._rng_name = rng_name
-        self._publisher_index = 0
-        self._last_report: Optional[LoadReport] = None
+        self.workload = workload
+        self.schedule = workload.schedule
 
     # ---------------------------------------------------------------- drive
 
@@ -154,9 +128,6 @@ class LoadGenerator:
         """Publish at the target rate for ``duration_seconds`` of real time."""
         if duration_seconds <= 0:
             raise ValueError("duration_seconds must be positive")
-        publishers = self.publishers or self.host.node_ids()
-        if not publishers:
-            raise ValueError("the host has no nodes to publish from")
         deliveries_before = self.host.telemetry.counter_value(DELIVERIES_METRIC)
         started = time.monotonic()
         published = 0
@@ -167,40 +138,20 @@ class LoadGenerator:
                 break
             due = min(int(self.rate * elapsed), int(target_total)) - published
             for _ in range(max(due, 0)):
-                self._publish_one(publishers)
+                self.workload._publish_one()
                 published += 1
-            await asyncio.sleep(self.tick_seconds)
+            await asyncio.sleep(TICK_SECONDS)
         elapsed = time.monotonic() - started
         deliveries = self.host.telemetry.counter_value(DELIVERIES_METRIC) - deliveries_before
-        self._last_report = LoadReport(
+        return LoadReport(
             offered_rate=self.rate,
             published=published,
             elapsed_seconds=elapsed,
             deliveries=int(deliveries),
             latency_seconds=self.latency_summary_seconds(),
         )
-        return self._last_report
-
-    def _publish_one(self, publishers: Sequence[str]) -> None:
-        rng = self.host.scheduler.rng.stream(self._rng_name)
-        publisher = publishers[self._publisher_index % len(publishers)]
-        self._publisher_index += 1
-        if self.attribute_model is not None:
-            attributes = self.attribute_model.random_event_attributes(rng)
-            event = self.host.publish(publisher, **attributes)
-        elif self.popularity is not None:
-            topic = self.popularity.sample(rng)
-            event = self.host.publish(publisher, topic=topic, size=self.event_size)
-        else:
-            event = self.host.publish(publisher, topic="default", size=self.event_size)
-        self.schedule.add(event)
 
     # -------------------------------------------------------------- reports
-
-    @property
-    def last_report(self) -> Optional[LoadReport]:
-        """The report of the most recent :meth:`run` (None before the first)."""
-        return self._last_report
 
     def latency_summary_seconds(self) -> HistogramSummary:
         """Delivery latency summary converted from time units to seconds."""

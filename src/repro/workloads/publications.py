@@ -9,9 +9,8 @@ of front-loading all events at time zero.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..pubsub.events import Event
 from ..sim.engine import Simulator
@@ -43,46 +42,37 @@ class PublicationSchedule:
         return counts
 
 
-class TopicPublicationWorkload:
-    """Publishes topic events at a steady rate with Zipf topic selection.
+class _PublicationWorkload:
+    """What the publication workloads share: who publishes, when, and the record.
+
+    ``start`` schedules every publication on a simulator up front; a live
+    :class:`~repro.runtime.loadgen.LoadGenerator` paces the same
+    ``_publish_one`` calls on the wall clock instead, so both engines draw
+    the same publications from one seed.
 
     Parameters
     ----------
     system:
         Any :class:`~repro.pubsub.interfaces.DisseminationSystem`.
-    popularity:
-        Topic popularity; publication topics are drawn from it, so popular
-        topics carry proportionally more traffic.
+    simulator:
+        The scheduling substrate (``rng`` and, for :meth:`start`,
+        ``schedule_at``).
     publishers:
-        Node ids allowed to publish (round-robin with random topic choice).
+        Node ids allowed to publish (round-robin).
     rate:
         Events per time unit (spread evenly within the unit).
-    event_size:
-        Abstract size attached to every event.
     """
 
-    def __init__(
-        self,
-        system,
-        simulator: Simulator,
-        popularity: TopicPopularity,
-        publishers: Sequence[str],
-        rate: float = 4.0,
-        event_size: int = 1,
-        rng_name: str = "workload-publications",
-    ) -> None:
+    def __init__(self, system, simulator: Simulator, publishers: Sequence[str], rate: float) -> None:
         if rate <= 0:
             raise ValueError("rate must be positive")
         if not publishers:
             raise ValueError("at least one publisher is required")
         self.system = system
         self.simulator = simulator
-        self.popularity = popularity
         self.publishers = list(publishers)
         self.rate = rate
-        self.event_size = event_size
         self.schedule = PublicationSchedule()
-        self._rng_name = rng_name
         self._publisher_index = 0
 
     def start(self, duration: float, start_at: float = 0.0) -> int:
@@ -97,16 +87,48 @@ class TopicPublicationWorkload:
             self.simulator.schedule_at(at, self._publish_one, label="workload-publish")
         return total
 
-    def _publish_one(self) -> None:
-        rng = self.simulator.rng.stream(self._rng_name)
-        topic = self.popularity.sample(rng)
+    def _next_publisher(self) -> str:
         publisher = self.publishers[self._publisher_index % len(self.publishers)]
         self._publisher_index += 1
-        event = self.system.publish(publisher, topic=topic, size=self.event_size)
+        return publisher
+
+    def _publish_one(self) -> None:
+        raise NotImplementedError
+
+
+class TopicPublicationWorkload(_PublicationWorkload):
+    """Publishes topic events at a steady rate with Zipf topic selection.
+
+    Parameters (in addition to the shared ones)
+    ----------
+    popularity:
+        Topic popularity; publication topics are drawn from it, so popular
+        topics carry proportionally more traffic.
+    event_size:
+        Abstract size attached to every event.
+    """
+
+    def __init__(
+        self,
+        system,
+        simulator: Simulator,
+        popularity: TopicPopularity,
+        publishers: Sequence[str],
+        rate: float = 4.0,
+        event_size: int = 1,
+    ) -> None:
+        super().__init__(system, simulator, publishers, rate)
+        self.popularity = popularity
+        self.event_size = event_size
+
+    def _publish_one(self) -> None:
+        rng = self.simulator.rng.stream("workload-publications")
+        topic = self.popularity.sample(rng)
+        event = self.system.publish(self._next_publisher(), topic=topic, size=self.event_size)
         self.schedule.add(event)
 
 
-class ContentPublicationWorkload:
+class ContentPublicationWorkload(_PublicationWorkload):
     """Publishes content-based events whose attributes come from an interest model."""
 
     def __init__(
@@ -116,34 +138,12 @@ class ContentPublicationWorkload:
         attribute_model: AttributeInterest,
         publishers: Sequence[str],
         rate: float = 4.0,
-        rng_name: str = "workload-content",
     ) -> None:
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        if not publishers:
-            raise ValueError("at least one publisher is required")
-        self.system = system
-        self.simulator = simulator
+        super().__init__(system, simulator, publishers, rate)
         self.attribute_model = attribute_model
-        self.publishers = list(publishers)
-        self.rate = rate
-        self.schedule = PublicationSchedule()
-        self._rng_name = rng_name
-        self._publisher_index = 0
-
-    def start(self, duration: float, start_at: float = 0.0) -> int:
-        """Schedule all publications within the window; returns how many."""
-        total = int(self.rate * duration)
-        interval = duration / max(total, 1)
-        for index in range(total):
-            at = start_at + index * interval
-            self.simulator.schedule_at(at, self._publish_one, label="workload-publish")
-        return total
 
     def _publish_one(self) -> None:
-        rng = self.simulator.rng.stream(self._rng_name)
+        rng = self.simulator.rng.stream("workload-content")
         attributes = self.attribute_model.random_event_attributes(rng)
-        publisher = self.publishers[self._publisher_index % len(self.publishers)]
-        self._publisher_index += 1
-        event = self.system.publish(publisher, **attributes)
+        event = self.system.publish(self._next_publisher(), **attributes)
         self.schedule.add(event)

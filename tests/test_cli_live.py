@@ -21,7 +21,7 @@ import pytest
 
 from repro.experiments import get_scenario
 from repro.experiments.cli import build_parser, main as cli_main
-from repro.runtime.cli import build_live_cluster
+from repro.runtime.cli import _cluster_from_args
 
 FAST = ["--transport", "memory", "--duration", "0.6", "--rate", "150", "--drain", "0.3"]
 _EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples")
@@ -33,7 +33,7 @@ def built_nodes(argv):
     """The nodes of the cluster ``loadgen ARGV`` would run (started, then stopped)."""
 
     async def scenario():
-        cluster = build_live_cluster(build_parser().parse_args(["loadgen", *argv]))
+        cluster = _cluster_from_args(build_parser().parse_args(["loadgen", *argv]))
         await cluster.host.start()
         try:
             return cluster.spec, dict(cluster.host.nodes)

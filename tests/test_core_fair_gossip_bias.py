@@ -90,10 +90,10 @@ class TestFairGossipProtocol:
         skewed_workload(system, events=30)
 
         # Once traffic stops, everyone falls back towards the floor, so the
-        # adaptation is visible in the controllers' history (the fanout used
+        # adaptation is visible in the levers' history (the fanout used
         # while events were flowing), not in the final value.
         def mean_history(node_id):
-            history = system.node(node_id).fanout_controller.history
+            history = system.node(node_id).fanout_lever.history
             return sum(history) / len(history)
 
         subscriber_mean = [

@@ -1,18 +1,19 @@
-"""Tests for fairness policies, benefit estimators, and the adaptive controllers."""
+"""Tests for fairness policies, benefit estimators, and the contribution lever."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
 from repro.core import (
-    AdaptiveFanoutController,
-    AdaptivePayloadController,
     BenefitEstimator,
+    ContributionLever,
     EXPRESSIVE_POLICY,
     Ewma,
+    FANOUT,
     FairnessPolicy,
-    FanoutSchedule,
-    PayloadSchedule,
+    PAYLOAD,
     TOPIC_BASED_POLICY,
     WorkLedger,
 )
@@ -114,113 +115,104 @@ class TestEwmaAndEstimator:
         assert estimator.population_rate == 0.0
 
 
-class TestFanoutSchedule:
+def fanout_lever(base=4, floor=1, ceiling=12, smoothing=1.0):
+    return ContributionLever(FANOUT, base, floor, ceiling, smoothing=smoothing)
+
+
+def payload_lever(base=8, floor=1, ceiling=32, smoothing=1.0, kind=PAYLOAD):
+    return ContributionLever(kind, base, floor, ceiling, smoothing=smoothing)
+
+
+def observe(lever, peer_rate, own_deliveries, backlog=0, rounds=1):
+    """``rounds`` rounds as a node runs them: peer rate in, own round in, re-plan."""
+    for _ in range(rounds):
+        lever.estimator.observe_peer_rate(peer_rate)
+        lever.estimator.observe_own_round(own_deliveries)
+        lever.recompute(backlog)
+
+
+class TestLeverRange:
     def test_clamp(self):
-        schedule = FanoutSchedule(base_fanout=4, min_fanout=2, max_fanout=8)
-        assert schedule.clamp(0.4) == 2
-        assert schedule.clamp(5.4) == 5
-        assert schedule.clamp(99) == 8
+        for relative, expected in ((0.1, 2), (1.35, 5), (24.75, 8)):
+            lever = fanout_lever(base=4, floor=2, ceiling=8)
+            observe(lever, peer_rate=1.0, own_deliveries=relative)
+            assert lever.current == expected
 
     def test_invalid_ordering_rejected(self):
         with pytest.raises(ValueError):
-            FanoutSchedule(base_fanout=1, min_fanout=2, max_fanout=3)
+            fanout_lever(base=1, floor=2, ceiling=3)
         with pytest.raises(ValueError):
-            PayloadSchedule(base_payload=1, min_payload=2, max_payload=4)
+            payload_lever(base=1, floor=2, ceiling=4)
+
+    def test_lowest_floor_is_the_kinds(self):
+        assert fanout_lever(floor=0).floor == 0
+        with pytest.raises(ValueError):
+            fanout_lever(floor=-1)
+        with pytest.raises(ValueError):
+            payload_lever(floor=0)
 
 
-class TestAdaptiveFanoutController:
+class TestFanoutLever:
     def test_high_benefit_node_raises_fanout(self):
-        controller = AdaptiveFanoutController(
-            schedule=FanoutSchedule(base_fanout=4, min_fanout=1, max_fanout=12), smoothing=1.0
-        )
-        for _ in range(10):
-            controller.observe_peer_rate(1.0)
-            controller.observe_round(own_deliveries=4.0)
-        assert controller.current_fanout > 4
+        lever = fanout_lever()
+        observe(lever, peer_rate=1.0, own_deliveries=4.0, rounds=10)
+        assert lever.current > 4
 
     def test_low_benefit_node_drops_to_floor(self):
-        controller = AdaptiveFanoutController(
-            schedule=FanoutSchedule(base_fanout=4, min_fanout=1, max_fanout=12), smoothing=1.0
-        )
-        for _ in range(10):
-            controller.observe_peer_rate(5.0)
-            controller.observe_round(own_deliveries=0.0)
-        assert controller.current_fanout == 1
+        lever = fanout_lever()
+        observe(lever, peer_rate=5.0, own_deliveries=0.0, rounds=10)
+        assert lever.current == 1
 
     def test_neutral_node_stays_at_base(self):
-        controller = AdaptiveFanoutController(
-            schedule=FanoutSchedule(base_fanout=4, min_fanout=1, max_fanout=12), smoothing=1.0
-        )
-        for _ in range(10):
-            controller.observe_peer_rate(2.0)
-            controller.observe_round(own_deliveries=2.0)
-        assert controller.current_fanout == 4
+        lever = fanout_lever()
+        observe(lever, peer_rate=2.0, own_deliveries=2.0, rounds=10)
+        assert lever.current == 4
+
+    def test_backlog_is_not_an_input(self):
+        lever = fanout_lever()
+        observe(lever, peer_rate=5.0, own_deliveries=0.0, backlog=400, rounds=10)
+        assert lever.current == 1
 
     def test_convergence_measurement(self):
-        controller = AdaptiveFanoutController(smoothing=1.0)
-        for _ in range(12):
-            controller.observe_peer_rate(1.0)
-            controller.observe_round(own_deliveries=1.0)
-        rounds = controller.rounds_to_converge(stable_rounds=5)
+        lever = fanout_lever()
+        observe(lever, peer_rate=1.0, own_deliveries=1.0, rounds=12)
+        rounds = lever.rounds_to_converge(stable_rounds=5)
         assert rounds is not None and rounds <= 5
-        assert controller.rounds_to_converge(target=99) is None
+        assert lever.rounds_to_converge(target=99) is None
         with pytest.raises(ValueError):
-            controller.rounds_to_converge(stable_rounds=0)
+            lever.rounds_to_converge(stable_rounds=0)
 
     def test_reacts_to_interest_change(self):
-        controller = AdaptiveFanoutController(
-            schedule=FanoutSchedule(base_fanout=4, min_fanout=1, max_fanout=16), smoothing=0.6
-        )
-        for _ in range(15):
-            controller.observe_peer_rate(2.0)
-            controller.observe_round(own_deliveries=0.0)
-        low = controller.current_fanout
-        for _ in range(15):
-            controller.observe_peer_rate(2.0)
-            controller.observe_round(own_deliveries=8.0)
-        assert controller.current_fanout > low
+        lever = fanout_lever(ceiling=16, smoothing=0.6)
+        observe(lever, peer_rate=2.0, own_deliveries=0.0, rounds=15)
+        low = lever.current
+        observe(lever, peer_rate=2.0, own_deliveries=8.0, rounds=15)
+        assert lever.current > low
 
 
-class TestAdaptivePayloadController:
+class TestPayloadLever:
     def test_scaling_with_relative_benefit(self):
-        controller = AdaptivePayloadController(
-            schedule=PayloadSchedule(base_payload=8, min_payload=1, max_payload=32), smoothing=1.0
-        )
-        for _ in range(10):
-            controller.observe_peer_rate(1.0)
-            controller.observe_round(own_deliveries=3.0, backlog=0)
-        assert controller.current_payload > 8
+        lever = payload_lever()
+        observe(lever, peer_rate=1.0, own_deliveries=3.0, rounds=10)
+        assert lever.current > 8
 
     def test_backlog_floor_prevents_starving_the_buffer(self):
-        controller = AdaptivePayloadController(
-            schedule=PayloadSchedule(base_payload=8, min_payload=1, max_payload=32),
-            smoothing=1.0,
-            backlog_fraction=0.5,
-        )
-        for _ in range(10):
-            controller.observe_peer_rate(10.0)
-            controller.observe_round(own_deliveries=0.0, backlog=20)
-        assert controller.current_payload >= 10
+        lever = payload_lever(kind=replace(PAYLOAD, backlog_fraction=0.5))
+        observe(lever, peer_rate=10.0, own_deliveries=0.0, backlog=20, rounds=10)
+        assert lever.current >= 10
 
     def test_floor_and_cap_respected(self):
-        schedule = PayloadSchedule(base_payload=4, min_payload=2, max_payload=6)
-        controller = AdaptivePayloadController(schedule=schedule, smoothing=1.0)
-        for _ in range(10):
-            controller.observe_peer_rate(100.0)
-            controller.observe_round(own_deliveries=0.0, backlog=0)
-        assert controller.current_payload == 2
-        for _ in range(30):
-            controller.observe_peer_rate(0.01)
-            controller.observe_round(own_deliveries=50.0, backlog=0)
-        assert controller.current_payload == 6
+        lever = payload_lever(base=4, floor=2, ceiling=6)
+        observe(lever, peer_rate=100.0, own_deliveries=0.0, rounds=10)
+        assert lever.current == 2
+        observe(lever, peer_rate=0.01, own_deliveries=50.0, rounds=30)
+        assert lever.current == 6
 
     def test_convergence_history(self):
-        controller = AdaptivePayloadController(smoothing=1.0)
-        for _ in range(8):
-            controller.observe_peer_rate(1.0)
-            controller.observe_round(own_deliveries=1.0)
-        assert controller.rounds_to_converge(stable_rounds=3) is not None
+        lever = payload_lever()
+        observe(lever, peer_rate=1.0, own_deliveries=1.0, rounds=8)
+        assert lever.rounds_to_converge(stable_rounds=3) is not None
 
     def test_invalid_backlog_fraction(self):
         with pytest.raises(ValueError):
-            AdaptivePayloadController(backlog_fraction=1.5)
+            replace(PAYLOAD, backlog_fraction=1.5)

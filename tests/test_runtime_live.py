@@ -14,8 +14,11 @@ import json
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_experiment
+from repro.analysis import fairness_table_from_snapshot
+from repro.core import EXPRESSIVE_POLICY, TOPIC_BASED_POLICY
+from repro.experiments import ExperimentConfig, get_scenario, run_experiment
 from repro.pubsub import TopicFilter
+from repro.registry import StackSpec
 from repro.runtime import (
     AsyncScheduler,
     LoadGenerator,
@@ -30,8 +33,10 @@ from repro.runtime import (
 )
 from repro.sim.engine import SimulationError
 from repro.sim.network import Message
+from repro.runtime.cli import build_live_cluster
 from repro.sim.rng import RngRegistry
-from repro.workloads import TopicPopularity, ZipfInterest
+from repro.telemetry.report import load_report_source
+from repro.workloads import TopicPopularity, TopicPublicationWorkload
 from tests.conftest import settle
 
 #: Documented tolerance of the runtime-vs-simulator parity check: the live
@@ -192,9 +197,10 @@ class TestNodeHostMemory:
             for node_id in host.node_ids():
                 host.subscribe(node_id, TopicFilter("topic-00"))
             await host.start()
-            generator = LoadGenerator(
-                host, rate=200.0, popularity=TopicPopularity.uniform(1)
+            workload = TopicPublicationWorkload(
+                host, host.scheduler, TopicPopularity.uniform(1), host.node_ids()
             )
+            generator = LoadGenerator(host, 200.0, workload)
             report = await generator.run(0.5)
             await host.run_for(0.2)
             await host.stop()
@@ -241,95 +247,86 @@ class TestSocketTransports:
 
 
 class TestRuntimeSimulatorParity:
-    """A live memory-transport run tracks the equivalent simulator run.
+    """A live memory-transport run of a spec tracks the simulator run of the same spec.
 
-    Both runs share: the protocol classes and parameters, the seed, the
-    interest assignment (same RNG stream), the publication topic stream,
-    and the publisher rotation.  They differ in message timing (wall clock
-    vs virtual clock).  Fairness ratios must agree within
+    Both sides are built from one ``StackSpec`` the way their commands build
+    them (``run_experiment`` / ``build_live_cluster``), so what does not
+    depend on message timing is *identical*: the interest assignment, the
+    publication stream (publisher rotation, topic draws, event size) and the
+    policy fairness is judged under.  Message timing differs (wall clock vs
+    virtual clock), so fairness ratios agree within
     ``PARITY_JAIN_TOLERANCE`` (see its docstring for the rationale).
     """
 
-    SEED = 505
-    NODES = 10
-    TOPICS = 4
     DURATION_UNITS = 10.0
-    DRAIN_UNITS = 6.0
     RATE_PER_UNIT = 4.0
     TIME_SCALE = 25.0
 
-    def simulator_run(self):
-        config = ExperimentConfig(
-            name="parity-sim",
-            system="gossip",
-            nodes=self.NODES,
-            seed=self.SEED,
-            topics=self.TOPICS,
-            topic_exponent=1.0,
-            interest_model="zipf",
-            max_topics_per_node=4,
-            publication_rate=self.RATE_PER_UNIT,
-            publisher_fraction=0.3,
-            duration=self.DURATION_UNITS,
-            drain_time=self.DRAIN_UNITS,
-            fanout=4,
-            gossip_size=8,
-            membership="cyclon",
-        )
-        return config, run_experiment(config)
+    CONFIG = ExperimentConfig(
+        name="parity",
+        system="gossip",
+        nodes=10,
+        seed=505,
+        topics=4,
+        topic_exponent=1.0,
+        interest_model="zipf",
+        max_topics_per_node=4,
+        publication_rate=RATE_PER_UNIT,
+        publisher_fraction=0.3,
+        event_size=2,
+        duration=DURATION_UNITS,
+        drain_time=6.0,
+        fanout=4,
+        gossip_size=8,
+        membership="cyclon",
+    )
 
-    def runtime_run(self, config: ExperimentConfig):
+    def runtime_run(self, spec: StackSpec, sim_deliveries: int):
         async def scenario():
-            host = NodeHost(
+            cluster = build_live_cluster(
+                spec,
                 MemoryTransport(),
-                seed=self.SEED,
-                time_scale=self.TIME_SCALE,
-                node_kwargs={
-                    "fanout": config.fanout,
-                    "gossip_size": config.gossip_size,
-                    "round_period": config.round_period,
-                },
+                self.TIME_SCALE,
+                self.RATE_PER_UNIT * self.TIME_SCALE,
             )
-            host.add_nodes(list(config.node_ids()))
-            popularity = TopicPopularity.zipf(self.TOPICS, exponent=1.0)
-            interest_model = ZipfInterest(popularity, min_topics=1, max_topics=4)
-            # Same stream name and master seed as the simulator runner, so
-            # both runs assign identical filters to identical nodes.
-            interest = interest_model.assign(
-                list(config.node_ids()), RngRegistry(self.SEED).stream("experiment-interest")
-            )
-            interest.apply(host)
-            generator = LoadGenerator(
-                host,
-                rate=self.RATE_PER_UNIT * self.TIME_SCALE,
-                popularity=popularity,
-                publishers=list(config.publisher_ids()),
-                rng_name="workload-publications",  # the simulator's stream
-            )
+            host = cluster.host
             await host.start()
-            await generator.run(self.DURATION_UNITS / self.TIME_SCALE)
-            await host.run_for(self.DRAIN_UNITS / self.TIME_SCALE)
+            cluster.interest.apply(host)
+            await cluster.generator.run(self.DURATION_UNITS / self.TIME_SCALE)
+            # A loaded machine gets longer to drain, an idle one moves on.
+            await settle(
+                lambda: host.delivery_log.total_deliveries() > 0.5 * sim_deliveries
+            )
             await host.stop()
-            return host, generator
+            return cluster
 
         return run_async(scenario())
 
     def test_fairness_parity_within_documented_tolerance(self):
-        config, sim_result = self.simulator_run()
-        host, generator = self.runtime_run(config)
+        sim_result = run_experiment(self.CONFIG)
+        cluster = self.runtime_run(self.CONFIG.spec(), sim_result.total_deliveries)
+        host = cluster.host
+
+        # Same spec, same seed: identical interests ...
+        assert cluster.interest.to_dict() == sim_result.interest.to_dict()
+        # ... and, for as far as both sides got, identical publications.
+        def stream(events):
+            return [(event.publisher, event.topic, event.size) for event in events]
+
+        live_events = cluster.generator.schedule.events
+        common = min(len(live_events), len(sim_result.published_events))
+        assert common == pytest.approx(self.RATE_PER_UNIT * self.DURATION_UNITS, abs=3)
+        assert stream(live_events)[:common] == stream(sim_result.published_events)[:common]
+        assert {event.size for event in live_events} == {self.CONFIG.event_size}
 
         runtime_summary = host.fairness_summary(system_name="parity-rt")
+        assert runtime_summary.policy_name == sim_result.fairness.policy_name
         sim_report = sim_result.fairness.report
         rt_report = runtime_summary.report
 
-        # Both runs published (almost exactly) the same workload.
-        assert generator.schedule.count() == pytest.approx(
-            len(sim_result.published_events), abs=3
-        )
         # Both disseminated it: a broken runtime would show here first.
         assert sim_result.delivery_ratio > 0.7
-        rt_deliveries = host.delivery_log.total_deliveries()
-        assert rt_deliveries > 0.5 * sim_result.total_deliveries
+        assert host.delivery_log.total_deliveries() > 0.5 * sim_result.total_deliveries
 
         # The headline fairness number agrees within the documented bound,
         # and so does the wasted-contribution share (both runs have the same
@@ -337,3 +334,19 @@ class TestRuntimeSimulatorParity:
         # nodes must stay comparably small).
         assert abs(rt_report.ratio_jain - sim_report.ratio_jain) <= PARITY_JAIN_TOLERANCE
         assert abs(rt_report.wasted_share - sim_report.wasted_share) <= 0.2
+
+    def test_a_topic_policy_spec_is_judged_and_recorded_like_the_simulator(self, tmp_path):
+        stream = tmp_path / "live.jsonl"
+        spec = get_scenario("fig2-topic").spec.with_value("nodes", 12)
+        assert spec.policy.kind == "topic"
+        cluster = self.runtime_run(spec.with_telemetry([f"jsonl:{stream}"]), sim_deliveries=0)
+        summary = cluster.host.fairness_summary()
+        assert summary.policy_name == TOPIC_BASED_POLICY.name != EXPRESSIVE_POLICY.name
+
+        # The live run record carries the per-node fairness gauges the
+        # simulator's does, so `repro report` renders the same table.
+        final = load_report_source(str(stream)).snapshots[-1]
+        nodes = set(spec.node_ids())
+        assert set(final.gauges_by_tag("node.contribution", "node")) == nodes
+        assert set(final.gauges_by_tag("node.benefit", "node")) == nodes
+        assert fairness_table_from_snapshot(final) is not None

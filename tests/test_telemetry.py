@@ -475,20 +475,11 @@ class TestBiasDetectorTelemetry:
 
 class TestControllerGauges:
     def test_gauges_report_base_values_before_any_adaptation(self):
-        from repro.core.adaptive_fanout import AdaptiveFanoutController, FanoutSchedule
-        from repro.core.adaptive_payload import AdaptivePayloadController, PayloadSchedule
+        from repro.core import FANOUT, PAYLOAD, ContributionLever
 
         telemetry = Telemetry()
-        AdaptiveFanoutController(
-            schedule=FanoutSchedule(base_fanout=6, max_fanout=12),
-            telemetry=telemetry,
-            telemetry_tags={"node": "n1"},
-        )
-        AdaptivePayloadController(
-            schedule=PayloadSchedule(base_payload=16),
-            telemetry=telemetry,
-            telemetry_tags={"node": "n1"},
-        )
+        ContributionLever(FANOUT, 6, 1, 12, telemetry=telemetry, telemetry_tags={"node": "n1"})
+        ContributionLever(PAYLOAD, 16, 1, 32, telemetry=telemetry, telemetry_tags={"node": "n1"})
         # Snapshots taken before the first round (or in ablations that never
         # adapt a lever) must show the effective operating point, not 0.
         assert telemetry.gauge_value("controller.fanout", node="n1") == 6.0
