@@ -2,7 +2,7 @@
 
 A step change in interest at mid-run: a set of nodes that benefited nothing
 suddenly subscribes to the hot topic.  The benchmark measures how many rounds
-their fanout controllers need to settle on a new stable recommendation, and
+their fanout levers need to settle on a new stable recommendation, and
 compares two smoothing settings (an ablation: reactive vs heavily smoothed
 benefit signal).  Expected shape: convergence within a
 couple of dozen rounds, faster (but noisier) with less smoothing.
@@ -10,14 +10,15 @@ couple of dozen rounds, faster (but noisier) with less smoothing.
 How many of the 20 late subscribers meet the strict criterion (the same
 fanout, above the floor, for 5 consecutive rounds) depends on the seed far
 more than on the code, so the shape is asserted on the mean over
-:data:`SEEDS`.  Measured over seeds 70-89, before / after ``EventBuffer.select``
-stopped drawing for entries off the cut:
+:data:`SEEDS`.  Measured over seeds 70-89, before / after the estimator took
+one update per round instead of one per active lever (version 1.2.0; both
+levers are on here, so the own-rate EWMA used to move twice a round):
 
 =========  =======================  =========================
 smoothing  converged nodes of 20    mean rounds to converge
 =========  =======================  =========================
-0.8        mean 10.3 / 10.1, 6-16   20.7 / 19.4, worst 28.7
-0.3        mean 19.6 / 19.8, 18-20  11.3 / 11.6, worst 16.2
+0.8        mean 10.1 / 11.1, 7-15   19.4 / 18.4, worst 26.2
+0.3        mean 19.8 / 20.0, 20-20  11.6 / 10.1, worst 12.7
 =========  =======================  =========================
 """
 

@@ -30,7 +30,7 @@ from .gossip import GossipSystem
 from .pubsub import ContentFilter, Event, TopicFilter
 from .sim import Network, Simulator
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     "Simulator",

@@ -177,7 +177,8 @@ class ContributionLever:
         the allowed range around it.
     estimator:
         Benefit estimator, shared by a node's levers so both respond to the
-        same signal; whoever owns it feeds it.
+        same signal; whoever owns it feeds it, once per round, and then
+        calls :meth:`recompute` on each active lever.
     smoothing:
         EWMA weight applied to the raw recommendation before clamping;
         1.0 reacts instantly, smaller values react more slowly but resist

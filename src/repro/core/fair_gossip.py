@@ -8,7 +8,8 @@ push protocol of Figure 4 with both levers:
 
 * each node measures its own benefit (interesting events delivered per
   round) and estimates the population's benefit from the rates piggybacked
-  on received gossip messages (:class:`~repro.core.estimators.BenefitEstimator`);
+  on received gossip messages (:class:`~repro.core.estimators.BenefitEstimator`),
+  feeding the estimator once at the end of every round;
 * two :class:`~repro.core.estimators.ContributionLever` instances scale the
   node's fanout and the number of events per gossip message with its
   relative benefit;
@@ -118,16 +119,13 @@ class FairGossipNode(PushGossipNode):
     def after_round(self) -> None:
         deliveries_this_round = len(self.delivered_event_ids) - self._deliveries_at_round_start
         self._deliveries_at_round_start = len(self.delivered_event_ids)
+        # One update per round whatever the ablation: the levers are compared
+        # under the same smoothing, and frozen levers still report rates.
+        self.estimator.observe_own_round(deliveries_this_round)
         if self.adapt_fanout:
-            self.estimator.observe_own_round(deliveries_this_round)
             self.fanout_lever.recompute()
         if self.adapt_payload:
-            self.estimator.observe_own_round(deliveries_this_round)
             self.payload_lever.recompute(len(self.buffer))
-        if not self.adapt_fanout and not self.adapt_payload:
-            # Keep the estimator warm even when both levers are frozen, so
-            # ablation runs still report benefit rates.
-            self.estimator.observe_own_round(deliveries_this_round)
         own_gauge, population_gauge, relative_gauge = self._benefit_gauges
         own_gauge.set(self.estimator.own_rate)
         population_gauge.set(self.estimator.population_rate)

@@ -50,9 +50,9 @@ def delivery_log() -> DeliveryLog:
 #: sha256 over schema, ``repro.__version__`` and the flat config dict (see
 #: ``experiments/cache.py``).  A new optional config field must leave them
 #: alone; a release whose numbers differ bumps the version and re-pins them here
-#: (last: 1.1.0, when ``EventBuffer.select`` stopped drawing for entries off the cut).
-SMOKE_CONFIG_HASH = "8e9a0ec3feb73040f2fa4a1cce66d13b83d55080043f76d061b9839a272d9a6f"
-SMOKE_BROKERS_CONFIG_HASH = "d8dd460535e193d7258ebb8028d9b9516d52f2167b3d9620e9cf59c822067948"
+#: (last: 1.2.0, when ``FairGossipNode.after_round`` started feeding its estimator once per round).
+SMOKE_CONFIG_HASH = "5af8231d86f1755ccec6701143d81a957e44d82d145ca9b76be8653b1838cf04"
+SMOKE_BROKERS_CONFIG_HASH = "72f7471c7b75fc469f5e1e75703d425a40cc0bc05618737256ccb6540b694024"
 
 
 def result_sha(result) -> str:

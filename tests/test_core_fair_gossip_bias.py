@@ -138,6 +138,30 @@ class TestFairGossipProtocol:
         assert node.current_gossip_size() == 8
         assert node.estimator.own_observations > 0  # estimator still warm
 
+    @pytest.mark.parametrize("adapt_fanout", [True, False])
+    @pytest.mark.parametrize("adapt_payload", [True, False])
+    def test_estimator_is_fed_once_per_round_in_every_ablation(self, adapt_fanout, adapt_payload):
+        # Fed once per *active lever*, the own-rate EWMA of the both-levers
+        # configuration moved twice a round (effective alpha 0.51 for the
+        # configured 0.3), so ablation rows compared different smoothing.
+        simulator = Simulator(seed=36)
+        system = FairGossipSystem(
+            simulator,
+            Network(simulator),
+            [f"node-{index}" for index in range(8)],
+            node_kwargs={"adapt_fanout": adapt_fanout, "adapt_payload": adapt_payload},
+        )
+        for node_id in system.node_ids():
+            system.subscribe(node_id, TopicFilter("news"))
+        system.publish("node-0", topic="news")
+        system.run(until=12.0)
+        for node_id in system.node_ids():
+            node = system.node(node_id)
+            assert node.rounds_executed > 5
+            assert node.estimator.own_observations == node.rounds_executed
+            assert len(node.fanout_lever.history) == (node.rounds_executed if adapt_fanout else 0)
+            assert len(node.payload_lever.history) == (node.rounds_executed if adapt_payload else 0)
+
     def test_benefit_rate_piggybacked(self):
         system = build_gossip_system(nodes=15, seed=36, fair=True)
         skewed_workload(system, events=20)
