@@ -25,11 +25,11 @@ bench-metrics:
 
 # Short live cluster run with the embedded load generator (memory transport).
 serve-smoke:
-	$(PYTHON) -m repro serve --nodes 25 --transport memory --duration 5
+	$(PYTHON) -m repro serve --set nodes=25 --transport memory --duration 5
 
 # Short open-loop load run against a live cluster (memory transport).
 loadgen-smoke:
-	$(PYTHON) -m repro loadgen --nodes 10 --transport memory --duration 2 --rate 300 --drain 0.5
+	$(PYTHON) -m repro loadgen --set nodes=10 --transport memory --duration 2 --rate 300 --drain 0.5
 
 # Registry/StackSpec sanity: list, describe, then run a registered scenario
 # live on the memory transport — once as gossip, once as a non-gossip baseline.
@@ -124,9 +124,13 @@ bench-domains:
 
 # Campaign round trip: run the two-target mini campaign cold, then warm
 # (the second pass must be 100% cache hits), inspect staleness, and render
-# the run manifest through the report CLI.
+# the run manifest through the report CLI.  The sweep/compare lines are
+# one-service campaigns over the mini campaign's own services, so they must
+# be served entirely from the cache the campaign just filled.
 campaign-smoke:
 	$(PYTHON) -m repro campaign examples/mini_campaign.json --cache-dir .ci-cache --out-dir out/campaign/mini
+	$(PYTHON) -m repro sweep smoke --param system.fanout --values 2,3 --cache-dir .ci-cache | grep "cache hits: 2"
+	$(PYTHON) -m repro compare smoke --systems gossip,fair-gossip --cache-dir .ci-cache | grep "cache hits: 2"
 	$(PYTHON) -m repro campaign examples/mini_campaign.json --cache-dir .ci-cache --out-dir out/campaign/mini | grep "computed: 0"
 	$(PYTHON) -m repro campaign status examples/mini_campaign.json --cache-dir .ci-cache
 	$(PYTHON) -m repro report out/campaign/mini/manifest.json

@@ -10,14 +10,14 @@ gossip sits in between (great load balance, poor fairness).
 
 from __future__ import annotations
 
-from common import BASE_CONFIG, attach_extra_info, print_results, run_compare
+from common import BASE_CONFIG, attach_extra_info, compare_configs, print_results, run_configs
 
 SYSTEMS = ["gossip", "fair-gossip", "pushpull-gossip", "scribe", "splitstream", "dks", "brokers", "dam"]
 
 
 def run_comparison():
     base = BASE_CONFIG.with_overrides(name="fig1", nodes=96, duration=20.0, drain_time=12.0)
-    return run_compare(base, SYSTEMS)
+    return run_configs(compare_configs(base, SYSTEMS))
 
 
 def test_fig1_fairness_ratio_comparison(benchmark):

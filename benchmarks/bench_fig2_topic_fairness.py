@@ -11,7 +11,7 @@ while under the classic protocol contribution is flat regardless of benefit.
 
 from __future__ import annotations
 
-from common import BASE_CONFIG, attach_extra_info, print_results, run_compare
+from common import BASE_CONFIG, attach_extra_info, compare_configs, print_results, run_configs
 from repro.core import TOPIC_BASED_POLICY
 
 
@@ -48,7 +48,7 @@ def run_topic_fairness():
         duration=20.0,
         drain_time=12.0,
     )
-    results = run_compare(base, ["gossip", "fair-gossip"], keep_system=True)
+    results = run_configs(compare_configs(base, ["gossip", "fair-gossip"]), keep_system=True)
     correlations = {}
     for result in results:
         ledger = result.system.ledger

@@ -10,7 +10,7 @@ shrinks as F grows.
 
 from __future__ import annotations
 
-from common import BASE_CONFIG, attach_extra_info, print_results, run_sweep
+from common import BASE_CONFIG, attach_extra_info, grid_configs, print_results, run_configs
 
 
 def run_sweeps():
@@ -25,9 +25,11 @@ def run_sweeps():
         drain_time=15.0,
         publication_rate=2.0,
     )
-    fanout_results = run_sweep(base, "fanout", [1, 2, 3, 5, 8])
-    loss_results = run_sweep(
-        base.with_overrides(fanout=4, name="fig4-loss"), "loss_rate", [0.0, 0.05, 0.1, 0.2]
+    fanout_results = run_configs(grid_configs(base, {"fanout": [1, 2, 3, 5, 8]}))
+    loss_results = run_configs(
+        grid_configs(
+            base.with_overrides(fanout=4, name="fig4-loss"), {"loss_rate": [0.0, 0.05, 0.1, 0.2]}
+        )
     )
     return fanout_results, loss_results
 

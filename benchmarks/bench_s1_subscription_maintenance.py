@@ -11,7 +11,7 @@ maintenance traffic of popular, churn-heavy topics; gossip systems spread it.
 
 from __future__ import annotations
 
-from common import BASE_CONFIG, attach_extra_info, print_results, run_compare
+from common import BASE_CONFIG, attach_extra_info, compare_configs, print_results, run_configs
 from repro.core import gini_coefficient
 
 
@@ -26,7 +26,9 @@ def run_subscription_churn():
         publication_rate=1.0,
         subscription_churn_rate=6.0,
     )
-    results = run_compare(base, ["scribe", "dks", "gossip", "fair-gossip"], keep_system=True)
+    results = run_configs(
+        compare_configs(base, ["scribe", "dks", "gossip", "fair-gossip"]), keep_system=True
+    )
     maintenance = {}
     for result in results:
         ledger = result.system.ledger

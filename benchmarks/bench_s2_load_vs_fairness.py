@@ -12,7 +12,7 @@ into a measurement.
 
 from __future__ import annotations
 
-from common import BASE_CONFIG, attach_extra_info, print_results, run_compare
+from common import BASE_CONFIG, attach_extra_info, compare_configs, print_results, run_configs
 
 
 def run_skewed_comparison():
@@ -26,7 +26,7 @@ def run_skewed_comparison():
         duration=20.0,
         drain_time=12.0,
     )
-    return run_compare(base, ["splitstream", "gossip", "fair-gossip"])
+    return run_configs(compare_configs(base, ["splitstream", "gossip", "fair-gossip"]))
 
 
 def test_s2_load_balancing_is_not_fairness(benchmark):

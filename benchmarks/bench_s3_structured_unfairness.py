@@ -14,7 +14,7 @@ from the fair-gossip reference run on the same workload.
 
 from __future__ import annotations
 
-from common import BASE_CONFIG, attach_extra_info, print_results, run_compare
+from common import BASE_CONFIG, attach_extra_info, compare_configs, print_results, run_configs
 from repro.core import gini_coefficient
 
 
@@ -29,7 +29,7 @@ def run_structured():
         duration=20.0,
         drain_time=12.0,
     )
-    results = run_compare(base, ["scribe", "dks", "fair-gossip"], keep_system=True)
+    results = run_configs(compare_configs(base, ["scribe", "dks", "fair-gossip"]), keep_system=True)
     extras = {}
     for result in results:
         ledger = result.system.ledger

@@ -10,7 +10,7 @@ would show, and attach the headline numbers to ``benchmark.extra_info`` so
 
 Multi-config benchmarks go through the shared
 :class:`~repro.experiments.executor.ParallelSweepExecutor` (``run_configs``
-/ ``run_sweep`` / ``run_compare`` below), so the whole suite picks up
+below, over ``grid_configs`` / ``compare_configs`` grids), so the whole suite picks up
 multiprocess fan-out and result caching from two environment variables:
 
 * ``REPRO_BENCH_WORKERS`` — worker processes per benchmark (default 1).
@@ -31,7 +31,7 @@ import gc
 import sys
 import os
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
@@ -41,7 +41,9 @@ from repro.experiments import (  # noqa: E402
     ExperimentResult,
     ParallelSweepExecutor,
     ResultCache,
+    compare_configs,
     get_scenario,
+    grid_configs,
     results_table,
 )
 
@@ -50,8 +52,8 @@ __all__ = [
     "EXECUTOR",
     "spec_overrides",
     "run_configs",
-    "run_sweep",
-    "run_compare",
+    "grid_configs",
+    "compare_configs",
     "print_results",
     "attach_extra_info",
     "time_interleaved",
@@ -90,24 +92,6 @@ def run_configs(
 ) -> List[ExperimentResult]:
     """Run a list of configs through the shared executor, preserving order."""
     return EXECUTOR.run_many(configs, keep_system=keep_system)
-
-
-def run_sweep(
-    base: ExperimentConfig,
-    parameter: str,
-    values: Sequence,
-    rename: Optional[Callable[[object], str]] = None,
-    keep_system: bool = False,
-) -> List[ExperimentResult]:
-    """Executor-backed replacement for :func:`repro.experiments.sweep`."""
-    return EXECUTOR.sweep(base, parameter, values, rename=rename, keep_system=keep_system)
-
-
-def run_compare(
-    base: ExperimentConfig, systems: Sequence[str], keep_system: bool = False
-) -> List[ExperimentResult]:
-    """Executor-backed replacement for :func:`repro.experiments.compare`."""
-    return EXECUTOR.compare(base, systems, keep_system=keep_system)
 
 
 def print_results(title: str, results: Sequence[ExperimentResult], extra_columns: Dict[str, Dict[str, object]] = None) -> None:

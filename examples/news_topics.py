@@ -21,7 +21,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from repro.analysis import compare_systems, summarise_fairness
 from repro.core import TOPIC_BASED_POLICY
-from repro.experiments import ExperimentConfig, ParallelSweepExecutor, results_table
+from repro.experiments import (
+    ExperimentConfig,
+    ParallelSweepExecutor,
+    compare_configs,
+    results_table,
+)
 
 
 def main() -> None:
@@ -38,8 +43,8 @@ def main() -> None:
         fairness_policy="topic",     # Figure 2 weights
         seed=42,
     )
-    results = ParallelSweepExecutor(workers=1).compare(
-        base, ["gossip", "fair-gossip", "scribe"], keep_system=True
+    results = ParallelSweepExecutor(workers=1).run_many(
+        compare_configs(base, ["gossip", "fair-gossip", "scribe"]), keep_system=True
     )
 
     print(results_table(results, title="News workload — reliability and fairness").render())

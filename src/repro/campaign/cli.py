@@ -18,8 +18,7 @@ from typing import Dict, List
 
 from .. import __version__ as _CODE_VERSION
 from ..analysis.tables import Table
-from ..experiments.cache import DEFAULT_CACHE_DIR, ResultCache
-from ..experiments.executor import ParallelSweepExecutor
+from ..cli import add_orchestration_options, build_executor
 from .executor import DONE, FAILED, CampaignExecutor
 from .manifest import RunManifest
 from .spec import CampaignError, CampaignSpec
@@ -119,20 +118,6 @@ def render_plan(manifest: RunManifest) -> str:
     return table.render()
 
 
-def _build_campaign_executor(args: argparse.Namespace) -> CampaignExecutor:
-    spec = CampaignSpec.from_file(args.spec)
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    if args.workers < 1:
-        raise SystemExit("--workers must be at least 1")
-    sweep_executor = ParallelSweepExecutor(workers=args.workers, cache=cache)
-    return CampaignExecutor(
-        spec,
-        executor=sweep_executor,
-        out_dir=args.out_dir,
-        targets=args.target or None,
-    )
-
-
 def cmd_campaign(args: argparse.Namespace) -> int:
     words = list(args.words)
     status_mode = False
@@ -144,9 +129,13 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             "usage: python -m repro campaign [status] SPEC.json "
             "[--target NAME] [--dry-run] [--workers N]"
         )
-    args.spec = words[0]
     try:
-        executor = _build_campaign_executor(args)
+        executor = CampaignExecutor(
+            CampaignSpec.from_file(words[0]),
+            executor=build_executor(args),
+            out_dir=args.out_dir,
+            targets=args.target or None,
+        )
     except CampaignError as error:
         raise SystemExit(str(error))
 
@@ -203,19 +192,7 @@ def add_campaign_subcommand(subparsers) -> None:
         action="store_true",
         help="plan only: print what would run vs load from cache",
     )
-    parser.add_argument(
-        "--workers", type=int, default=1, help="worker processes per service (default: 1)"
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help=f"result cache directory (default: $REPRO_CACHE_DIR or {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the result cache (every point recomputes)",
-    )
+    add_orchestration_options(parser, scenario=False)
     parser.add_argument(
         "--out-dir",
         default=None,

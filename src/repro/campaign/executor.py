@@ -30,7 +30,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import __version__ as _CODE_VERSION
-from ..experiments.cache import ResultCache, config_hash
+from ..experiments.cache import ResultCache, config_hash, results_artifact
 from ..experiments.config import ExperimentConfig
 from ..experiments.executor import ParallelSweepExecutor
 from ..experiments.runner import ExperimentResult
@@ -58,8 +58,9 @@ def expand_service(service: ServiceSpec) -> List[ExperimentConfig]:
     (across systems) → ``sweep`` axes plus the ``seeds`` shorthand (a
     cartesian grid).  All value routing goes through the nested
     :class:`~repro.registry.specs.StackSpec`, so types are coerced exactly
-    as the CLI's ``--set``/``--sweep`` would and cache identities match
-    points produced by hand-invoked runs.
+    as ``--set`` coerces them; the ``sweep``/``compare`` commands expand
+    their one service here too, so their points carry the same names and
+    cache identities as a campaign's.
     """
     base = get_scenario(service.scenario).config
     if service.set:
@@ -204,39 +205,20 @@ class CampaignExecutor:
             demanded.extend(self._demand(grand, states))
         return demanded
 
-    def _collect(
-        self,
-        child: Union[str, Connector],
-        states: Dict[str, str],
-        results: Dict[str, List[ExperimentResult]],
-    ) -> List[ExperimentResult]:
-        if isinstance(child, Connector):
-            if child.op == "one":
-                for grand in child.children:
-                    if self._child_status(grand, states) == DONE:
-                        return self._collect(grand, states, results)
-                return []
-            collected: List[ExperimentResult] = []
-            for grand in child.children:
-                collected.extend(self._collect(grand, states, results))
-            return collected
-        return results.get(child, [])
+    def _consumed(self, child: Union[str, Connector], states: Dict[str, str]) -> List[str]:
+        """The leaf services a satisfied connector consumed, in child order.
 
-    def _used_services(
-        self, child: Union[str, Connector], states: Dict[str, str]
-    ) -> List[str]:
-        """The service names a satisfied connector actually consumed."""
-        if isinstance(child, Connector):
-            if child.op == "one":
-                for grand in child.children:
-                    if self._child_status(grand, states) == DONE:
-                        return self._used_services(grand, states)
-                return []
-            used: List[str] = []
+        ``one`` consumed its first DONE child (nothing while none is);
+        every other operator consumed all of its children.
+        """
+        if not isinstance(child, Connector):
+            return [child]
+        if child.op == "one":
             for grand in child.children:
-                used.extend(self._used_services(grand, states))
-            return used
-        return [child]
+                if self._child_status(grand, states) == DONE:
+                    return self._consumed(grand, states)
+            return []
+        return [name for grand in child.children for name in self._consumed(grand, states)]
 
     # ------------------------------------------------------------- execution
 
@@ -321,7 +303,7 @@ class CampaignExecutor:
                     manifest.targets[name] = TargetRecord(
                         name=name,
                         status=DONE,
-                        inputs=self._used_services(target.inputs, states),
+                        inputs=self._consumed(target.inputs, states),
                     )
                 else:
                     manifest.targets[name] = self._render_target(
@@ -387,14 +369,8 @@ class CampaignExecutor:
             return FAILED
         results[name] = computed
         report = self.executor.last_report
-        hit_flags = report.hit_flags if report is not None else ()
-        record = ServiceRecord(
-            name=name,
-            status=DONE,
-            elapsed_seconds=report.elapsed_seconds if report is not None else 0.0,
-        )
-        for index, config in enumerate(configs):
-            cached = bool(hit_flags[index]) if index < len(hit_flags) else False
+        record = ServiceRecord(name=name, status=DONE, elapsed_seconds=report.elapsed_seconds)
+        for config, cached in zip(configs, report.hit_flags):
             provenance: Tuple[Tuple[str, object], ...] = ()
             if self.cache is not None:
                 stored = self.cache.provenance(config)
@@ -421,18 +397,14 @@ class CampaignExecutor:
         states: Dict[str, str],
         results: Dict[str, List[ExperimentResult]],
     ) -> TargetRecord:
-        from ..experiments.cache import ARTIFACT_SCHEMA
         from ..experiments.sweeps import results_table
         from ..telemetry.report import render_results
 
-        collected = self._collect(target.inputs, states, results)
+        consumed = self._consumed(target.inputs, states)
+        collected = [result for name in consumed for result in results.get(name, [])]
         json_name = f"{target.name}.json"
         text_name = f"{target.name}.txt"
-        artifact = {
-            "schema": ARTIFACT_SCHEMA,
-            "results": [result.to_dict() for result in collected],
-        }
-        write_json(os.path.join(self.out_dir, json_name), artifact)
+        write_json(os.path.join(self.out_dir, json_name), results_artifact(collected))
         title = target.title or f"{self.spec.name} — {target.name}"
         if target.kind == "report":
             text = render_results(collected)
@@ -442,7 +414,7 @@ class CampaignExecutor:
         return TargetRecord(
             name=target.name,
             status=DONE,
-            inputs=self._used_services(target.inputs, states),
+            inputs=consumed,
             outputs=[text_name, json_name],
             config_hashes=[config_hash(result.config) for result in collected],
         )

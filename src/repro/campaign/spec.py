@@ -191,6 +191,52 @@ class ServiceSpec:
             payload["after"] = list(self.after)
         return payload
 
+    def validate(self) -> "ServiceSpec":
+        """Check names, paths and values before anything runs; returns ``self``.
+
+        The scenario and every compared system must be registered, and every
+        ``set`` override and ``sweep`` axis must name a settable spec path
+        with values of the field's type — each failure is a
+        :class:`CampaignError` with a did-you-mean suggestion.  The campaign
+        and the ``sweep``/``compare`` commands all call this, so a grid
+        mistake reads the same wherever it is made.
+        """
+        from ..experiments.scenarios import scenario_names, system_names
+
+        context = f"service {self.name!r}"
+        known_scenarios = scenario_names()
+        if self.scenario not in known_scenarios:
+            raise CampaignError(
+                f"{context}: unknown scenario {self.scenario!r}"
+                f"{suggest(self.scenario, known_scenarios)}; "
+                f"scenarios: {', '.join(known_scenarios)}"
+            )
+        known_systems = system_names()
+        for system in self.compare:
+            if system not in known_systems:
+                raise CampaignError(
+                    f"{context}: unknown system {system!r}"
+                    f"{suggest(system, known_systems)}; "
+                    f"systems: {', '.join(known_systems)}"
+                )
+        overrides = tuple((key, (value,)) for key, value in self.set)
+        for key, values in overrides + self.sweep:
+            if not values:
+                raise CampaignError(
+                    f"{context}: sweep axis {key!r} needs a non-empty list of values"
+                )
+            try:
+                path = resolve_spec_path(key)
+                if path in STRUCTURED_PATHS:
+                    raise CampaignError(
+                        f"config field {path!r} is structured and cannot be set or swept"
+                    )
+                for value in values:
+                    StackSpec().with_value(path, value)
+            except RegistryError as error:
+                raise CampaignError(f"{context}: {error}") from None
+        return self
+
     @staticmethod
     def from_dict(name: str, payload: Mapping[str, object]) -> "ServiceSpec":
         context = f"service {name!r}"
@@ -207,7 +253,7 @@ class ServiceSpec:
         if not isinstance(sweep, Mapping):
             raise CampaignError(f"{context}: 'sweep' must map dotted paths to value lists")
         for key, values in sweep.items():
-            if not isinstance(values, (list, tuple)) or not values:
+            if not isinstance(values, (list, tuple)):
                 raise CampaignError(
                     f"{context}: sweep axis {key!r} needs a non-empty list of values"
                 )
@@ -311,19 +357,17 @@ class CampaignSpec:
     def validate(self) -> "CampaignSpec":
         """Check every cross-reference; returns ``self`` for chaining.
 
-        Scenario names are checked against the scenario registry, target
-        inputs against the declared services, ``after`` edges against the
-        union of services and targets, and sweep axes against the config
-        vocabulary — each failure is a :class:`CampaignError` with a
-        did-you-mean suggestion.  Cycles are detected by the graph module
-        (:func:`repro.campaign.graph.compile_graph`), which this calls.
+        Each service validates itself (:meth:`ServiceSpec.validate`), target
+        inputs are checked against the declared services and ``after``
+        edges against the union of services and targets — each failure is
+        a :class:`CampaignError` with a did-you-mean suggestion.  Cycles are
+        detected by the graph module (:func:`repro.campaign.graph.compile_graph`),
+        which this calls.
         """
-        from ..experiments.scenarios import scenario_names, system_names
         from .graph import compile_graph
 
         if not self.targets:
             raise CampaignError(f"campaign {self.name!r} declares no targets")
-        known_scenarios = scenario_names()
         service_names = self.service_names()
         duplicates = {name for name in service_names if service_names.count(name) > 1}
         duplicates |= {
@@ -338,20 +382,6 @@ class CampaignSpec:
         all_nodes = service_names + self.target_names()
         for service in self.services:
             context = f"service {service.name!r}"
-            if service.scenario not in known_scenarios:
-                raise CampaignError(
-                    f"{context}: unknown scenario {service.scenario!r}"
-                    f"{suggest(service.scenario, known_scenarios)}; "
-                    f"scenarios: {', '.join(known_scenarios)}"
-                )
-            known_systems = system_names()
-            for system in service.compare:
-                if system not in known_systems:
-                    raise CampaignError(
-                        f"{context}: unknown system {system!r}"
-                        f"{suggest(system, known_systems)}; "
-                        f"systems: {', '.join(known_systems)}"
-                    )
             for dependency in service.after:
                 if dependency not in all_nodes:
                     raise CampaignError(
@@ -359,22 +389,7 @@ class CampaignSpec:
                         f"{suggest(dependency, all_nodes)}; "
                         f"nodes: {', '.join(all_nodes)}"
                     )
-            # Overrides and sweep axes must resolve to real config paths
-            # (settable ones), with values of the field's type, *before*
-            # anything runs.
-            overrides = tuple((key, (value,)) for key, value in service.set)
-            for key, values in overrides + service.sweep:
-                try:
-                    path = resolve_spec_path(key)
-                    if path in STRUCTURED_PATHS:
-                        raise CampaignError(
-                            f"config field {path!r} is structured and "
-                            "cannot be set or swept from a campaign"
-                        )
-                    for value in values:
-                        StackSpec().with_value(path, value)
-                except RegistryError as error:
-                    raise CampaignError(f"{context}: {error}") from None
+            service.validate()
         for target in self.targets:
             context = f"target {target.name!r}"
             for dependency in target.inputs.service_names():

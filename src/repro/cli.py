@@ -19,14 +19,23 @@ The simulator commands live in :mod:`repro.experiments.cli`, ``campaign`` in
 each installs its subparsers on the parser built here.
 
 Every command that builds a stack reaches it the same way: a registered
-scenario names a :class:`~repro.registry.specs.StackSpec`, explicit flags
-and ``--set path=value`` overrides adjust it by dotted spec path
-(``system.fanout=5``, ``membership.kind=lpbcast``), ``--fault`` and
-``--topology`` files merge into it, and the validated spec is handed to the
-engine.  :func:`add_stack_options` declares the shared options once and
-:func:`resolve_spec` is the one function that turns parsed arguments into
-that spec; ``run`` builds it on the simulator, ``serve``/``loadgen`` on the
-live runtime.
+scenario names a :class:`~repro.registry.specs.StackSpec`, ``--set
+path=value`` overrides adjust it by dotted spec path (``system.fanout=5``,
+``membership.kind=lpbcast``) — the only command-line spelling of a spec
+field — ``--fault`` and ``--topology`` files merge into it, and the
+validated spec is handed to the engine.  :func:`add_stack_options` declares
+those options once and :func:`resolve_spec` is the one function that turns
+parsed arguments into that spec; ``run`` builds it on the simulator,
+``serve``/``loadgen`` on the live runtime.
+
+``sweep`` and ``compare`` are one-service campaigns: they describe a
+:class:`~repro.campaign.spec.ServiceSpec` (scenario, ``--set`` overrides,
+one sweep axis or a list of systems), validate and expand it exactly as a
+campaign service is, and run the points on the same executor — so a grid
+point has the same name and cache key whichever of the three asked for it.
+:func:`add_orchestration_options` declares the executor options of ``run``,
+``sweep``, ``compare`` and ``campaign`` once, and :func:`build_executor`
+turns them into the executor.
 """
 
 from __future__ import annotations
@@ -36,6 +45,8 @@ import sys
 from dataclasses import replace
 from typing import Optional, Sequence
 
+from .experiments.cache import DEFAULT_CACHE_DIR, ResultCache
+from .experiments.executor import ParallelSweepExecutor
 from .experiments.scenarios import get_scenario
 from .faults import FaultPlan, FaultPlanError
 from .jsonio import write_json
@@ -46,29 +57,12 @@ __all__ = [
     "main",
     "build_parser",
     "add_stack_options",
+    "add_orchestration_options",
+    "build_executor",
     "resolve_spec",
     "parse_tracer",
     "write_artifact",
 ]
-
-#: Explicit flag → dotted spec path.  The flags default to ``None`` so
-#: "explicitly set" (overrides the scenario) differs from "absent" (the
-#: scenario governs); a command declares only the flags it offers.
-_FLAG_TO_PATH = {
-    "system": "system.kind",
-    "nodes": "nodes",
-    "seed": "seed",
-    "topics": "workload.topics",
-    "topic_exponent": "workload.topic_exponent",
-    "interest": "interest.kind",
-    "topics_per_node": "interest.topics_per_node",
-    "max_topics_per_node": "interest.max_topics_per_node",
-    "fanout": "system.fanout",
-    "gossip_size": "system.gossip_size",
-    "round_period": "system.round_period",
-    "membership": "membership.kind",
-}
-
 
 def add_stack_options(parser: argparse.ArgumentParser, set_only: bool = False) -> None:
     """Declare the options every stack-building command shares.
@@ -137,14 +131,14 @@ def add_stack_options(parser: argparse.ArgumentParser, set_only: bool = False) -
 
 
 def resolve_spec(args: argparse.Namespace, live: bool = False) -> StackSpec:
-    """The validated spec a command builds: scenario, flags, files, in that order.
+    """The validated spec a command builds: scenario, overrides, files, in that order.
 
-    The scenario's spec takes the explicit flags, then the ``--set``
-    overrides, then the ``--fault`` entries (appended to whatever the
-    scenario's faults section already declares) and the ``--topology``
-    file, then the ``--telemetry`` sinks.  The merged fault plan is
-    validated and the domain map compiled here, so every mistake a command
-    line can make is a one-line ``SystemExit`` before anything is built.
+    The scenario's spec takes the ``--set`` overrides, then the ``--fault``
+    entries (appended to whatever the scenario's faults section already
+    declares) and the ``--topology`` file, then the ``--telemetry`` sinks.
+    The merged fault plan is validated and the domain map compiled here, so
+    every mistake a command line can make is a one-line ``SystemExit``
+    before anything is built.
 
     The node universe is deliberately NOT pinned: plans may target a
     system's infra nodes (``broker-0``, rendezvous nodes), which only exist
@@ -158,10 +152,6 @@ def resolve_spec(args: argparse.Namespace, live: bool = False) -> StackSpec:
         # str(KeyError) wraps the message in quotes; unwrap for clean CLI output.
         raise SystemExit(error.args[0])
     try:
-        for flag, path in _FLAG_TO_PATH.items():
-            value = getattr(args, flag, None)
-            if value is not None:
-                spec = spec.with_value(path, value)
         spec = spec.with_values(parse_spec_overrides(args.set or []))
         if getattr(args, "fault", None):
             plan = FaultPlan.from_file(args.fault)
@@ -188,6 +178,44 @@ def resolve_spec(args: argparse.Namespace, live: bool = False) -> StackSpec:
     elif period is not None:
         raise SystemExit("--telemetry-period has no effect without --telemetry")
     return spec
+
+
+def add_orchestration_options(parser: argparse.ArgumentParser, scenario: bool = True) -> None:
+    """Declare the executor options of ``run``, ``sweep``, ``compare`` and ``campaign``.
+
+    ``scenario`` adds the positional scenario and ``--json`` of the
+    scenario commands; ``campaign`` names a spec file and writes its own
+    target artifacts instead.
+    """
+    if scenario:
+        parser.add_argument(
+            "scenario",
+            nargs="?",
+            default="base",
+            help="named scenario to start from (see list-scenarios; default: base)",
+        )
+        parser.add_argument(
+            "--json", default=None, metavar="PATH", help="write result artifacts as JSON"
+        )
+    parser.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
+    parser.add_argument(
+        "--cache-dir",
+        default=None,
+        help=f"result cache directory (default: $REPRO_CACHE_DIR or {DEFAULT_CACHE_DIR})",
+    )
+    parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable the result cache (every point recomputes)",
+    )
+
+
+def build_executor(args: argparse.Namespace) -> ParallelSweepExecutor:
+    """The executor :func:`add_orchestration_options` describes."""
+    if args.workers < 1:
+        raise SystemExit("--workers must be at least 1")
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    return ParallelSweepExecutor(workers=args.workers, cache=cache)
 
 
 def parse_tracer(args: argparse.Namespace):

@@ -13,7 +13,6 @@ from .executor import ExecutionReport, ParallelSweepExecutor
 from .runner import ExperimentResult, run_experiment
 from ..registry import StackSpec
 from .scenarios import (
-    SYSTEM_NAMES,
     Scenario,
     system_names,
     build_interest,
@@ -27,14 +26,13 @@ from .scenarios import (
     resolve_policy,
     scenario_names,
 )
-from .sweeps import compare_configs, grid_configs, results_table, sweep_configs
+from .sweeps import compare_configs, grid_configs, results_table
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "run_experiment",
     "results_table",
-    "sweep_configs",
     "compare_configs",
     "grid_configs",
     "ParallelSweepExecutor",
@@ -53,7 +51,6 @@ __all__ = [
     "build_interest",
     "build_membership_provider",
     "resolve_policy",
-    "SYSTEM_NAMES",
     "system_names",
     "StackSpec",
 ]

@@ -34,7 +34,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .. import __version__ as _CODE_VERSION
 from ..jsonio import write_json
@@ -44,6 +44,7 @@ from .runner import ExperimentResult
 
 __all__ = [
     "ARTIFACT_SCHEMA",
+    "results_artifact",
     "DEFAULT_CACHE_DIR",
     "config_hash",
     "CacheStats",
@@ -56,6 +57,11 @@ _logger = logging.getLogger(__name__)
 #: changes incompatibly.  Old artifacts then simply stop matching and are
 #: recomputed.
 ARTIFACT_SCHEMA = 1
+
+
+def results_artifact(results: Sequence[ExperimentResult]) -> Dict[str, object]:
+    """The ``--json`` results artifact (also written beside each campaign target)."""
+    return {"schema": ARTIFACT_SCHEMA, "results": [result.to_dict() for result in results]}
 
 #: Directory used when neither the constructor nor ``REPRO_CACHE_DIR`` says
 #: otherwise.

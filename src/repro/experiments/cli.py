@@ -9,12 +9,10 @@ friends; repeatable) to stream periodic telemetry snapshots during the run;
 ``report`` then renders tables from that snapshot stream, from any
 ``--json`` result artifact, or from a cached result — no re-run needed.
 
-Every experiment-running subcommand shares the same orchestration options:
-``--workers`` fans uncached grid points out over worker processes,
-``--cache-dir``/``--no-cache`` control the content-addressed result cache,
-``--set path=value`` overrides any spec field by dotted path
-(``system.fanout=5``, ``membership.kind=lpbcast``), and ``--json`` writes
-the full result artifacts for downstream analysis.
+``sweep`` and ``compare`` build the one campaign service their arguments
+describe and run its points; the executor options (``--workers``,
+``--cache-dir``/``--no-cache``, ``--json``) are shared with ``run`` and
+``campaign`` (:func:`repro.cli.add_orchestration_options`).
 Because experiments are deterministic, ``--workers N`` produces
 bit-identical artifacts for every ``N``, and a repeated invocation is served
 entirely from the cache (reported in the trailing status line).
@@ -23,42 +21,34 @@ entirely from the cache (reported in the trailing status line).
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import List, Optional
 
 from ..analysis.tables import Table
+from ..campaign.executor import expand_service
+from ..campaign.spec import ServiceSpec
 from ..cli import (
+    add_orchestration_options,
     add_stack_options,
-    build_parser,
-    main,
+    build_executor,
     parse_tracer,
     resolve_spec,
     write_artifact,
 )
 from ..jsonio import suggest
 from ..registry import (
-    PATH_TO_FLAT,
-    STRUCTURED_PATHS,
     RegistryError,
     all_registries,
     parse_scalar,
-    resolve_spec_path,
+    parse_spec_overrides,
     workload_kind,
 )
-from .cache import ARTIFACT_SCHEMA, DEFAULT_CACHE_DIR, ResultCache
+from .cache import results_artifact
 from .executor import ParallelSweepExecutor
 from .runner import ExperimentResult, run_experiment
-from .scenarios import SYSTEM_NAMES, get_scenario, iter_scenarios, scenario_names, system_names
+from .scenarios import get_scenario, iter_scenarios, scenario_names
 from .sweeps import results_table
 
-__all__ = ["main", "build_parser", "add_experiment_subcommands"]
-
-
-def _build_executor(args: argparse.Namespace) -> ParallelSweepExecutor:
-    if args.workers < 1:
-        raise SystemExit("--workers must be at least 1")
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    return ParallelSweepExecutor(workers=args.workers, cache=cache)
+__all__ = ["add_experiment_subcommands"]
 
 
 def _emit_results(
@@ -72,11 +62,7 @@ def _emit_results(
     if executor is not None and executor.last_report is not None:
         print(executor.last_report.describe())
     if args.json:
-        artifact = {
-            "schema": ARTIFACT_SCHEMA,
-            "results": [result.to_dict() for result in results],
-        }
-        write_artifact(args.json, artifact)
+        write_artifact(args.json, results_artifact(results))
         print(f"wrote {len(results)} result artifact(s) to {args.json}")
 
 
@@ -115,7 +101,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"at sample rate {tracer.sample_rate} -> {args.trace}"
             )
         return 0
-    executor = _build_executor(args)
+    executor = build_executor(args)
     results = _run_clean(lambda: executor.run_many([config]))
     _emit_results(args, executor, results, title=f"run — {config.name}")
     return 0
@@ -124,9 +110,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _run_clean(execute):
     """Run an executor call, turning FaultPlanError into a clean CLI error.
 
-    Swept grid points can carry fault values the base config never had
-    (``sweep --param faults.churn.down_probability --values 1.5``), so the
-    up-front validation in ``resolve_spec`` cannot catch everything.
+    Grid points can carry fault values the scenario never had
+    (``sweep --param faults.churn.down_probability --values 1.5``), which
+    only the run itself rejects.
     """
     from ..faults import FaultPlanError
 
@@ -138,51 +124,40 @@ def _run_clean(execute):
         raise SystemExit(str(error))
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = resolve_spec(args)
+def _split(text: str) -> List[str]:
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _run_grid(args: argparse.Namespace, title: str, **fields) -> int:
+    """Expand and run the one campaign service a ``sweep``/``compare`` line describes."""
     try:
-        path = resolve_spec_path(args.param)
-        if path in STRUCTURED_PATHS:
-            raise SystemExit(f"config field {path!r} is structured and cannot be swept")
-        # Route each value through the spec so it is checked against (and
-        # coerced to) the field's type exactly as --set would.
-        values = [
-            spec.with_value(path, parse_scalar(value)).get(path)
-            for value in args.values.split(",")
-            if value != ""
-        ]
+        overrides = tuple(parse_spec_overrides(args.set or []).items())
+        service = ServiceSpec(args.command, args.scenario, set=overrides, **fields)
+        configs = expand_service(service.validate())
     except RegistryError as error:
         raise SystemExit(str(error))
-    config = spec.to_config()
-    if not values:
-        raise SystemExit("--values must name at least one value")
-    parameter = PATH_TO_FLAT[path]
-    executor = _build_executor(args)
-    results = _run_clean(
-        lambda: executor.sweep(config, parameter, values, reseed=args.reseed)
-    )
-    _emit_results(
-        args, executor, results, title=f"sweep — {config.name} over {path}={values}"
-    )
+    executor = build_executor(args)
+    results = _run_clean(lambda: executor.run_many(configs))
+    _emit_results(args, executor, results, title=title)
     return 0
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    values = tuple(parse_scalar(value) for value in _split(args.values))
+    return _run_grid(
+        args,
+        f"sweep — {args.scenario} over {args.param}={args.values}",
+        sweep=((args.param, values),),
+        reseed=args.reseed,
+    )
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    systems = [system.strip() for system in args.systems.split(",") if system.strip()]
-    known = system_names()
-    unknown = [system for system in systems if system not in known]
-    if unknown:
-        raise SystemExit(
-            f"unknown systems {unknown}{suggest(unknown[0], known)}; "
-            f"registered systems: {', '.join(known)}"
-        )
-    config = resolve_spec(args).to_config()
-    executor = _build_executor(args)
-    results = _run_clean(lambda: executor.compare(config, systems))
-    _emit_results(
-        args, executor, results, title=f"compare — {config.name} across {', '.join(systems)}"
+    return _run_grid(
+        args,
+        f"compare — {args.scenario} across {args.systems}",
+        compare=tuple(_split(args.systems)),
     )
-    return 0
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
@@ -289,37 +264,15 @@ def _cmd_list_scenarios(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "scenario",
-        nargs="?",
-        default="base",
-        help="named scenario to start from (see list-scenarios; default: base)",
-    )
-    parser.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help=f"result cache directory (default: $REPRO_CACHE_DIR or {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument("--no-cache", action="store_true", help="disable the result cache")
-    parser.add_argument("--json", default=None, metavar="PATH", help="write result artifacts as JSON")
-    parser.add_argument("--seed", type=int, default=None, help="override the master seed")
-    parser.add_argument("--nodes", type=int, default=None, help="override the node count")
-    parser.add_argument(
-        "--system", default=None, choices=SYSTEM_NAMES, help="override the dissemination system"
-    )
-
-
 def add_experiment_subcommands(subparsers) -> None:
     """Register the simulator subcommands on the ``python -m repro`` parser."""
     run_parser = subparsers.add_parser("run", help="run one scenario")
-    _add_common_options(run_parser)
+    add_orchestration_options(run_parser)
     add_stack_options(run_parser)
     run_parser.set_defaults(handler=_cmd_run)
 
     sweep_parser = subparsers.add_parser("sweep", help="sweep one parameter axis")
-    _add_common_options(sweep_parser)
+    add_orchestration_options(sweep_parser)
     add_stack_options(sweep_parser, set_only=True)
     sweep_parser.add_argument(
         "--param",
@@ -337,12 +290,12 @@ def add_experiment_subcommands(subparsers) -> None:
     sweep_parser.set_defaults(handler=_cmd_sweep)
 
     compare_parser = subparsers.add_parser("compare", help="compare dissemination systems")
-    _add_common_options(compare_parser)
+    add_orchestration_options(compare_parser)
     add_stack_options(compare_parser, set_only=True)
     compare_parser.add_argument(
         "--systems",
         required=True,
-        help=f"comma-separated system names from {list(SYSTEM_NAMES)}",
+        help="comma-separated registered system names (see describe SCENARIO)",
     )
     compare_parser.set_defaults(handler=_cmd_compare)
 
@@ -403,7 +356,3 @@ def add_experiment_subcommands(subparsers) -> None:
         help="row cap for the per-event table (default: 10)",
     )
     trace_parser.set_defaults(handler=_cmd_trace)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via python -m repro
-    sys.exit(main())

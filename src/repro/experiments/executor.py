@@ -1,9 +1,10 @@
 """Parallel, cache-aware execution of experiment grids.
 
 :class:`ParallelSweepExecutor` is the engine behind ``python -m repro`` and
-the benchmark suite.  It takes the same grids the serial helpers in
-:mod:`repro.experiments.sweeps` expand and fans the *uncached* points out
-over a :mod:`multiprocessing` pool.
+the benchmark suite.  :meth:`~ParallelSweepExecutor.run_many` takes the
+grids :mod:`repro.experiments.sweeps` expands (``run_many(grid_configs(...))``,
+``run_many(compare_configs(...))``) and fans the *uncached* points out over a
+:mod:`multiprocessing` pool.
 
 Two properties make this safe:
 
@@ -27,12 +28,11 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .cache import ResultCache
 from .config import ExperimentConfig
 from .runner import ExperimentResult, run_experiment
-from .sweeps import compare_configs, grid_configs, sweep_configs
 
 __all__ = ["ExecutionReport", "ParallelSweepExecutor"]
 
@@ -46,8 +46,7 @@ class ExecutionReport:
     computed: int
     workers: int
     elapsed_seconds: float
-    #: Per-config hit flags in input order (``True`` = served from cache);
-    #: empty for reports predating the campaign layer.
+    #: Per-config hit flags in input order (``True`` = served from cache).
     hit_flags: Tuple[bool, ...] = ()
 
     def describe(self) -> str:
@@ -130,47 +129,13 @@ class ParallelSweepExecutor:
                 if use_cache:
                     self.cache.store(result)
 
+        computed_indices = set(missing_indices)
         self.last_report = ExecutionReport(
             total=len(configs),
             cache_hits=len(configs) - len(missing),
             computed=len(missing),
             workers=self.workers,
             elapsed_seconds=time.perf_counter() - started,
-            hit_flags=tuple(
-                index not in set(missing_indices) for index in range(len(configs))
-            ),
+            hit_flags=tuple(index not in computed_indices for index in range(len(configs))),
         )
         return results  # type: ignore[return-value]
-
-    def sweep(
-        self,
-        base: ExperimentConfig,
-        parameter: str,
-        values: Sequence,
-        rename: Optional[Callable[[object], str]] = None,
-        reseed: bool = False,
-        keep_system: bool = False,
-    ) -> List[ExperimentResult]:
-        """Run ``base`` once per value of ``parameter`` (see :func:`sweep_configs`)."""
-        configs = sweep_configs(base, parameter, values, rename=rename, reseed=reseed)
-        return self.run_many(configs, keep_system=keep_system)
-
-    def compare(
-        self,
-        base: ExperimentConfig,
-        systems: Sequence[str],
-        keep_system: bool = False,
-    ) -> List[ExperimentResult]:
-        """Run the same scenario on several dissemination systems."""
-        return self.run_many(compare_configs(base, systems), keep_system=keep_system)
-
-    def grid(
-        self,
-        base: ExperimentConfig,
-        parameters: Mapping[str, Sequence],
-        reseed: bool = False,
-        keep_system: bool = False,
-    ) -> List[ExperimentResult]:
-        """Run a multi-axis cartesian grid (see :func:`grid_configs`)."""
-        configs = grid_configs(base, parameters, reseed=reseed)
-        return self.run_many(configs, keep_system=keep_system)

@@ -37,7 +37,6 @@ __all__ = [
     "build_interest",
     "build_system",
     "resolve_policy",
-    "SYSTEM_NAMES",
     "system_names",
     "Scenario",
     "register_scenario",
@@ -47,14 +46,10 @@ __all__ = [
     "LIVE_SCENARIO",
 ]
 
+
 def system_names() -> Tuple[str, ...]:
     """Names accepted by :func:`build_system` (the system registry's keys)."""
     return tuple(SYSTEMS.names())
-
-
-#: Snapshot of the built-in system names (kept for back-compat; late
-#: registrations appear in :func:`system_names` but not here).
-SYSTEM_NAMES = system_names()
 
 
 def build_simulation(config: ExperimentConfig) -> Tuple[Simulator, Network]:

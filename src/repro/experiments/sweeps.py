@@ -2,9 +2,9 @@
 
 The paper's open questions are mostly of the form "how does X behave as Y
 varies" (reliability vs fanout, fairness vs interest skew, convergence vs
-churn).  This module is the **grid expansion**: :func:`sweep_configs`,
-:func:`compare_configs`, and :func:`grid_configs` turn a base config plus a
-parameter grid into the list of concrete :class:`ExperimentConfig` points,
+churn).  This module is the **grid expansion**: :func:`compare_configs` and
+:func:`grid_configs` turn a base config plus a systems list or a parameter
+grid into the list of concrete :class:`ExperimentConfig` points,
 with optional per-point seed derivation (:func:`repro.sim.rng.derive_seed`)
 so grid points are statistically decorrelated yet fully deterministic.
 
@@ -12,12 +12,14 @@ so grid points are statistically decorrelated yet fully deterministic.
 (``workers=1`` serially in-process, which is what small tests and examples
 want; more workers and a result cache for real grids) — every worker count
 executes exactly the same configs and therefore produces bit-identical
-results.
+results.  Campaign services (and with them the ``sweep``/``compare``
+commands) reach both through
+:func:`repro.campaign.executor.expand_service`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 from ..analysis.tables import Table
 from ..sim.rng import derive_seed
@@ -26,36 +28,9 @@ from .runner import ExperimentResult
 
 __all__ = [
     "results_table",
-    "sweep_configs",
     "compare_configs",
     "grid_configs",
 ]
-
-
-def sweep_configs(
-    base: ExperimentConfig,
-    parameter: str,
-    values: Sequence,
-    rename: Optional[Callable[[object], str]] = None,
-    reseed: bool = False,
-) -> List[ExperimentConfig]:
-    """Expand one parameter axis into concrete configs.
-
-    The experiment name is suffixed with the value so rows stay identifiable
-    in tables; ``rename`` customises that suffix.  With ``reseed`` each point
-    gets ``seed=derive_seed(base.seed, point_name)`` instead of sharing the
-    base seed, decorrelating the points without losing determinism.  A sweep
-    *of* ``seed`` itself ignores ``reseed`` — the swept values are the seeds.
-    """
-    configs: List[ExperimentConfig] = []
-    for value in values:
-        label = rename(value) if rename is not None else str(value)
-        name = f"{base.name}/{parameter}={label}"
-        overrides = {parameter: value, "name": name}
-        if reseed and parameter != "seed":
-            overrides["seed"] = derive_seed(base.seed, name)
-        configs.append(base.with_overrides(**overrides))
-    return configs
 
 
 def compare_configs(base: ExperimentConfig, systems: Sequence[str]) -> List[ExperimentConfig]:
@@ -75,8 +50,11 @@ def grid_configs(
 
     ``parameters`` maps field names to value lists; points are emitted in
     row-major order of the mapping's iteration order, and each point's name
-    lists every coordinate (``base/f=2,loss_rate=0.1``).  ``reseed`` is
-    ignored when ``seed`` is itself a grid axis.
+    lists every coordinate (``base/fanout=2,loss_rate=0.1``).  With
+    ``reseed`` each point gets ``seed=derive_seed(base.seed, point_name)``
+    instead of sharing the base seed, decorrelating the points without
+    losing determinism; it is ignored when ``seed`` is itself a grid axis
+    (the swept values are the seeds).
     """
     reseed = reseed and "seed" not in parameters
     names = list(parameters)

@@ -27,7 +27,7 @@ Registering your own protocol::
         params=[Param("fanout", 3, "peers contacted per round")],
     )
 
-after which ``--system my-system``, ``--set system.kind=my-system``, sweeps,
+after which ``--set system.kind=my-system``, ``compare --systems``, sweeps,
 caching, and ``serve --scenario`` all pick it up with no dispatch edits.
 """
 

@@ -9,8 +9,8 @@ fairness headline.
 
 Both commands build from the same declarative vocabulary as the simulator:
 ``--scenario NAME`` (default: the ``live`` scenario) resolves a registered
-scenario to its :class:`~repro.registry.specs.StackSpec`, the explicit
-flags and ``--set system.kind=brokers`` style dotted overrides adjust it
+scenario to its :class:`~repro.registry.specs.StackSpec`, ``--set
+system.kind=brokers`` style dotted overrides adjust it
 (:func:`repro.cli.resolve_spec`), and the host builds *any* registered
 system — gossip or baseline — through the component registry
 (:func:`repro.registry.builtins.build_stack`), so every scenario the
@@ -45,8 +45,6 @@ __all__ = [
 ]
 
 TRANSPORT_NAMES = ("memory", "udp", "tcp")
-INTEREST_NAMES = ("zipf", "uniform", "community", "content")
-MEMBERSHIP_NAMES = ("cyclon", "lpbcast")
 
 #: Schema tag written into ``--json`` artifacts of the runtime commands.
 RUNTIME_ARTIFACT_SCHEMA = "rt-load/v1"
@@ -77,7 +75,8 @@ def _live_buffer_tuning(spec: StackSpec, args: argparse.Namespace) -> StackSpec:
     """Give gossip nodes the live buffer extras.
 
     Live clusters push far more events per time unit than the default
-    simulator scenarios.  Explicit flags override the scenario's extras;
+    simulator scenarios.  ``--buffer-capacity`` / ``--selection-strategy``
+    (not spec paths, so not ``--set``-able) override the scenario's extras;
     absent both, the ``live`` scenario's tuning fills in.  These extras
     only take effect in live builds — the simulator's config→result
     function never reads them.
@@ -211,16 +210,9 @@ async def _run_live(args: argparse.Namespace, live_report: bool) -> Dict[str, ob
     }
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    artifact = asyncio.run(_run_live(args, live_report=True))
-    if args.json:
-        write_artifact(args.json, artifact)
-        print(f"wrote runtime artifact to {args.json}")
-    return 0
-
-
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    artifact = asyncio.run(_run_live(args, live_report=False))
+def _cmd_live(args: argparse.Namespace) -> int:
+    """``serve`` (with live report lines) and ``loadgen`` (without)."""
+    artifact = asyncio.run(_run_live(args, live_report=args.command == "serve"))
     if args.json:
         write_artifact(args.json, artifact)
         print(f"wrote runtime artifact to {args.json}")
@@ -236,9 +228,6 @@ def _add_common_runtime_options(parser: argparse.ArgumentParser) -> None:
         f"registered system runs live; see list-scenarios; default: {LIVE_SCENARIO})",
     )
     add_stack_options(parser)
-    parser.add_argument(
-        "--nodes", type=int, default=None, help="cluster size (default: 25)"
-    )
     parser.add_argument(
         "--transport",
         default="memory",
@@ -264,23 +253,6 @@ def _add_common_runtime_options(parser: argparse.ArgumentParser) -> None:
         default=1.0,
         help="extra real seconds after the load stops so in-flight events settle",
     )
-    parser.add_argument("--seed", type=int, default=None, help="master seed (default: 2007)")
-    parser.add_argument("--topics", type=int, default=None, help="topic count (default: 8)")
-    parser.add_argument(
-        "--topic-exponent", type=float, default=None, help="Zipf exponent, 0 = uniform"
-    )
-    parser.add_argument(
-        "--interest",
-        default=None,
-        choices=INTEREST_NAMES,
-        help="interest model (default: zipf)",
-    )
-    parser.add_argument("--topics-per-node", type=int, default=None)
-    parser.add_argument("--max-topics-per-node", type=int, default=None)
-    parser.add_argument("--fanout", type=int, default=None, help="gossip fanout F (default: 5)")
-    parser.add_argument(
-        "--gossip-size", type=int, default=None, help="events per gossip message N (default: 24)"
-    )
     parser.add_argument(
         "--buffer-capacity",
         type=int,
@@ -292,18 +264,6 @@ def _add_common_runtime_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         choices=("random", "newest", "oldest", "least-forwarded"),
         help="SELECTEVENTS strategy (default: least-forwarded)",
-    )
-    parser.add_argument(
-        "--round-period",
-        type=float,
-        default=None,
-        help="gossip round length in time units (default: 1.0)",
-    )
-    parser.add_argument(
-        "--membership",
-        default=None,
-        choices=MEMBERSHIP_NAMES,
-        help="peer sampling service (default: cyclon)",
     )
     parser.add_argument("--bind-host", default="127.0.0.1", help="socket transports: bind host")
     parser.add_argument(
@@ -325,11 +285,11 @@ def add_runtime_subcommands(subparsers) -> None:
         default=1.0,
         help="seconds between live fairness report lines (default: 1)",
     )
-    serve_parser.set_defaults(handler=_cmd_serve)
+    serve_parser.set_defaults(handler=_cmd_live)
 
     loadgen_parser = subparsers.add_parser(
         "loadgen",
         help="drive a live cluster at a target events/sec and report throughput/latency",
     )
     _add_common_runtime_options(loadgen_parser)
-    loadgen_parser.set_defaults(handler=_cmd_loadgen)
+    loadgen_parser.set_defaults(handler=_cmd_live)

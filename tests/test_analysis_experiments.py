@@ -17,13 +17,15 @@ from repro.core import EXPRESSIVE_POLICY, TOPIC_BASED_POLICY, WorkLedger
 from repro.experiments import (
     ExperimentConfig,
     ParallelSweepExecutor,
-    SYSTEM_NAMES,
     build_popularity,
     build_system,
     build_simulation,
+    compare_configs,
+    grid_configs,
     resolve_policy,
     results_table,
     run_experiment,
+    system_names,
 )
 from repro.pubsub import DeliveryLog, Event, SubscriptionTable, TopicFilter
 
@@ -160,7 +162,7 @@ class TestExperimentHarness:
             resolve_policy(self.BASE.with_overrides(fairness_policy="bogus"))
 
     def test_build_system_supports_every_name(self):
-        for system_name in SYSTEM_NAMES:
+        for system_name in system_names():
             config = self.BASE.with_overrides(system=system_name, nodes=12)
             simulator, network = build_simulation(config)
             popularity = build_popularity(config)
@@ -194,11 +196,10 @@ class TestExperimentHarness:
 
     def test_sweep_and_compare_helpers(self):
         executor = ParallelSweepExecutor(workers=1)
-        results = executor.sweep(self.BASE.with_overrides(duration=5.0), "fanout", [2, 4])
+        base = self.BASE.with_overrides(duration=5.0)
+        results = executor.run_many(grid_configs(base, {"fanout": [2, 4]}))
         assert [r.config.fanout for r in results] == [2, 4]
-        comparison = executor.compare(
-            self.BASE.with_overrides(duration=5.0), ["gossip", "brokers"]
-        )
+        comparison = executor.run_many(compare_configs(base, ["gossip", "brokers"]))
         assert [r.config.system for r in comparison] == ["gossip", "brokers"]
         table = results_table(results, title="sweep")
         assert "sweep" in table.render()

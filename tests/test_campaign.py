@@ -11,7 +11,9 @@ Pins the tentpole guarantees of dependency-driven campaigns:
 * ``ONE`` connectors short-circuit to a fully cached alternative;
 * corrupt cache entries read as misses, bump the ``cache.corrupt``
   counter, and the affected point re-runs;
-* the ``python -m repro campaign`` CLI works end to end.
+* the ``python -m repro campaign`` CLI works end to end;
+* ``sweep`` / ``compare`` are one-service campaigns: the points they run are
+  exactly the points of a campaign service with the same fields.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from repro.campaign import (
     expand_service,
 )
 from repro.experiments.cache import ResultCache
-from repro.experiments.cli import main as cli_main
+from repro.cli import main as cli_main
 from repro.experiments.executor import ParallelSweepExecutor
 from repro.experiments.runner import run_experiment
 
@@ -410,3 +412,78 @@ class TestCampaignCli:
         assert cli_main(["report", str(tmp_path / "out" / "manifest.json")]) == 0
         out = capsys.readouterr().out
         assert "campaign unit — services" in out and "targets" in out
+
+
+#: ``sweep --param AXIS --values TEXT`` and the same axis as campaign JSON.
+GRID_AXES = [
+    ("system.fanout", "2,4", [2, 4]),
+    ("loss_rate", "0.0,0.1", [0.0, 0.1]),
+    ("seed", "3,5", [3, 5]),
+    ("system.kind", "gossip,fair-gossip", ["gossip", "fair-gossip"]),
+    ("faults.churn.down_probability", "0.0,0.05", [0.0, 0.05]),
+]
+
+
+class TestGridCommandsAreOneServiceCampaigns:
+    """The CLI grid and the campaign service share names and cache keys.
+
+    The CLI run fills a cache; a campaign ``--dry-run`` over that cache then
+    plans every one of its points as a load.  A config hash covers the point
+    name, so a full hit means the same names and the same ``config_hash``es.
+    """
+
+    def assert_campaign_loads_all(self, capsys, tmp_path, service, points):
+        spec_path = tmp_path / "grid.json"
+        spec_path.write_text(
+            json.dumps(
+                {"name": "grid", "services": {"grid": service}, "targets": {"t": {"inputs": "grid"}}}
+            ),
+            encoding="utf-8",
+        )
+        argv = ["campaign", str(spec_path), "--dry-run", "--cache-dir", str(tmp_path / "cache")]
+        assert cli_main(argv) == 0
+        row = next(
+            line.split() for line in capsys.readouterr().out.splitlines() if line.startswith("grid ")
+        )
+        assert row == ["grid", "load", str(points), str(points), "0"]
+
+    def run_cli(self, capsys, tmp_path, argv):
+        artifact = tmp_path / "cli.json"
+        assert cli_main([*argv, "--cache-dir", str(tmp_path / "cache"), "--json", str(artifact)]) == 0
+        capsys.readouterr()
+        return len(json.loads(artifact.read_text(encoding="utf-8"))["results"])
+
+    @pytest.mark.parametrize("reseed", [False, True], ids=["shared-seed", "reseed"])
+    @pytest.mark.parametrize("axis,text,values", GRID_AXES, ids=[axis for axis, _, _ in GRID_AXES])
+    def test_sweep(self, capsys, tmp_path, axis, text, values, reseed):
+        argv = ["sweep", "smoke", "--param", axis, "--values", text, "--set", "system.gossip_size=6"]
+        points = self.run_cli(capsys, tmp_path, argv + (["--reseed"] if reseed else []))
+        assert points == len(values)
+        service = {
+            "scenario": "smoke",
+            "set": {"system.gossip_size": 6},
+            "sweep": {axis: values},
+            "reseed": reseed,
+        }
+        self.assert_campaign_loads_all(capsys, tmp_path, service, points)
+
+    def test_compare(self, capsys, tmp_path):
+        systems = ["gossip", "fair-gossip", "brokers"]
+        argv = ["compare", "smoke", "--systems", ",".join(systems), "--set", "system.gossip_size=6"]
+        assert self.run_cli(capsys, tmp_path, argv) == len(systems)
+        service = {"scenario": "smoke", "set": {"system.gossip_size": 6}, "compare": systems}
+        self.assert_campaign_loads_all(capsys, tmp_path, service, len(systems))
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sweep", "smoke", "--param", "system.fanout", "--values", ","], "non-empty list"),
+            (["compare", "smoke", "--systems", "gossip,fair-gosip"], "did you mean 'fair-gossip'"),
+            (["sweep", "smke", "--param", "seed", "--values", "1"], "did you mean 'smoke'"),
+        ],
+    )
+    def test_grid_mistakes_read_as_campaign_service_errors(self, tmp_path, argv, message):
+        with pytest.raises(SystemExit, match=message) as excinfo:
+            cli_main([*argv, "--cache-dir", str(tmp_path / "cache")])
+        assert str(excinfo.value).startswith(f"service {argv[0]!r}: ")
+

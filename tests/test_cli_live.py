@@ -1,4 +1,4 @@
-"""``serve`` / ``loadgen`` through ``repro.experiments.cli.main``.
+"""``serve`` / ``loadgen`` through ``repro.cli.main``.
 
 The live commands reach their stack the way every command does — scenario →
 ``StackSpec`` → build — so these tests drive the real argument parser on
@@ -8,7 +8,9 @@ the memory transport (each run lasts well under two seconds):
   gossip system, a non-gossip baseline and a fault plan;
 * the ``--json`` artifact;
 * overrides and option guards that used to be ignored or refused without
-  ``--scenario``.
+  ``--scenario``;
+* every registered system, membership and interest name reaches the spec
+  through ``--set <section>.kind=NAME`` on ``run``, ``serve`` and ``loadgen``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import os
 import pytest
 
 from repro.experiments import get_scenario
-from repro.experiments.cli import build_parser, main as cli_main
+from repro.cli import build_parser, main as cli_main, resolve_spec
+from repro.registry import INTEREST, MEMBERSHIP, SYSTEMS
 from repro.runtime.cli import _cluster_from_args
 
 FAST = ["--transport", "memory", "--duration", "0.6", "--rate", "150", "--drain", "0.3"]
@@ -46,7 +49,7 @@ def built_nodes(argv):
 class TestLiveRuns:
     def test_flagless_default_is_the_live_scenario(self, capsys, tmp_path):
         artifact_path = tmp_path / "rt.json"
-        assert cli_main(["loadgen", "--nodes", "8", *FAST, "--json", str(artifact_path)]) == 0
+        assert cli_main(["loadgen", "--set", "nodes=8", *FAST, "--json", str(artifact_path)]) == 0
         assert "delivery ratio" in capsys.readouterr().out
         artifact = json.loads(artifact_path.read_text(encoding="utf-8"))
         assert artifact["schema"] == "rt-load/v1"
@@ -56,7 +59,7 @@ class TestLiveRuns:
         assert artifact["delivery_ratio"] > 0
 
     def test_serve_prints_live_report_lines(self, capsys):
-        assert cli_main(["serve", "--nodes", "6", *FAST, "--report-interval", "0.2"]) == 0
+        assert cli_main(["serve", "--set", "nodes=6", *FAST, "--report-interval", "0.2"]) == 0
         assert "[serve +" in capsys.readouterr().out
 
     def test_scenario_with_a_non_gossip_system(self, capsys, tmp_path):
@@ -79,13 +82,13 @@ class TestFlaglessOverrides:
 
     def test_unknown_set_path_is_refused(self):
         with pytest.raises(SystemExit) as excinfo:
-            cli_main(["loadgen", "--nodes", "6", *FAST, "--set", "bogus.key=1"])
+            cli_main(["loadgen", "--set", "nodes=6", *FAST, "--set", "bogus.key=1"])
         assert "unknown config key 'bogus.key'" in str(excinfo.value)
         with pytest.raises(SystemExit, match="did you mean 'system.fanout'"):
-            cli_main(["loadgen", "--nodes", "6", *FAST, "--set", "system.fanoot=1"])
+            cli_main(["loadgen", "--set", "nodes=6", *FAST, "--set", "system.fanoot=1"])
 
     def test_set_reaches_the_built_nodes(self):
-        spec, nodes = built_nodes(["--nodes", "6", *FAST, "--set", "system.fanout=2"])
+        spec, nodes = built_nodes(["--set", "nodes=6", *FAST, "--set", "system.fanout=2"])
         assert spec.name == "live" and len(nodes) == 6
         assert {node.fanout for node in nodes.values()} == {2}
 
@@ -97,11 +100,11 @@ class TestFlaglessOverrides:
         assert (node.buffer.capacity, node.selection_strategy) == (4000, "least-forwarded")
 
     def test_explicit_flags_override_the_scenario(self):
-        argv = ["--scenario", "smoke", "--fanout", "4", "--buffer-capacity", "99", *FAST]
+        argv = ["--scenario", "smoke", "--set", "system.fanout=4", "--buffer-capacity", "99", *FAST]
         spec, nodes = built_nodes(argv)
         assert spec.system.fanout == 4
         node = next(iter(nodes.values()))
-        # The flag wins, the live scenario's tuning fills what smoke leaves open.
+        # The buffer flag wins, the live scenario's tuning fills what smoke leaves open.
         assert (node.buffer.capacity, node.selection_strategy) == (99, "least-forwarded")
 
     def test_topology_file_is_accepted_without_a_scenario(self):
@@ -125,3 +128,32 @@ class TestDanglingOptionGuards:
     def test_bad_sink_spec_is_a_clean_error(self):
         with pytest.raises(SystemExit, match="unknown telemetry sink kind"):
             cli_main(["loadgen", *FAST, "--telemetry", "carrier-pigeon:out"])
+
+
+REGISTERED_KINDS = [
+    (section, name)
+    for section, registry in (("system", SYSTEMS), ("membership", MEMBERSHIP), ("interest", INTEREST))
+    for name in registry.names()
+]
+
+
+class TestRegisteredKindsReachTheSpec:
+    """No command keeps a choice list beside the registries: ``--set`` reaches all of them."""
+
+    @pytest.mark.parametrize("command", ["run", "serve", "loadgen"])
+    @pytest.mark.parametrize(
+        "section,name", REGISTERED_KINDS, ids=[f"{s}={n}" for s, n in REGISTERED_KINDS]
+    )
+    def test_set_kind_resolves(self, command, section, name):
+        args = build_parser().parse_args([command, "--set", f"{section}.kind={name}"])
+        if command == "run":
+            spec = resolve_spec(args)
+        else:
+            spec = _cluster_from_args(args).spec
+        assert getattr(spec, section).kind == name
+
+    def test_serve_runs_on_full_membership(self, capsys):
+        argv = ["serve", "--set", "nodes=6", "--set", "membership.kind=full", *FAST]
+        assert cli_main([*argv, "--report-interval", "0.2"]) == 0
+        assert "delivery ratio" in capsys.readouterr().out
+

@@ -28,9 +28,8 @@ from repro.experiments import (
     grid_configs,
     run_experiment,
     scenario_names,
-    sweep_configs,
 )
-from repro.experiments.cli import main as cli_main
+from repro.cli import main as cli_main
 from repro.sim.clock import VirtualClock
 from repro.sim.rng import derive_seed
 
@@ -52,8 +51,8 @@ def result_fingerprints(results):
 
 
 class TestGridExpansion:
-    def test_sweep_configs_names_and_values(self):
-        configs = sweep_configs(SMALL, "fanout", [2, 4])
+    def test_one_axis_grid_names_and_values(self):
+        configs = grid_configs(SMALL, {"fanout": [2, 4]})
         assert [config.fanout for config in configs] == [2, 4]
         assert [config.name for config in configs] == [
             "orchestration/fanout=2",
@@ -62,14 +61,14 @@ class TestGridExpansion:
         # Without reseed every point shares the base seed.
         assert {config.seed for config in configs} == {SMALL.seed}
 
-    def test_sweep_configs_reseed_derives_per_point_seeds(self):
-        configs = sweep_configs(SMALL, "fanout", [2, 4], reseed=True)
+    def test_one_axis_grid_reseed_derives_per_point_seeds(self):
+        configs = grid_configs(SMALL, {"fanout": [2, 4]}, reseed=True)
         assert configs[0].seed == derive_seed(SMALL.seed, "orchestration/fanout=2")
         assert configs[1].seed == derive_seed(SMALL.seed, "orchestration/fanout=4")
         assert configs[0].seed != configs[1].seed
 
     def test_reseed_does_not_clobber_a_seed_sweep(self):
-        configs = sweep_configs(SMALL, "seed", [1, 2, 3], reseed=True)
+        configs = grid_configs(SMALL, {"seed": [1, 2, 3]}, reseed=True)
         assert [config.seed for config in configs] == [1, 2, 3]
         grid = grid_configs(SMALL, {"seed": [5, 6]}, reseed=True)
         assert [config.seed for config in grid] == [5, 6]
@@ -93,9 +92,10 @@ class TestGridExpansion:
 
 class TestParallelEqualsSerial:
     def test_parallel_sweep_is_bit_identical_to_serial(self):
-        serial = ParallelSweepExecutor(workers=1).sweep(SMALL, "fanout", [2, 4])
+        grid = grid_configs(SMALL, {"fanout": [2, 4]})
+        serial = ParallelSweepExecutor(workers=1).run_many(grid)
         executor = ParallelSweepExecutor(workers=2)
-        parallel = executor.sweep(SMALL, "fanout", [2, 4])
+        parallel = executor.run_many(grid)
         assert result_fingerprints(parallel) == result_fingerprints(serial)
         assert executor.last_report.total == 2
         assert executor.last_report.computed == 2
@@ -103,8 +103,8 @@ class TestParallelEqualsSerial:
 
     def test_parallel_compare_is_bit_identical_to_serial(self):
         systems = ["gossip", "fair-gossip"]
-        serial = ParallelSweepExecutor(workers=1).compare(SMALL, systems)
-        parallel = ParallelSweepExecutor(workers=2).compare(SMALL, systems)
+        serial = ParallelSweepExecutor(workers=1).run_many(compare_configs(SMALL, systems))
+        parallel = ParallelSweepExecutor(workers=2).run_many(compare_configs(SMALL, systems))
         assert result_fingerprints(parallel) == result_fingerprints(serial)
 
     def test_keep_system_runs_serially_with_live_system(self):
@@ -153,11 +153,11 @@ class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
         executor = ParallelSweepExecutor(workers=1, cache=cache)
-        first = executor.sweep(SMALL, "fanout", [2, 4])
+        first = executor.run_many(grid_configs(SMALL, {"fanout": [2, 4]}))
         assert executor.last_report.cache_hits == 0
         assert executor.last_report.computed == 2
         assert cache.entry_count() == 2
-        second = executor.sweep(SMALL, "fanout", [2, 4])
+        second = executor.run_many(grid_configs(SMALL, {"fanout": [2, 4]}))
         assert executor.last_report.cache_hits == 2
         assert executor.last_report.computed == 0
         assert result_fingerprints(second) == result_fingerprints(first)
@@ -214,7 +214,7 @@ class TestCli:
 
     def test_run_smoke(self, capsys, tmp_path):
         code = cli_main(
-            ["run", "smoke", "--nodes", "12", "--cache-dir", str(tmp_path / "cache")]
+            ["run", "smoke", "--set", "nodes=12", "--cache-dir", str(tmp_path / "cache")]
         )
         assert code == 0
         output = capsys.readouterr().out
@@ -226,8 +226,8 @@ class TestCli:
         argv = [
             "sweep",
             "smoke",
-            "--nodes",
-            "12",
+            "--set",
+            "nodes=12",
             "--param",
             "system.fanout",
             "--values",
@@ -262,8 +262,8 @@ class TestCli:
             [
                 "compare",
                 "smoke",
-                "--nodes",
-                "12",
+                "--set",
+                "nodes=12",
                 "--systems",
                 "gossip,fair-gossip",
                 "--cache-dir",
@@ -282,8 +282,8 @@ class TestCli:
                 "--set",
                 "system.fanout=5",
                 "--no-cache",
-                "--nodes",
-                "12",
+                "--set",
+                "nodes=12",
             ]
         )
         assert code == 0

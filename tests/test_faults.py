@@ -30,7 +30,7 @@ from repro.experiments import (
     get_scenario,
     run_experiment,
 )
-from repro.experiments.cli import main as cli_main
+from repro.cli import main as cli_main
 from repro.faults import (
     ChurnInjector,
     CrashSchedule,

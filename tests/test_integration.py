@@ -11,7 +11,12 @@ import pytest
 
 from tests.conftest import build_gossip_system
 from repro.core import EXPRESSIVE_POLICY, TOPIC_BASED_POLICY, evaluate_fairness
-from repro.experiments import ExperimentConfig, ParallelSweepExecutor, run_experiment
+from repro.experiments import (
+    ExperimentConfig,
+    ParallelSweepExecutor,
+    compare_configs,
+    run_experiment,
+)
 from repro.pubsub import TopicFilter
 from repro.faults import ChurnInjector
 from repro.workloads import TopicPopularity, TopicPublicationWorkload, ZipfInterest
@@ -31,8 +36,8 @@ class TestFairnessShapeAcrossSystems:
             publication_rate=3.0,
             seed=11,
         )
-        results = ParallelSweepExecutor(workers=1).compare(
-            base, ["gossip", "fair-gossip", "scribe", "brokers", "dam"]
+        results = ParallelSweepExecutor(workers=1).run_many(
+            compare_configs(base, ["gossip", "fair-gossip", "scribe", "brokers", "dam"])
         )
         return {result.config.system: result for result in results}
 

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.reliability import EventReliability
 from repro.campaign.spec import CampaignError, CampaignSpec
-from repro.experiments.cli import main as cli_main
+from repro.cli import main as cli_main
 from repro.faults import FAULT_KINDS, FaultPlan, FaultPlanError, FaultSpec
 from repro.jsonio import JsonlSink, MemorySink, load_json, read_jsonl, write_json
 from repro.registry import RegistryError, StackSpec
@@ -407,7 +407,7 @@ class TestCli:
     def test_unwritable_json_target_is_a_one_line_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit, match="cannot write --json artifact"):
             cli_main(["run", "smoke", "--no-cache", "--json", str(tmp_path)])
-        fast = ["--transport", "memory", "--nodes", "4", "--duration", "0.2", "--drain", "0.1"]
+        fast = ["--transport", "memory", "--set", "nodes=4", "--duration", "0.2", "--drain", "0.1"]
         with pytest.raises(SystemExit, match="cannot write --json artifact"):
             cli_main(["loadgen", *fast, "--json", str(tmp_path)])
         capsys.readouterr()

@@ -33,7 +33,7 @@ from repro.experiments import (
     get_scenario,
     run_experiment,
 )
-from repro.experiments.cli import main as cli_main
+from repro.cli import main as cli_main
 from repro.faults import FaultPlan, FaultSpec
 from repro.gossip import (
     LAZY_DIGEST_KIND,

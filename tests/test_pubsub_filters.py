@@ -180,10 +180,10 @@ class TestCompiledContentFilter:
         assert [copy.matches(event) for event in _PROBES] == [filter_.matches(event) for event in _PROBES]
 
     def test_content_filters_cross_the_process_boundary_of_a_parallel_sweep(self):
-        from repro.experiments import ParallelSweepExecutor, get_scenario
+        from repro.experiments import ParallelSweepExecutor, get_scenario, grid_configs
 
         base = get_scenario("fig3-expressive").config.with_overrides(nodes=12, duration=3.0, drain_time=3.0)
-        results = ParallelSweepExecutor(workers=2).sweep(base, "fanout", [2, 3])
+        results = ParallelSweepExecutor(workers=2).run_many(grid_configs(base, {"fanout": [2, 3]}))
         for result in results:
             filters = [f for node in result.config.node_ids() for f in result.interest.filters_of(node)]
             assert filters and all(isinstance(f, ContentFilter) for f in filters)

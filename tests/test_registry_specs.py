@@ -32,7 +32,7 @@ from repro.experiments import (
     iter_scenarios,
     run_experiment,
 )
-from repro.experiments.cli import main as cli_main
+from repro.cli import main as cli_main
 from repro.gossip import GossipSystem
 from repro.registry import (
     INTEREST,

@@ -24,7 +24,7 @@ import math
 import pytest
 
 from repro.experiments import ExperimentConfig, ResultCache, get_scenario, run_experiment
-from repro.experiments.cli import main as cli_main
+from repro.cli import main as cli_main
 from repro.registry import StackSpec, TelemetrySpec
 from repro.runtime import MemoryTransport, NodeHost
 from repro.jsonio import read_jsonl

@@ -344,7 +344,7 @@ class TestSimLiveParity:
 
 class TestTraceCli:
     def run_cli(self, argv, capsys):
-        from repro.experiments.cli import main
+        from repro.cli import main
 
         code = main(argv)
         return code, capsys.readouterr().out
