@@ -117,11 +117,11 @@ class FairGossipNode(PushGossipNode):
     # ---------------------------------------------------------------- rounds
 
     def after_round(self) -> None:
-        deliveries_this_round = len(self.delivered_event_ids) - self._deliveries_at_round_start
-        self._deliveries_at_round_start = len(self.delivered_event_ids)
+        delivered = self.delivery_log.delivery_count(self.node_id)
         # One update per round whatever the ablation: the levers are compared
         # under the same smoothing, and frozen levers still report rates.
-        self.estimator.observe_own_round(deliveries_this_round)
+        self.estimator.observe_own_round(delivered - self._deliveries_at_round_start)
+        self._deliveries_at_round_start = delivered
         if self.adapt_fanout:
             self.fanout_lever.recompute()
         if self.adapt_payload:

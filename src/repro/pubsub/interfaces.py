@@ -11,8 +11,8 @@ implements the same three operations the paper defines:
 and every one of them is a set of participants sharing a work ledger, a
 delivery log and a subscription table.  That scaffolding lives here, once:
 
-* :class:`DeliveryLog` records deliveries on behalf of a node (it backs both
-  the user-facing callbacks and the analysis layer);
+* :class:`DeliveryLog` is the single record of deliveries: the analysis
+  layer reads it, and it is the at-most-once check of ``DELIVER(e)``;
 * :class:`Participant` is the process every node class extends: it holds the
   shared ledger and log, the application callbacks, and the at-most-once
   ``DELIVER(e)`` path;
@@ -27,7 +27,7 @@ delivery log and a subscription table.  That scaffolding lives here, once:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.accounting import WorkLedger
 from ..sim.node import Process, ProcessRegistry
@@ -47,7 +47,7 @@ __all__ = [
 DeliveryCallback = Callable[[str, Event], None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliveryRecord:
     """One delivery of an event at a node."""
 
@@ -68,30 +68,25 @@ class DeliveryLog:
     The log answers both per-node questions (how many events did ``p``
     deliver — the *benefit* term of Figures 1–3) and per-event questions
     (which interested nodes delivered ``e`` — the reliability measure of the
-    Figure 4 experiments).
+    Figure 4 experiments).  Each delivery is stored once: the ``event -> node
+    -> record`` index is also :meth:`Participant.deliver`'s at-most-once check.
     """
 
     def __init__(self) -> None:
-        self._by_node: Dict[str, List[DeliveryRecord]] = {}
-        self._by_event: Dict[str, List[DeliveryRecord]] = {}
+        self._by_event: Dict[str, Dict[str, DeliveryRecord]] = {}
         self._ordered: List[DeliveryRecord] = []
-        self._seen: set = set()
+        self._counts: Dict[str, int] = {}
 
     def record(self, node_id: str, event: Event, delivered_at: float) -> Optional[DeliveryRecord]:
         """Record a delivery; duplicate (node, event) pairs are ignored."""
-        key = (node_id, event.event_id)
-        if key in self._seen:
+        by_node = self._by_event.setdefault(event.event_id, {})
+        if node_id in by_node:
             return None
-        self._seen.add(key)
-        record = DeliveryRecord(
-            node_id=node_id,
-            event_id=event.event_id,
-            delivered_at=delivered_at,
-            published_at=event.published_at,
+        record = by_node[node_id] = DeliveryRecord(
+            node_id, event.event_id, delivered_at, event.published_at
         )
-        self._by_node.setdefault(node_id, []).append(record)
-        self._by_event.setdefault(event.event_id, []).append(record)
         self._ordered.append(record)
+        self._counts[node_id] = self._counts.get(node_id, 0) + 1
         return record
 
     def ordered_records(self) -> Sequence[DeliveryRecord]:
@@ -105,23 +100,23 @@ class DeliveryLog:
 
     def delivered(self, node_id: str, event_id: str) -> bool:
         """Whether the node has delivered the event."""
-        return (node_id, event_id) in self._seen
+        return node_id in self._by_event.get(event_id, ())
 
     def deliveries_by_node(self, node_id: str) -> List[DeliveryRecord]:
-        """All deliveries performed by a node."""
-        return list(self._by_node.get(node_id, ()))
+        """All deliveries performed by a node, in arrival order (a scan)."""
+        return [record for record in self._ordered if record.node_id == node_id]
 
     def deliveries_of_event(self, event_id: str) -> List[DeliveryRecord]:
-        """All deliveries of one event across the system."""
-        return list(self._by_event.get(event_id, ()))
+        """All deliveries of one event across the system, in arrival order."""
+        return list(self._by_event.get(event_id, {}).values())
 
     def delivery_count(self, node_id: str) -> int:
         """Number of events delivered by a node (the benefit numerator)."""
-        return len(self._by_node.get(node_id, ()))
+        return self._counts.get(node_id, 0)
 
     def nodes(self) -> List[str]:
         """Nodes that delivered at least one event (sorted)."""
-        return sorted(self._by_node)
+        return sorted(self._counts)
 
     def event_ids(self) -> List[str]:
         """Ids of events delivered at least once (sorted)."""
@@ -129,14 +124,14 @@ class DeliveryLog:
 
     def total_deliveries(self) -> int:
         """Total number of (node, event) deliveries."""
-        return len(self._seen)
+        return len(self._ordered)
 
     def latencies(self) -> List[float]:
         """Latency of every delivery, in no particular order."""
         return [
             record.delivered_at - record.published_at
-            for records in self._by_event.values()
-            for record in records
+            for by_node in self._by_event.values()
+            for record in by_node.values()
         ]
 
 
@@ -145,8 +140,8 @@ class Participant(Process):
 
     Holds what every node class of every system needs next to its protocol
     state: the shared :class:`~repro.core.accounting.WorkLedger` and
-    :class:`DeliveryLog`, the application callbacks, and the set of event ids
-    already delivered.
+    :class:`DeliveryLog` (which also remembers what the node already
+    delivered), and the application callbacks.
     """
 
     def __init__(
@@ -155,7 +150,6 @@ class Participant(Process):
         super().__init__(node_id, simulator, network)
         self.ledger = ledger
         self.delivery_log = delivery_log
-        self.delivered_event_ids: Set[str] = set()
         self._callbacks: List[DeliveryCallback] = []
         ledger.ensure_node(node_id)
 
@@ -169,11 +163,9 @@ class Participant(Process):
         A first delivery is the receiver's benefit in the ledger, one record
         in the delivery log, and one call of every application callback.
         """
-        if event.event_id in self.delivered_event_ids:
+        if self.delivery_log.record(self.node_id, event, delivered_at=self.simulator.now) is None:
             return False
-        self.delivered_event_ids.add(event.event_id)
         self.ledger.record_delivery(self.node_id)
-        self.delivery_log.record(self.node_id, event, delivered_at=self.simulator.now)
         for callback in self._callbacks:
             callback(self.node_id, event)
         return True

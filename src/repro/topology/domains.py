@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..jsonio import suggest
 from .spec import TopologyError, TopologySpec
@@ -58,6 +58,10 @@ class DomainMap:
     domain_of: Dict[str, str] = field(default_factory=dict)
     bridges: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     links: Dict[Tuple[str, str], Tuple[float, float]] = field(default_factory=dict)
+    #: Memo of :meth:`foreign_to`: one set per domain, shared by its members.
+    _foreign: Dict[str, FrozenSet[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def domain(self, node_id: str) -> Optional[str]:
         """Domain of ``node_id`` (``None`` for nodes outside the map)."""
@@ -72,6 +76,12 @@ class DomainMap:
         if domain_a == domain_b:
             return (0.0, 0.0)
         return (self.spec.cross_latency, self.spec.cross_loss)
+
+    def foreign_to(self, domain: str) -> FrozenSet[str]:
+        """Every node outside ``domain``: one set per domain, not per node."""
+        if domain not in self._foreign:
+            self._foreign[domain] = frozenset(self.domain_of) - frozenset(self.members[domain])
+        return self._foreign[domain]
 
     def bridge_nodes(self) -> Tuple[str, ...]:
         """Every bridge node id, sorted."""

@@ -39,15 +39,10 @@ class DomainScopedMembership(MembershipComponent):
         super().__init__(owner)
         self.inner = inner
         self._domain_map = domain_map
-        domain = domain_map.domain(owner.node_id)
-        self.domain = domain
-        if domain is None:
-            self._local = frozenset()
-            self._foreign = frozenset()
-        else:
-            local = frozenset(domain_map.members[domain])
-            self._local = local
-            self._foreign = frozenset(domain_map.domain_of) - local
+        self.domain = domain_map.domain(owner.node_id)
+        self._foreign = (
+            frozenset() if self.domain is None else domain_map.foreign_to(self.domain)
+        )
 
     # ---------------------------------------------------------- delegation
 

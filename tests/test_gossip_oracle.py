@@ -140,7 +140,10 @@ def production_run(kind, seed, fanout, loss=0.0, rounds=ROUNDS, publications=PUB
             event_id: frozenset(n for n in NODES if event_id in system.node(n).seen_event_ids)
             for event_id in topic_of
         })
-    delivered = {node: set(system.node(node).delivered_event_ids) for node in NODES}
+    delivered = {
+        node: {record.event_id for record in system.delivery_log.deliveries_by_node(node)}
+        for node in NODES
+    }
     stores = lazy_store_ids(NODES, 0.5) if kind == "lazy-push" else ()
     return history, delivered, topic_of, eager_push_rounds(len(NODES), fanout), stores
 
