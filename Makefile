@@ -37,9 +37,17 @@ registry-smoke:
 	$(PYTHON) -m repro list-scenarios
 	$(PYTHON) -m repro describe smoke
 
+# Then every other registered system crosses the wire once, so each payload
+# class of the runtime wire table is encoded and decoded end to end (a kind
+# whose frames failed to decode would be dropped: the grep wants half of the
+# interested pairs delivered).
 serve-scenario-smoke: registry-smoke
-	$(PYTHON) -m repro serve --scenario smoke --transport memory --duration 3 --rate 200 --drain 0.5
-	$(PYTHON) -m repro serve --scenario smoke --set system.kind=brokers --transport memory --duration 2 --rate 100 --drain 0.5
+	$(PYTHON) -m repro serve --scenario smoke --transport memory --duration 2 --rate 200 --drain 0.5
+	$(PYTHON) -m repro serve --scenario smoke --set system.kind=brokers --transport memory --duration 1 --rate 100 --drain 0.5
+	for kind in fair-gossip pushpull-gossip lazy-push scribe splitstream dks dam; do \
+		$(PYTHON) -m repro serve --scenario smoke --set system.kind=$$kind --transport memory --duration 0.5 --rate 100 --drain 0.3 \
+			| grep -E "delivery ratio (0\.[5-9]|1\.)" || exit 1; \
+	done
 
 # Telemetry + report round trip: run a scenario with a JSON-lines snapshot
 # sink and a result artifact, then render tables from both — and from a live

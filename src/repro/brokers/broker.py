@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from ..core.accounting import WorkLedger
 from ..pubsub.events import Event
-from ..pubsub.filters import Filter, filter_from_dict
+from ..pubsub.filters import Filter
 from ..pubsub.interfaces import DeliveryCallback, DeliveryLog, DisseminationSystem, Participant
 from ..pubsub.matching import MatchingEngine
 from ..sim.engine import Simulator
@@ -44,44 +44,15 @@ class _SubscriptionPayload:
     add: bool
 
 
-@dataclass(frozen=True)
-class _EventPayload:
-    event: Event
-
-
-def _encode_subscription(payload: _SubscriptionPayload) -> Dict[str, object]:
-    return {
-        "client": payload.client_id,
-        "filter": payload.subscription_filter.to_dict(),
-        "add": payload.add,
-    }
-
-
-def _decode_subscription(encoded: Dict[str, object]) -> _SubscriptionPayload:
-    return _SubscriptionPayload(
-        client_id=str(encoded["client"]),
-        subscription_filter=filter_from_dict(encoded["filter"]),
-        add=bool(encoded["add"]),
-    )
-
-
-def _encode_event_payload(payload: _EventPayload) -> Dict[str, object]:
-    return {"event": payload.event.to_dict()}
-
-
-def _decode_event_payload(encoded: Dict[str, object]) -> _EventPayload:
-    return _EventPayload(event=Event.from_dict(encoded["event"]))
-
-
-#: ``kind -> (encoder, decoder)`` consumed by the runtime wire codec
+#: ``kind -> payload class`` read by the runtime wire codec
 #: (:mod:`repro.runtime.wire`), so broker overlays run on live transports.
-WIRE_CODECS = {
-    SUBSCRIBE_KIND: (_encode_subscription, _decode_subscription),
-    UNSUBSCRIBE_KIND: (_encode_subscription, _decode_subscription),
-    SUBSCRIPTION_SYNC_KIND: (_encode_subscription, _decode_subscription),
-    PUBLISH_KIND: (_encode_event_payload, _decode_event_payload),
-    INTERBROKER_KIND: (_encode_event_payload, _decode_event_payload),
-    DELIVER_KIND: (_encode_event_payload, _decode_event_payload),
+WIRE_PAYLOADS = {
+    SUBSCRIBE_KIND: _SubscriptionPayload,
+    UNSUBSCRIBE_KIND: _SubscriptionPayload,
+    SUBSCRIPTION_SYNC_KIND: _SubscriptionPayload,
+    PUBLISH_KIND: Event,
+    INTERBROKER_KIND: Event,
+    DELIVER_KIND: Event,
 }
 
 
@@ -126,9 +97,9 @@ class BrokerNode(Participant):
         elif message.kind == SUBSCRIPTION_SYNC_KIND:
             self._handle_subscription(message.payload, propagate=False)
         elif message.kind == PUBLISH_KIND:
-            self._handle_publish(message.payload.event, from_broker=False)
+            self._handle_publish(message.payload, from_broker=False)
         elif message.kind == INTERBROKER_KIND:
-            self._handle_publish(message.payload.event, from_broker=True)
+            self._handle_publish(message.payload, from_broker=True)
 
     def _handle_subscription(self, payload: _SubscriptionPayload, propagate: bool) -> None:
         if payload.add:
@@ -149,7 +120,7 @@ class BrokerNode(Participant):
         interested = self.matching.match(event)
         local_targets = sorted(interested & self.local_clients)
         for client in local_targets:
-            self.send(client, DELIVER_KIND, payload=_EventPayload(event=event), size=event.size)
+            self.send(client, DELIVER_KIND, payload=event, size=event.size)
         if local_targets:
             self.ledger.record_gossip_send(
                 self.node_id,
@@ -169,7 +140,7 @@ class BrokerNode(Participant):
             for peer in remote_brokers:
                 if not peer or peer == self.node_id:
                     continue
-                self.send(peer, INTERBROKER_KIND, payload=_EventPayload(event=event), size=event.size)
+                self.send(peer, INTERBROKER_KIND, payload=event, size=event.size)
                 self.ledger.record_gossip_send(self.node_id, messages=1, events=1, size=event.size)
 
     def register_remote_client(self, client_id: str, home_broker: str) -> None:
@@ -213,11 +184,11 @@ class ClientNode(Participant):
         if not self.alive:
             return
         self.ledger.record_publish(self.node_id)
-        self.send(self.home_broker, PUBLISH_KIND, payload=_EventPayload(event=event), size=event.size)
+        self.send(self.home_broker, PUBLISH_KIND, payload=event, size=event.size)
 
     def on_message(self, message: Message) -> None:
         if message.kind == DELIVER_KIND:
-            self.deliver(message.payload.event)
+            self.deliver(message.payload)
 
 
 class BrokerSystem(DisseminationSystem):

@@ -51,19 +51,11 @@ class _GossipPayload:
     event: Event
 
 
-def _encode_gossip_payload(payload: "_GossipPayload") -> dict:
-    return {"topic": payload.topic, "event": payload.event.to_dict()}
-
-
-def _decode_gossip_payload(encoded: dict) -> "_GossipPayload":
-    return _GossipPayload(topic=str(encoded["topic"]), event=Event.from_dict(encoded["event"]))
-
-
-#: ``kind -> (encoder, decoder)`` consumed by the runtime wire codec
+#: ``kind -> payload class`` read by the runtime wire codec
 #: (:mod:`repro.runtime.wire`).
-WIRE_CODECS = {
-    GROUP_GOSSIP_KIND: (_encode_gossip_payload, _decode_gossip_payload),
-    HANDOFF_KIND: (_encode_gossip_payload, _decode_gossip_payload),
+WIRE_PAYLOADS = {
+    GROUP_GOSSIP_KIND: _GossipPayload,
+    HANDOFF_KIND: _GossipPayload,
 }
 
 

@@ -51,33 +51,13 @@ class _PublishPayload:
     event: Event
 
 
-def _encode_register(payload: "_RegisterPayload") -> dict:
-    return {"topic": payload.topic, "member": payload.member, "register": payload.register}
-
-
-def _decode_register(encoded: dict) -> "_RegisterPayload":
-    return _RegisterPayload(
-        topic=str(encoded["topic"]),
-        member=str(encoded["member"]),
-        register=bool(encoded["register"]),
-    )
-
-
-def _encode_publish(payload: "_PublishPayload") -> dict:
-    return {"topic": payload.topic, "event": payload.event.to_dict()}
-
-
-def _decode_publish(encoded: dict) -> "_PublishPayload":
-    return _PublishPayload(topic=str(encoded["topic"]), event=Event.from_dict(encoded["event"]))
-
-
-#: ``kind -> (encoder, decoder)`` consumed by the runtime wire codec
+#: ``kind -> payload class`` read by the runtime wire codec
 #: (:mod:`repro.runtime.wire`).
-WIRE_CODECS = {
-    REGISTER_KIND: (_encode_register, _decode_register),
-    UNREGISTER_KIND: (_encode_register, _decode_register),
-    ROUTE_PUBLISH_KIND: (_encode_publish, _decode_publish),
-    GROUP_SEND_KIND: (_encode_publish, _decode_publish),
+WIRE_PAYLOADS = {
+    REGISTER_KIND: _RegisterPayload,
+    UNREGISTER_KIND: _RegisterPayload,
+    ROUTE_PUBLISH_KIND: _PublishPayload,
+    GROUP_SEND_KIND: _PublishPayload,
 }
 
 

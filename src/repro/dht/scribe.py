@@ -38,13 +38,9 @@ MULTICAST_KIND = "scribe.multicast"
 
 
 @dataclass(frozen=True)
-class _JoinPayload:
-    routing_topic: str
-    child: str
+class _TreeChange:
+    """A child joining or leaving a topic's tree (the message kind says which)."""
 
-
-@dataclass(frozen=True)
-class _LeavePayload:
     routing_topic: str
     child: str
 
@@ -55,35 +51,13 @@ class _PublishPayload:
     event: Event
 
 
-def _encode_membership_change(payload) -> dict:
-    return {"topic": payload.routing_topic, "child": payload.child}
-
-
-def _decode_join(encoded: dict) -> "_JoinPayload":
-    return _JoinPayload(routing_topic=str(encoded["topic"]), child=str(encoded["child"]))
-
-
-def _decode_leave(encoded: dict) -> "_LeavePayload":
-    return _LeavePayload(routing_topic=str(encoded["topic"]), child=str(encoded["child"]))
-
-
-def _encode_publish(payload: "_PublishPayload") -> dict:
-    return {"topic": payload.routing_topic, "event": payload.event.to_dict()}
-
-
-def _decode_publish(encoded: dict) -> "_PublishPayload":
-    return _PublishPayload(
-        routing_topic=str(encoded["topic"]), event=Event.from_dict(encoded["event"])
-    )
-
-
-#: ``kind -> (encoder, decoder)`` consumed by the runtime wire codec
+#: ``kind -> payload class`` read by the runtime wire codec
 #: (:mod:`repro.runtime.wire`); SplitStream reuses these kinds unchanged.
-WIRE_CODECS = {
-    JOIN_KIND: (_encode_membership_change, _decode_join),
-    LEAVE_KIND: (_encode_membership_change, _decode_leave),
-    ROUTE_PUBLISH_KIND: (_encode_publish, _decode_publish),
-    MULTICAST_KIND: (_encode_publish, _decode_publish),
+WIRE_PAYLOADS = {
+    JOIN_KIND: _TreeChange,
+    LEAVE_KIND: _TreeChange,
+    ROUTE_PUBLISH_KIND: _PublishPayload,
+    MULTICAST_KIND: _PublishPayload,
 }
 
 
@@ -152,7 +126,7 @@ class ScribeNode(Participant):
             self.send(
                 next_hop,
                 JOIN_KIND,
-                payload=_JoinPayload(routing_topic=routing_topic, child=self.node_id),
+                payload=_TreeChange(routing_topic=routing_topic, child=self.node_id),
             )
             self.ledger.record_subscription_forward(self.node_id)
 
@@ -172,7 +146,7 @@ class ScribeNode(Participant):
             self.send(
                 parent,
                 LEAVE_KIND,
-                payload=_LeavePayload(routing_topic=routing_topic, child=self.node_id),
+                payload=_TreeChange(routing_topic=routing_topic, child=self.node_id),
             )
             self.ledger.record_subscription_forward(self.node_id)
 
@@ -188,13 +162,13 @@ class ScribeNode(Participant):
         elif message.kind == MULTICAST_KIND:
             self._multicast(message.payload, received_from=message.sender)
 
-    def _handle_join(self, payload: _JoinPayload) -> None:
+    def _handle_join(self, payload: _TreeChange) -> None:
         self.children.setdefault(payload.routing_topic, set()).add(payload.child)
         # Become a forwarder (possibly without any interest of our own) and
         # keep joining towards the rendezvous — this is Scribe's unfairness.
         self._join_tree(payload.routing_topic)
 
-    def _handle_leave(self, payload: _LeavePayload) -> None:
+    def _handle_leave(self, payload: _TreeChange) -> None:
         topic = payload.routing_topic
         self.children.get(topic, set()).discard(payload.child)
         self._maybe_leave(topic)

@@ -7,6 +7,8 @@ what JSON looks like at the edge of the program:
 * :func:`encode` / :func:`decode` / :func:`fit` — one walker over dataclass
   fields, driven by their annotations, behind the ``to_dict`` / ``from_dict``
   of the specs the program reads and the records it writes;
+* :func:`wire_codec` — the same annotations compiled once per class into the
+  live runtime's payload codecs;
 * :func:`load_json` / :func:`write_json` — one way in and one way out for
   whole-file documents (domain errors naming the path; atomic, canonical
   writes);
@@ -23,6 +25,7 @@ from __future__ import annotations
 import collections
 import difflib
 import json
+import operator
 import os
 from dataclasses import MISSING, fields, is_dataclass
 from functools import lru_cache
@@ -36,6 +39,7 @@ from typing import (
     Mapping,
     Optional,
     Tuple,
+    Union,
     get_type_hints,
 )
 
@@ -49,6 +53,7 @@ __all__ = [
     "decode",
     "fit",
     "annotation_at",
+    "wire_codec",
     "load_json",
     "write_json",
     "write_text",
@@ -282,6 +287,85 @@ def fit(annotation, value, label: str, error: Callable[[str], Exception], path: 
             for index, (shape, entry) in enumerate(zip(shapes, value))
         ]
     )
+
+
+# ---------------------------------------------------------------- wire codecs
+
+
+@lru_cache(maxsize=None)
+def wire_codec(annotation, nested: bool = False) -> Tuple[Callable, Callable]:
+    """``(encode, decode)`` between values of ``annotation`` and their wire JSON.
+
+    Derived once per annotation from the walker's introspection, by
+    structure alone: a dataclass is an object keyed by field name without
+    the fields at their default (the :data:`ALL_FIELDS` rule), or — nested
+    in another record — the list of all its fields; a class with its own
+    ``to_dict`` / ``from_dict`` is a leaf coded by them; ``Tuple[X, ...]``
+    is a list; ``Optional[X]`` is ``null`` or ``X``; a scalar decodes under
+    :func:`fit`'s rules.  Decoders raise ``TypeError`` / ``ValueError`` /
+    ``KeyError`` / ``AttributeError`` on any other shape.
+    """
+    if hasattr(annotation, "to_dict") and hasattr(annotation, "from_dict"):
+        return operator.methodcaller("to_dict"), annotation.from_dict
+    if is_dataclass(annotation):
+        return _record_codec(annotation, nested)
+    if annotation in _TYPE_NAMES:
+        return (
+            lambda value: value,
+            lambda raw: raw if type(raw) is annotation else fit(annotation, raw, "wire value", TypeError),
+        )
+    origin, arguments = annotation.__origin__, annotation.__args__
+    if origin is tuple and arguments[-1] is Ellipsis:
+        encode_item, decode_item = wire_codec(arguments[0], True)
+        return (
+            lambda value: [encode_item(entry) for entry in value],
+            lambda raw: tuple([decode_item(entry) for entry in _as_list(raw)]),
+        )
+    if origin is Union and arguments[1:] == (type(None),):
+        encode_value, decode_value = wire_codec(arguments[0], nested)
+        return (
+            lambda value: None if value is None else encode_value(value),
+            lambda raw: None if raw is None else decode_value(raw),
+        )
+    raise TypeError(f"no wire form for {annotation!r}")
+
+
+def _record_codec(record_class, nested: bool) -> Tuple[Callable, Callable]:
+    schema = _schema(record_class)
+    names = tuple(schema)
+    encoders, decoders = zip(*[wire_codec(annotation, True) for annotation, _ in schema.values()])
+    if nested:
+
+        def encode_items(record):
+            return [encode(getattr(record, name)) for name, encode in zip(names, encoders)]
+
+        def decode_items(raw):
+            if type(raw) is not list or len(raw) != len(names):
+                raise ValueError(f"{record_class.__name__} is a list of {len(names)} fields")
+            return record_class(*[decode(value) for decode, value in zip(decoders, raw)])
+
+        return encode_items, decode_items
+    plan = tuple(zip(names, [_default(record_field) for _, record_field in schema.values()], encoders))
+    by_name = dict(zip(names, decoders))
+
+    def encode_fields(record):
+        payload = {}
+        for name, default, encode in plan:
+            value = getattr(record, name)
+            if value != default:
+                payload[name] = encode(value)
+        return payload
+
+    def decode_fields(raw):
+        return record_class(**{key: by_name[key](value) for key, value in raw.items()})
+
+    return encode_fields, decode_fields
+
+
+def _as_list(raw) -> list:
+    if type(raw) is not list:
+        raise TypeError(f"expected a list, got {type(raw).__name__}")
+    return raw
 
 
 # ------------------------------------------------------------ whole documents

@@ -69,10 +69,13 @@ class Event:
 
     @staticmethod
     def from_dict(payload: Mapping[str, Any]) -> "Event":
-        """Rebuild an event from :meth:`to_dict` output."""
+        """Rebuild an event from :meth:`to_dict` output; ids must be strings."""
+        event_id, publisher = payload["event_id"], payload["publisher"]
+        if type(event_id) is not str or type(publisher) is not str:
+            raise TypeError(f"event_id/publisher must be strings: {event_id!r} {publisher!r}")
         return Event(
-            event_id=payload["event_id"],
-            publisher=payload["publisher"],
+            event_id=event_id,
+            publisher=publisher,
             attributes=dict(payload.get("attributes", {})),
             published_at=float(payload.get("published_at", 0.0)),
             size=int(payload.get("size", 1)),

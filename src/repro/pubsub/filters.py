@@ -20,6 +20,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from ..jsonio import fit
 from .events import Event, TOPIC_ATTRIBUTE
 
 __all__ = [
@@ -52,6 +53,11 @@ class Filter:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form; inverse of :func:`filter_from_dict`."""
         raise NotImplementedError
+
+    @staticmethod
+    def from_dict(payload: Mapping[str, Any]) -> "Filter":
+        """Any filter from its :meth:`to_dict` form (see :func:`filter_from_dict`)."""
+        return filter_from_dict(payload)
 
     @property
     def filter_id(self) -> str:
@@ -152,7 +158,7 @@ class AttributeCondition:
     def from_dict(payload: Mapping[str, Any]) -> "AttributeCondition":
         """Rebuild a condition from :meth:`to_dict` output."""
         return AttributeCondition(
-            attribute=payload["attribute"],
+            attribute=fit(str, payload["attribute"], "condition field 'attribute'", ValueError),
             operator=payload["operator"],
             value=payload["value"],
         )
@@ -317,13 +323,13 @@ def filter_from_dict(payload: Mapping[str, Any]) -> Filter:
     """
     kind = payload.get("kind")
     if kind == "topic":
-        return TopicFilter(topic=payload["topic"])
+        return TopicFilter(topic=fit(str, payload["topic"], "filter field 'topic'", ValueError))
     if kind == "content":
         return ContentFilter(
             conditions=tuple(
                 AttributeCondition.from_dict(condition) for condition in payload.get("conditions", ())
             ),
-            name=payload.get("name", ""),
+            name=fit(str, payload.get("name", ""), "filter field 'name'", ValueError),
         )
     if kind == "and":
         return AndFilter(children=tuple(filter_from_dict(child) for child in payload["children"]))

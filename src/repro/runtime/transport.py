@@ -26,7 +26,7 @@ from __future__ import annotations
 import asyncio
 from typing import Callable, Dict, Optional, Set, Tuple
 
-from .wire import FrameDecoder, frame
+from .wire import FrameDecoder, WireError, frame
 
 __all__ = [
     "Receiver",
@@ -288,7 +288,9 @@ class TcpTransport(_DirectoryTransport):
                     break
                 for body in decoder.feed(chunk):
                     self._dispatch(body)
-        except (ConnectionError, asyncio.CancelledError):
+        # A length prefix above MAX_FRAME_SIZE leaves the stream unframeable:
+        # that one peer's connection is closed, the server keeps serving.
+        except (ConnectionError, WireError, asyncio.CancelledError):
             pass
         finally:
             writer.close()

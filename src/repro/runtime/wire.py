@@ -1,14 +1,12 @@
 """Length-prefixed JSON wire codec for the live runtime.
 
 Every message that crosses a transport is one *frame*: a 4-byte big-endian
-length prefix followed by a UTF-8 JSON object.  The JSON object carries the
+length prefix followed by a UTF-8 JSON object holding the
 :class:`~repro.sim.network.Message` envelope (sender, recipient, kind, size,
-sent_at) plus a ``payload`` encoded by a per-kind codec.  Codecs exist for
-every protocol payload that travels in the stack — gossip events and
-digests, pull requests, CYCLON shuffles, lpbcast membership digests — and
-for the runtime's own control frames (remote publish and subscription
-exchanges).  ``None`` and plain-JSON payloads pass through unchanged, so new
-message kinds with JSON-native payloads work without registering a codec.
+sent_at; ``trace`` on traced frames only) and a ``payload``.
+:data:`WIRE_PAYLOADS` names the payload class of each kind that carries one,
+and :func:`repro.jsonio.wire_codec` derives that class's codec from its
+annotations; payloads of other kinds pass through as plain JSON.
 
 The memory transport runs every frame through this codec too: what the
 socket transports put on the wire is byte-for-byte what the in-process
@@ -20,7 +18,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..brokers import broker as _broker
 from ..damulticast import dam as _dam
@@ -28,16 +26,17 @@ from ..dht import dks as _dks
 from ..dht import scribe as _scribe
 from ..gossip.push import GossipMessage
 from ..gossip.pushpull import DigestMessage, PullRequest
+from ..jsonio import fit, wire_codec
 from ..membership.cyclon import ShufflePayload
 from ..membership.lpbcast import MembershipDigest
-from ..membership.views import NodeDescriptor
 from ..pubsub.events import Event
-from ..pubsub.filters import Filter, filter_from_dict
+from ..pubsub.filters import Filter
 from ..sim.network import Message
-from ..tracing.context import decode_contexts, encode_contexts
+from ..tracing.context import TraceContext
 
 __all__ = [
     "WIRE_VERSION",
+    "WIRE_PAYLOADS",
     "MAX_FRAME_SIZE",
     "PUBLISH_KIND",
     "SUBSCRIBE_KIND",
@@ -49,8 +48,9 @@ __all__ = [
     "FrameDecoder",
 ]
 
-#: Bumped whenever the frame layout or a payload encoding changes.
-WIRE_VERSION = 1
+#: Bumped whenever the frame layout or a payload encoding changes (2: payload
+#: keys are the payload classes' field names, nested records are lists).
+WIRE_VERSION = 2
 
 #: Upper bound on a single frame; protects receivers from hostile prefixes.
 MAX_FRAME_SIZE = 16 * 1024 * 1024
@@ -67,112 +67,38 @@ class WireError(ValueError):
     """Raised when a frame cannot be encoded or decoded."""
 
 
-# --------------------------------------------------------------- descriptors
-
-
-def _encode_descriptor(descriptor: NodeDescriptor) -> List[Any]:
-    return [descriptor.node_id, descriptor.age, list(descriptor.topics)]
-
-
-def _decode_descriptor(payload: List[Any]) -> NodeDescriptor:
-    node_id, age, topics = payload
-    return NodeDescriptor(node_id=str(node_id), age=int(age), topics=tuple(topics))
-
-
-def _encode_membership_digest(digest: MembershipDigest) -> Dict[str, Any]:
-    return {"descriptors": [_encode_descriptor(entry) for entry in digest.descriptors]}
-
-
-def _decode_membership_digest(payload: Dict[str, Any]) -> MembershipDigest:
-    return MembershipDigest(
-        descriptors=tuple(_decode_descriptor(entry) for entry in payload["descriptors"])
-    )
-
-
-# ------------------------------------------------------------ gossip payloads
-
-
-def _encode_gossip(message: GossipMessage) -> Dict[str, Any]:
-    encoded: Dict[str, Any] = {
-        "events": [event.to_dict() for event in message.events],
-        "benefit": message.sender_benefit_rate,
-    }
-    if message.membership_digest is not None:
-        encoded["digest"] = _encode_membership_digest(message.membership_digest)
-    return encoded
-
-
-def _decode_gossip(payload: Dict[str, Any]) -> GossipMessage:
-    digest = payload.get("digest")
-    return GossipMessage(
-        events=tuple(Event.from_dict(entry) for entry in payload["events"]),
-        sender_benefit_rate=float(payload.get("benefit", 0.0)),
-        membership_digest=None if digest is None else _decode_membership_digest(digest),
-    )
-
-
-def _encode_digest_message(message: DigestMessage) -> Dict[str, Any]:
-    return {"event_ids": list(message.event_ids), "benefit": message.sender_benefit_rate}
-
-
-def _decode_digest_message(payload: Dict[str, Any]) -> DigestMessage:
-    return DigestMessage(
-        event_ids=tuple(payload["event_ids"]),
-        sender_benefit_rate=float(payload.get("benefit", 0.0)),
-    )
-
-
-def _encode_pull_request(message: PullRequest) -> Dict[str, Any]:
-    return {"event_ids": list(message.event_ids)}
-
-
-def _decode_pull_request(payload: Dict[str, Any]) -> PullRequest:
-    return PullRequest(event_ids=tuple(payload["event_ids"]))
-
-
-def _encode_shuffle(message: ShufflePayload) -> Dict[str, Any]:
-    return {"descriptors": [_encode_descriptor(entry) for entry in message.descriptors]}
-
-
-def _decode_shuffle(payload: Dict[str, Any]) -> ShufflePayload:
-    return ShufflePayload(
-        descriptors=tuple(_decode_descriptor(entry) for entry in payload["descriptors"])
-    )
-
-
-def _encode_filter(subscription_filter: Filter) -> Dict[str, Any]:
-    return subscription_filter.to_dict()
-
-
-#: ``kind -> (encoder, decoder)``; kinds absent here fall back to plain JSON.
-_CODECS: Dict[str, Tuple[Callable[[Any], Any], Callable[[Any], Any]]] = {
-    "gossip.push": (_encode_gossip, _decode_gossip),
-    "gossip.pull-reply": (_encode_gossip, _decode_gossip),
-    "gossip.digest": (_encode_digest_message, _decode_digest_message),
-    "gossip.pull-request": (_encode_pull_request, _decode_pull_request),
+#: ``kind -> payload class``; kinds absent here carry plain JSON.
+WIRE_PAYLOADS: Dict[str, type] = {
+    "gossip.push": GossipMessage,
+    "gossip.pull-reply": GossipMessage,
+    "gossip.digest": DigestMessage,
+    "gossip.pull-request": PullRequest,
     # Lazy probabilistic broadcast reuses the push/digest/pull payload
     # shapes under its own kinds (see repro.gossip.lazy).
-    "gossip.lazy-push": (_encode_gossip, _decode_gossip),
-    "gossip.lazy-reply": (_encode_gossip, _decode_gossip),
-    "gossip.lazy-digest": (_encode_digest_message, _decode_digest_message),
-    "gossip.lazy-request": (_encode_pull_request, _decode_pull_request),
+    "gossip.lazy-push": GossipMessage,
+    "gossip.lazy-reply": GossipMessage,
+    "gossip.lazy-digest": DigestMessage,
+    "gossip.lazy-request": PullRequest,
     # Bridge relays carry a plain gossip payload across domain boundaries
     # (see repro.topology.bridge) under their own kind.
-    "topology.bridge": (_encode_gossip, _decode_gossip),
-    "membership.cyclon.request": (_encode_shuffle, _decode_shuffle),
-    "membership.cyclon.reply": (_encode_shuffle, _decode_shuffle),
-    "membership.lpbcast.digest": (_encode_membership_digest, _decode_membership_digest),
-    PUBLISH_KIND: (lambda event: event.to_dict(), Event.from_dict),
-    SUBSCRIBE_KIND: (_encode_filter, filter_from_dict),
-    UNSUBSCRIBE_KIND: (_encode_filter, filter_from_dict),
+    "topology.bridge": GossipMessage,
+    "membership.cyclon.request": ShufflePayload,
+    "membership.cyclon.reply": ShufflePayload,
+    "membership.lpbcast.digest": MembershipDigest,
+    PUBLISH_KIND: Event,
+    SUBSCRIBE_KIND: Filter,
+    UNSUBSCRIBE_KIND: Filter,
 }
 
 # Baseline protocol payloads (brokers, Scribe/SplitStream trees, DKS groups,
-# data-aware multicast) serialize next to the protocol code that owns them;
-# merging their codec tables here is what lets ``serve --scenario`` run the
+# data-aware multicast) are declared next to the protocol code that owns
+# them; merging their tables here is what lets ``serve --scenario`` run the
 # non-gossip baselines on real transports.
 for _module in (_broker, _scribe, _dks, _dam):
-    _CODECS.update(_module.WIRE_CODECS)
+    WIRE_PAYLOADS.update(_module.WIRE_PAYLOADS)
+
+_CODECS = {kind: wire_codec(payload_class) for kind, payload_class in WIRE_PAYLOADS.items()}
+_TRACE_CODEC = wire_codec(Tuple[TraceContext, ...])
 
 
 # ------------------------------------------------------------------ envelope
@@ -195,11 +121,10 @@ def encode_message(message: Message) -> bytes:
         "sent_at": message.sent_at,
         "payload": payload,
     }
-    # The trace key is only present on traced frames, so the untraced wire
-    # format is byte-for-byte unchanged and WIRE_VERSION need not bump;
-    # decoders ignore unknown keys, so mixed traced/untraced clusters work.
+    # The trace key is only present on traced frames, so untraced frames
+    # carry no tracing bytes; decoders ignore unknown envelope keys.
     if message.trace:
-        envelope["trace"] = encode_contexts(message.trace)
+        envelope["trace"] = _TRACE_CODEC[0](message.trace)
     try:
         return json.dumps(envelope, separators=(",", ":")).encode("utf-8")
     except (TypeError, ValueError) as error:
@@ -212,7 +137,7 @@ def decode_message(data: bytes) -> Message:
     """Decode one JSON frame body back into a message."""
     try:
         envelope = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (UnicodeDecodeError, ValueError, RecursionError) as error:
         raise WireError(f"malformed frame: {error}") from None
     if not isinstance(envelope, dict):
         raise WireError("frame must decode to a JSON object")
@@ -223,23 +148,24 @@ def decode_message(data: bytes) -> Message:
     # receivers treat WireError as "count and drop the frame", anything else
     # would tear down the connection serving an otherwise healthy peer.
     try:
-        kind = envelope["kind"]
+        sender, recipient, kind = envelope["sender"], envelope["recipient"], envelope["kind"]
+        if not type(sender) is type(recipient) is type(kind) is str:
+            raise TypeError(f"sender/recipient/kind must be strings: {sender!r} {recipient!r} {kind!r}")
         payload = envelope.get("payload")
         codec = _CODECS.get(kind)
         if codec is not None:
             payload = codec[1](payload)
+        trace = envelope.get("trace")
         return Message(
-            sender=envelope["sender"],
-            recipient=envelope["recipient"],
+            sender=sender,
+            recipient=recipient,
             kind=kind,
             payload=payload,
-            size=int(envelope.get("size", 1)),
-            sent_at=float(envelope.get("sent_at", 0.0)),
-            trace=decode_contexts(envelope.get("trace")),
+            size=fit(int, envelope.get("size", 1), "envelope field 'size'", TypeError),
+            sent_at=fit(float, envelope.get("sent_at", 0.0), "envelope field 'sent_at'", TypeError),
+            trace=_TRACE_CODEC[1](trace) if trace else None,
         )
-    except WireError:
-        raise
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as error:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as error:
         raise WireError(f"malformed envelope or payload: {error!r}") from None
 
 

@@ -27,7 +27,7 @@ The moving parts:
 """
 
 from .analyze import EventTrace, TraceAnalysis, analyze_spans, render_trace
-from .context import TraceContext, decode_contexts, encode_contexts
+from .context import TraceContext
 from .sampler import TraceSampler
 from .spans import (
     DELIVER,
@@ -56,8 +56,6 @@ __all__ = [
     "DELIVER",
     "DROP",
     "TraceContext",
-    "encode_contexts",
-    "decode_contexts",
     "SpanRecord",
     "TraceSampler",
     "Tracer",

@@ -17,9 +17,8 @@ their import graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
 
-__all__ = ["TraceContext", "encode_contexts", "decode_contexts"]
+__all__ = ["TraceContext"]
 
 
 @dataclass(frozen=True)
@@ -41,18 +40,3 @@ class TraceContext:
     trace_id: str
     parent_span: int
     hops: int
-
-
-def encode_contexts(contexts: Sequence[TraceContext]) -> List[List[Any]]:
-    """Wire shape: one compact ``[trace_id, parent_span, hops]`` triple each."""
-    return [[ctx.trace_id, ctx.parent_span, ctx.hops] for ctx in contexts]
-
-
-def decode_contexts(payload: Any) -> Optional[Tuple[TraceContext, ...]]:
-    """Inverse of :func:`encode_contexts`; ``None`` for an absent/empty list."""
-    if not payload:
-        return None
-    return tuple(
-        TraceContext(trace_id=str(entry[0]), parent_span=int(entry[1]), hops=int(entry[2]))
-        for entry in payload
-    )

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import asyncio
+import dataclasses
 import json
+import logging
+import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gossip.push import GossipMessage
 from repro.gossip.pushpull import DigestMessage, PullRequest
@@ -12,12 +18,24 @@ from repro.membership.cyclon import ShufflePayload
 from repro.membership.lpbcast import MembershipDigest
 from repro.membership.views import NodeDescriptor
 from repro.pubsub.events import Event
-from repro.pubsub.filters import AttributeCondition, ContentFilter, TopicFilter
+from repro.pubsub.filters import (
+    AndFilter,
+    AttributeCondition,
+    ContentFilter,
+    Filter,
+    MatchAllFilter,
+    MatchNoneFilter,
+    NotFilter,
+    OrFilter,
+    TopicFilter,
+)
+from repro.runtime.transport import TcpTransport
 from repro.runtime.wire import (
     MAX_FRAME_SIZE,
     PUBLISH_KIND,
     SUBSCRIBE_KIND,
     UNSUBSCRIBE_KIND,
+    WIRE_PAYLOADS,
     WIRE_VERSION,
     FrameDecoder,
     WireError,
@@ -26,6 +44,8 @@ from repro.runtime.wire import (
     frame,
 )
 from repro.sim.network import Message
+from repro.tracing.context import TraceContext
+from tests.conftest import settle
 
 
 def roundtrip(message: Message) -> Message:
@@ -42,78 +62,166 @@ def make_event(index: int = 0) -> Event:
     )
 
 
+def unfold(value):
+    """Everything a payload holds, for comparison: ``Event.__eq__`` looks at the id only."""
+    if isinstance(value, Event):
+        return value.to_dict()
+    if dataclasses.is_dataclass(value):
+        return type(value), [unfold(getattr(value, field.name)) for field in dataclasses.fields(value)]
+    if isinstance(value, tuple):
+        return [unfold(entry) for entry in value]
+    return value
+
+
+def assert_round_trips(message: Message) -> None:
+    decoded = roundtrip(message)
+    assert (decoded.sender, decoded.recipient, decoded.kind) == (
+        message.sender,
+        message.recipient,
+        message.kind,
+    )
+    assert (decoded.size, decoded.sent_at, decoded.trace) == (
+        message.size,
+        message.sent_at,
+        message.trace,
+    )
+    assert type(decoded.payload) is type(message.payload)
+    assert unfold(decoded.payload) == unfold(message.payload)
+
+
+# --------------------------------------------------------------- generators
+
+TEXT = st.text(max_size=6)
+SCALARS = {
+    str: TEXT,
+    int: st.integers(-(2**40), 2**40),
+    float: st.floats(allow_nan=False),
+    bool: st.booleans(),
+}
+ATTRIBUTE_VALUES = st.one_of(st.integers(-(2**40), 2**40), TEXT, st.booleans(), st.floats(allow_nan=False))
+EVENTS = st.builds(
+    Event,
+    event_id=TEXT,
+    publisher=TEXT,
+    attributes=st.dictionaries(TEXT, ATTRIBUTE_VALUES, max_size=3),
+    published_at=st.floats(allow_nan=False),
+    size=st.integers(1, 100),
+)
+CONDITIONS = st.builds(
+    AttributeCondition, TEXT, st.sampled_from(["==", "!=", "<", ">=", "prefix"]), ATTRIBUTE_VALUES
+)
+FILTERS = st.recursive(
+    st.one_of(
+        st.builds(TopicFilter, TEXT),
+        st.builds(ContentFilter, st.lists(CONDITIONS, max_size=3).map(tuple), TEXT),
+        st.just(MatchAllFilter()),
+        st.just(MatchNoneFilter()),
+    ),
+    lambda children: st.one_of(
+        st.builds(AndFilter, st.lists(children, max_size=3).map(tuple)),
+        st.builds(OrFilter, st.lists(children, max_size=3).map(tuple)),
+        st.builds(NotFilter, children),
+    ),
+    max_leaves=6,
+)
+TRACES = st.none() | st.lists(
+    st.builds(TraceContext, TEXT, SCALARS[int], SCALARS[int]), min_size=1, max_size=3
+).map(tuple)
+
+
+def values(annotation):
+    """Values of ``annotation``, read off the same type hints the codec is derived from."""
+    if annotation is Event:
+        return EVENTS
+    if annotation is Filter:
+        return FILTERS
+    if dataclasses.is_dataclass(annotation):
+        hints = typing.get_type_hints(annotation)
+        return st.builds(
+            annotation,
+            **{field.name: values(hints[field.name]) for field in dataclasses.fields(annotation)},
+        )
+    origin = typing.get_origin(annotation)
+    if origin is tuple:
+        return st.lists(values(annotation.__args__[0]), max_size=4).map(tuple)
+    if origin is typing.Union:  # Optional[X]
+        return st.none() | values(annotation.__args__[0])
+    return SCALARS[annotation]
+
+
+def messages(kind: str):
+    return st.builds(
+        Message,
+        sender=TEXT,
+        recipient=TEXT,
+        kind=st.just(kind),
+        payload=values(WIRE_PAYLOADS[kind]),
+        size=SCALARS[int],
+        sent_at=SCALARS[float],
+        trace=TRACES,
+    )
+
+
+#: Every kind with a payload class, the baselines' included.
+KINDS = sorted(WIRE_PAYLOADS)
+
+
 class TestPayloadCodecs:
-    def test_gossip_message_roundtrip_with_digest(self):
-        digest = MembershipDigest(
-            descriptors=(
-                NodeDescriptor("n1", age=3, topics=("news", "sport")),
-                NodeDescriptor("n2", age=0),
-            )
-        )
-        payload = GossipMessage(
-            events=(make_event(0), make_event(1)),
-            sender_benefit_rate=0.75,
-            membership_digest=digest,
-        )
-        message = Message(
-            sender="a", recipient="b", kind="gossip.push", payload=payload, size=4, sent_at=2.5
-        )
-        decoded = roundtrip(message)
-        assert decoded.sender == "a" and decoded.recipient == "b"
-        assert decoded.kind == "gossip.push"
-        assert decoded.size == 4 and decoded.sent_at == 2.5
-        assert decoded.payload.sender_benefit_rate == 0.75
-        assert [event.to_dict() for event in decoded.payload.events] == [
-            event.to_dict() for event in payload.events
-        ]
-        assert decoded.payload.membership_digest == digest
+    def test_the_table_holds_every_protocol_kind(self):
+        assert {
+            "gossip.push",
+            "gossip.lazy-digest",
+            "membership.cyclon.reply",
+            "broker.sync",
+            "scribe.multicast",
+            "dks.group-send",
+            "dam.handoff",
+            SUBSCRIBE_KIND,
+        } <= set(KINDS)
 
-    def test_gossip_message_roundtrip_without_digest(self):
-        payload = GossipMessage(events=(make_event(),))
-        decoded = roundtrip(Message("a", "b", "gossip.pull-reply", payload=payload))
-        assert decoded.payload.membership_digest is None
-        assert decoded.payload.events[0] == make_event()
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_every_kind_round_trips(self, kind, data):
+        assert_round_trips(data.draw(messages(kind)))
 
-    def test_pushpull_digest_and_pull_request_roundtrip(self):
-        digest = DigestMessage(event_ids=("e1", "e2"), sender_benefit_rate=1.25)
-        decoded = roundtrip(Message("a", "b", "gossip.digest", payload=digest))
-        assert decoded.payload == digest
-        request = PullRequest(event_ids=("e2",))
-        decoded = roundtrip(Message("b", "a", "gossip.pull-request", payload=request))
-        assert decoded.payload == request
+    DIGEST = MembershipDigest(
+        descriptors=(NodeDescriptor("n1", age=3, topics=("news", "sport")), NodeDescriptor("n2", age=0))
+    )
+    CONTENT_FILTER = ContentFilter(
+        conditions=(
+            AttributeCondition("category", "==", "metals"),
+            AttributeCondition("level", ">=", 6),
+        ),
+        name="metals-high",
+    )
 
-    def test_cyclon_shuffle_roundtrip(self):
-        payload = ShufflePayload(
-            descriptors=(NodeDescriptor("n3", age=1), NodeDescriptor("n4", age=7))
-        )
-        for kind in ("membership.cyclon.request", "membership.cyclon.reply"):
-            decoded = roundtrip(Message("a", "b", kind, payload=payload))
-            assert decoded.payload == payload
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            ("gossip.push", GossipMessage((make_event(0), make_event(1)), 0.75, DIGEST)),
+            ("gossip.pull-reply", GossipMessage(events=(make_event(),))),
+            ("gossip.digest", DigestMessage(event_ids=("e1", "e2"), sender_benefit_rate=1.25)),
+            ("gossip.pull-request", PullRequest(event_ids=("e2",))),
+            ("membership.cyclon.request", ShufflePayload((NodeDescriptor("n3", 1), NodeDescriptor("n4", 7)))),
+            ("membership.cyclon.reply", ShufflePayload((NodeDescriptor("n3", 1),))),
+            ("membership.lpbcast.digest", MembershipDigest((NodeDescriptor("n5", age=2),))),
+            (PUBLISH_KIND, make_event(9)),
+            (SUBSCRIBE_KIND, TopicFilter("news")),
+            (UNSUBSCRIBE_KIND, CONTENT_FILTER),
+        ],
+    )
+    def test_known_payloads_round_trip(self, kind, payload):
+        assert_round_trips(Message("a", "b", kind, payload=payload, size=4, sent_at=2.5))
 
-    def test_lpbcast_digest_roundtrip(self):
-        payload = MembershipDigest(descriptors=(NodeDescriptor("n5", age=2),))
-        decoded = roundtrip(Message("a", "b", "membership.lpbcast.digest", payload=payload))
-        assert decoded.payload == payload
-
-    def test_control_publish_roundtrip(self):
-        event = make_event(9)
-        decoded = roundtrip(Message("client", "node-0", PUBLISH_KIND, payload=event))
-        assert decoded.payload == event
-        assert decoded.payload.attributes == event.attributes
-
-    def test_subscription_exchange_roundtrip(self):
-        topic_filter = TopicFilter("news")
-        decoded = roundtrip(Message("client", "node-0", SUBSCRIBE_KIND, payload=topic_filter))
-        assert decoded.payload == topic_filter
-        content_filter = ContentFilter(
-            conditions=(
-                AttributeCondition("category", "==", "metals"),
-                AttributeCondition("level", ">=", 6),
-            ),
-            name="metals-high",
-        )
-        decoded = roundtrip(Message("client", "node-0", UNSUBSCRIBE_KIND, payload=content_filter))
-        assert decoded.payload == content_filter
+    def test_layout_keys_are_field_names_and_nested_records_are_lists(self):
+        payload = GossipMessage(events=(), membership_digest=self.DIGEST)
+        body = json.loads(encode_message(Message("a", "b", "gossip.push", payload=payload)))
+        # sender_benefit_rate is at its default, so it costs no bytes.
+        assert body["payload"] == {
+            "events": [],
+            "membership_digest": [[["n1", 3, ["news", "sport"]], ["n2", 0, []]]],
+        }
 
     def test_plain_payload_passthrough(self):
         decoded = roundtrip(Message("a", "b", "custom.kind", payload={"x": [1, 2]}))
@@ -130,6 +238,42 @@ class TestPayloadCodecs:
             encode_message(Message("a", "b", "custom.kind", payload=object()))
 
 
+# ----------------------------------------------------------------- totality
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=12), children, max_size=4),
+    max_leaves=10,
+)
+
+
+def mutate(data, value):
+    """``value`` with one part of it — perhaps all of it — replaced by any JSON value."""
+    if isinstance(value, (list, dict)) and value and data.draw(st.booleans()):
+        copy = list(value) if isinstance(value, list) else dict(value)
+        key = data.draw(st.sampled_from(range(len(copy)) if isinstance(copy, list) else sorted(copy)))
+        copy[key] = mutate(data, copy[key])
+        return copy
+    return data.draw(JSON)
+
+
+def assert_declared_strings(value) -> None:
+    """Every field declared ``str`` or ``Tuple[str, ...]`` holds strings, recursively."""
+    if dataclasses.is_dataclass(value):
+        hints = typing.get_type_hints(type(value))
+        for field in dataclasses.fields(value):
+            entry = getattr(value, field.name)
+            if hints[field.name] is str:
+                assert type(entry) is str, (field.name, entry)
+            elif hints[field.name] == typing.Tuple[str, ...]:
+                assert all(type(item) is str for item in entry), (field.name, entry)
+            assert_declared_strings(entry)
+    elif isinstance(value, tuple):
+        for entry in value:
+            assert_declared_strings(entry)
+
+
 class TestEnvelope:
     def test_wire_version_mismatch_rejected(self):
         body = encode_message(Message("a", "b", "custom.kind", payload=1))
@@ -144,6 +288,8 @@ class TestEnvelope:
             decode_message(b"\xff\xfenot json")
         with pytest.raises(WireError):
             decode_message(b'"a bare string"')
+        with pytest.raises(WireError):
+            decode_message(b"[" * 100_000)
 
     def test_missing_fields_and_misshaped_payloads_raise_wire_error(self):
         # A hostile or buggy peer must never escalate past WireError: the
@@ -157,16 +303,33 @@ class TestEnvelope:
         cases = [
             json.dumps({"v": WIRE_VERSION, "payload": None}).encode(),  # no kind/sender
             envelope(kind="gossip.push", payload=None),  # codec kind, null payload
-            envelope(kind="gossip.push", payload={"benefit": 1.0}),  # missing events
+            envelope(kind="gossip.push", payload={"sender_benefit_rate": 1.0}),  # missing events
+            envelope(kind="gossip.push", payload={"events": [], "benefit": 1.0}),  # unknown key
             envelope(  # descriptor with missing fields
                 kind="membership.cyclon.request", payload={"descriptors": [["only-id"]]}
             ),
             envelope(kind="runtime.subscribe", payload={"kind": "no-such-filter"}),
             envelope(size="not-a-number"),
+            envelope(sender=5, recipient=[1]),
+            envelope(kind="gossip.pull-request", payload={"event_ids": [1, {"a": 2}]}),
+            envelope(kind=PUBLISH_KIND, payload={"event_id": 7, "publisher": "p"}),
         ]
         for body in cases:
             with pytest.raises(WireError):
                 decode_message(body)
+
+    @pytest.mark.parametrize("kind", KINDS + ["custom.kind"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_any_json_decodes_to_declared_types_or_wire_error(self, kind, data):
+        payload = data.draw(values(WIRE_PAYLOADS[kind])) if kind in WIRE_PAYLOADS else None
+        valid = json.loads(encode_message(Message("a", "b", kind, payload=payload)))
+        body = json.dumps(mutate(data, valid)).encode("utf-8")
+        try:
+            message = decode_message(body)
+        except WireError:
+            return
+        assert_declared_strings(message)
 
 
 class TestFraming:
@@ -197,3 +360,29 @@ class TestFraming:
             decoder.feed((MAX_FRAME_SIZE + 1).to_bytes(4, "big"))
         with pytest.raises(WireError):
             frame(b"x" * (MAX_FRAME_SIZE + 1))
+
+    def test_tcp_server_closes_an_oversize_prefix_and_keeps_serving(self, caplog):
+        async def scenario():
+            received = []
+            transport = TcpTransport()
+            transport.set_receiver(received.append)
+            await transport.start()
+            address = transport._local_address
+            hostile_reader, hostile = await asyncio.open_connection(*address)
+            hostile.write((MAX_FRAME_SIZE + 1).to_bytes(4, "big"))
+            await hostile.drain()
+            closed = await asyncio.wait_for(hostile_reader.read(), timeout=5.0)
+            _, peer = await asyncio.open_connection(*address)
+            peer.write(frame(b"hello"))
+            await peer.drain()
+            await settle(lambda: received)
+            for writer in (hostile, peer):
+                writer.close()
+            await transport.stop()
+            return closed, received
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            closed, received = asyncio.run(scenario())
+        assert closed == b""  # the server hung up on the hostile peer
+        assert received == [b"hello"]
+        assert not [record for record in caplog.records if record.name == "asyncio"]
