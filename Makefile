@@ -50,14 +50,19 @@ serve-scenario-smoke: registry-smoke
 	done
 
 # Telemetry + report round trip: run a scenario with a JSON-lines snapshot
-# sink and a result artifact, then render tables from both — and from a live
-# cluster's snapshot stream — without re-running anything.
+# sink and a result artifact, then render tables from both — and from a cache
+# entry, a live cluster's snapshot stream and a loadgen --json artifact —
+# without re-running anything.
 report-smoke:
 	$(PYTHON) -m repro run smoke --no-cache --telemetry jsonl:out/smoke_metrics.jsonl --json out/smoke_results.json
 	$(PYTHON) -m repro report out/smoke_metrics.jsonl
 	$(PYTHON) -m repro report out/smoke_results.json
+	$(PYTHON) -m repro run smoke --cache-dir out/cache
+	$(PYTHON) -m repro report $$(ls out/cache/*/*.json | head -n 1) | grep "delivery latency"
 	$(PYTHON) -m repro serve --scenario smoke --transport memory --duration 2 --rate 100 --drain 0.5 --telemetry jsonl:out/live_metrics.jsonl
 	$(PYTHON) -m repro report out/live_metrics.jsonl
+	$(PYTHON) -m repro loadgen --set nodes=8 --transport memory --duration 1 --rate 100 --drain 0.3 --json out/rt.json
+	$(PYTHON) -m repro report out/rt.json | grep "runtime artifact"
 
 # One run record under both engines: a live run of a topic-policy scenario
 # is judged under that policy, and its snapshot stream carries the per-node

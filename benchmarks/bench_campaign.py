@@ -82,17 +82,17 @@ def _campaign_row(name: str, spec: CampaignSpec, root: str) -> dict:
     cold = _execute(spec, cache_dir, out_dir)
     warm = _execute(spec, cache_dir, out_dir)
     assert warm.totals()["computed"] == 0, warm.totals()
-    assert cold.canonical_json() != "" and warm.waves == cold.waves
+    assert cold.canonical_json() != "" and warm.timing.waves == cold.timing.waves
+    cold_seconds, warm_seconds = cold.timing.wall_seconds, warm.timing.wall_seconds
+    points = warm.totals()["points"]
     return {
         "campaign": name,
         "points": cold.totals()["points"],
-        "waves": cold.waves,
-        "cold_seconds": cold.wall_seconds,
-        "warm_seconds": warm.wall_seconds,
-        "speedup": cold.wall_seconds / warm.wall_seconds if warm.wall_seconds else 0.0,
-        "warm_seconds_per_point": (
-            warm.wall_seconds / warm.totals()["points"] if warm.totals()["points"] else 0.0
-        ),
+        "waves": cold.timing.waves,
+        "cold_seconds": cold_seconds,
+        "warm_seconds": warm_seconds,
+        "speedup": cold_seconds / warm_seconds if warm_seconds else 0.0,
+        "warm_seconds_per_point": warm_seconds / points if points else 0.0,
     }
 
 

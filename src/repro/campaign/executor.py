@@ -261,7 +261,6 @@ class CampaignExecutor:
                 if any(states[dep] == FAILED for dep in active):
                     states[name] = FAILED
                     manifest.services[name] = ServiceRecord(
-                        name=name,
                         status=FAILED,
                         error="dependency failed: "
                         + ", ".join(dep for dep in active if states[dep] == FAILED),
@@ -292,7 +291,6 @@ class CampaignExecutor:
                 if status == FAILED:
                     states[name] = FAILED
                     manifest.targets[name] = TargetRecord(
-                        name=name,
                         status=FAILED,
                         inputs=target.inputs.service_names(),
                         error="input service(s) failed",
@@ -301,7 +299,6 @@ class CampaignExecutor:
                 states[name] = DONE
                 if dry_run:
                     manifest.targets[name] = TargetRecord(
-                        name=name,
                         status=DONE,
                         inputs=self._consumed(target.inputs, states),
                     )
@@ -311,7 +308,7 @@ class CampaignExecutor:
                     )
 
             if progressed:
-                manifest.waves += 1
+                manifest.timing.waves += 1
             else:
                 break
 
@@ -319,14 +316,11 @@ class CampaignExecutor:
             if state != PENDING:
                 continue
             if name in self.points:
-                manifest.services.setdefault(
-                    name, ServiceRecord(name=name, status=SKIPPED)
-                )
+                manifest.services.setdefault(name, ServiceRecord(status=SKIPPED))
             else:
                 manifest.targets.setdefault(
                     name,
                     TargetRecord(
-                        name=name,
                         status=SKIPPED,
                         inputs=targets_by_name[name].inputs.service_names(),
                     ),
@@ -334,14 +328,14 @@ class CampaignExecutor:
 
         if self.cache is not None:
             manifest.cache_stats = encode(self.cache.stats)
-        manifest.wall_seconds = time.perf_counter() - started
+        manifest.timing.wall_seconds = time.perf_counter() - started
         if not dry_run:
             manifest.write(os.path.join(self.out_dir, "manifest.json"))
         return manifest
 
     def _planned_record(self, name: str) -> ServiceRecord:
         """Dry-run record: what would run, what the cache already covers."""
-        record = ServiceRecord(name=name, status=DONE)
+        record = ServiceRecord(status=DONE)
         for config in self.points[name]:
             record.points.append(
                 PointRecord(
@@ -363,23 +357,15 @@ class CampaignExecutor:
         try:
             computed = self.executor.run_many(configs)
         except (RegistryError, ValueError) as error:
-            manifest.services[name] = ServiceRecord(
-                name=name, status=FAILED, error=str(error)
-            )
+            manifest.services[name] = ServiceRecord(status=FAILED, error=str(error))
             return FAILED
         results[name] = computed
         report = self.executor.last_report
-        record = ServiceRecord(name=name, status=DONE, elapsed_seconds=report.elapsed_seconds)
+        record = ServiceRecord(status=DONE)
+        manifest.timing.services[name] = report.elapsed_seconds
         for config, cached in zip(configs, report.hit_flags):
-            provenance: Tuple[Tuple[str, object], ...] = ()
-            if self.cache is not None:
-                stored = self.cache.provenance(config)
-                if stored:
-                    provenance = tuple(
-                        (key, stored[key])
-                        for key in ("version", "created_at")
-                        if key in stored
-                    )
+            stored = (self.cache.provenance(config) if self.cache is not None else None) or {}
+            provenance = {key: stored[key] for key in ("version", "created_at") if key in stored}
             record.points.append(
                 PointRecord(
                     name=config.name,
@@ -412,7 +398,6 @@ class CampaignExecutor:
             text = results_table(collected, title=title).render()
         write_text(os.path.join(self.out_dir, text_name), text + "\n")
         return TargetRecord(
-            name=target.name,
             status=DONE,
             inputs=consumed,
             outputs=[text_name, json_name],

@@ -182,30 +182,25 @@ class ResultCache:
         provenance; :meth:`load`'s hit/miss/corrupt accounting is not
         touched by this read-only peek.
         """
-        payload = self._read(self.path_for(config), count=False)
-        if payload is None:
-            return None
-        provenance = payload.get("provenance")
+        return self._provenance(self.path_for(config))
+
+    def _provenance(self, path: Path) -> Optional[Dict[str, object]]:
+        payload = self._read(path, count=False)
+        provenance = payload.get("provenance") if payload is not None else None
         return provenance if isinstance(provenance, dict) else None
 
     def scan_provenance(self) -> Iterator[Tuple[Path, Optional[Dict[str, object]]]]:
         """Yield ``(path, provenance)`` for every artifact on disk.
 
-        ``provenance`` is ``None`` for unreadable entries and for entries
-        written before provenance recording; ``repro campaign status`` uses
-        this to flag entries from older package versions.
+        ``provenance`` is ``None`` for entries :meth:`load` would not read
+        (unreadable, another schema) and for entries written before
+        provenance recording; ``repro campaign status`` uses this to flag
+        entries from older package versions.
         """
         if not self.directory.is_dir():
             return
         for path in sorted(self.directory.glob("*/*.json")):
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-            except (OSError, ValueError):
-                yield path, None
-                continue
-            provenance = payload.get("provenance") if isinstance(payload, dict) else None
-            yield path, provenance if isinstance(provenance, dict) else None
+            yield path, self._provenance(path)
 
     def store(self, result: ExperimentResult) -> Path:
         """Persist ``result`` and return the artifact path."""

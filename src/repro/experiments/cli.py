@@ -37,6 +37,7 @@ from ..cli import (
 from ..jsonio import suggest
 from ..registry import (
     RegistryError,
+    StackSpec,
     all_registries,
     parse_scalar,
     parse_spec_overrides,
@@ -163,6 +164,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_describe(args: argparse.Namespace) -> int:
     name = args.name
     registries = all_registries()
+    defaults = StackSpec()
     if name in scenario_names():
         scenario = get_scenario(name)
         spec = scenario.spec
@@ -182,7 +184,7 @@ def _cmd_describe(args: argparse.Namespace) -> int:
         }
         for section, kind in component_kinds.items():
             try:
-                described = registries[section].get(kind).describe()
+                described = registries[section].get(kind).describe(getattr(defaults, section))
             except RegistryError as error:
                 described = f"{kind}\n  ({error})"
             print(f"  [{section}]")
@@ -198,7 +200,7 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     if matches:
         for section, entry in matches:
             print(f"[{section}]")
-            print(entry.describe())
+            print(entry.describe(getattr(defaults, section)))
         return 0
 
     known = list(scenario_names()) + [
@@ -213,34 +215,34 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     """Render fairness/reliability/latency tables from a stored artifact."""
-    from ..telemetry.report import load_report_source, render_report
+    from ..telemetry.report import load_artifact, render_report
 
     try:
-        source = load_report_source(args.artifact)
+        artifact = load_artifact(args.artifact)
     except ValueError as error:
         raise SystemExit(str(error))
-    print(render_report(source, max_rows=args.max_rows))
+    print(render_report(artifact, max_rows=args.max_rows))
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Reconstruct infection trees from a ``--trace`` span stream."""
-    from ..telemetry.report import load_report_source
-    from ..tracing import analyze_spans, render_trace
+    from ..telemetry.report import load_artifact
+    from ..tracing import TRACE_SCHEMA, analyze_spans, render_trace
 
     try:
-        source = load_report_source(args.artifact)
+        artifact = load_artifact(args.artifact)
     except ValueError as error:
         raise SystemExit(str(error))
-    if source.kind != "trace":
+    if artifact.schema != TRACE_SCHEMA:
         raise SystemExit(
             f"artifact {args.artifact!r} contains no trace spans; expected the "
             "JSON-lines stream written by run/serve/loadgen --trace "
-            f"(this looks like a {source.kind!r} artifact — try `repro report`)"
+            f"(its schema is {artifact.schema!r} — try `repro report`)"
         )
     try:
         rendered = render_trace(
-            analyze_spans(source.spans),
+            analyze_spans(artifact.value),
             event=args.event,
             max_events=args.max_events,
             max_rows=args.max_rows,

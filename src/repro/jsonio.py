@@ -11,7 +11,8 @@ what JSON looks like at the edge of the program:
   live runtime's payload codecs;
 * :func:`load_json` / :func:`write_json` — one way in and one way out for
   whole-file documents (domain errors naming the path; atomic, canonical
-  writes);
+  writes), and :func:`read_schema`, the tag that says which reader a file
+  needs;
 * :class:`JsonlSink` / :class:`MemorySink` / :func:`read_jsonl` — the
   byte-reproducible JSON-lines stream shared by telemetry snapshots and
   trace spans.
@@ -55,6 +56,7 @@ __all__ = [
     "annotation_at",
     "wire_codec",
     "load_json",
+    "read_schema",
     "write_json",
     "write_text",
     "JsonlSink",
@@ -371,13 +373,15 @@ def _as_list(raw) -> list:
 # ------------------------------------------------------------ whole documents
 
 
-def load_json(path: str, schema: str, error: Callable[[str], Exception], what: str) -> dict:
+def load_json(
+    path: str, schema: Optional[object], error: Callable[[str], Exception], what: str
+) -> dict:
     """The JSON object stored at ``path``, or ``error`` naming the path.
 
     An unreadable file, invalid JSON, a document that is not an object and a
-    ``"schema"`` tag other than ``schema`` (the tag is optional) each raise
-    the caller's ``error``; ``what`` names the kind of document
-    (``"fault plan"``, ``"topology file"``, ``"campaign spec"``).
+    ``"schema"`` tag other than ``schema`` (the tag is optional; ``None``
+    takes any) each raise the caller's ``error``; ``what`` names the kind of
+    document (``"fault plan"``, ``"topology file"``, ``"campaign spec"``).
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -388,9 +392,28 @@ def load_json(path: str, schema: str, error: Callable[[str], Exception], what: s
         raise error(f"{what} {path!r} is not valid JSON: {problem}") from None
     if not isinstance(payload, dict):
         raise error(f"{what} {path!r} must hold a JSON object, got {type(payload).__name__}")
-    if payload.get("schema", schema) != schema:
+    if schema is not None and payload.get("schema", schema) != schema:
         raise error(f"{what} {path!r} has schema {payload['schema']!r}; expected {schema!r}")
     return payload
+
+
+def read_schema(path: str, error: Callable[[str], Exception], what: str) -> object:
+    """The ``"schema"`` tag of the file at ``path`` (``None`` when untagged).
+
+    A JSON-lines stream (:class:`JsonlSink`) is told by its first line, a
+    complete JSON object carrying the tag every record repeats; any other
+    file is read whole by :func:`load_json`, whose ``error`` it raises.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            head = json.loads(handle.readline())
+    except OSError as problem:
+        raise error(f"cannot read {what} {path!r}: {problem}") from None
+    except ValueError:  # a pretty-printed document's first line, or not JSON at all
+        head = None
+    if not isinstance(head, dict):
+        head = load_json(path, None, error, what)
+    return head.get("schema")
 
 
 def write_text(path, text: str) -> None:
@@ -486,8 +509,9 @@ def read_jsonl(path: str, schema: str, decode_record: Callable[[dict], Any]) -> 
     """Load a stream written by :class:`JsonlSink`: one ``decode_record`` per line.
 
     Raises ``ValueError`` naming ``path:line`` for a line that is not valid
-    JSON or does not carry the ``schema`` tag, so the CLI can turn it into a
-    one-line error.
+    JSON, does not carry the ``schema`` tag or that ``decode_record`` rejects
+    (``KeyError`` / ``TypeError`` / ``ValueError``), so the CLI can turn it
+    into a one-line error.
     """
     records: List[Any] = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -501,5 +525,10 @@ def read_jsonl(path: str, schema: str, decode_record: Callable[[dict], Any]) -> 
                 raise ValueError(f"{path}:{number}: not valid JSON: {problem}") from None
             if not isinstance(payload, dict) or payload.get("schema") != schema:
                 raise ValueError(f"{path}:{number}: not a {schema} record")
-            records.append(decode_record(payload))
+            try:
+                records.append(decode_record(payload))
+            except (KeyError, TypeError, ValueError) as problem:
+                raise ValueError(
+                    f"{path}:{number}: bad {schema} record: {type(problem).__name__}: {problem}"
+                ) from None
     return records

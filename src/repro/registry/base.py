@@ -2,8 +2,8 @@
 
 A :class:`Registry` maps component names (``"fair-gossip"``, ``"cyclon"``,
 ``"zipf"`` ...) to a :class:`ComponentEntry`: a factory, a human-readable
-description, and a parameter schema (:class:`Param` rows with defaults and
-help text).  Five registries exist — ``system``, ``membership``,
+description, and a parameter schema (:class:`Param` rows naming a spec
+field, with help text).  Five registries exist — ``system``, ``membership``,
 ``interest``, ``workload``, and ``policy`` (see
 :mod:`repro.registry.builtins`) — and together they replace the hard-coded
 ``if/elif`` dispatch that used to live in
@@ -30,15 +30,18 @@ class RegistryError(ValueError):
 
 @dataclass(frozen=True)
 class Param:
-    """One parameter a component reads from its spec section."""
+    """One parameter a component reads from its spec section.
+
+    ``name`` is a field of that section (``fanout`` of ``SystemSpec``), so
+    the default shown is the field's own, declared once on the dataclass.
+    """
 
     name: str
-    default: object = None
     help: str = ""
 
-    def describe(self) -> str:
-        """One schema line for ``describe`` output."""
-        text = f"{self.name} (default: {self.default!r})"
+    def describe(self, section: object) -> str:
+        """One schema line for ``describe`` output; ``section`` holds the defaults."""
+        text = f"{self.name} (default: {getattr(section, self.name)!r})"
         if self.help:
             text += f" — {self.help}"
         return text
@@ -54,14 +57,14 @@ class ComponentEntry:
     params: Tuple[Param, ...] = ()
     aliases: Tuple[str, ...] = ()
 
-    def describe(self) -> str:
-        """Multi-line schema listing (name, description, parameters)."""
+    def describe(self, section: object) -> str:
+        """Schema listing; ``section`` is the spec section at its defaults."""
         lines = [self.name + (f" (aliases: {', '.join(self.aliases)})" if self.aliases else "")]
         if self.description:
             lines.append(f"  {self.description}")
         if self.params:
             lines.append("  parameters:")
-            lines.extend(f"    {param.describe()}" for param in self.params)
+            lines.extend(f"    {param.describe(section)}" for param in self.params)
         else:
             lines.append("  parameters: (none)")
         return "\n".join(lines)

@@ -24,7 +24,7 @@ Registering your own protocol::
     SYSTEMS.register(
         "my-system", build_my_system,
         description="What it does and which baseline it answers",
-        params=[Param("fanout", 3, "peers contacted per round")],
+        params=[Param("fanout", "peers contacted per round")],
     )
 
 after which ``--set system.kind=my-system``, ``compare --systems``, sweeps,
@@ -303,9 +303,9 @@ def _build_dam(ctx: BuildContext) -> DataAwareMulticastSystem:
 
 
 _GOSSIP_PARAMS = (
-    Param("fanout", 3, "peers contacted per round (Figure 4's F)"),
-    Param("gossip_size", 8, "events per gossip message (Figure 4's N)"),
-    Param("round_period", 1.0, "gossip round length in time units"),
+    Param("fanout", "peers contacted per round (Figure 4's F)"),
+    Param("gossip_size", "events per gossip message (Figure 4's N)"),
+    Param("round_period", "gossip round length in time units"),
 )
 
 SYSTEMS.register(
@@ -320,13 +320,13 @@ SYSTEMS.register(
     description="Push gossip with benefit-driven adaptive fanout/payload (§5.2)",
     params=_GOSSIP_PARAMS
     + (
-        Param("adapt_fanout", True, "enable the fanout lever"),
-        Param("adapt_payload", True, "enable the payload lever"),
-        Param("min_fanout", 1, "fanout floor (keeps the overlay connected)"),
-        Param("max_fanout", 12, "fanout ceiling"),
-        Param("min_payload", 1, "payload floor"),
-        Param("max_payload", 32, "payload ceiling"),
-        Param("selfish_fraction", 0.0, "fraction of selfish nodes (attack ablations)"),
+        Param("adapt_fanout", "enable the fanout lever"),
+        Param("adapt_payload", "enable the payload lever"),
+        Param("min_fanout", "fanout floor (keeps the overlay connected)"),
+        Param("max_fanout", "fanout ceiling"),
+        Param("min_payload", "payload floor"),
+        Param("max_payload", "payload ceiling"),
+        Param("selfish_fraction", "fraction of selfish nodes (attack ablations)"),
     ),
 )
 SYSTEMS.register(
@@ -340,7 +340,7 @@ SYSTEMS.register(
     _build_lazy_push,
     description="Two-phase lazy probabilistic broadcast: eager push, then digest-driven pull recovery from an ALPHA-fraction store set",
     params=_GOSSIP_PARAMS
-    + (Param("alpha", 0.5, "fraction of nodes storing payloads for recovery"),),
+    + (Param("alpha", "fraction of nodes storing payloads for recovery"),),
 )
 SYSTEMS.register(
     "scribe",
@@ -351,7 +351,7 @@ SYSTEMS.register(
     "splitstream",
     _build_splitstream,
     description="SplitStream striping over Scribe trees (load balance, §3.1)",
-    params=(Param("stripes", 4, "stripe trees per topic"),),
+    params=(Param("stripes", "stripe trees per topic"),),
 )
 SYSTEMS.register(
     "dks",
@@ -362,15 +362,15 @@ SYSTEMS.register(
     "brokers",
     _build_brokers,
     description="Dedicated broker overlay (centralised baseline, §3.3)",
-    params=(Param("broker_count", 2, "number of broker nodes"),),
+    params=(Param("broker_count", "number of broker nodes"),),
 )
 SYSTEMS.register(
     "dam",
     _build_dam,
     description="Data-aware multicast: topic-hierarchy groups with delegates (§3.4)",
     params=(
-        Param("fanout", 3, "in-group gossip fanout"),
-        Param("delegates_per_root", 2, "delegates recruited per root topic"),
+        Param("fanout", "in-group gossip fanout"),
+        Param("delegates_per_root", "delegates recruited per root topic"),
     ),
 )
 
@@ -402,7 +402,7 @@ INTEREST.register(
         popularity, topics_per_node=spec.interest.topics_per_node
     ),
     description="Every node subscribes to a fixed number of uniformly drawn topics",
-    params=(Param("topics_per_node", 2, "subscriptions per node"),),
+    params=(Param("topics_per_node", "subscriptions per node"),),
 )
 INTEREST.register(
     "zipf",
@@ -410,7 +410,7 @@ INTEREST.register(
         popularity, min_topics=1, max_topics=spec.interest.max_topics_per_node
     ),
     description="Skewed interest: popular topics attract most subscriptions",
-    params=(Param("max_topics_per_node", 8, "upper bound on subscriptions per node"),),
+    params=(Param("max_topics_per_node", "upper bound on subscriptions per node"),),
 )
 INTEREST.register(
     "community",
@@ -418,7 +418,7 @@ INTEREST.register(
         popularity, topics_per_node=spec.interest.topics_per_node
     ),
     description="Clustered interest: communities of nodes share topic sets",
-    params=(Param("topics_per_node", 2, "subscriptions per node"),),
+    params=(Param("topics_per_node", "subscriptions per node"),),
 )
 INTEREST.register(
     "content",
@@ -426,7 +426,7 @@ INTEREST.register(
         filters_per_node=spec.interest.topics_per_node
     ),
     description="Content-based attribute filters instead of topics",
-    params=(Param("topics_per_node", 2, "filters per node"),),
+    params=(Param("topics_per_node", "filters per node"),),
 )
 
 
@@ -464,12 +464,12 @@ WORKLOADS.register(
     _build_topic_workload,
     description="Topic events drawn from the popularity distribution",
     params=(
-        Param("topics", 16, "topic universe size"),
-        Param("topic_exponent", 1.0, "Zipf popularity exponent (0 = uniform)"),
-        Param("publication_rate", 4.0, "events per time unit"),
-        Param("publisher_fraction", 0.25, "fraction of nodes that publish"),
-        Param("event_size", 1, "abstract size units per event"),
-        Param("subscription_churn_rate", 0.0, "subscribe/unsubscribe ops per time unit"),
+        Param("topics", "topic universe size"),
+        Param("topic_exponent", "Zipf popularity exponent (0 = uniform)"),
+        Param("publication_rate", "events per time unit"),
+        Param("publisher_fraction", "fraction of nodes that publish"),
+        Param("event_size", "abstract size units per event"),
+        Param("subscription_churn_rate", "subscribe/unsubscribe ops per time unit"),
     ),
 )
 WORKLOADS.register(
@@ -477,8 +477,8 @@ WORKLOADS.register(
     _build_content_workload,
     description="Attribute events matched against content-based filters",
     params=(
-        Param("publication_rate", 4.0, "events per time unit"),
-        Param("publisher_fraction", 0.25, "fraction of nodes that publish"),
+        Param("publication_rate", "events per time unit"),
+        Param("publisher_fraction", "fraction of nodes that publish"),
     ),
 )
 

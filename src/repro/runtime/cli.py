@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-from typing import Dict, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from ..analysis.reliability import measure_reliability
 from ..cli import add_stack_options, parse_tracer, resolve_spec, write_artifact
@@ -34,20 +34,12 @@ from ..registry import StackSpec, build_interest_model, build_popularity, build_
 from ..registry.builtins import GOSSIP_KINDS
 from ..workloads.interest import InterestAssignment
 from .host import DELIVERIES_METRIC, PUBLISHED_METRIC, NodeHost
-from .loadgen import LoadGenerator
+from .loadgen import LoadGenerator, RuntimeArtifact
 from .transport import MemoryTransport, TcpTransport, Transport, UdpTransport
 
-__all__ = [
-    "add_runtime_subcommands",
-    "build_live_cluster",
-    "LiveCluster",
-    "RUNTIME_ARTIFACT_SCHEMA",
-]
+__all__ = ["add_runtime_subcommands", "build_live_cluster", "LiveCluster"]
 
 TRANSPORT_NAMES = ("memory", "udp", "tcp")
-
-#: Schema tag written into ``--json`` artifacts of the runtime commands.
-RUNTIME_ARTIFACT_SCHEMA = "rt-load/v1"
 
 
 class LiveCluster(NamedTuple):
@@ -121,7 +113,7 @@ def _cluster_from_args(args: argparse.Namespace) -> LiveCluster:
     )
 
 
-async def _run_live(args: argparse.Namespace, live_report: bool) -> Dict[str, object]:
+async def _run_live(args: argparse.Namespace, live_report: bool) -> RuntimeArtifact:
     cluster = _cluster_from_args(args)
     host, generator = cluster.host, cluster.generator
     try:
@@ -155,9 +147,7 @@ async def _run_live(args: argparse.Namespace, live_report: bool) -> Dict[str, ob
         reporter = asyncio.get_running_loop().create_task(report_loop())
 
     try:
-        load = await generator.run(args.duration)
-        if args.drain > 0:
-            await asyncio.sleep(args.drain)
+        load = await generator.run(args.duration, args.drain)
     finally:
         if reporter is not None:
             reporter.cancel()
@@ -172,12 +162,6 @@ async def _run_live(args: argparse.Namespace, live_report: bool) -> Dict[str, ob
         host.subscriptions,
         round_period=cluster.spec.system.round_period,
     )
-    # Latency and deliveries settle during the drain window; re-read them
-    # after the run and widen the delivery-rate window accordingly.
-    load.latency_seconds = generator.latency_summary_seconds()
-    load.deliveries = int(host.telemetry.counter_value(DELIVERIES_METRIC))
-    load.drain_seconds = max(args.drain, 0.0)
-
     print()
     print(summary.render())
     print()
@@ -193,28 +177,27 @@ async def _run_live(args: argparse.Namespace, live_report: bool) -> Dict[str, ob
             f"trace: {host.tracer.spans_emitted} span(s) "
             f"at sample rate {host.tracer.sample_rate} -> {args.trace}"
         )
-    return {
-        "schema": RUNTIME_ARTIFACT_SCHEMA,
-        "transport": args.transport,
-        "scenario": args.scenario,
-        "system": host.system.name,
-        "nodes": len(host.nodes),
-        "seed": cluster.spec.seed,
-        "time_scale": args.time_scale,
-        "duration_seconds": args.duration,
-        "load": load.to_dict(),
-        "delivery_ratio": reliability.delivery_ratio,
-        "fairness": summary.report.to_dict(),
-        "frames_sent": host.transport.frames_sent,
-        "bytes_sent": host.transport.bytes_sent,
-    }
+    return RuntimeArtifact(
+        transport=args.transport,
+        scenario=args.scenario,
+        system=host.system.name,
+        nodes=len(host.nodes),
+        seed=cluster.spec.seed,
+        time_scale=args.time_scale,
+        duration_seconds=args.duration,
+        load=load,
+        delivery_ratio=reliability.delivery_ratio,
+        fairness=summary.report,
+        frames_sent=host.transport.frames_sent,
+        bytes_sent=host.transport.bytes_sent,
+    )
 
 
 def _cmd_live(args: argparse.Namespace) -> int:
     """``serve`` (with live report lines) and ``loadgen`` (without)."""
     artifact = asyncio.run(_run_live(args, live_report=args.command == "serve"))
     if args.json:
-        write_artifact(args.json, artifact)
+        write_artifact(args.json, artifact.to_dict())
         print(f"wrote runtime artifact to {args.json}")
     return 0
 

@@ -22,76 +22,69 @@ from __future__ import annotations
 
 import asyncio
 import time
+from dataclasses import dataclass
 from typing import Dict
 
-from ..telemetry import HistogramSummary
+from ..core.fairness import FairnessReport
+from ..jsonio import encode
 from .host import DELIVERIES_METRIC, DELIVERY_LATENCY_METRIC, NodeHost
 
-__all__ = ["LoadGenerator", "LoadReport"]
+__all__ = ["LoadGenerator", "LoadReport", "RuntimeArtifact", "RUNTIME_ARTIFACT_SCHEMA"]
+
+#: Schema tag of :class:`RuntimeArtifact`, the runtime commands' ``--json``.
+RUNTIME_ARTIFACT_SCHEMA = "rt-load/v1"
 
 
+@dataclass(frozen=True)
 class LoadReport:
-    """Measured throughput and latency of one load-generation run."""
+    """Throughput and latency of one load-generation run, taken after its drain.
 
-    def __init__(
-        self,
-        offered_rate: float,
-        published: int,
-        elapsed_seconds: float,
-        deliveries: int,
-        latency_seconds: HistogramSummary,
-        drain_seconds: float = 0.0,
-    ) -> None:
-        self.offered_rate = offered_rate
-        self.published = published
-        self.elapsed_seconds = elapsed_seconds
-        self.deliveries = deliveries
-        self.latency_seconds = latency_seconds
-        #: Extra settle time after the load stopped.  Publication throughput
-        #: is measured over the load window alone, but deliveries recorded
-        #: during the drain belong to that load, so the delivery-rate
-        #: denominator includes it.
-        self.drain_seconds = drain_seconds
+    Publication throughput is measured over the load window alone; deliveries
+    recorded during the drain belong to that load, so the delivery rate's
+    window includes the drain.
+    """
 
-    @property
-    def events_per_second(self) -> float:
-        """Achieved publication throughput (events per real second)."""
-        if self.elapsed_seconds <= 0:
-            return 0.0
-        return self.published / self.elapsed_seconds
-
-    @property
-    def deliveries_per_second(self) -> float:
-        """Achieved delivery throughput (deliveries per real second)."""
-        window = self.elapsed_seconds + self.drain_seconds
-        if window <= 0:
-            return 0.0
-        return self.deliveries / window
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form (used by the CLI and the benchmark)."""
-        return {
-            "offered_rate": self.offered_rate,
-            "published": self.published,
-            "elapsed_seconds": self.elapsed_seconds,
-            "events_per_second": self.events_per_second,
-            "deliveries": self.deliveries,
-            "deliveries_per_second": self.deliveries_per_second,
-            "latency_p50_seconds": self.latency_seconds.p50,
-            "latency_p95_seconds": self.latency_seconds.p95,
-            "latency_p99_seconds": self.latency_seconds.p99,
-            "latency_mean_seconds": self.latency_seconds.mean,
-        }
+    offered_rate: float
+    published: int
+    elapsed_seconds: float
+    events_per_second: float
+    deliveries: int
+    deliveries_per_second: float
+    latency_p50_seconds: float
+    latency_p95_seconds: float
+    latency_p99_seconds: float
+    latency_mean_seconds: float
 
     def describe(self) -> str:
         """One status line for the CLI."""
-        latency = self.latency_seconds
         return (
             f"offered {self.offered_rate:.0f} ev/s | achieved {self.events_per_second:.0f} ev/s "
             f"({self.published} events in {self.elapsed_seconds:.2f}s) | "
             f"{self.deliveries} deliveries ({self.deliveries_per_second:.0f}/s) | "
-            f"latency p50 {latency.p50 * 1000:.1f}ms p99 {latency.p99 * 1000:.1f}ms"
+            f"latency p50 {self.latency_p50_seconds * 1000:.1f}ms "
+            f"p99 {self.latency_p99_seconds * 1000:.1f}ms"
         )
+
+
+@dataclass(frozen=True)
+class RuntimeArtifact:
+    """The ``--json`` artifact of ``serve`` / ``loadgen`` (``rt-load/v1``)."""
+
+    transport: str
+    scenario: str
+    system: str
+    nodes: int
+    seed: int
+    time_scale: float
+    duration_seconds: float
+    load: LoadReport
+    delivery_ratio: float
+    fairness: FairnessReport
+    frames_sent: int
+    bytes_sent: int
+
+    def to_dict(self) -> Dict[str, object]:
+        return {"schema": RUNTIME_ARTIFACT_SCHEMA, **encode(self)}
 
 
 #: Pacing granularity in real seconds; smaller ticks smooth the arrival
@@ -124,8 +117,12 @@ class LoadGenerator:
 
     # ---------------------------------------------------------------- drive
 
-    async def run(self, duration_seconds: float) -> LoadReport:
-        """Publish at the target rate for ``duration_seconds`` of real time."""
+    async def run(self, duration_seconds: float, drain_seconds: float = 0.0) -> LoadReport:
+        """Publish at the target rate for ``duration_seconds`` of real time.
+
+        The report is taken after a further ``drain_seconds`` in which
+        in-flight events settle.
+        """
         if duration_seconds <= 0:
             raise ValueError("duration_seconds must be positive")
         deliveries_before = self.host.telemetry.counter_value(DELIVERIES_METRIC)
@@ -142,28 +139,21 @@ class LoadGenerator:
                 published += 1
             await asyncio.sleep(TICK_SECONDS)
         elapsed = time.monotonic() - started
-        deliveries = self.host.telemetry.counter_value(DELIVERIES_METRIC) - deliveries_before
+        drain_seconds = max(drain_seconds, 0.0)
+        await asyncio.sleep(drain_seconds)
+        deliveries = int(self.host.telemetry.counter_value(DELIVERIES_METRIC) - deliveries_before)
+        latency = self.host.telemetry.histogram_summary(DELIVERY_LATENCY_METRIC)
+        seconds = self.host.clock.units_to_seconds
+        window = elapsed + drain_seconds
         return LoadReport(
             offered_rate=self.rate,
             published=published,
             elapsed_seconds=elapsed,
-            deliveries=int(deliveries),
-            latency_seconds=self.latency_summary_seconds(),
-        )
-
-    # -------------------------------------------------------------- reports
-
-    def latency_summary_seconds(self) -> HistogramSummary:
-        """Delivery latency summary converted from time units to seconds."""
-        units = self.host.telemetry.histogram_summary(DELIVERY_LATENCY_METRIC)
-        convert = self.host.clock.units_to_seconds
-        return HistogramSummary(
-            count=units.count,
-            mean=convert(units.mean),
-            minimum=convert(units.minimum),
-            maximum=convert(units.maximum),
-            stddev=convert(units.stddev),
-            p50=convert(units.p50),
-            p95=convert(units.p95),
-            p99=convert(units.p99),
+            events_per_second=published / elapsed if elapsed > 0 else 0.0,
+            deliveries=deliveries,
+            deliveries_per_second=deliveries / window if window > 0 else 0.0,
+            latency_p50_seconds=seconds(latency.p50),
+            latency_p95_seconds=seconds(latency.p95),
+            latency_p99_seconds=seconds(latency.p99),
+            latency_mean_seconds=seconds(latency.mean),
         )

@@ -1,20 +1,12 @@
-"""Post-hoc reporting: render tables from telemetry and result artifacts.
+"""Post-hoc reporting: render tables from shipped artifacts, nothing re-run.
 
-Backs ``python -m repro report ARTIFACT``.  The loader sniffs the artifact
-kind — no re-running experiments required:
-
-* **JSON-lines snapshot streams** (``--telemetry jsonl:...`` output): a
-  per-snapshot time-series table plus fairness / latency tables built from
-  the *final* snapshot via the snapshot-aware constructors in
-  :mod:`repro.analysis`;
-* **experiment result artifacts** (``--json`` output of
-  ``run``/``sweep``/``compare``: ``{"schema": ..., "results": [...]}``);
-* **cache artifacts** (one ``{"schema": ..., "result": {...}}`` file from
-  ``.repro-cache``);
-* **runtime artifacts** (``serve``/``loadgen`` ``--json`` output,
-  ``rt-load/v1``);
-* **campaign run manifests** (``manifest.json`` written by
-  ``python -m repro campaign``, ``campaign-manifest/v1``).
+Backs ``python -m repro report ARTIFACT`` and ``repro trace``.  Every
+artifact the program writes carries a ``"schema"`` tag
+(:func:`~repro.jsonio.read_schema`), and :func:`artifact_kinds` maps each
+tag to the reader that decodes the file and the renderer that prints it:
+telemetry snapshot and trace span streams (JSON lines), results artifacts
+and cache entries (``--json`` / ``.repro-cache``, one tag), the runtime
+commands' ``--json`` and campaign run manifests.
 
 Results loaded from an artifact and results loaded from the cache render
 through the same code path, so the tables are identical for identical
@@ -23,93 +15,119 @@ result payloads — the property ``tests/test_telemetry.py`` pins.
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Dict, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
-from ..jsonio import read_jsonl
+from ..jsonio import decode, load_json, read_jsonl, read_schema
 from .snapshot import SNAPSHOT_SCHEMA, TelemetrySnapshot
 
 __all__ = [
-    "load_report_source",
+    "Artifact",
+    "ArtifactKind",
+    "artifact_kinds",
+    "load_artifact",
     "render_report",
     "render_results",
     "render_snapshots",
-    "ReportSource",
 ]
 
 
-class ReportSource:
-    """One loaded artifact: its kind plus the decoded payload."""
+class Artifact(NamedTuple):
+    """One loaded artifact: its schema tag and the value its reader decoded."""
 
-    def __init__(
-        self, kind: str, path: str, snapshots=None, results=None, runtime=None, spans=None
-    ):
-        self.kind = kind  # "snapshots" | "results" | "runtime" | "trace" | "manifest"
-        self.path = path
-        self.snapshots: List[TelemetrySnapshot] = snapshots or []
-        self.results = results or []
-        # Campaign manifests share the raw-payload slot with runtime artifacts.
-        self.runtime: Dict[str, object] = runtime or {}
-        self.spans = spans or []
+    schema: object
+    value: Any
 
 
-def _looks_like_snapshot_line(line: str) -> bool:
-    try:
-        payload = json.loads(line)
-    except ValueError:
-        return False
-    return isinstance(payload, dict) and payload.get("schema") == SNAPSHOT_SCHEMA
+class ArtifactKind(NamedTuple):
+    """How the files of one schema tag are read and rendered."""
+
+    read: Callable[[str], Any]  # path -> decoded value; ValueError naming the path
+    render: Callable[[Any, int], str]  # (value, max_rows) -> report text
 
 
-def load_report_source(path: str) -> ReportSource:
-    """Sniff and load one artifact; raises ``ValueError`` on unknown shapes."""
-    if not os.path.exists(path):
-        raise ValueError(f"artifact {path!r} does not exist")
-    with open(path, "r", encoding="utf-8") as handle:
-        head = handle.readline().strip()
-    # Cheap JSON-lines sniff: only attempt to parse the head line when it
-    # can plausibly be a snapshot (pretty-printed artifacts start with a
-    # bare "{" and are skipped without parsing anything twice).
-    if SNAPSHOT_SCHEMA in head and _looks_like_snapshot_line(head):
-        snapshots = read_jsonl(path, SNAPSHOT_SCHEMA, TelemetrySnapshot.from_dict)
-        return ReportSource("snapshots", path, snapshots=snapshots)
-    from ..tracing import TRACE_SCHEMA, SpanRecord
+def load_artifact(path: str) -> Artifact:
+    """Read the artifact at ``path`` by its schema tag.
 
-    if TRACE_SCHEMA in head:
-        return ReportSource("trace", path, spans=read_jsonl(path, TRACE_SCHEMA, SpanRecord.from_dict))
+    Every problem — an unreadable file, invalid JSON, an unknown tag, a
+    record its decoder rejects — raises one ``ValueError`` naming the path.
+    """
+    kinds = artifact_kinds()
+    tag = read_schema(path, ValueError, "artifact")
+    expected = ", ".join(repr(known) for known in kinds)
+    if tag is None:
+        raise ValueError(
+            f"artifact {path!r} has an unrecognised shape (no schema tag); expected {expected}"
+        )
+    if type(tag) not in (str, int) or tag not in kinds:  # not True for 1, nor a list
+        raise ValueError(f"artifact {path!r} has schema {tag!r}; expected {expected}")
+    return Artifact(tag, kinds[tag].read(path))
 
+
+def render_report(artifact: Artifact, max_rows: int = 10) -> str:
+    """Render whatever the loaded artifact contains."""
+    return artifact_kinds()[artifact.schema].render(artifact.value, max_rows)
+
+
+def _document(record_class, schema: str, what: str) -> Callable[[str], Any]:
+    """Reader of a whole-file record written as ``{"schema": ..., **encode(record)}``."""
+
+    def read(path: str):
+        payload = load_json(path, schema, ValueError, what)
+        try:
+            return decode(record_class, payload, ValueError, what, schema)
+        except ValueError as problem:
+            raise ValueError(f"{path}: {problem}") from None
+
+    return read
+
+
+def _read_results(path: str) -> list:
+    """Results of a ``--json`` artifact (``results``) or a cache entry (``result``)."""
+    from ..experiments.cache import ARTIFACT_SCHEMA
     from ..experiments.runner import ExperimentResult
 
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except ValueError as error:
-            raise ValueError(
-                f"artifact {path!r} is neither JSON-lines telemetry nor a JSON artifact: {error}"
-            )
-    if not isinstance(payload, dict):
-        raise ValueError(f"artifact {path!r} is not a JSON object")
-    if payload.get("schema") == SNAPSHOT_SCHEMA:
-        return ReportSource(
-            "snapshots", path, snapshots=[TelemetrySnapshot.from_dict(payload)]
-        )
-    if "results" in payload:
-        results = [ExperimentResult.from_dict(entry) for entry in payload["results"]]
-        return ReportSource("results", path, results=results)
-    if "result" in payload:
-        return ReportSource(
-            "results", path, results=[ExperimentResult.from_dict(payload["result"])]
-        )
-    if str(payload.get("schema", "")).startswith("rt-load/"):
-        return ReportSource("runtime", path, runtime=payload)
-    if str(payload.get("schema", "")).startswith("campaign-manifest/"):
-        return ReportSource("manifest", path, runtime=payload)
-    raise ValueError(
-        f"artifact {path!r} has an unrecognised shape; expected a telemetry "
-        "JSON-lines stream, a trace JSON-lines stream (--trace), a results "
-        "artifact (--json), a cache artifact, or a runtime artifact"
-    )
+    payload = load_json(path, ARTIFACT_SCHEMA, ValueError, "results artifact")
+    try:
+        if "results" in payload:
+            return [ExperimentResult.from_dict(entry) for entry in payload["results"]]
+        return [ExperimentResult.from_dict(payload["result"])]
+    except (KeyError, TypeError, ValueError, AttributeError) as problem:
+        # ExperimentResult.from_dict is hand-written, not the total walker.
+        raise ValueError(
+            f"results artifact {path!r} is malformed: {type(problem).__name__}: {problem}"
+        ) from None
+
+
+@lru_cache(maxsize=None)
+def artifact_kinds() -> Dict[object, ArtifactKind]:
+    """Schema tag -> :class:`ArtifactKind`, for every artifact the program writes."""
+    from ..campaign.manifest import MANIFEST_SCHEMA, RunManifest
+    from ..experiments.cache import ARTIFACT_SCHEMA
+    from ..runtime.loadgen import RUNTIME_ARTIFACT_SCHEMA, RuntimeArtifact
+    from ..tracing import TRACE_SCHEMA, SpanRecord, analyze_spans, render_trace
+
+    return {
+        SNAPSHOT_SCHEMA: ArtifactKind(
+            lambda path: read_jsonl(path, SNAPSHOT_SCHEMA, TelemetrySnapshot.from_dict),
+            render_snapshots,
+        ),
+        TRACE_SCHEMA: ArtifactKind(
+            lambda path: read_jsonl(path, TRACE_SCHEMA, SpanRecord.from_dict),
+            # Aggregates only: `repro trace` adds the per-event infection trees.
+            lambda spans, max_rows: render_trace(
+                analyze_spans(spans), max_events=0, max_rows=max_rows
+            ),
+        ),
+        ARTIFACT_SCHEMA: ArtifactKind(_read_results, render_results),
+        RUNTIME_ARTIFACT_SCHEMA: ArtifactKind(
+            _document(RuntimeArtifact, RUNTIME_ARTIFACT_SCHEMA, "runtime artifact"),
+            _render_runtime,
+        ),
+        MANIFEST_SCHEMA: ArtifactKind(
+            _document(RunManifest, MANIFEST_SCHEMA, "campaign manifest"), _render_manifest
+        ),
+    }
 
 
 # ---------------------------------------------------------------- rendering
@@ -394,89 +412,59 @@ def render_snapshots(snapshots: Sequence[TelemetrySnapshot], max_rows: int = 10)
     return "\n\n".join(sections)
 
 
-def _render_runtime(artifact: Dict[str, object]) -> str:
+def _render_runtime(artifact, max_rows: int) -> str:
     from ..analysis.tables import format_mapping
+    from ..runtime.loadgen import RUNTIME_ARTIFACT_SCHEMA
 
-    load = artifact.get("load", {})
+    load = artifact.load
     rows = {
-        "schema": artifact.get("schema"),
-        "transport": artifact.get("transport"),
-        "system": artifact.get("system"),
-        "nodes": artifact.get("nodes"),
-        "delivery_ratio": artifact.get("delivery_ratio"),
-        "events_per_second": load.get("events_per_second"),
-        "deliveries_per_second": load.get("deliveries_per_second"),
-        "latency_p50_seconds": load.get("latency_p50_seconds"),
-        "latency_p99_seconds": load.get("latency_p99_seconds"),
+        "schema": RUNTIME_ARTIFACT_SCHEMA,
+        "transport": artifact.transport,
+        "system": artifact.system,
+        "nodes": artifact.nodes,
+        "delivery_ratio": artifact.delivery_ratio,
+        "events_per_second": load.events_per_second,
+        "deliveries_per_second": load.deliveries_per_second,
+        "latency_p50_seconds": load.latency_p50_seconds,
+        "latency_p99_seconds": load.latency_p99_seconds,
+        "fairness_ratio_jain": artifact.fairness.ratio_jain,
+        "fairness_wasted_share": artifact.fairness.wasted_share,
     }
-    fairness = artifact.get("fairness", {})
-    if isinstance(fairness, dict):
-        for key in ("ratio_jain", "wasted_share"):
-            if key in fairness:
-                rows[f"fairness_{key}"] = fairness[key]
-    rows = {key: value for key, value in rows.items() if value is not None}
     return format_mapping(rows, title="runtime artifact")
 
 
-def render_report(source: ReportSource, max_rows: int = 10) -> str:
-    """Render whatever the loaded artifact contains."""
-    if source.kind == "snapshots":
-        return render_snapshots(source.snapshots, max_rows=max_rows)
-    if source.kind == "results":
-        return render_results(source.results, max_rows=max_rows)
-    if source.kind == "trace":
-        # Trace streams render aggregates here; the `repro trace` command
-        # adds per-event infection trees on top of the same analysis.
-        from ..tracing import analyze_spans, render_trace
-
-        return render_trace(
-            analyze_spans(source.spans), max_events=0, max_rows=max_rows
-        )
-    if source.kind == "manifest":
-        return _render_manifest(source.runtime)
-    return _render_runtime(source.runtime)
-
-
-def _render_manifest(manifest: Dict[str, object]) -> str:
-    """Tables for a campaign run manifest (``campaign-manifest/v1``)."""
+def _render_manifest(manifest, max_rows: int) -> str:
+    """Tables for a campaign run manifest (:class:`~repro.campaign.manifest.RunManifest`)."""
     from ..analysis.tables import Table
 
-    timing = manifest.get("timing", {}) if isinstance(manifest.get("timing"), dict) else {}
-    service_elapsed = timing.get("services", {}) if isinstance(timing, dict) else {}
+    timing = manifest.timing
     services = Table(
         ["service", "status", "points", "cache hits", "computed", "elapsed (s)"],
-        title=f"campaign {manifest.get('campaign', '?')} — services "
-        f"(repro {manifest.get('version', '?')})",
+        title=f"campaign {manifest.campaign} — services (repro {manifest.version})",
     )
-    for name, record in manifest.get("services", {}).items():
-        points = record.get("points", [])
+    for name, record in manifest.services.items():
         services.add_row(
             service=name,
-            status=record.get("status", "?"),
-            points=len(points),
+            status=record.status,
+            points=len(record.points),
             **{
-                "cache hits": record.get("cache_hits", 0),
-                "computed": record.get("computed", 0),
-                "elapsed (s)": service_elapsed.get(name, ""),
+                "cache hits": record.cache_hits,
+                "computed": record.computed,
+                "elapsed (s)": timing.services.get(name, ""),
             },
         )
     targets = Table(["target", "status", "inputs", "outputs"], title="targets")
-    for name, record in manifest.get("targets", {}).items():
+    for name, record in manifest.targets.items():
         targets.add_row(
             target=name,
-            status=record.get("status", "?"),
-            inputs=", ".join(record.get("inputs", [])),
-            outputs=", ".join(record.get("outputs", [])),
+            status=record.status,
+            inputs=", ".join(record.inputs),
+            outputs=", ".join(record.outputs),
         )
-    totals = manifest.get("totals", {})
-    cache = manifest.get("cache", {})
+    totals = manifest.totals()
     summary = (
-        f"totals: {totals.get('points', 0)} point(s) | "
-        f"cache hits: {totals.get('cache_hits', 0)} | "
-        f"computed: {totals.get('computed', 0)} | "
-        f"cache corrupt: {cache.get('corrupt', 0)} | "
-        f"wall: {timing.get('wall_seconds', 0):.2f}s"
-        if isinstance(timing.get("wall_seconds"), (int, float))
-        else f"totals: {totals.get('points', 0)} point(s)"
+        f"totals: {totals['points']} point(s) | cache hits: {totals['cache_hits']} | "
+        f"computed: {totals['computed']} | cache corrupt: "
+        f"{manifest.cache_stats.get('corrupt', 0)} | wall: {timing.wall_seconds:.2f}s"
     )
     return "\n\n".join([services.render(), targets.render(), summary])

@@ -381,7 +381,7 @@ class TestCampaignCli:
         warm = capsys.readouterr().out
         assert "computed: 0" in warm and "cache hits: 6" in warm
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["schema"] == "campaign-manifest/v1"
+        assert manifest["schema"] == "campaign-manifest/v2"
         assert cli_main(["campaign", "status", spec_path, "--cache-dir", str(tmp_path / "cache")]) == 0
         status = capsys.readouterr().out
         assert "fresh" in status and "ONE(alt-cold, fanout-sweep)" in status

@@ -43,6 +43,7 @@ from repro.registry.specs import (
     WorkloadSpec,
 )
 from repro.telemetry import SNAPSHOT_SCHEMA, Telemetry, TelemetrySnapshot
+from repro.telemetry.report import load_artifact
 from repro.topology import TopologyError, TopologySpec
 from repro.topology.spec import BRIDGE_POLICIES
 from repro.tracing import PUBLISH, TRACE_SCHEMA, SpanRecord
@@ -264,6 +265,8 @@ LOADERS = [
     (FaultPlan.from_file, FaultPlanError, "fault-plan/v1"),
     (TopologySpec.from_file, TopologyError, "topology/v1"),
     (CampaignSpec.from_file, CampaignError, "campaign/v1"),
+    # `repro report` / `repro trace`: any tag of its table, the first named.
+    (load_artifact, ValueError, SNAPSHOT_SCHEMA),
 ]
 
 

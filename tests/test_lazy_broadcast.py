@@ -63,7 +63,7 @@ from repro.runtime.wire import decode_message, encode_message
 from repro.sim import BernoulliLoss, Network, Simulator, UniformLatency
 from repro.sim.network import Message
 from repro.sim.rng import RngRegistry
-from repro.telemetry.report import _recovery_table, load_report_source, render_snapshots
+from repro.telemetry.report import _recovery_table, load_artifact, render_snapshots
 from repro.telemetry.snapshot import TelemetrySnapshot
 from repro.workloads import TopicPopularity, TopicPublicationWorkload
 from tests.conftest import SMOKE_BROKERS_CONFIG_HASH, SMOKE_CONFIG_HASH, settle
@@ -702,7 +702,7 @@ class TestFaultPlanAcceptance:
         )
         assert code == 0
         capsys.readouterr()
-        snapshots = load_report_source(str(stream)).snapshots
+        snapshots = load_artifact(str(stream)).value
         final = snapshots[-1]
         recovered = sum(
             value for name, _, value in final.counters if name == "lazy.recoveries"

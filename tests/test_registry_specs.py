@@ -41,6 +41,7 @@ from repro.registry import (
     SYSTEMS,
     Param,
     RegistryError,
+    all_registries,
     build_interest_model,
     build_popularity,
     parse_spec_overrides,
@@ -223,6 +224,15 @@ class TestRegistryErrors:
             POLICIES.register("my-policy", lambda spec: None, aliases=("figure2",))
         assert "my-policy" not in POLICIES
         assert POLICIES.get("figure2").name == "topic"
+
+    def test_every_param_names_a_field_of_its_section(self):
+        # describe() reads each default from that field, so a Param is a
+        # spec path, never a second copy of a default.
+        for section, registry in all_registries().items():
+            fields = {field.name for field in dataclasses.fields(getattr(StackSpec(), section))}
+            for name in registry.names():
+                for param in registry.get(name).params:
+                    assert param.name in fields, (section, name, param.name)
 
     def test_parse_spec_overrides(self):
         overrides = parse_spec_overrides(["system.fanout=5", "membership.kind=lpbcast"])

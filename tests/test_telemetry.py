@@ -24,6 +24,7 @@ import math
 import pytest
 
 from repro.experiments import ExperimentConfig, ResultCache, get_scenario, run_experiment
+from repro.experiments.cache import ARTIFACT_SCHEMA
 from repro.cli import main as cli_main
 from repro.registry import StackSpec, TelemetrySpec
 from repro.runtime import MemoryTransport, NodeHost
@@ -41,7 +42,7 @@ from repro.telemetry import (
     percentile,
     render_prometheus,
 )
-from repro.telemetry.report import load_report_source, render_report, render_results
+from repro.telemetry.report import load_artifact, render_report, render_results
 from tests.conftest import settle
 
 
@@ -552,9 +553,9 @@ class TestReport:
         assert code == 0
         cache_files = list(cache_dir.glob("*/*.json"))
         assert len(cache_files) == 1
-        from_artifact = load_report_source(str(artifact))
-        from_cache = load_report_source(str(cache_files[0]))
-        assert from_artifact.kind == from_cache.kind == "results"
+        from_artifact = load_artifact(str(artifact))
+        from_cache = load_artifact(str(cache_files[0]))
+        assert from_artifact.schema == from_cache.schema == ARTIFACT_SCHEMA
         assert render_report(from_artifact) == render_report(from_cache)
         del config  # identity documented by the name override above
 
@@ -574,8 +575,12 @@ class TestReport:
         bogus.write_text('{"unexpected": true}')
         with pytest.raises(SystemExit, match="unrecognised shape"):
             cli_main(["report", str(bogus)])
-        with pytest.raises(SystemExit, match="does not exist"):
+        with pytest.raises(SystemExit, match="cannot read artifact .*missing.json"):
             cli_main(["report", str(tmp_path / "missing.json")])
+        # A results layout under another schema is not read as results.
+        bogus.write_text('{"schema": 7, "results": []}')
+        with pytest.raises(SystemExit, match="has schema 7; expected .*1"):
+            cli_main(["report", str(bogus)])
 
     def test_render_results_is_deterministic(self, tmp_path):
         result = run_experiment(_fast_config())

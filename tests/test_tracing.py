@@ -366,9 +366,9 @@ class TestTraceCli:
         assert "per-event dissemination" in out
 
     def test_missing_artifact_is_a_clean_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit, match="does not exist"):
+        with pytest.raises(SystemExit, match="cannot read artifact .*nope.jsonl"):
             self.run_cli(["trace", str(tmp_path / "nope.jsonl")], capsys)
-        with pytest.raises(SystemExit, match="does not exist"):
+        with pytest.raises(SystemExit, match="cannot read artifact .*nope.jsonl"):
             self.run_cli(["report", str(tmp_path / "nope.jsonl")], capsys)
 
     def test_wrong_artifact_kind_is_a_clean_error(self, tmp_path, capsys):
