@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-metrics bench-faults bench-lazy bench-trace bench-domains bench-campaign bench-scale bench-scale-quick perfbench perfbench-quick serve-smoke loadgen-smoke serve-scenario-smoke registry-smoke report-smoke parity-smoke fault-smoke lazy-smoke trace-smoke domains-smoke campaign-smoke clean-cache
+.PHONY: test startup-smoke bench bench-smoke bench-metrics bench-faults bench-lazy bench-trace bench-domains bench-campaign bench-scale bench-scale-quick perfbench perfbench-quick serve-smoke loadgen-smoke serve-scenario-smoke registry-smoke report-smoke parity-smoke fault-smoke lazy-smoke trace-smoke domains-smoke campaign-smoke clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -11,6 +11,19 @@ bench:
 
 # The *-smoke targets are what CI runs (.github/workflows/ci.yml calls them by
 # name); a `| grep` is the target's assertion about the output.
+
+# Cold start: every subcommand's parser builds (a broken import in a CLI
+# module fails here), and list-scenarios loads no runtime module but the
+# runtime CLI, no campaign executor and no multiprocessing (the grep names
+# any such module `python -X importtime` saw imported).
+startup-smoke:
+	for command in run sweep compare list-scenarios describe report trace campaign serve loadgen; do \
+		$(PYTHON) -m repro $$command --help > /dev/null || exit 1; \
+	done
+	$(PYTHON) -m repro list-scenarios > /dev/null
+	! $(PYTHON) -X importtime -m repro list-scenarios 2>&1 > /dev/null \
+		| grep -E "\| +(multiprocessing|repro\.campaign\.executor|repro\.runtime\.[a-z_]+)$$" \
+		| grep -v "repro\.runtime\.cli$$"
 
 # Fast end-to-end check of the orchestration layer: parallel sweep, then the
 # same sweep again served entirely from the cache.

@@ -23,26 +23,21 @@ See :mod:`repro.experiments` for the declarative experiment harness used by
 the benchmarks, and the ``examples/`` directory for runnable scenarios.
 """
 
-from typing import Optional
-
-from .core import FairGossipSystem
-from .gossip import GossipSystem
-from .pubsub import ContentFilter, Event, TopicFilter
-from .sim import Network, Simulator
+from ._exports import lazy_exports
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "Simulator",
-    "Network",
-    "GossipSystem",
-    "FairGossipSystem",
-    "Event",
-    "TopicFilter",
-    "ContentFilter",
-    "quick_system",
-    "__version__",
-]
+_EXPORTS = {
+    "Simulator": ".sim.engine",
+    "Network": ".sim.network",
+    "GossipSystem": ".gossip.system",
+    "FairGossipSystem": ".core.fair_gossip",
+    "Event": ".pubsub.events",
+    "TopicFilter": ".pubsub.filters",
+    "ContentFilter": ".pubsub.filters",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
+__all__ += ["quick_system", "__version__"]
 
 
 def quick_system(
@@ -74,6 +69,12 @@ def quick_system(
         The returned object also carries a ``topic_filter`` convenience
         method so quickstart code does not need extra imports.
     """
+    from .core.fair_gossip import FairGossipSystem
+    from .gossip.system import GossipSystem
+    from .pubsub.filters import TopicFilter
+    from .sim.engine import Simulator
+    from .sim.network import Network
+
     simulator = Simulator(seed=seed)
     network = Network(simulator)
     node_ids = [f"node-{index}" for index in range(nodes)]

@@ -1,33 +1,20 @@
 """Post-run analysis: fairness summaries, reliability/latency, text tables."""
 
-from .fairness_report import (
-    NodeFairnessRow,
-    SystemFairnessSummary,
-    compare_systems,
-    fairness_table_from_snapshot,
-    publish_fairness_gauges,
-    summarise_fairness,
-)
-from .reliability import (
-    EventReliability,
-    ReliabilityReport,
-    latency_summary_from_snapshot,
-    measure_reliability,
-)
-from .tables import Table, format_mapping, format_table
+from .._exports import lazy_exports
 
-__all__ = [
-    "NodeFairnessRow",
-    "SystemFairnessSummary",
-    "summarise_fairness",
-    "publish_fairness_gauges",
-    "fairness_table_from_snapshot",
-    "compare_systems",
-    "EventReliability",
-    "ReliabilityReport",
-    "measure_reliability",
-    "latency_summary_from_snapshot",
-    "Table",
-    "format_table",
-    "format_mapping",
-]
+_EXPORTS = {
+    "NodeFairnessRow": ".fairness_report",
+    "SystemFairnessSummary": ".fairness_report",
+    "summarise_fairness": ".fairness_report",
+    "publish_fairness_gauges": ".fairness_report",
+    "fairness_table_from_snapshot": ".fairness_report",
+    "compare_systems": ".fairness_report",
+    "EventReliability": ".reliability",
+    "ReliabilityReport": ".reliability",
+    "measure_reliability": ".reliability",
+    "latency_summary_from_snapshot": ".reliability",
+    "Table": ".tables",
+    "format_table": ".tables",
+    "format_mapping": ".tables",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -1,5 +1,10 @@
 """Broker-based selective dissemination baseline (§3, references [6, 9])."""
 
-from .broker import BrokerNode, BrokerSystem, ClientNode
+from .._exports import lazy_exports
 
-__all__ = ["BrokerNode", "ClientNode", "BrokerSystem"]
+_EXPORTS = {
+    "BrokerNode": ".broker",
+    "ClientNode": ".broker",
+    "BrokerSystem": ".broker",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

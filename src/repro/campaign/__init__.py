@@ -11,38 +11,23 @@ points.  Every run writes a :class:`RunManifest` with per-target
 provenance.  ``python -m repro campaign`` is the CLI surface.
 """
 
-from .executor import CampaignExecutor, expand_service
-from .graph import CampaignGraph, compile_graph
-from .manifest import (
-    MANIFEST_SCHEMA,
-    PointRecord,
-    RunManifest,
-    ServiceRecord,
-    TargetRecord,
-)
-from .spec import (
-    CAMPAIGN_SCHEMA,
-    CampaignError,
-    CampaignSpec,
-    Connector,
-    ServiceSpec,
-    TargetSpec,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "CAMPAIGN_SCHEMA",
-    "MANIFEST_SCHEMA",
-    "CampaignError",
-    "CampaignExecutor",
-    "CampaignGraph",
-    "CampaignSpec",
-    "Connector",
-    "PointRecord",
-    "RunManifest",
-    "ServiceRecord",
-    "ServiceSpec",
-    "TargetRecord",
-    "TargetSpec",
-    "compile_graph",
-    "expand_service",
-]
+_EXPORTS = {
+    "CAMPAIGN_SCHEMA": ".spec",
+    "MANIFEST_SCHEMA": ".manifest",
+    "CampaignError": ".spec",
+    "CampaignExecutor": ".executor",
+    "CampaignGraph": ".graph",
+    "CampaignSpec": ".spec",
+    "Connector": ".spec",
+    "PointRecord": ".manifest",
+    "RunManifest": ".manifest",
+    "ServiceRecord": ".manifest",
+    "ServiceSpec": ".spec",
+    "TargetRecord": ".manifest",
+    "TargetSpec": ".spec",
+    "compile_graph": ".graph",
+    "expand_service": ".executor",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -14,14 +14,15 @@ Two forms share one subcommand:
 from __future__ import annotations
 
 import argparse
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
 from .. import __version__ as _CODE_VERSION
 from ..analysis.tables import Table
 from ..cli import add_orchestration_options, build_executor
-from .executor import DONE, FAILED, CampaignExecutor
-from .manifest import RunManifest
-from .spec import CampaignError, CampaignSpec
+
+if TYPE_CHECKING:  # annotations only: ``campaign`` imports its executor when it runs
+    from .executor import CampaignExecutor
+    from .manifest import RunManifest
 
 __all__ = ["add_campaign_subcommand", "render_status", "render_plan"]
 
@@ -119,6 +120,9 @@ def render_plan(manifest: RunManifest) -> str:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
+    from .executor import DONE, FAILED, CampaignExecutor
+    from .spec import CampaignError, CampaignSpec
+
     words = list(args.words)
     status_mode = False
     if words and words[0] == "status":

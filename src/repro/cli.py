@@ -43,15 +43,16 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .experiments.cache import DEFAULT_CACHE_DIR, ResultCache
-from .experiments.executor import ParallelSweepExecutor
-from .experiments.scenarios import get_scenario
-from .faults import FaultPlan, FaultPlanError
+from .faults.plan import FaultPlan, FaultPlanError
 from .jsonio import write_json
-from .registry import RegistryError, StackSpec, parse_spec_overrides
-from .topology import TopologyError, TopologySpec, compile_domain_map
+from .registry.base import RegistryError
+from .registry.specs import StackSpec, parse_spec_overrides
+from .topology.spec import TopologyError, TopologySpec
+
+if TYPE_CHECKING:  # annotations only: build_executor imports it when called
+    from .experiments.executor import ParallelSweepExecutor
 
 __all__ = [
     "main",
@@ -146,6 +147,9 @@ def resolve_spec(args: argparse.Namespace, live: bool = False) -> StackSpec:
     registry.  ``live`` runs have no simulated end, so only simulator runs
     reject fault entries that start after ``spec.total_time``.
     """
+    from .experiments.scenarios import get_scenario
+    from .topology.domains import compile_domain_map
+
     try:
         spec = get_scenario(args.scenario).spec
     except KeyError as error:
@@ -187,6 +191,8 @@ def add_orchestration_options(parser: argparse.ArgumentParser, scenario: bool = 
     scenario commands; ``campaign`` names a spec file and writes its own
     target artifacts instead.
     """
+    from .experiments.cache import DEFAULT_CACHE_DIR
+
     if scenario:
         parser.add_argument(
             "scenario",
@@ -212,6 +218,9 @@ def add_orchestration_options(parser: argparse.ArgumentParser, scenario: bool = 
 
 def build_executor(args: argparse.Namespace) -> ParallelSweepExecutor:
     """The executor :func:`add_orchestration_options` describes."""
+    from .experiments.cache import ResultCache
+    from .experiments.executor import ParallelSweepExecutor
+
     if args.workers < 1:
         raise SystemExit("--workers must be at least 1")
     cache = None if args.no_cache else ResultCache(args.cache_dir)

@@ -10,60 +10,39 @@
 * bias — selfishness models and the receiver-side auditing defence.
 """
 
-from .accounting import (
-    AccountSnapshot,
-    BenefitWeights,
-    ContributionWeights,
-    NodeAccount,
-    WorkLedger,
-)
-from .bias import BiasDetector, BiasFinding, BiasReport, ForwardAudit, SelfishGossipNode
-from .estimators import FANOUT, PAYLOAD, BenefitEstimator, ContributionLever, Ewma, LeverKind
-from .fair_gossip import FairGossipNode, FairGossipSystem
-from .fairness import (
-    FairnessReport,
-    contribution_benefit_ratios,
-    coefficient_of_variation,
-    evaluate_fairness,
-    gini_coefficient,
-    jain_index,
-    max_min_spread,
-    normalised_ratio_deviation,
-    smoothed_ratios,
-    wasted_contribution_share,
-)
-from .policy import EXPRESSIVE_POLICY, TOPIC_BASED_POLICY, FairnessPolicy
+from .._exports import lazy_exports
 
-__all__ = [
-    "WorkLedger",
-    "NodeAccount",
-    "AccountSnapshot",
-    "ContributionWeights",
-    "BenefitWeights",
-    "FairnessReport",
-    "contribution_benefit_ratios",
-    "jain_index",
-    "gini_coefficient",
-    "coefficient_of_variation",
-    "max_min_spread",
-    "normalised_ratio_deviation",
-    "smoothed_ratios",
-    "wasted_contribution_share",
-    "evaluate_fairness",
-    "FairnessPolicy",
-    "TOPIC_BASED_POLICY",
-    "EXPRESSIVE_POLICY",
-    "BenefitEstimator",
-    "Ewma",
-    "ContributionLever",
-    "LeverKind",
-    "FANOUT",
-    "PAYLOAD",
-    "FairGossipNode",
-    "FairGossipSystem",
-    "ForwardAudit",
-    "BiasDetector",
-    "BiasReport",
-    "BiasFinding",
-    "SelfishGossipNode",
-]
+_EXPORTS = {
+    "WorkLedger": ".accounting",
+    "NodeAccount": ".accounting",
+    "AccountSnapshot": ".accounting",
+    "ContributionWeights": ".accounting",
+    "BenefitWeights": ".accounting",
+    "FairnessReport": ".fairness",
+    "contribution_benefit_ratios": ".fairness",
+    "jain_index": ".fairness",
+    "gini_coefficient": ".fairness",
+    "coefficient_of_variation": ".fairness",
+    "max_min_spread": ".fairness",
+    "normalised_ratio_deviation": ".fairness",
+    "smoothed_ratios": ".fairness",
+    "wasted_contribution_share": ".fairness",
+    "evaluate_fairness": ".fairness",
+    "FairnessPolicy": ".policy",
+    "TOPIC_BASED_POLICY": ".policy",
+    "EXPRESSIVE_POLICY": ".policy",
+    "BenefitEstimator": ".estimators",
+    "Ewma": ".estimators",
+    "ContributionLever": ".estimators",
+    "LeverKind": ".estimators",
+    "FANOUT": ".estimators",
+    "PAYLOAD": ".estimators",
+    "FairGossipNode": ".fair_gossip",
+    "FairGossipSystem": ".fair_gossip",
+    "ForwardAudit": ".bias",
+    "BiasDetector": ".bias",
+    "BiasReport": ".bias",
+    "BiasFinding": ".bias",
+    "SelfishGossipNode": ".bias",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

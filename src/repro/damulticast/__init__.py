@@ -1,5 +1,9 @@
 """Data-aware multicast baseline (§4.2, reference [3])."""
 
-from .dam import DamNode, DataAwareMulticastSystem
+from .._exports import lazy_exports
 
-__all__ = ["DamNode", "DataAwareMulticastSystem"]
+_EXPORTS = {
+    "DamNode": ".dam",
+    "DataAwareMulticastSystem": ".dam",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -1,18 +1,15 @@
 """Structured (DHT-based) dissemination baselines discussed in §3.1 and §4.1."""
 
-from .dks import DksNode, DksSystem
-from .idspace import IdSpace
-from .pastry import PastryRouter, RouteResult
-from .scribe import ScribeNode, ScribeSystem
-from .splitstream import SplitStreamSystem
+from .._exports import lazy_exports
 
-__all__ = [
-    "IdSpace",
-    "PastryRouter",
-    "RouteResult",
-    "ScribeNode",
-    "ScribeSystem",
-    "SplitStreamSystem",
-    "DksNode",
-    "DksSystem",
-]
+_EXPORTS = {
+    "IdSpace": ".idspace",
+    "PastryRouter": ".pastry",
+    "RouteResult": ".pastry",
+    "ScribeNode": ".scribe",
+    "ScribeSystem": ".scribe",
+    "SplitStreamSystem": ".splitstream",
+    "DksNode": ".dks",
+    "DksSystem": ".dks",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -7,50 +7,32 @@ systems (and names reusable configs), :mod:`runner` turns one config into an
 :mod:`executor` fans uncached grid points out over worker processes.
 """
 
-from .cache import ARTIFACT_SCHEMA, ResultCache, config_hash
-from .config import ExperimentConfig
-from .executor import ExecutionReport, ParallelSweepExecutor
-from .runner import ExperimentResult, run_experiment
-from ..registry import StackSpec
-from .scenarios import (
-    Scenario,
-    system_names,
-    build_interest,
-    build_membership_provider,
-    build_popularity,
-    build_simulation,
-    build_system,
-    get_scenario,
-    iter_scenarios,
-    register_scenario,
-    resolve_policy,
-    scenario_names,
-)
-from .sweeps import compare_configs, grid_configs, results_table
+from .._exports import lazy_exports
 
-__all__ = [
-    "ExperimentConfig",
-    "ExperimentResult",
-    "run_experiment",
-    "results_table",
-    "compare_configs",
-    "grid_configs",
-    "ParallelSweepExecutor",
-    "ExecutionReport",
-    "ResultCache",
-    "config_hash",
-    "ARTIFACT_SCHEMA",
-    "Scenario",
-    "register_scenario",
-    "get_scenario",
-    "scenario_names",
-    "iter_scenarios",
-    "build_simulation",
-    "build_system",
-    "build_popularity",
-    "build_interest",
-    "build_membership_provider",
-    "resolve_policy",
-    "system_names",
-    "StackSpec",
-]
+_EXPORTS = {
+    "ExperimentConfig": ".config",
+    "ExperimentResult": ".runner",
+    "run_experiment": ".runner",
+    "results_table": ".sweeps",
+    "compare_configs": ".sweeps",
+    "grid_configs": ".sweeps",
+    "ParallelSweepExecutor": ".executor",
+    "ExecutionReport": ".executor",
+    "ResultCache": ".cache",
+    "config_hash": ".cache",
+    "ARTIFACT_SCHEMA": ".cache",
+    "Scenario": ".scenarios",
+    "register_scenario": ".scenarios",
+    "get_scenario": ".scenarios",
+    "scenario_names": ".scenarios",
+    "iter_scenarios": ".scenarios",
+    "build_simulation": ".scenarios",
+    "build_system": ".scenarios",
+    "build_popularity": ".scenarios",
+    "build_interest": ".scenarios",
+    "build_membership_provider": ".scenarios",
+    "resolve_policy": ".scenarios",
+    "system_names": ".scenarios",
+    "StackSpec": "..registry",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -21,11 +21,8 @@ entirely from the cache (reported in the trailing status line).
 from __future__ import annotations
 
 import argparse
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from ..analysis.tables import Table
-from ..campaign.executor import expand_service
-from ..campaign.spec import ServiceSpec
 from ..cli import (
     add_orchestration_options,
     add_stack_options,
@@ -35,19 +32,12 @@ from ..cli import (
     write_artifact,
 )
 from ..jsonio import suggest
-from ..registry import (
-    RegistryError,
-    StackSpec,
-    all_registries,
-    parse_scalar,
-    parse_spec_overrides,
-    workload_kind,
-)
-from .cache import results_artifact
-from .executor import ParallelSweepExecutor
-from .runner import ExperimentResult, run_experiment
-from .scenarios import get_scenario, iter_scenarios, scenario_names
-from .sweeps import results_table
+from ..registry.base import RegistryError
+from ..registry.specs import StackSpec, parse_scalar, parse_spec_overrides
+
+if TYPE_CHECKING:  # annotations only: each command imports what it runs
+    from .executor import ParallelSweepExecutor
+    from .runner import ExperimentResult
 
 __all__ = ["add_experiment_subcommands"]
 
@@ -59,6 +49,9 @@ def _emit_results(
     title: str,
 ) -> None:
     """Print the result table and status line; optionally write the artifact."""
+    from .cache import results_artifact
+    from .sweeps import results_table
+
     print(results_table(results, title=title).render())
     if executor is not None and executor.last_report is not None:
         print(executor.last_report.describe())
@@ -68,6 +61,8 @@ def _emit_results(
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .runner import run_experiment
+
     spec = resolve_spec(args)
     # The flat config is the cache identity; fault and topology entries are
     # part of it, telemetry and tracing are not.
@@ -131,6 +126,9 @@ def _split(text: str) -> List[str]:
 
 def _run_grid(args: argparse.Namespace, title: str, **fields) -> int:
     """Expand and run the one campaign service a ``sweep``/``compare`` line describes."""
+    from ..campaign.executor import expand_service
+    from ..campaign.spec import ServiceSpec
+
     try:
         overrides = tuple(parse_spec_overrides(args.set or []).items())
         service = ServiceSpec(args.command, args.scenario, set=overrides, **fields)
@@ -162,6 +160,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
+    from ..registry.builtins import all_registries, workload_kind
+    from .scenarios import get_scenario, scenario_names
+
     name = args.name
     registries = all_registries()
     defaults = StackSpec()
@@ -254,6 +255,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_list_scenarios(args: argparse.Namespace) -> int:
+    from ..analysis.tables import Table
+    from .scenarios import iter_scenarios
+
     table = Table(["name", "system", "nodes", "description"], title="registered scenarios")
     for scenario in iter_scenarios():
         table.add_row(

@@ -20,18 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..analysis import (
-    ReliabilityReport,
-    SystemFairnessSummary,
-    measure_reliability,
-    publish_fairness_gauges,
-    summarise_fairness,
-)
-from ..faults import FaultController, FaultPlan
+from ..analysis.fairness_report import SystemFairnessSummary, publish_fairness_gauges, summarise_fairness
+from ..analysis.reliability import ReliabilityReport, measure_reliability
+from ..faults.plan import FaultPlan
 from ..pubsub.events import Event
-from ..telemetry import SnapshotScheduler, Telemetry, TelemetrySnapshot
-from ..registry import StackSpec, build_workload
-from ..workloads import InterestAssignment, SubscriptionChurnWorkload
+from ..telemetry.facade import Telemetry
+from ..telemetry.snapshot import SnapshotScheduler, TelemetrySnapshot
+from ..registry.builtins import build_workload
+from ..registry.specs import StackSpec
+from ..workloads.interest import InterestAssignment
 from .config import ExperimentConfig
 from .scenarios import build_interest, build_popularity, build_simulation, build_system, resolve_policy
 
@@ -209,15 +206,18 @@ def run_experiment(
     workload.start(duration=config.duration, start_at=config.round_period)
 
     plan = FaultPlan.from_flat(config)
-    fault_controller: Optional[FaultController] = None
+    fault_controller = None
     if not plan.is_empty():
+        from ..faults.controller import FaultController
+
         fault_controller = FaultController.for_system(
             system, plan, telemetry=telemetry, total_time=config.total_time
         )
         fault_controller.start()
 
-    subscription_churn: Optional[SubscriptionChurnWorkload] = None
     if config.subscription_churn_rate > 0:
+        from ..workloads.churn import SubscriptionChurnWorkload
+
         churners = list(config.node_ids())[len(publishers):] or list(config.node_ids())
         subscription_churn = SubscriptionChurnWorkload(
             system,

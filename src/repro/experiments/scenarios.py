@@ -15,19 +15,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..core import FairnessPolicy
-from ..registry import (
+from ..core.policy import FairnessPolicy
+from ..registry.builtins import (
+    MEMBERSHIP,
     SYSTEMS,
     BuildContext,
-    StackSpec,
     build_interest_model,
     build_popularity as _build_popularity_for_spec,
     build_stack,
     resolve_policy_kind,
 )
-from ..registry.builtins import MEMBERSHIP
-from ..sim import BernoulliLoss, Network, NoLoss, Simulator
-from ..workloads import TopicPopularity
+from ..registry.specs import StackSpec
+from ..sim.engine import Simulator
+from ..sim.network import BernoulliLoss, Network, NoLoss
+from ..workloads.popularity import TopicPopularity
 from .config import ExperimentConfig
 
 __all__ = [

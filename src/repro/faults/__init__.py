@@ -22,19 +22,18 @@ The imperative injectors (:class:`CrashSchedule`, :class:`ChurnInjector`,
 tests compare the controller against, and serve hand-wired experiments.
 """
 
-from .controller import FaultController
-from .injectors import ChurnInjector, CrashEvent, CrashSchedule, PartitionInjector
-from .plan import FAULT_KINDS, PLAN_SCHEMA, FaultPlan, FaultPlanError, FaultSpec
+from .._exports import lazy_exports
 
-__all__ = [
-    "FAULT_KINDS",
-    "PLAN_SCHEMA",
-    "FaultPlan",
-    "FaultPlanError",
-    "FaultSpec",
-    "FaultController",
-    "CrashEvent",
-    "CrashSchedule",
-    "ChurnInjector",
-    "PartitionInjector",
-]
+_EXPORTS = {
+    "FAULT_KINDS": ".plan",
+    "PLAN_SCHEMA": ".plan",
+    "FaultPlan": ".plan",
+    "FaultPlanError": ".plan",
+    "FaultSpec": ".plan",
+    "FaultController": ".controller",
+    "CrashEvent": ".injectors",
+    "CrashSchedule": ".injectors",
+    "ChurnInjector": ".injectors",
+    "PartitionInjector": ".injectors",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

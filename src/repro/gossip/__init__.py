@@ -1,35 +1,24 @@
 """Gossip-based event dissemination (Figure 4 of the paper and variants)."""
 
-from .buffers import BufferedEvent, EventBuffer, SELECTION_STRATEGIES
-from .lazy import (
-    LAZY_DIGEST_KIND,
-    LAZY_PUSH_KIND,
-    LAZY_REPLY_KIND,
-    LAZY_REQUEST_KIND,
-    LazyPushGossipNode,
-    eager_push_rounds,
-    lazy_store_ids,
-)
-from .push import GOSSIP_MESSAGE_KIND, GossipMessage, PushGossipNode
-from .pushpull import DigestMessage, PullRequest, PushPullGossipNode
-from .system import GossipSystem
+from .._exports import lazy_exports
 
-__all__ = [
-    "EventBuffer",
-    "BufferedEvent",
-    "SELECTION_STRATEGIES",
-    "GossipMessage",
-    "PushGossipNode",
-    "GOSSIP_MESSAGE_KIND",
-    "PushPullGossipNode",
-    "DigestMessage",
-    "PullRequest",
-    "LazyPushGossipNode",
-    "lazy_store_ids",
-    "eager_push_rounds",
-    "LAZY_PUSH_KIND",
-    "LAZY_DIGEST_KIND",
-    "LAZY_REQUEST_KIND",
-    "LAZY_REPLY_KIND",
-    "GossipSystem",
-]
+_EXPORTS = {
+    "EventBuffer": ".buffers",
+    "BufferedEvent": ".buffers",
+    "SELECTION_STRATEGIES": ".buffers",
+    "GossipMessage": ".push",
+    "PushGossipNode": ".push",
+    "GOSSIP_MESSAGE_KIND": ".push",
+    "PushPullGossipNode": ".pushpull",
+    "DigestMessage": ".pushpull",
+    "PullRequest": ".pushpull",
+    "LazyPushGossipNode": ".lazy",
+    "lazy_store_ids": ".lazy",
+    "eager_push_rounds": ".lazy",
+    "LAZY_PUSH_KIND": ".lazy",
+    "LAZY_DIGEST_KIND": ".lazy",
+    "LAZY_REQUEST_KIND": ".lazy",
+    "LAZY_REPLY_KIND": ".lazy",
+    "GossipSystem": ".system",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

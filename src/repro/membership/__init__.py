@@ -6,26 +6,22 @@ piggybacked digests, and an interest-aware selection bias that can wrap any
 of them.
 """
 
-from .base import MembershipComponent, MembershipProvider
-from .cyclon import CyclonMembership, ShufflePayload, cyclon_provider
-from .full import FullMembership, full_membership_provider
-from .interest_aware import InterestAwareMembership, interest_aware_provider
-from .lpbcast import LpbcastMembership, MembershipDigest, lpbcast_provider
-from .views import NodeDescriptor, PartialView
+from .._exports import lazy_exports
 
-__all__ = [
-    "MembershipComponent",
-    "MembershipProvider",
-    "NodeDescriptor",
-    "PartialView",
-    "FullMembership",
-    "full_membership_provider",
-    "CyclonMembership",
-    "ShufflePayload",
-    "cyclon_provider",
-    "LpbcastMembership",
-    "MembershipDigest",
-    "lpbcast_provider",
-    "InterestAwareMembership",
-    "interest_aware_provider",
-]
+_EXPORTS = {
+    "MembershipComponent": ".base",
+    "MembershipProvider": ".base",
+    "NodeDescriptor": ".views",
+    "PartialView": ".views",
+    "FullMembership": ".full",
+    "full_membership_provider": ".full",
+    "CyclonMembership": ".cyclon",
+    "ShufflePayload": ".cyclon",
+    "cyclon_provider": ".cyclon",
+    "LpbcastMembership": ".lpbcast",
+    "MembershipDigest": ".lpbcast",
+    "lpbcast_provider": ".lpbcast",
+    "InterestAwareMembership": ".interest_aware",
+    "interest_aware_provider": ".interest_aware",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -6,50 +6,34 @@ publish/subscribe/unsubscribe interface that every dissemination system in
 this repository implements.
 """
 
-from .events import Event, EventFactory, TOPIC_ATTRIBUTE
-from .filters import (
-    AndFilter,
-    AttributeCondition,
-    ContentFilter,
-    Filter,
-    InterestFunction,
-    MatchAllFilter,
-    MatchNoneFilter,
-    NotFilter,
-    OrFilter,
-    TopicFilter,
-    filter_from_dict,
-)
-from .interfaces import DeliveryCallback, DeliveryLog, DeliveryRecord, DisseminationSystem
-from .matching import CountingContentIndex, MatchingEngine, TopicIndex
-from .subscriptions import Subscription, SubscriptionTable
-from .topics import Topic, TopicHierarchy, topic_path
+from .._exports import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventFactory",
-    "TOPIC_ATTRIBUTE",
-    "Filter",
-    "TopicFilter",
-    "ContentFilter",
-    "AttributeCondition",
-    "AndFilter",
-    "OrFilter",
-    "NotFilter",
-    "MatchAllFilter",
-    "MatchNoneFilter",
-    "InterestFunction",
-    "filter_from_dict",
-    "DeliveryCallback",
-    "DeliveryLog",
-    "DeliveryRecord",
-    "DisseminationSystem",
-    "MatchingEngine",
-    "TopicIndex",
-    "CountingContentIndex",
-    "Subscription",
-    "SubscriptionTable",
-    "Topic",
-    "TopicHierarchy",
-    "topic_path",
-]
+_EXPORTS = {
+    "Event": ".events",
+    "EventFactory": ".events",
+    "TOPIC_ATTRIBUTE": ".events",
+    "Filter": ".filters",
+    "TopicFilter": ".filters",
+    "ContentFilter": ".filters",
+    "AttributeCondition": ".filters",
+    "AndFilter": ".filters",
+    "OrFilter": ".filters",
+    "NotFilter": ".filters",
+    "MatchAllFilter": ".filters",
+    "MatchNoneFilter": ".filters",
+    "InterestFunction": ".filters",
+    "filter_from_dict": ".filters",
+    "DeliveryCallback": ".interfaces",
+    "DeliveryLog": ".interfaces",
+    "DeliveryRecord": ".interfaces",
+    "DisseminationSystem": ".interfaces",
+    "MatchingEngine": ".matching",
+    "TopicIndex": ".matching",
+    "CountingContentIndex": ".matching",
+    "Subscription": ".subscriptions",
+    "SubscriptionTable": ".subscriptions",
+    "Topic": ".topics",
+    "TopicHierarchy": ".topics",
+    "topic_path": ".topics",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

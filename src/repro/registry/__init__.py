@@ -12,79 +12,44 @@ discrete-event simulator and the live asyncio runtime:
   :func:`build_stack`.
 """
 
-from .base import ComponentEntry, Param, Registry, RegistryError
-from .builtins import (
-    INTEREST,
-    MEMBERSHIP,
-    POLICIES,
-    SYSTEMS,
-    WORKLOADS,
-    BuildContext,
-    all_registries,
-    build_interest_model,
-    build_popularity,
-    build_stack,
-    build_workload,
-    resolve_policy_kind,
-    workload_kind,
-)
-from .specs import (
-    FLAT_TO_PATH,
-    PATH_TO_FLAT,
-    STRUCTURED_PATHS,
-    FaultChurnSpec,
-    FaultPartitionSpec,
-    FaultPerturbSpec,
-    FaultsSpec,
-    InterestSpec,
-    MembershipSpec,
-    PolicySpec,
-    StackSpec,
-    SystemSpec,
-    TelemetrySpec,
-    TopologySpec,
-    WorkloadSpec,
-    parse_scalar,
-    parse_spec_overrides,
-    resolve_spec_path,
-    spec_paths,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "Registry",
-    "RegistryError",
-    "ComponentEntry",
-    "Param",
-    "SYSTEMS",
-    "MEMBERSHIP",
-    "INTEREST",
-    "WORKLOADS",
-    "POLICIES",
-    "BuildContext",
-    "build_stack",
-    "build_popularity",
-    "build_interest_model",
-    "build_workload",
-    "workload_kind",
-    "resolve_policy_kind",
-    "all_registries",
-    "StackSpec",
-    "SystemSpec",
-    "MembershipSpec",
-    "InterestSpec",
-    "WorkloadSpec",
-    "PolicySpec",
-    "FaultChurnSpec",
-    "FaultPartitionSpec",
-    "FaultPerturbSpec",
-    "FaultsSpec",
-    "TelemetrySpec",
-    "TopologySpec",
-    "FLAT_TO_PATH",
-    "PATH_TO_FLAT",
-    "STRUCTURED_PATHS",
-    "spec_paths",
-    "resolve_spec_path",
-    "parse_scalar",
-    "parse_spec_overrides",
-]
+_EXPORTS = {
+    "Registry": ".base",
+    "RegistryError": ".base",
+    "ComponentEntry": ".base",
+    "Param": ".base",
+    "SYSTEMS": ".builtins",
+    "MEMBERSHIP": ".builtins",
+    "INTEREST": ".builtins",
+    "WORKLOADS": ".builtins",
+    "POLICIES": ".builtins",
+    "BuildContext": ".builtins",
+    "build_stack": ".builtins",
+    "build_popularity": ".builtins",
+    "build_interest_model": ".builtins",
+    "build_workload": ".builtins",
+    "workload_kind": ".builtins",
+    "resolve_policy_kind": ".builtins",
+    "all_registries": ".builtins",
+    "StackSpec": ".specs",
+    "SystemSpec": ".specs",
+    "MembershipSpec": ".specs",
+    "InterestSpec": ".specs",
+    "WorkloadSpec": ".specs",
+    "PolicySpec": ".specs",
+    "FaultChurnSpec": ".specs",
+    "FaultPartitionSpec": ".specs",
+    "FaultPerturbSpec": ".specs",
+    "FaultsSpec": ".specs",
+    "TelemetrySpec": ".specs",
+    "TopologySpec": ".specs",
+    "FLAT_TO_PATH": ".specs",
+    "PATH_TO_FLAT": ".specs",
+    "STRUCTURED_PATHS": ".specs",
+    "spec_paths": ".specs",
+    "resolve_spec_path": ".specs",
+    "parse_scalar": ".specs",
+    "parse_spec_overrides": ".specs",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -34,40 +34,24 @@ caching, and ``serve --scenario`` all pick it up with no dispatch edits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
 
-from ..brokers import BrokerSystem
-from ..core import (
-    EXPRESSIVE_POLICY,
-    TOPIC_BASED_POLICY,
-    FairGossipSystem,
-    FairnessPolicy,
-)
-from ..damulticast import DataAwareMulticastSystem
-from ..dht import DksSystem, ScribeSystem, SplitStreamSystem
-from ..gossip import GossipSystem, LazyPushGossipNode, PushPullGossipNode, lazy_store_ids
-from ..membership import cyclon_provider, full_membership_provider, lpbcast_provider
-from ..pubsub.topics import TopicHierarchy
-from ..topology import (
-    BridgeRouter,
-    GeoLinkProfile,
-    TopologyError,
-    TopologyRuntime,
-    compile_domain_map,
-    domain_scoped_provider,
-)
-from ..workloads import (
-    AttributeInterest,
-    CommunityInterest,
-    ContentPublicationWorkload,
-    TopicPopularity,
-    TopicPublicationWorkload,
-    UniformInterest,
-    ZipfInterest,
-)
+from ..core.policy import EXPRESSIVE_POLICY, TOPIC_BASED_POLICY, FairnessPolicy
 from ..jsonio import suggest
+from ..workloads.interest import AttributeInterest, CommunityInterest, UniformInterest, ZipfInterest
+from ..workloads.popularity import TopicPopularity
+from ..workloads.publications import ContentPublicationWorkload, TopicPublicationWorkload
 from .base import Param, Registry, RegistryError
 from .specs import StackSpec
+
+if TYPE_CHECKING:  # annotations only: each factory imports the system it builds
+    from ..brokers.broker import BrokerSystem
+    from ..core.fair_gossip import FairGossipSystem
+    from ..damulticast.dam import DataAwareMulticastSystem
+    from ..dht.dks import DksSystem
+    from ..dht.scribe import ScribeSystem
+    from ..dht.splitstream import SplitStreamSystem
+    from ..gossip.system import GossipSystem
 
 __all__ = [
     "SYSTEMS",
@@ -86,6 +70,10 @@ __all__ = [
     "DIGEST_MEMBERSHIP_KINDS",
     "GOSSIP_KINDS",
 ]
+
+# Registering a system, membership view or topology imports none of it: each
+# factory imports what it builds when it is called, so a run loads only the
+# protocols it uses.
 
 SYSTEMS = Registry("system")
 MEMBERSHIP = Registry("membership")
@@ -150,6 +138,8 @@ class BuildContext:
         """
         provider = MEMBERSHIP.get(self.spec.membership.kind).factory(self)
         if self.domain_map is not None:
+            from ..topology.membership import domain_scoped_provider
+
             provider = domain_scoped_provider(provider, self.domain_map)
         return provider
 
@@ -176,11 +166,12 @@ def build_popularity(spec: StackSpec) -> TopicPopularity:
 # ------------------------------------------------------------------ systems
 
 
-def _gossip_system(ctx: BuildContext, node_class=None, system_class=GossipSystem, **extra):
+def _gossip_system(ctx: BuildContext, node_class=None, system_class=None, **extra):
     """Build a gossip-family system: the one call the four kinds share.
 
     ``extra`` are the node parameters beyond Figure 4's three;
-    ``node_class=None`` leaves the choice to ``system_class``.
+    ``node_class=None`` leaves the choice to ``system_class``
+    (``None``: :class:`~repro.gossip.system.GossipSystem`).
 
     ``buffer_capacity``/``selection_strategy`` in ``spec.extra`` tune live
     clusters for wall-clock load.  Simulator builds ignore them so the
@@ -200,6 +191,10 @@ def _gossip_system(ctx: BuildContext, node_class=None, system_class=GossipSystem
             if key in extras:
                 node_kwargs[key] = extras[key]
     class_kwargs = {} if node_class is None else {"node_class": node_class}
+    if system_class is None:
+        from ..gossip.system import GossipSystem
+
+        system_class = GossipSystem
     return system_class(
         ctx.scheduler,
         ctx.network,
@@ -215,6 +210,8 @@ def _build_push_gossip(ctx: BuildContext) -> GossipSystem:
 
 
 def _build_fair_gossip(ctx: BuildContext) -> FairGossipSystem:
+    from ..core.fair_gossip import FairGossipSystem
+
     system = ctx.spec.system
     return _gossip_system(
         ctx,
@@ -230,6 +227,8 @@ def _build_fair_gossip(ctx: BuildContext) -> FairGossipSystem:
 
 
 def _build_pushpull_gossip(ctx: BuildContext) -> GossipSystem:
+    from ..gossip.pushpull import PushPullGossipNode
+
     return _gossip_system(ctx, PushPullGossipNode)
 
 
@@ -241,6 +240,8 @@ DIGEST_MEMBERSHIP_KINDS = frozenset({"cyclon", "full", "lpbcast"})
 
 
 def _build_lazy_push(ctx: BuildContext) -> GossipSystem:
+    from ..gossip.lazy import LazyPushGossipNode, lazy_store_ids
+
     spec = ctx.spec
     alpha = spec.system.alpha
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0.0 < alpha <= 1.0:
@@ -266,20 +267,28 @@ def _build_lazy_push(ctx: BuildContext) -> GossipSystem:
 
 
 def _build_scribe(ctx: BuildContext) -> ScribeSystem:
+    from ..dht.scribe import ScribeSystem
+
     return ScribeSystem(ctx.scheduler, ctx.network, list(ctx.node_ids))
 
 
 def _build_splitstream(ctx: BuildContext) -> SplitStreamSystem:
+    from ..dht.splitstream import SplitStreamSystem
+
     return SplitStreamSystem(
         ctx.scheduler, ctx.network, list(ctx.node_ids), stripes=ctx.spec.system.stripes
     )
 
 
 def _build_dks(ctx: BuildContext) -> DksSystem:
+    from ..dht.dks import DksSystem
+
     return DksSystem(ctx.scheduler, ctx.network, list(ctx.node_ids))
 
 
 def _build_brokers(ctx: BuildContext) -> BrokerSystem:
+    from ..brokers.broker import BrokerSystem
+
     return BrokerSystem(
         ctx.scheduler,
         ctx.network,
@@ -289,6 +298,9 @@ def _build_brokers(ctx: BuildContext) -> BrokerSystem:
 
 
 def _build_dam(ctx: BuildContext) -> DataAwareMulticastSystem:
+    from ..damulticast.dam import DataAwareMulticastSystem
+    from ..pubsub.topics import TopicHierarchy
+
     hierarchy = TopicHierarchy(
         ctx.popularity.topics if ctx.popularity is not None else ()
     )
@@ -377,19 +389,37 @@ SYSTEMS.register(
 
 # --------------------------------------------------------------- membership
 
+def _build_cyclon(ctx: BuildContext):
+    from ..membership.cyclon import cyclon_provider
+
+    return cyclon_provider()
+
+
+def _build_full(ctx: BuildContext):
+    from ..membership.full import full_membership_provider
+
+    return full_membership_provider(ctx.network)
+
+
+def _build_lpbcast(ctx: BuildContext):
+    from ..membership.lpbcast import lpbcast_provider
+
+    return lpbcast_provider()
+
+
 MEMBERSHIP.register(
     "cyclon",
-    lambda ctx: cyclon_provider(),
+    _build_cyclon,
     description="CYCLON view shuffling (partial views, age-based eviction)",
 )
 MEMBERSHIP.register(
     "full",
-    lambda ctx: full_membership_provider(ctx.network),
+    _build_full,
     description="Full-membership oracle (isolates dissemination from membership noise)",
 )
 MEMBERSHIP.register(
     "lpbcast",
-    lambda ctx: lpbcast_provider(),
+    _build_lpbcast,
     description="lpbcast-style piggybacked membership digests",
 )
 
@@ -559,6 +589,9 @@ def build_stack(
         telemetry=telemetry,
     )
     if spec.topology.enabled:
+        from ..topology.domains import compile_domain_map
+        from ..topology.spec import TopologyError
+
         kind = spec.system.kind
         if kind not in GOSSIP_KINDS:
             raise RegistryError(
@@ -572,6 +605,10 @@ def build_stack(
             raise RegistryError(f"invalid topology: {error}")
     system = SYSTEMS.get(spec.system.kind).factory(context)
     if context.domain_map is not None:
+        from ..topology.bridge import BridgeRouter
+        from ..topology.geo import GeoLinkProfile
+        from ..topology.runtime import TopologyRuntime
+
         # The geo stream is named and dedicated, so installing a lossless
         # profile draws nothing and perturbs no other stream.
         geo = GeoLinkProfile(

@@ -32,7 +32,7 @@ lands on (:meth:`StackSpec.with_value`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..faults.plan import FaultPlanError, FaultSpec as _PlanFaultSpec
 from ..jsonio import annotation_at, decode, encode, fit, suggest
@@ -313,6 +313,24 @@ _STRUCTURED_HINTS: Dict[str, str] = {
 }
 STRUCTURED_PATHS: Tuple[str, ...] = tuple(_STRUCTURED_HINTS)
 
+#: Numeric paths no stack can be built or run with outside a range: ``path ->
+#: (what the value must be, test)``.  :meth:`StackSpec.with_value` checks
+#: them, so a ``--set`` or sweep value out of range is a one-line error
+#: before anything is built (a negative ``duration`` or ``event_size`` would
+#: otherwise run and publish nothing, or count negative bytes).
+_RANGES: Dict[str, Tuple[str, Callable[[float], bool]]] = {
+    "nodes": ("at least 1", lambda value: value >= 1),
+    "duration": ("non-negative", lambda value: value >= 0),
+    "drain_time": ("non-negative", lambda value: value >= 0),
+    "loss_rate": ("within [0, 1]", lambda value: 0 <= value <= 1),
+    "system.fanout": ("non-negative", lambda value: value >= 0),
+    "system.gossip_size": ("at least 1", lambda value: value >= 1),
+    "system.round_period": ("positive", lambda value: value > 0),
+    "workload.topics": ("at least 1", lambda value: value >= 1),
+    "workload.publication_rate": ("positive", lambda value: value > 0),
+    "workload.event_size": ("non-negative", lambda value: value >= 0),
+}
+
 #: Sections added after the PR-1/PR-3 artifacts were written: omitted from
 #: :meth:`StackSpec.to_dict` at their defaults (the topology section field by
 #: field), so dicts of specs that never touch them stay byte-identical to the
@@ -518,15 +536,17 @@ class StackSpec:
         overrides like ``--set duration=5`` hash identically to ``5.0``, an
         integral ``float`` (``--set system.fanout=2.0``) narrows to an
         ``int`` field; a value that does not fit (see
-        :func:`repro.jsonio.fit`) raises :class:`RegistryError`.
+        :func:`repro.jsonio.fit`) or lies outside its path's range
+        (:data:`_RANGES`) raises :class:`RegistryError`.
         """
         path = resolve_spec_path(path)
         annotation = annotation_at(StackSpec, path)
         if annotation is int and type(value) is float and value.is_integer():
             value = int(value)
-        return _replace_path(
-            self, path.split("."), fit(annotation, value, path, RegistryError)
-        )
+        value = fit(annotation, value, path, RegistryError)
+        if path in _RANGES and not _RANGES[path][1](value):
+            raise RegistryError(f"{path} must be {_RANGES[path][0]}, got {value!r}")
+        return _replace_path(self, path.split("."), value)
 
     def with_values(self, overrides: Mapping[str, object]) -> "StackSpec":
         """Copy with several dotted-path overrides applied."""

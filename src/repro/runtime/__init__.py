@@ -24,53 +24,36 @@ the simulator without modification:
   subcommands.
 """
 
-from .clock import WallClock
-from .host import NodeHost
-from .loadgen import LoadGenerator, LoadReport
-from .network import RuntimeNetwork
-from .scheduler import AsyncPeriodicTimer, AsyncScheduler, AsyncScheduledEvent
-from .transport import (
-    MemoryHub,
-    MemoryTransport,
-    TcpTransport,
-    Transport,
-    UdpTransport,
-)
-from .wire import (
-    MAX_FRAME_SIZE,
-    PUBLISH_KIND,
-    SUBSCRIBE_KIND,
-    UNSUBSCRIBE_KIND,
-    WIRE_VERSION,
-    FrameDecoder,
-    WireError,
-    decode_message,
-    encode_message,
-    frame,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "WallClock",
-    "AsyncScheduler",
-    "AsyncScheduledEvent",
-    "AsyncPeriodicTimer",
-    "RuntimeNetwork",
-    "Transport",
-    "MemoryHub",
-    "MemoryTransport",
-    "UdpTransport",
-    "TcpTransport",
-    "NodeHost",
-    "LoadGenerator",
-    "LoadReport",
-    "WIRE_VERSION",
-    "MAX_FRAME_SIZE",
-    "PUBLISH_KIND",
-    "SUBSCRIBE_KIND",
-    "UNSUBSCRIBE_KIND",
-    "WireError",
-    "FrameDecoder",
-    "encode_message",
-    "decode_message",
-    "frame",
-]
+#: Schema tag of :class:`~repro.runtime.loadgen.RuntimeArtifact`, the runtime
+#: commands' ``--json``; declared here so ``repro report`` can recognise it
+#: without loading the runtime.
+RUNTIME_ARTIFACT_SCHEMA = "rt-load/v1"
+
+_EXPORTS = {
+    "WallClock": ".clock",
+    "AsyncScheduler": ".scheduler",
+    "AsyncScheduledEvent": ".scheduler",
+    "AsyncPeriodicTimer": ".scheduler",
+    "RuntimeNetwork": ".network",
+    "Transport": ".transport",
+    "MemoryHub": ".transport",
+    "MemoryTransport": ".transport",
+    "UdpTransport": ".transport",
+    "TcpTransport": ".transport",
+    "NodeHost": ".host",
+    "LoadGenerator": ".loadgen",
+    "LoadReport": ".loadgen",
+    "WIRE_VERSION": ".wire",
+    "MAX_FRAME_SIZE": ".wire",
+    "PUBLISH_KIND": ".wire",
+    "SUBSCRIBE_KIND": ".wire",
+    "UNSUBSCRIBE_KIND": ".wire",
+    "WireError": ".wire",
+    "FrameDecoder": ".wire",
+    "encode_message": ".wire",
+    "decode_message": ".wire",
+    "frame": ".wire",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -24,18 +24,18 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from ..analysis.reliability import measure_reliability
 from ..cli import add_stack_options, parse_tracer, resolve_spec, write_artifact
 from ..experiments.scenarios import LIVE_SCENARIO, get_scenario
-from ..faults import FaultPlanError
-from ..registry import StackSpec, build_interest_model, build_popularity, build_workload
-from ..registry.builtins import GOSSIP_KINDS
-from ..workloads.interest import InterestAssignment
-from .host import DELIVERIES_METRIC, PUBLISHED_METRIC, NodeHost
-from .loadgen import LoadGenerator, RuntimeArtifact
-from .transport import MemoryTransport, TcpTransport, Transport, UdpTransport
+from ..registry.builtins import GOSSIP_KINDS, build_interest_model, build_popularity, build_workload
+from ..registry.specs import StackSpec
+
+if TYPE_CHECKING:  # annotations only: the commands import the runtime when they run
+    from ..workloads.interest import InterestAssignment
+    from .host import NodeHost
+    from .loadgen import LoadGenerator, RuntimeArtifact
+    from .transport import Transport
 
 __all__ = ["add_runtime_subcommands", "build_live_cluster", "LiveCluster"]
 
@@ -54,6 +54,8 @@ class LiveCluster(NamedTuple):
 
 
 def _build_transport(args: argparse.Namespace) -> Transport:
+    from .transport import MemoryTransport, TcpTransport, UdpTransport
+
     if args.transport == "memory":
         return MemoryTransport()
     if args.transport == "udp":
@@ -93,6 +95,9 @@ def build_live_cluster(
     — so a live cluster and a simulated run of one spec are assigned the
     same interests and publish the same events in the same order.
     """
+    from .host import NodeHost
+    from .loadgen import LoadGenerator
+
     host = NodeHost(transport, seed=spec.seed, time_scale=time_scale, spec=spec, tracer=tracer)
     popularity = build_popularity(spec)
     interest_model = build_interest_model(spec, popularity)
@@ -107,6 +112,12 @@ def build_live_cluster(
 
 def _cluster_from_args(args: argparse.Namespace) -> LiveCluster:
     """The cluster a ``serve`` / ``loadgen`` command line describes."""
+    positive = (("--rate", args.rate), ("--duration", args.duration), ("--time-scale", args.time_scale))
+    for flag, value in positive:
+        if value <= 0:
+            raise SystemExit(f"{flag} must be positive, got {value!r}")
+    if args.drain < 0:
+        raise SystemExit(f"--drain must be non-negative, got {args.drain!r}")
     spec = _live_buffer_tuning(resolve_spec(args, live=True), args)
     return build_live_cluster(
         spec, _build_transport(args), args.time_scale, args.rate, parse_tracer(args)
@@ -114,6 +125,11 @@ def _cluster_from_args(args: argparse.Namespace) -> LiveCluster:
 
 
 async def _run_live(args: argparse.Namespace, live_report: bool) -> RuntimeArtifact:
+    from ..analysis.reliability import measure_reliability
+    from ..faults.plan import FaultPlanError
+    from .host import DELIVERIES_METRIC, PUBLISHED_METRIC
+    from .loadgen import RuntimeArtifact
+
     cluster = _cluster_from_args(args)
     host, generator = cluster.host, cluster.generator
     try:

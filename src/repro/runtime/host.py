@@ -21,7 +21,7 @@ subscriptions over the wire:
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, Optional, Sequence, Type
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Type
 
 from ..core.accounting import WorkLedger
 from ..core.policy import EXPRESSIVE_POLICY, FairnessPolicy
@@ -30,7 +30,7 @@ from ..analysis.fairness_report import (
     publish_fairness_gauges,
     summarise_fairness,
 )
-from ..faults import FaultController, FaultPlan, FaultPlanError
+from ..faults.plan import FaultPlan, FaultPlanError
 from ..gossip.push import PushGossipNode
 from ..gossip.system import bootstrap_views
 from ..membership.base import MembershipProvider
@@ -39,13 +39,19 @@ from ..pubsub.events import Event
 from ..pubsub.filters import Filter
 from ..pubsub.interfaces import DeliveryCallback, DeliveryLog, DisseminationSystem
 from ..sim.rng import RngRegistry
-from ..registry import StackSpec, build_popularity, build_stack, resolve_policy_kind
-from ..telemetry import SnapshotScheduler, Telemetry, TelemetrySink
+from ..registry.builtins import build_popularity, build_stack, resolve_policy_kind
+from ..registry.specs import StackSpec
+from ..telemetry.facade import Telemetry
+from ..telemetry.sinks import TelemetrySink
+from ..telemetry.snapshot import SnapshotScheduler
 from .clock import WallClock
 from .network import RuntimeNetwork
 from .scheduler import AsyncScheduler
 from .transport import Transport
 from .wire import PUBLISH_KIND, SUBSCRIBE_KIND, UNSUBSCRIBE_KIND
+
+if TYPE_CHECKING:  # annotations only: _start_faults imports it for a non-empty plan
+    from ..faults.controller import FaultController
 
 __all__ = ["NodeHost"]
 
@@ -234,6 +240,8 @@ class NodeHost(DisseminationSystem):
             plan = FaultPlan.from_flat(self._spec.to_config())
         if plan is None or plan.is_empty():
             return
+        from ..faults.controller import FaultController
+
         self.fault_controller = FaultController.for_system(self, plan, telemetry=self.telemetry)
         self.fault_controller.start()
 

@@ -27,12 +27,10 @@ from typing import Dict
 
 from ..core.fairness import FairnessReport
 from ..jsonio import encode
+from . import RUNTIME_ARTIFACT_SCHEMA
 from .host import DELIVERIES_METRIC, DELIVERY_LATENCY_METRIC, NodeHost
 
 __all__ = ["LoadGenerator", "LoadReport", "RuntimeArtifact", "RUNTIME_ARTIFACT_SCHEMA"]
-
-#: Schema tag of :class:`RuntimeArtifact`, the runtime commands' ``--json``.
-RUNTIME_ARTIFACT_SCHEMA = "rt-load/v1"
 
 
 @dataclass(frozen=True)

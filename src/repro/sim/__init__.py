@@ -17,44 +17,30 @@ Typical wiring::
     sim.run(until=100.0)
 """
 
-from .clock import Clock, VirtualClock
-from .engine import PeriodicTimer, ScheduledEvent, SimulationError, Simulator
-from .network import (
-    BernoulliLoss,
-    ConstantLatency,
-    LogNormalLatency,
-    LossModel,
-    LatencyModel,
-    Message,
-    Network,
-    NetworkStats,
-    NoLoss,
-    UniformLatency,
-)
-from .node import Process, ProcessRegistry
-from .rng import RngRegistry, derive_seed, weighted_choice, zipf_weights
+from .._exports import lazy_exports
 
-__all__ = [
-    "Clock",
-    "VirtualClock",
-    "Simulator",
-    "ScheduledEvent",
-    "PeriodicTimer",
-    "SimulationError",
-    "Message",
-    "Network",
-    "NetworkStats",
-    "LatencyModel",
-    "ConstantLatency",
-    "UniformLatency",
-    "LogNormalLatency",
-    "LossModel",
-    "NoLoss",
-    "BernoulliLoss",
-    "Process",
-    "ProcessRegistry",
-    "RngRegistry",
-    "derive_seed",
-    "zipf_weights",
-    "weighted_choice",
-]
+_EXPORTS = {
+    "Clock": ".clock",
+    "VirtualClock": ".clock",
+    "Simulator": ".engine",
+    "ScheduledEvent": ".engine",
+    "PeriodicTimer": ".engine",
+    "SimulationError": ".engine",
+    "Message": ".network",
+    "Network": ".network",
+    "NetworkStats": ".network",
+    "LatencyModel": ".network",
+    "ConstantLatency": ".network",
+    "UniformLatency": ".network",
+    "LogNormalLatency": ".network",
+    "LossModel": ".network",
+    "NoLoss": ".network",
+    "BernoulliLoss": ".network",
+    "Process": ".node",
+    "ProcessRegistry": ".node",
+    "RngRegistry": ".rng",
+    "derive_seed": ".rng",
+    "zipf_weights": ".rng",
+    "weighted_choice": ".rng",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

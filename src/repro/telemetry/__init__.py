@@ -23,46 +23,27 @@ Design constraints, in order:
    CSV, Prometheus exposition) with the standard library only.
 """
 
-from .instruments import (
-    Counter,
-    Gauge,
-    Histogram,
-    HistogramState,
-    HistogramSummary,
-    Timer,
-    percentile,
-)
-from .facade import Telemetry
-from .snapshot import SNAPSHOT_SCHEMA, SnapshotScheduler, TelemetrySnapshot
-from .sinks import (
-    DEFAULT_SNAPSHOT_PERIOD,
-    CsvSink,
-    JsonlSink,
-    MemorySink,
-    PrometheusSink,
-    TelemetrySink,
-    parse_sink_spec,
-    render_prometheus,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "DEFAULT_SNAPSHOT_PERIOD",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "HistogramState",
-    "HistogramSummary",
-    "Timer",
-    "percentile",
-    "Telemetry",
-    "TelemetrySnapshot",
-    "SnapshotScheduler",
-    "TelemetrySink",
-    "MemorySink",
-    "JsonlSink",
-    "CsvSink",
-    "PrometheusSink",
-    "parse_sink_spec",
-    "SNAPSHOT_SCHEMA",
-    "render_prometheus",
-]
+_EXPORTS = {
+    "DEFAULT_SNAPSHOT_PERIOD": ".sinks",
+    "Counter": ".instruments",
+    "Gauge": ".instruments",
+    "Histogram": ".instruments",
+    "HistogramState": ".instruments",
+    "HistogramSummary": ".instruments",
+    "Timer": ".instruments",
+    "percentile": ".instruments",
+    "Telemetry": ".facade",
+    "TelemetrySnapshot": ".snapshot",
+    "SnapshotScheduler": ".snapshot",
+    "TelemetrySink": ".sinks",
+    "MemorySink": ".sinks",
+    "JsonlSink": ".sinks",
+    "CsvSink": ".sinks",
+    "PrometheusSink": ".sinks",
+    "parse_sink_spec": ".sinks",
+    "SNAPSHOT_SCHEMA": ".snapshot",
+    "render_prometheus": ".sinks",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -99,12 +99,20 @@ def _read_results(path: str) -> list:
         ) from None
 
 
+def _read_runtime(path: str):
+    """A ``serve``/``loadgen --json`` artifact (the only reader that loads the runtime)."""
+    from ..runtime import RUNTIME_ARTIFACT_SCHEMA
+    from ..runtime.loadgen import RuntimeArtifact
+
+    return _document(RuntimeArtifact, RUNTIME_ARTIFACT_SCHEMA, "runtime artifact")(path)
+
+
 @lru_cache(maxsize=None)
 def artifact_kinds() -> Dict[object, ArtifactKind]:
     """Schema tag -> :class:`ArtifactKind`, for every artifact the program writes."""
     from ..campaign.manifest import MANIFEST_SCHEMA, RunManifest
     from ..experiments.cache import ARTIFACT_SCHEMA
-    from ..runtime.loadgen import RUNTIME_ARTIFACT_SCHEMA, RuntimeArtifact
+    from ..runtime import RUNTIME_ARTIFACT_SCHEMA
     from ..tracing import TRACE_SCHEMA, SpanRecord, analyze_spans, render_trace
 
     return {
@@ -120,10 +128,7 @@ def artifact_kinds() -> Dict[object, ArtifactKind]:
             ),
         ),
         ARTIFACT_SCHEMA: ArtifactKind(_read_results, render_results),
-        RUNTIME_ARTIFACT_SCHEMA: ArtifactKind(
-            _document(RuntimeArtifact, RUNTIME_ARTIFACT_SCHEMA, "runtime artifact"),
-            _render_runtime,
-        ),
+        RUNTIME_ARTIFACT_SCHEMA: ArtifactKind(_read_runtime, _render_runtime),
         MANIFEST_SCHEMA: ArtifactKind(
             _document(RunManifest, MANIFEST_SCHEMA, "campaign manifest"), _render_manifest
         ),
@@ -414,7 +419,7 @@ def render_snapshots(snapshots: Sequence[TelemetrySnapshot], max_rows: int = 10)
 
 def _render_runtime(artifact, max_rows: int) -> str:
     from ..analysis.tables import format_mapping
-    from ..runtime.loadgen import RUNTIME_ARTIFACT_SCHEMA
+    from ..runtime import RUNTIME_ARTIFACT_SCHEMA
 
     load = artifact.load
     rows = {

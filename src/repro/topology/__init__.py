@@ -27,23 +27,19 @@ domain names with sha256 (never Python's salted ``hash``), and a topology-free
 spec leaves every network draw sequence byte-identical to the flat layout.
 """
 
-from .bridge import BRIDGE_MESSAGE_KIND, BridgeRouter
-from .domains import DomainMap, compile_domain_map
-from .geo import GeoLinkProfile
-from .membership import DomainScopedMembership, domain_scoped_provider
-from .runtime import TopologyRuntime
-from .spec import TOPOLOGY_SCHEMA, TopologyError, TopologySpec
+from .._exports import lazy_exports
 
-__all__ = [
-    "TOPOLOGY_SCHEMA",
-    "TopologyError",
-    "TopologySpec",
-    "DomainMap",
-    "compile_domain_map",
-    "GeoLinkProfile",
-    "DomainScopedMembership",
-    "domain_scoped_provider",
-    "BridgeRouter",
-    "BRIDGE_MESSAGE_KIND",
-    "TopologyRuntime",
-]
+_EXPORTS = {
+    "TOPOLOGY_SCHEMA": ".spec",
+    "TopologyError": ".spec",
+    "TopologySpec": ".spec",
+    "DomainMap": ".domains",
+    "compile_domain_map": ".domains",
+    "GeoLinkProfile": ".geo",
+    "DomainScopedMembership": ".membership",
+    "domain_scoped_provider": ".membership",
+    "BridgeRouter": ".bridge",
+    "BRIDGE_MESSAGE_KIND": ".bridge",
+    "TopologyRuntime": ".runtime",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

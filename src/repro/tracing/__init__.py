@@ -26,41 +26,26 @@ The moving parts:
   ``python -m repro trace``.
 """
 
-from .analyze import EventTrace, TraceAnalysis, analyze_spans, render_trace
-from .context import TraceContext
-from .sampler import TraceSampler
-from .spans import (
-    DELIVER,
-    DIGEST_ADVERT,
-    DROP,
-    DUPLICATE,
-    PUBLISH,
-    PULL_RECOVER,
-    RECEIVE,
-    RELAY,
-    SPAN_KINDS,
-    TRACE_SCHEMA,
-    SpanRecord,
-)
-from .tracer import Tracer
+from .._exports import lazy_exports
 
-__all__ = [
-    "TRACE_SCHEMA",
-    "SPAN_KINDS",
-    "PUBLISH",
-    "RELAY",
-    "RECEIVE",
-    "DUPLICATE",
-    "DIGEST_ADVERT",
-    "PULL_RECOVER",
-    "DELIVER",
-    "DROP",
-    "TraceContext",
-    "SpanRecord",
-    "TraceSampler",
-    "Tracer",
-    "EventTrace",
-    "TraceAnalysis",
-    "analyze_spans",
-    "render_trace",
-]
+_EXPORTS = {
+    "TRACE_SCHEMA": ".spans",
+    "SPAN_KINDS": ".spans",
+    "PUBLISH": ".spans",
+    "RELAY": ".spans",
+    "RECEIVE": ".spans",
+    "DUPLICATE": ".spans",
+    "DIGEST_ADVERT": ".spans",
+    "PULL_RECOVER": ".spans",
+    "DELIVER": ".spans",
+    "DROP": ".spans",
+    "TraceContext": ".context",
+    "SpanRecord": ".spans",
+    "TraceSampler": ".sampler",
+    "Tracer": ".tracer",
+    "EventTrace": ".analyze",
+    "TraceAnalysis": ".analyze",
+    "analyze_spans": ".analyze",
+    "render_trace": ".analyze",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

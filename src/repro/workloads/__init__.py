@@ -1,30 +1,18 @@
 """Workload generators: topic popularity, interest assignment, publications, churn."""
 
-from .churn import ChurnStats, SubscriptionChurnWorkload
-from .interest import (
-    AttributeInterest,
-    CommunityInterest,
-    InterestAssignment,
-    UniformInterest,
-    ZipfInterest,
-)
-from .popularity import TopicPopularity
-from .publications import (
-    ContentPublicationWorkload,
-    PublicationSchedule,
-    TopicPublicationWorkload,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "TopicPopularity",
-    "InterestAssignment",
-    "UniformInterest",
-    "ZipfInterest",
-    "CommunityInterest",
-    "AttributeInterest",
-    "PublicationSchedule",
-    "TopicPublicationWorkload",
-    "ContentPublicationWorkload",
-    "SubscriptionChurnWorkload",
-    "ChurnStats",
-]
+_EXPORTS = {
+    "TopicPopularity": ".popularity",
+    "InterestAssignment": ".interest",
+    "UniformInterest": ".interest",
+    "ZipfInterest": ".interest",
+    "CommunityInterest": ".interest",
+    "AttributeInterest": ".interest",
+    "PublicationSchedule": ".publications",
+    "TopicPublicationWorkload": ".publications",
+    "ContentPublicationWorkload": ".publications",
+    "SubscriptionChurnWorkload": ".churn",
+    "ChurnStats": ".churn",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

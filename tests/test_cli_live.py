@@ -125,6 +125,12 @@ class TestDanglingOptionGuards:
         with pytest.raises(SystemExit, match="--trace-sample-rate has no effect"):
             cli_main([command, *FAST, "--trace-sample-rate", "0.5"])
 
+    @pytest.mark.parametrize("flag", ["--rate", "--duration"])
+    def test_a_rate_or_duration_of_zero_is_a_clean_error(self, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["loadgen", *FAST, flag, "0"])
+        assert str(excinfo.value) == f"{flag} must be positive, got 0.0"
+
     def test_bad_sink_spec_is_a_clean_error(self):
         with pytest.raises(SystemExit, match="unknown telemetry sink kind"):
             cli_main(["loadgen", *FAST, "--telemetry", "carrier-pigeon:out"])

@@ -11,6 +11,9 @@ and fails here, in under a second, instead.
 from __future__ import annotations
 
 import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -58,3 +61,43 @@ def test_patched_names_are_pairwise_distinct_functions():
         owners_by_object.setdefault(id(patched), []).append(where)
     aliased = [names for names in owners_by_object.values() if len(names) > 1]
     assert not aliased, f"perfbench would wrap the same function twice: {aliased}"
+
+
+#: perfbench's child up to its traced pass: the timed passes resolve what the
+#: run uses, then ``layers.install`` imports every other target module while
+#: earlier targets are already patched.
+_TRACED_CHILD = """
+import importlib, json, sys
+from perfbench import child, layers, workloads
+from perfbench.trace import Tracer
+
+child._import_program()
+configs = child._sim_configs(workloads.build_inputs("sim-scale-push", 4099, quick=True))
+child._sim_setup(configs)
+child._sim_pass(configs)
+tracer = Tracer()
+layers.install(tracer)
+tracer.start()
+child._sim_pass(configs)
+tracer.stop()
+tracer.uninstall()
+stale = []
+for name, package in sorted(sys.modules.items()):
+    for export, submodule in getattr(package, "_EXPORTS", {}).items():
+        if export in vars(package) and vars(package)[export] is not getattr(
+            importlib.import_module(submodule, name), export
+        ):
+            stale.append(name + "." + export)
+print(json.dumps(stale))
+"""
+
+
+def test_no_package_export_keeps_a_perfbench_wrapper_after_uninstall():
+    """A package resolves an export once and keeps it; if that first access
+    fell between ``Tracer.install`` and ``uninstall`` the package would keep
+    the wrapper, which ``install`` could not know to put back."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT), str(ROOT / "src")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _TRACED_CHILD], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == []

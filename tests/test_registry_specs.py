@@ -282,7 +282,22 @@ class TestCliSurface:
         assert "membership.kind" in str(excinfo.value)
 
     @pytest.mark.parametrize(
-        "override", ["system.fanout=abc", "system.fanout=2.5", "system.adapt_fanout=3"]
+        "override",
+        [
+            "system.fanout=abc",
+            "system.fanout=2.5",
+            "system.adapt_fanout=3",
+            # in type but out of range: each crashed the run or ran silent nonsense
+            "system.fanout=-1",
+            "nodes=0",
+            "loss_rate=2",
+            "system.gossip_size=0",
+            "system.round_period=0",
+            "workload.publication_rate=-1",
+            "workload.topics=0",
+            "duration=-1",
+            "workload.event_size=-1",
+        ],
     )
     def test_set_rejects_a_mistyped_value_before_anything_runs(
         self, override, monkeypatch, tmp_path
