@@ -24,7 +24,7 @@ smoothing  converged nodes of 20    mean rounds to converge
 
 from __future__ import annotations
 
-from common import BASE_CONFIG, attach_extra_info
+from common import attach_extra_info
 from repro.analysis.tables import Table
 from repro.core import FairGossipSystem
 from repro.pubsub import TopicFilter

@@ -11,35 +11,14 @@ asks about.
 
 from __future__ import annotations
 
-from common import BASE_CONFIG, attach_extra_info, print_results, run_configs
+from common import attach_extra_info, run_target
 
 
-def run_floor_sweep():
-    base = BASE_CONFIG.with_overrides(
-        name="c3",
-        system="fair-gossip",
-        nodes=96,
-        duration=20.0,
-        drain_time=12.0,
-        interest_model="zipf",
-    )
-    # (min_fanout, base_fanout): driving both to the bottom removes the
-    # epidemic safety margin; a floor of 1 with a sensible base keeps it.
-    configs = [
-        base.with_overrides(
-            min_fanout=min_fanout,
-            fanout=base_fanout,
-            max_fanout=max_fanout,
-            name=f"c3/floor={min_fanout},base={base_fanout}",
-        )
-        for min_fanout, base_fanout, max_fanout in [(0, 1, 2), (1, 2, 6), (1, 4, 12), (2, 4, 12)]
-    ]
-    return run_configs(configs)
-
-
-def test_c3_minimum_fanout_requirement(benchmark):
-    results = benchmark.pedantic(run_floor_sweep, rounds=1, iterations=1)
-    print_results("C3 — reliability vs the fair protocol's fanout floor", results)
+def test_c3_minimum_fanout_requirement(benchmark, tmp_path):
+    # Points (min_fanout, base fanout, max_fanout) = (0,1,2), (1,2,6), (1,4,12),
+    # (2,4,12): driving both to the bottom removes the epidemic safety
+    # margin; a floor of 1 with a sensible base keeps it.
+    results = benchmark.pedantic(run_target, ("c3-fanout-floor", tmp_path), rounds=1, iterations=1)
     attach_extra_info(benchmark, results)
     ratios = [result.reliability.delivery_ratio for result in results]
     # With floor>=1 and a sensible base fanout the protocol stays reliable...

@@ -8,47 +8,21 @@ classic one at every churn level while remaining fairer.
 
 from __future__ import annotations
 
-from common import BASE_CONFIG, attach_extra_info, print_results, run_configs
+from common import attach_extra_info, run_target
 
 
-CHURN_LEVELS = [0.0, 0.02, 0.05, 0.1]
-
-
-def run_robustness():
-    base = BASE_CONFIG.with_overrides(
-        name="c4",
-        nodes=96,
-        duration=20.0,
-        drain_time=15.0,
-        loss_rate=0.05,
-        fanout=4,
-        churn_up_probability=0.4,
-    )
-    configs = [
-        base.with_overrides(
-            system=system,
-            churn_down_probability=churn,
-            name=f"c4/{system}/churn={churn}",
-        )
-        for system in ("gossip", "fair-gossip")
-        for churn in CHURN_LEVELS
-    ]
-    return run_configs(configs)
-
-
-def test_c4_robustness_under_churn_and_loss(benchmark):
-    results = benchmark.pedantic(run_robustness, rounds=1, iterations=1)
-    print_results("C4 — delivery ratio under churn (5% message loss), classic vs fair", results)
+def test_c4_robustness_under_churn_and_loss(benchmark, tmp_path):
+    results = benchmark.pedantic(run_target, ("c4-robustness", tmp_path), rounds=1, iterations=1)
     attach_extra_info(benchmark, results)
     by_name = {result.config.name: result for result in results}
-    for churn in CHURN_LEVELS:
-        classic = by_name[f"c4/gossip/churn={churn}"].reliability.delivery_ratio
-        fair = by_name[f"c4/fair-gossip/churn={churn}"].reliability.delivery_ratio
+    for churn in sorted({result.config.churn_down_probability for result in results}):
+        classic = by_name[f"c4/gossip/churn_down_probability={churn}"].reliability.delivery_ratio
+        fair = by_name[f"c4/fair-gossip/churn_down_probability={churn}"].reliability.delivery_ratio
         # The fair protocol tracks classic gossip's robustness closely.
         assert fair > 0.8
         assert fair >= classic - 0.08
     # Fairness advantage persists even under churn.
     assert (
-        by_name["c4/fair-gossip/churn=0.05"].fairness.report.ratio_jain
-        > by_name["c4/gossip/churn=0.05"].fairness.report.ratio_jain
+        by_name["c4/fair-gossip/churn_down_probability=0.05"].fairness.report.ratio_jain
+        > by_name["c4/gossip/churn_down_probability=0.05"].fairness.report.ratio_jain
     )

@@ -22,8 +22,6 @@ from __future__ import annotations
 import os
 import tempfile
 
-from common import ExperimentConfig  # noqa: F401  (sys.path side effect)
-
 from repro.campaign import CampaignExecutor, CampaignSpec
 from repro.experiments.cache import ResultCache
 from repro.experiments.executor import ParallelSweepExecutor

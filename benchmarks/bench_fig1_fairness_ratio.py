@@ -10,19 +10,11 @@ gossip sits in between (great load balance, poor fairness).
 
 from __future__ import annotations
 
-from common import BASE_CONFIG, attach_extra_info, compare_configs, print_results, run_configs
-
-SYSTEMS = ["gossip", "fair-gossip", "pushpull-gossip", "scribe", "splitstream", "dks", "brokers", "dam"]
+from common import attach_extra_info, run_target
 
 
-def run_comparison():
-    base = BASE_CONFIG.with_overrides(name="fig1", nodes=96, duration=20.0, drain_time=12.0)
-    return run_configs(compare_configs(base, SYSTEMS))
-
-
-def test_fig1_fairness_ratio_comparison(benchmark):
-    results = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
-    print_results("Figure 1 — contribution/benefit ratio equalisation across systems", results)
+def test_fig1_fairness_ratio_comparison(benchmark, tmp_path):
+    results = benchmark.pedantic(run_target, ("fig1-fairness", tmp_path), rounds=1, iterations=1)
     attach_extra_info(benchmark, results)
     by_system = {result.config.system: result for result in results}
     # The paper's qualitative claims, asserted on the measured shape:

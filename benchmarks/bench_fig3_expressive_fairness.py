@@ -10,40 +10,18 @@ and both together improve it the most, at unchanged delivery ratio.
 
 from __future__ import annotations
 
-from common import BASE_CONFIG, attach_extra_info, print_results, run_configs
+from common import attach_extra_info, run_target
 
 
-def run_ablation():
-    base = BASE_CONFIG.with_overrides(
-        name="fig3",
-        system="fair-gossip",
-        interest_model="content",
-        topics_per_node=2,
-        fairness_policy="expressive",
-        nodes=80,
-        duration=20.0,
-        drain_time=12.0,
-    )
-    variants = {
-        "classic": base.with_overrides(system="gossip", name="fig3/classic"),
-        "fanout-only": base.with_overrides(adapt_fanout=True, adapt_payload=False, name="fig3/fanout-only"),
-        "payload-only": base.with_overrides(adapt_fanout=False, adapt_payload=True, name="fig3/payload-only"),
-        "both": base.with_overrides(adapt_fanout=True, adapt_payload=True, name="fig3/both"),
-    }
-    results = run_configs(list(variants.values()))
-    return dict(zip(variants, results))
-
-
-def test_fig3_expressive_fairness_levers(benchmark):
-    results = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
-    ordered = [results[label] for label in ("classic", "fanout-only", "payload-only", "both")]
-    print_results("Figure 3 — expressive selection: fanout and payload as contribution levers", ordered)
-    attach_extra_info(benchmark, ordered)
-    classic = results["classic"].fairness.report
-    both = results["both"].fairness.report
-    fanout_only = results["fanout-only"].fairness.report
+def test_fig3_expressive_fairness_levers(benchmark, tmp_path):
+    results = benchmark.pedantic(run_target, ("fig3-levers", tmp_path), rounds=1, iterations=1)
+    attach_extra_info(benchmark, results)
+    by_name = {result.config.name: result.fairness.report for result in results}
+    classic = by_name["fig3/classic"]
+    both = by_name["fig3/both"]
+    fanout_only = by_name["fig3/fanout-only"]
     assert both.ratio_jain > classic.ratio_jain
     assert fanout_only.ratio_jain > classic.ratio_jain
     # Reliability must not be sacrificed for fairness.
-    for result in results.values():
+    for result in results:
         assert result.reliability.delivery_ratio > 0.9

@@ -11,24 +11,13 @@ maintenance traffic of popular, churn-heavy topics; gossip systems spread it.
 
 from __future__ import annotations
 
-from common import BASE_CONFIG, attach_extra_info, compare_configs, print_results, run_configs
+from common import attach_extra_info, print_columns, run_in_process
 from repro.core import gini_coefficient
 
 
 def run_subscription_churn():
-    base = BASE_CONFIG.with_overrides(
-        name="s1",
-        nodes=80,
-        topics=16,
-        topic_exponent=1.2,
-        duration=25.0,
-        drain_time=10.0,
-        publication_rate=1.0,
-        subscription_churn_rate=6.0,
-    )
-    results = run_configs(
-        compare_configs(base, ["scribe", "dks", "gossip", "fair-gossip"]), keep_system=True
-    )
+    # Subscription forwards are in the ledger, not in the results artifact.
+    results = run_in_process("s1-maintenance")
     maintenance = {}
     for result in results:
         ledger = result.system.ledger
@@ -44,10 +33,8 @@ def run_subscription_churn():
 
 def test_s1_subscription_maintenance_fairness(benchmark):
     results, maintenance = benchmark.pedantic(run_subscription_churn, rounds=1, iterations=1)
-    print_results(
-        "S1 — subscription churn: total maintenance work and its concentration (Gini)",
-        results,
-        extra_columns=maintenance,
+    print_columns(
+        "S1 — subscription churn: total maintenance work and its concentration (Gini)", maintenance
     )
     attach_extra_info(benchmark, results)
     benchmark.extra_info["maintenance"] = maintenance

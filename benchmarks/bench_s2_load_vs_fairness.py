@@ -12,26 +12,11 @@ into a measurement.
 
 from __future__ import annotations
 
-from common import BASE_CONFIG, attach_extra_info, compare_configs, print_results, run_configs
+from common import attach_extra_info, run_target
 
 
-def run_skewed_comparison():
-    base = BASE_CONFIG.with_overrides(
-        name="s2",
-        nodes=80,
-        topics=10,
-        topic_exponent=1.5,        # traffic concentrates on a few topics
-        interest_model="community",
-        topics_per_node=2,
-        duration=20.0,
-        drain_time=12.0,
-    )
-    return run_configs(compare_configs(base, ["splitstream", "gossip", "fair-gossip"]))
-
-
-def test_s2_load_balancing_is_not_fairness(benchmark):
-    results = benchmark.pedantic(run_skewed_comparison, rounds=1, iterations=1)
-    print_results("S2 — load balance (contribution_jain) vs fairness (ratio_jain)", results)
+def test_s2_load_balancing_is_not_fairness(benchmark, tmp_path):
+    results = benchmark.pedantic(run_target, ("s2-load-vs-fairness", tmp_path), rounds=1, iterations=1)
     attach_extra_info(benchmark, results)
     by_system = {result.config.system: result.fairness.report for result in results}
     classic = by_system["gossip"]

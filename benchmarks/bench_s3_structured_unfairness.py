@@ -14,41 +14,25 @@ from the fair-gossip reference run on the same workload.
 
 from __future__ import annotations
 
-from common import BASE_CONFIG, attach_extra_info, compare_configs, print_results, run_configs
+from common import attach_extra_info, print_columns, run_target
 from repro.core import gini_coefficient
 
 
-def run_structured():
-    base = BASE_CONFIG.with_overrides(
-        name="s3",
-        nodes=96,
-        topics=64,
-        topic_exponent=1.0,
-        interest_model="zipf",
-        max_topics_per_node=4,
-        duration=20.0,
-        drain_time=12.0,
-    )
-    results = run_configs(compare_configs(base, ["scribe", "dks", "fair-gossip"]), keep_system=True)
-    extras = {}
-    for result in results:
-        ledger = result.system.ledger
-        sends = {node: ledger.account(node).gossip_messages_sent for node in ledger.node_ids()}
-        benefits = {node: ledger.account(node).events_delivered for node in ledger.node_ids()}
-        wasted = sum(count for node, count in sends.items() if benefits.get(node, 0) == 0)
-        total = sum(sends.values()) or 1
-        extras[result.config.name] = {
-            "nonbeneficiary_send_share": wasted / total,
-            "send_gini": gini_coefficient(sends.values()),
-        }
-    return results, extras
+def structure(result):
+    """Send share of nodes that delivered nothing, and the Gini of sends."""
+    rows = result.fairness.per_node
+    wasted = sum(row.forwarded_messages for row in rows if row.delivered == 0)
+    total = sum(row.forwarded_messages for row in rows) or 1
+    return {
+        "nonbeneficiary_send_share": wasted / total,
+        "send_gini": gini_coefficient([row.forwarded_messages for row in rows]),
+    }
 
 
-def test_s3_structured_unfairness(benchmark):
-    results, extras = benchmark.pedantic(run_structured, rounds=1, iterations=1)
-    print_results(
-        "S3 — structured baselines: wasted forwarding and dispatch concentration", results, extras
-    )
+def test_s3_structured_unfairness(benchmark, tmp_path):
+    results = benchmark.pedantic(run_target, ("s3-structure", tmp_path), rounds=1, iterations=1)
+    extras = {result.config.name: structure(result) for result in results}
+    print_columns("S3 — wasted forwarding and dispatch concentration", extras)
     attach_extra_info(benchmark, results)
     benchmark.extra_info["structure"] = extras
     scribe = extras["s3/scribe"]

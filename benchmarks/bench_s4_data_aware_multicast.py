@@ -11,23 +11,12 @@ delegates per root.
 
 from __future__ import annotations
 
-from common import BASE_CONFIG, EXECUTOR, attach_extra_info, print_results
+from common import attach_extra_info, print_columns, run_in_process
 from repro.core import EXPRESSIVE_POLICY
 
 
-def run_dam(delegates_per_root: int):
-    config = BASE_CONFIG.with_overrides(
-        name=f"s4/delegates={delegates_per_root}",
-        system="dam",
-        nodes=80,
-        topics=12,
-        interest_model="zipf",
-        max_topics_per_node=3,
-        duration=20.0,
-        drain_time=12.0,
-        delegates_per_root=delegates_per_root,
-    )
-    result = EXECUTOR.run(config, keep_system=True)
+def delegate_stats(result):
+    """Delegate count and mean work-per-benefit of delegates vs members."""
     system = result.system
     delegate_ids = {node for nodes in system.delegates().values() for node in nodes}
     contributions = EXPRESSIVE_POLICY.contributions(system.ledger)
@@ -42,7 +31,7 @@ def run_dam(delegates_per_root: int):
         return sum(ratios) / len(ratios) if ratios else 0.0
 
     members = [node for node in system.node_ids() if node not in delegate_ids]
-    return result, {
+    return {
         "delegate_count": float(len(delegate_ids)),
         "delegate_mean_ratio": mean_ratio(delegate_ids),
         "member_mean_ratio": mean_ratio(members),
@@ -50,15 +39,14 @@ def run_dam(delegates_per_root: int):
 
 
 def test_s4_data_aware_multicast_delegate_effect(benchmark):
-    outputs = benchmark.pedantic(
-        lambda: [run_dam(delegates) for delegates in (2, 4)], rounds=1, iterations=1
-    )
-    results = [result for result, _ in outputs]
-    extras = {result.config.name: stats for result, stats in outputs}
-    print_results("S4 — data-aware multicast: members vs supertopic delegates", results, extras)
+    # The delegates are read off the live system, so the points run in-process.
+    results = benchmark.pedantic(run_in_process, ("s4-delegates",), rounds=1, iterations=1)
+    extras = {result.config.name: delegate_stats(result) for result in results}
+    print_columns("S4 — data-aware multicast: members vs supertopic delegates", extras)
     attach_extra_info(benchmark, results)
     benchmark.extra_info["delegates"] = extras
-    for result, stats in outputs:
+    for result in results:
+        stats = extras[result.config.name]
         # Dissemination stays interest-local and reliable ...
         assert result.reliability.delivery_ratio > 0.85
         # ... and delegates carry a clearly higher work-per-benefit ratio

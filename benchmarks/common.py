@@ -1,23 +1,31 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark file regenerates one experiment from the figure map in
-``benchmarks/README.md`` (one per paper figure or §5 challenge).  The pattern is always the same:
-build the experiment configs, run them once inside ``benchmark.pedantic``
-(the simulation itself is the thing being timed; statistical repetition is
-pointless because the runs are deterministic), print the table the paper
-would show, and attach the headline numbers to ``benchmark.extra_info`` so
+The figure benches (fig1–fig4, s1–s4, c3, c4) do not define their
+experiments: each grid is declared once, as a target of
+``examples/paper_campaign.json``, and a bench runs that target through the
+:class:`~repro.campaign.CampaignExecutor` inside ``benchmark.pedantic``
+(:func:`run_target`).  The campaign renders the target's table, which is
+printed, and writes its results artifact, which the bench reads back with
+:func:`repro.telemetry.report.load_artifact` and asserts the paper's shape
+on.  A bench that needs a live system (s1, s4) takes the target's points
+from the same campaign and runs them in-process (:func:`run_in_process`).
+The headline numbers of every run land in ``benchmark.extra_info`` so
 ``--benchmark-json`` captures them machine-readably.
 
-Multi-config benchmarks go through the shared
-:class:`~repro.experiments.executor.ParallelSweepExecutor` (``run_configs``
-below, over ``grid_configs`` / ``compare_configs`` grids), so the whole suite picks up
-multiprocess fan-out and result caching from two environment variables:
+Each claim is checked at one seed today.  The runs are deterministic, so
+repeating a point measures nothing new, but a claim about a protocol is a
+statement over seeds; running the campaign's services over a ``seeds`` list
+is the open follow-up (ROADMAP item 3).
+
+The executor below picks up multiprocess fan-out and result caching from
+two environment variables:
 
 * ``REPRO_BENCH_WORKERS`` — worker processes per benchmark (default 1).
   Results are bit-identical at any worker count.
 * ``REPRO_BENCH_CACHE_DIR`` — enable the on-disk result cache at this path.
   Off by default: cache hits would make pytest-benchmark's timings
-  meaningless, so opt in only when iterating on table/assertion code.
+  meaningless, so opt in only when iterating on table/assertion code.  A
+  warm cache re-renders every target without running anything.
 
 Benchmarks use smaller populations than a paper deployment would (hundreds
 of nodes, not tens of thousands) so the whole suite finishes in minutes;
@@ -33,42 +41,30 @@ import os
 import time
 from typing import Callable, Dict, List, Sequence, Tuple
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(_ROOT, "src"))
 
 from repro.analysis.tables import Table  # noqa: E402
-from repro.experiments import (  # noqa: E402
-    ExperimentConfig,
-    ExperimentResult,
-    ParallelSweepExecutor,
-    ResultCache,
-    compare_configs,
-    get_scenario,
-    grid_configs,
-    results_table,
-)
+from repro.campaign import CampaignExecutor, CampaignSpec, expand_service  # noqa: E402
+from repro.experiments import ExperimentResult, ParallelSweepExecutor, ResultCache  # noqa: E402
+from repro.telemetry.report import load_artifact  # noqa: E402
 
 __all__ = [
-    "BASE_CONFIG",
     "EXECUTOR",
-    "spec_overrides",
-    "run_configs",
-    "grid_configs",
-    "compare_configs",
-    "print_results",
+    "PAPER_CAMPAIGN",
+    "run_target",
+    "run_in_process",
+    "print_columns",
     "attach_extra_info",
     "time_interleaved",
-    "Table",
-    "ExperimentConfig",
 ]
 
-#: Baseline scenario shared by most benchmarks (the registered "base"
-#: scenario): medium-sized system, Zipf topic popularity, heterogeneous
-#: (Zipf) interest, moderate traffic.
-BASE_CONFIG = get_scenario("base").config
+#: The one definition of every figure and §5 experiment the benches assert on.
+PAPER_CAMPAIGN = os.path.join(_ROOT, "examples", "paper_campaign.json")
 
 _cache_dir = os.environ.get("REPRO_BENCH_CACHE_DIR", "")
 
-#: Shared executor: every multi-config benchmark funnels through this, so
+#: Shared executor: every campaign-backed benchmark funnels through this, so
 #: worker count and caching are controlled in one place.
 EXECUTOR = ParallelSweepExecutor(
     workers=int(os.environ.get("REPRO_BENCH_WORKERS", "1")),
@@ -76,33 +72,43 @@ EXECUTOR = ParallelSweepExecutor(
 )
 
 
-def spec_overrides(base: ExperimentConfig, overrides: Dict[str, object]) -> ExperimentConfig:
-    """Apply dotted spec-path overrides to a flat config.
+def run_target(name: str, out_dir) -> List[ExperimentResult]:
+    """Build one paper-campaign target; its results, read back from its artifact.
 
-    Benchmark variants can use the same vocabulary as the CLI's ``--set``
-    (``{"system.fanout": 5, "membership.kind": "lpbcast"}``); the mapping
-    round-trips through :class:`repro.registry.StackSpec`, which never
-    perturbs the cache key of an untouched field.
+    Prints the target's rendered table and the run's one-line summary
+    (``computed: 0`` on a warm cache).
     """
-    return base.spec().with_values(overrides).to_config()
+    out_dir = str(out_dir)
+    spec = CampaignSpec.from_file(PAPER_CAMPAIGN)
+    manifest = CampaignExecutor(spec, EXECUTOR, out_dir=out_dir, targets=[name]).run()
+    record = manifest.targets[name]
+    if record.status != "done":
+        errors = {service: manifest.services[service].error for service in record.inputs}
+        raise RuntimeError(f"target {name!r} is {record.status}: {errors}")
+    with open(os.path.join(out_dir, f"{name}.txt"), encoding="utf-8") as handle:
+        print("\n" + handle.read() + manifest.describe())
+    return load_artifact(os.path.join(out_dir, f"{name}.json")).value
 
 
-def run_configs(
-    configs: Sequence[ExperimentConfig], keep_system: bool = False
-) -> List[ExperimentResult]:
-    """Run a list of configs through the shared executor, preserving order."""
-    return EXECUTOR.run_many(configs, keep_system=keep_system)
+def run_in_process(target: str) -> List[ExperimentResult]:
+    """Run a paper-campaign target's points in this process, keeping each live system.
+
+    For the benches that read what a results artifact does not carry (the
+    ledger's subscription forwards, data-aware multicast's delegates); the
+    points are still the campaign's.
+    """
+    spec = CampaignSpec.from_file(PAPER_CAMPAIGN)
+    services = spec.target(target).inputs.service_names()
+    configs = [config for service in services for config in expand_service(spec.service(service))]
+    return EXECUTOR.run_many(configs, keep_system=True)
 
 
-def print_results(title: str, results: Sequence[ExperimentResult], extra_columns: Dict[str, Dict[str, object]] = None) -> None:
-    """Print the standard result table (plus optional per-run extra columns)."""
-    extra_columns = extra_columns or {}
-    table = results_table(results, title=title)
-    table.columns += sorted({key for values in extra_columns.values() for key in values})
-    for row in table.rows:
-        row.update(extra_columns.get(row["name"], {}))
-    print()
-    print(table.render())
+def print_columns(title: str, columns: Dict[str, Dict[str, float]]) -> None:
+    """Print the per-point numbers a bench derives beyond the target's table."""
+    table = Table(["name", *sorted({key for values in columns.values() for key in values})], title)
+    for name, values in columns.items():
+        table.add_row(name=name, **values)
+    print("\n" + table.render())
 
 
 def attach_extra_info(benchmark, results: Sequence[ExperimentResult]) -> None:

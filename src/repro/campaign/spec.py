@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple, Union
 
 from ..registry import STRUCTURED_PATHS, RegistryError, StackSpec, resolve_spec_path
-from ..jsonio import load_json, reject_unknown, suggest
+from ..jsonio import fit, load_json, reject_unknown, suggest
 
 __all__ = [
     "CAMPAIGN_SCHEMA",
@@ -249,25 +249,20 @@ class ServiceSpec:
         overrides = payload.get("set", {})
         if not isinstance(overrides, Mapping):
             raise CampaignError(f"{context}: 'set' must map dotted paths to values")
-        sweep = payload.get("sweep", {})
-        if not isinstance(sweep, Mapping):
-            raise CampaignError(f"{context}: 'sweep' must map dotted paths to value lists")
-        for key, values in sweep.items():
-            if not isinstance(values, (list, tuple)):
-                raise CampaignError(
-                    f"{context}: sweep axis {key!r} needs a non-empty list of values"
-                )
+
+        def typed(key: str, annotation, default):
+            # Exactly the declared type: no bool("false"), no tuple("12").
+            return fit(annotation, payload.get(key, default), f"{context}: {key!r}", CampaignError)
+
         return ServiceSpec(
             name=name,
             scenario=payload["scenario"],
             set=tuple((str(key), value) for key, value in overrides.items()),
-            compare=tuple(payload.get("compare", ()) or ()),
-            sweep=tuple(
-                (str(key), tuple(values)) for key, values in sweep.items()
-            ),
-            seeds=tuple(int(seed) for seed in payload.get("seeds", ()) or ()),
-            reseed=bool(payload.get("reseed", False)),
-            after=tuple(payload.get("after", ()) or ()),
+            compare=typed("compare", Tuple[str, ...], ()),
+            sweep=tuple(typed("sweep", Dict[str, Tuple[object, ...]], {}).items()),
+            seeds=typed("seeds", Tuple[int, ...], ()),
+            reseed=typed("reseed", bool, False),
+            after=typed("after", Tuple[str, ...], ()),
         )
 
 

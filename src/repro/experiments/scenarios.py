@@ -186,21 +186,24 @@ register_scenario(
     _BASE,
     "Benchmark baseline: 96 nodes, 16 Zipf topics, skewed interest, moderate traffic",
 )
+#: The tiny fast base every ``smoke*`` scenario shares.
+_SMOKE = ExperimentConfig(
+    name="smoke",
+    nodes=24,
+    topics=6,
+    interest_model="zipf",
+    max_topics_per_node=4,
+    publication_rate=2.0,
+    duration=6.0,
+    drain_time=5.0,
+    fanout=3,
+    gossip_size=8,
+    seed=7,
+)
+
 register_scenario(
     "smoke",
-    ExperimentConfig(
-        name="smoke",
-        nodes=24,
-        topics=6,
-        interest_model="zipf",
-        max_topics_per_node=4,
-        publication_rate=2.0,
-        duration=6.0,
-        drain_time=5.0,
-        fanout=3,
-        gossip_size=8,
-        seed=7,
-    ),
+    _SMOKE,
     "Tiny fast run (24 nodes, ~1s) for CLI smoke tests and quick sanity checks",
 )
 register_scenario(
@@ -270,18 +273,8 @@ register_scenario(
 )
 register_scenario(
     "smoke-churn",
-    ExperimentConfig(
+    _SMOKE.with_overrides(
         name="smoke-churn",
-        nodes=24,
-        topics=6,
-        interest_model="zipf",
-        max_topics_per_node=4,
-        publication_rate=2.0,
-        duration=6.0,
-        drain_time=5.0,
-        fanout=3,
-        gossip_size=8,
-        seed=7,
         churn_down_probability=0.05,
         churn_up_probability=0.5,
     ),
@@ -289,18 +282,9 @@ register_scenario(
 )
 register_scenario(
     "smoke-partition",
-    ExperimentConfig(
+    _SMOKE.with_overrides(
         name="smoke-partition",
-        nodes=24,
-        topics=6,
-        interest_model="zipf",
-        max_topics_per_node=4,
-        publication_rate=2.0,
-        duration=6.0,
         drain_time=6.0,
-        fanout=3,
-        gossip_size=8,
-        seed=7,
         fault_partition_at=2.0,
         fault_partition_heal_after=3.0,
         fault_partition_fraction=0.5,
@@ -309,18 +293,9 @@ register_scenario(
 )
 register_scenario(
     "smoke-domains",
-    ExperimentConfig(
+    _SMOKE.with_overrides(
         name="smoke-domains",
-        nodes=24,
-        topics=6,
-        interest_model="zipf",
-        max_topics_per_node=4,
-        publication_rate=2.0,
-        duration=6.0,
         drain_time=6.0,
-        fanout=3,
-        gossip_size=8,
-        seed=7,
         topology_domains=4,
         topology_bridges_per_domain=2,
         topology_cross_latency=0.5,
@@ -340,19 +315,10 @@ register_scenario(
 )
 register_scenario(
     "smoke-lazy",
-    ExperimentConfig(
+    _SMOKE.with_overrides(
         name="smoke-lazy",
         system="lazy-push",
-        nodes=24,
-        topics=6,
-        interest_model="zipf",
-        max_topics_per_node=4,
-        publication_rate=2.0,
-        duration=6.0,
         drain_time=8.0,
-        fanout=3,
-        gossip_size=8,
-        seed=7,
         loss_rate=0.15,
     ),
     "Smoke run of two-phase lazy-push under 15% loss (pull recovery fast path); "

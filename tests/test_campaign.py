@@ -13,13 +13,18 @@ Pins the tentpole guarantees of dependency-driven campaigns:
   counter, and the affected point re-runs;
 * the ``python -m repro campaign`` CLI works end to end;
 * ``sweep`` / ``compare`` are one-service campaigns: the points they run are
-  exactly the points of a campaign service with the same fields.
+  exactly the points of a campaign service with the same fields;
+* ``examples/paper_campaign.json`` expands, and declares every target the
+  figure benches read.
 """
 
 from __future__ import annotations
 
 import copy
+import glob
 import json
+import os
+import re
 
 import pytest
 
@@ -166,6 +171,22 @@ class TestValidation:
     def test_no_targets_rejected(self):
         with pytest.raises(CampaignError, match="no targets"):
             make_spec(lambda p: p["targets"].clear())
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"reseed": "false"}, "'reseed' must be a boolean, got 'false'"),
+            ({"seeds": "12"}, "'seeds' must be a list, got '12'"),
+            ({"seeds": [1.9, 2.2]}, "'seeds'[0] must be an integer, got 1.9"),
+            ({"seeds": [True]}, "'seeds'[0] must be an integer, got True"),
+            ({"compare": "gossip"}, "'compare' must be a list, got 'gossip'"),
+            ({"sweep": {"system.fanout": 3}}, "'sweep'['system.fanout'] must be a list, got 3"),
+            ({"after": "late"}, "'after' must be a list, got 'late'"),
+        ],
+    )
+    def test_mistyped_fields_rejected_not_coerced(self, fields, message):
+        with pytest.raises(CampaignError, match=f"^service 'alt-cold': {re.escape(message)}$"):
+            make_spec(lambda p: p["services"]["alt-cold"].update(fields))
 
 
 class TestGraph:
@@ -487,3 +508,26 @@ class TestGridCommandsAreOneServiceCampaigns:
             cli_main([*argv, "--cache-dir", str(tmp_path / "cache")])
         assert str(excinfo.value).startswith(f"service {argv[0]!r}: ")
 
+
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class TestPaperCampaign:
+    """The paper campaign is the one definition the figure benches read."""
+
+    def test_expands_and_declares_what_the_benches_read(self):
+        spec = CampaignSpec.from_file(os.path.join(_ROOT, "examples", "paper_campaign.json"))
+        points = {config.name for service in spec.services for config in expand_service(service)}
+        targets, keyed = set(), set()
+        for path in glob.glob(os.path.join(_ROOT, "benchmarks", "bench_*.py")):
+            with open(path, encoding="utf-8") as handle:
+                source = handle.read()
+            read = re.findall(r'run_(?:target|in_process)(?:, \(|\()"([\w-]+)"', source)
+            targets.update(read)
+            if read:  # point names the bench indexes by literal ("fig2/fair-gossip", ...)
+                keyed.update(re.findall(r'"([a-z0-9-]+/[\w=.,/-]+)"', source))
+        assert len(targets) == 10  # fig1-4, s1-4, c3, c4
+        for name in targets:
+            spec.target(name)  # CampaignError with a suggestion on a typo
+        assert keyed and keyed <= points, sorted(keyed - points)
