@@ -46,9 +46,13 @@ loadgen-smoke:
 
 # Registry/StackSpec sanity: list, describe, then run a registered scenario
 # live on the memory transport — once as gossip, once as a non-gossip baseline.
+# A swept value outside its field's declared bound is refused in one line
+# before any point is computed (the output is that line and nothing else).
 registry-smoke:
 	$(PYTHON) -m repro list-scenarios
 	$(PYTHON) -m repro describe smoke
+	test "$$($(PYTHON) -m repro sweep smoke --no-cache --param topology.cross_loss --values 0,3 2>&1)" \
+		= "service 'sweep': topology.cross_loss must be within [0, 1], got 3.0"
 
 # Then every other registered system crosses the wire once, so each payload
 # class of the runtime wire table is encoded and decoded end to end (a kind

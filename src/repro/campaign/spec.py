@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple, Union
 
-from ..registry import STRUCTURED_PATHS, RegistryError, StackSpec, resolve_spec_path
+from ..registry import STRUCTURED_PATHS, RegistryError, resolve_spec_path
 from ..jsonio import fit, load_json, reject_unknown, suggest
 
 __all__ = [
@@ -192,16 +192,19 @@ class ServiceSpec:
         return payload
 
     def validate(self) -> "ServiceSpec":
-        """Check names, paths and values before anything runs; returns ``self``.
+        """Check names, paths and points before anything runs; returns ``self``.
 
-        The scenario and every compared system must be registered, and every
-        ``set`` override and ``sweep`` axis must name a settable spec path
-        with values of the field's type — each failure is a
-        :class:`CampaignError` with a did-you-mean suggestion.  The campaign
-        and the ``sweep``/``compare`` commands all call this, so a grid
-        mistake reads the same wherever it is made.
+        The scenario and every compared system must be registered, every
+        ``set`` override and ``sweep`` axis must name a settable spec path,
+        and every grid point the service expands to must pass
+        :meth:`~repro.registry.specs.StackSpec.validate` (its values fit
+        their fields and bounds, its fault plan and domain map compile) —
+        each failure is a :class:`CampaignError` with a did-you-mean
+        suggestion.  The campaign and the ``sweep``/``compare`` commands all
+        call this, so a grid mistake reads the same wherever it is made.
         """
         from ..experiments.scenarios import scenario_names, system_names
+        from .executor import expand_service
 
         context = f"service {self.name!r}"
         known_scenarios = scenario_names()
@@ -219,22 +222,22 @@ class ServiceSpec:
                     f"{suggest(system, known_systems)}; "
                     f"systems: {', '.join(known_systems)}"
                 )
-        overrides = tuple((key, (value,)) for key, value in self.set)
-        for key, values in overrides + self.sweep:
+        for key, values in self.sweep:
             if not values:
                 raise CampaignError(
                     f"{context}: sweep axis {key!r} needs a non-empty list of values"
                 )
-            try:
+        try:
+            for key, _ in self.set + self.sweep:
                 path = resolve_spec_path(key)
                 if path in STRUCTURED_PATHS:
                     raise CampaignError(
                         f"config field {path!r} is structured and cannot be set or swept"
                     )
-                for value in values:
-                    StackSpec().with_value(path, value)
-            except RegistryError as error:
-                raise CampaignError(f"{context}: {error}") from None
+            for config in expand_service(self):
+                config.spec().validate()
+        except RegistryError as error:
+            raise CampaignError(f"{context}: {error}") from None
         return self
 
     @staticmethod

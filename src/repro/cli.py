@@ -45,11 +45,10 @@ import sys
 from dataclasses import replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .faults.plan import FaultPlan, FaultPlanError
+from .faults.plan import FaultPlan
 from .jsonio import write_json
-from .registry.base import RegistryError
 from .registry.specs import StackSpec, parse_spec_overrides
-from .topology.spec import TopologyError, TopologySpec
+from .topology.spec import TopologySpec
 
 if TYPE_CHECKING:  # annotations only: build_executor imports it when called
     from .experiments.executor import ParallelSweepExecutor
@@ -137,24 +136,21 @@ def resolve_spec(args: argparse.Namespace, live: bool = False) -> StackSpec:
     The scenario's spec takes the ``--set`` overrides, then the ``--fault``
     entries (appended to whatever the scenario's faults section already
     declares) and the ``--topology`` file, then the ``--telemetry`` sinks.
-    The merged fault plan is validated and the domain map compiled here, so
-    every mistake a command line can make is a one-line ``SystemExit``
-    before anything is built.
-
-    The node universe is deliberately NOT pinned: plans may target a
-    system's infra nodes (``broker-0``, rendezvous nodes), which only exist
-    once the system is built — the engines validate against the built
-    registry.  ``live`` runs have no simulated end, so only simulator runs
-    reject fault entries that start after ``spec.total_time``.
+    :meth:`StackSpec.validate` then runs on the merged spec, so every
+    mistake a command line can make is a one-line ``SystemExit`` before
+    anything is built (``live`` runs have no simulated end, see there).
     """
     from .experiments.scenarios import get_scenario
-    from .topology.domains import compile_domain_map
 
     try:
         spec = get_scenario(args.scenario).spec
     except KeyError as error:
         # str(KeyError) wraps the message in quotes; unwrap for clean CLI output.
         raise SystemExit(error.args[0])
+    sinks = getattr(args, "telemetry", None)
+    period = getattr(args, "telemetry_period", None)
+    if period is not None and not sinks:
+        raise SystemExit("--telemetry-period has no effect without --telemetry")
     try:
         spec = spec.with_values(parse_spec_overrides(args.set or []))
         if getattr(args, "fault", None):
@@ -162,25 +158,12 @@ def resolve_spec(args: argparse.Namespace, live: bool = False) -> StackSpec:
             spec = spec.with_value("faults.plan", spec.faults.plan + plan.entry_pairs())
         if getattr(args, "topology", None):
             spec = replace(spec, topology=TopologySpec.from_file(args.topology))
-        FaultPlan.from_flat(spec.to_config()).validate(
-            total_time=None if live else spec.total_time
-        )
-        if spec.topology.enabled:
-            compile_domain_map(spec.topology, spec.node_ids())
-    except (RegistryError, FaultPlanError, TopologyError) as error:
+        if sinks:
+            spec = spec.with_telemetry(sinks, period=period)
+        spec.validate(live=live)
+        spec.telemetry.build_sinks()
+    except ValueError as error:  # every spec, plan, topology and sink error is one
         raise SystemExit(str(error))
-    period = getattr(args, "telemetry_period", None)
-    if period is not None and period <= 0:
-        raise SystemExit("--telemetry-period must be positive")
-    sinks = getattr(args, "telemetry", None)
-    if sinks:
-        spec = spec.with_telemetry(sinks, period=period)
-        try:
-            spec.telemetry.build_sinks()
-        except ValueError as error:
-            raise SystemExit(str(error))
-    elif period is not None:
-        raise SystemExit("--telemetry-period has no effect without --telemetry")
     return spec
 
 

@@ -106,9 +106,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _run_clean(execute):
     """Run an executor call, turning FaultPlanError into a clean CLI error.
 
-    Grid points can carry fault values the scenario never had
-    (``sweep --param faults.churn.down_probability --values 1.5``), which
-    only the run itself rejects.
+    Every point passed :meth:`StackSpec.validate` already; what is left is
+    what only a built system can reject (a fault plan naming nodes it does
+    not have).
     """
     from ..faults import FaultPlanError
 

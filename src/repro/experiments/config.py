@@ -89,7 +89,8 @@ class ExperimentConfig:
     adapt_fanout / adapt_payload:
         Fair-gossip lever switches (for ablations).
     selfish_fraction:
-        Fraction of nodes replaced by the selfish attacker model.
+        Inert: no code reads it, and the spec's bound admits only 0.  It
+        stays because every pinned cache key contains it.
     extra:
         Free-form additional parameters picked up by specific scenarios.
     """

@@ -199,13 +199,12 @@ def run_experiment(
     interest = interest_model.assign(list(config.node_ids()), rng)
     interest.apply(system)
 
+    spec = StackSpec.from_config(config)
     publishers = list(config.publisher_ids())
-    workload = build_workload(
-        StackSpec.from_config(config), system, simulator, popularity, publishers, interest_model
-    )
+    workload = build_workload(spec, system, simulator, popularity, publishers, interest_model)
     workload.start(duration=config.duration, start_at=config.round_period)
 
-    plan = FaultPlan.from_flat(config)
+    plan = FaultPlan.from_spec(spec)
     fault_controller = None
     if not plan.is_empty():
         from ..faults.controller import FaultController

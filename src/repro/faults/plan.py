@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Annotated, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..jsonio import ALL_FIELDS, decode, encode, load_json, reject_unknown, suggest
+from ..jsonio import ALL_FIELDS, Bound, decode, encode, load_json, refit, reject_unknown, suggest
 
 __all__ = [
     "FAULT_KINDS",
@@ -95,7 +95,8 @@ class FaultSpec:
     Fields irrelevant to the chosen ``kind`` are carried at their defaults
     (the same convention as the component specs in
     :mod:`repro.registry.specs`), which keeps the JSON codec and the
-    flat-config embedding trivial; :meth:`FaultPlan.validate` enforces the
+    flat-config embedding trivial.  Each numeric field declares its bound
+    in its annotation; :meth:`FaultPlan.validate` enforces those and the
     per-kind subset (:data:`_KIND_FIELDS`): an entry setting a field its
     kind does not read is rejected rather than silently meaning less than
     its author wrote.
@@ -103,21 +104,21 @@ class FaultSpec:
 
     kind: str = "crash"
     #: Window start in time units (one-shot kinds fire exactly here).
-    at: float = 0.0
+    at: Annotated[float, Bound(0)] = 0.0
     #: Window end; ``0.0`` means "until the run ends / controller stops".
-    until: float = 0.0
+    until: Annotated[float, Bound(0)] = 0.0
     #: Target nodes for ``crash`` / ``recover`` / ``leave``.
     nodes: Tuple[str, ...] = ()
     #: Churn tick period in time units.
-    period: float = 1.0
-    down_probability: float = 0.0
-    up_probability: float = 0.5
+    period: Annotated[float, Bound(0, open_low=True)] = 1.0
+    down_probability: Annotated[float, Bound(0, 1)] = 0.0
+    up_probability: Annotated[float, Bound(0, 1)] = 0.5
     #: Nodes the churn entry never touches (publishers, anchors).
     protected: Tuple[str, ...] = ()
     #: Partition heal delay after ``at``.
-    heal_after: float = 0.0
+    heal_after: Annotated[float, Bound(0)] = 0.0
     #: Partition split: first ``fraction`` of the sorted node universe.
-    fraction: float = 0.5
+    fraction: Annotated[float, Bound(0, 1, open_low=True, open_high=True)] = 0.5
     #: Explicit partition assignment ``((node_id, group), ...)``; overrides
     #: ``fraction`` when non-empty.
     groups: Tuple[Tuple[str, int], ...] = ()
@@ -127,12 +128,12 @@ class FaultSpec:
     #: topology and is mutually exclusive with ``groups``/``fraction``.
     domains: Tuple[str, ...] = ()
     #: Additive per-message delivery latency while the perturbation is live.
-    extra_latency: float = 0.0
+    extra_latency: Annotated[float, Bound(0)] = 0.0
     #: Additional Bernoulli loss while the perturbation is live.
-    loss_rate: float = 0.0
-    #: Named RNG stream; empty picks ``fault-<index>-<kind>`` (the config
-    #: compiler pins ``"churn"`` for flat-config churn, matching the legacy
-    #: ``ChurnInjector`` byte for byte).
+    loss_rate: Annotated[float, Bound(0, 1)] = 0.0
+    #: Named RNG stream; empty picks ``fault-<index>-<kind>``
+    #: (:meth:`FaultPlan.from_spec` pins ``"churn"`` for the spec's churn
+    #: section, matching the legacy ``ChurnInjector`` byte for byte).
     rng_stream: str = ""
 
     # ------------------------------------------------------------- codecs
@@ -243,80 +244,75 @@ class FaultPlan:
         """The plan as tuple-of-pairs entries (flat-config embedding)."""
         return tuple(entry.to_pairs() for entry in self.entries)
 
-    # -------------------------------------------------------- flat adapter
+    # -------------------------------------------------------- spec adapter
 
     @staticmethod
-    def from_flat(config) -> "FaultPlan":
-        """Compile the fault-relevant fields of a flat config into a plan.
+    def from_spec(spec) -> "FaultPlan":
+        """Compile the ``faults`` section of a :class:`~repro.registry.specs.StackSpec`.
 
-        ``config`` is duck-typed (an
-        :class:`~repro.experiments.config.ExperimentConfig` or anything with
-        the same attributes).  The churn entry reproduces the legacy
-        ``ChurnInjector`` wiring exactly — same ``"churn"`` RNG stream, same
-        period default (the gossip round), same protected publishers — so
-        pre-existing churn configs keep their byte-identical traces.
+        Each enabled fixed sub-spec becomes one entry, then the ``plan``
+        entries follow.  The churn entry reproduces the legacy
+        ``ChurnInjector`` wiring exactly (``"churn"`` RNG stream, one gossip
+        round by default, publishers protected), byte for byte.
         """
+        faults = spec.faults
+        churn, partition, perturb = faults.churn, faults.partition, faults.perturb
         entries: List[FaultSpec] = []
-        if config.churn_down_probability > 0:
+        if churn.down_probability > 0:
             entries.append(
                 FaultSpec(
                     kind="churn",
-                    at=config.fault_churn_start,
-                    until=config.fault_churn_stop,
-                    period=config.fault_churn_period or config.round_period,
-                    down_probability=config.churn_down_probability,
-                    up_probability=config.churn_up_probability,
-                    protected=tuple(config.publisher_ids()),
+                    at=churn.start,
+                    until=churn.stop,
+                    period=churn.period or spec.system.round_period,
+                    down_probability=churn.down_probability,
+                    up_probability=churn.up_probability,
+                    protected=tuple(spec.publisher_ids()),
                     rng_stream="churn",
                 )
             )
-        elif (
-            config.fault_churn_start
-            or config.fault_churn_stop
-            or config.fault_churn_period
-        ):
+        elif churn.start or churn.stop or churn.period:
             # A tuned-but-disabled entry would silently measure a calmer
-            # run than the config says (while still changing its cache
-            # key); refuse instead.
+            # run than the spec says (while still changing its cache key);
+            # refuse instead.
             raise FaultPlanError(
-                "fault_churn_start/stop/period are set but "
-                "churn_down_probability is 0, so no churn would run; set "
-                "faults.churn.down_probability too"
+                "faults.churn.start/stop/period are set but "
+                "faults.churn.down_probability is 0, so no churn would run; "
+                "set faults.churn.down_probability too"
             )
-        if config.fault_partition_heal_after > 0:
+        if partition.heal_after > 0:
             entries.append(
                 FaultSpec(
                     kind="partition",
-                    at=config.fault_partition_at,
-                    heal_after=config.fault_partition_heal_after,
-                    fraction=config.fault_partition_fraction,
+                    at=partition.at,
+                    heal_after=partition.heal_after,
+                    fraction=partition.fraction,
                 )
             )
-        elif config.fault_partition_at or config.fault_partition_fraction != 0.5:
+        elif partition.at or partition.fraction != 0.5:
             raise FaultPlanError(
-                "fault_partition_at/fraction are set but "
-                "fault_partition_heal_after is 0, so no partition would be "
+                "faults.partition.at/fraction are set but "
+                "faults.partition.heal_after is 0, so no partition would be "
                 "installed; set faults.partition.heal_after too"
             )
-        if config.fault_perturb_latency > 0 or config.fault_perturb_loss > 0:
+        if perturb.extra_latency > 0 or perturb.loss_rate > 0:
             entries.append(
                 FaultSpec(
                     kind="perturb",
-                    at=config.fault_perturb_start,
-                    until=config.fault_perturb_stop,
-                    extra_latency=config.fault_perturb_latency,
-                    loss_rate=config.fault_perturb_loss,
+                    at=perturb.start,
+                    until=perturb.stop,
+                    extra_latency=perturb.extra_latency,
+                    loss_rate=perturb.loss_rate,
                     rng_stream="fault-perturb",
                 )
             )
-        elif config.fault_perturb_start or config.fault_perturb_stop:
+        elif perturb.start or perturb.stop:
             raise FaultPlanError(
-                "fault_perturb_start/stop are set but both "
-                "fault_perturb_latency and fault_perturb_loss are 0, so no "
-                "perturbation would apply; set faults.perturb.extra_latency "
-                "or faults.perturb.loss_rate too"
+                "faults.perturb.start/stop are set but both "
+                "faults.perturb.extra_latency and faults.perturb.loss_rate are 0, "
+                "so no perturbation would apply; set one of them too"
             )
-        for pairs in config.fault_plan:
+        for pairs in faults.plan:
             entries.append(FaultSpec.from_pairs(pairs))
         return FaultPlan(tuple(entries))
 
@@ -329,11 +325,14 @@ class FaultPlan:
     ) -> "FaultPlan":
         """Fail fast on an invalid or unsatisfiable plan.
 
-        ``node_ids`` (when known) pins the node universe: entries naming
-        unknown nodes are rejected here, at build time, instead of being
-        skipped at fire time.  ``total_time`` (when known) rejects entries
-        that cannot fire before the run ends.  Returns ``self`` so call
-        sites can chain.  Raises :class:`FaultPlanError`.
+        Each entry's fields must lie within the bounds they declare
+        (:func:`repro.jsonio.refit`); the other rules relate fields: what
+        each kind reads, windows, targets, overlaps.  ``node_ids`` (when
+        known) pins the node universe: entries naming unknown nodes are
+        rejected here, at build time, instead of being skipped at fire time.
+        ``total_time`` (when known) rejects entries that cannot fire before
+        the run ends.  Returns ``self`` so call sites can chain.  Raises
+        :class:`FaultPlanError`.
         """
         universe = set(node_ids) if node_ids is not None else None
         for index, entry in enumerate(self.entries):
@@ -343,6 +342,7 @@ class FaultPlan:
                     f"{where}: unknown fault kind{suggest(entry.kind, FAULT_KINDS)}; "
                     f"known kinds: {', '.join(FAULT_KINDS)}"
                 )
+            refit(entry, lambda message: FaultPlanError(f"{where}: {message}"))
             read = _KIND_FIELDS[entry.kind]
             ignored = [
                 spec_field.name
@@ -356,9 +356,7 @@ class FaultPlan:
                     f"{where}: field(s) {sorted(ignored)} are not read by kind "
                     f"{entry.kind!r}; it only reads: {', '.join(sorted(read))}"
                 )
-            if entry.at < 0:
-                raise FaultPlanError(f"{where}: 'at' must be non-negative, got {entry.at}")
-            if entry.until < 0 or (entry.until > 0 and entry.until < entry.at):
+            if entry.until > 0 and entry.until < entry.at:
                 raise FaultPlanError(
                     f"{where}: 'until' must be 0 (open-ended) or >= 'at', got {entry.until}"
                 )
@@ -372,14 +370,6 @@ class FaultPlan:
                     raise FaultPlanError(f"{where}: 'nodes' must name at least one node")
                 self._check_nodes(where, entry.nodes, universe)
             elif entry.kind == "churn":
-                if entry.period <= 0:
-                    raise FaultPlanError(f"{where}: 'period' must be positive, got {entry.period}")
-                for name in ("down_probability", "up_probability"):
-                    value = getattr(entry, name)
-                    if not 0.0 <= value <= 1.0:
-                        raise FaultPlanError(
-                            f"{where}: {name!r} must be within [0, 1], got {value}"
-                        )
                 self._check_nodes(where, entry.protected, universe)
             elif entry.kind == "partition":
                 if entry.heal_after <= 0:
@@ -397,20 +387,6 @@ class FaultPlan:
                         )
                 elif entry.groups:
                     self._check_nodes(where, [node for node, _ in entry.groups], universe)
-                elif not 0.0 < entry.fraction < 1.0:
-                    raise FaultPlanError(
-                        f"{where}: 'fraction' must be strictly between 0 and 1, "
-                        f"got {entry.fraction}"
-                    )
-            elif entry.kind == "perturb":
-                if entry.extra_latency < 0:
-                    raise FaultPlanError(
-                        f"{where}: 'extra_latency' must be non-negative, got {entry.extra_latency}"
-                    )
-                if not 0.0 <= entry.loss_rate <= 1.0:
-                    raise FaultPlanError(
-                        f"{where}: 'loss_rate' must be within [0, 1], got {entry.loss_rate}"
-                    )
         # The network applies one partition map and one perturbation at a
         # time (install overwrites, lift/heal clears unconditionally), so
         # overlapping same-kind windows would silently measure the wrong

@@ -6,7 +6,8 @@ what JSON looks like at the edge of the program:
 
 * :func:`encode` / :func:`decode` / :func:`fit` — one walker over dataclass
   fields, driven by their annotations, behind the ``to_dict`` / ``from_dict``
-  of the specs the program reads and the records it writes;
+  of the specs the program reads and the records it writes (a numeric
+  field's :class:`Bound` included; :func:`refit` checks a built record);
 * :func:`wire_codec` — the same annotations compiled once per class into the
   live runtime's payload codecs;
 * :func:`load_json` / :func:`write_json` — one way in and one way out for
@@ -28,9 +29,10 @@ import difflib
 import json
 import operator
 import os
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import lru_cache
 from typing import (
+    Annotated,
     Any,
     Callable,
     Collection,
@@ -53,6 +55,9 @@ __all__ = [
     "encode",
     "decode",
     "fit",
+    "refit",
+    "Bound",
+    "bound_of",
     "annotation_at",
     "wire_codec",
     "load_json",
@@ -111,10 +116,53 @@ def jsonify(value):
 # ------------------------------------------------------------------ the walker
 
 
+@dataclass(frozen=True)
+class Bound:
+    """The range a numeric field admits: ``Annotated[float, Bound(0, 1)]``.
+
+    ``Bound(1)`` has no upper end; ``open_low`` / ``open_high`` exclude an
+    end (``Bound(0, open_low=True)`` is "positive").  :func:`fit` checks it
+    after the type.  NaN lies outside every bound.
+    """
+
+    low: float
+    high: Optional[float] = None
+    open_low: bool = False
+    open_high: bool = False
+
+    def admits(self, value) -> bool:
+        above = value > self.low if self.open_low else value >= self.low
+        if self.high is None:
+            return above
+        return above and (value < self.high if self.open_high else value <= self.high)
+
+    def __str__(self) -> str:
+        if self.high is None:
+            if self.low == 0:
+                return "positive" if self.open_low else "non-negative"
+            return f"{'above' if self.open_low else 'at least'} {self.low}"
+        if self.low == self.high:
+            return f"{self.low}"
+        left, right = "[("[self.open_low], "])"[self.open_high]
+        return f"within {left}{self.low}, {self.high}{right}"
+
+
+_ANNOTATED = type(Annotated[int, None])
+
+
+def bound_of(annotation) -> Optional[Bound]:
+    """The :class:`Bound` an annotation declares (``None`` when unbounded)."""
+    if type(annotation) is _ANNOTATED:
+        for rule in annotation.__metadata__:
+            if isinstance(rule, Bound):
+                return rule
+    return None
+
+
 @lru_cache(maxsize=None)
 def _schema(record_class) -> Dict[str, Tuple[object, object]]:
     """``name -> (annotation, dataclass field)`` of a dataclass, declaration order."""
-    hints = get_type_hints(record_class)
+    hints = get_type_hints(record_class, include_extras=True)
     return {
         record_field.name: (hints[record_field.name], record_field)
         for record_field in fields(record_class)
@@ -197,7 +245,7 @@ def decode(
     may carry that ``"schema"`` tag.  A field declared with
     ``metadata={"decode": function}`` is decoded by ``function(raw, label)``
     instead of by its annotation.  The built record's ``validate()`` (when it
-    has one) runs here too, so range checks fail at the boundary; a foreign
+    has one) runs here too, so relational checks fail at the boundary; a foreign
     ``ValueError`` from it or from ``__post_init__`` is re-raised as ``error``.
     """
     if not isinstance(payload, Mapping):
@@ -246,7 +294,9 @@ def fit(annotation, value, label: str, error: Callable[[str], Exception], path: 
     ``Dict``; a dataclass annotation recurses into :func:`decode` (``path``
     is its dotted section path); ``object`` takes anything, lists as tuples.
     Everything else must be exactly the declared type — a ``bool`` is not a
-    number, a number is not a ``bool``, a string is neither.
+    number, a number is not a ``bool``, a string is neither.  An
+    ``Annotated[X, Bound(...)]`` value fits ``X`` and then its :class:`Bound`:
+    ``"<path> must be within [0, 1], got 2.0"``.
     """
     if type(value) is annotation:
         return value
@@ -258,6 +308,12 @@ def fit(annotation, value, label: str, error: Callable[[str], Exception], path: 
         if is_dataclass(annotation):
             return decode(annotation, value, error, f"{path} spec", prefix=path + ".")
         raise error(f"{label} must be {_TYPE_NAMES[annotation]}, got {value!r}")
+    if type(annotation) is _ANNOTATED:
+        value = fit(annotation.__origin__, value, label, error, path)
+        bound = bound_of(annotation)
+        if bound is not None and not bound.admits(value):
+            raise error(f"{path or label} must be {bound}, got {value!r}")
+        return value
     # A generic alias (``Tuple[str, ...]``): its attributes are read directly,
     # ``typing.get_origin`` / ``get_args`` cost more than the rest of this call.
     origin, arguments = annotation.__origin__, annotation.__args__
@@ -270,7 +326,7 @@ def fit(annotation, value, label: str, error: Callable[[str], Exception], path: 
         return {
             key: entry
             if type(entry) is shape
-            else fit(shape, entry, f"{label}[{key!r}]", error, path)
+            else fit(shape, entry, f"{label}[{key!r}]", error, f"{path}[{key!r}]")
             for key, entry in value.items()
         }
     if not isinstance(value, (list, tuple)):
@@ -285,10 +341,24 @@ def fit(annotation, value, label: str, error: Callable[[str], Exception], path: 
         [
             entry
             if type(entry) is shape
-            else fit(shape, entry, f"{label}[{index}]", error, path)
+            else fit(shape, entry, f"{label}[{index}]", error, f"{path}[{index}]")
             for index, (shape, entry) in enumerate(zip(shapes, value))
         ]
     )
+
+
+def refit(record, error: Callable[[str], Exception], prefix: str = "") -> None:
+    """Hold a record built in code to what :func:`decode` asks of a document.
+
+    Every field must :func:`fit` its annotation, bound included; nested
+    records are walked, their dotted paths growing from ``prefix``.
+    """
+    for name, (annotation, _) in _schema(type(record)).items():
+        value = getattr(record, name)
+        if is_dataclass(value):
+            refit(value, error, f"{prefix}{name}.")
+        else:
+            fit(annotation, value, prefix + name, error, prefix + name)
 
 
 # ---------------------------------------------------------------- wire codecs

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..jsonio import suggest
+from ..jsonio import annotation_at, bound_of, suggest
 
 __all__ = ["Param", "ComponentEntry", "Registry", "RegistryError"]
 
@@ -40,8 +40,14 @@ class Param:
     help: str = ""
 
     def describe(self, section: object) -> str:
-        """One schema line for ``describe`` output; ``section`` holds the defaults."""
-        text = f"{self.name} (default: {getattr(section, self.name)!r})"
+        """One schema line for ``describe`` output; ``section`` holds the defaults.
+
+        The field's bound, when it declares one, is read off its annotation
+        and shown beside the default.
+        """
+        bound = bound_of(annotation_at(type(section), self.name))
+        text = f"{self.name} (default: {getattr(section, self.name)!r}"
+        text += f", {bound})" if bound is not None else ")"
         if self.help:
             text += f" — {self.help}"
         return text

@@ -242,14 +242,8 @@ DIGEST_MEMBERSHIP_KINDS = frozenset({"cyclon", "full", "lpbcast"})
 def _build_lazy_push(ctx: BuildContext) -> GossipSystem:
     from ..gossip.lazy import LazyPushGossipNode, lazy_store_ids
 
-    spec = ctx.spec
-    alpha = spec.system.alpha
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0.0 < alpha <= 1.0:
-        raise RegistryError(
-            f"system.alpha must be a store fraction in (0, 1], got {alpha!r} "
-            "(0.5 stores payloads on half the nodes)"
-        )
-    membership_kind = spec.membership.kind
+    alpha = float(ctx.spec.system.alpha)
+    membership_kind = ctx.spec.membership.kind
     if membership_kind not in DIGEST_MEMBERSHIP_KINDS:
         raise RegistryError(
             f"system.kind 'lazy-push' needs a digest-capable membership "
@@ -260,8 +254,8 @@ def _build_lazy_push(ctx: BuildContext) -> GossipSystem:
     return _gossip_system(
         ctx,
         LazyPushGossipNode,
-        alpha=float(alpha),
-        store_ids=lazy_store_ids(ctx.node_ids, float(alpha)),
+        alpha=alpha,
+        store_ids=lazy_store_ids(ctx.node_ids, alpha),
         population=len(ctx.node_ids),
     )
 
@@ -338,7 +332,6 @@ SYSTEMS.register(
         Param("max_fanout", "fanout ceiling"),
         Param("min_payload", "payload floor"),
         Param("max_payload", "payload ceiling"),
-        Param("selfish_fraction", "fraction of selfish nodes (attack ablations)"),
     ),
 )
 SYSTEMS.register(

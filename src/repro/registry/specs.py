@@ -27,17 +27,21 @@ Every field is addressable by a dotted path (``system.fanout``,
 ``set``/``sweep`` all speak it through :meth:`StackSpec.with_values` and
 :func:`resolve_spec_path`.  A value must fit the type of the field it
 lands on (:meth:`StackSpec.with_value`).
+
+A numeric field declares its range once, in its annotation
+(``nodes: Annotated[int, Bound(1)]``), which every decode and override
+checks; :meth:`StackSpec.validate` is the one whole-spec check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Annotated, Dict, List, Mapping, Optional, Tuple
 
-from ..faults.plan import FaultPlanError, FaultSpec as _PlanFaultSpec
-from ..jsonio import annotation_at, decode, encode, fit, suggest
+from ..faults.plan import FaultPlan, FaultPlanError, FaultSpec as _PlanFaultSpec
+from ..jsonio import Bound, annotation_at, decode, encode, fit, refit, suggest
 from ..telemetry import DEFAULT_SNAPSHOT_PERIOD, parse_sink_spec
-from ..topology.spec import TopologySpec
+from ..topology.spec import TopologyError, TopologySpec
 from .base import RegistryError
 
 __all__ = [
@@ -70,23 +74,26 @@ class SystemSpec:
     Parameters irrelevant to the chosen ``kind`` are carried anyway (at
     their defaults) so the flat-config bijection stays exact; each
     component's registry entry documents the subset it actually reads.
+
+    No code reads ``selfish_fraction``: it stays only because every pinned
+    cache key contains it, and its bound admits nothing but its default.
     """
 
     kind: str = "gossip"
-    fanout: int = 3
-    gossip_size: int = 8
-    round_period: float = 1.0
-    alpha: float = 0.5
-    broker_count: int = 2
-    stripes: int = 4
-    delegates_per_root: int = 2
+    fanout: Annotated[int, Bound(0)] = 3
+    gossip_size: Annotated[int, Bound(1)] = 8
+    round_period: Annotated[float, Bound(0, open_low=True)] = 1.0
+    alpha: Annotated[float, Bound(0, 1, open_low=True)] = 0.5
+    broker_count: Annotated[int, Bound(1)] = 2
+    stripes: Annotated[int, Bound(1)] = 4
+    delegates_per_root: Annotated[int, Bound(1)] = 2
     adapt_fanout: bool = True
     adapt_payload: bool = True
     min_fanout: int = 1
     max_fanout: int = 12
     min_payload: int = 1
     max_payload: int = 32
-    selfish_fraction: float = 0.0
+    selfish_fraction: Annotated[float, Bound(0, 0)] = 0.0
 
 
 @dataclass(frozen=True)
@@ -101,20 +108,20 @@ class InterestSpec:
     """How subscriptions are assigned to nodes."""
 
     kind: str = "zipf"
-    topics_per_node: int = 2
-    max_topics_per_node: int = 8
+    topics_per_node: Annotated[int, Bound(1)] = 2
+    max_topics_per_node: Annotated[int, Bound(1)] = 8
 
 
 @dataclass(frozen=True)
 class WorkloadSpec:
     """Topic universe, publication traffic, and subscription churn."""
 
-    topics: int = 16
-    topic_exponent: float = 1.0
-    publication_rate: float = 4.0
-    publisher_fraction: float = 0.25
-    event_size: int = 1
-    subscription_churn_rate: float = 0.0
+    topics: Annotated[int, Bound(1)] = 16
+    topic_exponent: Annotated[float, Bound(0)] = 1.0
+    publication_rate: Annotated[float, Bound(0, open_low=True)] = 4.0
+    publisher_fraction: Annotated[float, Bound(0, 1, open_low=True)] = 0.25
+    event_size: Annotated[int, Bound(0)] = 1
+    subscription_churn_rate: Annotated[float, Bound(0)] = 0.0
 
 
 @dataclass(frozen=True)
@@ -134,30 +141,30 @@ class FaultChurnSpec:
     ``ChurnInjector`` wiring always did.
     """
 
-    down_probability: float = 0.0
-    up_probability: float = 0.5
-    period: float = 0.0
-    start: float = 0.0
-    stop: float = 0.0
+    down_probability: Annotated[float, Bound(0, 1)] = 0.0
+    up_probability: Annotated[float, Bound(0, 1)] = 0.5
+    period: Annotated[float, Bound(0)] = 0.0
+    start: Annotated[float, Bound(0)] = 0.0
+    stop: Annotated[float, Bound(0)] = 0.0
 
 
 @dataclass(frozen=True)
 class FaultPartitionSpec:
     """One transient network partition; ``heal_after`` of 0 disables it."""
 
-    at: float = 0.0
-    heal_after: float = 0.0
-    fraction: float = 0.5
+    at: Annotated[float, Bound(0)] = 0.0
+    heal_after: Annotated[float, Bound(0)] = 0.0
+    fraction: Annotated[float, Bound(0, 1, open_low=True, open_high=True)] = 0.5
 
 
 @dataclass(frozen=True)
 class FaultPerturbSpec:
     """Link-level degradation window: additive latency and extra loss."""
 
-    start: float = 0.0
-    stop: float = 0.0
-    extra_latency: float = 0.0
-    loss_rate: float = 0.0
+    start: Annotated[float, Bound(0)] = 0.0
+    stop: Annotated[float, Bound(0)] = 0.0
+    extra_latency: Annotated[float, Bound(0)] = 0.0
+    loss_rate: Annotated[float, Bound(0, 1)] = 0.0
 
 
 def _plan_pairs(raw, label: str):
@@ -230,11 +237,7 @@ class TelemetrySpec:
     """
 
     sinks: Tuple[str, ...] = ()
-    period: float = DEFAULT_SNAPSHOT_PERIOD
-
-    def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise RegistryError(f"telemetry.period must be positive, got {self.period!r}")
+    period: Annotated[float, Bound(0, open_low=True)] = DEFAULT_SNAPSHOT_PERIOD
 
     def build_sinks(self):
         """Instantiate the configured sinks (empty list when unset)."""
@@ -312,24 +315,6 @@ _STRUCTURED_HINTS: Dict[str, str] = {
     "topology.geo": "; pass a topology file via --topology instead",
 }
 STRUCTURED_PATHS: Tuple[str, ...] = tuple(_STRUCTURED_HINTS)
-
-#: Numeric paths no stack can be built or run with outside a range: ``path ->
-#: (what the value must be, test)``.  :meth:`StackSpec.with_value` checks
-#: them, so a ``--set`` or sweep value out of range is a one-line error
-#: before anything is built (a negative ``duration`` or ``event_size`` would
-#: otherwise run and publish nothing, or count negative bytes).
-_RANGES: Dict[str, Tuple[str, Callable[[float], bool]]] = {
-    "nodes": ("at least 1", lambda value: value >= 1),
-    "duration": ("non-negative", lambda value: value >= 0),
-    "drain_time": ("non-negative", lambda value: value >= 0),
-    "loss_rate": ("within [0, 1]", lambda value: 0 <= value <= 1),
-    "system.fanout": ("non-negative", lambda value: value >= 0),
-    "system.gossip_size": ("at least 1", lambda value: value >= 1),
-    "system.round_period": ("positive", lambda value: value > 0),
-    "workload.topics": ("at least 1", lambda value: value >= 1),
-    "workload.publication_rate": ("positive", lambda value: value > 0),
-    "workload.event_size": ("non-negative", lambda value: value >= 0),
-}
 
 #: Sections added after the PR-1/PR-3 artifacts were written: omitted from
 #: :meth:`StackSpec.to_dict` at their defaults (the topology section field by
@@ -453,11 +438,11 @@ class StackSpec:
     """
 
     name: str = "experiment"
-    nodes: int = 128
+    nodes: Annotated[int, Bound(1)] = 128
     seed: int = 1
-    duration: float = 40.0
-    drain_time: float = 15.0
-    loss_rate: float = 0.0
+    duration: Annotated[float, Bound(0)] = 40.0
+    drain_time: Annotated[float, Bound(0)] = 15.0
+    loss_rate: Annotated[float, Bound(0, 1)] = 0.0
     system: SystemSpec = field(default_factory=SystemSpec)
     membership: MembershipSpec = field(default_factory=MembershipSpec)
     interest: InterestSpec = field(default_factory=InterestSpec)
@@ -523,6 +508,28 @@ class StackSpec:
         """
         return decode(StackSpec, payload, RegistryError, "StackSpec")
 
+    # ------------------------------------------------------------ validation
+
+    def validate(self, live: bool = False) -> "StackSpec":
+        """The one spec check every entry point runs; returns ``self``.
+
+        Every field fits its annotation, bound included; the fault plan
+        compiled from ``faults`` is valid (entries starting after
+        :attr:`total_time` only for a simulator run — ``live`` runs have no
+        end; nodes are not pinned, a plan may target infra nodes such as
+        ``broker-0``); the domain map compiles.  Raises :class:`RegistryError`.
+        """
+        from ..topology.domains import compile_domain_map
+
+        refit(self, RegistryError)
+        try:
+            FaultPlan.from_spec(self).validate(total_time=None if live else self.total_time)
+            if self.topology.enabled:
+                compile_domain_map(self.topology, self.node_ids())
+        except (FaultPlanError, TopologyError) as error:
+            raise RegistryError(str(error)) from None
+        return self
+
     # --------------------------------------------------------- dotted access
 
     def get(self, path: str):
@@ -535,17 +542,16 @@ class StackSpec:
         An ``int`` assigned to a ``float``-typed field is widened so CLI
         overrides like ``--set duration=5`` hash identically to ``5.0``, an
         integral ``float`` (``--set system.fanout=2.0``) narrows to an
-        ``int`` field; a value that does not fit (see
-        :func:`repro.jsonio.fit`) or lies outside its path's range
-        (:data:`_RANGES`) raises :class:`RegistryError`.
+        ``int`` field; a value that does not fit the field's annotation, its
+        bound included (see :func:`repro.jsonio.fit`), raises
+        :class:`RegistryError`.
         """
         path = resolve_spec_path(path)
         annotation = annotation_at(StackSpec, path)
-        if annotation is int and type(value) is float and value.is_integer():
+        base = getattr(annotation, "__origin__", annotation)  # int under Annotated[int, ...]
+        if base is int and type(value) is float and value.is_integer():
             value = int(value)
-        value = fit(annotation, value, path, RegistryError)
-        if path in _RANGES and not _RANGES[path][1](value):
-            raise RegistryError(f"{path} must be {_RANGES[path][0]}, got {value!r}")
+        value = fit(annotation, value, path, RegistryError, path)
         return _replace_path(self, path.split("."), value)
 
     def with_values(self, overrides: Mapping[str, object]) -> "StackSpec":
@@ -563,14 +569,8 @@ class StackSpec:
 
     def with_telemetry(self, sinks, period: Optional[float] = None) -> "StackSpec":
         """Copy with telemetry sinks (and optionally the snapshot period) set."""
-        current = self.telemetry
-        return replace(
-            self,
-            telemetry=TelemetrySpec(
-                sinks=tuple(sinks),
-                period=current.period if period is None else float(period),
-            ),
-        )
+        period = self.telemetry.period if period is None else float(period)
+        return replace(self, telemetry=TelemetrySpec(tuple(sinks), period))
 
     @property
     def total_time(self) -> float:
@@ -591,19 +591,10 @@ class StackSpec:
         lines = [
             f"{path} = {self.get(path)!r}" for path in spec_paths() if path not in STRUCTURED_PATHS
         ]
-        if self.faults.plan:
-            lines.append(f"faults.plan = {len(self.faults.plan)} entr"
-                         f"{'y' if len(self.faults.plan) == 1 else 'ies'}")
-        if self.topology.assignment:
-            lines.append(
-                f"topology.assignment = {len(self.topology.assignment)} entr"
-                f"{'y' if len(self.topology.assignment) == 1 else 'ies'}"
-            )
-        if self.topology.geo:
-            lines.append(
-                f"topology.geo = {len(self.topology.geo)} entr"
-                f"{'y' if len(self.topology.geo) == 1 else 'ies'}"
-            )
+        for path in ("faults.plan", "topology.assignment", "topology.geo"):
+            count = len(self.get(path))
+            if count:
+                lines.append(f"{path} = {count} entr{'y' if count == 1 else 'ies'}")
         if self.extra:
             lines.append(f"extra = {dict(self.extra)!r}")
         return "\n".join(lines)

@@ -75,6 +75,9 @@ class NodeHost(DisseminationSystem):
         Time units per real second (see :class:`~repro.runtime.clock.WallClock`).
     node_class / node_kwargs / membership_provider:
         Exactly as in :class:`~repro.gossip.system.GossipSystem`.
+    spec:
+        Build this registered stack on :meth:`start`; checked here first
+        (:meth:`StackSpec.validate`).
     """
 
     name = "live-gossip"
@@ -96,6 +99,8 @@ class NodeHost(DisseminationSystem):
         fault_plan: Optional[FaultPlan] = None,
         tracer=None,
     ) -> None:
+        if spec is not None:
+            spec.validate(live=True)
         self.clock = WallClock(time_scale=time_scale)
         self.scheduler = AsyncScheduler(self.clock, RngRegistry(seed))
         # The scheduler stands where the skeleton expects a simulator.
@@ -237,7 +242,7 @@ class NodeHost(DisseminationSystem):
         """
         plan = self._fault_plan
         if plan is None and self._spec is not None:
-            plan = FaultPlan.from_flat(self._spec.to_config())
+            plan = FaultPlan.from_spec(self._spec)
         if plan is None or plan.is_empty():
             return
         from ..faults.controller import FaultController

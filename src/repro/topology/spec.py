@@ -17,9 +17,9 @@ protocol code into that import graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Annotated, Dict, Mapping, Tuple
 
-from ..jsonio import ALL_FIELDS, decode, encode, load_json, suggest
+from ..jsonio import ALL_FIELDS, Bound, decode, encode, load_json, refit, suggest
 
 __all__ = ["TOPOLOGY_SCHEMA", "TopologyError", "TopologySpec", "BRIDGE_POLICIES"]
 
@@ -65,13 +65,15 @@ class TopologySpec:
         degrade intra-domain links).  Structured, like ``assignment``.
     """
 
-    domains: int = 0
-    bridges_per_domain: int = 1
+    domains: Annotated[int, Bound(0)] = 0
+    bridges_per_domain: Annotated[int, Bound(1)] = 1
     bridge_policy: str = "sha256"
-    cross_latency: float = 0.0
-    cross_loss: float = 0.0
+    cross_latency: Annotated[float, Bound(0)] = 0.0
+    cross_loss: Annotated[float, Bound(0, 1)] = 0.0
     assignment: Tuple[Tuple[str, str], ...] = ()
-    geo: Tuple[Tuple[str, str, float, float], ...] = ()
+    geo: Tuple[
+        Tuple[str, str, Annotated[float, Bound(0)], Annotated[float, Bound(0, 1)]], ...
+    ] = ()
 
     @property
     def enabled(self) -> bool:
@@ -81,56 +83,23 @@ class TopologySpec:
     # ------------------------------------------------------------- validation
 
     def validate(self) -> None:
-        """Check field ranges and shapes; raise :class:`TopologyError`."""
-        if self.domains < 0:
-            raise TopologyError(f"topology.domains must be non-negative, got {self.domains}")
-        if self.bridges_per_domain < 1:
-            raise TopologyError(
-                f"topology.bridges_per_domain must be at least 1, got {self.bridges_per_domain}"
-            )
+        """Check the fields and the node assignment; raise :class:`TopologyError`.
+
+        Each field's bound is declared on it (:func:`repro.jsonio.refit`);
+        what is left is a known bridge policy and one domain per node.
+        """
+        refit(self, TopologyError, "topology.")
         if self.bridge_policy not in BRIDGE_POLICIES:
             raise TopologyError(
                 f"unknown topology.bridge_policy {self.bridge_policy!r}"
                 f"{suggest(self.bridge_policy, BRIDGE_POLICIES)}; "
                 f"known policies: {', '.join(BRIDGE_POLICIES)}"
             )
-        if self.cross_latency < 0:
-            raise TopologyError(
-                f"topology.cross_latency must be non-negative, got {self.cross_latency}"
-            )
-        if not 0.0 <= self.cross_loss <= 1.0:
-            raise TopologyError(
-                f"topology.cross_loss must be within [0, 1], got {self.cross_loss}"
-            )
         seen_nodes = set()
-        for pair in self.assignment:
-            if len(pair) != 2 or not all(isinstance(part, str) for part in pair):
-                raise TopologyError(
-                    f"topology.assignment entries must be (node, domain) string pairs, got {pair!r}"
-                )
-            node = pair[0]
+        for node, _ in self.assignment:
             if node in seen_nodes:
                 raise TopologyError(f"node {node!r} assigned to more than one domain")
             seen_nodes.add(node)
-        for entry in self.geo:
-            if len(entry) != 4:
-                raise TopologyError(
-                    "topology.geo entries must be (domain_a, domain_b, latency, loss) "
-                    f"tuples, got {entry!r}"
-                )
-            domain_a, domain_b, latency, loss = entry
-            if not isinstance(domain_a, str) or not isinstance(domain_b, str):
-                raise TopologyError(f"topology.geo domains must be strings, got {entry!r}")
-            if not isinstance(latency, (int, float)) or isinstance(latency, bool) or latency < 0:
-                raise TopologyError(
-                    f"topology.geo latency must be a non-negative number, got {latency!r}"
-                )
-            if (
-                not isinstance(loss, (int, float))
-                or isinstance(loss, bool)
-                or not 0.0 <= float(loss) <= 1.0
-            ):
-                raise TopologyError(f"topology.geo loss must be within [0, 1], got {loss!r}")
 
     # ------------------------------------------------------------ dict codecs
 
@@ -145,7 +114,9 @@ class TopologySpec:
         Unknown fields raise with a did-you-mean hint, mistyped ones (a
         2-item ``geo`` row, a quoted number) with the field's name.
         """
-        return decode(TopologySpec, payload, TopologyError, "topology spec", TOPOLOGY_SCHEMA)
+        return decode(
+            TopologySpec, payload, TopologyError, "topology spec", TOPOLOGY_SCHEMA, "topology."
+        )
 
     @staticmethod
     def from_file(path: str) -> "TopologySpec":

@@ -563,14 +563,14 @@ class TestSpecFaultIntegration:
         with pytest.raises(RegistryError, match="invalid faults.plan entry"):
             StackSpec.from_dict({"faults": {"plan": [["at"]]}})
 
-    def test_from_flat_compiles_expected_entries(self):
+    def test_from_spec_compiles_expected_entries(self):
         config = ExperimentConfig(
             nodes=8,
             churn_down_probability=0.05,
             fault_partition_heal_after=2.0,
             fault_perturb_loss=0.5,
         )
-        plan = FaultPlan.from_flat(config)
+        plan = FaultPlan.from_spec(config.spec())
         kinds = [entry.kind for entry in plan.entries]
         assert kinds == ["churn", "partition", "perturb"]
         churn = plan.entries[0]
@@ -583,11 +583,11 @@ class TestSpecFaultIntegration:
         # Setting the partition's timing without enabling it would silently
         # measure a fault-free run under a different cache key.
         with pytest.raises(FaultPlanError, match="heal_after"):
-            FaultPlan.from_flat(ExperimentConfig(fault_partition_at=2.0))
+            FaultPlan.from_spec(ExperimentConfig(fault_partition_at=2.0).spec())
         with pytest.raises(FaultPlanError, match="down_probability"):
-            FaultPlan.from_flat(ExperimentConfig(fault_churn_start=2.0))
+            FaultPlan.from_spec(ExperimentConfig(fault_churn_start=2.0).spec())
         with pytest.raises(FaultPlanError, match="extra_latency"):
-            FaultPlan.from_flat(ExperimentConfig(fault_perturb_start=2.0))
+            FaultPlan.from_spec(ExperimentConfig(fault_perturb_start=2.0).spec())
 
     def test_plan_can_target_infra_nodes(self):
         # The validation universe is the built system's registry, so plans
@@ -603,7 +603,7 @@ class TestSpecFaultIntegration:
 
     def test_garbage_entry_pairs_are_a_plan_error(self):
         with pytest.raises(FaultPlanError, match="pairs"):
-            FaultPlan.from_flat(ExperimentConfig(fault_plan=("x",)))
+            FaultPlan.from_spec(ExperimentConfig(fault_plan=("x",)).spec())
 
     def test_smoke_scenarios_registered(self):
         assert get_scenario("smoke-churn").config.churn_down_probability > 0

@@ -28,7 +28,15 @@ from repro.analysis.reliability import EventReliability
 from repro.campaign.spec import CampaignError, CampaignSpec
 from repro.cli import main as cli_main
 from repro.faults import FAULT_KINDS, FaultPlan, FaultPlanError, FaultSpec
-from repro.jsonio import JsonlSink, MemorySink, load_json, read_jsonl, write_json
+from repro.jsonio import (
+    JsonlSink,
+    MemorySink,
+    annotation_at,
+    bound_of,
+    load_json,
+    read_jsonl,
+    write_json,
+)
 from repro.registry import RegistryError, StackSpec
 from repro.registry.specs import (
     FaultChurnSpec,
@@ -57,23 +65,47 @@ unit = st.floats(min_value=0.0, max_value=1.0)
 names = st.text(max_size=6)
 name_tuples = st.lists(names, max_size=3).map(tuple)
 
+
+def admitted(record_class, name):
+    """Every finite number the field's declared bound admits (read off its annotation)."""
+    annotation = annotation_at(record_class, name)
+    bound = bound_of(annotation)
+    if annotation.__origin__ is int:
+        return st.integers(min_value=bound.low + bound.open_low, max_value=bound.high)
+    return st.floats(
+        min_value=bound.low,
+        max_value=bound.high,
+        exclude_min=bound.open_low,
+        exclude_max=bound.open_high,
+        allow_nan=False,
+        allow_infinity=False,
+    )
+
+
+def bounded_fields(record_class, *names):
+    return {name: admitted(record_class, name) for name in names}
+
+
 fault_specs = st.builds(
     FaultSpec,
     kind=st.sampled_from(FAULT_KINDS),
-    at=numbers,
-    until=numbers,
     nodes=name_tuples,
-    period=numbers,
-    down_probability=numbers,
-    up_probability=numbers,
     protected=name_tuples,
-    heal_after=numbers,
-    fraction=numbers,
     groups=st.lists(st.tuples(names, st.integers()), max_size=3).map(tuple),
     domains=name_tuples,
-    extra_latency=numbers,
-    loss_rate=numbers,
     rng_stream=names,
+    **bounded_fields(
+        FaultSpec,
+        "at",
+        "until",
+        "period",
+        "down_probability",
+        "up_probability",
+        "heal_after",
+        "fraction",
+        "extra_latency",
+        "loss_rate",
+    ),
 )
 
 #: Only specs that pass ``TopologySpec.validate`` (``from_dict`` runs it).
@@ -93,36 +125,86 @@ topology_specs = st.builds(
 )
 
 scalars = st.one_of(st.integers(), numbers, st.booleans(), names)
-stack_specs = st.builds(
-    StackSpec,
-    name=names,
-    nodes=st.integers(),
-    seed=st.integers(),
-    duration=numbers,
-    drain_time=numbers,
-    loss_rate=numbers,
-    system=st.builds(SystemSpec, kind=names, fanout=st.integers(), alpha=numbers, adapt_fanout=st.booleans()),
-    membership=st.builds(MembershipSpec, kind=names),
-    interest=st.builds(InterestSpec, kind=names, topics_per_node=st.integers()),
-    workload=st.builds(WorkloadSpec, topics=st.integers(), publication_rate=numbers),
-    policy=st.builds(PolicySpec, kind=names),
-    faults=st.builds(
-        FaultsSpec,
-        churn=st.builds(FaultChurnSpec, down_probability=numbers, period=numbers),
-        partition=st.builds(FaultPartitionSpec, at=numbers, heal_after=numbers),
-        perturb=st.builds(FaultPerturbSpec, extra_latency=numbers, loss_rate=numbers),
-        plan=st.lists(fault_specs.map(FaultSpec.to_pairs), max_size=2).map(tuple),
-    ),
-    topology=topology_specs,
-    telemetry=st.builds(
-        TelemetrySpec,
-        sinks=name_tuples,
-        period=st.floats(min_value=1e-6, max_value=1e6),
-    ),
-    extra=st.lists(st.tuples(names, st.one_of(scalars, st.tuples(scalars, scalars))), max_size=2).map(
-        tuple
-    ),
-)
+
+
+@st.composite
+def stack_specs(draw):
+    """Only specs that pass ``StackSpec.validate`` (``from_dict`` runs it).
+
+    Fault times fall inside the publication phase and the domain count is
+    at most the node count, so the compiled plan and domain map are valid.
+    """
+    nodes = draw(st.integers(min_value=1, max_value=64))
+    duration = draw(admitted(StackSpec, "duration"))
+    window = st.floats(min_value=0.0, max_value=duration)
+    churn = st.builds(
+        FaultChurnSpec,
+        down_probability=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        start=window,
+        **bounded_fields(FaultChurnSpec, "up_probability", "period"),
+    )
+    partition = st.builds(
+        FaultPartitionSpec,
+        at=window,
+        heal_after=st.floats(min_value=1e-3, max_value=1e6),
+        fraction=admitted(FaultPartitionSpec, "fraction"),
+    )
+    perturb = st.builds(
+        FaultPerturbSpec,
+        start=window,
+        extra_latency=st.floats(min_value=1e-3, max_value=1e6),
+        loss_rate=unit,
+    )
+    crashes = st.builds(
+        FaultSpec, kind=st.just("crash"), at=window, nodes=st.lists(names, min_size=1).map(tuple)
+    )
+    return draw(
+        st.builds(
+            StackSpec,
+            name=names,
+            nodes=st.just(nodes),
+            seed=st.integers(),
+            duration=st.just(duration),
+            drain_time=admitted(StackSpec, "drain_time"),
+            loss_rate=admitted(StackSpec, "loss_rate"),
+            system=st.builds(
+                SystemSpec,
+                kind=names,
+                adapt_fanout=st.booleans(),
+                **bounded_fields(SystemSpec, "fanout", "alpha", "stripes"),
+            ),
+            membership=st.builds(MembershipSpec, kind=names),
+            interest=st.builds(
+                InterestSpec, kind=names, **bounded_fields(InterestSpec, "topics_per_node")
+            ),
+            workload=st.builds(
+                WorkloadSpec,
+                **bounded_fields(WorkloadSpec, "topics", "publication_rate", "publisher_fraction"),
+            ),
+            policy=st.builds(PolicySpec, kind=names),
+            faults=st.builds(
+                FaultsSpec,
+                churn=st.one_of(st.just(FaultChurnSpec()), churn),
+                partition=st.one_of(st.just(FaultPartitionSpec()), partition),
+                perturb=st.one_of(st.just(FaultPerturbSpec()), perturb),
+                plan=st.lists(crashes.map(FaultSpec.to_pairs), max_size=2).map(tuple),
+            ),
+            topology=st.builds(
+                TopologySpec,
+                domains=st.integers(min_value=0, max_value=nodes),
+                bridges_per_domain=st.integers(min_value=1, max_value=4),
+                cross_loss=unit,
+            ),
+            telemetry=st.builds(
+                TelemetrySpec,
+                sinks=name_tuples,
+                period=st.floats(min_value=1e-6, max_value=1e6),
+            ),
+            extra=st.lists(
+                st.tuples(names, st.one_of(scalars, st.tuples(scalars, scalars))), max_size=2
+            ).map(tuple),
+        )
+    )
 
 
 def through_json(payload):
@@ -142,7 +224,7 @@ class TestRoundTrips:
         assert TopologySpec.from_dict(through_json(spec.to_dict())) == spec
 
     @settings(max_examples=60)
-    @given(stack_specs)
+    @given(stack_specs())
     def test_stack_spec(self, spec):
         assert StackSpec.from_dict(through_json(spec.to_dict())) == spec
 
@@ -198,6 +280,8 @@ BAD_TOPOLOGIES = [
     ({"bridge_policy": 7}, "'bridge_policy'"),
     ({"domans": 4}, "domans"),
     ({"domains": -1}, "topology.domains"),
+    ({"geo": [["d0", "d1", 1.0, 3.0]]}, r"topology.geo\[0\]\[3\] must be within \[0, 1\]"),
+    ({"geo": [["d0", "d1", -1.0, 0.0]]}, r"topology.geo\[0\]\[2\] must be non-negative"),
 ]
 
 #: (bad StackSpec payload, the field the message must name)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -32,8 +33,11 @@ from repro.experiments import (
     iter_scenarios,
     run_experiment,
 )
+from repro.campaign.spec import CampaignError, CampaignSpec, ServiceSpec
 from repro.cli import main as cli_main
+from repro.faults import FaultPlan, FaultPlanError, FaultSpec
 from repro.gossip import GossipSystem
+from repro.jsonio import annotation_at, bound_of
 from repro.registry import (
     INTEREST,
     MEMBERSHIP,
@@ -45,10 +49,12 @@ from repro.registry import (
     build_interest_model,
     build_popularity,
     parse_spec_overrides,
+    spec_paths,
 )
 from repro.runtime.host import NodeHost
 from repro.runtime.transport import MemoryTransport
 from repro.sim.rng import RngRegistry
+from repro.topology import TopologyError, TopologySpec
 from tests.conftest import SMOKE_BROKERS_CONFIG_HASH, SMOKE_CONFIG_HASH, result_sha, settle
 
 # --------------------------------------------------------------------------
@@ -297,6 +303,27 @@ class TestCliSurface:
             "workload.topics=0",
             "duration=-1",
             "workload.event_size=-1",
+            # bounds no layer checked: a build-time traceback ...
+            "system.broker_count=0",
+            "system.stripes=0",
+            "system.delegates_per_root=0",
+            "interest.topics_per_node=0",
+            "interest.max_topics_per_node=0",
+            # ... or a silent run under a new cache key
+            "workload.topic_exponent=-1",
+            "workload.publisher_fraction=-1",
+            "workload.publisher_fraction=0",
+            "workload.subscription_churn_rate=-2",
+            "system.selfish_fraction=0.5",
+            "system.alpha=0",
+            "faults.churn.up_probability=2",
+            "faults.churn.start=-1",
+            "faults.partition.fraction=1",
+            "faults.perturb.extra_latency=-1",
+            "faults.perturb.loss_rate=1.5",
+            "topology.domains=-1",
+            "topology.cross_loss=3",
+            "topology.bridges_per_domain=0",
         ],
     )
     def test_set_rejects_a_mistyped_value_before_anything_runs(
@@ -312,6 +339,40 @@ class TestCliSurface:
         message = str(excinfo.value)
         assert override.split("=")[0] in message and "must be" in message
         assert "\n" not in message
+
+    @pytest.mark.parametrize(
+        "override, expected",
+        [
+            ("faults.churn.start=5", "faults.churn.down_probability is 0"),
+            ("topology.domains=200", "exceeds the node count"),
+        ],
+    )
+    def test_set_rejects_a_cross_section_mistake_before_anything_runs(
+        self, override, expected, monkeypatch, tmp_path
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an invalid spec reached config_hash")
+
+        monkeypatch.setattr("repro.experiments.cache.config_hash", unreachable)
+        for command in (["run", "smoke"], ["sweep", "smoke", "--param", "seed", "--values", "1"]):
+            with pytest.raises(SystemExit) as excinfo:
+                cli_main([*command, "--cache-dir", str(tmp_path), "--set", override])
+            message = str(excinfo.value)
+            assert expected in message and "\n" not in message
+
+    def test_sweep_rejects_a_value_out_of_bounds_before_computing_a_point(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an out-of-bounds point reached config_hash")
+
+        monkeypatch.setattr("repro.experiments.cache.config_hash", unreachable)
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(
+                ["sweep", "smoke", "--no-cache"]
+                + ["--param", "topology.cross_loss", "--values", "0,3"]
+            )
+        assert str(excinfo.value) == (
+            "service 'sweep': topology.cross_loss must be within [0, 1], got 3.0"
+        )
 
     def test_sweep_rejects_a_mistyped_value(self):
         with pytest.raises(SystemExit, match="system.fanout must be an integer"):
@@ -376,6 +437,108 @@ class TestFaultPlanValidation:
         )
         run_experiment(config)
         assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
+
+
+# --------------------------------------------------------------------------
+# Declared bounds: each field's range, read off its annotation, is refused
+# with the same message at every entry point
+# --------------------------------------------------------------------------
+
+
+def _outside(annotation):
+    """Values just outside the bound ``annotation`` declares."""
+    bound = bound_of(annotation)
+    step = 1 if annotation.__origin__ is int else 0.5
+    values = [bound.low if bound.open_low else bound.low - step]
+    if bound.high is not None:
+        values.append(bound.high if bound.open_high else bound.high + step)
+    return values
+
+
+def _bounded(record_class, paths):
+    """``(path, value just outside, bound)`` for every bounded path."""
+    return [
+        (path, value, bound_of(annotation_at(record_class, path)))
+        for path in paths
+        if bound_of(annotation_at(record_class, path)) is not None
+        for value in _outside(annotation_at(record_class, path))
+    ]
+
+
+def _nested(path: str, value) -> dict:
+    """The ``from_dict`` payload setting one dotted path."""
+    *parents, leaf = path.split(".")
+    payload = {leaf: value}
+    for part in reversed(parents):
+        payload = {part: payload}
+    return payload
+
+
+SPEC_BOUNDS = _bounded(StackSpec, spec_paths())
+FAULT_BOUNDS = _bounded(FaultSpec, [field.name for field in dataclasses.fields(FaultSpec)])
+TOPOLOGY_BOUNDS = _bounded(
+    TopologySpec, [field.name for field in dataclasses.fields(TopologySpec)]
+)
+
+
+class TestDeclaredBounds:
+    def test_every_section_declares_bounds(self):
+        sections = {path.split(".")[0] for path, _, _ in SPEC_BOUNDS}
+        assert {"nodes", "system", "interest", "workload", "faults", "topology"} <= sections
+        assert FAULT_BOUNDS and TOPOLOGY_BOUNDS
+
+    @pytest.mark.parametrize("path, value, bound", SPEC_BOUNDS)
+    def test_a_spec_bound_holds_at_every_entry_point(self, path, value, bound):
+        expected = re.escape(f"{path} must be {bound}, got")
+        with pytest.raises(RegistryError, match=expected):
+            StackSpec().with_value(path, value)
+        with pytest.raises(RegistryError, match=expected):
+            StackSpec.from_dict(_nested(path, value))
+        with pytest.raises(CampaignError, match=expected):
+            ServiceSpec("grid", "smoke", sweep=((path, (value,)),)).validate()
+
+    @pytest.mark.parametrize("name, value, bound", FAULT_BOUNDS)
+    def test_a_fault_entry_bound_holds_decoded_and_built(self, name, value, bound):
+        expected = re.escape(f"{name} must be {bound}, got")
+        with pytest.raises(FaultPlanError, match=expected):
+            FaultSpec.from_dict({"kind": "churn", name: value})
+        with pytest.raises(FaultPlanError, match=expected):
+            FaultPlan((FaultSpec(kind="churn", **{name: value}),)).validate()
+
+    @pytest.mark.parametrize("name, value, bound", TOPOLOGY_BOUNDS)
+    def test_a_topology_bound_holds_decoded_and_built(self, name, value, bound):
+        expected = re.escape(f"topology.{name} must be {bound}, got")
+        with pytest.raises(TopologyError, match=expected):
+            TopologySpec.from_dict({name: value})
+        with pytest.raises(TopologyError, match=expected):
+            TopologySpec(**{name: value}).validate()
+
+    def test_every_registered_scenario_passes_validate(self):
+        for scenario in iter_scenarios():
+            assert scenario.spec.validate() == scenario.spec
+
+    @pytest.mark.parametrize(
+        "override, expected",
+        [
+            ({"faults.churn.start": 5}, "faults.churn.down_probability is 0"),
+            ({"topology.domains": 200}, "exceeds the node count"),
+        ],
+    )
+    def test_a_campaign_point_failing_stack_validate_fails_the_campaign(
+        self, override, expected
+    ):
+        payload = {
+            "name": "drift",
+            "services": {"bad": {"scenario": "smoke", "set": override}},
+            "targets": {"table": {"inputs": ["bad"]}},
+        }
+        with pytest.raises(CampaignError, match=f"service 'bad': .*{expected}"):
+            CampaignSpec.from_dict(payload).validate()
+
+    def test_a_spec_mode_host_refuses_an_invalid_spec(self):
+        spec = dataclasses.replace(get_scenario("smoke").spec, nodes=0)
+        with pytest.raises(RegistryError, match="nodes must be at least 1, got 0"):
+            NodeHost(MemoryTransport(), spec=spec)
 
 
 def _run_live_spec(kind: str, publications: int = 20) -> NodeHost:
