@@ -55,15 +55,17 @@ registry-smoke:
 		= "service 'sweep': topology.cross_loss must be within [0, 1], got 3.0"
 
 # Then every other registered system crosses the wire once, so each payload
-# class of the runtime wire table is encoded and decoded end to end (a kind
-# whose frames failed to decode would be dropped: the grep wants half of the
-# interested pairs delivered).
+# class of the runtime wire table is encoded and decoded end to end (the
+# grep wants half of the interested pairs delivered and not one frame that
+# failed to decode).
 serve-scenario-smoke: registry-smoke
-	$(PYTHON) -m repro serve --scenario smoke --transport memory --duration 2 --rate 200 --drain 0.5
-	$(PYTHON) -m repro serve --scenario smoke --set system.kind=brokers --transport memory --duration 1 --rate 100 --drain 0.5
+	$(PYTHON) -m repro serve --scenario smoke --transport memory --duration 2 --rate 200 --drain 0.5 \
+		| grep -E " 0 decode errors"
+	$(PYTHON) -m repro serve --scenario smoke --set system.kind=brokers --transport memory --duration 1 --rate 100 --drain 0.5 \
+		| grep -E " 0 decode errors"
 	for kind in fair-gossip pushpull-gossip lazy-push scribe splitstream dks dam; do \
 		$(PYTHON) -m repro serve --scenario smoke --set system.kind=$$kind --transport memory --duration 0.5 --rate 100 --drain 0.3 \
-			| grep -E "delivery ratio (0\.[5-9]|1\.)" || exit 1; \
+			| grep -E "delivery ratio (0\.[5-9]|1\.).* 0 decode errors" || exit 1; \
 	done
 
 # Telemetry + report round trip: run a scenario with a JSON-lines snapshot

@@ -10,6 +10,7 @@ the expressive (content-based) dissemination modes.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
@@ -69,17 +70,36 @@ class Event:
 
     @staticmethod
     def from_dict(payload: Mapping[str, Any]) -> "Event":
-        """Rebuild an event from :meth:`to_dict` output; ids must be strings."""
+        """Rebuild an event from :meth:`to_dict` output; ids must be strings.
+
+        Returns the :class:`Event` already alive in this process under the
+        same id when its ``publisher``, ``attributes``, ``published_at`` and
+        ``size`` compare equal to the payload's, so the nodes of one process
+        share one object per event, as they do in the simulator.  Any
+        difference builds a fresh event after every check, and the caller's
+        own id dedupe decides what becomes of it.  The table holds events
+        weakly: it is as large as what is still referenced, no larger.
+        """
         event_id, publisher = payload["event_id"], payload["publisher"]
         if type(event_id) is not str or type(publisher) is not str:
             raise TypeError(f"event_id/publisher must be strings: {event_id!r} {publisher!r}")
-        return Event(
+        live = _LIVE_EVENTS.get(event_id)
+        if (
+            live is not None
+            and live.publisher == publisher
+            and live.published_at == payload.get("published_at", 0.0)
+            and live.size == payload.get("size", 1)
+            and live.attributes == payload.get("attributes", {})
+        ):
+            return live
+        event = _LIVE_EVENTS[event_id] = Event(
             event_id=event_id,
             publisher=publisher,
             attributes=dict(payload.get("attributes", {})),
             published_at=float(payload.get("published_at", 0.0)),
             size=int(payload.get("size", 1)),
         )
+        return event
 
     def with_time(self, published_at: float) -> "Event":
         """Return a copy stamped with a publication time."""
@@ -98,6 +118,10 @@ class Event:
         if not isinstance(other, Event):
             return NotImplemented
         return self.event_id == other.event_id
+
+
+#: ``event_id -> Event`` of the decoded events still referenced; see :meth:`Event.from_dict`.
+_LIVE_EVENTS: "weakref.WeakValueDictionary[str, Event]" = weakref.WeakValueDictionary()
 
 
 class EventFactory:

@@ -186,7 +186,8 @@ async def _run_live(args: argparse.Namespace, live_report: bool) -> RuntimeArtif
         f"delivery ratio {reliability.delivery_ratio:.3f} | "
         f"complete fraction {reliability.complete_fraction:.3f} | "
         f"transport {args.transport} ({host.transport.frames_sent} frames, "
-        f"{host.transport.bytes_sent} bytes sent)"
+        f"{host.transport.bytes_sent} bytes sent, {host.transport.send_failures} send failures, "
+        f"{host.network.decode_errors} decode errors)"
     )
     if host.tracer is not None:
         print(

@@ -3,10 +3,20 @@
 Every message that crosses a transport is one *frame*: a 4-byte big-endian
 length prefix followed by a UTF-8 JSON object holding the
 :class:`~repro.sim.network.Message` envelope (sender, recipient, kind, size,
-sent_at; ``trace`` on traced frames only) and a ``payload``.
-:data:`WIRE_PAYLOADS` names the payload class of each kind that carries one,
-and :func:`repro.jsonio.wire_codec` derives that class's codec from its
-annotations; payloads of other kinds pass through as plain JSON.
+sent_at; ``trace`` on traced frames only) and a ``payload``.  Each kind that
+carries a payload class is coded by the codec :func:`repro.jsonio.wire_codec`
+derives from that class's annotations; payloads of other kinds pass through
+as plain JSON.  The gossip, membership and runtime kinds are declared here;
+the structured baselines declare theirs next to their protocol code, in a
+``WIRE_PAYLOADS`` table that :data:`PAYLOAD_MODULES` names by kind prefix and
+that is imported the first time a kind with that prefix is seen, so a gossip
+process never loads a baseline.
+
+A round of push gossip hands one payload object to every recipient, so the
+encoder keeps the last payload it coded (by identity, holding a reference so
+the identity cannot be reused) with its JSON and only builds each
+recipient's envelope around it.  The bytes are those of one ``json.dumps``
+of the whole envelope.
 
 The memory transport runs every frame through this codec too: what the
 socket transports put on the wire is byte-for-byte what the in-process
@@ -18,12 +28,9 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, List, Tuple
+from importlib import import_module
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..brokers import broker as _broker
-from ..damulticast import dam as _dam
-from ..dht import dks as _dks
-from ..dht import scribe as _scribe
 from ..gossip.push import GossipMessage
 from ..gossip.pushpull import DigestMessage, PullRequest
 from ..jsonio import fit, wire_codec
@@ -36,12 +43,13 @@ from ..tracing.context import TraceContext
 
 __all__ = [
     "WIRE_VERSION",
-    "WIRE_PAYLOADS",
+    "PAYLOAD_MODULES",
     "MAX_FRAME_SIZE",
     "PUBLISH_KIND",
     "SUBSCRIBE_KIND",
     "UNSUBSCRIBE_KIND",
     "WireError",
+    "wire_payloads",
     "encode_message",
     "decode_message",
     "frame",
@@ -67,8 +75,21 @@ class WireError(ValueError):
     """Raised when a frame cannot be encoded or decoded."""
 
 
-#: ``kind -> payload class``; kinds absent here carry plain JSON.
-WIRE_PAYLOADS: Dict[str, type] = {
+#: ``kind prefix -> module`` (relative to this package, the rule of the
+#: packages' ``_EXPORTS`` tables) whose ``WIRE_PAYLOADS`` declares the payload
+#: classes of the structured baselines' kinds (brokers, Scribe/SplitStream
+#: trees, DKS groups, data-aware multicast); merging them is what lets
+#: ``serve --scenario`` run the non-gossip baselines on real transports.
+#: Kinds of any other unknown prefix carry plain JSON.
+PAYLOAD_MODULES = {
+    "broker.": "..brokers.broker",
+    "scribe.": "..dht.scribe",
+    "dks.": "..dht.dks",
+    "dam.": "..damulticast.dam",
+}
+
+#: ``kind -> payload class`` of the kinds resolved so far; see :func:`wire_payloads`.
+_PAYLOADS: Dict[str, type] = {
     "gossip.push": GossipMessage,
     "gossip.pull-reply": GossipMessage,
     "gossip.digest": DigestMessage,
@@ -90,47 +111,92 @@ WIRE_PAYLOADS: Dict[str, type] = {
     UNSUBSCRIBE_KIND: Filter,
 }
 
-# Baseline protocol payloads (brokers, Scribe/SplitStream trees, DKS groups,
-# data-aware multicast) are declared next to the protocol code that owns
-# them; merging their tables here is what lets ``serve --scenario`` run the
-# non-gossip baselines on real transports.
-for _module in (_broker, _scribe, _dks, _dam):
-    WIRE_PAYLOADS.update(_module.WIRE_PAYLOADS)
-
-_CODECS = {kind: wire_codec(payload_class) for kind, payload_class in WIRE_PAYLOADS.items()}
+_CODECS = {kind: wire_codec(payload_class) for kind, payload_class in _PAYLOADS.items()}
 _TRACE_CODEC = wire_codec(Tuple[TraceContext, ...])
+_UNLOADED = dict(PAYLOAD_MODULES)
+
+
+def _load(prefix: str) -> None:
+    """Merge the payload table of ``prefix``'s module (once)."""
+    table = import_module(_UNLOADED[prefix], __package__).WIRE_PAYLOADS
+    _PAYLOADS.update(table)
+    _CODECS.update({kind: wire_codec(payload_class) for kind, payload_class in table.items()})
+    del _UNLOADED[prefix]
+
+
+def _codec(kind: str) -> Optional[Tuple[Callable, Callable]]:
+    """``(encode, decode)`` of ``kind``'s payload class, or ``None`` for plain JSON."""
+    codec = _CODECS.get(kind)
+    if codec is None:
+        prefix = kind[: kind.find(".") + 1]
+        if prefix in _UNLOADED:
+            _load(prefix)
+            codec = _CODECS.get(kind)
+    return codec
+
+
+def wire_payloads() -> Dict[str, type]:
+    """``kind -> payload class`` of every kind that has one, the baselines' included.
+
+    Imports every module of :data:`PAYLOAD_MODULES`; the codec itself only
+    imports the one a frame's kind needs.
+    """
+    for prefix in list(_UNLOADED):
+        _load(prefix)
+    return dict(_PAYLOADS)
 
 
 # ------------------------------------------------------------------ envelope
 
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+#: ``(payload, codec, JSON bytes)`` of the last codec-kind payload encoded.
+#: Holding the payload keeps its ``id`` from being reused by another object.
+_last_payload: Tuple[Any, Any, bytes] = (None, None, b"")
+
 
 def encode_message(message: Message) -> bytes:
-    """Encode a message envelope plus payload as one JSON frame body."""
-    payload: Any = message.payload
-    codec = _CODECS.get(message.kind)
-    if codec is not None:
-        if payload is None:
-            raise WireError(f"message kind {message.kind!r} requires a payload")
-        payload = codec[0](payload)
-    envelope = {
-        "v": WIRE_VERSION,
-        "sender": message.sender,
-        "recipient": message.recipient,
-        "kind": message.kind,
-        "size": message.size,
-        "sent_at": message.sent_at,
-        "payload": payload,
-    }
-    # The trace key is only present on traced frames, so untraced frames
-    # carry no tracing bytes; decoders ignore unknown envelope keys.
-    if message.trace:
-        envelope["trace"] = _TRACE_CODEC[0](message.trace)
+    """Encode a message envelope plus payload as one JSON frame body.
+
+    The body is byte-for-byte ``json.dumps(envelope, separators=(",", ":"))``
+    of the envelope dict with the payload in its wire form.  A payload of a
+    kind with a codec is a frozen record, so the JSON of the payload encoded
+    last is reused when the same object (under the same codec) comes again,
+    as it does for every recipient of one gossip round; plain-JSON payloads
+    may be mutable and are encoded on every call.
+    """
+    global _last_payload
+    kind = message.kind
+    payload = message.payload
+    codec = _codec(kind)
+    if codec is not None and payload is None:
+        raise WireError(f"message kind {kind!r} requires a payload")
     try:
-        return json.dumps(envelope, separators=(",", ":")).encode("utf-8")
-    except (TypeError, ValueError) as error:
-        raise WireError(
-            f"payload of kind {message.kind!r} is not JSON-serializable: {error}"
-        ) from None
+        last, last_codec, payload_json = _last_payload
+        if codec is None:
+            payload_json = _dumps(payload).encode()
+        elif last is not payload or last_codec is not codec:
+            payload_json = _dumps(codec[0](payload)).encode()
+        head = _dumps(
+            {
+                "v": WIRE_VERSION,
+                "sender": message.sender,
+                "recipient": message.recipient,
+                "kind": kind,
+                "size": message.size,
+                "sent_at": message.sent_at,
+            }
+        )
+        # The trace key is only present on traced frames, so untraced frames
+        # carry no tracing bytes; decoders ignore unknown envelope keys.
+        trace = b""
+        if message.trace:
+            trace = b',"trace":' + _dumps(_TRACE_CODEC[0](message.trace)).encode()
+    except (AttributeError, TypeError, ValueError) as error:
+        raise WireError(f"message of kind {kind!r} cannot be encoded: {error}") from None
+    if codec is not None:
+        _last_payload = (payload, codec, payload_json)
+    return b"".join((head[:-1].encode(), b',"payload":', payload_json, trace, b"}"))
 
 
 def decode_message(data: bytes) -> Message:
@@ -152,7 +218,7 @@ def decode_message(data: bytes) -> Message:
         if not type(sender) is type(recipient) is type(kind) is str:
             raise TypeError(f"sender/recipient/kind must be strings: {sender!r} {recipient!r} {kind!r}")
         payload = envelope.get("payload")
-        codec = _CODECS.get(kind)
+        codec = _codec(kind)
         if codec is not None:
             payload = codec[1](payload)
         trace = envelope.get("trace")

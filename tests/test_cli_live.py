@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 import os
 
 import pytest
@@ -50,7 +51,10 @@ class TestLiveRuns:
     def test_flagless_default_is_the_live_scenario(self, capsys, tmp_path):
         artifact_path = tmp_path / "rt.json"
         assert cli_main(["loadgen", "--set", "nodes=8", *FAST, "--json", str(artifact_path)]) == 0
-        assert "delivery ratio" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "delivery ratio" in out
+        # failed frames are shown on the transport line, not only counted
+        assert re.search(r"bytes sent, \d+ send failures, 0 decode errors\)", out)
         artifact = json.loads(artifact_path.read_text(encoding="utf-8"))
         assert artifact["schema"] == "rt-load/v1"
         assert artifact["scenario"] == "live"

@@ -106,6 +106,20 @@ def test_a_push_gossip_run_loads_only_what_it_uses():
     assert not _denied(loaded, RUN_DENYLIST)
 
 
+def test_a_live_gossip_run_loads_no_baseline():
+    # The wire codec imports a baseline's payload table the first time one of
+    # its kinds is seen; a gossip cluster on the memory transport sees none.
+    loaded = _loaded_after(
+        "from repro.cli import main\n"
+        "main(['loadgen', '--set', 'nodes=8', '--transport', 'memory',"
+        " '--duration', '0.3', '--rate', '50', '--drain', '0.2'])"
+    )
+    assert "repro.runtime.host" in loaded and "repro.runtime.wire" in loaded
+    assert "repro.gossip.push" in loaded
+    runtime = [module for module in loaded if module.startswith("repro.runtime.")]
+    assert not _denied(loaded, ("repro.dht", "repro.brokers", "repro.damulticast"), allowed=runtime)
+
+
 @pytest.mark.parametrize("argv", [["list-scenarios"], ["describe", "smoke"], ["report"]])
 def test_the_cli_loads_only_its_command(argv, tmp_path):
     if argv == ["report"]:

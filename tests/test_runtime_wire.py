@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import gc
 import json
 import logging
 import typing
@@ -14,9 +15,11 @@ from hypothesis import strategies as st
 
 from repro.gossip.push import GossipMessage
 from repro.gossip.pushpull import DigestMessage, PullRequest
+from repro.jsonio import wire_codec
 from repro.membership.cyclon import ShufflePayload
 from repro.membership.lpbcast import MembershipDigest
 from repro.membership.views import NodeDescriptor
+from repro.pubsub import events as events_module
 from repro.pubsub.events import Event
 from repro.pubsub.filters import (
     AndFilter,
@@ -29,23 +32,48 @@ from repro.pubsub.filters import (
     OrFilter,
     TopicFilter,
 )
+from repro.runtime import wire
 from repro.runtime.transport import TcpTransport
 from repro.runtime.wire import (
     MAX_FRAME_SIZE,
     PUBLISH_KIND,
     SUBSCRIBE_KIND,
     UNSUBSCRIBE_KIND,
-    WIRE_PAYLOADS,
     WIRE_VERSION,
     FrameDecoder,
     WireError,
     decode_message,
     encode_message,
     frame,
+    wire_payloads,
 )
 from repro.sim.network import Message
 from repro.tracing.context import TraceContext
 from tests.conftest import settle
+
+
+#: Every kind with a payload class, the baselines' included.
+PAYLOADS = wire_payloads()
+KINDS = sorted(PAYLOADS)
+
+
+def reference_encode(message: Message) -> bytes:
+    """The encoder the frames are pinned to: one ``json.dumps`` of the whole envelope."""
+    payload = message.payload
+    if message.kind in PAYLOADS:
+        payload = wire_codec(PAYLOADS[message.kind])[0](payload)
+    envelope = {
+        "v": WIRE_VERSION,
+        "sender": message.sender,
+        "recipient": message.recipient,
+        "kind": message.kind,
+        "size": message.size,
+        "sent_at": message.sent_at,
+        "payload": payload,
+    }
+    if message.trace:
+        envelope["trace"] = wire_codec(typing.Tuple[TraceContext, ...])[0](message.trace)
+    return json.dumps(envelope, separators=(",", ":")).encode("utf-8")
 
 
 def roundtrip(message: Message) -> Message:
@@ -128,6 +156,13 @@ TRACES = st.none() | st.lists(
     st.builds(TraceContext, TEXT, SCALARS[int], SCALARS[int]), min_size=1, max_size=3
 ).map(tuple)
 
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=12), children, max_size=4),
+    max_leaves=10,
+)
+
 
 def values(annotation):
     """Values of ``annotation``, read off the same type hints the codec is derived from."""
@@ -155,15 +190,11 @@ def messages(kind: str):
         sender=TEXT,
         recipient=TEXT,
         kind=st.just(kind),
-        payload=values(WIRE_PAYLOADS[kind]),
+        payload=values(PAYLOADS[kind]),
         size=SCALARS[int],
         sent_at=SCALARS[float],
         trace=TRACES,
     )
-
-
-#: Every kind with a payload class, the baselines' included.
-KINDS = sorted(WIRE_PAYLOADS)
 
 
 class TestPayloadCodecs:
@@ -229,24 +260,163 @@ class TestPayloadCodecs:
         decoded = roundtrip(Message("a", "b", "custom.none"))
         assert decoded.payload is None
 
-    def test_codec_kind_requires_payload(self):
-        with pytest.raises(WireError):
-            encode_message(Message("a", "b", "gossip.push", payload=None))
+    VALID = Message("a", "b", "gossip.push", payload=GossipMessage((make_event(3),)), sent_at=1.0)
 
-    def test_non_serializable_payload_raises(self):
+    @pytest.mark.parametrize("payload", [None, 5, {"events": []}, (make_event(),), "text"])
+    def test_codec_kind_requires_payload(self, payload):
+        # A payload of the wrong shape is a WireError, never an AttributeError
+        # escaping from the codec, and leaves nothing behind in the encoder.
+        encode_message(self.VALID)
         with pytest.raises(WireError):
-            encode_message(Message("a", "b", "custom.kind", payload=object()))
+            encode_message(Message("a", "b", "gossip.push", payload=payload))
+        with pytest.raises(WireError):
+            encode_message(Message("a", "b", PUBLISH_KIND, payload=payload))
+        assert encode_message(self.VALID) == reference_encode(self.VALID)
+
+    @pytest.mark.parametrize("payload", [object(), {"x": object()}, float, {1j: 2}])
+    def test_non_serializable_payload_raises(self, payload):
+        with pytest.raises(WireError):
+            encode_message(Message("a", "b", "custom.kind", payload=payload))
+        assert encode_message(self.VALID) == reference_encode(self.VALID)
+
+    def test_a_failed_encode_leaves_nothing_in_the_cache(self):
+        encode_message(self.VALID)
+        cached = wire._last_payload
+        payload = GossipMessage((make_event(4),))
+        with pytest.raises(WireError):
+            encode_message(Message(object(), "b", "gossip.push", payload=payload))
+        assert wire._last_payload is cached
+        message = Message("a", "b", "gossip.push", payload=payload)
+        assert encode_message(message) == reference_encode(message)
+
+
+class TestByteIdentity:
+    """Every frame is the reference encoder's bytes, however payloads are reused."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_one_payload_to_many_recipients(self, kind, data):
+        payloads = data.draw(st.lists(values(PAYLOADS[kind]), min_size=1, max_size=3))
+        plain = st.builds(
+            Message,
+            sender=TEXT,
+            recipient=TEXT,
+            kind=st.sampled_from(["custom.kind", "broker", "scribe", "nodot"]),
+            payload=JSON,
+            size=SCALARS[int],
+            sent_at=SCALARS[float],
+            trace=TRACES,
+        )
+        # Runs of one payload object to several recipients, as a gossip
+        # round sends them, interleaved with other payloads and plain JSON.
+        sent = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            if data.draw(st.booleans()):
+                sent.append(data.draw(plain))
+                continue
+            payload = data.draw(st.sampled_from(payloads))
+            for recipient in data.draw(st.lists(TEXT, min_size=1, max_size=4)):
+                sent.append(
+                    Message(
+                        "sender",
+                        recipient,
+                        kind,
+                        payload,
+                        size=data.draw(SCALARS[int]),
+                        sent_at=data.draw(SCALARS[float]),
+                        trace=data.draw(TRACES),
+                    )
+                )
+        for message in sent:
+            assert encode_message(message) == reference_encode(message)
+
+    def test_a_payload_sent_under_another_codec_is_coded_again(self):
+        payload = GossipMessage((make_event(5),))
+        encode_message(Message("a", "b", "gossip.push", payload=payload))
+        with pytest.raises(WireError):  # a GossipMessage is not a DigestMessage
+            encode_message(Message("a", "b", "gossip.digest", payload=payload))
+        bridged = Message("a", "c", "topology.bridge", payload=payload)
+        assert encode_message(bridged) == reference_encode(bridged)
+
+
+class TestEventIntern:
+    """``Event.from_dict`` shares one object per id while the content matches."""
+
+    RAW = st.fixed_dictionaries(
+        {
+            "event_id": st.sampled_from(["intern#0", "intern#1"]),
+            "publisher": st.sampled_from(["p", "q"]),
+        },
+        optional={
+            "attributes": st.dictionaries(st.sampled_from(["topic", "level"]), ATTRIBUTE_VALUES, max_size=2),
+            "published_at": st.sampled_from([0.0, 1.5, 1, True, "2.5", None]),
+            "size": st.sampled_from([1, 2, 2.0, 2.5, "3"]),
+        },
+    )
+
+    @staticmethod
+    def reference(raw) -> Event:
+        """``Event.from_dict`` without the table: every field converted and checked."""
+        if type(raw["event_id"]) is not str or type(raw["publisher"]) is not str:
+            raise TypeError("ids must be strings")
+        return Event(
+            raw["event_id"],
+            raw["publisher"],
+            dict(raw.get("attributes", {})),
+            float(raw.get("published_at", 0.0)),
+            int(raw.get("size", 1)),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(raws=st.lists(RAW, min_size=1, max_size=8))
+    def test_a_decoded_event_equals_a_fresh_one(self, raws):
+        held = []
+        for raw in raws:
+            live = events_module._LIVE_EVENTS.get(raw["event_id"])
+            try:
+                expected = self.reference(raw)
+            except (TypeError, ValueError):
+                with pytest.raises((TypeError, ValueError)):
+                    Event.from_dict(raw)
+                continue
+            decoded = Event.from_dict(raw)
+            assert decoded.to_dict() == expected.to_dict()
+            matches = live is not None and (
+                live.publisher,
+                live.published_at,
+                live.size,
+                live.attributes,
+            ) == (raw["publisher"], raw.get("published_at", 0.0), raw.get("size", 1), raw.get("attributes", {}))
+            assert (decoded is live) is matches
+            held.append(decoded)
+
+    def test_two_frames_carrying_one_event_decode_to_one_object(self):
+        shared = make_event(70)
+        first = roundtrip(Message("a", "b", "gossip.push", payload=GossipMessage((shared, make_event(71)))))
+        second = roundtrip(Message("c", "d", "gossip.push", payload=GossipMessage((make_event(72), shared))))
+        assert first.payload.events[0] is second.payload.events[1]
+        assert first.payload.events[0] is not shared  # decoding never hands out the sender's object
+
+    def test_one_id_with_other_content_decodes_to_its_own_object(self):
+        original = make_event(80)
+        changed = dataclasses.replace(original, attributes={"topic": "sport"})
+        first = roundtrip(Message("a", "b", PUBLISH_KIND, payload=original)).payload
+        second = roundtrip(Message("a", "b", PUBLISH_KIND, payload=changed)).payload
+        assert first is not second
+        assert first.to_dict() == original.to_dict()
+        assert second.to_dict() == changed.to_dict()
+
+    def test_the_table_forgets_events_nobody_holds(self):
+        ids = [f"forgotten#{index}" for index in range(50)]
+        held = [Event.from_dict({"event_id": event_id, "publisher": "p"}) for event_id in ids]
+        assert set(ids) <= set(events_module._LIVE_EVENTS)
+        del held
+        gc.collect()
+        assert not set(ids) & set(events_module._LIVE_EVENTS)
 
 
 # ----------------------------------------------------------------- totality
-
-JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=12), children, max_size=4),
-    max_leaves=10,
-)
-
 
 def mutate(data, value):
     """``value`` with one part of it — perhaps all of it — replaced by any JSON value."""
@@ -322,7 +492,7 @@ class TestEnvelope:
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_any_json_decodes_to_declared_types_or_wire_error(self, kind, data):
-        payload = data.draw(values(WIRE_PAYLOADS[kind])) if kind in WIRE_PAYLOADS else None
+        payload = data.draw(values(PAYLOADS[kind])) if kind in PAYLOADS else None
         valid = json.loads(encode_message(Message("a", "b", kind, payload=payload)))
         body = json.dumps(mutate(data, valid)).encode("utf-8")
         try:
