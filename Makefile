@@ -159,10 +159,14 @@ bench-domains:
 # the run manifest through the report CLI.  The sweep/compare lines are
 # one-service campaigns over the mini campaign's own services, so they must
 # be served entirely from the cache the campaign just filled.  The paper
-# campaign (the grids the figure benches read) is only planned: a broken
-# spec fails here without running its points.
+# campaign (the grids the figure benches read) is only planned and inspected:
+# a broken spec fails here without running its points.  It is the one real
+# spec with SEQ, ONE and an `after` edge on a target: its plan renders all 14
+# targets and skips headline-quick, the unchosen ONE alternative.
 campaign-smoke:
-	$(PYTHON) -m repro campaign examples/paper_campaign.json --dry-run --no-cache
+	$(PYTHON) -m repro campaign examples/paper_campaign.json --dry-run --no-cache | grep -cw render | grep -x 14
+	$(PYTHON) -m repro campaign examples/paper_campaign.json --dry-run --no-cache | grep -E "^headline-quick +skip"
+	$(PYTHON) -m repro campaign status examples/paper_campaign.json --no-cache
 	$(PYTHON) -m repro campaign examples/mini_campaign.json --cache-dir .ci-cache --out-dir out/campaign/mini
 	$(PYTHON) -m repro sweep smoke --param system.fanout --values 2,3 --cache-dir .ci-cache | grep "cache hits: 2"
 	$(PYTHON) -m repro compare smoke --systems gossip,fair-gossip --cache-dir .ci-cache | grep "cache hits: 2"

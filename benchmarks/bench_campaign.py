@@ -1,4 +1,4 @@
-"""Campaign layer: cold vs warm wall time and replanning overhead.
+"""Campaign layer: cold vs warm wall time and per-point scheduling overhead.
 
 The campaign executor's value proposition is incrementality: a warm cache
 turns a full artifact regeneration into pure cache reads plus rendering.
@@ -8,11 +8,9 @@ This benchmark quantifies that on two campaigns:
   the 24-node smoke scenario): cold wall time, warm wall time, and the
   cold/warm speedup (the headline: warm must compute nothing);
 * **chain** — a deliberately deep ``after`` chain (8 single-point services
-  in sequence).  Because the planner executes ready services in topological
-  order *within* a wave, the chain still completes in one pass — what the
-  warm run measures is pure scheduling overhead per link: demand
-  propagation, dependency closure, staleness probes, and cache loads with
-  zero simulation.
+  in sequence).  The executor's walk requires each link's predecessor
+  first, so what the warm run measures is pure scheduling overhead per
+  link: the walk, staleness probes, and cache loads with zero simulation.
 
 Writes ``BENCH_campaign.json``.
 """
@@ -74,19 +72,27 @@ def _execute(spec: CampaignSpec, cache_dir: str, out_dir: str):
     return executor.run()
 
 
+def _statuses(manifest) -> dict:
+    """Per-node status, plus the inputs each target consumed."""
+    nodes = {name: record.status for name, record in manifest.services.items()}
+    for name, record in manifest.targets.items():
+        nodes[name] = (record.status, record.inputs)
+    return nodes
+
+
 def _campaign_row(name: str, spec: CampaignSpec, root: str) -> dict:
     cache_dir = os.path.join(root, name, "cache")
     out_dir = os.path.join(root, name, "out")
     cold = _execute(spec, cache_dir, out_dir)
     warm = _execute(spec, cache_dir, out_dir)
     assert warm.totals()["computed"] == 0, warm.totals()
-    assert cold.canonical_json() != "" and warm.timing.waves == cold.timing.waves
+    # Warm and cold build the same nodes from the same inputs.
+    assert _statuses(warm) == _statuses(cold)
     cold_seconds, warm_seconds = cold.timing.wall_seconds, warm.timing.wall_seconds
     points = warm.totals()["points"]
     return {
         "campaign": name,
         "points": cold.totals()["points"],
-        "waves": cold.timing.waves,
         "cold_seconds": cold_seconds,
         "warm_seconds": warm_seconds,
         "speedup": cold_seconds / warm_seconds if warm_seconds else 0.0,
@@ -103,7 +109,7 @@ def measure() -> dict:
             _campaign_row("chain", chain, root),
         ]
     return {
-        "schema": "bench-campaign/v1",
+        "schema": "bench-campaign/v2",
         "chain_depth": DEPTH,
         "rows": rows,
         "summary": {
@@ -127,7 +133,6 @@ def test_campaign_cold_vs_warm(benchmark):
         print(
             f"{row['campaign']}: cold {row['cold_seconds']:.2f}s, "
             f"warm {row['warm_seconds']:.3f}s ({row['speedup']:.0f}x), "
-            f"{row['waves']} wave(s), "
             f"{row['warm_seconds_per_point'] * 1000:.1f} ms/point warm overhead"
         )
     for row in artifact["rows"]:

@@ -51,7 +51,7 @@ def render_status(executor: CampaignExecutor) -> str:
             points=fresh + stale,
             fresh=fresh,
             stale=stale,
-            **{"depends on": ", ".join(executor.graph.dependencies_of(service.name)) or "-"},
+            **{"depends on": ", ".join(executor.dependencies[service.name]) or "-"},
         )
     sections.append(services.render())
 
@@ -60,13 +60,13 @@ def render_status(executor: CampaignExecutor) -> str:
         title="targets (fresh = every needed point cached)",
     )
     for target in spec.targets:
-        if target.name not in executor._needed:
+        if target.name not in executor.needed:
             continue
         targets.add_row(
             target=target.name,
             kind=target.kind,
             inputs=target.inputs.describe(),
-            state="fresh" if executor._fully_fresh(target.inputs) else "stale",
+            state="fresh" if executor.fully_cached(target.inputs) else "stale",
         )
     sections.append(targets.render())
 
@@ -106,6 +106,9 @@ def render_plan(manifest: RunManifest) -> str:
         title=f"plan for campaign {manifest.campaign} (dry run — nothing executed)",
     )
     for name, record in manifest.services.items():
+        if record.status == "skipped":
+            table.add_row(node=name, action="skip")
+            continue
         cached = record.cache_hits
         total = len(record.points)
         table.add_row(
@@ -152,6 +155,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         print(render_plan(manifest))
         return 0
 
+    for name, record in manifest.services.items():
+        if record.status == FAILED:
+            print(f"service {name}: failed — {record.error}")
     for name, record in manifest.targets.items():
         if record.status == DONE:
             outputs = ", ".join(record.outputs)

@@ -1,33 +1,36 @@
 """Incremental campaign execution over the parallel sweep executor.
 
-:class:`CampaignExecutor` compiles a validated
+:class:`CampaignExecutor` expands a validated
 :class:`~repro.campaign.spec.CampaignSpec` into concrete grid points,
 computes per-point staleness from the content-addressed result cache
-(config hash unchanged ⇒ cache hit, never re-run), and drives a
-re-planning loop:
+(config hash unchanged ⇒ cache hit, never re-run), and builds each
+selected target with one memoized walk of its inputs:
 
-1. evaluate every selected target's connector tree against the current
-   node states; *demand* the services it still needs (``ONE`` demands a
-   single alternative at a time, preferring one whose points are already
-   fully cached — the short-circuit);
-2. run every demanded service whose dependencies are satisfied on the
-   shared :class:`~repro.experiments.executor.ParallelSweepExecutor`
-   (points fan out over its worker pool; cached points load from disk);
-3. render every target whose connector is now satisfied (the standard
-   results table or the full fairness/latency report, plus a
-   ``--json``-shaped result artifact), and re-plan.
+* a *target* evaluates its connector tree — ``ALL`` and ``SEQ`` need every
+  child and consume their services in child order; ``ONE`` tries one
+  alternative at a time, first one whose points were all cached when the
+  run started (a snapshot taken when the executor is made), else in child
+  order, and after a failure picks the next by the same rule — then renders
+  the standard results table or the full fairness/latency report, plus a
+  ``--json``-shaped result artifact;
+* a *service* first requires what it waits for (its ``after`` list, then
+  its ``SEQ`` predecessors from every target); if one of those failed it
+  fails as ``dependency failed: …``, otherwise its points run on the shared
+  :class:`~repro.experiments.executor.ParallelSweepExecutor` (misses fan
+  out over its worker pool; cached points load from disk).
 
-The loop terminates when no node makes progress; services never demanded
-(unchosen ``ONE`` alternatives) are marked *skipped*.  Every run writes a
-:class:`~repro.campaign.manifest.RunManifest` with per-target provenance —
-config hashes, cache hit/miss counts, cache-entry provenance, wall time.
+Every node's state is computed once per run.  Needed nodes the walk never
+reached (unchosen ``ONE`` alternatives) are marked *skipped*.  Every run
+writes a :class:`~repro.campaign.manifest.RunManifest` with per-target
+provenance — config hashes, cache hit/miss counts, cache-entry provenance,
+wall time.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .. import __version__ as _CODE_VERSION
 from ..experiments.cache import ResultCache, config_hash, results_artifact
@@ -38,14 +41,12 @@ from ..experiments.scenarios import get_scenario
 from ..experiments.sweeps import compare_configs, grid_configs
 from ..registry import PATH_TO_FLAT, RegistryError, resolve_spec_path
 from ..jsonio import encode, suggest, write_json, write_text
-from .graph import CampaignGraph, compile_graph
 from .manifest import RunManifest, PointRecord, ServiceRecord, TargetRecord
-from .spec import CampaignError, CampaignSpec, Connector, ServiceSpec, TargetSpec
+from .spec import CampaignError, CampaignSpec, Connector, ServiceSpec, TargetSpec, services_of
 
 __all__ = ["CampaignExecutor", "expand_service"]
 
-#: Node states used by the planning loop.
-PENDING = "pending"
+#: Node states of one run.
 DONE = "done"
 FAILED = "failed"
 SKIPPED = "skipped"
@@ -123,7 +124,7 @@ class CampaignExecutor:
         self.executor = executor or ParallelSweepExecutor(cache=ResultCache())
         self.cache: Optional[ResultCache] = self.executor.cache
         self.out_dir = out_dir or os.path.join("out", "campaign", spec.name)
-        self.graph: CampaignGraph = compile_graph(spec)
+        spec.check_acyclic()
         known = spec.target_names()
         for name in targets or ():
             if name not in known:
@@ -132,93 +133,39 @@ class CampaignExecutor:
                     f"targets: {', '.join(known)}"
                 )
         self.selected_targets: List[str] = list(targets) if targets else list(known)
-        self._needed = self.graph.restricted_to(self.selected_targets)
+        #: node -> what it waits for (:meth:`CampaignSpec.dependencies`).
+        self.dependencies: Dict[str, Tuple[str, ...]] = spec.dependencies()
+        #: The selected targets and everything they may wait for.
+        self.needed: Set[str] = set()
+        frontier = list(self.selected_targets)
+        while frontier:
+            node = frontier.pop()
+            if node not in self.needed:
+                self.needed.add(node)
+                frontier.extend(self.dependencies.get(node, ()))
         #: name -> expanded grid points (computed once; spec is immutable).
         self.points: Dict[str, List[ExperimentConfig]] = {
             service.name: expand_service(service)
             for service in spec.services
-            if service.name in self._needed
+            if service.name in self.needed
         }
+        #: name -> which of its points were cached when the executor was
+        #: made: the snapshot ``ONE`` choices and ``campaign status`` read.
+        self.cached: Dict[str, List[bool]] = {
+            name: [self.cache is not None and self.cache.fresh(config) for config in configs]
+            for name, configs in self.points.items()
+        }
+        self._targets = {target.name: target for target in spec.targets}
 
     # ------------------------------------------------------------ staleness
 
     def stale_counts(self) -> Dict[str, Tuple[int, int]]:
         """``service -> (fresh points, stale points)`` from the cache."""
-        counts: Dict[str, Tuple[int, int]] = {}
-        for name, configs in self.points.items():
-            fresh = sum(1 for config in configs if self._is_cached(config))
-            counts[name] = (fresh, len(configs) - fresh)
-        return counts
+        return {name: (sum(flags), len(flags) - sum(flags)) for name, flags in self.cached.items()}
 
-    def _is_cached(self, config: ExperimentConfig) -> bool:
-        return self.cache is not None and self.cache.fresh(config)
-
-    def _fully_fresh(self, child: Union[str, Connector]) -> bool:
-        if isinstance(child, Connector):
-            return all(self._fully_fresh(grand) for grand in child.children)
-        return all(self._is_cached(config) for config in self.points.get(child, ()))
-
-    # ------------------------------------------------------- connector logic
-
-    def _child_status(self, child: Union[str, Connector], states: Dict[str, str]) -> str:
-        if isinstance(child, Connector):
-            statuses = [self._child_status(grand, states) for grand in child.children]
-            if child.op == "one":
-                if DONE in statuses:
-                    return DONE
-                if all(status == FAILED for status in statuses):
-                    return FAILED
-                return PENDING
-            if FAILED in statuses:
-                return FAILED
-            if all(status == DONE for status in statuses):
-                return DONE
-            return PENDING
-        state = states[child]
-        if state in (DONE, FAILED):
-            return state
-        return PENDING
-
-    def _demand(self, child: Union[str, Connector], states: Dict[str, str]) -> List[str]:
-        """Services that should run *now* to make progress under ``child``."""
-        if not isinstance(child, Connector):
-            return [child] if states[child] == PENDING else []
-        if child.op == "one":
-            if self._child_status(child, states) != PENDING:
-                return []
-            candidates = [
-                grand
-                for grand in child.children
-                if self._child_status(grand, states) != FAILED
-            ]
-            if not candidates:
-                return []
-            # The short-circuit: a fully cached alternative wins over an
-            # earlier-listed cold one — nothing needs to execute for it.
-            chosen = next(
-                (grand for grand in candidates if self._fully_fresh(grand)),
-                candidates[0],
-            )
-            return self._demand(chosen, states)
-        demanded: List[str] = []
-        for grand in child.children:
-            demanded.extend(self._demand(grand, states))
-        return demanded
-
-    def _consumed(self, child: Union[str, Connector], states: Dict[str, str]) -> List[str]:
-        """The leaf services a satisfied connector consumed, in child order.
-
-        ``one`` consumed its first DONE child (nothing while none is);
-        every other operator consumed all of its children.
-        """
-        if not isinstance(child, Connector):
-            return [child]
-        if child.op == "one":
-            for grand in child.children:
-                if self._child_status(grand, states) == DONE:
-                    return self._consumed(grand, states)
-            return []
-        return [name for grand in child.children for name in self._consumed(grand, states)]
+    def fully_cached(self, child: Union[str, Connector]) -> bool:
+        """Whether every point under ``child`` was cached at the start."""
+        return all(all(self.cached[name]) for name in services_of(child))
 
     # ------------------------------------------------------------- execution
 
@@ -226,105 +173,26 @@ class CampaignExecutor:
         """Execute (or plan) the campaign; returns the run manifest."""
         started = time.perf_counter()
         manifest = RunManifest(campaign=self.spec.name, version=_CODE_VERSION)
-        states: Dict[str, str] = {
-            node: PENDING for node in self.graph.order if node in self._needed
+        self._manifest, self._dry_run = manifest, dry_run
+        self._states: Dict[str, str] = {}
+        self._results: Dict[str, List[ExperimentResult]] = {}
+        for name in self.selected_targets:
+            self._require(name)
+
+        # Needed nodes the walk never reached are skipped; records follow
+        # spec declaration order (``points`` is built in it).
+        manifest.services = {
+            name: manifest.services.get(name, ServiceRecord(status=SKIPPED))
+            for name in self.points
         }
-        results: Dict[str, List[ExperimentResult]] = {}
-        dependency_map = self.graph.dependency_map()
-        targets_by_name = {target.name: target for target in self.spec.targets}
-
-        while True:
-            progressed = False
-
-            # Demand services from every unsatisfied selected target, then
-            # close over dependencies so `after` prerequisites run too.
-            demanded: List[str] = []
-            for name in self.selected_targets:
-                if states.get(name) == PENDING:
-                    demanded.extend(self._demand(targets_by_name[name].inputs, states))
-            closure: List[str] = []
-            frontier = list(dict.fromkeys(demanded))
-            while frontier:
-                node = frontier.pop(0)
-                if node in closure or node not in states:
-                    continue
-                closure.append(node)
-                frontier.extend(dependency_map.get(node, ()))
-
-            for name in self.graph.order:
-                if name not in closure or name not in self.points:
-                    continue
-                if states[name] != PENDING:
-                    continue
-                deps = dependency_map.get(name, ())
-                active = [dep for dep in deps if dep in states]
-                if any(states[dep] == FAILED for dep in active):
-                    states[name] = FAILED
-                    manifest.services[name] = ServiceRecord(
-                        status=FAILED,
-                        error="dependency failed: "
-                        + ", ".join(dep for dep in active if states[dep] == FAILED),
-                    )
-                    progressed = True
-                    continue
-                if not all(states[dep] == DONE for dep in active):
-                    continue
-                progressed = True
-                if dry_run:
-                    states[name] = DONE
-                    results[name] = []
-                    manifest.services[name] = self._planned_record(name)
-                else:
-                    states[name] = self._run_service(name, manifest, results)
-
-            # Render every needed target whose connector resolved (a target
-            # can also be a service's `after` prerequisite, so unselected
-            # ancestors render too).
-            for name in self.graph.order:
-                if name not in targets_by_name or states.get(name) != PENDING:
-                    continue
-                target = targets_by_name[name]
-                status = self._child_status(target.inputs, states)
-                if status == PENDING:
-                    continue
-                progressed = True
-                if status == FAILED:
-                    states[name] = FAILED
-                    manifest.targets[name] = TargetRecord(
-                        status=FAILED,
-                        inputs=target.inputs.service_names(),
-                        error="input service(s) failed",
-                    )
-                    continue
-                states[name] = DONE
-                if dry_run:
-                    manifest.targets[name] = TargetRecord(
-                        status=DONE,
-                        inputs=self._consumed(target.inputs, states),
-                    )
-                else:
-                    manifest.targets[name] = self._render_target(
-                        target, states, results
-                    )
-
-            if progressed:
-                manifest.timing.waves += 1
-            else:
-                break
-
-        for name, state in states.items():
-            if state != PENDING:
-                continue
-            if name in self.points:
-                manifest.services.setdefault(name, ServiceRecord(status=SKIPPED))
-            else:
-                manifest.targets.setdefault(
-                    name,
-                    TargetRecord(
-                        status=SKIPPED,
-                        inputs=targets_by_name[name].inputs.service_names(),
-                    ),
-                )
+        manifest.targets = {
+            target.name: manifest.targets.get(
+                target.name,
+                TargetRecord(status=SKIPPED, inputs=target.inputs.service_names()),
+            )
+            for target in self.spec.targets
+            if target.name in self.needed
+        }
 
         if self.cache is not None:
             manifest.cache_stats = encode(self.cache.stats)
@@ -333,36 +201,81 @@ class CampaignExecutor:
             manifest.write(os.path.join(self.out_dir, "manifest.json"))
         return manifest
 
+    def _require(self, name: str) -> str:
+        """The state of node ``name`` in this run, built on first request."""
+        if name not in self._states:
+            build = self._build_target if name in self._targets else self._build_service
+            self._states[name] = build(name)
+        return self._states[name]
+
+    def _build_service(self, name: str) -> str:
+        failed = [dep for dep in self.dependencies[name] if self._require(dep) == FAILED]
+        if failed:
+            record = ServiceRecord(status=FAILED, error="dependency failed: " + ", ".join(failed))
+        elif self._dry_run:
+            record = self._planned_record(name)
+        else:
+            record = self._run_service(name)
+        self._manifest.services[name] = record
+        return record.status
+
+    def _build_target(self, name: str) -> str:
+        target = self._targets[name]
+        consumed = self._consume(target.inputs)
+        if consumed is None:
+            record = TargetRecord(
+                status=FAILED,
+                inputs=target.inputs.service_names(),
+                error="input service(s) failed",
+            )
+        elif self._dry_run:
+            record = TargetRecord(status=DONE, inputs=consumed)
+        else:
+            record = self._render_target(target, consumed)
+        self._manifest.targets[name] = record
+        return record.status
+
+    def _consume(self, child: Union[str, Connector]) -> Optional[List[str]]:
+        """The services an input tree consumed, in child order; ``None`` if it failed.
+
+        ``ALL``/``SEQ`` require every child.  ``ONE`` tries one alternative
+        at a time: first one fully cached at the start of the run, else the
+        first in child order; after a failure, the next by the same rule.
+        """
+        if not isinstance(child, Connector):
+            return [child] if self._require(child) == DONE else None
+        if child.op == "one":
+            # A stable sort: fully cached alternatives first, each group in child order.
+            for alternative in sorted(child.children, key=lambda alt: not self.fully_cached(alt)):
+                consumed = self._consume(alternative)
+                if consumed is not None:
+                    return consumed
+            return None
+        parts = [self._consume(grand) for grand in child.children]
+        if any(part is None for part in parts):
+            return None
+        return [name for part in parts for name in part]
+
     def _planned_record(self, name: str) -> ServiceRecord:
         """Dry-run record: what would run, what the cache already covers."""
-        record = ServiceRecord(status=DONE)
-        for config in self.points[name]:
-            record.points.append(
-                PointRecord(
-                    name=config.name,
-                    config_hash=config_hash(config),
-                    cached=self._is_cached(config),
-                )
-            )
-        return record
+        return ServiceRecord(
+            status=DONE,
+            points=[
+                PointRecord(name=config.name, config_hash=config_hash(config), cached=cached)
+                for config, cached in zip(self.points[name], self.cached[name])
+            ],
+        )
 
-    def _run_service(
-        self,
-        name: str,
-        manifest: RunManifest,
-        results: Dict[str, List[ExperimentResult]],
-    ) -> str:
+    def _run_service(self, name: str) -> ServiceRecord:
         configs = self.points[name]
-        started = time.perf_counter()
         try:
             computed = self.executor.run_many(configs)
         except (RegistryError, ValueError) as error:
-            manifest.services[name] = ServiceRecord(status=FAILED, error=str(error))
-            return FAILED
-        results[name] = computed
+            return ServiceRecord(status=FAILED, error=str(error))
+        self._results[name] = computed
         report = self.executor.last_report
         record = ServiceRecord(status=DONE)
-        manifest.timing.services[name] = report.elapsed_seconds
+        self._manifest.timing.services[name] = report.elapsed_seconds
         for config, cached in zip(configs, report.hit_flags):
             stored = (self.cache.provenance(config) if self.cache is not None else None) or {}
             provenance = {key: stored[key] for key in ("version", "created_at") if key in stored}
@@ -374,20 +287,13 @@ class CampaignExecutor:
                     provenance=provenance,
                 )
             )
-        manifest.services[name] = record
-        return DONE
+        return record
 
-    def _render_target(
-        self,
-        target: TargetSpec,
-        states: Dict[str, str],
-        results: Dict[str, List[ExperimentResult]],
-    ) -> TargetRecord:
+    def _render_target(self, target: TargetSpec, consumed: List[str]) -> TargetRecord:
         from ..experiments.sweeps import results_table
         from ..telemetry.report import render_results
 
-        consumed = self._consumed(target.inputs, states)
-        collected = [result for name in consumed for result in results.get(name, [])]
+        collected = [result for name in consumed for result in self._results[name]]
         json_name = f"{target.name}.json"
         text_name = f"{target.name}.txt"
         write_json(os.path.join(self.out_dir, json_name), results_artifact(collected))

@@ -9,8 +9,8 @@ after every run.  The manifest is split into a *canonical* part and a
   inputs/outputs, cache counters) is a deterministic function of the spec
   and the cache state — two warm runs of the same campaign produce
   byte-identical canonical JSON, which the incremental-re-run tests pin;
-* the timing part (wall-clock seconds, per-service elapsed time, planning
-  waves) is measured and therefore excluded from :meth:`RunManifest.canonical_json`.
+* the timing part (wall-clock seconds, per-service elapsed time) is
+  measured and therefore excluded from :meth:`RunManifest.canonical_json`.
 
 Both parts are the :func:`~repro.jsonio.encode` form of the records below,
 and :func:`~repro.jsonio.decode` reads them back; totals and per-service
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 #: Schema tag of the manifest layout; ``repro report`` reads by it.
-MANIFEST_SCHEMA = "campaign-manifest/v2"
+MANIFEST_SCHEMA = "campaign-manifest/v3"
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class PointRecord:
 class ServiceRecord:
     """What happened to one service: status plus per-point outcomes."""
 
-    status: str  # "done" | "failed" | "skipped" | "pending"
+    status: str  # "done" | "failed" | "skipped"
     points: List[PointRecord] = field(default_factory=list)
     error: str = ""
 
@@ -72,7 +72,7 @@ class ServiceRecord:
 class TargetRecord:
     """What happened to one target: the inputs used and artifacts written."""
 
-    status: str  # "done" | "failed" | "skipped" | "pending"
+    status: str  # "done" | "failed" | "skipped"
     inputs: List[str] = field(default_factory=list)
     outputs: List[str] = field(default_factory=list)
     config_hashes: List[str] = field(default_factory=list)
@@ -84,7 +84,6 @@ class RunTiming:
     """The measured part of a run: never in :meth:`RunManifest.canonical_json`."""
 
     wall_seconds: float = 0.0
-    waves: int = 0
     #: Elapsed seconds of every service that ran.
     services: Dict[str, float] = field(default_factory=dict)
 
@@ -129,7 +128,7 @@ class RunManifest:
         line = (
             f"campaign {self.campaign}: {totals['targets']} target(s), "
             f"{totals['points']} point(s) | cache hits: {totals['cache_hits']} | "
-            f"computed: {totals['computed']} | waves: {self.timing.waves} | "
+            f"computed: {totals['computed']} | "
             f"elapsed: {self.timing.wall_seconds:.2f}s"
         )
         if corrupt:

@@ -14,9 +14,10 @@ connector trees:
     like ``ALL``, but children execute strictly in list order (child *i+1*
     never starts before child *i* finished).
 ``ONE``
-    alternatives: the first child that completes satisfies the connector
-    and the remaining alternatives are never run.  Planning prefers a child
-    that is already fully cached ("fresh"), so a warm alternative
+    alternatives, tried one at a time: first a child whose points were all
+    cached when the run started, else the first in list order; if it
+    fails, the next by the same rule.  The first to complete satisfies the
+    connector and the rest never run, so a warm alternative
     short-circuits a cold one without running anything.
 
 Arbitrary extra DAG edges come from each service's ``after`` list.  The
@@ -30,7 +31,7 @@ component registries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import Dict, List, Mapping, Set, Tuple, Union
 
 from ..registry import STRUCTURED_PATHS, RegistryError, resolve_spec_path
 from ..jsonio import fit, load_json, reject_unknown, suggest
@@ -79,6 +80,23 @@ class Connector:
             else:
                 names.append(child)
         return names
+
+    def seq_edges(self) -> List[Tuple[str, str]]:
+        """``(later, earlier)`` service pairs ``SEQ`` orders, inner trees first."""
+        edges = [
+            edge
+            for child in self.children
+            if isinstance(child, Connector)
+            for edge in child.seq_edges()
+        ]
+        if self.op == "seq":
+            for earlier, later in zip(self.children, self.children[1:]):
+                edges.extend(
+                    (after, before)
+                    for before in services_of(earlier)
+                    for after in services_of(later)
+                )
+        return edges
 
     def describe(self) -> str:
         """Compact one-line rendering, e.g. ``SEQ(a, ONE(b, c))``."""
@@ -136,6 +154,11 @@ class Connector:
         if isinstance(payload, str):
             return payload
         return Connector.parse(payload, context)
+
+
+def services_of(child: Union[str, Connector]) -> List[str]:
+    """The services one connector child names (the child itself, for a service)."""
+    return child.service_names() if isinstance(child, Connector) else [child]
 
 
 @dataclass(frozen=True)
@@ -358,12 +381,9 @@ class CampaignSpec:
         Each service validates itself (:meth:`ServiceSpec.validate`), target
         inputs are checked against the declared services and ``after``
         edges against the union of services and targets — each failure is
-        a :class:`CampaignError` with a did-you-mean suggestion.  Cycles are
-        detected by the graph module (:func:`repro.campaign.graph.compile_graph`),
-        which this calls.
+        a :class:`CampaignError` with a did-you-mean suggestion; last comes
+        :meth:`check_acyclic`.
         """
-        from .graph import compile_graph
-
         if not self.targets:
             raise CampaignError(f"campaign {self.name!r} declares no targets")
         service_names = self.service_names()
@@ -397,8 +417,56 @@ class CampaignSpec:
                         f"{suggest(dependency, service_names)}; "
                         f"services: {', '.join(service_names)}"
                     )
-        compile_graph(self)  # cycle detection
+        self.check_acyclic()
         return self
+
+    def dependencies(self) -> Dict[str, Tuple[str, ...]]:
+        """What every node waits for, without repeats or self-edges.
+
+        A service waits for its ``after`` list, then for the services that
+        precede it in a ``SEQ`` of any target (targets in declaration order,
+        inner connectors first); a target waits for every service its input
+        tree names, ``ONE`` alternatives included.
+        """
+        waits: Dict[str, List[str]] = {
+            name: [] for name in self.service_names() + self.target_names()
+        }
+
+        def add(node: str, dependency: str) -> None:
+            if dependency != node and dependency not in waits[node]:
+                waits[node].append(dependency)
+
+        for service in self.services:
+            for dependency in service.after:
+                add(service.name, dependency)
+        for target in self.targets:
+            for name in target.inputs.service_names():
+                add(target.name, name)
+            for later, earlier in target.inputs.seq_edges():
+                add(later, earlier)
+        return {node: tuple(dependencies) for node, dependencies in waits.items()}
+
+    def check_acyclic(self) -> None:
+        """Raise :class:`CampaignError` naming the nodes of a dependency cycle."""
+        dependencies = self.dependencies()
+        finished: Set[str] = set()
+
+        def visit(node: str, path: List[str]) -> None:
+            if node in path:
+                raise CampaignError(
+                    f"campaign {self.name!r} has a dependency cycle involving "
+                    f"{sorted(path[path.index(node):])}"
+                )
+            if node in finished:
+                return
+            path.append(node)
+            for dependency in dependencies.get(node, ()):
+                visit(dependency, path)
+            path.pop()
+            finished.add(node)
+
+        for node in dependencies:
+            visit(node, [])
 
     # --------------------------------------------------------- round trips
 

@@ -30,7 +30,6 @@ _EXPORTS = {
     "build_system": ".scenarios",
     "build_popularity": ".scenarios",
     "build_interest": ".scenarios",
-    "build_membership_provider": ".scenarios",
     "resolve_policy": ".scenarios",
     "system_names": ".scenarios",
     "StackSpec": "..registry",

@@ -17,9 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.policy import FairnessPolicy
 from ..registry.builtins import (
-    MEMBERSHIP,
     SYSTEMS,
-    BuildContext,
     build_interest_model,
     build_popularity as _build_popularity_for_spec,
     build_stack,
@@ -33,7 +31,6 @@ from .config import ExperimentConfig
 
 __all__ = [
     "build_simulation",
-    "build_membership_provider",
     "build_popularity",
     "build_interest",
     "build_system",
@@ -59,13 +56,6 @@ def build_simulation(config: ExperimentConfig) -> Tuple[Simulator, Network]:
     loss = BernoulliLoss(config.loss_rate) if config.loss_rate > 0 else NoLoss()
     network = Network(simulator, loss_model=loss)
     return simulator, network
-
-
-def build_membership_provider(config: ExperimentConfig, network: Network):
-    """Pick the membership provider named in the config (registry lookup)."""
-    spec = StackSpec.from_config(config)
-    context = BuildContext(spec=spec, scheduler=None, network=network, node_ids=spec.node_ids())
-    return MEMBERSHIP.get(spec.membership.kind).factory(context)
 
 
 def build_popularity(config: ExperimentConfig) -> TopicPopularity:

@@ -243,14 +243,6 @@ def _build_lazy_push(ctx: BuildContext) -> GossipSystem:
     from ..gossip.lazy import LazyPushGossipNode, lazy_store_ids
 
     alpha = float(ctx.spec.system.alpha)
-    membership_kind = ctx.spec.membership.kind
-    if membership_kind not in DIGEST_MEMBERSHIP_KINDS:
-        raise RegistryError(
-            f"system.kind 'lazy-push' needs a digest-capable membership "
-            f"provider, got {membership_kind!r}"
-            f"{suggest(membership_kind, DIGEST_MEMBERSHIP_KINDS)}; "
-            f"digest-capable kinds: {', '.join(sorted(DIGEST_MEMBERSHIP_KINDS))}"
-        )
     return _gossip_system(
         ctx,
         LazyPushGossipNode,
@@ -549,6 +541,30 @@ def resolve_policy_kind(kind: str) -> FairnessPolicy:
 GOSSIP_KINDS = frozenset({"gossip", "fair-gossip", "pushpull-gossip", "lazy-push"})
 
 
+def check_kinds(spec: StackSpec) -> None:
+    """Refuse the kind combinations no build accepts; raises :class:`RegistryError`.
+
+    A topology needs a gossip-family system, and lazy-push needs a
+    digest-capable membership.  ``StackSpec.validate()`` and
+    :func:`build_stack` both call this.
+    """
+    kind = spec.system.kind
+    if spec.topology.enabled and kind not in GOSSIP_KINDS:
+        raise RegistryError(
+            f"topology requires a gossip-family system, got system.kind {kind!r}"
+            f"{suggest(kind, GOSSIP_KINDS)}; topology-capable "
+            f"kinds: {', '.join(sorted(GOSSIP_KINDS))}"
+        )
+    membership = spec.membership.kind
+    if kind == "lazy-push" and membership not in DIGEST_MEMBERSHIP_KINDS:
+        raise RegistryError(
+            f"system.kind 'lazy-push' needs a digest-capable membership "
+            f"provider, got {membership!r}"
+            f"{suggest(membership, DIGEST_MEMBERSHIP_KINDS)}; "
+            f"digest-capable kinds: {', '.join(sorted(DIGEST_MEMBERSHIP_KINDS))}"
+        )
+
+
 def build_stack(
     spec: StackSpec,
     scheduler,
@@ -572,6 +588,7 @@ def build_stack(
     on the network as a per-link profile, and bridge relays federate topic
     events across domain boundaries.
     """
+    check_kinds(spec)
     context = BuildContext(
         spec=spec,
         scheduler=scheduler,
@@ -585,13 +602,6 @@ def build_stack(
         from ..topology.domains import compile_domain_map
         from ..topology.spec import TopologyError
 
-        kind = spec.system.kind
-        if kind not in GOSSIP_KINDS:
-            raise RegistryError(
-                f"topology requires a gossip-family system, got system.kind {kind!r}"
-                f"{suggest(kind, GOSSIP_KINDS)}; topology-capable "
-                f"kinds: {', '.join(sorted(GOSSIP_KINDS))}"
-            )
         try:
             context.domain_map = compile_domain_map(spec.topology, context.node_ids)
         except TopologyError as error:

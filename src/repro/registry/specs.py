@@ -517,11 +517,15 @@ class StackSpec:
         compiled from ``faults`` is valid (entries starting after
         :attr:`total_time` only for a simulator run — ``live`` runs have no
         end; nodes are not pinned, a plan may target infra nodes such as
-        ``broker-0``); the domain map compiles.  Raises :class:`RegistryError`.
+        ``broker-0``); the domain map compiles; the system, membership and
+        topology kinds fit together (:func:`~repro.registry.builtins.check_kinds`).
+        Raises :class:`RegistryError`.
         """
         from ..topology.domains import compile_domain_map
+        from .builtins import check_kinds
 
         refit(self, RegistryError)
+        check_kinds(self)
         try:
             FaultPlan.from_spec(self).validate(total_time=None if live else self.total_time)
             if self.topology.enabled:

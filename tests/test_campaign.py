@@ -4,7 +4,9 @@ Pins the tentpole guarantees of dependency-driven campaigns:
 
 * campaign specs round-trip through JSON and validation fails fast with
   did-you-mean suggestions for every cross-reference;
-* the compiled graph orders services topologically and rejects cycles;
+* services run after what they wait for (``after`` and ``SEQ``), a
+  ``--target`` run builds only what that target needs, failures propagate
+  to dependents, and cycles are rejected;
 * execution is incremental — a warm cache re-runs nothing, an edited
   sweep parameter re-runs exactly the dependent points, and the canonical
   manifest is byte-identical across warm reruns;
@@ -33,10 +35,9 @@ from repro.campaign import (
     CampaignExecutor,
     CampaignSpec,
     Connector,
-    compile_graph,
     expand_service,
 )
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import ResultCache, config_hash
 from repro.cli import main as cli_main
 from repro.experiments.executor import ParallelSweepExecutor
 from repro.experiments.runner import run_experiment
@@ -78,6 +79,25 @@ def make_executor(spec, tmp_path, **kwargs) -> CampaignExecutor:
         out_dir=str(tmp_path / "out"),
         **kwargs,
     )
+
+
+def record_runs(executor: CampaignExecutor, fail: str = "") -> list:
+    """The services ``executor`` runs, in order; service ``fail`` raises ``boom``."""
+    by_points = {
+        tuple(map(config_hash, configs)): name for name, configs in executor.points.items()
+    }
+    run_many = executor.executor.run_many
+    ran = []
+
+    def recording(configs):
+        name = by_points[tuple(map(config_hash, configs))]
+        ran.append(name)
+        if name == fail:
+            raise ValueError("boom")
+        return run_many(configs)
+
+    executor.executor.run_many = recording
+    return ran
 
 
 class TestSpecRoundTrip:
@@ -168,6 +188,22 @@ class TestValidation:
         with pytest.raises(CampaignError, match="cycle"):
             make_spec(cycle)
 
+    def test_unvalidated_cycle_fails_when_the_executor_is_made(self, tmp_path):
+        payload = copy.deepcopy(SPEC_DICT)
+        payload["services"]["compare-systems"]["after"] = ["sweep-report"]
+        with pytest.raises(CampaignError, match="cycle"):
+            make_executor(CampaignSpec.from_dict(payload), tmp_path)
+
+    def test_kind_combination_the_build_refuses(self):
+        def topology_on_scribe(payload):
+            payload["services"]["alt-cold"] = {
+                "scenario": "smoke-domains",
+                "compare": ["gossip", "scribe"],
+            }
+
+        with pytest.raises(CampaignError, match="gossip-family"):
+            make_spec(topology_on_scribe)
+
     def test_no_targets_rejected(self):
         with pytest.raises(CampaignError, match="no targets"):
             make_spec(lambda p: p["targets"].clear())
@@ -187,26 +223,6 @@ class TestValidation:
     def test_mistyped_fields_rejected_not_coerced(self, fields, message):
         with pytest.raises(CampaignError, match=f"^service 'alt-cold': {re.escape(message)}$"):
             make_spec(lambda p: p["services"]["alt-cold"].update(fields))
-
-
-class TestGraph:
-    def test_topological_order_and_edges(self):
-        spec = make_spec()
-        graph = compile_graph(spec)
-        order = graph.order
-        # Declaration-stable topological order: dependencies precede dependents.
-        assert order.index("compare-systems") < order.index("compare-table")
-        assert order.index("compare-table") < order.index("late")
-        assert order.index("fanout-sweep") < order.index("late")  # SEQ edge
-        assert order.index("late") < order.index("sweep-report")
-        deps = graph.dependency_map()
-        assert "compare-table" in deps["late"]
-
-    def test_restricted_to_target_subset(self):
-        spec = make_spec()
-        graph = compile_graph(spec)
-        needed = graph.restricted_to(["compare-table"])
-        assert needed == {"compare-systems", "compare-table"}
 
 
 class TestExpansion:
@@ -306,22 +322,44 @@ class TestIncrementalExecution:
         )
         assert manifest.targets["one-table"].inputs == ["alt-cold"]
 
+    def test_run_order_honours_after_and_seq(self, tmp_path):
+        executor = make_executor(make_spec(), tmp_path)
+        ran = record_runs(executor)
+        executor.run()
+        assert sorted(ran) == sorted(executor.points)
+        # late waits for compare-table (after) and for fanout-sweep (SEQ).
+        assert ran.index("compare-systems") < ran.index("late")
+        assert ran.index("fanout-sweep") < ran.index("late")
+
+    def test_target_runs_only_what_it_needs(self, tmp_path):
+        executor = make_executor(make_spec(), tmp_path, targets=["sweep-report"])
+        ran = record_runs(executor)
+        manifest = executor.run()
+        assert sorted(ran) == ["compare-systems", "fanout-sweep", "late"]
+        # compare-table renders as late's prerequisite; one-table is not needed.
+        assert set(manifest.targets) == {"compare-table", "sweep-report"}
+        assert set(manifest.services) == {"compare-systems", "fanout-sweep", "late"}
+
+    def test_cold_one_consumes_first_alternative_though_another_ran(self, tmp_path):
+        executor = make_executor(make_spec(), tmp_path)
+        ran = record_runs(executor)
+        manifest = executor.run()
+        assert "fanout-sweep" in ran and "alt-cold" in ran
+        assert manifest.targets["sweep-report"].inputs == ["fanout-sweep", "late"]
+        assert manifest.targets["one-table"].inputs == ["alt-cold"]
+
     def test_failure_propagates_to_dependents(self, tmp_path):
-        # An empty compare list cannot fail, so force failure by pointing a
-        # service at a scenario that validates but explodes at run time via
-        # monkeypatching is overkill — instead check the state machinery
-        # directly with a pre-failed state.
-        spec = make_spec()
-        executor = make_executor(spec, tmp_path)
-        states = {name: "pending" for name in executor.graph.order}
-        states["fanout-sweep"] = "failed"
-        target = spec.target("sweep-report")
-        assert executor._child_status(target.inputs, states) == "failed"
-        one = spec.target("one-table")
-        # ONE stays pending while an alternative can still succeed.
-        assert executor._child_status(one.inputs, states) == "pending"
-        states["alt-cold"] = "failed"
-        assert executor._child_status(one.inputs, states) == "failed"
+        executor = make_executor(make_spec(), tmp_path)
+        record_runs(executor, fail="fanout-sweep")
+        manifest = executor.run()
+        assert manifest.services["fanout-sweep"].status == "failed"
+        assert manifest.services["fanout-sweep"].error == "boom"
+        assert manifest.services["late"].status == "failed"
+        assert manifest.services["late"].error == "dependency failed: fanout-sweep"
+        assert manifest.targets["sweep-report"].status == "failed"
+        assert manifest.targets["compare-table"].status == "done"
+        assert manifest.targets["one-table"].status == "done"
+        assert manifest.targets["one-table"].inputs == ["alt-cold"]
 
 
 class TestCacheProvenanceAndCorruption:
@@ -402,7 +440,7 @@ class TestCampaignCli:
         warm = capsys.readouterr().out
         assert "computed: 0" in warm and "cache hits: 6" in warm
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["schema"] == "campaign-manifest/v2"
+        assert manifest["schema"] == "campaign-manifest/v3"
         assert cli_main(["campaign", "status", spec_path, "--cache-dir", str(tmp_path / "cache")]) == 0
         status = capsys.readouterr().out
         assert "fresh" in status and "ONE(alt-cold, fanout-sweep)" in status
@@ -413,6 +451,29 @@ class TestCampaignCli:
         out = capsys.readouterr().out
         assert "dry run" in out and "to compute" in out
         assert not (tmp_path / "out").exists()
+
+    def test_dry_run_plans_an_unchosen_alternative_as_skip(self, capsys, tmp_path):
+        spec_path = self.write_spec(tmp_path)
+        assert cli_main(self.argv(tmp_path, spec_path, "--dry-run", "--target", "one-table")) == 0
+        rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines() if line}
+        assert rows["alt-cold"][0] == "run"
+        assert rows["fanout-sweep"] == ["skip"]
+
+    def test_failed_service_prints_its_error(self, capsys, tmp_path, monkeypatch):
+        bad = {config.name for config in expand_service(make_spec().service("fanout-sweep"))}
+        run_many = ParallelSweepExecutor.run_many
+
+        def failing(self, configs):
+            if any(config.name in bad for config in configs):
+                raise ValueError("boom")
+            return run_many(self, configs)
+
+        monkeypatch.setattr(ParallelSweepExecutor, "run_many", failing)
+        assert cli_main(self.argv(tmp_path, self.write_spec(tmp_path))) == 1
+        out = capsys.readouterr().out
+        assert "service fanout-sweep: failed — boom" in out
+        assert "service late: failed — dependency failed: fanout-sweep" in out
+        assert "FAILED node(s): fanout-sweep, late, sweep-report" in out
 
     def test_unknown_target_flag_fails_with_suggestion(self, tmp_path):
         spec_path = self.write_spec(tmp_path)

@@ -38,6 +38,7 @@ from repro.jsonio import (
     write_json,
 )
 from repro.registry import RegistryError, StackSpec
+from repro.registry.builtins import check_kinds
 from repro.registry.specs import (
     FaultChurnSpec,
     FaultPartitionSpec,
@@ -226,7 +227,16 @@ class TestRoundTrips:
     @settings(max_examples=60)
     @given(stack_specs())
     def test_stack_spec(self, spec):
-        assert StackSpec.from_dict(through_json(spec.to_dict())) == spec
+        payload = through_json(spec.to_dict())
+        try:
+            check_kinds(spec)
+        except RegistryError as refused:
+            # ``from_dict`` validates, and validation refuses what the build would.
+            with pytest.raises(RegistryError) as raised:
+                StackSpec.from_dict(payload)
+            assert str(raised.value) == str(refused)
+        else:
+            assert StackSpec.from_dict(payload) == spec
 
     def test_defaults_encode_to_nothing_and_sections_stay_out(self):
         assert TopologySpec().to_dict() == {}

@@ -144,6 +144,7 @@ def test_any_one_field_replaced_renders_or_exits_cleanly(artifacts, name, tmp_pa
     "payload, message",
     [
         ({"schema": "campaign-manifest/v1", "services": []}, "has schema 'campaign-manifest/v1'"),
+        ({"schema": "campaign-manifest/v2", "services": {}}, "has schema 'campaign-manifest/v2'"),
         ({"schema": MANIFEST_SCHEMA, "services": []}, "services' must be a mapping"),
         ({"schema": RUNTIME_ARTIFACT_SCHEMA, "load": None}, "load spec must be a mapping"),
         ({"schema": ARTIFACT_SCHEMA, "result": {"config": {}}}, "is malformed: KeyError"),
