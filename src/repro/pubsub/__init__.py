@@ -1,9 +1,10 @@
 """Selective information dissemination model (Section 2 of the paper).
 
 Events, topics and topic hierarchies, subscription filters (topic-based and
-content-based), subscription tables, matching engines, and the
-publish/subscribe/unsubscribe interface that every dissemination system in
-this repository implements.
+content-based), subscription tables, the one filter index that answers "which
+nodes want this event" for both the oracle and the brokers' matching engine,
+and the publish/subscribe/unsubscribe interface that every dissemination
+system in this repository implements.
 """
 
 from .._exports import lazy_exports
@@ -28,8 +29,7 @@ _EXPORTS = {
     "DeliveryRecord": ".interfaces",
     "DisseminationSystem": ".interfaces",
     "MatchingEngine": ".matching",
-    "TopicIndex": ".matching",
-    "CountingContentIndex": ".matching",
+    "FilterIndex": ".subscriptions",
     "Subscription": ".subscriptions",
     "SubscriptionTable": ".subscriptions",
     "Topic": ".topics",

@@ -1,23 +1,76 @@
-"""Subscription records and the per-system subscription table.
+"""Subscription records, the per-system subscription table and the filter index.
 
 Section 5.1 stresses that a "fundamental part of work in a selective
 information dissemination system deals with ongoing subscriptions and
 unsubscriptions": the *maintenance* work.  This module models subscriptions
 as first-class records with lifecycle timestamps so that maintenance work can
 be measured and charged, and provides a :class:`SubscriptionTable` that
-indexes active subscriptions by node, by topic, and by filter.
+indexes active subscriptions by node and by filter.
+
+:class:`FilterIndex` is the one answer to "which nodes want this event" (the
+paper's I(p, e)): the table's oracle and the brokers'
+:class:`~repro.pubsub.matching.MatchingEngine` both ask it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from .events import Event, TOPIC_ATTRIBUTE
 from .filters import Filter
 
-__all__ = ["Subscription", "SubscriptionTable"]
+__all__ = ["FilterIndex", "Subscription", "SubscriptionTable"]
+
+
+class FilterIndex:
+    """Filters keyed by the caller, matched against events.
+
+    The filters are the judge; the topic index only prunes candidates, which
+    is sound because a filter that pins topics matches no event of another
+    topic.  Filters that pin no topic can match an event of any topic, so they
+    are always candidates.  A ``ContentFilter`` pins ``str(value)`` but
+    compares the raw value, so an event whose topic is not a string (or is
+    absent) is judged against every entry.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[Hashable, Tuple[str, Filter]] = {}
+        self._by_topic: Dict[str, Set[Hashable]] = {}
+        self._unpinned: Set[Hashable] = set()
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._entries
+
+    def add(self, key: Hashable, node_id: str, subscription_filter: Filter) -> None:
+        """Index ``subscription_filter`` of ``node_id`` under a new ``key``."""
+        self._entries[key] = (node_id, subscription_filter)
+        topics = subscription_filter.topics
+        for topic in topics:
+            self._by_topic.setdefault(topic, set()).add(key)
+        if not topics:
+            self._unpinned.add(key)
+
+    def remove(self, key: Hashable) -> None:
+        """Drop the entry under ``key`` (no-op if absent)."""
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return
+        for topic in entry[1].topics:
+            self._by_topic[topic].discard(key)
+        self._unpinned.discard(key)
+
+    def match(self, event: Event) -> Set[str]:
+        """Node ids of the entries whose filter matches the event."""
+        entries = self._entries
+        topic = event.attribute(TOPIC_ATTRIBUTE)
+        if isinstance(topic, str):
+            candidates = [entries[key] for key in self._by_topic.get(topic, ())]
+            candidates.extend(entries[key] for key in self._unpinned)
+        else:
+            candidates = entries.values()
+        return {node_id for node_id, subscription_filter in candidates if subscription_filter.matches(event)}
 
 
 @dataclass
@@ -52,7 +105,7 @@ class SubscriptionTable:
 
     The table is the ground truth used by:
 
-    * the matching engine (who should deliver a given event);
+    * the reliability oracle (who should deliver a given event);
     * the fairness accounting (how many filters a node has placed);
     * the maintenance-work experiments (rate of subscribe/unsubscribe per
       topic, §5.1).
@@ -62,10 +115,8 @@ class SubscriptionTable:
         self._sequence = itertools.count()
         self._by_id: Dict[str, Subscription] = {}
         self._active_by_node: Dict[str, Set[str]] = {}
-        self._active_by_topic: Dict[str, Set[str]] = {}
-        #: Active subscriptions whose filter pins no topic: they can match an
-        #: event of any topic, so the topic index alone would miss them.
-        self._active_unpinned: Set[str] = set()
+        #: Active subscriptions, keyed by subscription id.
+        self._index = FilterIndex()
         self.total_subscribes = 0
         self.total_unsubscribes = 0
 
@@ -83,11 +134,7 @@ class SubscriptionTable:
         )
         self._by_id[subscription.subscription_id] = subscription
         self._active_by_node.setdefault(node_id, set()).add(subscription.subscription_id)
-        topics = subscription_filter.topics
-        for topic in topics:
-            self._active_by_topic.setdefault(topic, set()).add(subscription.subscription_id)
-        if not topics:
-            self._active_unpinned.add(subscription.subscription_id)
+        self._index.add(subscription.subscription_id, node_id, subscription_filter)
         self.total_subscribes += 1
         return subscription
 
@@ -129,9 +176,7 @@ class SubscriptionTable:
     def _deactivate(self, subscription: Subscription, timestamp: float) -> None:
         subscription.unsubscribed_at = timestamp
         self._active_by_node.get(subscription.node_id, set()).discard(subscription.subscription_id)
-        for topic in subscription.subscription_filter.topics:
-            self._active_by_topic.get(topic, set()).discard(subscription.subscription_id)
-        self._active_unpinned.discard(subscription.subscription_id)
+        self._index.remove(subscription.subscription_id)
 
     # ------------------------------------------------------------- queries
 
@@ -148,14 +193,6 @@ class SubscriptionTable:
         """Number of active filters placed by a node (Figure 2's ``# filters``)."""
         return len(self._active_by_node.get(node_id, ()))
 
-    def subscribers_of_topic(self, topic: str) -> List[str]:
-        """Node ids with an active subscription pinned to ``topic`` (sorted)."""
-        nodes = {
-            self._by_id[subscription_id].node_id
-            for subscription_id in self._active_by_topic.get(topic, ())
-        }
-        return sorted(nodes)
-
     def topics_of_node(self, node_id: str) -> List[str]:
         """Topics the node is actively subscribed to (sorted, deduplicated)."""
         topics: Set[str] = set()
@@ -168,27 +205,8 @@ class SubscriptionTable:
 
         This is the oracle answer for "who should deliver e"; the analysis
         layer compares protocol deliveries against it to compute reliability.
-        The filters are the judge; the topic index only prunes candidates,
-        which is sound because a filter that pins topics matches no event of
-        another topic.  A ``ContentFilter`` pins ``str(value)`` but compares the
-        raw value, so an event whose topic is not a string (or is absent) is
-        judged against every active subscription.
         """
-        topic = event.attribute(TOPIC_ATTRIBUTE)
-        if isinstance(topic, str):
-            pinned = self._active_by_topic.get(topic, set())
-            candidates = [self._by_id[subscription_id] for subscription_id in pinned | self._active_unpinned]
-        else:
-            candidates = self.active_subscriptions()
-        return sorted({subscription.node_id for subscription in candidates if subscription.matches(event)})
-
-    def nodes_with_subscriptions(self) -> List[str]:
-        """Nodes that currently hold at least one active subscription."""
-        return sorted(node for node, subs in self._active_by_node.items() if subs)
-
-    def churn_counts(self) -> Tuple[int, int]:
-        """Total ``(subscribes, unsubscribes)`` seen so far."""
-        return self.total_subscribes, self.total_unsubscribes
+        return sorted(self._index.match(event))
 
     def __len__(self) -> int:
         return sum(1 for subscription in self._by_id.values() if subscription.active)

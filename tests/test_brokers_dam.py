@@ -70,6 +70,20 @@ class TestBrokerSystem:
         simulator.run(until=simulator.now + 5)
         assert system.delivery_log.delivery_count(ids[0]) == 0
 
+    def test_brokers_deliver_to_exactly_the_oracle_set(self):
+        # TopicFilter("5") and TopicFilter(5) share a filter id; only the raw
+        # 5 matches an event of topic 5, and ContentFilter.build(topic=5) pins
+        # the string "5" but compares the raw value.
+        system, simulator, ids = self.build(count=4, brokers=2, seed=36)
+        system.subscribe(ids[1], TopicFilter("5"))
+        system.subscribe(ids[2], TopicFilter(5))
+        system.subscribe(ids[3], ContentFilter.build(topic=5))
+        simulator.run(until=simulator.now + 2)
+        event = system.publish(ids[0], topic=5)
+        simulator.run(until=simulator.now + 5)
+        assert system.interested_nodes(event) == [ids[2], ids[3]]
+        assert system.delivery_log.nodes() == system.interested_nodes(event)
+
     def test_brokers_carry_nearly_all_contribution(self):
         system, simulator, ids = self.build(count=30, brokers=2, seed=35)
         for node_id in ids:

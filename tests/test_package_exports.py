@@ -75,6 +75,7 @@ RUN_DENYLIST = (
     "repro.dht",
     "repro.brokers",
     "repro.damulticast",
+    "repro.pubsub.matching",
     "repro.campaign",
     "repro.faults.controller",
     "repro.topology.bridge",

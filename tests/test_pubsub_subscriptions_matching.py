@@ -10,7 +10,6 @@ from repro.pubsub import (
     AndFilter,
     AttributeCondition,
     ContentFilter,
-    CountingContentIndex,
     DeliveryLog,
     Event,
     MatchAllFilter,
@@ -19,12 +18,37 @@ from repro.pubsub import (
     OrFilter,
     SubscriptionTable,
     TopicFilter,
-    TopicIndex,
 )
 
 
 def make_event(event_id="e1", **attributes) -> Event:
     return Event(event_id=event_id, publisher="p", attributes=attributes, published_at=1.0)
+
+
+_LEVEL_AT_LEAST_2 = ContentFilter(conditions=(AttributeCondition("level", ">=", 2),))
+#: Every filter kind, pinned and unpinned, for the differential churn tests.
+CHURN_FILTERS = [
+    TopicFilter("a"),
+    TopicFilter("b"),
+    TopicFilter(5),  # pins the raw 5, where the content filter below pins "5"
+    ContentFilter.build(topic="a", level=2),
+    ContentFilter.build(topic=5),  # pins "5", matches only the integer 5
+    _LEVEL_AT_LEAST_2,
+    AndFilter((TopicFilter("b"), _LEVEL_AT_LEAST_2)),
+    OrFilter((TopicFilter("a"), TopicFilter("b"))),
+    OrFilter((TopicFilter("a"), _LEVEL_AT_LEAST_2)),  # one unpinned branch
+    NotFilter(TopicFilter("a")),
+    MatchAllFilter(),
+]
+#: String, non-string and absent topics.
+CHURN_EVENTS = [
+    make_event(f"e{index}", **attributes)
+    for index, attributes in enumerate(
+        dict(level=level, **topic)
+        for level in (1, 2)
+        for topic in ({"topic": "a"}, {"topic": "b"}, {"topic": "5"}, {"topic": 5}, {})
+    )
+]
 
 
 class TestSubscriptionTable:
@@ -33,7 +57,7 @@ class TestSubscriptionTable:
         subscription = table.subscribe("a", TopicFilter("news"), timestamp=1.0)
         assert subscription.active
         assert table.active_filter_count("a") == 1
-        assert table.subscribers_of_topic("news") == ["a"]
+        assert table.interested_nodes(make_event(topic="news")) == ["a"]
 
     def test_unsubscribe_deactivates_and_records_lifetime(self):
         table = SubscriptionTable()
@@ -43,7 +67,7 @@ class TestSubscriptionTable:
         assert not cancelled.active
         assert cancelled.lifetime == 3.0
         assert table.active_filter_count("a") == 0
-        assert table.subscribers_of_topic("news") == []
+        assert table.interested_nodes(make_event(topic="news")) == []
 
     def test_unsubscribe_without_subscription_is_noop(self):
         table = SubscriptionTable()
@@ -77,28 +101,6 @@ class TestSubscriptionTable:
         # The topic index may only prune candidates that cannot match: every
         # filter kind, pinned and unpinned, against string, non-string and
         # absent topics, while subscriptions come and go.
-        level_at_least_2 = ContentFilter(conditions=(AttributeCondition("level", ">=", 2),))
-        filters = [
-            TopicFilter("a"),
-            TopicFilter("b"),
-            TopicFilter(5),  # pins the raw 5, where the content filter below pins "5"
-            ContentFilter.build(topic="a", level=2),
-            ContentFilter.build(topic=5),  # pins "5", matches only the integer 5
-            level_at_least_2,
-            AndFilter((TopicFilter("b"), level_at_least_2)),
-            OrFilter((TopicFilter("a"), TopicFilter("b"))),
-            OrFilter((TopicFilter("a"), level_at_least_2)),  # one unpinned branch
-            NotFilter(TopicFilter("a")),
-            MatchAllFilter(),
-        ]
-        events = [
-            make_event(f"e{index}", **attributes)
-            for index, attributes in enumerate(
-                dict(level=level, **topic)
-                for level in (1, 2)
-                for topic in ({"topic": "a"}, {"topic": "b"}, {"topic": "5"}, {"topic": 5}, {})
-            )
-        ]
         nodes = [f"n{index}" for index in range(6)]
         rng = random.Random(17)
         table = SubscriptionTable()
@@ -106,20 +108,20 @@ class TestSubscriptionTable:
         for step in range(400):
             action = rng.random()
             if action < 0.55:
-                table.subscribe(rng.choice(nodes), rng.choice(filters), timestamp=step)
+                table.subscribe(rng.choice(nodes), rng.choice(CHURN_FILTERS), timestamp=step)
             elif action < 0.9:
-                table.unsubscribe(rng.choice(nodes), rng.choice(filters), timestamp=step)
+                table.unsubscribe(rng.choice(nodes), rng.choice(CHURN_FILTERS), timestamp=step)
             else:
                 table.unsubscribe_all(rng.choice(nodes), timestamp=step)
-            for event in events:
+            for event in CHURN_EVENTS:
                 expected = sorted(
                     {s.node_id for s in table.active_subscriptions() if s.matches(event)}
                 )
                 assert table.interested_nodes(event) == expected
                 matched.update((event.event_id, node) for node in expected)
         # Guard against a vacuous run: every event was wanted at some point.
-        assert {event_id for event_id, _ in matched} == {event.event_id for event in events}
-        assert table.churn_counts()[1] > 100 and len(table) > 0
+        assert {event_id for event_id, _ in matched} == {event.event_id for event in CHURN_EVENTS}
+        assert table.total_unsubscribes > 100 and len(table) > 0
 
     def test_topics_of_node_and_churn_counts(self):
         table = SubscriptionTable()
@@ -127,77 +129,74 @@ class TestSubscriptionTable:
         table.subscribe("a", TopicFilter("tech"))
         table.unsubscribe("a", TopicFilter("tech"))
         assert table.topics_of_node("a") == ["news"]
-        assert table.churn_counts() == (2, 1)
-        assert table.nodes_with_subscriptions() == ["a"]
+        assert (table.total_subscribes, table.total_unsubscribes) == (2, 1)
+        assert {s.node_id for s in table.active_subscriptions()} == {"a"}
         assert len(table) == 1
 
 
-class TestTopicIndex:
+class TestMatchingEngine:
     def test_match_by_topic(self):
-        index = TopicIndex()
-        index.add("a", TopicFilter("news"))
-        index.add("b", TopicFilter("news"))
-        index.add("c", TopicFilter("sports"))
-        assert index.match(make_event(topic="news")) == {"a", "b"}
-        assert index.subscribers("sports") == {"c"}
+        engine = MatchingEngine()
+        engine.add("a", TopicFilter("news"))
+        engine.add("b", TopicFilter("news"))
+        engine.add("c", TopicFilter("sports"))
+        assert engine.match(make_event(topic="news")) == {"a", "b"}
+        assert engine.match(make_event(topic="sports")) == {"c"}
 
-    def test_remove(self):
-        index = TopicIndex()
-        index.add("a", TopicFilter("news"))
-        index.remove("a", TopicFilter("news"))
-        assert index.match(make_event(topic="news")) == set()
+    def test_remove_topic_filter(self):
+        engine = MatchingEngine()
+        engine.add("a", TopicFilter("news"))
+        engine.remove("a", TopicFilter("news"))
+        assert engine.match(make_event(topic="news")) == set()
 
-    def test_event_without_topic_matches_nothing(self):
-        index = TopicIndex()
-        index.add("a", TopicFilter("news"))
-        assert index.match(make_event(level=1)) == set()
+    def test_event_without_topic_matches_no_topic_filter(self):
+        engine = MatchingEngine()
+        engine.add("a", TopicFilter("news"))
+        assert engine.match(make_event(level=1)) == set()
 
-    def test_counts(self):
-        index = TopicIndex()
-        index.add("a", TopicFilter("news"))
-        index.add("b", TopicFilter("news"))
-        assert index.topic_count() == 1
-        assert index.filter_count() == 2
+    def test_counts_one_entry_per_node_and_filter(self):
+        engine = MatchingEngine()
+        engine.add("a", TopicFilter("news"))
+        engine.add("b", TopicFilter("news"))
+        engine.remove("a", TopicFilter("news"))
+        assert engine.match(make_event(topic="news")) == {"b"}
+        engine.remove("b", TopicFilter("news"))
+        assert engine.match(make_event(topic="news")) == set()
 
-
-class TestCountingContentIndex:
-    def test_counting_match(self):
-        index = CountingContentIndex()
-        index.add("a", ContentFilter.build(category="metals", level=5))
-        index.add("b", ContentFilter.build(category="metals"))
-        assert index.match(make_event(category="metals", level=5)) == {"a", "b"}
-        assert index.match(make_event(category="metals", level=4)) == {"b"}
+    def test_content_match_needs_every_condition(self):
+        engine = MatchingEngine()
+        engine.add("a", ContentFilter.build(category="metals", level=5))
+        engine.add("b", ContentFilter.build(category="metals"))
+        assert engine.match(make_event(category="metals", level=5)) == {"a", "b"}
+        assert engine.match(make_event(category="metals", level=4)) == {"b"}
 
     def test_zero_condition_filter_matches_all(self):
-        index = CountingContentIndex()
-        index.add("a", ContentFilter())
-        assert index.match(make_event(whatever=1)) == {"a"}
+        engine = MatchingEngine()
+        engine.add("a", ContentFilter())
+        assert engine.match(make_event(whatever=1)) == {"a"}
+        assert engine.match(make_event(topic="news")) == {"a"}
 
-    def test_remove(self):
-        index = CountingContentIndex()
+    def test_remove_content_filter(self):
+        engine = MatchingEngine()
         filter_ = ContentFilter.build(category="x")
-        index.add("a", filter_)
-        index.remove("a", filter_)
-        assert index.match(make_event(category="x")) == set()
-        assert index.filter_count() == 0
+        engine.add("a", filter_)
+        engine.remove("a", filter_)
+        assert engine.match(make_event(category="x")) == set()
 
     def test_duplicate_add_is_idempotent(self):
-        index = CountingContentIndex()
+        engine = MatchingEngine()
         filter_ = ContentFilter.build(category="x")
-        index.add("a", filter_)
-        index.add("a", filter_)
-        assert index.filter_count() == 1
+        engine.add("a", filter_)
+        engine.add("a", filter_)
+        engine.remove("a", filter_)
+        assert engine.match(make_event(category="x")) == set()
 
-
-class TestMatchingEngine:
-    def test_routes_to_both_indexes_and_fallback(self):
+    def test_every_filter_kind_in_one_engine(self):
         engine = MatchingEngine()
         engine.add("a", TopicFilter("news"))
         engine.add("b", ContentFilter.build(level=2))
         engine.add("c", MatchAllFilter())
-        matched = engine.match(make_event(topic="news", level=2))
-        assert matched == {"a", "b", "c"}
-        assert engine.registered_filter_count() == 3
+        assert engine.match(make_event(topic="news", level=2)) == {"a", "b", "c"}
 
     def test_remove_each_kind(self):
         engine = MatchingEngine()
@@ -208,6 +207,34 @@ class TestMatchingEngine:
         engine.remove("b", ContentFilter.build(level=2))
         engine.remove("c", MatchAllFilter())
         assert engine.match(make_event(topic="news", level=2)) == set()
+
+    def test_match_equals_brute_force_under_add_remove_churn(self):
+        # The engine holds the first filter added per (node, filter_id);
+        # TopicFilter("5") and TopicFilter(5) share the id "topic:5", so
+        # whichever came first decides for an event of topic "5" or 5.
+        filters = CHURN_FILTERS + [TopicFilter("5"), ContentFilter()]
+        nodes = [f"n{index}" for index in range(6)]
+        rng = random.Random(23)
+        engine = MatchingEngine()
+        held = {}
+        matched = set()
+        for _step in range(400):
+            node, filter_ = rng.choice(nodes), rng.choice(filters)
+            key = (node, filter_.filter_id)
+            if rng.random() < 0.6:
+                engine.add(node, filter_)
+                held.setdefault(key, filter_)
+            else:
+                engine.remove(node, filter_)
+                held.pop(key, None)
+            for event in CHURN_EVENTS:
+                expected = {
+                    held_node for (held_node, _), held_filter in held.items() if held_filter.matches(event)
+                }
+                assert engine.match(event) == expected
+                matched.update((event.event_id, node) for node in expected)
+        # Guard against a vacuous run: every event was wanted at some point.
+        assert {event_id for event_id, _ in matched} == {event.event_id for event in CHURN_EVENTS}
 
 
 class TestDeliveryLog:
