@@ -78,7 +78,6 @@ class BrokerNode(Participant):
         #: Clients attached locally and remotely known (client -> broker).
         self.client_home: Dict[str, str] = {}
         self.local_clients: Set[str] = set()
-        self.seen_event_ids: Set[str] = set()
 
     def set_peers(self, peers: Sequence[str]) -> None:
         """Tell this broker about the other brokers."""
@@ -114,9 +113,8 @@ class BrokerNode(Participant):
                 self.ledger.record_subscription_forward(self.node_id)
 
     def _handle_publish(self, event: Event, from_broker: bool) -> None:
-        if event.event_id in self.seen_event_ids:
+        if not self.mark_seen(event.event_id):
             return
-        self.seen_event_ids.add(event.event_id)
         interested = self.matching.match(event)
         local_targets = sorted(interested & self.local_clients)
         for client in local_targets:

@@ -78,7 +78,6 @@ class DamNode(Participant):
         self.subscribed_topics: Set[str] = set()
         #: Topics whose group this node belongs to (subscriptions + delegate duties).
         self.group_topics: Set[str] = set()
-        self.seen_event_ids: Set[str] = set()
 
     # ------------------------------------------------------------ user API
 
@@ -125,9 +124,8 @@ class DamNode(Participant):
         ``first_touch`` is the publisher's own injection or a handoff to a
         delegate, which spreads even an event the node has already seen.
         """
-        if event.event_id in self.seen_event_ids and not first_touch:
+        if not self.mark_seen(event.event_id) and not first_touch:
             return
-        self.seen_event_ids.add(event.event_id)
         if topic in self.subscribed_topics:
             self.deliver(event)
         members = self.system.group_members(topic)

@@ -32,7 +32,6 @@ class BufferedEvent:
     """
 
     event: Event
-    received_at: float
     arrived_round: int
     forwarded_count: int = 0
 
@@ -90,13 +89,13 @@ class EventBuffer:
 
     # ------------------------------------------------------------ mutation
 
-    def add(self, event: Event, received_at: float) -> bool:
+    def add(self, event: Event) -> bool:
         """Insert an event; returns ``False`` if it was already buffered."""
         if event.event_id in self._entries:
             return False
         if len(self._entries) >= self.capacity:
             self._evict_one()
-        self._entries[event.event_id] = BufferedEvent(event, received_at, self._round)
+        self._entries[event.event_id] = BufferedEvent(event, self._round)
         return True
 
     def _evict_one(self) -> None:

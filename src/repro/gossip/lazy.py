@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import OrderedDict
 from itertools import islice, takewhile
 from typing import Dict, FrozenSet, Iterable, List, Optional
 
@@ -156,8 +155,10 @@ class LazyPushGossipNode(PushGossipNode):
             int(id_gc_rounds) if id_gc_rounds else self.buffer.max_rounds
         )
         self.store_capacity = self.buffer.capacity
-        #: Event payloads retained past the eager phase (store nodes only).
-        self.store: "OrderedDict[str, Event]" = OrderedDict()
+        #: Event payloads retained past the eager phase (store nodes only),
+        #: oldest first, and the sum of their sizes.
+        self.store: Dict[str, Event] = {}
+        self._store_bytes = 0
         #: Rounds finished (``after_round`` calls).  The three tables below hold a round
         #: per id and fill in round order, so what is due is a prefix (:func:`_pop_due`).
         self._rounds_done = 0
@@ -232,7 +233,9 @@ class LazyPushGossipNode(PushGossipNode):
         _pop_due(self._pending_pull, now)
         for event_id in _pop_due(self._first_seen, now - self.id_gc_rounds - 1):
             self._hot_until.pop(event_id, None)
-            self.store.pop(event_id, None)
+            stored = self.store.pop(event_id, None)
+            if stored is not None:
+                self._store_bytes -= stored.size
             self.buffer.remove(event_id)
             # A garbage-collected id can no longer be relayed or advertised,
             # so its trace anchor is dead weight; dropping it bounds the
@@ -240,7 +243,7 @@ class LazyPushGossipNode(PushGossipNode):
             self._trace_state.pop(event_id, None)
         self._hot_gauge.set(len(self._hot_until))
         self._store_gauge.set(len(self.store))
-        self._store_bytes_gauge.set(float(sum(event.size for event in self.store.values())))
+        self._store_bytes_gauge.set(float(self._store_bytes))
 
     # ------------------------------------------------------------ receiving
 
@@ -302,9 +305,11 @@ class LazyPushGossipNode(PushGossipNode):
             self._store_put(event)
 
     def _store_put(self, event: Event) -> None:
-        self.store[event.event_id] = event
-        while len(self.store) > self.store_capacity:
-            self.store.popitem(last=False)
+        store = self.store
+        store[event.event_id] = event
+        self._store_bytes += event.size
+        while len(store) > self.store_capacity:
+            self._store_bytes -= store.pop(next(iter(store))).size
 
     def _event_payload(self, event_id: str) -> Optional[Event]:
         """The full event if this node still holds it (buffer, then store)."""

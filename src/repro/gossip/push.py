@@ -197,7 +197,6 @@ class PushGossipNode(Participant):
         self.round_jitter = round_jitter
         self.interest = InterestFunction()
         self.buffer = EventBuffer(capacity=buffer_capacity, max_rounds=buffer_max_rounds)
-        self.seen_event_ids: set = set()
         self.rounds_executed = 0
         self.deliveries_this_window = 0
         #: Optional audit sink (see :mod:`repro.core.bias`); receivers report
@@ -381,9 +380,7 @@ class PushGossipNode(Participant):
         """The ids a received digest advertises that this node has never seen."""
         digest: DigestMessage = message.payload
         self.observe_peer_benefit(message.sender, digest.sender_benefit_rate)
-        return [
-            event_id for event_id in digest.event_ids if event_id not in self.seen_event_ids
-        ]
+        return [event_id for event_id in digest.event_ids if not self.has_seen(event_id)]
 
     def request_pull(self, target: str, event_ids: Sequence[str], kind: str) -> None:
         """Ask ``target`` for the payloads of ``event_ids``."""
@@ -471,7 +468,10 @@ class PushGossipNode(Participant):
         arrived via a pull reply rather than an eager push; both only feed
         span emission, never protocol decisions.
         """
-        if event.event_id in self.seen_event_ids:
+        # has_seen, inlined: this runs once per carried event, most of them
+        # repeats, where the method call would cost as much as the check.
+        number = self.delivery_log.event_numbers.get(event.event_id)
+        if number is not None and number < len(self._seen) and self._seen[number]:
             if trace_ctx is not None and self.tracer is not None:
                 self.tracer.emit(
                     DUPLICATE,
@@ -482,9 +482,9 @@ class PushGossipNode(Participant):
                     peer=from_peer,
                 )
             return False
-        self.seen_event_ids.add(event.event_id)
+        self.mark_seen(event.event_id)
         self._trace_first_sight(event, from_peer, trace_ctx, recovered)
-        self.buffer.add(event, received_at=self.simulator.now)
+        self.buffer.add(event)
         if self.is_interested(event):
             self.deliver(event)
         self._on_first_sight(event)

@@ -76,6 +76,9 @@ class DeliveryLog:
         self._by_event: Dict[str, Dict[str, DeliveryRecord]] = {}
         self._ordered: List[DeliveryRecord] = []
         self._counts: Dict[str, int] = {}
+        #: event id -> its number, in first-sight order: the index into the
+        #: seen map of every participant that shares this log.
+        self.event_numbers: Dict[str, int] = {}
 
     def record(self, node_id: str, event: Event, delivered_at: float) -> Optional[DeliveryRecord]:
         """Record a delivery; duplicate (node, event) pairs are ignored."""
@@ -141,7 +144,8 @@ class Participant(Process):
     Holds what every node class of every system needs next to its protocol
     state: the shared :class:`~repro.core.accounting.WorkLedger` and
     :class:`DeliveryLog` (which also remembers what the node already
-    delivered), and the application callbacks.
+    delivered), the application callbacks, and which events the node has
+    seen, one byte per event.
     """
 
     def __init__(
@@ -151,7 +155,27 @@ class Participant(Process):
         self.ledger = ledger
         self.delivery_log = delivery_log
         self._callbacks: List[DeliveryCallback] = []
+        #: One byte per event, indexed by ``delivery_log.event_numbers``: 1
+        #: once seen here.  A number past the end has not been seen yet.
+        self._seen = bytearray()
         ledger.ensure_node(node_id)
+
+    def has_seen(self, event_id: str) -> bool:
+        """Whether this node has seen the event (see :meth:`mark_seen`)."""
+        number = self.delivery_log.event_numbers.get(event_id)
+        return number is not None and number < len(self._seen) and self._seen[number] == 1
+
+    def mark_seen(self, event_id: str) -> bool:
+        """Remember the event as seen here; True on its first sight."""
+        numbers = self.delivery_log.event_numbers
+        number = numbers.setdefault(event_id, len(numbers))
+        seen = self._seen
+        if number >= len(seen):
+            seen.extend(bytes(number + 1 - len(seen)))
+        elif seen[number]:
+            return False
+        seen[number] = 1
+        return True
 
     def add_delivery_callback(self, callback: DeliveryCallback) -> None:
         """Register an application callback invoked on every delivery."""

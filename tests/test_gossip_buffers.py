@@ -24,7 +24,6 @@ def make_event(index: int, size: int = 1) -> Event:
 @dataclass
 class ReferenceBufferedEvent:
     event: Event
-    received_at: float
     forwarded_count: int = 0
     rounds_held: int = 0
 
@@ -52,12 +51,12 @@ class ReferenceEventBuffer:
         self.evictions = 0
         self.expirations = 0
 
-    def add(self, event: Event, received_at: float) -> bool:
+    def add(self, event: Event) -> bool:
         if event.event_id in self._entries:
             return False
         if len(self._entries) >= self.capacity:
             self._evict_one()
-        self._entries[event.event_id] = ReferenceBufferedEvent(event=event, received_at=received_at)
+        self._entries[event.event_id] = ReferenceBufferedEvent(event=event)
         return True
 
     def _evict_one(self) -> None:
@@ -146,7 +145,7 @@ class TestAgainstTheReference:
         reference = ReferenceEventBuffer(capacity=capacity, max_rounds=max_rounds)
         for name, argument in operations:
             if name == "add":
-                outcomes = [side.add(make_event(argument), received_at=0.0) for side in (buffer, reference)]
+                outcomes = [side.add(make_event(argument)) for side in (buffer, reference)]
             elif name == "start_round":
                 outcomes = [side.start_round() for side in (buffer, reference)]
             elif name == "mark_forwarded":
@@ -164,8 +163,8 @@ class TestAgainstTheReference:
 class TestEventBuffer:
     def test_add_and_duplicate_rejection(self):
         buffer = EventBuffer(capacity=10)
-        assert buffer.add(make_event(1), received_at=0.0)
-        assert not buffer.add(make_event(1), received_at=1.0)
+        assert buffer.add(make_event(1))
+        assert not buffer.add(make_event(1))
         assert len(buffer) == 1
         assert "e1" in buffer
         assert buffer.get("e1").event_id == "e1"
@@ -173,17 +172,17 @@ class TestEventBuffer:
 
     def test_capacity_eviction_prefers_oldest(self):
         buffer = EventBuffer(capacity=2, max_rounds=50)
-        buffer.add(make_event(1), received_at=0.0)
+        buffer.add(make_event(1))
         buffer.start_round()
-        buffer.add(make_event(2), received_at=1.0)
-        buffer.add(make_event(3), received_at=1.0)
+        buffer.add(make_event(2))
+        buffer.add(make_event(3))
         assert len(buffer) == 2
         assert "e1" not in buffer
         assert buffer.evictions == 1
 
     def test_round_expiration(self):
         buffer = EventBuffer(capacity=10, max_rounds=2)
-        buffer.add(make_event(1), received_at=0.0)
+        buffer.add(make_event(1))
         assert buffer.start_round() == 0
         assert buffer.start_round() == 0
         assert buffer.start_round() == 1
@@ -193,7 +192,7 @@ class TestEventBuffer:
     def test_select_random_is_bounded_and_unique(self):
         buffer = EventBuffer(capacity=20)
         for index in range(10):
-            buffer.add(make_event(index), received_at=0.0)
+            buffer.add(make_event(index))
         rng = random.Random(1)
         selection = buffer.select(4, rng, strategy="random")
         assert len(selection) == 4
@@ -202,9 +201,9 @@ class TestEventBuffer:
 
     def test_select_newest_prefers_fresh_events(self):
         buffer = EventBuffer(capacity=20)
-        buffer.add(make_event(1), received_at=0.0)
+        buffer.add(make_event(1))
         buffer.start_round()
-        buffer.add(make_event(2), received_at=1.0)
+        buffer.add(make_event(2))
         rng = random.Random(1)
         assert [event.event_id for event in buffer.select(1, rng, strategy="newest")] == ["e2"]
         assert [event.event_id for event in buffer.select(1, rng, strategy="oldest")] == ["e1"]
@@ -212,34 +211,34 @@ class TestEventBuffer:
 
     def test_select_least_forwarded(self):
         buffer = EventBuffer(capacity=20)
-        buffer.add(make_event(1), received_at=0.0)
-        buffer.add(make_event(2), received_at=0.0)
+        buffer.add(make_event(1))
+        buffer.add(make_event(2))
         buffer.mark_forwarded(["e1"])
         rng = random.Random(1)
         assert [event.event_id for event in buffer.select(1, rng, strategy="least-forwarded")] == ["e2"]
 
     def test_unknown_strategy_rejected(self):
         buffer = EventBuffer()
-        buffer.add(make_event(1), received_at=0.0)
+        buffer.add(make_event(1))
         with pytest.raises(ValueError):
             buffer.select(1, random.Random(1), strategy="bogus")
 
     def test_select_zero_or_empty_returns_nothing(self):
         buffer = EventBuffer()
         assert buffer.select(3, random.Random(1)) == []
-        buffer.add(make_event(1), received_at=0.0)
+        buffer.add(make_event(1))
         assert buffer.select(0, random.Random(1)) == []
 
     def test_remove(self):
         buffer = EventBuffer()
-        buffer.add(make_event(1), received_at=0.0)
+        buffer.add(make_event(1))
         assert buffer.remove("e1")
         assert not buffer.remove("e1")
 
     def test_event_ids_sorted(self):
         buffer = EventBuffer()
         for index in (3, 1, 2):
-            buffer.add(make_event(index), received_at=0.0)
+            buffer.add(make_event(index))
         assert buffer.event_ids() == ["e1", "e2", "e3"]
         assert [event.event_id for event in buffer.events()] == ["e1", "e2", "e3"]
 
@@ -252,7 +251,7 @@ class TestEventBuffer:
     def test_all_documented_strategies_work(self):
         buffer = EventBuffer()
         for index in range(5):
-            buffer.add(make_event(index), received_at=0.0)
+            buffer.add(make_event(index))
         rng = random.Random(2)
         for strategy in SELECTION_STRATEGIES:
             assert len(buffer.select(2, rng, strategy=strategy)) == 2
@@ -285,7 +284,7 @@ def filled(buffer_class, fills):
     buffer = buffer_class(capacity=100, max_rounds=100)
     for name, argument in fills:
         if name == "add":
-            buffer.add(make_event(argument), received_at=0.0)
+            buffer.add(make_event(argument))
         elif name == "start_round":
             buffer.start_round()
         else:
@@ -336,17 +335,17 @@ class TestSelectionCut:
         """Three old entries, six new ones, the last two and an old one forwarded once."""
         buffer = buffer_class(capacity=100, max_rounds=100)
         for index in range(3):
-            buffer.add(make_event(index), received_at=0.0)
+            buffer.add(make_event(index))
         buffer.start_round()
         for index in range(3, 9):
-            buffer.add(make_event(index), received_at=0.0)
+            buffer.add(make_event(index))
         if strategy == "least-forwarded":
             # Rank order: e3..e6 (never forwarded, new), e1 e2 (never, old), e7 e8, e0.
             buffer.mark_forwarded(["e0", "e7", "e8"])
             buffer.start_round()
-            buffer.add(make_event(9), received_at=0.0)
-            buffer.add(make_event(10), received_at=0.0)
-            buffer.add(make_event(11), received_at=0.0)  # three newer ones, taken whole
+            buffer.add(make_event(9))
+            buffer.add(make_event(10))
+            buffer.add(make_event(11))  # three newer ones, taken whole
         runs = 2000
         picks = dict.fromkeys((f"e{index}" for index in group), 0)
         for seed in range(runs):

@@ -137,7 +137,7 @@ def production_run(kind, seed, fanout, loss=0.0, rounds=ROUNDS, publications=PUB
             topic_of[system.publish(publisher, topic=topic).event_id] = topic
         system.run(until=round_number + 0.5)
         history.append({
-            event_id: frozenset(n for n in NODES if event_id in system.node(n).seen_event_ids)
+            event_id: frozenset(n for n in NODES if system.node(n).has_seen(event_id))
             for event_id in topic_of
         })
     delivered = {

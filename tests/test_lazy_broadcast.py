@@ -338,7 +338,7 @@ class TestRecoveryFlow:
         simulator.run(until=5.0)  # request reaches the store, reply comes back
         assert store.pulls_served == 1
         assert plain.recoveries == 1
-        assert event.event_id in plain.seen_event_ids
+        assert plain.has_seen(event.event_id)
         assert plain.delivery_log.delivered(plain.node_id, event.event_id)
         assert network.stats.sent_by_kind.get(LAZY_REQUEST_KIND, 0) == 1
         assert network.stats.sent_by_kind.get(LAZY_REPLY_KIND, 0) == 1

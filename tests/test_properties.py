@@ -243,7 +243,7 @@ class TestBufferProperties:
         buffer = EventBuffer(capacity=capacity, max_rounds=5)
         for identifier in ids:
             event = Event(event_id=f"e{identifier}", publisher="p", attributes={})
-            buffer.add(event, received_at=0.0)
+            buffer.add(event)
         assert len(buffer) <= capacity
         selection = buffer.select(select_count, random.Random(1))
         assert len(selection) <= select_count
