@@ -179,9 +179,10 @@ campaign-smoke:
 bench-campaign:
 	$(PYTHON) -m pytest benchmarks/bench_campaign.py -q -s
 
-# Scale curve: writes the "result" rows of BENCH_scale.json (fig4-push against
-# nodes, fig3-expressive against publication rate; one child process per row,
-# ~1.5 min).  The quick size (~5 s, what CI runs) only checks the schema.
+# Scale curve: writes the "result" rows of BENCH_scale.json (fig4-push and
+# fig1 on scribe / dam against nodes, fig3-expressive against publication
+# rate; one child process per row, ~2 min).  The quick size (~5 s, what CI
+# runs) only checks the schema.
 bench-scale:
 	$(PYTHON) benchmarks/bench_scale.py
 

@@ -1,7 +1,7 @@
 """Scale curve of the simulator: wall time against nodes and against buffered events.
 
-Two axes, one row per point, every row in a fresh child process (so peak RSS
-is the row's own and nothing is warm from the previous one):
+Three curves, one row per point, every row in a fresh child process (so peak
+RSS is the row's own and nothing is warm from the previous one):
 
 * ``fig4-push`` at :data:`NODE_COUNTS` nodes — cost against population at a
   low publication rate, where engine, network and membership do the work;
@@ -9,7 +9,10 @@ is the row's own and nothing is warm from the previous one):
   :data:`PUBLICATION_RATES` — cost against what every node *holds*: the rate
   sets how many events sit in each gossip buffer, while a round still sends
   at most ``gossip_size`` of them, so ``ms_per_gossip_round`` flat along this
-  axis is what "a round costs what it sends" means.
+  axis is what "a round costs what it sends" means;
+* ``fig1`` on :data:`STRUCTURED_SYSTEMS` at :data:`NODE_COUNTS` nodes — the
+  structured baselines, which run no gossip rounds (``ms_per_gossip_round``
+  is ``null``) and spend their time routing and fanning out messages.
 
 A row's wall time is :func:`perfbench.stats.undisturbed_median` over
 :data:`REPS` repetitions of the same deterministic run.  Rows carry a
@@ -21,7 +24,11 @@ a change and the parent it is compared against::
     PYTHONPATH=<parent checkout>/src python benchmarks/bench_scale.py --label parent
     PYTHONPATH=src python benchmarks/bench_scale.py --quick            # small, schema check only
 
-Open on ROADMAP item 2(a): N = 8192 and the lazy / multi-domain / structured rows.
+``messages_per_s`` counts messages sent, not engine events: the engine
+delivers every same-instant send wave as one event, so its count says how
+the messages were grouped rather than how much work was done.
+
+Open on ROADMAP item 2(a): N = 8192 and the lazy / multi-domain rows.
 """
 
 from __future__ import annotations
@@ -40,13 +47,14 @@ sys.path.append(os.path.join(_ROOT, "src"))  # repro, unless PYTHONPATH already 
 from perfbench.stats import undisturbed_median  # noqa: E402
 
 ARTIFACT = "BENCH_scale.json"
-SCHEMA = "bench-scale/v1"
+SCHEMA = "bench-scale/v2"
 REPS = 3
 NODE_COUNTS = (128, 512, 2048)
 PUBLICATION_RATES = (5.0, 20.0, 80.0)
+STRUCTURED_SYSTEMS = ("scribe", "dam")
 ROW_FIELDS = (
-    "label", "scenario", "nodes", "publication_rate", "reps", "wall_s", "peak_rss_mb",
-    "engine_events_per_s", "ms_per_node", "ms_per_gossip_round", "gossip_rounds", "delivery_ratio",
+    "label", "scenario", "system", "nodes", "publication_rate", "reps", "wall_s", "peak_rss_mb",
+    "messages_per_s", "ms_per_node", "ms_per_gossip_round", "gossip_rounds", "delivery_ratio",
 )
 
 
@@ -62,6 +70,10 @@ def points(quick: bool) -> List[Dict[str, object]]:
             "overrides": {"nodes": 24 if quick else 128, "publication_rate": rate, "gossip_size": 32},
         }
         for rate in rates
+    ] + [
+        {"scenario": "fig1", "overrides": {"nodes": nodes, "system": system}}
+        for system in (("dam",) if quick else STRUCTURED_SYSTEMS)
+        for nodes in ((24,) if quick else NODE_COUNTS)
     ]
 
 
@@ -84,14 +96,15 @@ def measure_point(point: Dict[str, object], reps: int) -> Dict[str, object]:
     rounds = result.final_snapshot.counter_total("gossip.rounds")
     return {
         "scenario": point["scenario"],
+        "system": config.system,
         "nodes": config.nodes,
         "publication_rate": config.publication_rate,
         "reps": reps,
         "wall_s": round(wall, 4),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
-        "engine_events_per_s": round(result.system.simulator.processed_events / wall),
+        "messages_per_s": round(result.system.network.stats.sent / wall),
         "ms_per_node": round(wall * 1000.0 / config.nodes, 4),
-        "ms_per_gossip_round": round(wall * 1000.0 / rounds, 4),
+        "ms_per_gossip_round": round(wall * 1000.0 / rounds, 4) if rounds else None,
         "gossip_rounds": int(rounds),
         "delivery_ratio": round(result.reliability.delivery_ratio, 4),
     }
@@ -117,7 +130,8 @@ def check_schema(artifact: Dict[str, object]) -> None:
     assert artifact["rows"], "no rows"
     for row in artifact["rows"]:
         assert set(row) == set(ROW_FIELDS), sorted(set(row) ^ set(ROW_FIELDS))
-        assert row["wall_s"] > 0 and row["gossip_rounds"] > 0 and row["peak_rss_mb"] > 0
+        assert row["wall_s"] > 0 and row["messages_per_s"] > 0 and row["peak_rss_mb"] > 0
+        assert (row["ms_per_gossip_round"] is None) == (row["gossip_rounds"] == 0)
 
 
 def main(argv=None) -> int:

@@ -28,6 +28,7 @@ brokers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
@@ -130,7 +131,8 @@ class DamNode(Participant):
             self.deliver(event)
         members = self.system.group_members(topic)
         rng = self.simulator.rng.stream(f"dam:{self.node_id}")
-        candidates = [member for member in members if member != self.node_id]
+        at = bisect_left(members, self.node_id)
+        candidates = members[:at] + members[at + 1 :] if members[at : at + 1] == [self.node_id] else members
         if not candidates:
             return
         targets = candidates if self.fanout >= len(candidates) else rng.sample(candidates, self.fanout)
@@ -175,6 +177,8 @@ class DataAwareMulticastSystem(DisseminationSystem):
         self.delegates_per_root = delegates_per_root
         self._groups: Dict[str, Set[str]] = {}
         self._delegates: Dict[str, List[str]] = {}
+        #: ``topic -> group_members(topic)``, dropped when its group changes.
+        self._members: Dict[str, List[str]] = {}
         for node_id in node_ids:
             node = DamNode(
                 node_id, simulator, network, self, self.ledger, self._delivery_log, fanout=fanout
@@ -185,11 +189,12 @@ class DataAwareMulticastSystem(DisseminationSystem):
     # ------------------------------------------------------------ grouping
 
     def group_members(self, topic: str) -> List[str]:
-        """Current members of a topic's gossip group (subscribers + delegates)."""
-        members = set(self._groups.get(topic, set()))
-        root = topic_path(topic)[0]
-        members.update(self._delegates.get(root, ()))
-        return sorted(members)
+        """Current members of a topic's gossip group, sorted (shared: do not mutate)."""
+        members = self._members.get(topic)
+        if members is None:
+            delegates = self._delegates.get(topic_path(topic)[0], ())
+            members = self._members[topic] = sorted(self._groups.get(topic, set()).union(delegates))
+        return members
 
     def is_delegate(self, node_id: str, topic: str) -> bool:
         """Whether ``node_id`` serves as a delegate covering ``topic``."""
@@ -214,7 +219,7 @@ class DataAwareMulticastSystem(DisseminationSystem):
             if self.nodes[node_id].alive
         ]
         if len(existing) >= self.delegates_per_root:
-            self._delegates[root] = existing
+            self._set_delegates(root, existing)
             return
         # Prefer subscribers anywhere in the subtree (they at least benefit
         # from part of the traffic), fall back to arbitrary nodes.
@@ -230,11 +235,16 @@ class DataAwareMulticastSystem(DisseminationSystem):
             pick = rng.choice(unique_pool)
             unique_pool.remove(pick)
             existing.append(pick)
-        self._delegates[root] = existing
+        self._set_delegates(root, existing)
         # A delegate joins every group of the subtree it bridges.
         for node_id in existing:
             for topic in subtree_topics:
                 self.nodes[node_id].become_delegate(topic)
+
+    def _set_delegates(self, root: str, delegates: List[str]) -> None:
+        if self._delegates.get(root) != delegates:
+            self._delegates[root] = delegates
+            self._members.clear()
 
     # ------------------------------------------------------------- §2 API
 
@@ -257,6 +267,7 @@ class DataAwareMulticastSystem(DisseminationSystem):
             self.hierarchy.add(topic)
         self.nodes[node_id].subscribe_topic(topic)
         self._groups.setdefault(topic, set()).add(node_id)
+        self._members.pop(topic, None)
         self._subscribed(node_id, subscription_filter, callbacks)
 
     def unsubscribe(self, node_id: str, subscription_filter: Filter) -> None:
@@ -264,6 +275,7 @@ class DataAwareMulticastSystem(DisseminationSystem):
         self.nodes[node_id].unsubscribe_topic(topic)
         if not self.is_delegate(node_id, topic):
             self._groups.get(topic, set()).discard(node_id)
+            self._members.pop(topic, None)
         self._unsubscribed(node_id, subscription_filter)
 
     # -------------------------------------------------------------- queries

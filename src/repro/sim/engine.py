@@ -9,6 +9,9 @@ the sequence number is unique, so ties are broken by insertion order, the
 events themselves are never compared, and runs are fully deterministic for a
 given seed.
 
+The network delivers a same-instant send wave as one event, so event counts
+(``processed_events``, ``run``'s return and ``max_events``) count batches.
+
 The engine is deliberately minimal: everything network- or process-related
 lives in :mod:`repro.sim.network` and :mod:`repro.sim.node`, which are built
 on top of :meth:`Simulator.schedule`.
@@ -74,6 +77,8 @@ class Simulator:
         self._queue: List[Tuple[float, int, ScheduledEvent]] = []
         self._sequence = itertools.count()
         self._processed = 0
+        #: The event queued last (the network's delivery batches check it).
+        self._last: Optional[ScheduledEvent] = None
 
     # ------------------------------------------------------------------ time
 
@@ -84,7 +89,7 @@ class Simulator:
 
     @property
     def processed_events(self) -> int:
-        """Number of callbacks executed so far (cancelled events excluded)."""
+        """Callbacks executed so far (cancelled ones excluded; a delivery batch is one)."""
         return self._processed
 
     @property
@@ -109,7 +114,7 @@ class Simulator:
         now = self.clock._now
         if timestamp < now:
             raise SimulationError(f"cannot schedule at {timestamp}, current time is {now}")
-        event = ScheduledEvent(timestamp, action, label)
+        event = self._last = ScheduledEvent(timestamp, action, label)
         heapq.heappush(self._queue, (timestamp, next(self._sequence), event))
         return event
 

@@ -11,6 +11,10 @@ The model is intentionally simple — per-message independent latency and
 loss — because the paper's claims are about message *counts* and *delivery*,
 not about queueing effects.
 
+Messages sent for the same arrival instant with nothing queued in between
+share one engine event (see :meth:`Network.send`); delivery order is that of
+one event per message.
+
 :class:`FaultInjectionSurface` is the one fabric under both engines;
 :class:`Network` adds only what the discrete-event engine differs in — the
 latency and loss *models* and a ``send`` that schedules the delivery on the
@@ -400,6 +404,9 @@ class Network(FaultInjectionSurface):
         self._latency = latency_model or ConstantLatency(0.1)
         self._loss = loss_model or NoLoss()
         self._init_fabric(simulator)
+        #: The open delivery batch and its engine event (closed once it fires).
+        self._batch: Optional[list] = None
+        self._batch_event = None
 
     def send(
         self,
@@ -417,6 +424,11 @@ class Network(FaultInjectionSurface):
         the sender's trace contexts (one per traced event on the message);
         it does not affect physics — drops and latency are decided exactly
         as for an untraced message.
+
+        A surviving message joins the open delivery batch if it arrives at the
+        batch's instant and the engine queued nothing since the batch's event;
+        else it opens a batch with an event of its own.  Either way it is
+        delivered where an event of its own would have delivered it.
         """
         simulator = self.simulator
         message = Message(sender, recipient, kind, payload, size, simulator.now, trace)
@@ -436,8 +448,19 @@ class Network(FaultInjectionSurface):
         if extra_latency is None:
             return message
         latency = self._latency.sample(rng, sender, recipient) + extra_latency
-        simulator.schedule(latency, partial(self._deliver, message), "deliver:" + kind)
+        event, at = self._batch_event, simulator.clock._now + latency
+        if self._batch is not None and simulator._last is event and event.timestamp == at:
+            self._batch.append(message)
+        else:
+            self._batch = batch = [message]
+            self._batch_event = simulator.schedule_at(at, partial(self._deliver_batch, batch), "deliver:" + kind)
         return message
+
+    def _deliver_batch(self, batch: list) -> None:
+        if self._batch is batch:
+            self._batch = None
+        for message in batch:
+            self._deliver(message)
 
     # Defined here, not only in the fabric: perfbench spans both by
     # patching ``Network.__dict__``.

@@ -108,16 +108,6 @@ class Process:
         self._timers[name] = timer
         return timer
 
-    def get_timer(self, name: str) -> Optional[PeriodicTimer]:
-        """Return the named timer if installed."""
-        return self._timers.get(name)
-
-    def stop_timer(self, name: str) -> None:
-        """Stop and forget the named timer (no-op if absent)."""
-        timer = self._timers.pop(name, None)
-        if timer is not None:
-            timer.stop()
-
     def _fire_timer(self, name: str) -> None:
         if not self.alive:
             return

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.brokers import BrokerSystem
 from repro.core import EXPRESSIVE_POLICY, evaluate_fairness
 from repro.damulticast import DataAwareMulticastSystem
 from repro.pubsub import ContentFilter, TopicFilter, TopicHierarchy
+from repro.pubsub.topics import topic_path
 from repro.sim import Network, Simulator
 
 
@@ -227,3 +230,37 @@ class TestDataAwareMulticast:
             DataAwareMulticastSystem(simulator, network, [])
         with pytest.raises(ValueError):
             DataAwareMulticastSystem(simulator, network, make_ids(4), delegates_per_root=0)
+
+    DAM_TOPICS = ["sports", "sports/football", "sports/tennis", "tech/ai"]
+    DAM_OPS = st.lists(
+        st.tuples(
+            st.sampled_from(["subscribe", "unsubscribe", "crash", "recover", "publish"]),
+            st.integers(0, 11),
+            st.sampled_from(DAM_TOPICS),
+        ),
+        max_size=40,
+    )
+
+    @settings(deadline=None, max_examples=60)
+    @given(DAM_OPS)
+    def test_group_members_is_the_sorted_union(self, ops):
+        # The kept member list must equal the union recomputed from the
+        # groups and the root's delegates after every kind of change.
+        system, simulator, ids = self.build(count=12, seed=46)
+        for verb, index, topic in ops:
+            node_id = ids[index]
+            if verb == "subscribe":
+                system.subscribe(node_id, TopicFilter(topic))
+            elif verb == "unsubscribe":
+                system.unsubscribe(node_id, TopicFilter(topic))
+            elif verb == "crash":
+                system.nodes[node_id].crash()
+            elif verb == "recover":
+                system.nodes[node_id].recover()
+            else:
+                system.publish(node_id, topic=topic)
+                simulator.run(until=simulator.now + 0.3)
+            for group in self.DAM_TOPICS:
+                fresh = set(system._groups.get(group, ()))
+                fresh.update(system._delegates.get(topic_path(group)[0], ()))
+                assert system.group_members(group) == sorted(fresh)

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+from functools import partial
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     BernoulliLoss,
@@ -135,6 +140,176 @@ class TestNetwork:
             network.set_alive("nobody", True)
 
 
+class ReferenceNetwork(Network):
+    """The one-engine-event-per-message ``send`` that batching replaced."""
+
+    def send(self, sender, recipient, kind, payload=None, size=1, trace=None):
+        simulator = self.simulator
+        message = Message(sender, recipient, kind, payload, size, simulator.now, trace)
+        self.stats.record_sent(message)
+        rng = simulator.rng.stream("network")
+        if recipient not in self._handlers:
+            self._drop(message, "dead")
+            return message
+        if not self._same_partition(sender, recipient):
+            self._drop(message, "partition")
+            return message
+        if self._loss.is_lost(rng, message):
+            self._drop(message, "lost")
+            return message
+        extra_latency = self._link_fate(message)
+        if extra_latency is None:
+            return message
+        latency = self._latency.sample(rng, sender, recipient) + extra_latency
+        simulator.schedule(latency, partial(self._deliver, message), "deliver:" + kind)
+        return message
+
+
+NODES = [f"n{index}" for index in range(5)]
+
+
+class SlowUpLinks:
+    """A duck-typed link profile: links to a higher id are slower and lossy."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def effects(self, sender, recipient):
+        return (0.05, 0.25) if sender < recipient else (0.0, 0.0)
+
+
+class ScriptNode(Process):
+    """Logs what it receives; ``relay`` fans out again, ``crash`` fails a peer.
+
+    A ``crash`` message fails the next node in id order while its batch is
+    still being delivered, so later messages of that batch find it dead.
+    """
+
+    def __init__(self, node_id, simulator, network, log, nodes):
+        super().__init__(node_id, simulator, network)
+        self.log = log
+        self.nodes = nodes
+
+    def on_message(self, message):
+        now = self.simulator.now
+        self.log.append((now, message.recipient, message.sender, message.kind, message.payload))
+        tag, hop = message.payload
+        index = NODES.index(self.node_id)
+        if message.kind == "crash":
+            self.nodes[NODES[(index + 1) % len(NODES)]].crash()
+        elif message.kind == "relay" and hop < 2:
+            for step in (1, 2):
+                self.send(NODES[(index + step) % len(NODES)], "relay", (tag, hop + 1))
+
+
+def run_script(network_cls, latency, lossy, geo, script):
+    """Play ``script`` on a fresh engine; returns what an observer can see."""
+    simulator = Simulator(seed=11)
+    network = network_cls(
+        simulator, latency_model=latency, loss_model=BernoulliLoss(0.2) if lossy else NoLoss()
+    )
+    if geo:
+        network.set_link_profile(SlowUpLinks(simulator.rng.stream("geo")))
+    log = []
+    network.add_delivery_hook(lambda message, at: log.append(("hook", at, message.kind)))
+    nodes = {}
+    for node_id in NODES:
+        nodes[node_id] = ScriptNode(node_id, simulator, network, log, nodes)
+        nodes[node_id].start()
+    tags = iter(range(10_000))
+
+    def perform(actions):
+        for action in actions:
+            verb = action[0]
+            if verb == "send":
+                _, sender, recipients, kind = action
+                for recipient in recipients:
+                    nodes[sender].send(recipient, kind, (next(tags), 0))
+            elif verb == "callback":
+                # Due exactly when a ConstantLatency message sent now arrives.
+                tag = next(tags)
+                due = getattr(latency, "latency", 0.1)
+                simulator.schedule(due, lambda tag=tag: log.append((simulator.now, "callback", tag)))
+            elif verb == "crash":
+                nodes[action[1]].crash()
+            elif verb == "recover":
+                nodes[action[1]].recover()
+            elif verb == "partition":
+                network.set_partition(dict(zip(NODES, action[1])))
+            elif verb == "heal":
+                network.clear_partition()
+            else:
+                _, loss_rate, extra = action
+                network.set_perturbation(extra, loss_rate, simulator.rng.stream("perturb"))
+
+    at = 0.0
+    for gap, inside_engine, actions in script:
+        at += gap
+        if inside_engine:
+            simulator.schedule_at(at, partial(perform, actions))
+        else:
+            simulator.run(until=at)
+            perform(actions)
+    simulator.run()
+    return log, asdict(network.stats), simulator.processed_events
+
+
+ACTIONS = st.one_of(
+    st.tuples(
+        st.just("send"),
+        st.sampled_from(NODES),
+        st.lists(st.sampled_from(NODES), min_size=1, max_size=4),
+        st.sampled_from(["data", "relay", "crash"]),
+    ),
+    st.just(("callback",)),
+    st.tuples(st.just("crash"), st.sampled_from(NODES)),
+    st.tuples(st.just("recover"), st.sampled_from(NODES)),
+    st.tuples(st.just("partition"), st.lists(st.integers(0, 1), min_size=5, max_size=5)),
+    st.just(("heal",)),
+    st.tuples(st.just("perturb"), st.sampled_from([0.0, 0.3]), st.sampled_from([0.0, 0.05])),
+)
+SCRIPTS = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.05, 0.1, 0.3]), st.booleans(), st.lists(ACTIONS, max_size=6)),
+    min_size=1,
+    max_size=8,
+)
+LATENCIES = st.sampled_from([ConstantLatency(0.0), ConstantLatency(0.1), UniformLatency(0.0, 0.2)])
+
+
+class TestDeliveryBatches:
+    """Same-instant sends share one engine event and change nothing else.
+
+    The reference gives every message an engine event of its own; a batch
+    must reproduce its delivery order, callback interleaving and counters.
+    """
+
+    @settings(deadline=None, max_examples=300)
+    @given(LATENCIES, st.booleans(), st.booleans(), SCRIPTS)
+    # A callback queued between two sends of one step must split their batch.
+    @example(
+        ConstantLatency(0.1), False, False,
+        [(0.0, True, [("send", "n0", ["n1"], "data"), ("callback",), ("send", "n0", ["n2"], "data")])],
+    )
+    # A batch that has delivered takes no more messages, even for its instant
+    # with nothing queued since.
+    @example(
+        ConstantLatency(0.0), False, False,
+        [(0.0, False, [("send", "n0", ["n1"], "data")]), (0.0, False, [("send", "n0", ["n2"], "data")])],
+    )
+    def test_batching_matches_one_event_per_message(self, latency, lossy, geo, script):
+        log, stats, events = run_script(Network, latency, lossy, geo, script)
+        ref_log, ref_stats, ref_events = run_script(ReferenceNetwork, latency, lossy, geo, script)
+        assert log == ref_log
+        assert stats == ref_stats
+        assert events <= ref_events
+
+    def test_a_fan_out_is_one_engine_event(self):
+        script = [(0.0, True, [("send", "n0", ["n1", "n2", "n3", "n4"], "data")])]
+        log, _, events = run_script(Network, ConstantLatency(0.1), False, False, script)
+        assert [entry[1] for entry in log if entry[0] != "hook"] == ["n1", "n2", "n3", "n4"]
+        assert events == 2  # the step, then one batch
+
+
 class TestProcess:
     def test_start_is_idempotent(self, simulator, network):
         process = Recorder("a", simulator, network)
@@ -183,16 +358,6 @@ class TestProcess:
         process.add_timer("tick", 10.0)
         simulator.run(until=5.0)
         assert process.timer_fires == 0
-
-    def test_stop_timer(self, simulator, network):
-        process = Recorder("a", simulator, network)
-        process.start()
-        process.add_timer("tick", 1.0)
-        simulator.run(until=2.0)
-        process.stop_timer("tick")
-        simulator.run(until=10.0)
-        assert process.timer_fires == 2
-        assert process.get_timer("tick") is None
 
     def test_hooks_called_on_lifecycle(self, simulator, network):
         calls = []
