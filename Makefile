@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test startup-smoke bench bench-smoke bench-metrics bench-faults bench-lazy bench-trace bench-domains bench-campaign bench-scale bench-scale-quick perfbench perfbench-quick serve-smoke loadgen-smoke serve-scenario-smoke registry-smoke report-smoke parity-smoke fault-smoke lazy-smoke trace-smoke domains-smoke campaign-smoke clean-cache
+.PHONY: test startup-smoke bench bench-smoke bench-metrics bench-faults bench-lazy bench-trace bench-domains bench-campaign bench-scale bench-scale-quick perfbench perfbench-quick serve-smoke loadgen-smoke serve-scenario-smoke registry-smoke report-smoke parity-smoke fault-smoke lazy-smoke trace-smoke domains-smoke campaign-smoke fingerprint clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -199,6 +199,21 @@ perfbench:
 perfbench-quick:
 	$(PYTHON) -m pytest perfbench/tests -q
 	$(PYTHON) perfbench/run.py --quick --traced --reps 1
+
+# Behaviour fingerprint (~8 s): the --json / --telemetry / --trace files of
+# six scenarios (gossip, lazy recovery under loss, domains, expressive
+# filters, churn, partitions) and their sha256 sums.  Run it at two commits
+# and diff the printed sums: a change that keeps behaviour leaves all 18.
+FINGERPRINT_SCENARIOS := smoke smoke-lazy smoke-domains fig3-expressive smoke-churn smoke-partition
+
+fingerprint:
+	rm -rf out/fingerprint && mkdir -p out/fingerprint
+	for scenario in $(FINGERPRINT_SCENARIOS); do \
+		$(PYTHON) -m repro run $$scenario --no-cache --json out/fingerprint/$$scenario.json \
+			--telemetry jsonl:out/fingerprint/$$scenario.telemetry.jsonl \
+			--trace out/fingerprint/$$scenario.trace.jsonl > /dev/null || exit 1; \
+	done
+	cd out/fingerprint && LC_ALL=C sha256sum *
 
 # BENCH_metrics_overhead.json is tracked (it seeds the perf trajectory), so
 # clean-cache leaves it alone; re-run `make bench-metrics` to refresh it.

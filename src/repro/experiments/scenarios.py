@@ -25,7 +25,7 @@ from ..registry.builtins import (
 )
 from ..registry.specs import StackSpec
 from ..sim.engine import Simulator
-from ..sim.network import BernoulliLoss, Network, NoLoss
+from ..sim.network import Network
 from ..workloads.popularity import TopicPopularity
 from .config import ExperimentConfig
 
@@ -53,8 +53,7 @@ def system_names() -> Tuple[str, ...]:
 def build_simulation(config: ExperimentConfig) -> Tuple[Simulator, Network]:
     """Create the simulator and network described by the config."""
     simulator = Simulator(seed=config.seed)
-    loss = BernoulliLoss(config.loss_rate) if config.loss_rate > 0 else NoLoss()
-    network = Network(simulator, loss_model=loss)
+    network = Network(simulator, loss_rate=config.loss_rate)
     return simulator, network
 
 

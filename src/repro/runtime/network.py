@@ -10,8 +10,8 @@ substrate.  What it keeps is what differs: instead of scheduling a delivery
 on the event queue, ``send`` encodes the message with the wire codec and
 hands the frame to a :class:`~repro.runtime.transport.Transport`.  Latency
 is whatever the transport and the kernel provide; loss is whatever the wire
-loses — the simulator's latency/loss *models* have no live counterpart by
-design.  A fault's extra latency holds the encoded frame back on the
+loses — the simulator's constant link latency and ``loss_rate`` have no live
+counterpart by design.  A fault's extra latency holds the encoded frame back on the
 runtime's own scheduler.
 
 Frames arriving from remote peers are checked against the partition map

@@ -79,8 +79,8 @@ class AsyncScheduler:
     def schedule(
         self, delay: float, action: Callable[[], None], label: str = ""
     ) -> AsyncScheduledEvent:
-        """Schedule ``action`` to run ``delay`` time units from now."""
-        if delay < 0:
+        """Schedule ``action`` to run ``delay`` time units from now (NaN is refused)."""
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         loop = asyncio.get_running_loop()
         event = AsyncScheduledEvent(timestamp=self.now + delay, label=label)
@@ -99,9 +99,9 @@ class AsyncScheduler:
     def schedule_at(
         self, timestamp: float, action: Callable[[], None], label: str = ""
     ) -> AsyncScheduledEvent:
-        """Schedule ``action`` at absolute time ``timestamp`` (units)."""
+        """Schedule ``action`` at absolute time ``timestamp`` (units; NaN is refused)."""
         delay = timestamp - self.now
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(
                 f"cannot schedule at {timestamp}, current time is {self.now}"
             )

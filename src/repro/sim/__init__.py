@@ -2,9 +2,10 @@
 
 This package is the testbed substitute: a deterministic, seeded
 discrete-event simulator with a virtual clock, a message-passing network
-model (latency, loss, partitions), and a process abstraction with periodic
-timers.  Failure injection lives in :mod:`repro.faults`, metrics in
-:mod:`repro.telemetry`, and tracing in :mod:`repro.tracing`.
+model (one constant link latency, Bernoulli loss, partitions), and a process
+abstraction with periodic timers.  Failure injection lives in
+:mod:`repro.faults`, metrics in :mod:`repro.telemetry`, and tracing in
+:mod:`repro.tracing`.
 
 Typical wiring::
 
@@ -29,13 +30,6 @@ _EXPORTS = {
     "Message": ".network",
     "Network": ".network",
     "NetworkStats": ".network",
-    "LatencyModel": ".network",
-    "ConstantLatency": ".network",
-    "UniformLatency": ".network",
-    "LogNormalLatency": ".network",
-    "LossModel": ".network",
-    "NoLoss": ".network",
-    "BernoulliLoss": ".network",
     "Process": ".node",
     "ProcessRegistry": ".node",
     "RngRegistry": ".rng",

@@ -102,17 +102,17 @@ class Simulator:
     def schedule(
         self, delay: float, action: Callable[[], None], label: str = ""
     ) -> ScheduledEvent:
-        """Schedule ``action`` to run ``delay`` time units from now."""
-        if delay < 0:
+        """Schedule ``action`` to run ``delay`` time units from now (NaN is refused)."""
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         return self.schedule_at(self.clock._now + delay, action, label)
 
     def schedule_at(
         self, timestamp: float, action: Callable[[], None], label: str = ""
     ) -> ScheduledEvent:
-        """Schedule ``action`` to run at absolute time ``timestamp``."""
+        """Schedule ``action`` to run at absolute time ``timestamp`` (NaN is refused)."""
         now = self.clock._now
-        if timestamp < now:
+        if not timestamp >= now:
             raise SimulationError(f"cannot schedule at {timestamp}, current time is {now}")
         event = self._last = ScheduledEvent(timestamp, action, label)
         heapq.heappush(self._queue, (timestamp, next(self._sequence), event))
@@ -208,15 +208,16 @@ class PeriodicTimer:
         label: str = "",
         jitter: float = 0.0,
     ) -> None:
-        if period <= 0:
+        if not period > 0:
             raise SimulationError("period must be positive")
-        if jitter < 0:
+        if not jitter >= 0:
             raise SimulationError("jitter must be non-negative")
         self._simulator = simulator
         self._period = period
         self._action = action
         self._label = label or "periodic"
         self._jitter = jitter
+        self._jitter_rng = simulator.rng.stream("periodic-timers") if jitter else None
         self._pending: Optional[ScheduledEvent] = None
         self._stopped = True
         self.fire_count = 0
@@ -228,7 +229,7 @@ class PeriodicTimer:
 
     @period.setter
     def period(self, value: float) -> None:
-        if value <= 0:
+        if not value > 0:
             raise SimulationError("period must be positive")
         self._period = value
 
@@ -253,7 +254,7 @@ class PeriodicTimer:
     def _schedule(self, delay: float) -> None:
         offset = 0.0
         if self._jitter:
-            offset = self._simulator.rng.stream("periodic-timers").uniform(0.0, self._jitter)
+            offset = self._jitter_rng.uniform(0.0, self._jitter)
         self._pending = self._simulator.schedule(delay + offset, self._fire, label=self._label)
 
     def _fire(self) -> None:

@@ -2,14 +2,16 @@
 
 The network sits between processes and the event engine.  Sending a message
 costs the sender one "send" (counted towards its contribution by the
-accounting layer), takes a latency drawn from the configured latency model,
-and may be lost according to the loss model.  Partitions can be installed to
-cut connectivity between groups of nodes, which is how the failure injector
-models transient network splits.
+accounting layer), takes the link latency :data:`LINK_LATENCY`, and may be
+lost with the network's Bernoulli ``loss_rate``.  Partitions can be
+installed to cut connectivity between groups of nodes, which is how the
+failure injector models transient network splits; per-link latency and loss
+differences come from the topology's geo link profile and the fault layer's
+perturbation, both on the shared fabric.
 
-The model is intentionally simple — per-message independent latency and
-loss — because the paper's claims are about message *counts* and *delivery*,
-not about queueing effects.
+The model is intentionally simple — one constant latency and independent
+per-message loss — because the paper's claims are about message *counts*
+and *delivery*, not about queueing effects.
 
 Messages sent for the same arrival instant with nothing queued in between
 share one engine event (see :meth:`Network.send`); delivery order is that of
@@ -17,9 +19,9 @@ one event per message.
 
 :class:`FaultInjectionSurface` is the one fabric under both engines;
 :class:`Network` adds only what the discrete-event engine differs in — the
-latency and loss *models* and a ``send`` that schedules the delivery on the
-engine.  The live :class:`~repro.runtime.network.RuntimeNetwork` adds only
-the wire.
+link latency, the loss rate and a ``send`` that schedules the delivery on
+the engine.  The live :class:`~repro.runtime.network.RuntimeNetwork` adds
+only the wire.
 """
 
 from __future__ import annotations
@@ -32,19 +34,17 @@ from typing import Any, Callable, Dict, Optional, Set, Tuple
 from .engine import Simulator
 
 __all__ = [
+    "LINK_LATENCY",
     "Message",
-    "LatencyModel",
-    "ConstantLatency",
-    "UniformLatency",
-    "LogNormalLatency",
-    "LossModel",
-    "NoLoss",
-    "BernoulliLoss",
     "FaultInjectionSurface",
     "Network",
     "NetworkStats",
     "validate_link_perturbation",
 ]
+
+#: Time units every simulated message takes on a link before the geo link
+#: profile's and the perturbation's extra latency.
+LINK_LATENCY = 0.1
 
 
 def validate_link_perturbation(
@@ -55,8 +55,9 @@ def validate_link_perturbation(
     Both the global :meth:`FaultInjectionSurface.set_perturbation` and the
     per-link :class:`~repro.topology.geo.GeoLinkProfile` route through this
     one check, so "what is a legal latency/loss pair" has a single answer.
+    NaN lies outside both ranges.
     """
-    if extra_latency < 0:
+    if not extra_latency >= 0:
         raise ValueError("extra_latency must be non-negative")
     if not 0.0 <= loss_rate <= 1.0:
         raise ValueError("loss_rate must be within [0, 1]")
@@ -290,82 +291,6 @@ class Message:
     trace: Optional[Tuple] = None
 
 
-class LatencyModel:
-    """Base class for per-message latency models."""
-
-    def sample(self, rng: random.Random, sender: str, recipient: str) -> float:
-        raise NotImplementedError
-
-
-class ConstantLatency(LatencyModel):
-    """Every message takes exactly ``latency`` time units."""
-
-    def __init__(self, latency: float = 0.1) -> None:
-        if latency < 0:
-            raise ValueError("latency must be non-negative")
-        self.latency = latency
-
-    def sample(self, rng: random.Random, sender: str, recipient: str) -> float:
-        return self.latency
-
-
-class UniformLatency(LatencyModel):
-    """Latency drawn uniformly from ``[low, high]``."""
-
-    def __init__(self, low: float = 0.05, high: float = 0.15) -> None:
-        if low < 0 or high < low:
-            raise ValueError("require 0 <= low <= high")
-        self.low = low
-        self.high = high
-
-    def sample(self, rng: random.Random, sender: str, recipient: str) -> float:
-        return rng.uniform(self.low, self.high)
-
-
-class LogNormalLatency(LatencyModel):
-    """Heavy-tailed latency, a common fit for wide-area round-trip times."""
-
-    def __init__(self, median: float = 0.1, sigma: float = 0.5, cap: float = 5.0) -> None:
-        if median <= 0 or sigma < 0 or cap <= 0:
-            raise ValueError("median and cap must be positive, sigma non-negative")
-        import math
-
-        self._mu = math.log(median)
-        self.sigma = sigma
-        self.cap = cap
-
-    def sample(self, rng: random.Random, sender: str, recipient: str) -> float:
-        return min(rng.lognormvariate(self._mu, self.sigma), self.cap)
-
-
-class LossModel:
-    """Base class for message-loss models."""
-
-    def is_lost(self, rng: random.Random, message: Message) -> bool:
-        raise NotImplementedError
-
-
-class NoLoss(LossModel):
-    """Reliable network: no message is ever dropped."""
-
-    def is_lost(self, rng: random.Random, message: Message) -> bool:
-        return False
-
-
-class BernoulliLoss(LossModel):
-    """Each message is independently lost with probability ``rate``."""
-
-    def __init__(self, rate: float) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("loss rate must be within [0, 1]")
-        self.rate = rate
-
-    def is_lost(self, rng: random.Random, message: Message) -> bool:
-        if self.rate == 0.0:
-            return False
-        return rng.random() < self.rate
-
-
 @dataclass
 class NetworkStats:
     """Aggregate counters maintained by the network."""
@@ -391,18 +316,18 @@ class Network(FaultInjectionSurface):
     ----------
     simulator:
         The discrete-event engine that drives deliveries.
-    latency_model / loss_model:
-        Pluggable models; default to a small constant latency and no loss.
+    loss_rate:
+        Probability in ``[0, 1]`` that a message is lost, drawn per message
+        from the ``"network"`` stream; a lossless network draws nothing.
     """
 
-    def __init__(
-        self,
-        simulator: Simulator,
-        latency_model: Optional[LatencyModel] = None,
-        loss_model: Optional[LossModel] = None,
-    ) -> None:
-        self._latency = latency_model or ConstantLatency(0.1)
-        self._loss = loss_model or NoLoss()
+    def __init__(self, simulator: Simulator, loss_rate: float = 0.0) -> None:
+        if not 0.0 <= loss_rate <= 1.0:
+            raise ValueError("loss_rate must be within [0, 1]")
+        #: Time units each message takes before any link extra latency.
+        self.latency = LINK_LATENCY
+        self.loss_rate = float(loss_rate)
+        self._loss_rng = simulator.rng.stream("network") if self.loss_rate > 0.0 else None
         self._init_fabric(simulator)
         #: The open delivery batch and its engine event (closed once it fires).
         self._batch: Optional[list] = None
@@ -434,20 +359,19 @@ class Network(FaultInjectionSurface):
         message = Message(sender, recipient, kind, payload, size, simulator.now, trace)
         self.stats.record_sent(message)
 
-        rng = simulator.rng.stream("network")
         if recipient not in self._handlers:
             self._drop(message, "dead")
             return message
         if not self._same_partition(sender, recipient):
             self._drop(message, "partition")
             return message
-        if self._loss.is_lost(rng, message):
+        if self.loss_rate > 0.0 and self._loss_rng.random() < self.loss_rate:
             self._drop(message, "lost")
             return message
         extra_latency = self._link_fate(message)
         if extra_latency is None:
             return message
-        latency = self._latency.sample(rng, sender, recipient) + extra_latency
+        latency = self.latency + extra_latency
         event, at = self._batch_event, simulator.clock._now + latency
         if self._batch is not None and simulator._last is event and event.timestamp == at:
             self._batch.append(message)

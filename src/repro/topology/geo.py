@@ -3,9 +3,9 @@
 A :class:`GeoLinkProfile` is what the topology layer installs on a network
 fabric (``network.set_link_profile(profile)``).  Both fabrics consult it on
 their send paths: the effects of a message are those of the (unordered)
-domain pair of its endpoints — extra latency added on top of the base
-latency model, extra Bernoulli loss drawn from the profile's own named RNG
-stream.
+domain pair of its endpoints — extra latency added on top of the
+simulator's constant link latency (or the live wire's own), extra Bernoulli
+loss drawn from the profile's own named RNG stream.
 
 The profile is *physics installed at build time* and deliberately separate
 from the fault layer's global perturbation (``set_perturbation``): a

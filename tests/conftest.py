@@ -61,6 +61,30 @@ def result_sha(result) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def geo_network(simulator: Simulator, node_ids, loss_rate: float = 0.1) -> Network:
+    """A lossy network whose latency varies per link through a geo profile.
+
+    Three domains with distinct cross-domain latencies (one pair lossy too),
+    installed as the topology layer installs them: the program's only path
+    to per-link latency differences.  Traces over it exercise the network's
+    loss stream, the geo loss stream and more than one latency.
+    """
+    from repro.topology import GeoLinkProfile, TopologySpec, compile_domain_map
+
+    spec = TopologySpec(
+        domains=3,
+        cross_latency=0.15,
+        geo=(("d0", "d1", 0.05, 0.0), ("d1", "d2", 0.1, 0.2)),
+    )
+    network = Network(simulator, loss_rate=loss_rate)
+    network.set_link_profile(
+        GeoLinkProfile(
+            compile_domain_map(spec, node_ids), rng=simulator.rng.stream("topology-geo")
+        )
+    )
+    return network
+
+
 async def settle(predicate: Callable[[], object], timeout: float = 5.0) -> bool:
     """Let a live cluster run until ``predicate()`` holds; False on timeout.
 
@@ -92,10 +116,8 @@ def build_gossip_system(
     from repro.core import FairGossipSystem
     from repro.gossip import GossipSystem
     from repro.membership import cyclon_provider, full_membership_provider, lpbcast_provider
-    from repro.sim import BernoulliLoss, NoLoss
-
     simulator = Simulator(seed=seed)
-    net = Network(simulator, loss_model=BernoulliLoss(loss_rate) if loss_rate else NoLoss())
+    net = Network(simulator, loss_rate=loss_rate)
     node_ids = [f"node-{index}" for index in range(nodes)]
     if membership == "full":
         provider = full_membership_provider(net)

@@ -108,14 +108,10 @@ def production_run(kind, seed, fanout, loss=0.0, rounds=ROUNDS, publications=PUB
     from repro.gossip import eager_push_rounds, lazy_store_ids
     from repro.membership import full_membership_provider
     from repro.pubsub import TopicFilter
-    from repro.sim import BernoulliLoss, ConstantLatency, Network, NoLoss, Simulator
+    from repro.sim import Network, Simulator
 
     simulator = Simulator(seed=seed)
-    network = Network(
-        simulator,
-        latency_model=ConstantLatency(0.1),
-        loss_model=BernoulliLoss(loss) if loss else NoLoss(),
-    )
+    network = Network(simulator, loss_rate=loss)
     node_kwargs = {"fanout": fanout, "gossip_size": 64, "round_jitter": 0.0,
                    "buffer_capacity": 10_000, "buffer_max_rounds": 10_000}
     node_class = {"gossip": PushGossipNode, "pushpull-gossip": PushPullGossipNode,

@@ -60,13 +60,13 @@ from repro.registry import (
 from repro.runtime.host import NodeHost
 from repro.runtime.transport import MemoryTransport
 from repro.runtime.wire import decode_message, encode_message
-from repro.sim import BernoulliLoss, Network, Simulator, UniformLatency
+from repro.sim import Network, Simulator
 from repro.sim.network import Message
 from repro.sim.rng import RngRegistry
 from repro.telemetry.report import _recovery_table, load_artifact, render_snapshots
 from repro.telemetry.snapshot import TelemetrySnapshot
 from repro.workloads import TopicPopularity, TopicPublicationWorkload
-from tests.conftest import SMOKE_BROKERS_CONFIG_HASH, SMOKE_CONFIG_HASH, settle
+from tests.conftest import SMOKE_BROKERS_CONFIG_HASH, SMOKE_CONFIG_HASH, geo_network, settle
 
 
 def make_event(index: int = 0, topic: str = "news", size: int = 32) -> Event:
@@ -460,7 +460,7 @@ class TestEndToEndInvariants:
 
 
 def run_traced_lazy(seed: int) -> bytes:
-    """One small lazy run with stochastic latency AND loss, fully traced.
+    """One small lazy run with per-link latency AND loss, fully traced.
 
     Mirrors ``test_sim_determinism.run_traced_system``: byte-identical
     traces mean every RNG draw — gossip targets, digest phases, loss,
@@ -469,18 +469,14 @@ def run_traced_lazy(seed: int) -> bytes:
     import json
 
     simulator = Simulator(seed=seed)
-    network = Network(
-        simulator,
-        latency_model=UniformLatency(0.05, 0.25),
-        loss_model=BernoulliLoss(0.1),
-    )
+    node_ids = [f"n{i}" for i in range(12)]
+    network = geo_network(simulator, node_ids, loss_rate=0.1)
     trace = []
     network.add_delivery_hook(
         lambda message, delivered_at: trace.append(
             [message.sender, message.recipient, message.kind, message.sent_at, delivered_at]
         )
     )
-    node_ids = [f"n{i}" for i in range(12)]
     system = GossipSystem(
         simulator,
         network,
@@ -521,6 +517,13 @@ def run_traced_lazy(seed: int) -> bytes:
 class TestGoldenTraces:
     def test_same_seed_produces_byte_identical_traces(self):
         assert run_traced_lazy(5) == run_traced_lazy(5)
+
+    def test_loss_and_geo_latency_actually_drew(self):
+        import json
+
+        artifact = json.loads(run_traced_lazy(5))
+        assert artifact["stats"]["lost"] > 0
+        assert len({round(entry[4] - entry[3], 9) for entry in artifact["trace"]}) > 1
 
     def test_different_seed_changes_the_trace(self):
         assert run_traced_lazy(5) != run_traced_lazy(6)

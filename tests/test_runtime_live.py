@@ -103,6 +103,17 @@ class TestAsyncScheduler:
 
         run_async(scenario())
 
+    def test_nan_time_rejected(self):
+        async def scenario():
+            scheduler = AsyncScheduler(WallClock(time_scale=100.0))
+            with pytest.raises(SimulationError):
+                scheduler.schedule(float("nan"), lambda: None)
+            with pytest.raises(SimulationError):
+                scheduler.schedule_at(float("nan"), lambda: None)
+            assert not scheduler._events
+
+        run_async(scenario())
+
     def test_shutdown_cancels_everything(self):
         async def scenario():
             scheduler = AsyncScheduler(WallClock(time_scale=100.0))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import random
 
 import pytest
 
@@ -160,6 +161,13 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             simulator.schedule(-1.0, lambda: None)
 
+    def test_nan_time_rejected(self, simulator):
+        with pytest.raises(SimulationError):
+            simulator.schedule_at(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            simulator.schedule(float("nan"), lambda: None)
+        assert simulator.pending_events == 0
+
     def test_max_events_limits_execution(self, simulator):
         fired = []
         for index in range(10):
@@ -303,3 +311,35 @@ class TestPeriodicTimer:
         timer = simulator.schedule_periodic(1.0, lambda: None)
         with pytest.raises(SimulationError):
             timer.period = -1.0
+
+    def test_nan_period_and_jitter_rejected(self, simulator):
+        with pytest.raises(SimulationError):
+            PeriodicTimer(simulator, float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            PeriodicTimer(simulator, 1.0, lambda: None, jitter=float("nan"))
+        timer = simulator.schedule_periodic(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            timer.period = float("nan")
+        assert timer.period == 1.0
+
+    def test_jittered_timer_looks_up_its_stream_once(self, simulator, monkeypatch):
+        lookups = []
+        stream = RngRegistry.stream
+        monkeypatch.setattr(
+            RngRegistry, "stream", lambda self, name: lookups.append(name) or stream(self, name)
+        )
+        timer = simulator.schedule_periodic(1.0, lambda: None, jitter=0.2)
+        simulator.run(until=50.0)
+        assert timer.fire_count >= 40
+        assert lookups == ["periodic-timers"]
+
+    def test_jitter_draws_follow_the_named_stream(self, simulator):
+        ticks = []
+        simulator.schedule_periodic(1.0, lambda: ticks.append(simulator.now), jitter=0.2)
+        simulator.run(until=10.0)
+        reference = random.Random(derive_seed(42, "periodic-timers"))
+        expected, at = [], 0.0
+        for _ in ticks:
+            at += 1.0 + reference.uniform(0.0, 0.2)
+            expected.append(at)
+        assert ticks == pytest.approx(expected)

@@ -2,8 +2,8 @@
 
 The runtime-vs-simulator parity test (and the result cache, and the
 parallel executor) all lean on one discipline: a simulator run is a pure
-function of its master seed, *including* the per-message draws made by the
-``LatencyModel`` and ``LossModel`` inside ``repro.sim.network``.  These
+function of its master seed, *including* the per-message loss draws of
+``repro.sim.network.Network`` and of the topology's geo link profile.  These
 tests pin that property down at the byte level: two runs with the same seed
 must produce byte-identical traces; a different seed must not.
 """
@@ -18,25 +18,23 @@ from repro.experiments import ExperimentConfig, get_scenario, run_experiment
 from repro.faults import FaultPlan, FaultSpec
 from repro.gossip import GossipSystem
 from repro.pubsub import TopicFilter
-from repro.sim import BernoulliLoss, Network, Simulator, UniformLatency
+from repro.sim import Simulator
 from repro.workloads import TopicPopularity, TopicPublicationWorkload
-from tests.conftest import result_sha
+from tests.conftest import geo_network, result_sha
 
 
 def run_traced_system(seed: int) -> bytes:
-    """One small gossip run with stochastic latency AND loss, fully traced.
+    """One small gossip run with per-link latency AND loss, fully traced.
 
     The trace records every network-level delivery with its timestamps:
-    ``delivered_at - sent_at`` is the latency model's draw, and a message
-    missing from the trace is (among other causes) the loss model's draw —
-    so byte-identical traces imply identical RNG streams in both models.
+    ``delivered_at - sent_at`` is the link's latency (the constant plus the
+    geo profile's extra), and a message missing from the trace is (among
+    other causes) a loss draw of the network or of the geo profile — so
+    byte-identical traces imply identical RNG streams in both.
     """
     simulator = Simulator(seed=seed)
-    network = Network(
-        simulator,
-        latency_model=UniformLatency(0.05, 0.25),
-        loss_model=BernoulliLoss(0.1),
-    )
+    node_ids = [f"n{i}" for i in range(12)]
+    network = geo_network(simulator, node_ids, loss_rate=0.1)
     trace = []
     network.add_delivery_hook(
         lambda message, delivered_at: trace.append(
@@ -72,15 +70,16 @@ class TestSeedDeterminism:
     def test_same_seed_produces_byte_identical_traces(self):
         assert run_traced_system(seed=123) == run_traced_system(seed=123)
 
-    def test_loss_and_latency_models_actually_drew(self):
-        # Guard against the test silently passing on a run where the
-        # stochastic models were never exercised.
+    def test_loss_and_geo_latency_actually_drew(self):
+        # Guard against the test silently passing on a run where neither
+        # loss nor the per-link latencies were ever exercised.
         artifact = json.loads(run_traced_system(seed=123))
         assert artifact["stats"]["lost"] > 0
         latencies = {
             round(entry[4] - entry[3], 9) for entry in artifact["trace"]
         }
-        assert len(latencies) > 10  # uniform draws, not a constant
+        # Intra-domain 0.1, then d0-d1 0.15, d0-d2 0.25, d1-d2 0.2.
+        assert latencies == {0.1, 0.15, 0.2, 0.25}
 
     def test_different_seed_changes_the_trace(self):
         assert run_traced_system(seed=123) != run_traced_system(seed=124)

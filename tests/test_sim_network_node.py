@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import asdict
 from functools import partial
 
@@ -10,16 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import (
-    BernoulliLoss,
-    ConstantLatency,
-    LogNormalLatency,
     Message,
     Network,
-    NoLoss,
     Process,
     ProcessRegistry,
+    RngRegistry,
     Simulator,
-    UniformLatency,
+    derive_seed,
 )
 
 
@@ -48,7 +46,8 @@ def make_pair(simulator, network):
 
 class TestNetwork:
     def test_message_is_delivered_after_latency(self, simulator):
-        network = Network(simulator, latency_model=ConstantLatency(0.5))
+        network = Network(simulator)
+        network.latency = 0.5
         a, b = make_pair(simulator, network)
         a.send("b", "ping", payload={"n": 1})
         simulator.run()
@@ -73,7 +72,7 @@ class TestNetwork:
         assert network.stats.delivered == 0
 
     def test_loss_model_drops_fraction(self, simulator):
-        network = Network(simulator, loss_model=BernoulliLoss(1.0))
+        network = Network(simulator, loss_rate=1.0)
         a, b = make_pair(simulator, network)
         for _ in range(10):
             a.send("b", "ping")
@@ -82,7 +81,7 @@ class TestNetwork:
         assert b.received == []
 
     def test_no_loss_delivers_everything(self, simulator):
-        network = Network(simulator, loss_model=NoLoss())
+        network = Network(simulator)
         a, b = make_pair(simulator, network)
         for _ in range(10):
             a.send("b", "ping")
@@ -119,21 +118,41 @@ class TestNetwork:
         simulator.run()
         assert seen and seen[0][0] == "ping"
 
-    def test_latency_models_produce_values_in_range(self, simulator):
-        rng = simulator.rng.stream("latency-test")
-        uniform = UniformLatency(0.1, 0.2)
-        lognormal = LogNormalLatency(median=0.1, sigma=0.3, cap=1.0)
-        for _ in range(100):
-            assert 0.1 <= uniform.sample(rng, "a", "b") <= 0.2
-            assert 0.0 < lognormal.sample(rng, "a", "b") <= 1.0
+    def test_latency_model_validation(self, simulator):
+        for loss_rate in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="loss_rate must be within"):
+                Network(simulator, loss_rate=loss_rate)
 
-    def test_latency_model_validation(self):
-        with pytest.raises(ValueError):
-            ConstantLatency(-1.0)
-        with pytest.raises(ValueError):
-            UniformLatency(0.5, 0.1)
-        with pytest.raises(ValueError):
-            BernoulliLoss(1.5)
+    def test_lossless_network_looks_up_no_stream(self, simulator, monkeypatch):
+        network = Network(simulator)
+        a, b = make_pair(simulator, network)
+        lookups = []
+        stream = RngRegistry.stream
+        monkeypatch.setattr(
+            RngRegistry, "stream", lambda self, name: lookups.append(name) or stream(self, name)
+        )
+        for index in range(50):
+            a.send("b", "ping", payload=index)
+        simulator.run()
+        assert len(b.received) == 50
+        assert lookups == []
+
+    def test_lossy_network_draws_once_per_message_reaching_the_loss_check(self, simulator):
+        network = Network(simulator, loss_rate=0.3)
+        a, b = make_pair(simulator, network)
+        reference = random.Random(derive_seed(42, "network"))
+        expected = []
+        for index in range(200):
+            if index % 5 == 0:
+                a.send("ghost", "ping", payload=index)  # dropped before the check
+            else:
+                a.send("b", "ping", payload=index)
+                if not reference.random() < 0.3:
+                    expected.append(index)
+        simulator.run()
+        assert [message.payload for message in b.received] == expected
+        assert network.stats.lost == 160 - len(expected)
+        assert simulator.rng.stream("network").getstate() == reference.getstate()
 
     def test_set_alive_unknown_node_raises(self, network):
         with pytest.raises(KeyError):
@@ -147,20 +166,20 @@ class ReferenceNetwork(Network):
         simulator = self.simulator
         message = Message(sender, recipient, kind, payload, size, simulator.now, trace)
         self.stats.record_sent(message)
-        rng = simulator.rng.stream("network")
         if recipient not in self._handlers:
             self._drop(message, "dead")
             return message
         if not self._same_partition(sender, recipient):
             self._drop(message, "partition")
             return message
-        if self._loss.is_lost(rng, message):
+        # A lookup per message: the network's once-bound stream must draw the same.
+        if self.loss_rate > 0.0 and simulator.rng.stream("network").random() < self.loss_rate:
             self._drop(message, "lost")
             return message
         extra_latency = self._link_fate(message)
         if extra_latency is None:
             return message
-        latency = self._latency.sample(rng, sender, recipient) + extra_latency
+        latency = self.latency + extra_latency
         simulator.schedule(latency, partial(self._deliver, message), "deliver:" + kind)
         return message
 
@@ -205,9 +224,8 @@ class ScriptNode(Process):
 def run_script(network_cls, latency, lossy, geo, script):
     """Play ``script`` on a fresh engine; returns what an observer can see."""
     simulator = Simulator(seed=11)
-    network = network_cls(
-        simulator, latency_model=latency, loss_model=BernoulliLoss(0.2) if lossy else NoLoss()
-    )
+    network = network_cls(simulator, loss_rate=0.2 if lossy else 0.0)
+    network.latency = latency
     if geo:
         network.set_link_profile(SlowUpLinks(simulator.rng.stream("geo")))
     log = []
@@ -226,10 +244,9 @@ def run_script(network_cls, latency, lossy, geo, script):
                 for recipient in recipients:
                     nodes[sender].send(recipient, kind, (next(tags), 0))
             elif verb == "callback":
-                # Due exactly when a ConstantLatency message sent now arrives.
+                # Due exactly when a message sent now on an unperturbed link arrives.
                 tag = next(tags)
-                due = getattr(latency, "latency", 0.1)
-                simulator.schedule(due, lambda tag=tag: log.append((simulator.now, "callback", tag)))
+                simulator.schedule(latency, lambda tag=tag: log.append((simulator.now, "callback", tag)))
             elif verb == "crash":
                 nodes[action[1]].crash()
             elif verb == "recover":
@@ -273,7 +290,7 @@ SCRIPTS = st.lists(
     min_size=1,
     max_size=8,
 )
-LATENCIES = st.sampled_from([ConstantLatency(0.0), ConstantLatency(0.1), UniformLatency(0.0, 0.2)])
+LATENCIES = st.sampled_from([0.0, 0.1])
 
 
 class TestDeliveryBatches:
@@ -287,13 +304,13 @@ class TestDeliveryBatches:
     @given(LATENCIES, st.booleans(), st.booleans(), SCRIPTS)
     # A callback queued between two sends of one step must split their batch.
     @example(
-        ConstantLatency(0.1), False, False,
+        0.1, False, False,
         [(0.0, True, [("send", "n0", ["n1"], "data"), ("callback",), ("send", "n0", ["n2"], "data")])],
     )
     # A batch that has delivered takes no more messages, even for its instant
     # with nothing queued since.
     @example(
-        ConstantLatency(0.0), False, False,
+        0.0, False, False,
         [(0.0, False, [("send", "n0", ["n1"], "data")]), (0.0, False, [("send", "n0", ["n2"], "data")])],
     )
     def test_batching_matches_one_event_per_message(self, latency, lossy, geo, script):
@@ -305,7 +322,7 @@ class TestDeliveryBatches:
 
     def test_a_fan_out_is_one_engine_event(self):
         script = [(0.0, True, [("send", "n0", ["n1", "n2", "n3", "n4"], "data")])]
-        log, _, events = run_script(Network, ConstantLatency(0.1), False, False, script)
+        log, _, events = run_script(Network, 0.1, False, False, script)
         assert [entry[1] for entry in log if entry[0] != "hook"] == ["n1", "n2", "n3", "n4"]
         assert events == 2  # the step, then one batch
 

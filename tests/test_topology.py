@@ -318,6 +318,15 @@ class TestPerturbationPaths:
             validate_link_perturbation(0.0, 0.5, None)
         validate_link_perturbation(1.0, 0.0, None)  # lossless needs no rng
 
+    def test_nan_perturbation_rejected(self):
+        _, network = self._network()
+        with pytest.raises(ValueError, match="extra_latency must be non-negative"):
+            validate_link_perturbation(float("nan"), 0.0, None)
+        with pytest.raises(ValueError, match="extra_latency must be non-negative"):
+            network.set_perturbation(extra_latency=float("nan"))
+        with pytest.raises(ValueError, match="loss_rate must be within"):
+            validate_link_perturbation(0.0, float("nan"), None)
+
     def test_clear_perturbation_leaves_geo_link_profile_installed(self):
         from repro.topology import GeoLinkProfile
 
