@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test startup-smoke bench bench-smoke bench-metrics bench-faults bench-lazy bench-trace bench-domains bench-campaign bench-scale bench-scale-quick perfbench perfbench-quick serve-smoke loadgen-smoke serve-scenario-smoke registry-smoke report-smoke parity-smoke fault-smoke lazy-smoke trace-smoke domains-smoke campaign-smoke fingerprint clean-cache
+.PHONY: test startup-smoke bench bench-smoke bench-metrics bench-faults bench-lazy bench-trace bench-domains bench-campaign bench-scale bench-scale-quick perfbench perfbench-quick rss-ab serve-smoke loadgen-smoke serve-scenario-smoke registry-smoke report-smoke parity-smoke fault-smoke lazy-smoke trace-smoke domains-smoke campaign-smoke fingerprint clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -199,6 +199,18 @@ perfbench:
 perfbench-quick:
 	$(PYTHON) -m pytest perfbench/tests -q
 	$(PYTHON) perfbench/run.py --quick --traced --reps 1
+
+# Peak RSS of one perfbench workload against another checkout (a git clone
+# of the parent): N alternating pairs of `perfbench/run.py --trace 0`, each
+# side's median and quartiles, and how many pairs this checkout won (~40 s a
+# pair).  make rss-ab PARENT=<dir> W=sim-structured SEED=4099 N=10
+W ?= sim-structured
+SEED ?= 4099
+N ?= 10
+
+rss-ab:
+	test -n "$(PARENT)" || { echo "usage: make rss-ab PARENT=<checkout> [W=...] [SEED=...] [N=...]"; exit 2; }
+	$(PYTHON) benchmarks/rss_ab.py --parent $(PARENT) --workload $(W) --seed $(SEED) --pairs $(N)
 
 # Behaviour fingerprint (~8 s): the --json / --telemetry / --trace files of
 # six scenarios (gossip, lazy recovery under loss, domains, expressive

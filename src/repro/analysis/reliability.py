@@ -109,10 +109,12 @@ def measure_reliability(
     total_interested = 0
     total_delivered = 0
     for event in published_events:
-        interested = subscriptions.interested_nodes(event)
-        records = delivery_log.deliveries_of_event(event.event_id)
-        delivered_nodes = {record.node_id for record in records}
-        delivered_interested = len(delivered_nodes & set(interested))
+        interested = set(subscriptions.interested_nodes(event))
+        delivered_interested = 0
+        for node_id, latency in delivery_log.event_latencies(event.event_id):
+            if node_id in interested:
+                delivered_interested += 1
+                latencies.append(latency)
         per_event.append(
             EventReliability(
                 event_id=event.event_id,
@@ -122,7 +124,6 @@ def measure_reliability(
         )
         total_interested += len(interested)
         total_delivered += delivered_interested
-        latencies.extend(record.latency for record in records if record.node_id in interested)
 
     delivery_ratio = 1.0 if total_interested == 0 else total_delivered / total_interested
     complete_fraction = (

@@ -79,6 +79,9 @@ class DamNode(Participant):
         self.subscribed_topics: Set[str] = set()
         #: Topics whose group this node belongs to (subscriptions + delegate duties).
         self.group_topics: Set[str] = set()
+        #: Bound on the first spread: a node outside every group never
+        #: spreads and so never pays for a stream.
+        self._rng = None
 
     # ------------------------------------------------------------ user API
 
@@ -130,7 +133,9 @@ class DamNode(Participant):
         if topic in self.subscribed_topics:
             self.deliver(event)
         members = self.system.group_members(topic)
-        rng = self.simulator.rng.stream(f"dam:{self.node_id}")
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self.simulator.rng.stream(f"dam:{self.node_id}")
         at = bisect_left(members, self.node_id)
         candidates = members[:at] + members[at + 1 :] if members[at : at + 1] == [self.node_id] else members
         if not candidates:

@@ -109,8 +109,8 @@ def _telemetry_collector(simulator, system, policy, telemetry: Telemetry):
     no RNG draws, no scheduling — so enabling telemetry cannot perturb the
     simulation (the determinism contract of ``docs/ARCHITECTURE.md``).
     Delivery latencies stream incrementally into the bounded
-    ``sim.delivery_latency`` histogram (each tick only ingests records that
-    arrived since the previous tick).
+    ``sim.delivery_latency`` histogram (each tick only ingests deliveries
+    that arrived since the previous tick).
 
     Under a multi-domain topology (``system.topology``) every delivery also
     lands in a ``domain=``-tagged ``sim.delivery_latency`` histogram.  The
@@ -130,15 +130,14 @@ def _telemetry_collector(simulator, system, policy, telemetry: Telemetry):
 
     def collect() -> None:
         nonlocal consumed
-        records = system.delivery_log.ordered_records()
-        for index in range(consumed, len(records)):
-            record = records[index]
-            latency_histogram.observe(record.latency)
+        log = system.delivery_log
+        for node_id, latency in log.latencies_since(consumed):
+            latency_histogram.observe(latency)
             if domain_histograms:
-                domain = topology.domain(record.node_id)
+                domain = topology.domain(node_id)
                 if domain is not None:
-                    domain_histograms[domain].observe(record.latency)
-        consumed = len(records)
+                    domain_histograms[domain].observe(latency)
+        consumed = log.total_deliveries()
         totals = system.ledger.totals()
         total_messages = (
             totals.gossip_messages_sent

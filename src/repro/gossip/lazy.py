@@ -291,8 +291,7 @@ class LazyPushGossipNode(PushGossipNode):
             return sender
         if not self._pull_candidates:
             return sender if sender != self.node_id else None
-        rng = self.simulator.rng.stream(f"gossip:{self.node_id}")
-        return rng.choice(self._pull_candidates)
+        return self._rng.choice(self._pull_candidates)
 
     # ----------------------------------------------------------- event state
 

@@ -199,6 +199,9 @@ class PushGossipNode(Participant):
         self.buffer = EventBuffer(capacity=buffer_capacity, max_rounds=buffer_max_rounds)
         self.rounds_executed = 0
         self.deliveries_this_window = 0
+        #: Partner and event selection draw every round, so the stream is
+        #: bound up front.
+        self._rng = simulator.rng.stream(f"gossip:{node_id}")
         #: Optional audit sink (see :mod:`repro.core.bias`); receivers report
         #: how useful each sender's forwards were, which the bias detector
         #: uses to spot peers inflating their contribution with stale events.
@@ -322,8 +325,7 @@ class PushGossipNode(Participant):
         fanout = self.current_fanout()
         if fanout <= 0:
             return [], None
-        rng = self.simulator.rng.stream(f"gossip:{self.node_id}")
-        return self.select_participants(fanout, rng), rng
+        return self.select_participants(fanout, self._rng), self._rng
 
     def push_events(self, partners: Sequence[str], events: Sequence[Event], kind: str) -> None:
         """Eagerly push ``events`` (with the lpbcast digest, if any) to every partner."""

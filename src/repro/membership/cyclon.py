@@ -67,6 +67,8 @@ class CyclonMembership(MembershipComponent):
         self.shuffles_initiated = 0
         self.shuffles_answered = 0
         self._pending_sent: Optional[Tuple[str, Tuple[NodeDescriptor, ...]]] = None
+        #: Every node shuffles every round, so the stream is bound up front.
+        self._rng = owner.simulator.rng.stream(f"cyclon:{owner.node_id}")
 
     # ----------------------------------------------------------- bootstrap
 
@@ -87,8 +89,7 @@ class CyclonMembership(MembershipComponent):
         # The target's descriptor is removed optimistically; it comes back
         # fresh if the target answers, and stays out if it is dead.
         self.view.remove(target)
-        rng = self.owner.simulator.rng.stream(f"cyclon:{self.owner.node_id}")
-        subset = self.view.sample_descriptors(rng, self.shuffle_size - 1)
+        subset = self.view.sample_descriptors(self._rng, self.shuffle_size - 1)
         offered = tuple(subset) + (NodeDescriptor(node_id=self.owner.node_id, age=0),)
         self._pending_sent = (target, offered)
         self.shuffles_initiated += 1
@@ -107,8 +108,7 @@ class CyclonMembership(MembershipComponent):
 
     def _handle_request(self, message: Message) -> None:
         payload: ShufflePayload = message.payload
-        rng = self.owner.simulator.rng.stream(f"cyclon:{self.owner.node_id}")
-        answer = tuple(self.view.sample_descriptors(rng, self.shuffle_size))
+        answer = tuple(self.view.sample_descriptors(self._rng, self.shuffle_size))
         self.shuffles_answered += 1
         self.owner.send(
             message.sender, SHUFFLE_REPLY, payload=ShufflePayload(answer), size=max(len(answer), 1)

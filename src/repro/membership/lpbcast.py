@@ -52,6 +52,8 @@ class LpbcastMembership(MembershipComponent):
         self.view = PartialView(owner.node_id, capacity=view_size)
         self.digest_size = digest_size
         self.standalone_refresh = standalone_refresh
+        #: Every gossip message and refresh round draws, so it is bound up front.
+        self._rng = owner.simulator.rng.stream(f"lpbcast:{owner.node_id}")
         self.digests_sent = 0
         self.digests_absorbed = 0
 
@@ -63,8 +65,7 @@ class LpbcastMembership(MembershipComponent):
 
     def digest_for_gossip(self) -> MembershipDigest:
         """Descriptors to attach to the next outgoing gossip message."""
-        rng = self.owner.simulator.rng.stream(f"lpbcast:{self.owner.node_id}")
-        sample = self.view.sample_descriptors(rng, self.digest_size - 1)
+        sample = self.view.sample_descriptors(self._rng, self.digest_size - 1)
         self.digests_sent += 1
         return MembershipDigest(
             descriptors=tuple(sample) + (NodeDescriptor(node_id=self.owner.node_id, age=0),)
@@ -73,7 +74,6 @@ class LpbcastMembership(MembershipComponent):
     def absorb_digest(self, digest: MembershipDigest) -> None:
         """Merge a digest found on an incoming gossip message."""
         self.digests_absorbed += 1
-        rng = self.owner.simulator.rng.stream(f"lpbcast:{self.owner.node_id}")
         for descriptor in digest.descriptors:
             if descriptor.node_id == self.owner.node_id:
                 continue
@@ -82,7 +82,7 @@ class LpbcastMembership(MembershipComponent):
                 # entry to make room, keeping the view well mixed.
                 victims = self.view.node_ids()
                 if victims:
-                    self.view.remove(rng.choice(victims))
+                    self.view.remove(self._rng.choice(victims))
             self.view.add(descriptor.refreshed())
 
     # --------------------------------------------------- standalone traffic
@@ -92,8 +92,7 @@ class LpbcastMembership(MembershipComponent):
         if not self.standalone_refresh:
             return
         self.view.age_all()
-        rng = self.owner.simulator.rng.stream(f"lpbcast:{self.owner.node_id}")
-        targets = self.view.sample(rng, 1)
+        targets = self.view.sample(self._rng, 1)
         if not targets:
             return
         digest = self.digest_for_gossip()

@@ -12,7 +12,9 @@ and every one of them is a set of participants sharing a work ledger, a
 delivery log and a subscription table.  That scaffolding lives here, once:
 
 * :class:`DeliveryLog` is the single record of deliveries: the analysis
-  layer reads it, and it is the at-most-once check of ``DELIVER(e)``;
+  layer reads it, and it is the at-most-once check of ``DELIVER(e)``.  It
+  keeps each delivery as one row of numbers in ``array`` columns and builds
+  a :class:`DeliveryRecord` only when a reader asks for one;
 * :class:`Participant` is the process every node class extends: it holds the
   shared ledger and log, the application callbacks, and the at-most-once
   ``DELIVER(e)`` path;
@@ -26,8 +28,11 @@ delivery log and a subscription table.  That scaffolding lives here, once:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from itertools import islice
+from operator import sub
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.accounting import WorkLedger
 from ..sim.node import Process, ProcessRegistry
@@ -68,74 +73,158 @@ class DeliveryLog:
     The log answers both per-node questions (how many events did ``p``
     deliver — the *benefit* term of Figures 1–3) and per-event questions
     (which interested nodes delivered ``e`` — the reliability measure of the
-    Figure 4 experiments).  Each delivery is stored once: the ``event -> node
-    -> record`` index is also :meth:`Participant.deliver`'s at-most-once check.
+    Figure 4 experiments).  It is also :meth:`Participant.deliver`'s
+    at-most-once check.
+
+    A delivery is one row of numbers, not an object: the node's number, the
+    event's number (from :attr:`event_numbers`), the delivery and the
+    publication time, and the next row of the same event, each in its own
+    ``array`` column.  The publication time is kept per row because one id
+    can reach the log with two times (an event published twice, a frame
+    that differs from the event the process already holds).  A per-node
+    bitmap, one bit per event number, answers "delivered already?", and the
+    first and last row per event number thread each event's rows.  Readers
+    get :class:`DeliveryRecord` rows built when read (:meth:`ordered_records`,
+    :meth:`deliveries_of_event`) or ``(node id, latency)`` pairs straight
+    from the columns (:meth:`latencies_since`, :meth:`event_latencies`).
     """
 
     def __init__(self) -> None:
-        self._by_event: Dict[str, Dict[str, DeliveryRecord]] = {}
-        self._ordered: List[DeliveryRecord] = []
-        self._counts: Dict[str, int] = {}
         #: event id -> its number, in first-sight order: the index into the
-        #: seen map of every participant that shares this log.
+        #: seen map of every participant that shares this log, and into the
+        #: per-event columns here.  Numbers are dense: an id's number is the
+        #: count of ids before it.
         self.event_numbers: Dict[str, int] = {}
+        self._event_ids: List[str] = []
+        self._node_numbers: Dict[str, int] = {}
+        self._node_ids: List[str] = []
+        self._delivered: List[bytearray] = []
+        self._counts = array("i")
+        self._first = array("i")
+        self._last = array("i")
+        self._row_node = array("i")
+        self._row_event = array("i")
+        self._row_at = array("d")
+        self._row_published = array("d")
+        self._row_next = array("i")
 
-    def record(self, node_id: str, event: Event, delivered_at: float) -> Optional[DeliveryRecord]:
-        """Record a delivery; duplicate (node, event) pairs are ignored."""
-        by_node = self._by_event.setdefault(event.event_id, {})
-        if node_id in by_node:
-            return None
-        record = by_node[node_id] = DeliveryRecord(
-            node_id, event.event_id, delivered_at, event.published_at
-        )
-        self._ordered.append(record)
-        self._counts[node_id] = self._counts.get(node_id, 0) + 1
-        return record
+    def record(self, node_id: str, event: Event, delivered_at: float) -> bool:
+        """Record a delivery; False (and nothing recorded) for a repeated pair."""
+        node = self._node_numbers.get(node_id)
+        if node is None:
+            node = self._node_numbers[node_id] = len(self._node_ids)
+            self._node_ids.append(node_id)
+            self._delivered.append(bytearray())
+            self._counts.append(0)
+        numbers = self.event_numbers
+        number = numbers.setdefault(event.event_id, len(numbers))
+        bits, byte, mask = self._delivered[node], number >> 3, 1 << (number & 7)
+        if byte >= len(bits):
+            bits.extend(bytes(byte + 1 - len(bits)))
+        elif bits[byte] & mask:
+            return False
+        bits[byte] |= mask
+        self._counts[node] += 1
+        row = len(self._row_node)
+        self._row_node.append(node)
+        self._row_event.append(number)
+        self._row_at.append(delivered_at)
+        self._row_published.append(event.published_at)
+        self._row_next.append(-1)
+        first, last = self._first, self._last
+        if number >= len(first):
+            unset = array("i", [-1]) * (number + 1 - len(first))
+            first.extend(unset)
+            last.extend(unset)
+        if first[number] < 0:
+            first[number] = row
+        else:
+            self._row_next[last[number]] = row
+        last[number] = row
+        return True
 
     def ordered_records(self) -> Sequence[DeliveryRecord]:
-        """Every record in arrival order (read-only view, do not mutate).
+        """Every delivery in arrival order, as a read-only live view.
 
-        Incremental consumers — the telemetry collector streaming latencies
-        into a histogram mid-run — remember how far they read and index from
-        there, so each tick costs O(new records), not O(all records).
+        Each item is a :class:`DeliveryRecord` built when it is read; the
+        view's length follows the log as it grows.
         """
-        return self._ordered
-
-    def delivered(self, node_id: str, event_id: str) -> bool:
-        """Whether the node has delivered the event."""
-        return node_id in self._by_event.get(event_id, ())
-
-    def deliveries_by_node(self, node_id: str) -> List[DeliveryRecord]:
-        """All deliveries performed by a node, in arrival order (a scan)."""
-        return [record for record in self._ordered if record.node_id == node_id]
+        return _DeliveryRows(self)
 
     def deliveries_of_event(self, event_id: str) -> List[DeliveryRecord]:
         """All deliveries of one event across the system, in arrival order."""
-        return list(self._by_event.get(event_id, {}).values())
+        return [self._record_at(row) for row in self._rows_of(event_id)]
+
+    def latencies_since(self, start: int) -> Iterator[Tuple[str, float]]:
+        """``(node id, latency)`` of every delivery from arrival index ``start`` on.
+
+        Incremental consumers — the telemetry collector streaming latencies
+        into a histogram mid-run — remember how far they read and pass that
+        index, so each tick costs O(new deliveries), not O(all deliveries).
+        """
+        end = len(self._row_node)
+        return zip(
+            map(self._node_ids.__getitem__, self._row_node[start:end]),
+            map(sub, self._row_at[start:end], self._row_published[start:end]),
+        )
+
+    def event_latencies(self, event_id: str) -> Iterator[Tuple[str, float]]:
+        """``(node id, latency)`` of every delivery of one event, in arrival order."""
+        node_ids, row_node = self._node_ids, self._row_node
+        at, published = self._row_at, self._row_published
+        return (
+            (node_ids[row_node[row]], at[row] - published[row])
+            for row in self._rows_of(event_id)
+        )
 
     def delivery_count(self, node_id: str) -> int:
         """Number of events delivered by a node (the benefit numerator)."""
-        return self._counts.get(node_id, 0)
-
-    def nodes(self) -> List[str]:
-        """Nodes that delivered at least one event (sorted)."""
-        return sorted(self._counts)
-
-    def event_ids(self) -> List[str]:
-        """Ids of events delivered at least once (sorted)."""
-        return sorted(self._by_event)
+        node = self._node_numbers.get(node_id)
+        return 0 if node is None else self._counts[node]
 
     def total_deliveries(self) -> int:
         """Total number of (node, event) deliveries."""
-        return len(self._ordered)
+        return len(self._row_node)
 
-    def latencies(self) -> List[float]:
-        """Latency of every delivery, in no particular order."""
-        return [
-            record.delivered_at - record.published_at
-            for by_node in self._by_event.values()
-            for record in by_node.values()
-        ]
+    def _rows_of(self, event_id: str) -> Iterator[int]:
+        number = self.event_numbers.get(event_id)
+        row = self._first[number] if number is not None and number < len(self._first) else -1
+        next_row = self._row_next
+        while row >= 0:
+            yield row
+            row = next_row[row]
+
+    def _record_at(self, row: int) -> DeliveryRecord:
+        number = self._row_event[row]
+        event_ids = self._event_ids
+        if number >= len(event_ids):
+            event_ids.extend(islice(self.event_numbers, len(event_ids), None))
+        return DeliveryRecord(
+            self._node_ids[self._row_node[row]],
+            event_ids[number],
+            self._row_at[row],
+            self._row_published[row],
+        )
+
+
+class _DeliveryRows(Sequence[DeliveryRecord]):
+    """The rows of a :class:`DeliveryLog` in arrival order; it cannot be assigned to."""
+
+    __slots__ = ("_log",)
+
+    def __init__(self, log: DeliveryLog) -> None:
+        self._log = log
+
+    def __len__(self) -> int:
+        return self._log.total_deliveries()
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._log._record_at(row) for row in range(*index.indices(len(self)))]
+        return self._log._record_at(index)
+
+    def __iter__(self) -> Iterator[DeliveryRecord]:
+        return map(self._log._record_at, range(len(self)))
 
 
 class Participant(Process):
@@ -187,7 +276,7 @@ class Participant(Process):
         A first delivery is the receiver's benefit in the ledger, one record
         in the delivery log, and one call of every application callback.
         """
-        if self.delivery_log.record(self.node_id, event, delivered_at=self.simulator.now) is None:
+        if not self.delivery_log.record(self.node_id, event, delivered_at=self.simulator.now):
             return False
         self.ledger.record_delivery(self.node_id)
         for callback in self._callbacks:

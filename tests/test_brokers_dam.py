@@ -39,7 +39,7 @@ class TestBrokerSystem:
         system.subscribe(ids[1], ContentFilter.build(category="energy"))
         system.publish(ids[2], category="metals", level=5)
         simulator.run(until=simulator.now + 5)
-        assert system.delivery_log.nodes() == [ids[0]]
+        assert sorted({record.node_id for record in system.delivery_log.ordered_records()}) == [ids[0]]
 
     def test_cross_broker_forwarding(self):
         system, simulator, ids = self.build(count=10, brokers=2, seed=32)
@@ -85,7 +85,7 @@ class TestBrokerSystem:
         event = system.publish(ids[0], topic=5)
         simulator.run(until=simulator.now + 5)
         assert system.interested_nodes(event) == [ids[2], ids[3]]
-        assert system.delivery_log.nodes() == system.interested_nodes(event)
+        assert sorted({record.node_id for record in system.delivery_log.ordered_records()}) == system.interested_nodes(event)
 
     def test_brokers_carry_nearly_all_contribution(self):
         system, simulator, ids = self.build(count=30, brokers=2, seed=35)
@@ -153,11 +153,7 @@ class TestDataAwareMulticast:
             simulator.run(until=simulator.now + 0.5)
         simulator.run(until=simulator.now + 10)
         football_subscribers = {ids[index] for index in range(0, 20, 2)}
-        delivered = {
-            record.node_id
-            for event_id in system.delivery_log.event_ids()
-            for record in system.delivery_log.deliveries_of_event(event_id)
-        }
+        delivered = {record.node_id for record in system.delivery_log.ordered_records()}
         assert delivered.issubset(football_subscribers)
         assert len(delivered) >= 0.8 * len(football_subscribers)
 

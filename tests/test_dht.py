@@ -245,11 +245,8 @@ class TestScribeSystem:
     def test_all_subscribers_deliver(self):
         system, simulator, ids = self.build()
         run_topic_workload(system, simulator, ids)
-        # every subscriber of topic t delivers every event on t: 32/4 subs * 24/4... compute via oracle
-        expected = 0
-        for event in system.delivery_log.event_ids():
-            pass
-        # Use the subscription table oracle directly.
+        # Every subscriber of a topic delivers every event on it: 24 events,
+        # 32 // 4 subscribers per topic.
         assert system.delivery_log.total_deliveries() == 24 * (32 // 4)
 
     def test_non_subscribers_do_not_deliver(self):
@@ -257,7 +254,7 @@ class TestScribeSystem:
         system.subscribe(ids[0], TopicFilter("only"))
         system.publish(ids[5], topic="only")
         simulator.run(until=simulator.now + 10)
-        assert system.delivery_log.nodes() == [ids[0]]
+        assert sorted({record.node_id for record in system.delivery_log.ordered_records()}) == [ids[0]]
 
     def test_interior_nodes_forward_without_interest(self):
         system, simulator, ids = self.build(count=48, seed=7)
@@ -368,7 +365,7 @@ class TestDksSystem:
         system.subscribe(ids[1], TopicFilter("t"))
         system.publish(ids[0], topic="t")
         simulator.run(until=simulator.now + 10)
-        assert system.delivery_log.nodes() == [ids[1]]
+        assert sorted({record.node_id for record in system.delivery_log.ordered_records()}) == [ids[1]]
 
     def test_coordinator_carries_dispatch_load(self):
         system, simulator, ids = self.build(count=32, seed=18)

@@ -136,8 +136,9 @@ def production_run(kind, seed, fanout, loss=0.0, rounds=ROUNDS, publications=PUB
             event_id: frozenset(n for n in NODES if system.node(n).has_seen(event_id))
             for event_id in topic_of
         })
+    records = system.delivery_log.ordered_records()
     delivered = {
-        node: {record.event_id for record in system.delivery_log.deliveries_by_node(node)}
+        node: {record.event_id for record in records if record.node_id == node}
         for node in NODES
     }
     stores = lazy_store_ids(NODES, 0.5) if kind == "lazy-push" else ()

@@ -31,11 +31,9 @@ class TestPushGossipDissemination:
             system.subscribe(f"node-{index}", TopicFilter(topic))
         system.publish("node-0", topic="news")
         system.run(until=15.0)
+        records = system.delivery_log.ordered_records()
         delivered_nodes = {
-            record.node_id
-            for record in system.delivery_log.deliveries_of_event(
-                system.delivery_log.event_ids()[0]
-            )
+            record.node_id for record in records if record.event_id == records[0].event_id
         }
         assert delivered_nodes == {f"node-{index}" for index in range(0, 20, 2)}
 
@@ -59,8 +57,8 @@ class TestPushGossipDissemination:
         for node_id in system.node_ids():
             deliveries = [
                 record
-                for record in system.delivery_log.deliveries_by_node(node_id)
-                if record.event_id == event.event_id
+                for record in system.delivery_log.ordered_records()
+                if record.node_id == node_id and record.event_id == event.event_id
             ]
             assert len(deliveries) <= 1
 
@@ -122,9 +120,13 @@ class TestPushGossipDissemination:
         system = build_gossip_system(nodes=15, seed=9)
         subscribe_everyone(system)
         system.node("node-5").crash()
-        system.publish("node-0", topic="news")
+        event = system.publish("node-0", topic="news")
         system.run(until=15.0)
-        assert not system.delivery_log.delivered("node-5", system.delivery_log.event_ids()[0])
+        delivered = {
+            (record.node_id, record.event_id)
+            for record in system.delivery_log.ordered_records()
+        }
+        assert ("node-5", event.event_id) not in delivered
         assert system.delivery_log.total_deliveries() == 14
 
     def test_content_filter_subscription(self):

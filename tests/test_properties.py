@@ -405,7 +405,11 @@ class TestLazyBroadcastProperties:
             assert len(node.store) <= node.store_capacity
             if not node.is_store:
                 assert not node.store
-            records = node.delivery_log.deliveries_by_node(node.node_id)
+            records = [
+                record
+                for record in node.delivery_log.ordered_records()
+                if record.node_id == node.node_id
+            ]
             assert len(records) == len({record.event_id for record in records})
         # Every served pull answers an issued one, and pulls only exist
         # where digests circulate.

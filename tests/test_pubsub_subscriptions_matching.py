@@ -241,10 +241,12 @@ class TestDeliveryLog:
     def test_records_and_deduplicates(self):
         log = DeliveryLog()
         event = make_event()
-        assert log.record("a", event, delivered_at=2.0) is not None
-        assert log.record("a", event, delivered_at=3.0) is None
+        assert log.record("a", event, delivered_at=2.0) is True
+        assert log.record("a", event, delivered_at=3.0) is False
         assert log.delivery_count("a") == 1
-        assert log.delivered("a", "e1")
+        assert [(record.node_id, record.event_id) for record in log.ordered_records()] == [
+            ("a", "e1")
+        ]
         assert log.total_deliveries() == 1
 
     def test_per_event_and_per_node_views(self):
@@ -254,14 +256,15 @@ class TestDeliveryLog:
         log.record("a", event, delivered_at=2.0)
         log.record("b", event, delivered_at=2.5)
         log.record("a", other, delivered_at=3.0)
+        records = log.ordered_records()
         assert {record.node_id for record in log.deliveries_of_event("e1")} == {"a", "b"}
-        assert len(log.deliveries_by_node("a")) == 2
-        assert log.nodes() == ["a", "b"]
-        assert log.event_ids() == ["e1", "e2"]
+        assert len([record for record in records if record.node_id == "a"]) == 2
+        assert sorted({record.node_id for record in records}) == ["a", "b"]
+        assert sorted({record.event_id for record in records}) == ["e1", "e2"]
 
     def test_latencies(self):
         log = DeliveryLog()
         log.record("a", make_event(), delivered_at=2.0)
-        assert log.latencies() == [1.0]
-        record = log.deliveries_by_node("a")[0]
+        assert [record.latency for record in log.ordered_records()] == [1.0]
+        record = [record for record in log.ordered_records() if record.node_id == "a"][0]
         assert record.latency == 1.0

@@ -11,6 +11,7 @@ must produce byte-identical traces; a different seed must not.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.experiments import ExperimentConfig, get_scenario, run_experiment
 from repro.faults import FaultPlan, FaultSpec
 from repro.gossip import GossipSystem
 from repro.pubsub import TopicFilter
-from repro.sim import Simulator
+from repro.sim import RngRegistry, Simulator
 from repro.workloads import TopicPopularity, TopicPublicationWorkload
 from tests.conftest import geo_network, result_sha
 
@@ -143,3 +144,36 @@ class TestStructuredBaselinesArePinned:
         )
         config = self.FIG1.with_overrides(system="scribe", fault_plan=plan.entry_pairs())
         assert result_sha(run_experiment(config)) == "1b99d027dee6b11b60a11374886ac73f42ff179021cabc2921938093a2323605"
+
+
+class TestPerNodeStreamsAreBoundOnce:
+    """A node looks its own RNG stream up once, not on every draw.
+
+    Cyclon, lpbcast and push gossip bind theirs at construction, DAM on its
+    first spread.  A stream is seeded by its name alone, so a bound one is
+    the same ``Random`` the lookup would return: the draws, and every pinned
+    digest, stay as they were.
+    """
+
+    @pytest.mark.parametrize(
+        "scenario, overrides",
+        [
+            ("smoke", {}),
+            ("smoke", {"membership": "lpbcast"}),
+            ("smoke-lazy", {}),
+            ("smoke", {"system": "dam"}),
+        ],
+    )
+    def test_a_run_looks_each_node_stream_up_once(self, monkeypatch, scenario, overrides):
+        lookups = Counter()
+        stream = RngRegistry.stream
+
+        def counted(registry, name):
+            lookups[name] += 1
+            return stream(registry, name)
+
+        monkeypatch.setattr(RngRegistry, "stream", counted)
+        run_experiment(get_scenario(scenario).config.with_overrides(**overrides))
+        per_node = {name: count for name, count in lookups.items() if ":" in name}
+        assert per_node, "the run drew from no per-node stream"
+        assert max(per_node.values()) == 1, lookups.most_common(3)
