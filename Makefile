@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test startup-smoke bench bench-smoke bench-metrics bench-faults bench-lazy bench-trace bench-domains bench-campaign bench-scale bench-scale-quick perfbench perfbench-quick rss-ab serve-smoke loadgen-smoke serve-scenario-smoke registry-smoke report-smoke parity-smoke fault-smoke lazy-smoke trace-smoke domains-smoke campaign-smoke fingerprint clean-cache
+.PHONY: test startup-smoke bench bench-smoke bench-metrics bench-faults bench-lazy bench-trace bench-domains bench-campaign bench-scale bench-scale-quick perfbench perfbench-quick rss-ab cpu-ab serve-smoke loadgen-smoke serve-scenario-smoke registry-smoke report-smoke parity-smoke fault-smoke lazy-smoke trace-smoke domains-smoke campaign-smoke fingerprint clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -181,10 +181,11 @@ bench-campaign:
 
 # Scale curve: writes the "result" rows of BENCH_scale.json (fig4-push and
 # fig1 on scribe / dam against nodes, fig3-expressive against publication
-# rate; one child process per row, ~2 min).  The quick size (~5 s, what CI
-# runs) only checks the schema.
+# rate; one child process per row, ~2 min).  PARENT=<checkout> measures that
+# checkout too, as the "parent" rows, alternating the side that goes first
+# point by point.  The quick size (~5 s, what CI runs) only checks the schema.
 bench-scale:
-	$(PYTHON) benchmarks/bench_scale.py
+	$(PYTHON) benchmarks/bench_scale.py $(if $(PARENT),--parent $(PARENT))
 
 bench-scale-quick:
 	$(PYTHON) benchmarks/bench_scale.py --quick
@@ -211,6 +212,15 @@ N ?= 10
 rss-ab:
 	test -n "$(PARENT)" || { echo "usage: make rss-ab PARENT=<checkout> [W=...] [SEED=...] [N=...]"; exit 2; }
 	$(PYTHON) benchmarks/rss_ab.py --parent $(PARENT) --workload $(W) --seed $(SEED) --pairs $(N)
+
+# CPU time of one sim-* workload against another checkout, in one process so
+# that host drift hits both sides alike (benchmarks/cpu_ab.py): N alternating
+# pairs of whole run_experiment passes at equal result digests, the median
+# change/parent ratio, its quartiles and the pairs won (~5 s a pair, ~1 min
+# for ten pairs of sim-scale-push).  make cpu-ab PARENT=<dir> W=sim-scale-push SEED=4099 N=10
+cpu-ab:
+	test -n "$(PARENT)" || { echo "usage: make cpu-ab PARENT=<checkout> [W=...] [SEED=...] [N=...]"; exit 2; }
+	$(PYTHON) benchmarks/cpu_ab.py --parent $(PARENT) --workload $(W) --seed $(SEED) --pairs $(N)
 
 # Behaviour fingerprint (~8 s): the --json / --telemetry / --trace files of
 # six scenarios (gossip, lazy recovery under loss, domains, expressive

@@ -22,7 +22,12 @@ a change and the parent it is compared against::
 
     PYTHONPATH=src python benchmarks/bench_scale.py                   # label "result"
     PYTHONPATH=<parent checkout>/src python benchmarks/bench_scale.py --label parent
+    PYTHONPATH=src python benchmarks/bench_scale.py --parent <parent checkout>
     PYTHONPATH=src python benchmarks/bench_scale.py --quick            # small, schema check only
+
+With ``--parent`` each point is measured on both checkouts, the side that
+goes first alternating point by point, so host drift lands on both sides
+alike instead of between them; the rows of both labels are replaced.
 
 ``messages_per_s`` counts messages sent, not engine events: the engine
 delivers every same-instant send wave as one event, so its count says how
@@ -38,7 +43,7 @@ import json
 import os
 import subprocess
 import sys
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, _ROOT)  # perfbench
@@ -110,19 +115,27 @@ def measure_point(point: Dict[str, object], reps: int) -> Dict[str, object]:
     }
 
 
-def measure(label: str, quick: bool) -> List[Dict[str, object]]:
-    """Parent side: one child process per point, in curve order."""
+def measure(sides: Dict[str, Optional[str]], quick: bool) -> List[Dict[str, object]]:
+    """Parent side: one child process per point and side, in curve order.
+
+    ``sides`` maps a label to the ``src`` directory its children import
+    (``None``: this process's own ``PYTHONPATH``); with two sides the one
+    that goes first alternates point by point.
+    """
     reps = 2 if quick else REPS
-    rows = []
-    for point in points(quick):
-        child = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--child", json.dumps(point), "--reps", str(reps)],
-            check=True, capture_output=True, text=True,
-        )
-        row = {"label": label, **json.loads(child.stdout)}
-        rows.append(row)
-        print("  ".join(f"{key}={row[key]}" for key in ROW_FIELDS), flush=True)
-    return rows
+    rows: Dict[str, List[Dict[str, object]]] = {label: [] for label in sides}
+    for index, point in enumerate(points(quick)):
+        for label in list(sides)[:: 1 if index % 2 == 0 else -1]:
+            src = sides[label]
+            child = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--child", json.dumps(point), "--reps", str(reps)],
+                check=True, capture_output=True, text=True,
+                env=None if src is None else dict(os.environ, PYTHONPATH=src),
+            )
+            row = {"label": label, **json.loads(child.stdout)}
+            rows[label].append(row)
+            print("  ".join(f"{key}={row[key]}" for key in ROW_FIELDS), flush=True)
+    return [row for label in sides for row in rows[label]]
 
 
 def check_schema(artifact: Dict[str, object]) -> None:
@@ -137,6 +150,7 @@ def check_schema(artifact: Dict[str, object]) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--label", default="result", help="whose code the rows describe")
+    parser.add_argument("--parent", help="also measure this checkout as label 'parent', alternating point by point")
     parser.add_argument("--quick", action="store_true", help="small sizes; check the schema, write nothing")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     parser.add_argument("--reps", type=int, default=REPS, help=argparse.SUPPRESS)
@@ -146,10 +160,13 @@ def main(argv=None) -> int:
         return 0
     from repro.jsonio import load_json, write_json
 
-    rows = measure(args.label, args.quick)
+    sides: Dict[str, Optional[str]] = {args.label: None}
+    if args.parent:
+        sides = {"parent": os.path.join(os.path.abspath(args.parent), "src"), **sides}
+    rows = measure(sides, args.quick)
     if not args.quick and os.path.exists(ARTIFACT):
         kept = load_json(ARTIFACT, SCHEMA, ValueError, "scale curve")["rows"]
-        rows = [row for row in kept if row["label"] != args.label] + rows
+        rows = [row for row in kept if row["label"] not in sides] + rows
     artifact = {"schema": SCHEMA, "rows": rows}
     check_schema(artifact)
     if not args.quick:

@@ -69,6 +69,8 @@ class CyclonMembership(MembershipComponent):
         self._pending_sent: Optional[Tuple[str, Tuple[NodeDescriptor, ...]]] = None
         #: Every node shuffles every round, so the stream is bound up front.
         self._rng = owner.simulator.rng.stream(f"cyclon:{owner.node_id}")
+        #: The fresh descriptor of this node that ends every shuffle request.
+        self._fresh_self = (NodeDescriptor(node_id=owner.node_id, age=0),)
 
     # ----------------------------------------------------------- bootstrap
 
@@ -81,16 +83,16 @@ class CyclonMembership(MembershipComponent):
 
     def on_round(self) -> None:
         """Perform one shuffle with the oldest known peer."""
-        self.view.age_all()
-        oldest = self.view.oldest()
-        if oldest is None:
+        view = self.view
+        view.age_all()
+        target = view.oldest_id()
+        if target is None:
             return
-        target = oldest.node_id
         # The target's descriptor is removed optimistically; it comes back
         # fresh if the target answers, and stays out if it is dead.
-        self.view.remove(target)
-        subset = self.view.sample_descriptors(self._rng, self.shuffle_size - 1)
-        offered = tuple(subset) + (NodeDescriptor(node_id=self.owner.node_id, age=0),)
+        view.remove(target)
+        subset = view.sample_descriptors(self._rng, self.shuffle_size - 1)
+        offered = tuple(subset) + self._fresh_self
         self._pending_sent = (target, offered)
         self.shuffles_initiated += 1
         self.owner.send(target, SHUFFLE_REQUEST, payload=ShufflePayload(offered), size=len(offered))
@@ -113,7 +115,7 @@ class CyclonMembership(MembershipComponent):
         self.owner.send(
             message.sender, SHUFFLE_REPLY, payload=ShufflePayload(answer), size=max(len(answer), 1)
         )
-        self._merge(payload.descriptors, sent=answer)
+        self.view.merge(payload.descriptors, answer)
 
     def _handle_reply(self, message: Message) -> None:
         payload: ShufflePayload = message.payload
@@ -121,25 +123,7 @@ class CyclonMembership(MembershipComponent):
         if self._pending_sent is not None and self._pending_sent[0] == message.sender:
             sent = self._pending_sent[1]
             self._pending_sent = None
-        self._merge(payload.descriptors, sent=sent)
-
-    def _merge(
-        self, received: Tuple[NodeDescriptor, ...], sent: Tuple[NodeDescriptor, ...]
-    ) -> None:
-        """CYCLON merge: a new entry takes a spare slot, else the slot of one we offered away."""
-        view = self.view
-        for descriptor in received:
-            node_id = descriptor.node_id
-            if node_id == self.owner.node_id:
-                continue
-            if node_id not in view and len(view) >= view.capacity:
-                # Trade away the first offered entry still present; with none
-                # left, ``add`` applies its age rule (evict the oldest only
-                # for a younger descriptor).
-                for candidate in sent:
-                    if view.remove(candidate.node_id):
-                        break
-            view.add(descriptor)
+        self.view.merge(payload.descriptors, sent)
 
     # -------------------------------------------------------------- queries
 

@@ -6,13 +6,19 @@ peer-sampling service (CYCLON, lpbcast-style exchanges, §4.2 references
 [2, 11, 12, 13, 15]) keeps that view fresh and well mixed.  The view is the
 only source from which ``SELECTPARTICIPANTS(F)`` of Figure 4 draws gossip
 targets.
+
+A view costs what a shuffle changes, not its size: the ids stay sorted
+(``bisect``), so a draw samples them as a ``sorted()`` of the view would; ages
+are one epoch counter plus a birth epoch per id; the oldest entry is one
+``min`` keyed by birth.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["NodeDescriptor", "PartialView"]
 
@@ -38,10 +44,6 @@ class NodeDescriptor:
     age: int = 0
     topics: Tuple[str, ...] = ()
 
-    def aged(self, increment: int = 1) -> "NodeDescriptor":
-        """Return a copy with the age increased by ``increment``."""
-        return NodeDescriptor(self.node_id, self.age + increment, self.topics)
-
     def refreshed(self) -> "NodeDescriptor":
         """Return a copy with age reset to zero (a fresh sighting)."""
         return NodeDescriptor(self.node_id, 0, self.topics)
@@ -66,8 +68,12 @@ class PartialView:
         self.owner_id = owner_id
         self.capacity = capacity
         self._epoch = 0
-        #: node id -> (birth epoch, topics)
-        self._entries: Dict[str, Tuple[int, Tuple[str, ...]]] = {}
+        #: The described node ids, sorted.
+        self._ids: List[str] = []
+        #: node id -> birth epoch
+        self._births: Dict[str, int] = {}
+        #: node id -> topics, for the entries that carry any
+        self._topics: Dict[str, Tuple[str, ...]] = {}
 
     # ------------------------------------------------------------ mutation
 
@@ -80,33 +86,47 @@ class PartialView:
         node_id = descriptor.node_id
         if node_id == self.owner_id:
             return False
-        entries = self._entries
+        births = self._births
         birth = self._epoch - descriptor.age
-        existing = entries.get(node_id)
-        if existing is not None:
-            if birth <= existing[0]:
-                return False
-        elif len(entries) >= self.capacity:
-            oldest_id = self._oldest_id()
-            if birth <= entries[oldest_id][0]:
-                return False
-            del entries[oldest_id]
-        entries[node_id] = (birth, descriptor.topics)
+        existing = births.get(node_id)
+        if existing is None:
+            if len(births) >= self.capacity:
+                oldest_id = self.oldest_id()
+                if birth <= births[oldest_id]:
+                    return False
+                self.remove(oldest_id)
+            insort(self._ids, node_id)
+        elif birth <= existing:
+            return False
+        births[node_id] = birth
+        if descriptor.topics:
+            self._topics[node_id] = descriptor.topics
+        elif existing is not None:
+            self._topics.pop(node_id, None)
         return True
 
     def remove(self, node_id: str) -> bool:
         """Drop the descriptor for ``node_id`` if present."""
-        return self._entries.pop(node_id, None) is not None
+        if self._births.pop(node_id, None) is None:
+            return False
+        ids = self._ids
+        del ids[bisect_left(ids, node_id)]
+        self._topics.pop(node_id, None)
+        return True
 
-    def replace_entries(self, descriptors: Iterable[NodeDescriptor]) -> None:
-        """Replace the whole content (used by shuffle responses)."""
-        self._entries.clear()
-        for descriptor in descriptors:
-            if descriptor.node_id != self.owner_id and len(self._entries) < self.capacity:
-                self._entries[descriptor.node_id] = (
-                    self._epoch - descriptor.age,
-                    descriptor.topics,
-                )
+    def merge(self, received: Sequence[NodeDescriptor], offered: Sequence[NodeDescriptor]) -> None:
+        """CYCLON's merge of a shuffle: a new entry takes a spare slot, else
+        the slot of the first ``offered`` entry still present, else
+        :meth:`add`'s age rule decides (evict the oldest only for a younger
+        descriptor)."""
+        births = self._births
+        for descriptor in received:
+            node_id = descriptor.node_id
+            if node_id not in births and node_id != self.owner_id and len(births) >= self.capacity:
+                for candidate in offered:
+                    if self.remove(candidate.node_id):
+                        break
+            self.add(descriptor)
 
     def age_all(self, increment: int = 1) -> None:
         """Increase the age of every descriptor (one shuffle round passed)."""
@@ -115,60 +135,47 @@ class PartialView:
     # ------------------------------------------------------------- queries
 
     def __contains__(self, node_id: str) -> bool:
-        return node_id in self._entries
+        return node_id in self._births
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._births)
 
     def node_ids(self) -> List[str]:
         """Ids of all described nodes, sorted for determinism."""
-        return sorted(self._entries)
+        return list(self._ids)
 
     def descriptors(self) -> List[NodeDescriptor]:
         """All descriptors, sorted by node id."""
-        return [self._describe(node_id) for node_id in sorted(self._entries)]
+        return self._describe(self._ids)
 
     def get(self, node_id: str) -> Optional[NodeDescriptor]:
         """Descriptor for ``node_id`` if present."""
-        return self._describe(node_id) if node_id in self._entries else None
+        return self._describe((node_id,))[0] if node_id in self._births else None
 
-    def oldest(self) -> Optional[NodeDescriptor]:
-        """The descriptor with the highest age (ties broken by node id)."""
-        return self._describe(self._oldest_id()) if self._entries else None
+    def oldest_id(self) -> Optional[str]:
+        """Id of the entry with the highest age, the highest id on a tie."""
+        return min(reversed(self._ids), key=self._births.__getitem__, default=None)
 
     def sample(self, rng: random.Random, count: int, exclude: Iterable[str] = ()) -> List[str]:
         """Uniformly sample up to ``count`` distinct node ids from the view."""
-        if not isinstance(exclude, (set, frozenset)):
-            exclude = set(exclude)
-        owner = self.owner_id
-        candidates = [
-            node_id for node_id in self.node_ids() if node_id != owner and node_id not in exclude
-        ]
+        candidates = self._ids
+        if exclude:
+            if not isinstance(exclude, (set, frozenset)):
+                exclude = set(exclude)
+            candidates = [node_id for node_id in candidates if node_id not in exclude]
         if count >= len(candidates):
-            return candidates
+            return list(candidates)
         return rng.sample(candidates, count)
 
     def sample_descriptors(self, rng: random.Random, count: int) -> List[NodeDescriptor]:
         """Uniformly sample up to ``count`` descriptors."""
-        node_ids = self.node_ids()
+        node_ids = self._ids
         if count < len(node_ids):
             node_ids = rng.sample(node_ids, count)
-        return [self._describe(node_id) for node_id in node_ids]
+        return self._describe(node_ids)
 
     # ------------------------------------------------------------ internals
 
-    def _describe(self, node_id: str) -> NodeDescriptor:
-        birth, topics = self._entries[node_id]
-        return NodeDescriptor(node_id, self._epoch - birth, topics)
-
-    def _oldest_id(self) -> str:
-        """Id of the highest ``(age, node_id)`` entry; the view must not be empty."""
-        oldest_id, oldest_birth = "", None
-        for node_id, (birth, _) in self._entries.items():
-            if (
-                oldest_birth is None
-                or birth < oldest_birth
-                or (birth == oldest_birth and node_id > oldest_id)
-            ):
-                oldest_id, oldest_birth = node_id, birth
-        return oldest_id
+    def _describe(self, node_ids: Iterable[str]) -> List[NodeDescriptor]:
+        epoch, births, topics = self._epoch, self._births, self._topics
+        return [NodeDescriptor(i, epoch - births[i], topics.get(i, ())) for i in node_ids]

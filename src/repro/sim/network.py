@@ -97,6 +97,10 @@ class FaultInjectionSurface:
         self._perturb_loss = 0.0
         self._perturb_rng: Optional[random.Random] = None
         self._link_profile = None
+        #: No partition map, perturbation or link profile is installed, so a
+        #: send may skip ``_same_partition`` and ``_link_fate``; kept by
+        #: :meth:`_note_faults`, which every fault setter calls.
+        self._faults_idle = True
 
     # ----------------------------------------------------------- node table
 
@@ -161,9 +165,11 @@ class FaultInjectionSurface:
             self._drop(message, "dead")
             return
         self.stats.delivered += 1
-        now = self.simulator.now
-        for hook in self._delivery_hooks:
-            hook(message, now)
+        hooks = self._delivery_hooks
+        if hooks:
+            now = self.simulator.now
+            for hook in hooks:
+                hook(message, now)
         handler(message)
 
     # ----------------------------------------------------------- partitions
@@ -174,10 +180,12 @@ class FaultInjectionSurface:
         Nodes absent from the map are treated as belonging to group 0.
         """
         self._partitions = dict(assignment)
+        self._note_faults()
 
     def clear_partition(self) -> None:
         """Heal all partitions."""
         self._partitions = {}
+        self._note_faults()
 
     def _same_partition(self, a: str, b: str) -> bool:
         if not self._partitions:
@@ -206,6 +214,7 @@ class FaultInjectionSurface:
         self._perturb_latency = float(extra_latency)
         self._perturb_loss = float(loss_rate)
         self._perturb_rng = rng
+        self._note_faults()
 
     def clear_perturbation(self) -> None:
         """Restore the unperturbed link behaviour.
@@ -217,6 +226,7 @@ class FaultInjectionSurface:
         self._perturb_latency = 0.0
         self._perturb_loss = 0.0
         self._perturb_rng = None
+        self._note_faults()
 
     # ------------------------------------------------------- per-link profile
 
@@ -232,6 +242,11 @@ class FaultInjectionSurface:
         windows; ``None`` while off, so the flat layout costs nothing.
         """
         self._link_profile = profile
+        self._note_faults()
+
+    def _note_faults(self) -> None:
+        perturbed = self._perturb_loss or self._perturb_latency
+        self._faults_idle = not (self._partitions or perturbed or self._link_profile is not None)
 
     def _link_fate(self, message: Message) -> Optional[float]:
         """What the installed faults and geography do to one frame.
@@ -356,23 +371,27 @@ class Network(FaultInjectionSurface):
         delivered where an event of its own would have delivered it.
         """
         simulator = self.simulator
-        message = Message(sender, recipient, kind, payload, size, simulator.now, trace)
+        now = simulator.clock._now
+        message = Message(sender, recipient, kind, payload, size, now, trace)
         self.stats.record_sent(message)
 
         if recipient not in self._handlers:
             self._drop(message, "dead")
             return message
-        if not self._same_partition(sender, recipient):
+        faults = not self._faults_idle
+        if faults and not self._same_partition(sender, recipient):
             self._drop(message, "partition")
             return message
         if self.loss_rate > 0.0 and self._loss_rng.random() < self.loss_rate:
             self._drop(message, "lost")
             return message
-        extra_latency = self._link_fate(message)
-        if extra_latency is None:
-            return message
+        extra_latency = 0.0
+        if faults:
+            extra_latency = self._link_fate(message)
+            if extra_latency is None:
+                return message
         latency = self.latency + extra_latency
-        event, at = self._batch_event, simulator.clock._now + latency
+        event, at = self._batch_event, now + latency
         if self._batch is not None and simulator._last is event and event.timestamp == at:
             self._batch.append(message)
         else:

@@ -78,7 +78,7 @@ class TestPartialView:
         view.add(NodeDescriptor("b", age=3))
         view.age_all()
         assert view.get("a").age == 1
-        assert view.oldest().node_id == "b"
+        assert view.oldest_id() == "b"
 
     def test_sample_excludes_and_bounds(self):
         view = PartialView("me", capacity=10)
@@ -92,10 +92,36 @@ class TestPartialView:
         assert "a" not in sample
         assert set(view.sample(rng, 99)) == set("abcde")
 
-    def test_replace_entries(self):
+    def test_oldest_id_breaks_ties_by_the_highest_id(self):
+        view = PartialView("me", capacity=5)
+        assert view.oldest_id() is None
+        for name in "bca":
+            view.add(NodeDescriptor(name, age=2))
+        view.add(NodeDescriptor("d", age=1))
+        assert view.oldest_id() == "c"
+
+    def test_merge_takes_a_spare_slot_then_the_first_offered_entry_still_present(self):
+        view = PartialView("me", capacity=3)
+        for name in "abc":
+            view.add(NodeDescriptor(name, age=1))
+        offered = (NodeDescriptor("x"), NodeDescriptor("b"), NodeDescriptor("a"))
+        view.merge((NodeDescriptor("me"), NodeDescriptor("d", age=5), NodeDescriptor("e", age=5)), offered)
+        # "x" is not in the view, so "d" takes "b"'s slot and "e" takes "a"'s.
+        assert view.node_ids() == ["c", "d", "e"]
+        # Nothing offered is left: the age rule keeps "f" (age 9) out.
+        view.merge((NodeDescriptor("f", age=9),), offered)
+        assert view.node_ids() == ["c", "d", "e"]
+
+    def test_merge_trades_an_offered_entry_again_once_it_came_back(self):
         view = PartialView("me", capacity=2)
-        view.replace_entries([NodeDescriptor("a"), NodeDescriptor("b"), NodeDescriptor("c")])
-        assert len(view) == 2
+        view.add(NodeDescriptor("a", age=2))
+        view.add(NodeDescriptor("b", age=5))
+        offered = (NodeDescriptor("a"), NodeDescriptor("x"))
+        received = (NodeDescriptor("c", age=1), NodeDescriptor("a", age=0), NodeDescriptor("d", age=0))
+        view.merge(received, offered)
+        # "c" takes "a"'s slot; "a" comes back by the age rule (evicting "b");
+        # "d" then takes "a"'s slot again rather than evicting "c".
+        assert view.node_ids() == ["c", "d"]
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -107,7 +133,7 @@ class TestPartialView:
         view.add(NodeDescriptor("b", age=0))
         import random
 
-        handed_out = [view.get("a"), view.oldest(), *view.descriptors()]
+        handed_out = [view.get("a"), *view.descriptors()]
         handed_out += view.sample_descriptors(random.Random(1), 1)
         ages = [descriptor.age for descriptor in handed_out]
         view.age_all(3)
@@ -128,9 +154,8 @@ class TestPartialView:
             assert view.sample_descriptors(ours, count) == expected
             assert ours.getstate() == reference.getstate()
 
-    def test_aged_and_refreshed_keep_the_other_fields(self):
+    def test_refreshed_keeps_the_other_fields(self):
         descriptor = NodeDescriptor("a", age=2, topics=("t",))
-        assert descriptor.aged(3) == NodeDescriptor("a", age=5, topics=("t",))
         assert descriptor.refreshed() == NodeDescriptor("a", age=0, topics=("t",))
 
 

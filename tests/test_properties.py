@@ -161,7 +161,13 @@ class TestPartialViewProperties:
 
 
 class _ReagingView:
-    """Reference partial view that really rebuilds every entry on ``age_all``."""
+    """Reference partial view: descriptors in a dict, really rebuilt on ``age_all``.
+
+    Every query sorts, scans or samples the dict afresh, and ``merge`` is
+    CYCLON's merge written with the view's public calls: for a new entry
+    into a full view, trade away the first offered entry still present,
+    then ``add``.
+    """
 
     def __init__(self, owner_id, capacity):
         self.owner_id, self.capacity, self.entries = owner_id, capacity, {}
@@ -170,6 +176,10 @@ class _ReagingView:
         if not self.entries:
             return None
         return max(self.entries.values(), key=lambda d: (d.age, d.node_id))
+
+    def oldest_id(self):
+        oldest = self.oldest()
+        return None if oldest is None else oldest.node_id
 
     def add(self, descriptor):
         if descriptor.node_id == self.owner_id:
@@ -184,11 +194,18 @@ class _ReagingView:
         self.entries[descriptor.node_id] = descriptor
         return True
 
-    def replace_entries(self, descriptors):
-        self.entries.clear()
-        for descriptor in descriptors:
-            if descriptor.node_id != self.owner_id and len(self.entries) < self.capacity:
-                self.entries[descriptor.node_id] = descriptor
+    def remove(self, node_id):
+        return self.entries.pop(node_id, None) is not None
+
+    def merge(self, received, offered):
+        for descriptor in received:
+            if descriptor.node_id == self.owner_id:
+                continue
+            if descriptor.node_id not in self.entries and len(self.entries) >= self.capacity:
+                for candidate in offered:
+                    if self.remove(candidate.node_id):
+                        break
+            self.add(descriptor)
 
     def age_all(self, increment):
         self.entries = {
@@ -196,41 +213,72 @@ class _ReagingView:
             for node_id, descriptor in self.entries.items()
         }
 
+    def node_ids(self):
+        return sorted(self.entries)
+
     def descriptors(self):
         return [self.entries[node_id] for node_id in sorted(self.entries)]
 
+    def sample(self, rng, count, exclude):
+        candidates = [
+            node_id for node_id in sorted(self.entries) if node_id != self.owner_id and node_id not in exclude
+        ]
+        return candidates if count >= len(candidates) else rng.sample(candidates, count)
 
+    def sample_descriptors(self, rng, count):
+        descriptors = self.descriptors()
+        return descriptors if count >= len(descriptors) else rng.sample(descriptors, count)
+
+
+_VIEW_IDS = [f"n{index}" for index in range(8)]
 _view_descriptors = st.builds(
     NodeDescriptor,
-    node_id=st.sampled_from(["owner"] + [f"n{index}" for index in range(8)]),
+    node_id=st.sampled_from(["owner"] + _VIEW_IDS),
     age=st.integers(min_value=0, max_value=6),
     topics=st.sampled_from([(), ("a",), ("a", "b")]),
 )
 _view_operations = st.one_of(
     st.tuples(st.just("add"), _view_descriptors),
     st.tuples(st.just("age_all"), st.integers(min_value=0, max_value=3)),
-    st.tuples(st.just("remove"), st.sampled_from([f"n{index}" for index in range(8)])),
-    st.tuples(st.just("replace_entries"), st.lists(_view_descriptors, max_size=6)),
+    st.tuples(st.just("remove"), st.sampled_from(_VIEW_IDS)),
+    st.tuples(
+        st.just("merge"),
+        st.tuples(st.lists(_view_descriptors, max_size=6), st.lists(_view_descriptors, max_size=5)),
+    ),
 )
 
 
 class TestEpochAgeingAgainstReagingModel:
-    @given(st.integers(min_value=1, max_value=5), st.lists(_view_operations, max_size=40))
-    def test_view_agrees_with_model_after_every_step(self, capacity, operations):
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.lists(_view_operations, max_size=40),
+        st.integers(min_value=0, max_value=6),
+        st.lists(st.sampled_from(_VIEW_IDS), max_size=3),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_view_agrees_with_model_after_every_step(self, capacity, operations, count, exclude, seed):
         view = PartialView("owner", capacity=capacity)
         model = _ReagingView("owner", capacity)
+        view_rng, model_rng = random.Random(seed), random.Random(seed)
         for name, argument in operations:
             if name == "add":
                 assert view.add(argument) == model.add(argument)
             elif name == "remove":
-                assert view.remove(argument) == (model.entries.pop(argument, None) is not None)
+                assert view.remove(argument) == model.remove(argument)
+            elif name == "merge":
+                view.merge(*argument)
+                model.merge(*argument)
             else:
-                getattr(view, name)(argument)
-                getattr(model, name)(argument)
+                view.age_all(argument)
+                model.age_all(argument)
+            assert view.node_ids() == model.node_ids()
             assert view.descriptors() == model.descriptors()
-            assert view.oldest() == model.oldest()
+            assert view.oldest_id() == model.oldest_id()
             assert len(view) == len(model.entries)
             assert [view.get(d.node_id) for d in model.descriptors()] == model.descriptors()
+            assert view.sample(view_rng, count, exclude) == model.sample(model_rng, count, set(exclude))
+            assert view.sample_descriptors(view_rng, count) == model.sample_descriptors(model_rng, count)
+        assert view_rng.getstate() == model_rng.getstate()
 
 
 class TestBufferProperties:

@@ -226,6 +226,22 @@ class TestNodeHostMemory:
         assert 0 < report.latency_p50_seconds < 1.0
 
 
+def _missing_deliveries(host, events):
+    """Why a live run fell short: the (node, event) pairs never delivered and
+    the transport's frame counters."""
+    log = host.delivery_log
+    missing = [
+        (node_id, event.event_id)
+        for event in events
+        for node_id in sorted(set(host.node_ids()) - {node for node, _ in log.event_latencies(event.event_id)})
+    ]
+    transport = host.transport
+    return (
+        f"missing deliveries {missing}; frames sent {transport.frames_sent}, "
+        f"received {transport.frames_received}, send failures {transport.send_failures}"
+    )
+
+
 class TestSocketTransports:
     @pytest.mark.parametrize("transport_class", [UdpTransport, TcpTransport])
     def test_dissemination_over_real_sockets(self, transport_class):
@@ -241,16 +257,15 @@ class TestSocketTransports:
             for node_id in host.node_ids():
                 host.subscribe(node_id, TopicFilter("news"))
             await host.start()
-            for _ in range(5):
-                host.publish("node-000", topic="news")
-            await settle(lambda: host.delivery_log.total_deliveries() == 25)
+            events = [host.publish("node-000", topic="news") for _ in range(5)]
+            settled = await settle(lambda: host.delivery_log.total_deliveries() == 25)
             await host.stop()
-            return host
+            return host, None if settled else _missing_deliveries(host, events)
 
-        host = run_async(scenario())
+        host, missing = run_async(scenario())
         # All 5 events reached all 5 subscribers, and the bytes really went
         # through the kernel (frames counted by the socket transport).
-        assert host.delivery_log.total_deliveries() == 25
+        assert host.delivery_log.total_deliveries() == 25, missing
         assert host.transport.frames_sent > 0
         assert host.transport.bytes_sent > 0
         assert host.transport.frames_received > 0

@@ -255,6 +255,8 @@ def run_script(network_cls, latency, lossy, geo, script):
                 network.set_partition(dict(zip(NODES, action[1])))
             elif verb == "heal":
                 network.clear_partition()
+            elif verb == "calm":
+                network.clear_perturbation()
             else:
                 _, loss_rate, extra = action
                 network.set_perturbation(extra, loss_rate, simulator.rng.stream("perturb"))
@@ -283,6 +285,7 @@ ACTIONS = st.one_of(
     st.tuples(st.just("recover"), st.sampled_from(NODES)),
     st.tuples(st.just("partition"), st.lists(st.integers(0, 1), min_size=5, max_size=5)),
     st.just(("heal",)),
+    st.just(("calm",)),
     st.tuples(st.just("perturb"), st.sampled_from([0.0, 0.3]), st.sampled_from([0.0, 0.05])),
 )
 SCRIPTS = st.lists(
@@ -312,6 +315,15 @@ class TestDeliveryBatches:
     @example(
         0.0, False, False,
         [(0.0, False, [("send", "n0", ["n1"], "data")]), (0.0, False, [("send", "n0", ["n2"], "data")])],
+    )
+    # Faults switched on and off again mid-script: sends take the fault
+    # layer's path while it is installed and skip it once it is gone.
+    @example(
+        0.1, True, False,
+        [
+            (0.0, False, [("partition", [0, 1, 0, 1, 0]), ("perturb", 0.3, 0.05), ("send", "n0", ["n1", "n2"], "data")]),
+            (0.1, False, [("heal",), ("calm",), ("send", "n0", ["n1", "n2"], "relay")]),
+        ],
     )
     def test_batching_matches_one_event_per_message(self, latency, lossy, geo, script):
         log, stats, events = run_script(Network, latency, lossy, geo, script)
