@@ -19,7 +19,7 @@ exactly that effect.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence, Set
 
 from ..core.accounting import WorkLedger
 from ..pubsub.events import Event
@@ -259,14 +259,3 @@ class ScribeSystem(DisseminationSystem):
     def rendezvous_of(self, topic: str) -> str:
         """The rendezvous (tree root) node of a topic."""
         return self.router.root_of(self.router.key_for(topic))
-
-    def pure_forwarders(self, topic: str) -> List[str]:
-        """Nodes that forward for ``topic`` without being subscribed to it.
-
-        These are the paper's exhibit A for structured unfairness.
-        """
-        return sorted(
-            node_id
-            for node_id, node in self.nodes.items()
-            if topic in node.forwarder_topics and topic not in node.subscribed_topics
-        )

@@ -105,12 +105,3 @@ class GossipSystem(DisseminationSystem):
     def unsubscribe(self, node_id: str, subscription_filter: Filter) -> None:
         if self.nodes[node_id].unsubscribe(subscription_filter):
             self._unsubscribed(node_id, subscription_filter)
-
-    # -------------------------------------------------------------- running
-
-    def run_rounds(self, rounds: int, round_period: Optional[float] = None) -> None:
-        """Advance the simulation by ``rounds`` gossip rounds."""
-        if round_period is None:
-            any_node = next(iter(self.nodes.values()))
-            round_period = any_node.round_period
-        self.simulator.run(until=self.simulator.now + rounds * round_period)

@@ -135,7 +135,6 @@ class EventFactory:
     def __init__(self, publisher: str) -> None:
         self.publisher = publisher
         self._sequence = itertools.count()
-        self._created = 0
 
     def create(
         self,
@@ -149,7 +148,6 @@ class EventFactory:
         if topic is not None:
             merged[TOPIC_ATTRIBUTE] = topic
         sequence = next(self._sequence)
-        self._created += 1
         return Event(
             event_id=f"{self.publisher}#{sequence}",
             publisher=self.publisher,
@@ -157,8 +155,3 @@ class EventFactory:
             published_at=published_at,
             size=size,
         )
-
-    @property
-    def created_count(self) -> int:
-        """Number of events created so far by this factory."""
-        return self._created

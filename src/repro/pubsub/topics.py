@@ -60,10 +60,6 @@ class Topic:
         """1 for a root topic, 2 for its children, and so on."""
         return self.name.count(TOPIC_SEPARATOR) + 1
 
-    def is_ancestor_of(self, other: "Topic") -> bool:
-        """Whether this topic is a strict ancestor of ``other``."""
-        return other.name.startswith(self.name + TOPIC_SEPARATOR)
-
     def __str__(self) -> str:
         return self.name
 

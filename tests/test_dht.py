@@ -265,7 +265,11 @@ class TestScribeSystem:
             system.publish(ids[30], topic=topic)
             simulator.run(until=simulator.now + 0.5)
         simulator.run(until=simulator.now + 10)
-        forwarders = system.pure_forwarders(topic)
+        forwarders = [
+            node_id
+            for node_id, node in system.nodes.items()
+            if topic in node.forwarder_topics and topic not in node.subscribed_topics
+        ]
         # With rendezvous routing there is almost always at least one node on
         # a join path that never subscribed -- the paper's unfairness witness.
         interior_work = sum(

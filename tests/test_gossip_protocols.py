@@ -158,12 +158,6 @@ class TestGossipSystemApi:
         published = system.publish("node-0", event=event)
         assert published.published_at == system.simulator.now
 
-    def test_run_rounds_advances_by_round_period(self):
-        system = build_gossip_system(nodes=5, seed=13, round_period=2.0)
-        start = system.simulator.now
-        system.run_rounds(3)
-        assert system.simulator.now == pytest.approx(start + 6.0)
-
     def test_interested_nodes_oracle(self):
         system = build_gossip_system(nodes=6, seed=14)
         system.subscribe("node-1", TopicFilter("a"))

@@ -57,12 +57,6 @@ class TestEventFactory:
         assert event.attributes[TOPIC_ATTRIBUTE] == "alerts"
         assert event.attributes["level"] == 2
 
-    def test_created_count(self):
-        factory = EventFactory("p")
-        for _ in range(3):
-            factory.create()
-        assert factory.created_count == 3
-
 
 class TestTopicPath:
     def test_path_lists_all_prefixes(self):
@@ -83,11 +77,6 @@ class TestTopic:
         assert Topic("a/b").parent_name == "a"
         assert Topic("a").parent_name is None
         assert Topic("a/b/c").depth == 3
-
-    def test_ancestor_relation(self):
-        assert Topic("a").is_ancestor_of(Topic("a/b"))
-        assert not Topic("a/b").is_ancestor_of(Topic("a"))
-        assert not Topic("a").is_ancestor_of(Topic("ab"))
 
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
