@@ -61,6 +61,10 @@ registry-smoke:
 serve-scenario-smoke: registry-smoke
 	$(PYTHON) -m repro serve --scenario smoke --transport memory --duration 2 --rate 200 --drain 0.5 \
 		| grep -E " 0 decode errors"
+	$(PYTHON) -m repro serve --scenario smoke --set system.buffer_capacity=4000 \
+		--set system.selection_strategy=least-forwarded --transport memory --duration 1 --rate 200 --drain 0.5 \
+		| grep -E " 0 decode errors"
+	$(PYTHON) -m repro describe live | grep -F "system.selection_strategy = 'least-forwarded'"
 	$(PYTHON) -m repro serve --scenario smoke --set system.kind=brokers --transport memory --duration 1 --rate 100 --drain 0.5 \
 		| grep -E " 0 decode errors"
 	for kind in fair-gossip pushpull-gossip lazy-push scribe splitstream dks dam; do \

@@ -160,7 +160,7 @@ def resolve_spec(args: argparse.Namespace, live: bool = False) -> StackSpec:
             spec = replace(spec, topology=TopologySpec.from_file(args.topology))
         if sinks:
             spec = spec.with_telemetry(sinks, period=period)
-        spec.validate(live=live)
+        spec.validate(live)
         spec.telemetry.build_sinks()
     except ValueError as error:  # every spec, plan, topology and sink error is one
         raise SystemExit(str(error))

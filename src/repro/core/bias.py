@@ -212,7 +212,7 @@ class SelfishGossipNode(PushGossipNode):
     """
 
     def __init__(self, *args, colluders: Sequence[str] = (), collusion_bias: float = 0.8, **kwargs) -> None:
-        kwargs.setdefault("selection_strategy", "stale-first")
+        kwargs.setdefault("selection_strategy", "oldest")
         super().__init__(*args, **kwargs)
         if not 0.0 <= collusion_bias <= 1.0:
             raise ValueError("collusion_bias must be within [0, 1]")

@@ -10,12 +10,15 @@ benchmark files stay short and the parameters stay visible in one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Dict, Mapping, Tuple
 
 from ..jsonio import jsonify as _deep_jsonify, tuplify as _deep_tuplify
 
 __all__ = ["ExperimentConfig"]
+
+#: Encoding-only entries of two deleted fields (see :meth:`ExperimentConfig.to_dict`).
+_LEGACY_ENTRIES: Dict[str, object] = {"extra": [], "selfish_fraction": 0.0}
 
 
 @dataclass(frozen=True)
@@ -88,11 +91,9 @@ class ExperimentConfig:
         ``"expressive"`` (Figure 3 weights) or ``"topic"`` (Figure 2 weights).
     adapt_fanout / adapt_payload:
         Fair-gossip lever switches (for ablations).
-    selfish_fraction:
-        Inert: no code reads it, and the spec's bound admits only 0.  It
-        stays because every pinned cache key contains it.
-    extra:
-        Free-form additional parameters picked up by specific scenarios.
+    buffer_capacity / selection_strategy:
+        The event buffer of every gossip-family node: how many events it
+        holds and which it forwards first (``SELECTION_STRATEGIES``).
     """
 
     name: str = "experiment"
@@ -127,7 +128,8 @@ class ExperimentConfig:
     max_fanout: int = 12
     min_payload: int = 1
     max_payload: int = 32
-    selfish_fraction: float = 0.0
+    buffer_capacity: int = 500
+    selection_strategy: str = "newest"
     event_size: int = 1
     fault_churn_start: float = 0.0
     fault_churn_stop: float = 0.0
@@ -147,7 +149,6 @@ class ExperimentConfig:
     topology_cross_loss: float = 0.0
     topology_assignment: Tuple[Tuple[str, str], ...] = ()
     topology_geo: Tuple[Tuple[str, str, float, float], ...] = ()
-    extra: Tuple[Tuple[str, object], ...] = ()
 
     def with_overrides(self, **overrides) -> "ExperimentConfig":
         """Return a copy with some fields replaced (sweep helper)."""
@@ -156,10 +157,9 @@ class ExperimentConfig:
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable form; inverse of :meth:`from_dict`.
 
-        The ``extra`` tuple-of-pairs is emitted as a list of ``[key, value]``
-        pairs (JSON has no tuples).  The canonical JSON encoding of this
-        dictionary is what the result cache hashes, so the mapping must stay
-        deterministic: plain field values only, no derived data.
+        The canonical JSON encoding of this dictionary is what the result
+        cache hashes, so the mapping must stay deterministic: plain field
+        values only, no derived data.
 
         ``fault_*`` fields at their defaults are omitted entirely: a
         fault-free config therefore encodes byte-for-byte as it did before
@@ -168,22 +168,25 @@ class ExperimentConfig:
         codec is written out rather than left to the :mod:`repro.jsonio`
         walker the other specs use.
         """
-        payload: Dict[str, object] = {}
+        # Two deleted fields keep their one admissible value in every
+        # encoding: each pinned cache key, result digest and artifact of
+        # the earlier format holds them, so dropping them would move all.
+        payload = {name: _deep_jsonify(value) for name, value in _LEGACY_ENTRIES.items()}
         for config_field in fields(self):
             value = getattr(self, config_field.name)
-            if config_field.name == "extra":
-                value = [[key, entry] for key, entry in value]
-            elif config_field.name in ("fault_plan", "topology_assignment", "topology_geo"):
+            if config_field.name in ("fault_plan", "topology_assignment", "topology_geo"):
                 if not value:
                     continue
                 value = _deep_jsonify(value)
-            elif (
-                config_field.name.startswith(("fault_", "topology_"))
-                or config_field.name == "alpha"
+            elif config_field.name.startswith(("fault_", "topology_")) or config_field.name in (
+                "alpha",
+                "buffer_capacity",
+                "selection_strategy",
             ):
-                # ``alpha`` (lazy-push store fraction) follows the fault_*
-                # rule: omitted at its default so configs that never touch
-                # it keep their historical cache keys.
+                # ``alpha`` (lazy-push store fraction) and the two buffer
+                # fields follow the fault_* rule: omitted at their defaults
+                # so configs that never touch them keep their historical
+                # cache keys.
                 if value == config_field.default:
                     continue
             payload[config_field.name] = value
@@ -194,23 +197,21 @@ class ExperimentConfig:
         """Rebuild a config from :meth:`to_dict` output.
 
         Unknown keys raise ``ValueError`` so stale cache artifacts written by
-        an incompatible schema fail loudly instead of being misread.
+        an incompatible schema fail loudly instead of being misread; so does
+        a legacy entry holding anything but the value :meth:`to_dict` writes.
         """
+        values = dict(payload)
+        for name, fixed in _LEGACY_ENTRIES.items():
+            if name in values and values[name] == fixed:
+                del values[name]
         known = {config_field.name for config_field in fields(ExperimentConfig)}
-        unknown = set(payload) - known
+        unknown = set(values) - known
         if unknown:
             raise ValueError(f"unknown config fields {sorted(unknown)}")
-        values = dict(payload)
-        if "extra" in values:
-            values["extra"] = tuple((key, entry) for key, entry in values["extra"])
         for structured in ("fault_plan", "topology_assignment", "topology_geo"):
             if structured in values:
                 values[structured] = _deep_tuplify(values[structured])
         return ExperimentConfig(**values)
-
-    def extra_dict(self) -> Dict[str, object]:
-        """The free-form extras as a dictionary."""
-        return dict(self.extra)
 
     def spec(self):
         """This config decomposed into a nested :class:`StackSpec`.

@@ -335,8 +335,9 @@ register_scenario(
         # scenarios; size the buffer so an event survives its dissemination
         # window instead of being evicted mid-spread, and spread forwarding
         # effort evenly across buffered events ("newest" starves anything
-        # older than a round under heavy load).  Only live builds read these.
-        extra=(("buffer_capacity", 4000), ("selection_strategy", "least-forwarded")),
+        # older than a round under heavy load).
+        buffer_capacity=4000,
+        selection_strategy="least-forwarded",
     ),
     "Live-runtime default (serve/loadgen without --scenario): 25-node push "
     "gossip, every node a publisher, buffers tuned for wall-clock load",

@@ -37,7 +37,7 @@ class BufferedEvent:
 
 
 #: Names of the built-in selection strategies.
-SELECTION_STRATEGIES = ("random", "newest", "oldest", "least-forwarded", "stale-first")
+SELECTION_STRATEGIES = ("random", "newest", "oldest", "least-forwarded")
 
 _ARRIVAL = attrgetter("arrived_round")
 _FORWARDS_THEN_ARRIVAL = attrgetter("forwarded_count", "arrived_round")
@@ -149,9 +149,6 @@ class EventBuffer:
         ``least-forwarded``
             Events this node has forwarded the fewest times first; maximises
             the marginal usefulness of each forwarded byte.
-        ``stale-first``
-            Alias of ``oldest`` kept separate because the selfish-node model
-            uses it deliberately to inflate useless contribution.
         """
         if count <= 0 or not self._entries:
             return []
@@ -160,7 +157,7 @@ class EventBuffer:
             chosen = _best(entries, lambda entry: None, count, rng)  # all tie
         elif strategy == "newest":
             chosen = _best(reversed(entries), _ARRIVAL, count, rng)
-        elif strategy in ("oldest", "stale-first"):
+        elif strategy == "oldest":
             chosen = _best(entries, _ARRIVAL, count, rng)
         elif strategy == "least-forwarded":
             ranked = sorted(

@@ -102,12 +102,8 @@ class BuildContext:
     or the live pair (:class:`~repro.runtime.scheduler.AsyncScheduler`,
     :class:`~repro.runtime.network.RuntimeNetwork`); factories must only use
     the shared duck-typed surface (``now``, ``rng``, ``schedule*``,
-    ``register``/``send``/``alive_nodes``).
-
-    ``live`` marks runtime builds.  Factories may apply live-only tuning
-    (for example the gossip buffer extras) behind it, but must NOT let it
-    change simulator behaviour: the simulator's config→result function is
-    cache-keyed without a schema bump, so it has to stay exactly as it was.
+    ``register``/``send``/``alive_nodes``).  Nothing here says which engine
+    it is, so one spec builds the same nodes on both.
     """
 
     spec: StackSpec
@@ -115,7 +111,6 @@ class BuildContext:
     network: Any
     node_ids: Sequence[str]
     popularity: Optional[TopicPopularity] = None
-    live: bool = False
     #: Shared :class:`~repro.telemetry.Telemetry` store, or ``None``.
     #: Gossip-family factories hand it to their nodes so node-level
     #: instruments (round/message/delivery counters, controller gauges)
@@ -166,30 +161,23 @@ def build_popularity(spec: StackSpec) -> TopicPopularity:
 # ------------------------------------------------------------------ systems
 
 
-def _gossip_system(ctx: BuildContext, node_class=None, system_class=None, **extra):
+def _gossip_system(ctx: BuildContext, node_class=None, system_class=None, **params):
     """Build a gossip-family system: the one call the four kinds share.
 
-    ``extra`` are the node parameters beyond Figure 4's three;
-    ``node_class=None`` leaves the choice to ``system_class``
-    (``None``: :class:`~repro.gossip.system.GossipSystem`).
-
-    ``buffer_capacity``/``selection_strategy`` in ``spec.extra`` tune live
-    clusters for wall-clock load.  Simulator builds ignore them so the
-    cached config→result function is bit-identical to pre-registry code.
+    ``params`` are the node parameters beyond Figure 4's three and the
+    event buffer's two; ``node_class=None`` leaves the choice to
+    ``system_class`` (``None``: :class:`~repro.gossip.system.GossipSystem`).
     """
     system = ctx.spec.system
     node_kwargs: Dict[str, object] = {
         "fanout": system.fanout,
         "gossip_size": system.gossip_size,
         "round_period": system.round_period,
+        "buffer_capacity": system.buffer_capacity,
+        "selection_strategy": system.selection_strategy,
         "telemetry": ctx.telemetry,
-        **extra,
+        **params,
     }
-    if ctx.live:
-        extras = ctx.spec.extra_dict()
-        for key in ("buffer_capacity", "selection_strategy"):
-            if key in extras:
-                node_kwargs[key] = extras[key]
     class_kwargs = {} if node_class is None else {"node_class": node_class}
     if system_class is None:
         from ..gossip.system import GossipSystem
@@ -304,6 +292,8 @@ _GOSSIP_PARAMS = (
     Param("fanout", "peers contacted per round (Figure 4's F)"),
     Param("gossip_size", "events per gossip message (Figure 4's N)"),
     Param("round_period", "gossip round length in time units"),
+    Param("buffer_capacity", "events each node's buffer holds"),
+    Param("selection_strategy", "which buffered events a round forwards first"),
 )
 
 SYSTEMS.register(
@@ -537,17 +527,27 @@ def resolve_policy_kind(kind: str) -> FairnessPolicy:
 #: what a multi-domain topology can constrain (their nodes sample partners
 #: through a membership provider the topology layer can scope; tree/DHT/broker
 #: baselines route by identifier, so a domain map would silently mean nothing
-#: there — reject instead) and what the live buffer tuning applies to.
+#: there — reject instead).
 GOSSIP_KINDS = frozenset({"gossip", "fair-gossip", "pushpull-gossip", "lazy-push"})
 
 
 def check_kinds(spec: StackSpec) -> None:
     """Refuse the kind combinations no build accepts; raises :class:`RegistryError`.
 
-    A topology needs a gossip-family system, and lazy-push needs a
-    digest-capable membership.  ``StackSpec.validate()`` and
-    :func:`build_stack` both call this.
+    A topology needs a gossip-family system, lazy-push needs a
+    digest-capable membership, and the buffer's selection strategy must be
+    one the buffer knows.  ``StackSpec.validate()`` and :func:`build_stack`
+    both call this.
     """
+    from ..gossip.buffers import SELECTION_STRATEGIES
+
+    strategy = spec.system.selection_strategy
+    if strategy not in SELECTION_STRATEGIES:
+        raise RegistryError(
+            f"unknown system.selection_strategy {strategy!r}"
+            f"{suggest(strategy, SELECTION_STRATEGIES)}; expected one of "
+            f"{', '.join(SELECTION_STRATEGIES)}"
+        )
     kind = spec.system.kind
     if spec.topology.enabled and kind not in GOSSIP_KINDS:
         raise RegistryError(
@@ -570,13 +570,12 @@ def build_stack(
     scheduler,
     network,
     popularity: Optional[TopicPopularity] = None,
-    live: bool = False,
     telemetry=None,
 ):
     """Build the dissemination system described by ``spec.system``.
 
-    Works against either scheduling substrate (simulator or live runtime);
-    ``live=True`` marks runtime builds (see :class:`BuildContext`), and
+    Works against either scheduling substrate (simulator or live runtime),
+    with no switch between them: one spec builds the same nodes on both.
     ``telemetry`` hands the caller's shared store to node-level instruments.
     Unknown kinds raise :class:`~repro.registry.base.RegistryError` listing
     the registered systems.
@@ -595,7 +594,6 @@ def build_stack(
         network=network,
         node_ids=list(spec.node_ids()),
         popularity=popularity,
-        live=live,
         telemetry=telemetry,
     )
     if spec.topology.enabled:

@@ -74,9 +74,8 @@ class SystemSpec:
     Parameters irrelevant to the chosen ``kind`` are carried anyway (at
     their defaults) so the flat-config bijection stays exact; each
     component's registry entry documents the subset it actually reads.
-
-    No code reads ``selfish_fraction``: it stays only because every pinned
-    cache key contains it, and its bound admits nothing but its default.
+    ``buffer_capacity`` and ``selection_strategy`` are the event buffer of
+    every gossip-family node, on both engines.
     """
 
     kind: str = "gossip"
@@ -93,7 +92,8 @@ class SystemSpec:
     max_fanout: int = 12
     min_payload: int = 1
     max_payload: int = 32
-    selfish_fraction: Annotated[float, Bound(0, 0)] = 0.0
+    buffer_capacity: Annotated[int, Bound(1)] = 500
+    selection_strategy: str = "newest"
 
 
 @dataclass(frozen=True)
@@ -254,7 +254,6 @@ FLAT_TO_PATH: Dict[str, str] = {
     "duration": "duration",
     "drain_time": "drain_time",
     "loss_rate": "loss_rate",
-    "extra": "extra",
     "system": "system.kind",
     "fanout": "system.fanout",
     "gossip_size": "system.gossip_size",
@@ -269,7 +268,8 @@ FLAT_TO_PATH: Dict[str, str] = {
     "max_fanout": "system.max_fanout",
     "min_payload": "system.min_payload",
     "max_payload": "system.max_payload",
-    "selfish_fraction": "system.selfish_fraction",
+    "buffer_capacity": "system.buffer_capacity",
+    "selection_strategy": "system.selection_strategy",
     "membership": "membership.kind",
     "interest_model": "interest.kind",
     "topics_per_node": "interest.topics_per_node",
@@ -309,19 +309,20 @@ PATH_TO_FLAT: Dict[str, str] = {path: flat for flat, path in FLAT_TO_PATH.items(
 #: Structured (tuple-valued) paths: not settable from ``--set``, not
 #: sweepable; each maps to the hint naming the option that does carry it.
 _STRUCTURED_HINTS: Dict[str, str] = {
-    "extra": "",
     "faults.plan": "; pass a plan file via --fault instead",
     "topology.assignment": "; pass a topology file via --topology instead",
     "topology.geo": "; pass a topology file via --topology instead",
 }
 STRUCTURED_PATHS: Tuple[str, ...] = tuple(_STRUCTURED_HINTS)
 
-#: Sections added after the PR-1/PR-3 artifacts were written: omitted from
-#: :meth:`StackSpec.to_dict` at their defaults (the topology section field by
-#: field), so dicts of specs that never touch them stay byte-identical to the
-#: format of that era.
+#: Sections and fields added after the PR-1/PR-3 artifacts were written:
+#: omitted from :meth:`StackSpec.to_dict` at their defaults (the topology
+#: section field by field), so dicts of specs that never touch them stay
+#: byte-identical to the format of that era.
 _OMITTED_AT_DEFAULT = frozenset(
     {
+        "system.buffer_capacity",
+        "system.selection_strategy",
         "faults",
         "faults.churn",
         "faults.partition",
@@ -432,9 +433,7 @@ class StackSpec:
 
     The nested component specs say *what to build* (each ``kind`` is looked
     up in its registry); the run-level fields say how big, how long, and how
-    reproducibly.  ``extra`` carries free-form ``(key, value)`` pairs for
-    component-specific knobs outside the fixed schema (for example
-    ``buffer_capacity`` / ``selection_strategy`` on live gossip nodes).
+    reproducibly.
     """
 
     name: str = "experiment"
@@ -458,7 +457,6 @@ class StackSpec:
     #: Observability wiring; excluded from the flat-config bijection and
     #: therefore from the result-cache identity (see :class:`TelemetrySpec`).
     telemetry: TelemetrySpec = field(default_factory=TelemetrySpec)
-    extra: Tuple[Tuple[str, object], ...] = ()
 
     # ------------------------------------------------------------ flat adapter
 
@@ -493,7 +491,8 @@ class StackSpec:
         """Nested JSON-serializable form; inverse of :meth:`from_dict`.
 
         The faults, topology and telemetry sections (and the fault
-        sub-sections) are omitted at their defaults.
+        sub-sections) and the two buffer fields are omitted at their
+        defaults.
         """
         return encode(self, sparse=_OMITTED_AT_DEFAULT)
 
@@ -518,7 +517,8 @@ class StackSpec:
         :attr:`total_time` only for a simulator run — ``live`` runs have no
         end; nodes are not pinned, a plan may target infra nodes such as
         ``broker-0``); the domain map compiles; the system, membership and
-        topology kinds fit together (:func:`~repro.registry.builtins.check_kinds`).
+        topology kinds fit together and the selection strategy is known
+        (:func:`~repro.registry.builtins.check_kinds`).
         Raises :class:`RegistryError`.
         """
         from ..topology.domains import compile_domain_map
@@ -567,10 +567,6 @@ class StackSpec:
 
     # ------------------------------------------------------------ conveniences
 
-    def extra_dict(self) -> Dict[str, object]:
-        """The free-form extras as a dictionary."""
-        return dict(self.extra)
-
     def with_telemetry(self, sinks, period: Optional[float] = None) -> "StackSpec":
         """Copy with telemetry sinks (and optionally the snapshot period) set."""
         period = self.telemetry.period if period is None else float(period)
@@ -595,10 +591,8 @@ class StackSpec:
         lines = [
             f"{path} = {self.get(path)!r}" for path in spec_paths() if path not in STRUCTURED_PATHS
         ]
-        for path in ("faults.plan", "topology.assignment", "topology.geo"):
+        for path in STRUCTURED_PATHS:
             count = len(self.get(path))
             if count:
                 lines.append(f"{path} = {count} entr{'y' if count == 1 else 'ies'}")
-        if self.extra:
-            lines.append(f"extra = {dict(self.extra)!r}")
         return "\n".join(lines)

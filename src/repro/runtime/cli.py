@@ -14,10 +14,13 @@ system.kind=brokers`` style dotted overrides adjust it
 (:func:`repro.cli.resolve_spec`), and the host builds *any* registered
 system — gossip or baseline — through the component registry
 (:func:`repro.registry.builtins.build_stack`), so every scenario the
-simulator can run also runs live.
+simulator can run also runs live.  There is no live-only option for a spec
+field: a gossip node's buffer is ``--set system.buffer_capacity=4000 --set
+system.selection_strategy=least-forwarded``, as on the simulator.
 
-A live run and a simulated run of the same shape are therefore directly
-comparable — the property the runtime-vs-simulator parity test checks.
+A live run and a simulated run of one spec therefore build the same nodes
+and are directly comparable — the property the runtime-vs-simulator parity
+test checks.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ import asyncio
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from ..cli import add_stack_options, parse_tracer, resolve_spec, write_artifact
-from ..experiments.scenarios import LIVE_SCENARIO, get_scenario
-from ..registry.builtins import GOSSIP_KINDS, build_interest_model, build_popularity, build_workload
+from ..experiments.scenarios import LIVE_SCENARIO
+from ..registry.builtins import build_interest_model, build_popularity, build_workload
 from ..registry.specs import StackSpec
 
 if TYPE_CHECKING:  # annotations only: the commands import the runtime when they run
@@ -65,25 +68,6 @@ def _build_transport(args: argparse.Namespace) -> Transport:
     raise SystemExit(f"unknown transport {args.transport!r}; expected one of {TRANSPORT_NAMES}")
 
 
-def _live_buffer_tuning(spec: StackSpec, args: argparse.Namespace) -> StackSpec:
-    """Give gossip nodes the live buffer extras.
-
-    Live clusters push far more events per time unit than the default
-    simulator scenarios.  ``--buffer-capacity`` / ``--selection-strategy``
-    (not spec paths, so not ``--set``-able) override the scenario's extras;
-    absent both, the ``live`` scenario's tuning fills in.  These extras
-    only take effect in live builds — the simulator's config→result
-    function never reads them.
-    """
-    if spec.system.kind not in GOSSIP_KINDS:
-        return spec
-    extras = {**dict(get_scenario(LIVE_SCENARIO).config.extra), **spec.extra_dict()}
-    for key in ("buffer_capacity", "selection_strategy"):
-        if getattr(args, key) is not None:
-            extras[key] = getattr(args, key)
-    return spec.with_value("extra", tuple(sorted(extras.items())))
-
-
 def build_live_cluster(
     spec: StackSpec, transport: Transport, time_scale: float, rate: float, tracer=None
 ) -> LiveCluster:
@@ -118,7 +102,7 @@ def _cluster_from_args(args: argparse.Namespace) -> LiveCluster:
             raise SystemExit(f"{flag} must be positive, got {value!r}")
     if args.drain < 0:
         raise SystemExit(f"--drain must be non-negative, got {args.drain!r}")
-    spec = _live_buffer_tuning(resolve_spec(args, live=True), args)
+    spec = resolve_spec(args, live=True)
     return build_live_cluster(
         spec, _build_transport(args), args.time_scale, args.rate, parse_tracer(args)
     )
@@ -252,18 +236,6 @@ def _add_common_runtime_options(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=1.0,
         help="extra real seconds after the load stops so in-flight events settle",
-    )
-    parser.add_argument(
-        "--buffer-capacity",
-        type=int,
-        default=None,
-        help="per-node event buffer capacity (default: 4000)",
-    )
-    parser.add_argument(
-        "--selection-strategy",
-        default=None,
-        choices=("random", "newest", "oldest", "least-forwarded"),
-        help="SELECTEVENTS strategy (default: least-forwarded)",
     )
     parser.add_argument("--bind-host", default="127.0.0.1", help="socket transports: bind host")
     parser.add_argument(

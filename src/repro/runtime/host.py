@@ -258,7 +258,6 @@ class NodeHost(DisseminationSystem):
             self.scheduler,
             self.network,
             popularity=popularity,
-            live=True,
             telemetry=self.telemetry,
         )
         self.adopt_system(system)

@@ -103,13 +103,13 @@ class TestFlaglessOverrides:
         assert (node.fanout, node.gossip_size) == (5, 24)
         assert (node.buffer.capacity, node.selection_strategy) == (4000, "least-forwarded")
 
-    def test_explicit_flags_override_the_scenario(self):
-        argv = ["--scenario", "smoke", "--set", "system.fanout=4", "--buffer-capacity", "99", *FAST]
-        spec, nodes = built_nodes(argv)
+    def test_set_overrides_the_scenario_buffer(self):
+        argv = ["--scenario", "smoke", "--set", "system.fanout=4", *FAST]
+        spec, nodes = built_nodes([*argv, "--set", "system.buffer_capacity=99"])
         assert spec.system.fanout == 4
         node = next(iter(nodes.values()))
-        # The buffer flag wins, the live scenario's tuning fills what smoke leaves open.
-        assert (node.buffer.capacity, node.selection_strategy) == (99, "least-forwarded")
+        # The override wins; smoke's own strategy fills what it leaves open.
+        assert (node.buffer.capacity, node.selection_strategy) == (99, "newest")
 
     def test_topology_file_is_accepted_without_a_scenario(self):
         spec, nodes = built_nodes(["--topology", GEO_TOPOLOGY, *FAST])

@@ -98,7 +98,7 @@ class ReferenceEventBuffer:
             chosen = entries[:count]
         elif strategy == "newest":
             chosen = sorted(entries, key=lambda entry: entry.rounds_held)[:count]
-        elif strategy in ("oldest", "stale-first"):
+        elif strategy == "oldest":
             chosen = sorted(entries, key=lambda entry: -entry.rounds_held)[:count]
         elif strategy == "least-forwarded":
             chosen = sorted(
@@ -207,7 +207,6 @@ class TestEventBuffer:
         rng = random.Random(1)
         assert [event.event_id for event in buffer.select(1, rng, strategy="newest")] == ["e2"]
         assert [event.event_id for event in buffer.select(1, rng, strategy="oldest")] == ["e1"]
-        assert [event.event_id for event in buffer.select(1, rng, strategy="stale-first")] == ["e1"]
 
     def test_select_least_forwarded(self):
         buffer = EventBuffer(capacity=20)
@@ -264,7 +263,6 @@ RANKS = {
     "random": lambda held, forwarded: 0,
     "newest": lambda held, forwarded: held,
     "oldest": lambda held, forwarded: -held,
-    "stale-first": lambda held, forwarded: -held,
     "least-forwarded": lambda held, forwarded: (forwarded, held),
 }
 
@@ -327,7 +325,6 @@ class TestSelectionCut:
             ("random", 4, range(9), 4),
             ("newest", 4, range(3, 9), 4),
             ("oldest", 5, range(3, 9), 2),
-            ("stale-first", 5, range(3, 9), 2),
             ("least-forwarded", 6, (3, 4, 5, 6), 3),
         ],
     )

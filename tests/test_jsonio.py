@@ -28,6 +28,7 @@ from repro.analysis.reliability import EventReliability
 from repro.campaign.spec import CampaignError, CampaignSpec
 from repro.cli import main as cli_main
 from repro.faults import FAULT_KINDS, FaultPlan, FaultPlanError, FaultSpec
+from repro.gossip.buffers import SELECTION_STRATEGIES
 from repro.jsonio import (
     JsonlSink,
     MemorySink,
@@ -61,7 +62,6 @@ from repro.tracing import PUBLISH, TRACE_SCHEMA, SpanRecord
 # Round trips through the one walker
 # ---------------------------------------------------------------------------
 
-numbers = st.floats(allow_nan=False, allow_infinity=False)
 unit = st.floats(min_value=0.0, max_value=1.0)
 names = st.text(max_size=6)
 name_tuples = st.lists(names, max_size=3).map(tuple)
@@ -125,8 +125,6 @@ topology_specs = st.builds(
     ).map(tuple),
 )
 
-scalars = st.one_of(st.integers(), numbers, st.booleans(), names)
-
 
 @st.composite
 def stack_specs(draw):
@@ -172,7 +170,8 @@ def stack_specs(draw):
                 SystemSpec,
                 kind=names,
                 adapt_fanout=st.booleans(),
-                **bounded_fields(SystemSpec, "fanout", "alpha", "stripes"),
+                selection_strategy=st.sampled_from(SELECTION_STRATEGIES),
+                **bounded_fields(SystemSpec, "fanout", "alpha", "stripes", "buffer_capacity"),
             ),
             membership=st.builds(MembershipSpec, kind=names),
             interest=st.builds(
@@ -201,9 +200,6 @@ def stack_specs(draw):
                 sinks=name_tuples,
                 period=st.floats(min_value=1e-6, max_value=1e6),
             ),
-            extra=st.lists(
-                st.tuples(names, st.one_of(scalars, st.tuples(scalars, scalars))), max_size=2
-            ).map(tuple),
         )
     )
 
@@ -306,7 +302,7 @@ BAD_STACKS = [
     ({"telemetry": {"sinks": [1]}}, r"'sinks'\[0\]"),
     ({"faults": {"churn": {"period": "1"}}}, "'period'"),
     ({"faults": {"plan": "x"}}, "'plan'"),
-    ({"extra": [["key"]]}, r"'extra'\[0\]"),
+    ({"topology": {"assignment": [["node-000"]]}}, r"'assignment'\[0\]"),
 ]
 
 

@@ -104,11 +104,16 @@ class TestSpecRoundTrips:
     def test_defaults_agree_with_flat_config_defaults(self):
         assert StackSpec.from_config(ExperimentConfig()) == StackSpec()
 
-    def test_extra_survives_both_encodings(self):
-        config = ExperimentConfig(extra=(("buffer_capacity", 64), ("note", "x")))
+    def test_buffer_fields_survive_both_encodings(self):
+        config = ExperimentConfig(buffer_capacity=64, selection_strategy="oldest")
         spec = StackSpec.from_config(config)
-        assert spec.extra_dict() == {"buffer_capacity": 64, "note": "x"}
+        assert (spec.system.buffer_capacity, spec.system.selection_strategy) == (64, "oldest")
         assert StackSpec.from_dict(spec.to_dict()).to_config() == config
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
+        # At their defaults neither dict holds them, so no cache key moves.
+        buffer = {"buffer_capacity", "selection_strategy"}
+        assert not buffer & set(ExperimentConfig().to_dict())
+        assert not buffer & set(StackSpec().to_dict()["system"])
 
     def test_dotted_get_and_with_value(self):
         spec = StackSpec()
@@ -163,6 +168,15 @@ class TestFlatDictReader:
             from_nested = StackSpec.from_dict(StackSpec.from_config(config).to_dict())
             assert from_flat == from_nested
             assert config_hash(from_flat.to_config()) == config_hash(config)
+
+    def test_the_deleted_fields_are_read_at_their_fixed_values_only(self):
+        stored = _smoke_config().to_dict()
+        assert stored["extra"] == [] and stored["selfish_fraction"] == 0.0
+        assert ExperimentConfig.from_dict(stored) == _smoke_config()
+        with pytest.raises(ValueError, match=r"unknown config fields \['extra'\]"):
+            ExperimentConfig.from_dict({**stored, "extra": [["buffer_capacity", 64]]})
+        with pytest.raises(ValueError, match=r"unknown config fields \['selfish_fraction'\]"):
+            ExperimentConfig.from_dict({**stored, "selfish_fraction": 0.5})
 
     def test_stack_spec_reads_the_nested_form_only(self):
         with pytest.raises(RegistryError, match="unknown StackSpec fields"):
@@ -282,10 +296,17 @@ class TestCliSurface:
         assert code == 0
         assert "smoke" in capsys.readouterr().out
 
-    def test_set_unknown_dotted_path_errors(self):
+    @pytest.mark.parametrize(
+        "override, expected",
+        [
+            ("membership.kin=lpbcast", "membership.kind"),
+            ("system.selfish_fraction=0.5", "unknown config key 'system.selfish_fraction'"),
+        ],
+    )
+    def test_set_unknown_dotted_path_errors(self, override, expected):
         with pytest.raises(SystemExit) as excinfo:
-            cli_main(["run", "smoke", "--no-cache", "--set", "membership.kin=lpbcast"])
-        assert "membership.kind" in str(excinfo.value)
+            cli_main(["run", "smoke", "--no-cache", "--set", override])
+        assert expected in str(excinfo.value)
 
     @pytest.mark.parametrize(
         "override",
@@ -314,7 +335,7 @@ class TestCliSurface:
             "workload.publisher_fraction=-1",
             "workload.publisher_fraction=0",
             "workload.subscription_churn_rate=-2",
-            "system.selfish_fraction=0.5",
+            "system.buffer_capacity=0",
             "system.alpha=0",
             "faults.churn.up_probability=2",
             "faults.churn.start=-1",
@@ -339,6 +360,18 @@ class TestCliSurface:
         message = str(excinfo.value)
         assert override.split("=")[0] in message and "must be" in message
         assert "\n" not in message
+
+    def test_set_rejects_a_misspelt_selection_strategy_before_anything_runs(
+        self, monkeypatch, tmp_path
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a misspelt strategy reached config_hash")
+
+        monkeypatch.setattr("repro.experiments.cache.config_hash", unreachable)
+        override = "system.selection_strategy=newst"
+        with pytest.raises(SystemExit, match="did you mean 'newest'") as excinfo:
+            cli_main(["run", "smoke", "--cache-dir", str(tmp_path), "--set", override])
+        assert "\n" not in str(excinfo.value)
 
     @pytest.mark.parametrize(
         "override, expected",
@@ -586,17 +619,10 @@ class TestSpecModeHost:
         # the shared ledger sees broker work (fairness reads the real data)
         assert "broker-0" in host.ledger.node_ids()
 
-    def test_misspelt_selection_strategy_extra_fails_before_the_first_event(self):
-        spec = dataclasses.replace(
-            get_scenario("smoke").spec, extra=(("selection_strategy", "newst"),)
-        )
-
-        async def scenario() -> None:
-            host = NodeHost(MemoryTransport(), spec=spec)
-            with pytest.raises(ValueError, match="did you mean 'newest'"):
-                await host.start()
-
-        asyncio.run(scenario())
+    def test_misspelt_selection_strategy_fails_before_a_node_is_built(self):
+        spec = get_scenario("smoke").spec.with_value("system.selection_strategy", "newst")
+        with pytest.raises(RegistryError, match="did you mean 'newest'"):
+            NodeHost(MemoryTransport(), spec=spec)
 
     def test_spec_mode_rejects_manual_add_node(self):
         spec = get_scenario("smoke").spec
