@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test startup-smoke bench bench-smoke bench-metrics bench-faults bench-lazy bench-trace bench-domains bench-campaign bench-scale bench-scale-quick perfbench perfbench-quick rss-ab cpu-ab serve-smoke loadgen-smoke serve-scenario-smoke registry-smoke report-smoke parity-smoke fault-smoke lazy-smoke trace-smoke domains-smoke campaign-smoke fingerprint clean-cache
+.PHONY: test startup-smoke bench bench-smoke bench-metrics bench-faults bench-lazy bench-trace bench-domains bench-campaign bench-scale bench-scale-quick perfbench perfbench-quick rss-ab cpu-ab serve-smoke loadgen-smoke serve-scenario-smoke registry-smoke report-smoke parity-smoke fault-smoke lazy-smoke trace-smoke domains-smoke campaign-smoke fingerprint fingerprint-diff clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -240,6 +240,17 @@ fingerprint:
 			--trace out/fingerprint/$$scenario.trace.jsonl > /dev/null || exit 1; \
 	done
 	cd out/fingerprint && LC_ALL=C sha256sum *
+
+# The fingerprint against another checkout (a git clone of the parent): the
+# 18 sums of both trees, each written by this Makefile in its own tree, then
+# diffed; fails on any difference (~20 s).  make fingerprint-diff PARENT=<dir>
+fingerprint-diff:
+	test -n "$(PARENT)" || { echo "usage: make fingerprint-diff PARENT=<checkout>"; exit 2; }
+	mkdir -p out
+	$(MAKE) -s --no-print-directory -C $(PARENT) -f $(CURDIR)/Makefile fingerprint > out/fingerprint-parent.sha256
+	$(MAKE) -s --no-print-directory fingerprint > out/fingerprint-change.sha256
+	diff out/fingerprint-parent.sha256 out/fingerprint-change.sha256
+	echo "fingerprint-diff: $$(wc -l < out/fingerprint-change.sha256) sums identical to $(PARENT)"
 
 # BENCH_metrics_overhead.json is tracked (it seeds the perf trajectory), so
 # clean-cache leaves it alone; re-run `make bench-metrics` to refresh it.

@@ -253,7 +253,3 @@ class BrokerSystem(DisseminationSystem):
         self._unsubscribed(node_id, subscription_filter)
 
     # -------------------------------------------------------------- queries
-
-    def broker_ids(self) -> List[str]:
-        """Ids of the broker nodes."""
-        return sorted(self.brokers)

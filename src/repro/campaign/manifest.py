@@ -10,7 +10,7 @@ after every run.  The manifest is split into a *canonical* part and a
   and the cache state — two warm runs of the same campaign produce
   byte-identical canonical JSON, which the incremental-re-run tests pin;
 * the timing part (wall-clock seconds, per-service elapsed time) is
-  measured and therefore excluded from :meth:`RunManifest.canonical_json`.
+  measured and therefore left out when two runs are compared.
 
 Both parts are the :func:`~repro.jsonio.encode` form of the records below,
 and :func:`~repro.jsonio.decode` reads them back; totals and per-service
@@ -19,7 +19,6 @@ hit counts are derived, not stored.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -81,7 +80,7 @@ class TargetRecord:
 
 @dataclass
 class RunTiming:
-    """The measured part of a run: never in :meth:`RunManifest.canonical_json`."""
+    """The measured part of a run: left out when two runs are compared."""
 
     wall_seconds: float = 0.0
     #: Elapsed seconds of every service that ran.
@@ -111,12 +110,6 @@ class RunManifest:
 
     def to_dict(self) -> Dict[str, object]:
         return {"schema": MANIFEST_SCHEMA, **encode(self)}
-
-    def canonical_json(self) -> str:
-        """The deterministic part (no timing): what the pinned tests compare."""
-        canonical = self.to_dict()
-        del canonical["timing"]
-        return json.dumps(canonical, sort_keys=True, indent=2)
 
     def write(self, path: str) -> None:
         write_json(path, self.to_dict())

@@ -53,28 +53,6 @@ class NodeAccount:
         """Return an independent copy (used for windowed differencing)."""
         return NodeAccount(**self.__dict__)
 
-    def minus(self, earlier: "NodeAccount") -> "NodeAccount":
-        """Counter-wise difference ``self - earlier`` (same node)."""
-        if earlier.node_id != self.node_id:
-            raise ValueError("cannot difference accounts of different nodes")
-        result = NodeAccount(node_id=self.node_id)
-        for name in (
-            "events_published",
-            "gossip_messages_sent",
-            "events_forwarded",
-            "bytes_forwarded",
-            "infrastructure_messages",
-            "subscription_forwards",
-            "events_delivered",
-            "subscribe_operations",
-            "unsubscribe_operations",
-            "crashes",
-        ):
-            setattr(result, name, getattr(self, name) - getattr(earlier, name))
-        # filters_placed is a level, not a flow; keep the current level.
-        result.filters_placed = self.filters_placed
-        return result
-
 
 @dataclass(frozen=True)
 class ContributionWeights:
@@ -220,14 +198,6 @@ class WorkLedger:
             accounts={node_id: account.copy() for node_id, account in self._accounts.items()},
         )
 
-    def window(self, earlier: AccountSnapshot) -> Dict[str, NodeAccount]:
-        """Per-node accounts accumulated since ``earlier`` was taken."""
-        result: Dict[str, NodeAccount] = {}
-        for node_id, account in self._accounts.items():
-            previous = earlier.accounts.get(node_id)
-            result[node_id] = account.minus(previous) if previous is not None else account.copy()
-        return result
-
     def contributions(self, weights: ContributionWeights) -> Dict[str, float]:
         """Per-node scalar contributions under ``weights``."""
         return {node_id: weights.contribution(account) for node_id, account in self._accounts.items()}
@@ -252,7 +222,3 @@ class WorkLedger:
             total.unsubscribe_operations += account.unsubscribe_operations
             total.crashes += account.crashes
         return total
-
-    def reset(self) -> None:
-        """Forget every account (between independent runs)."""
-        self._accounts.clear()

@@ -55,11 +55,6 @@ class Ewma:
         self.observations += 1
         return self.value
 
-    def reset(self) -> None:
-        """Forget everything."""
-        self.value = 0.0
-        self.observations = 0
-
 
 class BenefitEstimator:
     """Tracks a node's own benefit rate and an estimate of the population rate.
@@ -99,16 +94,6 @@ class BenefitEstimator:
     def population_rate(self) -> float:
         """Smoothed estimate of the average peer benefit rate."""
         return self._peers.value
-
-    @property
-    def own_observations(self) -> int:
-        """How many rounds have been observed locally."""
-        return self._own.observations
-
-    @property
-    def peer_observations(self) -> int:
-        """How many peer advertisements have been folded in."""
-        return self._peers.observations
 
     def relative_benefit(self) -> float:
         """Own rate divided by the population rate.
@@ -228,20 +213,3 @@ class ContributionLever:
         self.current = int(min(self.ceiling, max(self.floor, wanted)))
         self.history.append(self.current)
         self._gauge.set(self.current)
-
-    def rounds_to_converge(self, target: Optional[int] = None, stable_rounds: int = 5) -> Optional[int]:
-        """Number of rounds until the recommendation stabilised.
-
-        Convergence means ``stable_rounds`` consecutive identical
-        recommendations (optionally equal to ``target``).  Returns ``None``
-        if the lever never stabilised within the recorded history —
-        callers treat that as "did not converge".
-        """
-        if stable_rounds <= 0:
-            raise ValueError("stable_rounds must be positive")
-        history = self.history
-        for index in range(len(history) - stable_rounds + 1):
-            window = history[index : index + stable_rounds]
-            if len(set(window)) == 1 and (target is None or window[0] == target):
-                return index + 1
-        return None

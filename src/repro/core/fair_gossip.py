@@ -48,12 +48,14 @@ class FairGossipNode(PushGossipNode):
         ``gossip_size`` (Figure 4's static ``F`` and ``N``) are their
         neutral operating points.
     policy:
-        Fairness policy; its name is only used in reports but its
-        ``minimum_share`` intent is honoured through the lever floors.
+        Fairness policy; only its name is used, in reports.  No node is
+        silenced: ``min_fanout`` / ``min_payload`` are the floors below
+        which the levers never go.
     adapt_fanout / adapt_payload:
         Switches for ablation experiments (fanout-only, payload-only, both).
-    own_alpha / peer_alpha / smoothing:
-        Estimator and lever smoothing parameters.
+    smoothing:
+        EWMA weight of both levers' recommendations (``bench_c1`` compares
+        two); the benefit estimator runs at its default smoothing.
     """
 
     def __init__(
@@ -66,8 +68,6 @@ class FairGossipNode(PushGossipNode):
         policy: FairnessPolicy = EXPRESSIVE_POLICY,
         adapt_fanout: bool = True,
         adapt_payload: bool = True,
-        own_alpha: float = 0.3,
-        peer_alpha: float = 0.1,
         smoothing: float = 0.5,
         **kwargs,
     ) -> None:
@@ -75,7 +75,7 @@ class FairGossipNode(PushGossipNode):
         self.policy = policy
         self.adapt_fanout = adapt_fanout
         self.adapt_payload = adapt_payload
-        self.estimator = BenefitEstimator(own_alpha=own_alpha, peer_alpha=peer_alpha)
+        self.estimator = BenefitEstimator()
         lever_tags = {"node": self.node_id}
         self.fanout_lever = ContributionLever(
             FANOUT, self.fanout, min_fanout, max_fanout,

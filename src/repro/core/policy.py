@@ -8,20 +8,21 @@ encodes one concrete compromise:
 
 * which weights turn the raw ledger counters into contribution and benefit
   (Figure 2 vs Figure 3);
-* how a node's *target contribution share* is computed from its benefit
-  share (strict proportionality by default);
 * how the delivery-based and subscription-based benefit terms are blended
   depending on how busy the system is (the §5.1 idea that when few events
   flow, subscription cost should dominate, and when many events flow, the
-  heavy receivers should do the maintenance);
-* an optional penalty factor for unstable nodes (§3.2: "it might also be
-  wise to penalize unstable nodes").
+  heavy receivers should do the maintenance).
+
+The fairness ratio compares each node's contribution with its benefit as
+these weights define them (:mod:`repro.core.fairness`); a node's share of
+the work is steered by the fair gossip levers, whose floors keep every node
+contributing (:mod:`repro.core.fair_gossip`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from .accounting import BenefitWeights, ContributionWeights, NodeAccount, WorkLedger
 
@@ -44,22 +45,12 @@ class FairnessPolicy:
         the system is: in a quiet system (few deliveries per node) the filter
         term keeps its full weight, in a busy system it fades out and
         deliveries dominate — the compensation rule sketched in §5.1.
-    instability_penalty:
-        Extra *expected contribution* per recorded crash, as a fraction of
-        the node's benefit-derived target.  0 disables the penalty.
-    minimum_share:
-        Lower bound on any node's target contribution share, as a fraction of
-        the equal share ``1/n``; prevents the fair protocol from silencing
-        low-benefit nodes entirely, which would hurt dissemination
-        reliability (challenge 3 of §5.2).
     """
 
     name: str = "expressive"
     contribution_weights: ContributionWeights = field(default_factory=ContributionWeights)
     benefit_weights: BenefitWeights = field(default_factory=BenefitWeights)
     adaptive_blend: bool = False
-    instability_penalty: float = 0.0
-    minimum_share: float = 0.1
 
     # ------------------------------------------------------------- scalars
 
@@ -104,36 +95,6 @@ class FairnessPolicy:
             for node_id in node_ids
         }
 
-    # ---------------------------------------------------------- target work
-
-    def target_shares(
-        self, benefits: Mapping[str, float], crashes: Optional[Mapping[str, int]] = None
-    ) -> Dict[str, float]:
-        """Target contribution share per node (shares sum to 1).
-
-        A node's fair share of the total work is proportional to its benefit
-        share (Figure 1), floored at ``minimum_share / n`` and increased by
-        the instability penalty for nodes that crashed.
-        """
-        node_ids = sorted(benefits)
-        if not node_ids:
-            return {}
-        count = len(node_ids)
-        floor = self.minimum_share / count
-        total_benefit = sum(max(value, 0.0) for value in benefits.values())
-        raw: Dict[str, float] = {}
-        for node_id in node_ids:
-            if total_benefit > 0:
-                share = max(benefits[node_id], 0.0) / total_benefit
-            else:
-                share = 1.0 / count
-            share = max(share, floor)
-            if crashes and self.instability_penalty > 0:
-                share *= 1.0 + self.instability_penalty * crashes.get(node_id, 0)
-            raw[node_id] = share
-        normaliser = sum(raw.values())
-        return {node_id: share / normaliser for node_id, share in raw.items()}
-
 
 #: Figure 2: topic-based selection — benefit counts deliveries *and* filters,
 #: contribution counts published and forwarded messages (including
@@ -150,7 +111,6 @@ TOPIC_BASED_POLICY = FairnessPolicy(
     ),
     benefit_weights=BenefitWeights(per_delivery=1.0, per_filter=1.0),
     adaptive_blend=True,
-    instability_penalty=0.1,
 )
 
 #: Figure 3: expressive selection — benefit is deliveries only, contribution
@@ -167,5 +127,4 @@ EXPRESSIVE_POLICY = FairnessPolicy(
     ),
     benefit_weights=BenefitWeights(per_delivery=1.0, per_filter=0.0),
     adaptive_blend=False,
-    instability_penalty=0.0,
 )

@@ -213,7 +213,3 @@ class DksSystem(DisseminationSystem):
         self._unsubscribed(node_id, subscription_filter)
 
     # -------------------------------------------------------------- queries
-
-    def coordinator_of(self, topic: str) -> str:
-        """The index node coordinating a topic's group."""
-        return self.router.root_of(self.router.key_for(topic))

@@ -103,10 +103,6 @@ class PastryRouter:
 
     # -------------------------------------------------------------- identity
 
-    def node_identifier(self, node_id: str) -> int:
-        """The numeric identifier assigned to a node."""
-        return self._id_of[node_id]
-
     def key_for(self, name: str) -> int:
         """Hash an arbitrary name (for example a topic) into the id space."""
         return self.space.hash_name(name)

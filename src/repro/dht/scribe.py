@@ -255,7 +255,3 @@ class ScribeSystem(DisseminationSystem):
         self._unsubscribed(node_id, subscription_filter)
 
     # -------------------------------------------------------------- queries
-
-    def rendezvous_of(self, topic: str) -> str:
-        """The rendezvous (tree root) node of a topic."""
-        return self.router.root_of(self.router.key_for(topic))

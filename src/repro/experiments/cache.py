@@ -218,22 +218,3 @@ class ResultCache:
         self.stats.stores += 1
         write_json(path, payload)
         return path
-
-    def entry_count(self) -> int:
-        """Number of artifacts currently stored."""
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.glob("*/*.json"))
-
-    def clear(self) -> int:
-        """Delete every artifact; returns how many were removed."""
-        removed = 0
-        if not self.directory.is_dir():
-            return removed
-        for path in self.directory.glob("*/*.json"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed

@@ -186,7 +186,7 @@ def run_experiment(
     """
     simulator, network = build_simulation(config)
     if telemetry is None:
-        telemetry = Telemetry(time_source=lambda: simulator.now)
+        telemetry = Telemetry()
     popularity = build_popularity(config)
     system = build_system(
         config, simulator, network, popularity=popularity, telemetry=telemetry

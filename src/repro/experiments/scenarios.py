@@ -122,11 +122,9 @@ class Scenario:
 _SCENARIOS: Dict[str, Scenario] = {}
 
 
-def register_scenario(
-    name: str, config: ExperimentConfig, description: str = "", replace: bool = False
-) -> Scenario:
-    """Add a scenario to the registry (``replace`` guards against typos)."""
-    if name in _SCENARIOS and not replace:
+def register_scenario(name: str, config: ExperimentConfig, description: str = "") -> Scenario:
+    """Add a scenario under a name not registered yet."""
+    if name in _SCENARIOS:
         raise ValueError(f"scenario {name!r} is already registered")
     scenario = Scenario(name=name, description=description, config=config)
     _SCENARIOS[name] = scenario

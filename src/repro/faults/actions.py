@@ -29,6 +29,10 @@ FAULT_SKIPPED_METRIC = "fault.skipped"
 def apply_node_action(registry, node_id: str, action: str) -> bool:
     """Apply one ``crash``/``recover``/``leave`` to a registered process.
 
+    A leave is for good: the process leaves the registry, and its active
+    subscriptions are cancelled at the leave time in the registry's
+    subscription table, which from then on counts it interested in nothing.
+
     Returns ``False`` — without touching anything — when the node is not
     (or no longer) in the registry; callers turn that into a loud
     ``fault.skipped`` record rather than a silent no-op.
@@ -43,6 +47,8 @@ def apply_node_action(registry, node_id: str, action: str) -> bool:
     else:
         process.leave()
         registry.remove(node_id)
+        if registry.subscriptions is not None:
+            registry.subscriptions.unsubscribe_all(node_id, timestamp=process.simulator.now)
     return True
 
 

@@ -569,11 +569,6 @@ class MemorySink:
         """The retained records, oldest first."""
         return list(self._records)
 
-    @property
-    def latest(self):
-        """The most recent record (None before the first emit)."""
-        return self._records[-1] if self._records else None
-
 
 def read_jsonl(path: str, schema: str, decode_record: Callable[[dict], Any]) -> List[Any]:
     """Load a stream written by :class:`JsonlSink`: one ``decode_record`` per line.

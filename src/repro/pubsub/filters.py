@@ -176,14 +176,6 @@ class ContentFilter(Filter):
         tests = tuple((c.attribute, _OPERATORS[c.operator], c.value) for c in self.conditions)
         object.__setattr__(self, "_tests", tests)
 
-    @staticmethod
-    def build(name: str = "", **equalities: Any) -> "ContentFilter":
-        """Shorthand for an equality-only content filter."""
-        conditions = tuple(
-            AttributeCondition(attribute, "==", value) for attribute, value in sorted(equalities.items())
-        )
-        return ContentFilter(conditions=conditions, name=name)
-
     def matches(self, event: Event) -> bool:
         attributes = event.attributes
         try:
@@ -370,10 +362,6 @@ class InterestFunction:
         """Remove a filter; returns ``False`` if it was not present."""
         return self._filters.pop(subscription_filter.filter_id, None) is not None
 
-    def clear(self) -> None:
-        """Drop every filter (full unsubscribe)."""
-        self._filters.clear()
-
     def is_interested(self, event: Event) -> bool:
         """The paper's ``ISINTERESTED(e)``."""
         for subscription_filter in self._filters.values():
@@ -393,11 +381,6 @@ class InterestFunction:
     def filters(self) -> List[Filter]:
         """Snapshot of the active filters."""
         return list(self._filters.values())
-
-    @property
-    def filter_count(self) -> int:
-        """Number of active filters (the ``# filters`` term of Figure 2)."""
-        return len(self._filters)
 
     @property
     def topics(self) -> List[str]:

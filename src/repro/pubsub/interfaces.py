@@ -84,9 +84,9 @@ class DeliveryLog:
     that differs from the event the process already holds).  A per-node
     bitmap, one bit per event number, answers "delivered already?", and the
     first and last row per event number thread each event's rows.  Readers
-    get :class:`DeliveryRecord` rows built when read (:meth:`ordered_records`,
-    :meth:`deliveries_of_event`) or ``(node id, latency)`` pairs straight
-    from the columns (:meth:`latencies_since`, :meth:`event_latencies`).
+    get :class:`DeliveryRecord` rows built when read (:meth:`ordered_records`)
+    or ``(node id, latency)`` pairs straight from the columns
+    (:meth:`latencies_since`, :meth:`event_latencies`).
     """
 
     def __init__(self) -> None:
@@ -150,10 +150,6 @@ class DeliveryLog:
         view's length follows the log as it grows.
         """
         return _DeliveryRows(self)
-
-    def deliveries_of_event(self, event_id: str) -> List[DeliveryRecord]:
-        """All deliveries of one event across the system, in arrival order."""
-        return [self._record_at(row) for row in self._rows_of(event_id)]
 
     def latencies_since(self, start: int) -> Iterator[Tuple[str, float]]:
         """``(node id, latency)`` of every delivery from arrival index ``start`` on.
@@ -327,6 +323,7 @@ class DisseminationSystem:
         #: Every process of the system, infrastructure-only ones included
         #: (fault injection crashes and recovers nodes through it).
         self.registry = ProcessRegistry()
+        self.registry.subscriptions = self.subscriptions
         #: Application-facing participants: they publish, subscribe, deliver.
         self.nodes: Dict[str, Participant] = {}
         self._factories: Dict[str, EventFactory] = {}
@@ -444,10 +441,6 @@ class DisseminationSystem:
     def interested_nodes(self, event: Event) -> List[str]:
         """Oracle: which nodes should deliver this event (from the table)."""
         return self.subscriptions.interested_nodes(event)
-
-    def topics_of(self, node_id: str) -> List[str]:
-        """Topics a node is subscribed to (per the subscription table)."""
-        return self.subscriptions.topics_of_node(node_id)
 
     def run(self, until: float) -> None:
         """Advance the simulation to time ``until``."""

@@ -88,13 +88,6 @@ class Subscription:
         """Whether the subscription has not been cancelled."""
         return self.unsubscribed_at is None
 
-    @property
-    def lifetime(self) -> Optional[float]:
-        """Duration of the subscription, or ``None`` while still active."""
-        if self.unsubscribed_at is None:
-            return None
-        return self.unsubscribed_at - self.subscribed_at
-
     def matches(self, event: Event) -> bool:
         """Whether the subscription's filter matches the event."""
         return self.subscription_filter.matches(event)
@@ -164,7 +157,7 @@ class SubscriptionTable:
         return subscription
 
     def unsubscribe_all(self, node_id: str, timestamp: float = 0.0) -> List[Subscription]:
-        """Cancel every active subscription of a node (used on graceful leave)."""
+        """Cancel every active subscription of a node (a node leaving for good)."""
         cancelled = []
         for subscription_id in list(self._active_by_node.get(node_id, ())):
             subscription = self._by_id[subscription_id]
@@ -179,26 +172,6 @@ class SubscriptionTable:
         self._index.remove(subscription.subscription_id)
 
     # ------------------------------------------------------------- queries
-
-    def active_subscriptions(self, node_id: Optional[str] = None) -> List[Subscription]:
-        """Active subscriptions, optionally restricted to one node."""
-        if node_id is not None:
-            return [
-                self._by_id[subscription_id]
-                for subscription_id in sorted(self._active_by_node.get(node_id, ()))
-            ]
-        return [subscription for subscription in self._by_id.values() if subscription.active]
-
-    def active_filter_count(self, node_id: str) -> int:
-        """Number of active filters placed by a node (Figure 2's ``# filters``)."""
-        return len(self._active_by_node.get(node_id, ()))
-
-    def topics_of_node(self, node_id: str) -> List[str]:
-        """Topics the node is actively subscribed to (sorted, deduplicated)."""
-        topics: Set[str] = set()
-        for subscription_id in self._active_by_node.get(node_id, ()):
-            topics.update(self._by_id[subscription_id].subscription_filter.topics)
-        return sorted(topics)
 
     def interested_nodes(self, event: Event) -> List[str]:
         """Node ids whose active subscriptions match the event (sorted).

@@ -10,7 +10,7 @@ the :class:`TopicHierarchy` here provides that structure for the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 __all__ = ["Topic", "TopicHierarchy", "topic_path"]
 
@@ -54,11 +54,6 @@ class Topic:
         if TOPIC_SEPARATOR not in self.name:
             return None
         return self.name.rsplit(TOPIC_SEPARATOR, 1)[0]
-
-    @property
-    def depth(self) -> int:
-        """1 for a root topic, 2 for its children, and so on."""
-        return self.name.count(TOPIC_SEPARATOR) + 1
 
     def __str__(self) -> str:
         return self.name
@@ -110,26 +105,9 @@ class TopicHierarchy:
         """All topic names, sorted."""
         return sorted(self._topics)
 
-    def roots(self) -> List[Topic]:
-        """Topics without a parent, sorted by name."""
-        return [topic for name, topic in sorted(self._topics.items()) if topic.parent_name is None]
-
-    def leaves(self) -> List[Topic]:
-        """Topics without children, sorted by name."""
-        return [
-            topic
-            for name, topic in sorted(self._topics.items())
-            if not self._children.get(name)
-        ]
-
     def children(self, name: str) -> List[Topic]:
         """Direct children of a topic, sorted by name."""
         return [self._topics[child] for child in sorted(self._children.get(name, ()))]
-
-    def ancestors(self, name: str) -> List[Topic]:
-        """Ancestors of a topic from root to direct parent."""
-        path = topic_path(name)
-        return [self._topics[prefix] for prefix in path[:-1] if prefix in self._topics]
 
     def descendants(self, name: str) -> List[Topic]:
         """All strict descendants of a topic, sorted by name."""
@@ -140,19 +118,3 @@ class TopicHierarchy:
             result.append(self._topics[current])
             stack = sorted(self._children.get(current, ())) + stack
         return result
-
-    def supertopic_of(self, names: Sequence[str]) -> Optional[Topic]:
-        """Deepest common ancestor of several topics, if any."""
-        if not names:
-            return None
-        paths = [topic_path(name) for name in names]
-        common: Optional[str] = None
-        for level in range(min(len(path) for path in paths)):
-            candidates = {path[level] for path in paths}
-            if len(candidates) == 1:
-                common = candidates.pop()
-            else:
-                break
-        if common is None or common not in self._topics:
-            return None
-        return self._topics[common]

@@ -11,13 +11,15 @@ field, with help text).  Five registries exist — ``system``, ``membership``,
 
 Lookups of unknown names raise :class:`RegistryError` (a ``ValueError``
 subclass, so legacy ``except ValueError`` call sites keep working) with a
-did-you-mean suggestion and the full list of registered names.
+did-you-mean suggestion and the full list of registered names.  Each
+component has exactly one name: a second spelling of one component would
+give one run two result-cache keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..jsonio import annotation_at, bound_of, suggest
 
@@ -61,11 +63,10 @@ class ComponentEntry:
     factory: Callable[..., Any]
     description: str = ""
     params: Tuple[Param, ...] = ()
-    aliases: Tuple[str, ...] = ()
 
     def describe(self, section: object) -> str:
         """Schema listing; ``section`` is the spec section at its defaults."""
-        lines = [self.name + (f" (aliases: {', '.join(self.aliases)})" if self.aliases else "")]
+        lines = [self.name]
         if self.description:
             lines.append(f"  {self.description}")
         if self.params:
@@ -89,7 +90,6 @@ class Registry:
     def __init__(self, kind: str) -> None:
         self.kind = kind
         self._entries: Dict[str, ComponentEntry] = {}
-        self._aliases: Dict[str, str] = {}
 
     def register(
         self,
@@ -97,63 +97,37 @@ class Registry:
         factory: Callable[..., Any],
         description: str = "",
         params: Sequence[Param] = (),
-        aliases: Sequence[str] = (),
-        replace: bool = False,
     ) -> ComponentEntry:
-        """Add a component; ``replace`` guards against accidental collisions."""
-        if not replace and (name in self._entries or name in self._aliases):
+        """Add a component under a name not registered yet."""
+        if name in self._entries:
             raise RegistryError(f"{self.kind} {name!r} is already registered")
         entry = ComponentEntry(
-            name=name,
-            factory=factory,
-            description=description,
-            params=tuple(params),
-            aliases=tuple(aliases),
+            name=name, factory=factory, description=description, params=tuple(params)
         )
-        if not replace:
-            for alias in entry.aliases:
-                if alias in self._entries or alias in self._aliases:
-                    raise RegistryError(
-                        f"{self.kind} alias {alias!r} is already registered"
-                    )
         self._entries[name] = entry
-        for alias in entry.aliases:
-            self._aliases[alias] = name
         return entry
 
     def unregister(self, name: str) -> None:
         """Remove a component (used by tests registering throwaway entries)."""
-        entry = self._entries.pop(name, None)
-        if entry is not None:
-            for alias in entry.aliases:
-                self._aliases.pop(alias, None)
+        self._entries.pop(name, None)
 
     def get(self, name: str) -> ComponentEntry:
-        """Look a component up by name or alias.
+        """Look a component up by name.
 
         Unknown names raise :class:`RegistryError` with a did-you-mean
         suggestion and the full list of registered components.
         """
-        canonical = self._aliases.get(name, name)
-        entry = self._entries.get(canonical)
+        entry = self._entries.get(name)
         if entry is None:
-            known = ", ".join(self.names())
             raise RegistryError(
-                f"unknown {self.kind} {name!r}{suggest(name, self._known())}; "
-                f"registered {self.kind}s: {known}"
+                f"unknown {self.kind} {name!r}{suggest(name, self._entries)}; "
+                f"registered {self.kind}s: {', '.join(self._entries)}"
             )
         return entry
 
     def __contains__(self, name: str) -> bool:
-        return name in self._entries or name in self._aliases
+        return name in self._entries
 
     def names(self) -> List[str]:
-        """Registered canonical names, in registration order."""
+        """Registered names, in registration order."""
         return list(self._entries)
-
-    def entries(self) -> List[ComponentEntry]:
-        """Registered entries, in registration order."""
-        return list(self._entries.values())
-
-    def _known(self) -> List[str]:
-        return list(self._entries) + list(self._aliases)

@@ -67,7 +67,6 @@ __all__ = [
     "workload_kind",
     "resolve_policy_kind",
     "all_registries",
-    "DIGEST_MEMBERSHIP_KINDS",
     "GOSSIP_KINDS",
 ]
 
@@ -218,13 +217,6 @@ def _build_pushpull_gossip(ctx: BuildContext) -> GossipSystem:
     from ..gossip.pushpull import PushPullGossipNode
 
     return _gossip_system(ctx, PushPullGossipNode)
-
-
-#: Membership kinds whose views keep pace with digest-driven recovery.
-#: Lazy-push routes pulls at arbitrary store nodes, so it needs a provider
-#: that can resolve (or gossip toward) the whole population — every built-in
-#: qualifies today, but external registrations must opt in by name here.
-DIGEST_MEMBERSHIP_KINDS = frozenset({"cyclon", "full", "lpbcast"})
 
 
 def _build_lazy_push(ctx: BuildContext) -> GossipSystem:
@@ -506,18 +498,16 @@ POLICIES.register(
     "expressive",
     lambda spec: EXPRESSIVE_POLICY,
     description="Figure 3 weights: filter expressiveness scales the benefit term",
-    aliases=("figure3",),
 )
 POLICIES.register(
     "topic",
     lambda spec: TOPIC_BASED_POLICY,
     description="Figure 2 weights: plain topic-count benefit",
-    aliases=("topic-based", "figure2"),
 )
 
 
 def resolve_policy_kind(kind: str) -> FairnessPolicy:
-    """The fairness policy registered under ``kind`` (or an alias)."""
+    """The fairness policy registered under ``kind``."""
     return POLICIES.get(kind).factory(None)
 
 
@@ -534,10 +524,9 @@ GOSSIP_KINDS = frozenset({"gossip", "fair-gossip", "pushpull-gossip", "lazy-push
 def check_kinds(spec: StackSpec) -> None:
     """Refuse the kind combinations no build accepts; raises :class:`RegistryError`.
 
-    A topology needs a gossip-family system, lazy-push needs a
-    digest-capable membership, and the buffer's selection strategy must be
-    one the buffer knows.  ``StackSpec.validate()`` and :func:`build_stack`
-    both call this.
+    A topology needs a gossip-family system, and the buffer's selection
+    strategy must be one the buffer knows.  ``StackSpec.validate()`` and
+    :func:`build_stack` both call this.
     """
     from ..gossip.buffers import SELECTION_STRATEGIES
 
@@ -554,14 +543,6 @@ def check_kinds(spec: StackSpec) -> None:
             f"topology requires a gossip-family system, got system.kind {kind!r}"
             f"{suggest(kind, GOSSIP_KINDS)}; topology-capable "
             f"kinds: {', '.join(sorted(GOSSIP_KINDS))}"
-        )
-    membership = spec.membership.kind
-    if kind == "lazy-push" and membership not in DIGEST_MEMBERSHIP_KINDS:
-        raise RegistryError(
-            f"system.kind 'lazy-push' needs a digest-capable membership "
-            f"provider, got {membership!r}"
-            f"{suggest(membership, DIGEST_MEMBERSHIP_KINDS)}; "
-            f"digest-capable kinds: {', '.join(sorted(DIGEST_MEMBERSHIP_KINDS))}"
         )
 
 

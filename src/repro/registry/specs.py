@@ -516,8 +516,8 @@ class StackSpec:
         compiled from ``faults`` is valid (entries starting after
         :attr:`total_time` only for a simulator run — ``live`` runs have no
         end; nodes are not pinned, a plan may target infra nodes such as
-        ``broker-0``); the domain map compiles; the system, membership and
-        topology kinds fit together and the selection strategy is known
+        ``broker-0``); the domain map compiles; the system and topology kinds
+        fit together and the selection strategy is known
         (:func:`~repro.registry.builtins.check_kinds`).
         Raises :class:`RegistryError`.
         """

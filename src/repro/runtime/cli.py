@@ -132,8 +132,8 @@ async def _run_live(args: argparse.Namespace, live_report: bool) -> RuntimeArtif
             while True:
                 await asyncio.sleep(args.report_interval)
                 elapsed = asyncio.get_running_loop().time() - started
-                published = host.telemetry.counter_value(PUBLISHED_METRIC)
-                deliveries = host.telemetry.counter_value(DELIVERIES_METRIC)
+                published = host.telemetry.counter(PUBLISHED_METRIC).value
+                deliveries = host.telemetry.counter(DELIVERIES_METRIC).value
                 fairness = host.fairness_summary().report
                 print(
                     f"[serve +{elapsed:5.1f}s] published {published:8.0f} "

@@ -56,9 +56,5 @@ class WallClock(Clock):
         """Convert a duration in time units to real seconds."""
         return units / self.time_scale
 
-    def seconds_to_units(self, seconds: float) -> float:
-        """Convert a duration in real seconds to time units."""
-        return seconds * self.time_scale
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WallClock(now={self.now:.3f}, time_scale={self.time_scale})"

@@ -20,7 +20,6 @@ subscriptions over the wire:
 
 from __future__ import annotations
 
-import asyncio
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Type
 
 from ..core.accounting import WorkLedger
@@ -301,23 +300,6 @@ class NodeHost(DisseminationSystem):
             self.fault_controller = None
         self.scheduler.shutdown()
         await self.transport.stop()
-
-    async def run_for(self, seconds: float) -> None:
-        """Let the cluster run for ``seconds`` of real time."""
-        await asyncio.sleep(seconds)
-
-    def stop_node(self, node_id: str) -> None:
-        """Fault actuator: fail-stop one hosted member node.
-
-        Timers stop and the node stops receiving frames; protocol state is
-        preserved for :meth:`restart_node` (exactly the simulator's
-        crash/recover semantics — the nodes are the same classes).
-        """
-        self.registry.get(node_id).crash()
-
-    def restart_node(self, node_id: str) -> None:
-        """Fault actuator: bring a stopped member node back up."""
-        self.registry.get(node_id).recover()
 
     # ----------------------------------------------------------- operations
 

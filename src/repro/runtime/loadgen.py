@@ -123,7 +123,8 @@ class LoadGenerator:
         """
         if duration_seconds <= 0:
             raise ValueError("duration_seconds must be positive")
-        deliveries_before = self.host.telemetry.counter_value(DELIVERIES_METRIC)
+        delivered = self.host.telemetry.counter(DELIVERIES_METRIC)
+        deliveries_before = delivered.value
         started = time.monotonic()
         published = 0
         target_total = self.rate * duration_seconds
@@ -139,8 +140,8 @@ class LoadGenerator:
         elapsed = time.monotonic() - started
         drain_seconds = max(drain_seconds, 0.0)
         await asyncio.sleep(drain_seconds)
-        deliveries = int(self.host.telemetry.counter_value(DELIVERIES_METRIC) - deliveries_before)
-        latency = self.host.telemetry.histogram_summary(DELIVERY_LATENCY_METRIC)
+        deliveries = int(delivered.value - deliveries_before)
+        latency = self.host.telemetry.histogram(DELIVERY_LATENCY_METRIC).summary()
         seconds = self.host.clock.units_to_seconds
         window = elapsed + drain_seconds
         return LoadReport(

@@ -119,11 +119,6 @@ class MemoryTransport(Transport):
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stopped = False
 
-    @property
-    def hub(self) -> MemoryHub:
-        """The routing hub (shared across hosts in multi-host setups)."""
-        return self._hub
-
     def register_node(self, node_id: str) -> None:
         self._hub.attach(node_id, self)
 

@@ -272,8 +272,3 @@ class FrameDecoder:
             frames.append(bytes(self._buffer[_LENGTH.size : end]))
             del self._buffer[:end]
         return frames
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered but not yet forming a complete frame."""
-        return len(self._buffer)

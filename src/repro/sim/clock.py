@@ -15,7 +15,7 @@ __all__ = ["Clock", "VirtualClock"]
 
 
 def _validated_start(start: float) -> float:
-    """Validate a clock start time; shared by ``__init__`` and ``reset``."""
+    """Validate a clock start time; shared by both clocks' ``__init__``."""
     if start < 0:
         raise ValueError("start time must be non-negative")
     return float(start)
@@ -60,10 +60,6 @@ class VirtualClock(Clock):
                 f"cannot move clock backwards: now={self._now}, requested={timestamp}"
             )
         self._now = float(timestamp)
-
-    def reset(self, start: float = 0.0) -> None:
-        """Reset the clock, typically between independent simulation runs."""
-        self._now = _validated_start(start)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VirtualClock(now={self._now!r})"

@@ -233,11 +233,6 @@ class PeriodicTimer:
             raise SimulationError("period must be positive")
         self._period = value
 
-    @property
-    def running(self) -> bool:
-        """Whether the timer will keep firing."""
-        return not self._stopped
-
     def start(self, initial_delay: Optional[float] = None) -> None:
         """Arm the timer; the first firing happens after ``initial_delay``."""
         self._stopped = False

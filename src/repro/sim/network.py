@@ -124,10 +124,6 @@ class FaultInjectionSurface:
         else:
             self._alive.discard(node_id)
 
-    def is_alive(self, node_id: str) -> bool:
-        """Whether the node is currently able to receive messages."""
-        return node_id in self._alive
-
     def known_nodes(self) -> Set[str]:
         """All registered node identifiers (alive or not)."""
         return set(self._handlers)

@@ -168,6 +168,10 @@ class ProcessRegistry:
 
     def __init__(self) -> None:
         self._processes: Dict[str, Process] = {}
+        #: The owning system's :class:`~repro.pubsub.subscriptions.SubscriptionTable`
+        #: (``None`` for a bare registry): a node that leaves for good has its
+        #: active subscriptions cancelled there.
+        self.subscriptions = None
 
     def add(self, process: Process) -> None:
         """Register a process under its node id."""
@@ -200,7 +204,3 @@ class ProcessRegistry:
     def alive(self) -> List[Process]:
         """Processes that are currently up."""
         return [process for process in self._processes.values() if process.alive]
-
-    def alive_ids(self) -> List[str]:
-        """Ids of processes that are currently up."""
-        return [process.node_id for process in self._processes.values() if process.alive]

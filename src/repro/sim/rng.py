@@ -59,19 +59,6 @@ class RngRegistry:
             self._streams[name] = rng
         return rng
 
-    def spawn(self, name: str) -> "RngRegistry":
-        """Return a child registry whose master seed derives from ``name``.
-
-        Useful when a subsystem (for example a workload generator) wants its
-        own namespace of streams without risking collisions with the
-        simulator's streams.
-        """
-        return RngRegistry(derive_seed(self._seed, name))
-
-    def reset(self) -> None:
-        """Drop all streams so the next draws start from the stream seeds."""
-        self._streams.clear()
-
 
 def zipf_weights(count: int, exponent: float = 1.0) -> List[float]:
     """Return normalised Zipf weights for ranks ``1..count``.

@@ -3,13 +3,15 @@
 This package is the single observability surface of the repository.  Both
 worlds — the discrete-event simulator and the live asyncio runtime — record
 through the same :class:`Telemetry` facade with typed instruments
-(:class:`Counter`, :class:`Gauge`, :class:`Histogram`, :class:`Timer`)
-carrying structured tags (``node=...``, ``topic=...``), and both expose
-their mid-run state the same way: :meth:`Telemetry.snapshot` produces an
-immutable, JSON-serializable :class:`TelemetrySnapshot`, and a
+(:class:`Counter`, :class:`Gauge`, :class:`Histogram`) carrying structured
+tags (``node=...``, ``topic=...``), and both expose their mid-run state the
+same way: :meth:`Telemetry.snapshot` produces an immutable,
+JSON-serializable :class:`TelemetrySnapshot`, and a
 :class:`SnapshotScheduler` emits periodic snapshots to pluggable
 :class:`TelemetrySink` implementations (in-memory ring buffer, JSON-lines,
-CSV, Prometheus text exposition).
+CSV, Prometheus text exposition).  The facade only writes: a reader asks a
+snapshot (``counter_total``, ``gauges_by_tag``, ``histogram_summary``, ...)
+or reads an instrument it holds (``counter.value``, ``histogram.summary()``).
 
 Design constraints, in order:
 
@@ -32,7 +34,6 @@ _EXPORTS = {
     "Histogram": ".instruments",
     "HistogramState": ".instruments",
     "HistogramSummary": ".instruments",
-    "Timer": ".instruments",
     "percentile": ".instruments",
     "Telemetry": ".facade",
     "TelemetrySnapshot": ".snapshot",

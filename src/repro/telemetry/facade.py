@@ -11,9 +11,9 @@ paths.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
-from .instruments import Counter, Gauge, Histogram, HistogramSummary, Timer
+from .instruments import Counter, Gauge, Histogram
 from .snapshot import TagTuple, TelemetrySnapshot, _normalise_tags
 
 __all__ = ["Telemetry"]
@@ -22,17 +22,12 @@ __all__ = ["Telemetry"]
 class Telemetry:
     """Store of tagged, typed instruments; the single metrics API.
 
-    Parameters
-    ----------
-    time_source:
-        Optional clock for :meth:`timer` spans.  Defaults to
-        ``time.perf_counter`` inside :class:`~repro.telemetry.instruments.Timer`;
-        simulator-side callers pass ``lambda: simulator.now`` so timed spans
-        stay deterministic.
+    Writers record through the instruments; readers take a
+    :meth:`snapshot` (whose queries answer by name and tags) or read an
+    instrument they hold.
     """
 
-    def __init__(self, time_source: Optional[Callable[[], float]] = None) -> None:
-        self._time_source = time_source
+    def __init__(self) -> None:
         self._counters: Dict[Tuple[str, TagTuple], Counter] = {}
         self._gauges: Dict[Tuple[str, TagTuple], Gauge] = {}
         self._histograms: Dict[Tuple[str, TagTuple], Histogram] = {}
@@ -67,10 +62,6 @@ class Telemetry:
             self._histograms[key] = metric
         return metric
 
-    def timer(self, name: str, **tags: object) -> Timer:
-        """A context-manager timer recording into the histogram ``name``."""
-        return Timer(self.histogram(name, **tags), time_source=self._time_source)
-
     # ------------------------------------------------------------ shortcuts
 
     def increment(self, name: str, amount: float = 1.0, **tags: object) -> None:
@@ -84,62 +75,6 @@ class Telemetry:
     def set_gauge(self, name: str, value: float, **tags: object) -> None:
         """Set a gauge in one call."""
         self.gauge(name, **tags).set(value)
-
-    # -------------------------------------------------------------- queries
-
-    def counter_value(self, name: str, **tags: object) -> float:
-        """Current value of a counter (0 if it was never touched)."""
-        metric = self._counters.get((name, _normalise_tags(tags)))
-        return metric.value if metric is not None else 0.0
-
-    def gauge_value(self, name: str, **tags: object) -> float:
-        """Current value of a gauge (0 if it was never set)."""
-        metric = self._gauges.get((name, _normalise_tags(tags)))
-        return metric.value if metric is not None else 0.0
-
-    def counter_total(self, name: str) -> float:
-        """Sum of a counter over every tag set."""
-        return sum(
-            metric.value
-            for (metric_name, _), metric in self._counters.items()
-            if metric_name == name
-        )
-
-    def counters_by_tag(self, name: str, tag: str) -> Dict[object, float]:
-        """Mapping ``tag value -> counter value`` for instruments carrying ``tag``."""
-        return {
-            dict(tag_tuple)[tag]: metric.value
-            for (metric_name, tag_tuple), metric in self._counters.items()
-            if metric_name == name and tag in dict(tag_tuple)
-        }
-
-    def gauges_by_tag(self, name: str, tag: str) -> Dict[object, float]:
-        """Mapping ``tag value -> gauge value`` for instruments carrying ``tag``."""
-        return {
-            dict(tag_tuple)[tag]: metric.value
-            for (metric_name, tag_tuple), metric in self._gauges.items()
-            if metric_name == name and tag in dict(tag_tuple)
-        }
-
-    def histogram_summary(self, name: str, **tags: object) -> HistogramSummary:
-        """Summary of a histogram (empty summary if never observed).
-
-        Read-only like :meth:`counter_value`: probing an absent histogram
-        does not create it, so queries can never perturb the instrument set
-        a snapshot serialises (the byte-identical-streams contract).
-        """
-        metric = self._histograms.get((name, _normalise_tags(tags)))
-        if metric is None:
-            return HistogramSummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        return metric.summary()
-
-    def names(self) -> Dict[str, List[str]]:
-        """All metric names grouped by instrument type."""
-        return {
-            "counters": sorted({name for name, _ in self._counters}),
-            "gauges": sorted({name for name, _ in self._gauges}),
-            "histograms": sorted({name for name, _ in self._histograms}),
-        }
 
     # ------------------------------------------------------------- snapshots
 
@@ -168,18 +103,3 @@ class Telemetry:
                 for (name, tags), metric in sorted(self._histograms.items())
             ),
         )
-
-    def reset(self) -> None:
-        """Forget every recorded value (between independent runs).
-
-        Instruments are zeroed *in place* rather than discarded: hot paths
-        pre-bind instrument objects, and dropping the dictionaries would
-        silently split those writers from every future reader.
-        """
-        for counter in self._counters.values():
-            counter.value = 0.0
-        for gauge in self._gauges.values():
-            gauge.value = 0.0
-        for histogram in self._histograms.values():
-            histogram.reset()
-        self._snapshot_sequence = 0

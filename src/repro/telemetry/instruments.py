@@ -1,4 +1,4 @@
-"""Typed metric instruments: Counter, Gauge, Histogram, Timer.
+"""Typed metric instruments: Counter, Gauge, Histogram.
 
 The histogram is the instrument that earns this module its existence.  The
 pre-telemetry implementation appended every observation to a list and
@@ -24,10 +24,9 @@ level of the old ``samples.append(float(value))`` (measured by
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..jsonio import decode, encode
 
@@ -37,7 +36,6 @@ __all__ = [
     "Histogram",
     "HistogramState",
     "HistogramSummary",
-    "Timer",
     "percentile",
 ]
 
@@ -238,7 +236,6 @@ class Histogram:
         "observe",
         "_peek",
         "_pending_len",
-        "_reset_pending",
         "_fold_threshold",
         "_count",
         "_total",
@@ -288,12 +285,6 @@ class Histogram:
         self.observe = observe
         self._peek = lambda: buffer[:cursor]
         self._pending_len = lambda: cursor
-
-        def reset_pending() -> None:
-            nonlocal cursor
-            cursor = 0
-
-        self._reset_pending = reset_pending
 
     # -------------------------------------------------------------- folding
 
@@ -389,17 +380,6 @@ class Histogram:
             )
         return self.state().summary()
 
-    def reset(self) -> None:
-        """Forget every observation."""
-        self._reset_pending()
-        self._count = 0
-        self._total = 0.0
-        self._minimum = math.inf
-        self._maximum = -math.inf
-        self._zeros = 0
-        self._positive = {}
-        self._negative = {}
-
 
 def _count_span(
     ordered: Sequence[float], size: int, positive: Dict[int, int], negative: Dict[int, int]
@@ -439,39 +419,3 @@ def _count_sorted_magnitudes(
             next_position = position + 1
         buckets[index] = buckets.get(index, 0) + (next_position - position)
         position = next_position
-
-
-class Timer:
-    """Context manager recording elapsed seconds into a histogram.
-
-    >>> telemetry = Telemetry()
-    >>> with telemetry.timer("stage.duration", stage="build"):
-    ...     do_work()
-
-    The time source defaults to ``time.perf_counter``; the simulator-facing
-    callers pass a virtual-clock source so timed spans stay deterministic.
-    """
-
-    __slots__ = ("_histogram", "_time_source", "_started")
-
-    def __init__(
-        self,
-        histogram: Histogram,
-        time_source: Optional[Callable[[], float]] = None,
-    ) -> None:
-        self._histogram = histogram
-        self._time_source = time_source if time_source is not None else time.perf_counter
-        self._started: Optional[float] = None
-
-    def __enter__(self) -> "Timer":
-        self._started = self._time_source()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._started is not None:
-            self._histogram.observe(self._time_source() - self._started)
-            self._started = None
-
-    def observe(self, elapsed: float) -> None:
-        """Record an externally measured duration."""
-        self._histogram.observe(elapsed)

@@ -1,8 +1,9 @@
 """Snapshots: immutable telemetry state, emitted periodically to sinks.
 
 A :class:`TelemetrySnapshot` is the frozen image of every instrument at one
-instant — JSON-serializable, hashable enough to compare, and queryable with
-the same vocabulary as the live :class:`~repro.telemetry.facade.Telemetry`.
+instant — JSON-serializable, hashable enough to compare, and queryable by
+name and tags (the live :class:`~repro.telemetry.facade.Telemetry` only
+writes; its readers take a snapshot).
 The :class:`SnapshotScheduler` turns snapshots into a *time series*: it
 rides any object with the simulator's scheduling surface
 (``schedule_periodic`` / ``now``), so the same class emits snapshots on

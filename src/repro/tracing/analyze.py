@@ -57,10 +57,6 @@ class EventTrace:
     def kind_count(self, kind: str) -> int:
         return sum(1 for span in self.spans if span.kind == kind)
 
-    def delivered_nodes(self) -> List[str]:
-        """Nodes whose application saw the event, in delivery order."""
-        return [span.node for span in self.spans if span.kind == DELIVER]
-
     def reaches_root(self, span: SpanRecord) -> bool:
         """Whether the span's parent chain ends at the ``publish`` root."""
         seen: Set[int] = set()

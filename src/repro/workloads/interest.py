@@ -46,30 +46,11 @@ class InterestAssignment:
         """Filters assigned to one node (empty tuple if none)."""
         return self.filters_by_node.get(node_id, ())
 
-    def topics_of(self, node_id: str) -> List[str]:
-        """Topics pinned by the node's filters."""
-        topics: List[str] = []
-        for subscription_filter in self.filters_of(node_id):
-            topics.extend(subscription_filter.topics)
-        return sorted(set(topics))
-
-    def subscription_count(self, node_id: str) -> int:
-        """Number of filters assigned to one node."""
-        return len(self.filters_of(node_id))
-
     def apply(self, system, callbacks: Sequence = ()) -> None:
         """Subscribe every node on a dissemination system accordingly."""
         for node_id, filters in sorted(self.filters_by_node.items()):
             for subscription_filter in filters:
                 system.subscribe(node_id, subscription_filter, callbacks=callbacks)
-
-    def all_topics(self) -> List[str]:
-        """Every topic referenced by at least one filter."""
-        topics: set = set()
-        for filters in self.filters_by_node.values():
-            for subscription_filter in filters:
-                topics.update(subscription_filter.topics)
-        return sorted(topics)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable form; inverse of :meth:`from_dict`.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..sim.rng import weighted_choice, zipf_weights
 
@@ -24,9 +24,7 @@ class TopicPopularity:
     """A fixed set of topics with a popularity weight per topic.
 
     ``topics[0]`` is the most popular.  Use :meth:`uniform` or :meth:`zipf`
-    to construct; :meth:`sample` draws one topic according to the weights and
-    :meth:`subscriber_quota` converts the weights into integer subscriber
-    counts for population-assignment workloads.
+    to construct; :meth:`sample` draws one topic according to the weights.
     """
 
     topics: Sequence[str]
@@ -73,20 +71,6 @@ class TopicPopularity:
 
     # -------------------------------------------------------------- queries
 
-    @property
-    def normalised_weights(self) -> List[float]:
-        """Weights rescaled to sum to 1."""
-        total = sum(self.weights)
-        return [weight / total for weight in self.weights]
-
-    def probability_of(self, topic: str) -> float:
-        """Normalised popularity of one topic (0 if unknown)."""
-        try:
-            index = list(self.topics).index(topic)
-        except ValueError:
-            return 0.0
-        return self.normalised_weights[index]
-
     def sample(self, rng: random.Random) -> str:
         """Draw one topic according to popularity."""
         return weighted_choice(rng, list(self.topics), list(self.weights))
@@ -107,16 +91,3 @@ class TopicPopularity:
             remaining_weights.pop(index)
             chosen.append(pick)
         return chosen
-
-    def subscriber_quota(self, population: int) -> Dict[str, int]:
-        """Integer subscriber counts per topic proportional to popularity.
-
-        Every topic gets at least one subscriber as long as the population
-        allows it, so unpopular topics are not silently dropped from
-        experiments.
-        """
-        if population <= 0:
-            return {topic: 0 for topic in self.topics}
-        weights = self.normalised_weights
-        quotas = {topic: max(1, round(weight * population)) for topic, weight in zip(self.topics, weights)}
-        return quotas

@@ -18,7 +18,7 @@ if _SRC not in sys.path:  # pragma: no cover - environment shim
     sys.path.insert(0, _SRC)
 
 from repro.core import WorkLedger
-from repro.pubsub import DeliveryLog
+from repro.pubsub import AttributeCondition, ContentFilter, DeliveryLog, Event
 from repro.sim import Network, Simulator
 
 
@@ -59,6 +59,20 @@ def result_sha(result) -> str:
     """sha256 of an ``ExperimentResult``'s canonical JSON: the pinned-result digest."""
     blob = json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def equality_filter(name: str = "", **equalities) -> ContentFilter:
+    """A content filter of one ``==`` condition per attribute (sorted by attribute)."""
+    conditions = tuple(
+        AttributeCondition(attribute, "==", value) for attribute, value in sorted(equalities.items())
+    )
+    return ContentFilter(conditions=conditions, name=name)
+
+
+def subscribed(subscriptions, node_id: str, topic: str) -> bool:
+    """Whether ``node_id`` holds an active subscription matching an event of ``topic``."""
+    probe = Event(event_id="probe", publisher="probe", attributes={"topic": topic})
+    return node_id in subscriptions.interested_nodes(probe)
 
 
 def geo_network(simulator: Simulator, node_ids, loss_rate: float = 0.1) -> Network:

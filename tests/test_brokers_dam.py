@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from repro.brokers import BrokerSystem
 from repro.core import EXPRESSIVE_POLICY, evaluate_fairness
 from repro.damulticast import DataAwareMulticastSystem
-from repro.pubsub import ContentFilter, TopicFilter, TopicHierarchy
+from repro.pubsub import TopicFilter, TopicHierarchy
 from repro.pubsub.topics import topic_path
 from repro.sim import Network, Simulator
+from tests.conftest import equality_filter
 
 
 def make_ids(count):
@@ -35,8 +36,8 @@ class TestBrokerSystem:
 
     def test_content_subscription_delivery(self):
         system, simulator, ids = self.build(count=10, seed=31)
-        system.subscribe(ids[0], ContentFilter.build(category="metals"))
-        system.subscribe(ids[1], ContentFilter.build(category="energy"))
+        system.subscribe(ids[0], equality_filter(category="metals"))
+        system.subscribe(ids[1], equality_filter(category="energy"))
         system.publish(ids[2], category="metals", level=5)
         simulator.run(until=simulator.now + 5)
         assert sorted({record.node_id for record in system.delivery_log.ordered_records()}) == [ids[0]]
@@ -51,7 +52,7 @@ class TestBrokerSystem:
         simulator.run(until=simulator.now + 5)
         assert system.delivery_log.delivery_count(ids[0]) == 1
         interbroker = sum(
-            system.ledger.account(broker).gossip_messages_sent for broker in system.broker_ids()
+            system.ledger.account(broker).gossip_messages_sent for broker in sorted(system.brokers)
         )
         assert interbroker > 0
 
@@ -75,12 +76,12 @@ class TestBrokerSystem:
 
     def test_brokers_deliver_to_exactly_the_oracle_set(self):
         # TopicFilter("5") and TopicFilter(5) share a filter id; only the raw
-        # 5 matches an event of topic 5, and ContentFilter.build(topic=5) pins
+        # 5 matches an event of topic 5, and equality_filter(topic=5) pins
         # the string "5" but compares the raw value.
         system, simulator, ids = self.build(count=4, brokers=2, seed=36)
         system.subscribe(ids[1], TopicFilter("5"))
         system.subscribe(ids[2], TopicFilter(5))
-        system.subscribe(ids[3], ContentFilter.build(topic=5))
+        system.subscribe(ids[3], equality_filter(topic=5))
         simulator.run(until=simulator.now + 2)
         event = system.publish(ids[0], topic=5)
         simulator.run(until=simulator.now + 5)
@@ -101,7 +102,7 @@ class TestBrokerSystem:
         )
         assert report.wasted_share > 0.8  # brokers work, clients benefit
         broker_sends = sum(
-            system.ledger.account(broker).gossip_messages_sent for broker in system.broker_ids()
+            system.ledger.account(broker).gossip_messages_sent for broker in sorted(system.brokers)
         )
         client_sends = sum(
             system.ledger.account(client).gossip_messages_sent for client in ids
@@ -217,7 +218,7 @@ class TestDataAwareMulticast:
     def test_content_filter_rejected(self):
         system, _, ids = self.build(count=4, seed=45)
         with pytest.raises(TypeError):
-            system.subscribe(ids[0], ContentFilter.build(level=1))
+            system.subscribe(ids[0], equality_filter(level=1))
 
     def test_invalid_construction(self):
         simulator = Simulator(seed=1)

@@ -136,7 +136,7 @@ class TestFairGossipProtocol:
         node = frozen.node("node-0")
         assert node.current_fanout() == 3
         assert node.current_gossip_size() == 8
-        assert node.estimator.own_observations > 0  # estimator still warm
+        assert node.estimator._own.observations > 0  # estimator still warm
 
     @pytest.mark.parametrize("adapt_fanout", [True, False])
     @pytest.mark.parametrize("adapt_payload", [True, False])
@@ -158,14 +158,16 @@ class TestFairGossipProtocol:
         for node_id in system.node_ids():
             node = system.node(node_id)
             assert node.rounds_executed > 5
-            assert node.estimator.own_observations == node.rounds_executed
+            assert node.estimator._own.observations == node.rounds_executed
             assert len(node.fanout_lever.history) == (node.rounds_executed if adapt_fanout else 0)
             assert len(node.payload_lever.history) == (node.rounds_executed if adapt_payload else 0)
 
     def test_benefit_rate_piggybacked(self):
         system = build_gossip_system(nodes=15, seed=36, fair=True)
         skewed_workload(system, events=20)
-        rates = [system.node(node_id).estimator.peer_observations for node_id in system.node_ids()]
+        rates = [
+            system.node(node_id).estimator._peers.observations for node_id in system.node_ids()
+        ]
         assert sum(rates) > 0
 
 

@@ -12,7 +12,6 @@ from repro.core import (
     EXPRESSIVE_POLICY,
     Ewma,
     FANOUT,
-    FairnessPolicy,
     PAYLOAD,
     TOPIC_BASED_POLICY,
     WorkLedger,
@@ -35,30 +34,6 @@ class TestFairnessPolicy:
         busy = TOPIC_BASED_POLICY.benefit(account, busyness=20.0)
         assert busy < quiet
 
-    def test_target_shares_proportional_to_benefit(self):
-        policy = FairnessPolicy(minimum_share=0.0)
-        shares = policy.target_shares({"a": 30.0, "b": 10.0, "c": 0.0})
-        assert shares["a"] == pytest.approx(0.75)
-        assert shares["b"] == pytest.approx(0.25)
-        assert shares["c"] == pytest.approx(0.0)
-        assert sum(shares.values()) == pytest.approx(1.0)
-
-    def test_target_shares_floor_keeps_everyone_connected(self):
-        policy = FairnessPolicy(minimum_share=0.5)
-        shares = policy.target_shares({"a": 100.0, "b": 0.0})
-        assert shares["b"] > 0.0
-
-    def test_target_shares_equal_when_no_benefit(self):
-        policy = FairnessPolicy()
-        shares = policy.target_shares({"a": 0.0, "b": 0.0})
-        assert shares["a"] == pytest.approx(shares["b"])
-
-    def test_instability_penalty_raises_share(self):
-        policy = FairnessPolicy(instability_penalty=0.5, minimum_share=0.0)
-        stable = policy.target_shares({"a": 10.0, "b": 10.0}, crashes={"a": 0, "b": 0})
-        flappy = policy.target_shares({"a": 10.0, "b": 10.0}, crashes={"a": 0, "b": 4})
-        assert flappy["b"] > stable["b"]
-
     def test_policy_level_ledger_aggregation(self):
         ledger = WorkLedger()
         ledger.record_delivery("a", events=5)
@@ -68,9 +43,6 @@ class TestFairnessPolicy:
         benefits = TOPIC_BASED_POLICY.benefits(ledger)
         assert contributions["b"] == 7.0
         assert benefits["a"] > 0
-
-    def test_empty_target_shares(self):
-        assert FairnessPolicy().target_shares({}) == {}
 
 
 class TestEwmaAndEstimator:
@@ -82,8 +54,7 @@ class TestEwmaAndEstimator:
         ewma = Ewma(alpha=0.5)
         ewma.observe(0.0)
         assert ewma.observe(10.0) == 5.0
-        ewma.reset()
-        assert ewma.value == 0.0 and ewma.observations == 0
+        assert ewma.value == 5.0 and ewma.observations == 2
 
     def test_ewma_invalid_alpha(self):
         with pytest.raises(ValueError):
@@ -176,11 +147,9 @@ class TestFanoutLever:
     def test_convergence_measurement(self):
         lever = fanout_lever()
         observe(lever, peer_rate=1.0, own_deliveries=1.0, rounds=12)
-        rounds = lever.rounds_to_converge(stable_rounds=5)
-        assert rounds is not None and rounds <= 5
-        assert lever.rounds_to_converge(target=99) is None
-        with pytest.raises(ValueError):
-            lever.rounds_to_converge(stable_rounds=0)
+        # Five identical recommendations in a row, starting by round 5.
+        history = lever.history
+        assert any(len(set(history[start : start + 5])) == 1 for start in range(5))
 
     def test_reacts_to_interest_change(self):
         lever = fanout_lever(ceiling=16, smoothing=0.6)
@@ -211,7 +180,8 @@ class TestPayloadLever:
     def test_convergence_history(self):
         lever = payload_lever()
         observe(lever, peer_rate=1.0, own_deliveries=1.0, rounds=8)
-        assert lever.rounds_to_converge(stable_rounds=3) is not None
+        history = lever.history
+        assert any(len(set(history[start : start + 3])) == 1 for start in range(len(history) - 2))
 
     def test_invalid_backlog_fraction(self):
         with pytest.raises(ValueError):

@@ -140,7 +140,6 @@ def public_queries(log):
     total = log.total_deliveries()
     return {
         "ordered_records": list(log.ordered_records()),
-        "deliveries_of_event": [log.deliveries_of_event(event) for event in EVENTS],
         "event_latencies": [list(log.event_latencies(event)) for event in EVENTS],
         "latencies_since": [list(log.latencies_since(start)) for start in range(total + 1)],
         "delivery_count": [log.delivery_count(node) for node in NODES],

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from repro.core import EXPRESSIVE_POLICY, evaluate_fairness
 from repro.dht import DksSystem, IdSpace, PastryRouter, ScribeSystem, SplitStreamSystem
-from repro.pubsub import ContentFilter, TopicFilter
+from repro.pubsub import TopicFilter
 from repro.sim import Network, Simulator
+from tests.conftest import equality_filter
 
 
 def make_ids(count):
@@ -35,7 +36,7 @@ class ReferenceRouter:
     def __init__(self, router):
         self.space = router.space
         self.limit = router.space.digits + router.leaf_set_size + 2
-        self.id_of = {name: router.node_identifier(name) for name in router.alive_nodes()}
+        self.id_of = {name: router._id_of[name] for name in router.alive_nodes()}
         self.alive = set(self.id_of)
 
     def set_alive(self, name, alive):
@@ -171,7 +172,7 @@ class TestPastryRouter:
 
     def test_distinct_identifiers_even_with_collisions(self):
         router = PastryRouter(make_ids(100))
-        identifiers = [router.node_identifier(name) for name in make_ids(100)]
+        identifiers = [router._id_of[name] for name in make_ids(100)]
         assert len(set(identifiers)) == 100
 
     #: 256 identifiers with 4-ary digits: up to 60 hashed names collide (and
@@ -290,7 +291,7 @@ class TestScribeSystem:
     def test_content_filter_rejected(self):
         system, _, ids = self.build(count=4, seed=9)
         with pytest.raises(TypeError):
-            system.subscribe(ids[0], ContentFilter.build(level=1))
+            system.subscribe(ids[0], equality_filter(level=1))
 
     def test_publish_requires_topic(self):
         system, _, ids = self.build(count=4, seed=10)
@@ -309,7 +310,7 @@ class TestScribeSystem:
 
     def test_rendezvous_lookup(self):
         system, _, ids = self.build(count=16, seed=12)
-        rendezvous = system.rendezvous_of("some-topic")
+        rendezvous = system.router.root_of(system.router.key_for("some-topic"))
         assert rendezvous in ids
 
 
@@ -380,7 +381,7 @@ class TestDksSystem:
             system.publish(ids[20], topic=topic)
             simulator.run(until=simulator.now + 0.3)
         simulator.run(until=simulator.now + 10)
-        coordinator = system.coordinator_of(topic)
+        coordinator = system.router.root_of(system.router.key_for(topic))
         coordinator_sends = system.ledger.account(coordinator).gossip_messages_sent
         average_sends = sum(
             system.ledger.account(node_id).gossip_messages_sent for node_id in ids
@@ -408,4 +409,4 @@ class TestDksSystem:
     def test_content_filter_rejected(self):
         system, _, ids = self.build(count=4, seed=21)
         with pytest.raises(TypeError):
-            system.subscribe(ids[0], ContentFilter.build(level=1))
+            system.subscribe(ids[0], equality_filter(level=1))

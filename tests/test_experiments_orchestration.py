@@ -6,8 +6,7 @@ Covers the tentpole guarantees of the parallel executor and result cache:
 * result artifacts round-trip losslessly through JSON;
 * the content-addressed cache misses, then hits, and survives corruption;
 * the ``python -m repro`` CLI subcommands work end to end;
-* the :class:`VirtualClock` start validation behaves the same from
-  ``__init__`` and ``reset``.
+* the :class:`VirtualClock` refuses a negative start time.
 """
 
 from __future__ import annotations
@@ -128,7 +127,7 @@ class TestResultArtifacts:
         assert [event.event_id for event in restored.published_events] == [
             event.event_id for event in result.published_events
         ]
-        assert restored.interest.topics_of("node-000") == result.interest.topics_of("node-000")
+        assert restored.interest.filters_of("node-000") == result.interest.filters_of("node-000")
 
     def test_config_from_dict_rejects_unknown_fields(self):
         payload = SMALL.to_dict()
@@ -149,6 +148,11 @@ class TestResultArtifacts:
         assert restored.render() == table.render()
 
 
+def stored_entries(cache_dir) -> int:
+    """Result artifacts on disk under a cache directory."""
+    return len(list(cache_dir.glob("*/*.json")))
+
+
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
@@ -156,7 +160,7 @@ class TestResultCache:
         first = executor.run_many(grid_configs(SMALL, {"fanout": [2, 4]}))
         assert executor.last_report.cache_hits == 0
         assert executor.last_report.computed == 2
-        assert cache.entry_count() == 2
+        assert stored_entries(tmp_path / "cache") == 2
         second = executor.run_many(grid_configs(SMALL, {"fanout": [2, 4]}))
         assert executor.last_report.cache_hits == 2
         assert executor.last_report.computed == 0
@@ -168,7 +172,7 @@ class TestResultCache:
         executor.run(SMALL)
         executor.run(SMALL.with_overrides(seed=SMALL.seed + 1))
         assert executor.last_report.cache_hits == 0
-        assert cache.entry_count() == 2
+        assert stored_entries(tmp_path / "cache") == 2
 
     def test_corrupt_artifact_reads_as_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
@@ -177,18 +181,11 @@ class TestResultCache:
         path.write_text("{ not json", encoding="utf-8")
         assert cache.load(SMALL) is None
 
-    def test_clear_removes_entries(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        cache.store(run_experiment(SMALL))
-        assert cache.clear() == 1
-        assert cache.entry_count() == 0
-        assert cache.load(SMALL) is None
-
     def test_keep_system_bypasses_cache(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
         executor = ParallelSweepExecutor(workers=1, cache=cache)
         executor.run(SMALL, keep_system=True)
-        assert cache.entry_count() == 0
+        assert stored_entries(tmp_path / "cache") == 0
 
 
 class TestScenarioRegistry:
@@ -296,16 +293,7 @@ class TestCli:
 
 
 class TestClockValidation:
-    def test_init_and_reset_raise_the_same_error(self):
-        with pytest.raises(ValueError, match="start time must be non-negative") as init_error:
+    def test_init_rejects_a_negative_start(self):
+        with pytest.raises(ValueError, match="start time must be non-negative"):
             VirtualClock(start=-1.0)
-        clock = VirtualClock()
-        with pytest.raises(ValueError, match="start time must be non-negative") as reset_error:
-            clock.reset(start=-1.0)
-        assert str(init_error.value) == str(reset_error.value)
-
-    def test_reset_still_resets(self):
-        clock = VirtualClock()
-        clock.advance_to(5.0)
-        clock.reset(2.0)
-        assert clock.now == 2.0
+        assert VirtualClock(start=2.0).now == 2.0

@@ -260,6 +260,38 @@ class TestSimulatorFaults:
         assert "n2" not in system.registry
         assert controller.counts == {"crash": 1, "recover": 1, "leave": 1}
 
+    def test_leave_cancels_the_leavers_subscriptions_on_both_injectors(self):
+        """The plan's controller and the imperative schedule apply a leave alike."""
+        cancelled = {}
+        for injector in ("controller", "schedule"):
+            simulator, network, system = _gossip_fixture()
+            if injector == "controller":
+                plan = FaultPlan((FaultSpec(kind="leave", at=4.0, nodes=("n2",)),))
+                FaultController(simulator, network, system.registry, plan).start()
+            else:
+                CrashSchedule(simulator, system.registry).add(4.0, "n2", "leave")
+            simulator.run(until=5.0)
+            event = system.publish("n0", topic="news")
+            assert "n2" not in system.subscriptions.interested_nodes(event)
+            assert system.subscriptions.interested_nodes(event) == sorted(
+                node_id for node_id in system.node_ids() if node_id != "n2"
+            )
+            cancelled[injector] = system.subscriptions.total_unsubscribes
+        assert cancelled == {"controller": 1, "schedule": 1}
+
+    def test_a_node_that_left_is_in_no_interested_set(self):
+        def interested(spec):
+            result = run_experiment(spec.to_config(), keep_system=True)
+            table = result.system.subscriptions
+            return [set(table.interested_nodes(event)) for event in result.published_events]
+
+        spec = get_scenario("smoke").spec
+        leave = FaultPlan((FaultSpec(kind="leave", at=2.0, nodes=("node-005",)),))
+        left = interested(spec.with_value("faults.plan", spec.faults.plan + leave.entry_pairs()))
+        assert left and not any("node-005" in nodes for nodes in left)
+        # Without the leave the node wants some of the same run's events.
+        assert any("node-005" in nodes for nodes in interested(spec))
+
     def test_partition_heal_reliability(self):
         """Events published during a partition flow after the heal."""
         simulator, network, system = _gossip_fixture()
@@ -271,13 +303,16 @@ class TestSimulatorFaults:
         simulator.run(until=2.0)  # partition is up
         event = system.publish("n0", topic="news")
         simulator.run(until=4.0)  # still partitioned: the far side is dark
-        partitioned_deliveries = len(system.delivery_log.deliveries_of_event(event.event_id))
+        partitioned_deliveries = len(
+            [r for r in system.delivery_log.ordered_records() if r.event_id == event.event_id]
+        )
         assert partitioned_deliveries < len(system.node_ids())
         assert network.stats.dropped_partition > 0
         simulator.run(until=30.0)  # healed at t=5; gossip finishes the job
         delivered_to = {
             record.node_id
-            for record in system.delivery_log.deliveries_of_event(event.event_id)
+            for record in system.delivery_log.ordered_records()
+            if record.event_id == event.event_id
         }
         assert delivered_to == set(system.node_ids())
 
@@ -442,8 +477,9 @@ class TestSkipIsLoud:
         schedule.add(1.0, "ghost", "crash")
         simulator.run(until=2.0)
         assert schedule.skipped == 1
-        assert telemetry.counter_value("fault.skipped", action="crash") == 1
-        assert telemetry.counter_total("fault.events") == 0
+        snapshot = telemetry.snapshot()
+        assert snapshot.counter_value("fault.skipped", action="crash") == 1
+        assert snapshot.counter_total("fault.events") == 0
 
     def test_controller_records_skip_when_target_left(self):
         simulator, network, system = _gossip_fixture(nodes=4)
@@ -460,7 +496,7 @@ class TestSkipIsLoud:
         controller.start()
         simulator.run(until=3.0)
         assert controller.counts.get("skipped") == 1
-        assert telemetry.counter_value("fault.skipped", action="crash") == 1
+        assert telemetry.snapshot().counter_value("fault.skipped", action="crash") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +773,8 @@ class TestLiveFaults:
             def delivered_to():
                 return {
                     record.node_id
-                    for record in host.delivery_log.deliveries_of_event(event.event_id)
+                    for record in host.delivery_log.ordered_records()
+                    if record.event_id == event.event_id
                 }
 
             # The partition is installed and active...
@@ -761,17 +798,17 @@ class TestLiveFaults:
         # ...and lit up after the heal.
         assert delivered_to == universe
 
-    def test_stop_and_restart_node(self):
+    def test_crash_and_recover_through_the_registry(self):
         async def scenario():
             host = NodeHost(MemoryTransport(), seed=7, time_scale=50.0)
             host.add_nodes([f"node-{i:03d}" for i in range(4)])
             await host.start()
-            host.stop_node("node-002")
+            host.registry.get("node-002").crash()
             assert not host.registry.get("node-002").alive
-            assert not host.network.is_alive("node-002")
-            host.restart_node("node-002")
+            assert "node-002" not in host.network._alive
+            host.registry.get("node-002").recover()
             assert host.registry.get("node-002").alive
-            assert host.network.is_alive("node-002")
+            assert "node-002" in host.network._alive
             await host.stop()
 
         asyncio.run(scenario())
@@ -818,7 +855,8 @@ class TestLiveFaults:
             await host.stop()
             delivered_to = {
                 record.node_id
-                for record in host.delivery_log.deliveries_of_event(event.event_id)
+                for record in host.delivery_log.ordered_records()
+                if record.event_id == event.event_id
             }
             # Total blackout: nothing crosses the wire, only the publisher's
             # local delivery can exist.

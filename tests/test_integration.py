@@ -127,13 +127,14 @@ class TestFairGossipUnderStress:
         )
         second.start(duration=25.0, start_at=system.simulator.now + 1.0)
         system.run(until=system.simulator.now + 30.0)
-        window = system.ledger.window(snapshot)
-        new_interested_work = sum(
-            window[node_id].gossip_messages_sent for node_id in system.node_ids()[15:25]
-        )
-        old_interested_work = sum(
-            window[node_id].gossip_messages_sent for node_id in system.node_ids()[:10]
-        )
+        def sent_since_snapshot(node_id):
+            return (
+                system.ledger.account(node_id).gossip_messages_sent
+                - snapshot.account(node_id).gossip_messages_sent
+            )
+
+        new_interested_work = sum(map(sent_since_snapshot, system.node_ids()[15:25]))
+        old_interested_work = sum(map(sent_since_snapshot, system.node_ids()[:10]))
         # The adaptive protocol shifts contribution towards the new beneficiaries.
         assert new_interested_work > old_interested_work
 

@@ -14,8 +14,8 @@ The protocol's correctness surface, pinned from four angles:
   runtime codec, the node runs unmodified on the live host, and the
   ``alpha`` config field is cache-neutral at its default so the pinned
   PR-1/PR-3 cache keys survive;
-* **operability** — registry error paths fail fast with did-you-mean
-  messages, and the recovery counters flow through FaultPlan runs into the
+* **operability** — registry error paths fail fast naming the offending
+  field, and the recovery counters flow through FaultPlan runs into the
   ``repro report`` recovery table in both engines.
 """
 
@@ -50,7 +50,6 @@ from repro.gossip.pushpull import DigestMessage, PullRequest
 from repro.pubsub import TopicFilter
 from repro.pubsub.events import Event
 from repro.registry import (
-    MEMBERSHIP,
     RegistryError,
     build_interest_model,
     build_popularity,
@@ -602,37 +601,6 @@ class TestRegistryErrors:
         with pytest.raises(RegistryError, match="system.alpha"):
             self._build(get_scenario("smoke-lazy").spec.with_value("system.alpha", alpha))
 
-    def test_non_digest_membership_fails_with_a_suggestion(self):
-        MEMBERSHIP.register(
-            "lpbcst", lambda ctx: None, description="test-only typo membership"
-        )
-        try:
-            spec = get_scenario("smoke-lazy").spec.with_value(
-                "membership.kind", "lpbcst"
-            )
-            with pytest.raises(RegistryError) as excinfo:
-                self._build(spec)
-        finally:
-            MEMBERSHIP.unregister("lpbcst")
-        message = str(excinfo.value)
-        assert "digest-capable" in message
-        assert "lpbcast" in message  # did-you-mean
-
-    def test_error_names_the_digest_capable_kinds(self):
-        MEMBERSHIP.register(
-            "oracle2", lambda ctx: None, description="test-only membership"
-        )
-        try:
-            spec = get_scenario("smoke-lazy").spec.with_value(
-                "membership.kind", "oracle2"
-            )
-            with pytest.raises(
-                RegistryError, match="cyclon.*full.*lpbcast"
-            ):
-                self._build(spec)
-        finally:
-            MEMBERSHIP.unregister("oracle2")
-
 
 # ---------------------------------------------------------------------------
 # The recovery table in ``repro report``
@@ -747,13 +715,16 @@ class TestFaultPlanAcceptance:
                 host.publish(f"node-{index % 12:03d}", topic=popularity.sample(rng))
                 await asyncio.sleep(0.005)
             # ...and drain past it until digests pull one closed.
-            await settle(lambda: host.telemetry.counter_total("lazy.recoveries") > 0)
+            await settle(
+                lambda: host.telemetry.snapshot().counter_total("lazy.recoveries") > 0
+            )
             await host.stop()
             return host
 
         host = asyncio.run(scenario())
-        assert host.telemetry.counter_total("lazy.pulls_issued") > 0
-        assert host.telemetry.counter_total("lazy.recoveries") > 0
+        snapshot = host.telemetry.snapshot()
+        assert snapshot.counter_total("lazy.pulls_issued") > 0
+        assert snapshot.counter_total("lazy.recoveries") > 0
 
 
 # ---------------------------------------------------------------------------

@@ -73,10 +73,9 @@ class TestTopicPath:
 
 
 class TestTopic:
-    def test_parent_and_depth(self):
+    def test_parent(self):
         assert Topic("a/b").parent_name == "a"
         assert Topic("a").parent_name is None
-        assert Topic("a/b/c").depth == 3
 
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
@@ -91,11 +90,6 @@ class TestTopicHierarchy:
         assert "sports/football" in hierarchy
         assert len(hierarchy) == 3
 
-    def test_roots_and_leaves(self):
-        hierarchy = TopicHierarchy(["a/x", "a/y", "b"])
-        assert [topic.name for topic in hierarchy.roots()] == ["a", "b"]
-        assert [topic.name for topic in hierarchy.leaves()] == ["a/x", "a/y", "b"]
-
     def test_children_and_descendants(self):
         hierarchy = TopicHierarchy(["a/x/1", "a/x/2", "a/y"])
         assert [topic.name for topic in hierarchy.children("a")] == ["a/x", "a/y"]
@@ -105,16 +99,6 @@ class TestTopicHierarchy:
             "a/x/2",
             "a/y",
         ]
-
-    def test_ancestors(self):
-        hierarchy = TopicHierarchy(["a/b/c"])
-        assert [topic.name for topic in hierarchy.ancestors("a/b/c")] == ["a", "a/b"]
-
-    def test_supertopic_of(self):
-        hierarchy = TopicHierarchy(["a/b/c", "a/b/d", "a/e"])
-        assert hierarchy.supertopic_of(["a/b/c", "a/b/d"]).name == "a/b"
-        assert hierarchy.supertopic_of(["a/b/c", "a/e"]).name == "a"
-        assert hierarchy.supertopic_of([]) is None
 
     def test_iteration_is_sorted(self):
         hierarchy = TopicHierarchy(["z", "a/b", "a"])

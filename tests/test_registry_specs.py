@@ -219,9 +219,11 @@ class TestRegistryErrors:
         with pytest.raises(ValueError):
             MEMBERSHIP.get("bogus")
 
-    def test_policy_aliases_resolve(self):
-        assert POLICIES.get("figure2").name == "topic"
-        assert POLICIES.get("topic-based").name == "topic"
+    def test_each_policy_has_one_name(self):
+        # A second spelling of one policy would give one run two cache keys.
+        assert POLICIES.names() == ["expressive", "topic"]
+        with pytest.raises(RegistryError, match="did you mean 'topic'"):
+            POLICIES.get("topic-based")
 
     def test_unknown_dotted_path_suggests(self):
         with pytest.raises(RegistryError) as excinfo:
@@ -236,14 +238,6 @@ class TestRegistryErrors:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(RegistryError):
             SYSTEMS.register("gossip", lambda ctx: None)
-
-    def test_duplicate_alias_rejected(self):
-        # "figure2" is already an alias of the built-in "topic" policy; a new
-        # component must not silently rebind it.
-        with pytest.raises(RegistryError, match="figure2"):
-            POLICIES.register("my-policy", lambda spec: None, aliases=("figure2",))
-        assert "my-policy" not in POLICIES
-        assert POLICIES.get("figure2").name == "topic"
 
     def test_every_param_names_a_field_of_its_section(self):
         # describe() reads each default from that field, so a Param is a

@@ -89,7 +89,6 @@ def test_manifest_round_trips_through_the_walker(artifacts):
     payload = load_json(artifacts["manifest"], MANIFEST_SCHEMA, ValueError, "manifest")
     manifest = decode(RunManifest, payload, ValueError, "manifest", MANIFEST_SCHEMA)
     assert manifest.to_dict() == payload
-    assert "timing" not in json.loads(manifest.canonical_json())
     assert not {"totals", "cache_hits", "computed", "name"} & (
         set(payload) | set(next(iter(payload["services"].values())))
     )

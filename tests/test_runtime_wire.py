@@ -517,7 +517,8 @@ class TestFraming:
         for offset in range(len(stream)):
             received.extend(decoder.feed(stream[offset : offset + 1]))
         assert received == bodies
-        assert decoder.pending_bytes == 0
+        # Nothing is left over: the next frame decodes on its own.
+        assert decoder.feed(frame(b"z")) == [b"z"]
 
     def test_decoder_handles_multiple_frames_per_chunk(self):
         bodies = [b"one", b"two", b"three"]

@@ -52,7 +52,7 @@ class TestCrashSchedule:
         schedule = CrashSchedule(simulator, registry, telemetry=telemetry)
         schedule.add(1.0, "n0", "crash")
         simulator.run(until=2.0)
-        assert telemetry.counter_value("fault.events", action="crash") == 1
+        assert telemetry.snapshot().counter_value("fault.events", action="crash") == 1
 
 
 class TestChurnInjector:
@@ -168,7 +168,7 @@ class TestMetrics:
         telemetry = Telemetry()
         telemetry.increment("sent", 3, node="a")
         telemetry.increment("sent", node="a")
-        assert telemetry.counter_value("sent", node="a") == 4
+        assert telemetry.snapshot().counter_value("sent", node="a") == 4
         with pytest.raises(ValueError):
             telemetry.counter("sent", node="a").increment(-1)
 
@@ -176,14 +176,15 @@ class TestMetrics:
         telemetry = Telemetry()
         telemetry.increment("sent", 2, node="a")
         telemetry.increment("sent", 3, node="b")
-        assert telemetry.counter_total("sent") == 5
-        assert telemetry.counters_by_tag("sent", "node") == {"a": 2, "b": 3}
+        snapshot = telemetry.snapshot()
+        assert snapshot.counter_total("sent") == 5
+        assert snapshot.counters_by_tag("sent", "node") == {"a": 2, "b": 3}
 
     def test_gauge_set(self):
         telemetry = Telemetry()
         telemetry.gauge("fanout", node="a").set(4)
         telemetry.gauge("fanout", node="a").set(2)
-        assert telemetry.gauges_by_tag("fanout", "node") == {"a": 2}
+        assert telemetry.snapshot().gauges_by_tag("fanout", "node") == {"a": 2}
 
     def test_histogram_summary(self):
         histogram = Histogram()
@@ -207,14 +208,12 @@ class TestMetrics:
         with pytest.raises(ValueError):
             percentile([1.0], 1.5)
 
-    def test_names_and_reset(self):
+    def test_snapshot_names_each_instrument_by_type(self):
         telemetry = Telemetry()
         telemetry.increment("sent")
         telemetry.gauge("fanout").set(1)
         telemetry.observe("latency", 0.3)
-        names = telemetry.names()
-        assert names["counters"] == ["sent"]
-        assert names["gauges"] == ["fanout"]
-        assert names["histograms"] == ["latency"]
-        telemetry.reset()
-        assert telemetry.counter_total("sent") == 0
+        snapshot = telemetry.snapshot()
+        assert [name for name, _tags, _value in snapshot.counters] == ["sent"]
+        assert [name for name, _tags, _value in snapshot.gauges] == ["fanout"]
+        assert [name for name, _tags, _state in snapshot.histograms] == ["latency"]

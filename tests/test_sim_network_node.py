@@ -434,7 +434,6 @@ class TestProcessRegistry:
         registry.add(a)
         registry.add(b)
         a.start()
-        assert registry.alive_ids() == ["a"]
         assert [process.node_id for process in registry.alive()] == ["a"]
 
     def test_remove(self, simulator, network):

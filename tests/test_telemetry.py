@@ -32,7 +32,6 @@ from repro.jsonio import read_jsonl
 from repro.telemetry import (
     SNAPSHOT_SCHEMA,
     Histogram,
-    HistogramState,
     JsonlSink,
     MemorySink,
     PrometheusSink,
@@ -131,15 +130,6 @@ class TestStreamingHistogram:
         assert after == before
         assert histogram.pending_count == 200  # buffer untouched
 
-    def test_reset_forgets_everything(self):
-        histogram = Histogram(fold_threshold=2)
-        for value in (1.0, 2.0, 3.0):
-            histogram.observe(value)
-        histogram.reset()
-        assert histogram.count == 0
-        assert histogram.summary().count == 0
-        assert histogram.state() == HistogramState()
-
 
 class TestPercentileEdgeCases:
     def test_empty_list_is_zero(self):
@@ -164,17 +154,6 @@ class TestPercentileEdgeCases:
         assert percentile(ordered, 0.5) == 2.5
 
 
-class TestTimer:
-    def test_timer_records_elapsed_via_time_source(self):
-        ticks = [10.0]
-        telemetry = Telemetry(time_source=lambda: ticks[0])
-        with telemetry.timer("span.duration", stage="fold"):
-            ticks[0] = 10.25
-        summary = telemetry.histogram_summary("span.duration", stage="fold")
-        assert summary.count == 1
-        assert summary.mean == pytest.approx(0.25)
-
-
 # ---------------------------------------------------------------------------
 # Facade and compatibility shim
 # ---------------------------------------------------------------------------
@@ -186,33 +165,18 @@ class TestTelemetryFacade:
         telemetry.increment("ev", 2.0, node="a")
         telemetry.increment("ev", 3.0, node="b")
         telemetry.increment("ev", 5.0)
-        assert telemetry.counter_value("ev", node="a") == 2.0
-        assert telemetry.counter_value("ev") == 5.0
-        assert telemetry.counter_total("ev") == 10.0
-        assert telemetry.counters_by_tag("ev", "node") == {"a": 2.0, "b": 3.0}
+        snapshot = telemetry.snapshot()
+        assert snapshot.counter_value("ev", node="a") == 2.0
+        assert snapshot.counter_value("ev") == 5.0
+        assert snapshot.counter_total("ev") == 10.0
+        assert snapshot.counters_by_tag("ev", "node") == {"a": 2.0, "b": 3.0}
 
-    def test_histogram_summary_query_does_not_create_the_instrument(self):
-        telemetry = Telemetry()
-        summary = telemetry.histogram_summary("never.observed", node="a")
-        assert summary.count == 0
-        assert telemetry.names()["histograms"] == []
-        # Snapshots of a store that was only queried stay empty.
-        assert telemetry.snapshot(at=1.0).histograms == ()
-
-    def test_reset_zeroes_prebound_instruments_in_place(self):
-        telemetry = Telemetry()
-        counter = telemetry.counter("ev", node="a")
-        histogram = telemetry.histogram("lat")
-        counter.increment(3.0)
-        histogram.observe(1.5)
-        telemetry.reset()
-        assert telemetry.counter_value("ev", node="a") == 0.0
-        assert telemetry.histogram_summary("lat").count == 0
-        # Pre-bound writers keep feeding the same store after a reset.
-        counter.increment()
-        histogram.observe(2.0)
-        assert telemetry.counter_value("ev", node="a") == 1.0
-        assert telemetry.histogram_summary("lat").count == 1
+    def test_snapshot_queries_of_absent_instruments_are_empty(self):
+        snapshot = Telemetry().snapshot(at=1.0)
+        assert snapshot.histogram_summary("never.observed", node="a").count == 0
+        assert snapshot.counter_value("never.counted") == 0.0
+        assert snapshot.gauge_value("never.set", node="a") == 0.0
+        assert snapshot.histograms == ()
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +256,7 @@ class TestSnapshotRoundTrip:
             telemetry.increment("ticks")
             sink.emit(telemetry.snapshot(at=float(index)))
         assert len(sink.records()) == 2
-        assert sink.latest.at == 3.0
+        assert sink.records()[-1].at == 3.0
 
     def test_parse_sink_spec_errors(self):
         with pytest.raises(ValueError, match="unknown telemetry sink kind"):
@@ -442,19 +406,22 @@ class TestSimulatorSnapshots:
             for index in range(30):
                 host.publish(f"node-{index % 8:03d}", topic="t")
                 await asyncio.sleep(0.002)
-            await settle(lambda: telemetry.counter_total("gossip.deliveries") > 0)
+            await settle(
+                lambda: telemetry.snapshot().counter_total("gossip.deliveries") > 0
+            )
             await host.stop()
 
         asyncio.run(scenario())
-        names = telemetry.names()
-        assert "gossip.messages_sent" in names["counters"]
-        assert "gossip.rounds" in names["counters"]
-        assert telemetry.counter_total("gossip.messages_sent") > 0
-        assert telemetry.counter_total("gossip.deliveries") > 0
+        snapshot = telemetry.snapshot()
+        counters = {name for name, _tags, _value in snapshot.counters}
+        assert "gossip.messages_sent" in counters
+        assert "gossip.rounds" in counters
+        assert snapshot.counter_total("gossip.messages_sent") > 0
+        assert snapshot.counter_total("gossip.deliveries") > 0
         # Controller and estimator gauges are node-tagged.
-        fanouts = telemetry.gauges_by_tag("controller.fanout", "node")
+        fanouts = snapshot.gauges_by_tag("controller.fanout", "node")
         assert set(fanouts) == set(f"node-{index:03d}" for index in range(8))
-        assert telemetry.gauges_by_tag("benefit.own_rate", "node")
+        assert snapshot.gauges_by_tag("benefit.own_rate", "node")
 
 
 class TestBiasDetectorTelemetry:
@@ -468,10 +435,11 @@ class TestBiasDetectorTelemetry:
         telemetry = Telemetry()
         report = BiasDetector(min_messages=10).analyse(audit, telemetry=telemetry)
         assert report.flagged_nodes() == ["staler"]
-        assert telemetry.gauge_value("bias.flagged", node="staler") == 1.0
-        assert telemetry.gauge_value("bias.flagged", node="honest") == 0.0
-        assert telemetry.gauge_value("bias.useful_ratio", node="honest") == 1.0
-        assert telemetry.gauge_value("bias.flagged_nodes") == 1.0
+        snapshot = telemetry.snapshot()
+        assert snapshot.gauge_value("bias.flagged", node="staler") == 1.0
+        assert snapshot.gauge_value("bias.flagged", node="honest") == 0.0
+        assert snapshot.gauge_value("bias.useful_ratio", node="honest") == 1.0
+        assert snapshot.gauge_value("bias.flagged_nodes") == 1.0
 
 
 class TestControllerGauges:
@@ -483,8 +451,9 @@ class TestControllerGauges:
         ContributionLever(PAYLOAD, 16, 1, 32, telemetry=telemetry, telemetry_tags={"node": "n1"})
         # Snapshots taken before the first round (or in ablations that never
         # adapt a lever) must show the effective operating point, not 0.
-        assert telemetry.gauge_value("controller.fanout", node="n1") == 6.0
-        assert telemetry.gauge_value("controller.payload", node="n1") == 16.0
+        snapshot = telemetry.snapshot()
+        assert snapshot.gauge_value("controller.fanout", node="n1") == 6.0
+        assert snapshot.gauge_value("controller.payload", node="n1") == 16.0
 
 
 # ---------------------------------------------------------------------------

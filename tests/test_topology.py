@@ -533,7 +533,8 @@ class TestDomainPartitionHeal:
             def delivered_to():
                 return {
                     record.node_id
-                    for record in host.delivery_log.deliveries_of_event(event.event_id)
+                    for record in host.delivery_log.ordered_records()
+                    if record.event_id == event.event_id
                 }
 
             # The partition is installed and active...

@@ -218,8 +218,11 @@ class TestInfectionTree:
         result, trace = analysis
         log = result.system.delivery_log
         for event in trace.events.values():
-            logged = {record.node_id for record in log.deliveries_of_event(event.trace_id)}
-            assert set(event.delivered_nodes()) == logged
+            logged = {
+                record.node_id for record in log.ordered_records()
+                if record.event_id == event.trace_id
+            }
+            assert {span.node for span in event.spans if span.kind == DELIVER} == logged
 
     def test_pull_recoveries_present_and_attributed(self, analysis):
         _, trace = analysis

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from tests.conftest import build_gossip_system
+from tests.conftest import build_gossip_system, subscribed
 from repro.pubsub import TopicFilter
 from repro.workloads import (
     AttributeInterest,
@@ -25,8 +25,8 @@ class TestTopicPopularity:
         uniform = TopicPopularity.uniform(4)
         zipf = TopicPopularity.zipf(4, exponent=1.0)
         assert len(uniform.topics) == 4
-        assert uniform.normalised_weights == [0.25] * 4
-        assert zipf.normalised_weights[0] > zipf.normalised_weights[-1]
+        assert len(set(uniform.weights)) == 1
+        assert zipf.weights[0] > zipf.weights[-1]
 
     def test_hierarchy_names_contain_separator(self):
         hierarchy = TopicPopularity.hierarchy(2, 3)
@@ -46,17 +46,6 @@ class TestTopicPopularity:
         assert len(sample) == len(set(sample)) == 4
         assert set(popularity.sample_many(rng, 10, distinct=True)) == set(popularity.topics)
 
-    def test_subscriber_quota_gives_everyone_at_least_one(self):
-        popularity = TopicPopularity.zipf(5, exponent=1.5)
-        quota = popularity.subscriber_quota(100)
-        assert all(count >= 1 for count in quota.values())
-        assert quota[popularity.topics[0]] > quota[popularity.topics[-1]]
-
-    def test_probability_of(self):
-        popularity = TopicPopularity.uniform(4)
-        assert popularity.probability_of(popularity.topics[0]) == pytest.approx(0.25)
-        assert popularity.probability_of("unknown") == 0.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             TopicPopularity(topics=[], weights=[])
@@ -64,6 +53,11 @@ class TestTopicPopularity:
             TopicPopularity(topics=["a"], weights=[1.0, 2.0])
         with pytest.raises(ValueError):
             TopicPopularity(topics=["a"], weights=[0.0])
+
+
+def topics_of(assignment, node_id):
+    """Topics pinned by a node's assigned filters."""
+    return sorted({topic for f in assignment.filters_of(node_id) for topic in f.topics})
 
 
 class TestInterestModels:
@@ -75,15 +69,16 @@ class TestInterestModels:
         assignment = UniformInterest(popularity, topics_per_node=3).assign(
             self.node_ids(), random.Random(1)
         )
-        assert all(assignment.subscription_count(node) == 3 for node in self.node_ids())
-        assert set(assignment.all_topics()).issubset(set(popularity.topics))
+        assert all(len(assignment.filters_of(node)) == 3 for node in self.node_ids())
+        for node in self.node_ids():
+            assert set(topics_of(assignment, node)).issubset(set(popularity.topics))
 
     def test_zipf_interest_has_variation(self):
         popularity = TopicPopularity.zipf(16)
         assignment = ZipfInterest(popularity, min_topics=1, max_topics=8).assign(
             self.node_ids(100), random.Random(2)
         )
-        counts = [assignment.subscription_count(node) for node in self.node_ids(100)]
+        counts = [len(assignment.filters_of(node)) for node in self.node_ids(100)]
         assert min(counts) >= 1 and max(counts) <= 8
         assert len(set(counts)) > 2  # genuinely heterogeneous
 
@@ -92,15 +87,15 @@ class TestInterestModels:
         model = CommunityInterest(popularity, communities=4, topics_per_node=2, crossover_probability=0.0)
         assignment = model.assign(self.node_ids(40), random.Random(3))
         # Nodes 0 and 4 are in the same community and share the topic pool.
-        assert set(assignment.topics_of("node-0")).issubset(set(assignment.topics_of("node-0")))
-        community_topics = set(assignment.topics_of("node-0")) | set(assignment.topics_of("node-4"))
-        other_community = set(assignment.topics_of("node-1")) | set(assignment.topics_of("node-5"))
+        assert set(topics_of(assignment, "node-0")).issubset(set(topics_of(assignment, "node-0")))
+        community_topics = set(topics_of(assignment, "node-0")) | set(topics_of(assignment, "node-4"))
+        other_community = set(topics_of(assignment, "node-1")) | set(topics_of(assignment, "node-5"))
         assert community_topics != other_community
 
     def test_attribute_interest_filters_and_events(self):
         model = AttributeInterest(filters_per_node=2)
         assignment = model.assign(self.node_ids(10), random.Random(4))
-        assert all(assignment.subscription_count(node) == 2 for node in self.node_ids(10))
+        assert all(len(assignment.filters_of(node)) == 2 for node in self.node_ids(10))
         attributes = model.random_event_attributes(random.Random(5))
         assert set(attributes) == {"category", "level"}
 
@@ -184,7 +179,7 @@ class TestSubscriptionChurn:
         # The subscription table must agree with the workload's view.
         active = churn.active_subscriptions()
         for node_id, topic in active:
-            assert topic in system.subscriptions.topics_of_node(node_id)
+            assert subscribed(system.subscriptions, node_id, topic)
 
     def test_popular_topics_attract_more_churn(self):
         system = build_gossip_system(nodes=20, seed=55)
