@@ -66,6 +66,22 @@ class TestLiveRuns:
         assert cli_main(["serve", "--set", "nodes=6", *FAST, "--report-interval", "0.2"]) == 0
         assert "[serve +" in capsys.readouterr().out
 
+    def test_serve_report_lines_count_the_runs_publications_and_deliveries(self, capsys, tmp_path):
+        artifact_path = tmp_path / "rt.json"
+        argv = ["serve", "--set", "nodes=6", *FAST, "--report-interval", "0.2"]
+        assert cli_main([*argv, "--json", str(artifact_path)]) == 0
+        lines = re.findall(
+            r"\[serve \+\s*[\d.]+s\] published\s+(\d+) .*\| deliveries\s+(\d+) \|",
+            capsys.readouterr().out,
+        )
+        published = [int(count) for count, _ in lines]
+        deliveries = [int(count) for _, count in lines]
+        assert lines and published[-1] > 0
+        assert published == sorted(published) and deliveries == sorted(deliveries)
+        load = json.loads(artifact_path.read_text(encoding="utf-8"))["load"]
+        assert published[-1] <= load["published"]
+        assert deliveries[-1] <= load["deliveries"]
+
     def test_scenario_with_a_non_gossip_system(self, capsys, tmp_path):
         artifact_path = tmp_path / "rt.json"
         argv = ["loadgen", "--scenario", "smoke", "--set", "system.kind=brokers", *FAST]

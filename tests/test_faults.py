@@ -41,7 +41,7 @@ from repro.faults import (
 )
 from repro.gossip import GossipSystem
 from repro.pubsub import TopicFilter
-from repro.registry import parse_spec_overrides
+from repro.registry import SYSTEMS, parse_spec_overrides
 from repro.runtime.host import NodeHost
 from repro.runtime.transport import MemoryTransport
 from repro.sim import Network, ProcessRegistry, Simulator
@@ -291,6 +291,20 @@ class TestSimulatorFaults:
         assert left and not any("node-005" in nodes for nodes in left)
         # Without the leave the node wants some of the same run's events.
         assert any("node-005" in nodes for nodes in interested(spec))
+
+    @pytest.mark.parametrize("kind", SYSTEMS.names())
+    def test_every_system_closes_the_leavers_subscriptions_at_the_leave(self, kind):
+        spec = get_scenario("smoke").spec.with_value("system.kind", kind)
+        leave = FaultPlan((FaultSpec(kind="leave", at=2.0, nodes=("node-005",)),))
+        spec = spec.with_value("faults.plan", spec.faults.plan + leave.entry_pairs())
+        result = run_experiment(spec.to_config(), keep_system=True)
+        table = result.system.subscriptions
+        held = [s for s in table._by_id.values() if s.node_id == "node-005"]
+        assert held and {s.unsubscribed_at for s in held} == {2.0}
+        assert result.published_events
+        assert not any(
+            "node-005" in table.interested_nodes(event) for event in result.published_events
+        )
 
     def test_partition_heal_reliability(self):
         """Events published during a partition flow after the heal."""
@@ -824,6 +838,23 @@ class TestLiveFaults:
             assert host.fault_controller is None
 
         asyncio.run(scenario())
+
+    def test_a_live_leave_cancels_the_leavers_subscriptions(self):
+        async def scenario():
+            plan = FaultPlan((FaultSpec(kind="leave", at=1.0, nodes=("node-002",)),))
+            host = NodeHost(MemoryTransport(), seed=7, time_scale=50.0, fault_plan=plan)
+            host.add_nodes([f"node-{i:03d}" for i in range(4)])
+            for node_id in host.node_ids():
+                host.subscribe(node_id, TopicFilter("news"))
+            await host.start()
+            await settle(lambda: host.fault_controller.counts.get("leave"))
+            event = host.publish("node-000", topic="news")
+            await host.stop()
+            return host, event
+
+        host, event = asyncio.run(scenario())
+        assert host.subscriptions.interested_nodes(event) == ["node-000", "node-001", "node-003"]
+        assert host.subscriptions.total_unsubscribes == 1
 
     def test_unsatisfiable_plan_fails_host_start_and_tears_down(self):
         async def scenario():

@@ -225,6 +225,15 @@ class TestRegistryErrors:
         with pytest.raises(RegistryError, match="did you mean 'topic'"):
             POLICIES.get("topic-based")
 
+    @pytest.mark.parametrize("spelling", ["figure2", "figure3", "topic-based"])
+    def test_a_retired_policy_spelling_fails_the_run_with_the_registered_names(self, spelling):
+        assert spelling not in POLICIES
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["run", "smoke", "--no-cache", "--set", f"policy.kind={spelling}"])
+        message = str(excinfo.value)
+        assert f"unknown fairness policy {spelling!r}" in message
+        assert message.endswith("expressive, topic")
+
     def test_unknown_dotted_path_suggests(self):
         with pytest.raises(RegistryError) as excinfo:
             StackSpec().with_value("system.fanoot", 5)

@@ -34,6 +34,7 @@ from repro.runtime import (
 from repro.sim.engine import SimulationError
 from repro.sim.network import Message
 from repro.runtime.cli import build_live_cluster
+from repro.runtime.host import DELIVERIES_METRIC, DELIVERY_LATENCY_METRIC
 from repro.sim.rng import RngRegistry
 from repro.telemetry.report import load_artifact
 from repro.workloads import TopicPopularity, TopicPublicationWorkload
@@ -223,6 +224,33 @@ class TestNodeHostMemory:
         assert generator.schedule.count() == report.published
         assert report.deliveries > 0
         assert 0 < report.latency_p50_seconds < 1.0
+
+    def test_loadgen_counts_only_its_own_deliveries_from_the_hosts_instruments(self):
+        async def scenario():
+            host = build_memory_host(nodes=6)
+            for node_id in host.node_ids():
+                host.subscribe(node_id, TopicFilter("topic-00"))
+            await host.start()
+            host.publish("node-000", topic="topic-00")
+            await settle(lambda: host.telemetry.snapshot().counter_total(DELIVERIES_METRIC) == 6)
+            before = host.telemetry.snapshot()
+            workload = TopicPublicationWorkload(
+                host, host.scheduler, TopicPopularity.uniform(1), host.node_ids()
+            )
+            report = await LoadGenerator(host, 200.0, workload).run(0.3, drain_seconds=0.2)
+            after = host.telemetry.snapshot()
+            await host.stop()
+            return host, report, before, after
+
+        host, report, before, after = run_async(scenario())
+        # Reading the host's instruments creates none: both snapshots list the same series.
+        assert [name for name, _, _ in after.counters] == [name for name, _, _ in before.counters]
+        assert [name for name, _, _ in after.histograms] == [name for name, _, _ in before.histograms]
+        assert report.deliveries == (
+            after.counter_total(DELIVERIES_METRIC) - before.counter_total(DELIVERIES_METRIC)
+        )
+        latency = after.histogram_summary(DELIVERY_LATENCY_METRIC)
+        assert report.latency_mean_seconds == pytest.approx(host.clock.units_to_seconds(latency.mean))
 
 
 def _missing_deliveries(host, events):

@@ -76,18 +76,18 @@ UNCHECKED: Dict[str, str] = {
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _program_files() -> List[Path]:
+def _program_files(root: Path) -> List[Path]:
     return [
         path
         for top in PROGRAM
-        for path in sorted((ROOT / top).rglob("*.py"))
-        if "tests" not in path.relative_to(ROOT).parts[1:]
+        for path in sorted((root / top).rglob("*.py"))
+        if "tests" not in path.relative_to(root).parts[1:]
     ]
 
 
 @lru_cache(maxsize=None)
-def _scan() -> Tuple[Dict[str, List[str]], Set[str], Set[str]]:
-    """``(defined, names, members)`` over the program.
+def _scan(root: Path = ROOT) -> Tuple[Dict[str, List[str]], Set[str], Set[str]]:
+    """``(defined, names, members)`` over the program of the tree at ``root``.
 
     ``defined`` maps every def and class in ``src/repro`` that is not a dunder
     to its ``"src/repro/module.py:line"`` places, with the names of methods
@@ -99,9 +99,10 @@ def _scan() -> Tuple[Dict[str, List[str]], Set[str], Set[str]]:
     defined: Dict[str, List[str]] = {}
     names: Set[str] = set()
     members: Set[str] = set()
-    for path in _program_files():
-        where = str(path.relative_to(ROOT))
-        in_source = SOURCE in path.parents and where not in UNCHECKED
+    source = root / SOURCE.relative_to(ROOT)
+    for path in _program_files(root):
+        where = str(path.relative_to(root))
+        in_source = source in path.parents and where not in UNCHECKED
         stack: List[Tuple[ast.AST, str, bool]] = [(ast.parse(path.read_text()), "", False)]
         while stack:
             node, inside, in_class = stack.pop()
@@ -140,13 +141,18 @@ def _reached(key: str, names: Set[str], members: Set[str]) -> bool:
     return key in members or key in names
 
 
-def test_every_source_definition_is_reached_by_program_code():
-    defined, names, members = _scan()
-    unreached = sorted(
+def _unreached(root: Path = ROOT) -> List[str]:
+    """``"name (places)"`` of every definition under ``root`` the check flags."""
+    defined, names, members = _scan(root)
+    return sorted(
         f"{key.lstrip('.')} ({', '.join(places)})"
         for key, places in defined.items()
         if not _reached(key, names, members) and key.lstrip(".") not in ALLOWED
     )
+
+
+def test_every_source_definition_is_reached_by_program_code():
+    unreached = _unreached()
     assert not unreached, (
         "defined in src/ but used only by tests (delete it, or add it to ALLOWED "
         "with its reason):\n  " + "\n  ".join(unreached)
@@ -158,3 +164,89 @@ def test_allowlist_names_kept_definitions():
     gone = sorted(set(ALLOWED) - {key.lstrip(".") for key in _scan()[0]})
     assert not gone, f"ALLOWED names definitions that are gone: {gone}"
     assert all((ROOT / path).is_file() for path in UNCHECKED)
+
+
+# --------------------------------------------------------------------------
+# The check itself, on small trees written for the purpose.
+
+
+def _flagged(tmp_path: Path, files: Dict[str, str]) -> List[str]:
+    """The names the check flags in a tree holding exactly ``files``."""
+    for relative, text in files.items():
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return [entry.partition(" ")[0] for entry in _unreached(tmp_path)]
+
+
+MODULE = "src/repro/module.py"
+
+
+def test_a_function_only_tests_call_is_flagged(tmp_path):
+    files = {
+        MODULE: "def used():\n    pass\n\n\ndef only_tested():\n    pass\n",
+        "examples/demo.py": "from repro.module import used\nused()\n",
+        "tests/test_module.py": "from repro.module import only_tested\nonly_tested()\n",
+    }
+    assert _flagged(tmp_path, files) == ["only_tested"]
+
+
+def test_a_bare_name_reaches_a_function_in_its_own_module(tmp_path):
+    files = {MODULE: "def helper():\n    pass\n\n\nHOOKS = [helper]\n"}
+    assert _flagged(tmp_path, files) == []
+
+
+def test_a_local_variable_does_not_reach_a_method_of_its_name(tmp_path):
+    files = {
+        MODULE: "class Clock:\n    def timer(self):\n        pass\n",
+        "benchmarks/bench.py": "from repro.module import Clock\ntimer = Clock()\nprint(timer)\n",
+    }
+    assert _flagged(tmp_path, files) == ["timer"]
+
+
+def test_an_attribute_or_a_string_reaches_a_method(tmp_path):
+    files = {
+        MODULE: (
+            "class Engine:\n"
+            "    def step(self):\n        pass\n\n"
+            "    def patched(self):\n        pass\n"
+        ),
+        "examples/run.py": "from repro.module import Engine\nEngine().step()\n",
+        "perfbench/layers.py": 'PATCHED = [("Engine", "patched")]\n',
+    }
+    assert _flagged(tmp_path, files) == []
+
+
+def test_a_method_calling_itself_is_not_reached(tmp_path):
+    files = {
+        MODULE: (
+            "class Tree:\n"
+            "    def walk(self, depth):\n"
+            "        return self.walk(depth - 1) if depth else 0\n\n\n"
+            "TREES = [Tree]\n"
+        ),
+    }
+    assert _flagged(tmp_path, files) == ["walk"]
+
+
+def test_perfbench_tests_do_not_reach(tmp_path):
+    files = {
+        MODULE: "def probe():\n    pass\n",
+        "perfbench/tests/test_probe.py": "from repro.module import probe\nprobe()\n",
+    }
+    assert _flagged(tmp_path, files) == ["probe"]
+
+
+def test_dunders_and_unchecked_modules_are_not_checked(tmp_path):
+    unchecked = next(iter(UNCHECKED))
+    files = {
+        MODULE: "class Box:\n    def __len__(self):\n        return 0\n\n\nBOXES = [Box]\n",
+        unchecked: "def patched_elsewhere():\n    pass\n",
+    }
+    assert _flagged(tmp_path, files) == []
+
+
+def test_an_allowed_name_is_not_flagged(tmp_path):
+    files = {MODULE: "class Oracle:\n    def holds_for(self, event):\n        pass\n\n\nORACLE = Oracle\n"}
+    assert "holds_for" in ALLOWED
+    assert _flagged(tmp_path, files) == []
