@@ -16,8 +16,10 @@ digest.  The summary gives the median change/parent ratio, its quartiles (the
 way ``perfbench/stats.py`` computes them) and the number of pairs in which
 this checkout was faster.
 
-Runs carrying a ``crash_order`` (``sim-lazy-domains-faults``) need
-perfbench's crash wave and are refused; so are the ``live-*`` workloads.
+A run carrying a ``crash_order`` (``sim-lazy-domains-faults``) gets
+perfbench's crash wave, built in each side's package as
+``perfbench/child.py:_sim_configs`` builds it.  The ``live-*`` workloads are
+refused.
 """
 
 from __future__ import annotations
@@ -51,10 +53,28 @@ def load_side(side: str, checkout: str, scratch: str):
 
 
 def build_configs(package, runs: List[dict]) -> list:
-    experiments = importlib.import_module(package.__name__ + ".experiments")
-    return [
-        experiments.get_scenario(run["scenario"]).config.with_overrides(**run["overrides"]) for run in runs
-    ]
+    """``perfbench/child.py:_sim_configs`` against ``package``: the scenario
+    with its overrides, plus the crash wave of a run carrying a ``crash_order``."""
+    name = package.__name__
+    get_scenario = importlib.import_module(name + ".experiments").get_scenario
+    stack_spec = importlib.import_module(name + ".registry").StackSpec
+    compile_domain_map = importlib.import_module(name + ".topology").compile_domain_map
+    configs = []
+    for run in runs:
+        config = get_scenario(run["scenario"]).config.with_overrides(**run["overrides"])
+        if "crash_order" in run:
+            spec = stack_spec.from_config(config)
+            bridges = set(compile_domain_map(spec.topology, config.node_ids()).bridge_nodes())
+            victims = tuple(
+                sorted([node for node in run["crash_order"] if node not in bridges][: run["crash_victims"]])
+            )
+            wave = (
+                (("kind", "crash"), ("at", 4.0), ("nodes", victims)),
+                (("kind", "recover"), ("at", 7.0), ("nodes", victims)),
+            )
+            config = config.with_overrides(fault_plan=config.fault_plan + wave)
+        configs.append(config)
+    return configs
 
 
 def timed_pass(package, configs: list):
@@ -81,11 +101,6 @@ def main() -> None:
     inputs = build_inputs(args.workload, args.seed)
     if inputs["kind"] != "sim":
         parser.error(f"{args.workload} is a live workload; only sim-* workloads run in one process")
-    if any("crash_order" in run for run in inputs["runs"]):
-        parser.error(
-            f"{args.workload} carries a crash_order, which needs perfbench's fault plan; "
-            "compare it with alternating perfbench/run.py pairs instead"
-        )
     checkouts = {"change": _ROOT, "parent": os.path.abspath(args.parent)}
     with tempfile.TemporaryDirectory(prefix="cpu-ab-") as scratch:
         sys.path.insert(0, scratch)

@@ -15,7 +15,6 @@ from .._exports import lazy_exports
 _EXPORTS = {
     "WorkLedger": ".accounting",
     "NodeAccount": ".accounting",
-    "AccountSnapshot": ".accounting",
     "ContributionWeights": ".accounting",
     "BenefitWeights": ".accounting",
     "FairnessReport": ".fairness",

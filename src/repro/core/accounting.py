@@ -16,15 +16,14 @@ expressive formulas without touching the protocols that do the recording.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 __all__ = [
     "NodeAccount",
     "ContributionWeights",
     "BenefitWeights",
     "WorkLedger",
-    "AccountSnapshot",
 ]
 
 
@@ -32,8 +31,7 @@ __all__ = [
 class NodeAccount:
     """Raw per-node counters.
 
-    All quantities are cumulative since the start of the run; windowed views
-    (needed by the adaptive controllers) are built by differencing snapshots.
+    All quantities are cumulative since the start of the run.
     """
 
     node_id: str
@@ -48,10 +46,6 @@ class NodeAccount:
     subscribe_operations: int = 0
     unsubscribe_operations: int = 0
     crashes: int = 0
-
-    def copy(self) -> "NodeAccount":
-        """Return an independent copy (used for windowed differencing)."""
-        return NodeAccount(**self.__dict__)
 
 
 @dataclass(frozen=True)
@@ -105,23 +99,11 @@ class BenefitWeights:
         )
 
 
-@dataclass(frozen=True)
-class AccountSnapshot:
-    """Frozen view of the ledger at one instant (per-node raw accounts)."""
-
-    taken_at: float
-    accounts: Mapping[str, NodeAccount]
-
-    def account(self, node_id: str) -> NodeAccount:
-        """The account of one node (an empty account if never touched)."""
-        return self.accounts.get(node_id, NodeAccount(node_id=node_id))
-
-
 class WorkLedger:
     """System-wide accounting of work and benefit.
 
     Protocol code calls the ``record_*`` methods; analysis code and the
-    adaptive controllers read via :meth:`account`, :meth:`snapshot`, and the
+    adaptive controllers read via :meth:`account` and the
     aggregate helpers.  The ledger itself never interprets the counters —
     interpretation lives in the weight objects and the fairness policy.
     """
@@ -190,13 +172,6 @@ class WorkLedger:
     def node_ids(self) -> List[str]:
         """All nodes with an account, sorted."""
         return sorted(self._accounts)
-
-    def snapshot(self, taken_at: float = 0.0) -> AccountSnapshot:
-        """Frozen copy of every account, for windowed differencing."""
-        return AccountSnapshot(
-            taken_at=taken_at,
-            accounts={node_id: account.copy() for node_id, account in self._accounts.items()},
-        )
 
     def contributions(self, weights: ContributionWeights) -> Dict[str, float]:
         """Per-node scalar contributions under ``weights``."""

@@ -439,16 +439,37 @@ class PushGossipNode(Participant):
         """Lines 12–20 of Figure 4 for every carried event; returns the first sights.
 
         Each event meets the trace context the sender propagated for it.
-        Bridge ingress enters here: a relay carries events but no peer
-        benefit rate or membership digest worth observing.
+        Most carried events are repeats (push gossip re-forwards an event
+        for ``buffer_max_rounds`` rounds), so the seen check runs here, one
+        event at a time, and only a first sight costs an
+        :meth:`_absorb_event` call; a traced repeat emits its ``duplicate``
+        span.  An id carried twice is a first sight once: the second copy
+        meets the byte the first one set.  Bridge ingress enters here: a
+        relay carries events but no peer benefit rate or membership digest
+        worth observing.
         """
         sender = message.sender
         contexts = {ctx.trace_id: ctx for ctx in message.trace} if message.trace else None
+        # has_seen, inlined: the method call would cost as much as the check.
+        numbers, seen = self.delivery_log.event_numbers, self._seen
         new_events = 0
         for event in message.payload.events:
-            trace_ctx = contexts.get(event.event_id) if contexts else None
-            if self._absorb_event(event, sender, trace_ctx, recovered):
-                new_events += 1
+            event_id = event.event_id
+            trace_ctx = contexts.get(event_id) if contexts else None
+            number = numbers.get(event_id)
+            if number is not None and number < len(seen) and seen[number]:
+                if trace_ctx is not None and self.tracer is not None:
+                    self.tracer.emit(
+                        DUPLICATE,
+                        event_id,
+                        self.node_id,
+                        parent_id=trace_ctx.parent_span,
+                        hops=trace_ctx.hops,
+                        peer=sender,
+                    )
+                continue
+            self._absorb_event(event, sender, trace_ctx, recovered)
+            new_events += 1
         return new_events
 
     # ------------------------------------------------------------ receiving
@@ -474,23 +495,11 @@ class PushGossipNode(Participant):
         ``trace_ctx`` is the sender's propagated trace context (if the event
         is part of a sampled trace) and ``recovered`` marks first sights that
         arrived via a pull reply rather than an eager push; both only feed
-        span emission, never protocol decisions.
+        span emission, never protocol decisions.  Received payloads drop
+        their repeats in :meth:`absorb_events` before calling this.
         """
-        # has_seen, inlined: this runs once per carried event, most of them
-        # repeats, where the method call would cost as much as the check.
-        number = self.delivery_log.event_numbers.get(event.event_id)
-        if number is not None and number < len(self._seen) and self._seen[number]:
-            if trace_ctx is not None and self.tracer is not None:
-                self.tracer.emit(
-                    DUPLICATE,
-                    event.event_id,
-                    self.node_id,
-                    parent_id=trace_ctx.parent_span,
-                    hops=trace_ctx.hops,
-                    peer=from_peer,
-                )
+        if not self.mark_seen(event.event_id):
             return False
-        self.mark_seen(event.event_id)
         self._trace_first_sight(event, from_peer, trace_ctx, recovered)
         self.buffer.add(event)
         if self.is_interested(event):
@@ -576,18 +585,3 @@ class PushGossipNode(Participant):
             contexts.append(TraceContext(event_id, span, state[1] + 1))
         return tuple(contexts) if contexts else None
 
-    # ----------------------------------------------------------- accounting
-
-    def send(
-        self,
-        recipient: str,
-        kind: str,
-        payload: object = None,
-        size: int = 1,
-        trace: object = None,
-    ):
-        """Send a message, charging infrastructure messages to the ledger."""
-        message = super().send(recipient, kind, payload, size, trace)
-        if message is not None and kind.startswith(MembershipComponent.MESSAGE_PREFIX):
-            self.ledger.record_infrastructure(self.node_id)
-        return message

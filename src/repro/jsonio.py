@@ -373,7 +373,8 @@ def wire_codec(annotation, nested: bool = False) -> Tuple[Callable, Callable]:
     the fields at their default (the :data:`ALL_FIELDS` rule), or — nested
     in another record — the list of all its fields; a class with its own
     ``to_dict`` / ``from_dict`` is a leaf coded by them; ``Tuple[X, ...]``
-    is a list; ``Optional[X]`` is ``null`` or ``X``; a scalar decodes under
+    is a list, and so is ``Tuple[X, Y]``, of exactly one value per position;
+    ``Optional[X]`` is ``null`` or ``X``; a scalar decodes under
     :func:`fit`'s rules.  Decoders raise ``TypeError`` / ``ValueError`` /
     ``KeyError`` / ``AttributeError`` on any other shape.
     """
@@ -393,6 +394,8 @@ def wire_codec(annotation, nested: bool = False) -> Tuple[Callable, Callable]:
             lambda value: [encode_item(entry) for entry in value],
             lambda raw: tuple([decode_item(entry) for entry in _as_list(raw)]),
         )
+    if origin is tuple:
+        return _fixed_tuple_codec(arguments)
     if origin is Union and arguments[1:] == (type(None),):
         encode_value, decode_value = wire_codec(arguments[0], nested)
         return (
@@ -432,6 +435,21 @@ def _record_codec(record_class, nested: bool) -> Tuple[Callable, Callable]:
         return record_class(**{key: by_name[key](value) for key, value in raw.items()})
 
     return encode_fields, decode_fields
+
+
+def _fixed_tuple_codec(arguments: tuple) -> Tuple[Callable, Callable]:
+    """``Tuple[X, Y]``: a list of exactly one value per position."""
+    encoders, decoders = zip(*[wire_codec(argument, True) for argument in arguments])
+
+    def encode_items(value):
+        return [encode(entry) for encode, entry in zip(encoders, value)]
+
+    def decode_items(raw):
+        if type(raw) is not list or len(raw) != len(decoders):
+            raise ValueError(f"expected a list of {len(decoders)} values")
+        return tuple([decode(entry) for decode, entry in zip(decoders, raw)])
+
+    return encode_items, decode_items
 
 
 def _as_list(raw) -> list:

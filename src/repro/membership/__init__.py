@@ -11,7 +11,6 @@ from .._exports import lazy_exports
 _EXPORTS = {
     "MembershipComponent": ".base",
     "MembershipProvider": ".base",
-    "NodeDescriptor": ".views",
     "PartialView": ".views",
     "FullMembership": ".full",
     "full_membership_provider": ".full",

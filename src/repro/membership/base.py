@@ -33,6 +33,9 @@ class MembershipComponent:
 
     The owning process must:
 
+    * carry a ``ledger`` (a :class:`~repro.core.accounting.WorkLedger`), to
+      which every message the component sends is charged as infrastructure
+      work (:meth:`send`);
     * call :meth:`on_round` once per gossip round (before selecting targets);
     * offer every incoming message to :meth:`handle` and skip its own
       processing when the component consumes it;
@@ -44,6 +47,17 @@ class MembershipComponent:
 
     def __init__(self, owner: Process) -> None:
         self.owner = owner
+
+    def send(self, recipient: str, kind: str, payload: object, size: int) -> None:
+        """Send one of this component's messages from its owner.
+
+        §2 counts maintenance messages in a process's contribution, so a
+        message the network accepts is charged to the owner's ledger as one
+        infrastructure message.
+        """
+        owner = self.owner
+        if owner.send(recipient, kind, payload, size) is not None:
+            owner.ledger.record_infrastructure(owner.node_id)
 
     def bootstrap(self, seeds: Sequence[str]) -> None:
         """Seed the component with initial contacts (used at join time)."""

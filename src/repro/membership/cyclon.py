@@ -28,7 +28,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from ..sim.network import Message
 from ..sim.node import Process
 from .base import MembershipComponent
-from .views import NodeDescriptor, PartialView
+from .views import Descriptor, PartialView
 
 __all__ = ["CyclonMembership", "cyclon_provider", "ShufflePayload"]
 
@@ -38,9 +38,9 @@ SHUFFLE_REPLY = MembershipComponent.MESSAGE_PREFIX + "cyclon.reply"
 
 @dataclass(frozen=True)
 class ShufflePayload:
-    """Descriptors exchanged during a shuffle."""
+    """Descriptors exchanged during a shuffle, ``(node_id, age)`` pairs."""
 
-    descriptors: Tuple[NodeDescriptor, ...]
+    descriptors: Tuple[Descriptor, ...]
 
 
 class CyclonMembership(MembershipComponent):
@@ -66,18 +66,18 @@ class CyclonMembership(MembershipComponent):
         self.shuffle_size = shuffle_size
         self.shuffles_initiated = 0
         self.shuffles_answered = 0
-        self._pending_sent: Optional[Tuple[str, Tuple[NodeDescriptor, ...]]] = None
+        self._pending_sent: Optional[Tuple[str, Tuple[Descriptor, ...]]] = None
         #: Every node shuffles every round, so the stream is bound up front.
         self._rng = owner.simulator.rng.stream(f"cyclon:{owner.node_id}")
         #: The fresh descriptor of this node that ends every shuffle request.
-        self._fresh_self = (NodeDescriptor(node_id=owner.node_id, age=0),)
+        self._fresh_self = ((owner.node_id, 0),)
 
     # ----------------------------------------------------------- bootstrap
 
     def bootstrap(self, seeds: Sequence[str]) -> None:
         """Fill the view with initial contacts."""
         for seed in seeds:
-            self.view.add(NodeDescriptor(node_id=seed, age=0))
+            self.view.add((seed, 0))
 
     # ---------------------------------------------------------------- round
 
@@ -95,7 +95,7 @@ class CyclonMembership(MembershipComponent):
         offered = tuple(subset) + self._fresh_self
         self._pending_sent = (target, offered)
         self.shuffles_initiated += 1
-        self.owner.send(target, SHUFFLE_REQUEST, payload=ShufflePayload(offered), size=len(offered))
+        self.send(target, SHUFFLE_REQUEST, ShufflePayload(offered), len(offered))
 
     # ------------------------------------------------------------- messages
 
@@ -112,14 +112,12 @@ class CyclonMembership(MembershipComponent):
         payload: ShufflePayload = message.payload
         answer = tuple(self.view.sample_descriptors(self._rng, self.shuffle_size))
         self.shuffles_answered += 1
-        self.owner.send(
-            message.sender, SHUFFLE_REPLY, payload=ShufflePayload(answer), size=max(len(answer), 1)
-        )
+        self.send(message.sender, SHUFFLE_REPLY, ShufflePayload(answer), max(len(answer), 1))
         self.view.merge(payload.descriptors, answer)
 
     def _handle_reply(self, message: Message) -> None:
         payload: ShufflePayload = message.payload
-        sent: Tuple[NodeDescriptor, ...] = ()
+        sent: Tuple[Descriptor, ...] = ()
         if self._pending_sent is not None and self._pending_sent[0] == message.sender:
             sent = self._pending_sent[1]
             self._pending_sent = None

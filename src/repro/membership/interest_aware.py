@@ -20,7 +20,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 from ..sim.network import Message
 from ..sim.node import Process
 from .base import MembershipComponent
-from .views import NodeDescriptor
 
 __all__ = ["InterestAwareMembership", "interest_aware_provider"]
 

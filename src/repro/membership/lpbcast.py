@@ -22,7 +22,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from ..sim.network import Message
 from ..sim.node import Process
 from .base import MembershipComponent
-from .views import NodeDescriptor, PartialView
+from .views import Descriptor, PartialView
 
 __all__ = ["LpbcastMembership", "lpbcast_provider", "MembershipDigest"]
 
@@ -31,9 +31,9 @@ DIGEST_MESSAGE = MembershipComponent.MESSAGE_PREFIX + "lpbcast.digest"
 
 @dataclass(frozen=True)
 class MembershipDigest:
-    """Node descriptors piggybacked on gossip traffic."""
+    """Node descriptors piggybacked on gossip traffic, ``(node_id, age)`` pairs."""
 
-    descriptors: Tuple[NodeDescriptor, ...]
+    descriptors: Tuple[Descriptor, ...]
 
 
 class LpbcastMembership(MembershipComponent):
@@ -59,7 +59,7 @@ class LpbcastMembership(MembershipComponent):
 
     def bootstrap(self, seeds: Sequence[str]) -> None:
         for seed in seeds:
-            self.view.add(NodeDescriptor(node_id=seed, age=0))
+            self.view.add((seed, 0))
 
     # -------------------------------------------------- piggybacked digests
 
@@ -67,23 +67,22 @@ class LpbcastMembership(MembershipComponent):
         """Descriptors to attach to the next outgoing gossip message."""
         sample = self.view.sample_descriptors(self._rng, self.digest_size - 1)
         self.digests_sent += 1
-        return MembershipDigest(
-            descriptors=tuple(sample) + (NodeDescriptor(node_id=self.owner.node_id, age=0),)
-        )
+        return MembershipDigest(tuple(sample) + ((self.owner.node_id, 0),))
 
     def absorb_digest(self, digest: MembershipDigest) -> None:
         """Merge a digest found on an incoming gossip message."""
         self.digests_absorbed += 1
-        for descriptor in digest.descriptors:
-            if descriptor.node_id == self.owner.node_id:
+        for node_id, _ in digest.descriptors:
+            if node_id == self.owner.node_id:
                 continue
-            if len(self.view) >= self.view.capacity and descriptor.node_id not in self.view:
+            if len(self.view) >= self.view.capacity and node_id not in self.view:
                 # Random truncation, as in lpbcast: evict a uniformly chosen
                 # entry to make room, keeping the view well mixed.
                 victims = self.view.node_ids()
                 if victims:
                     self.view.remove(self._rng.choice(victims))
-            self.view.add(descriptor.refreshed())
+            # A sighting through a digest is a fresh one.
+            self.view.add((node_id, 0))
 
     # --------------------------------------------------- standalone traffic
 
@@ -96,9 +95,7 @@ class LpbcastMembership(MembershipComponent):
         if not targets:
             return
         digest = self.digest_for_gossip()
-        self.owner.send(
-            targets[0], DIGEST_MESSAGE, payload=digest, size=len(digest.descriptors)
-        )
+        self.send(targets[0], DIGEST_MESSAGE, digest, len(digest.descriptors))
 
     def handle(self, message: Message) -> bool:
         if message.kind == DIGEST_MESSAGE:

@@ -17,40 +17,19 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["NodeDescriptor", "PartialView"]
+__all__ = ["Descriptor", "PartialView"]
 
-
-@dataclass(frozen=True)
-class NodeDescriptor:
-    """Descriptor of a remote node as known by some process.
-
-    Attributes
-    ----------
-    node_id:
-        Identifier of the described node.
-    age:
-        Number of shuffle rounds since the descriptor was created at its
-        subject; CYCLON uses the age to retire stale entries, which is what
-        removes crashed nodes from views.
-    topics:
-        Optional snapshot of the subject's subscribed topics, used by the
-        interest-aware view bias.
-    """
-
-    node_id: str
-    age: int = 0
-    topics: Tuple[str, ...] = ()
-
-    def refreshed(self) -> "NodeDescriptor":
-        """Return a copy with age reset to zero (a fresh sighting)."""
-        return NodeDescriptor(self.node_id, 0, self.topics)
+#: A node descriptor as a view hands it out and a shuffle carries it:
+#: ``(node_id, age)``, the age counting shuffle rounds since the descriptor
+#: was created at its subject.  CYCLON uses the age to retire stale entries,
+#: which is what removes crashed nodes from views.
+Descriptor = Tuple[str, int]
 
 
 class PartialView:
-    """A bounded collection of :class:`NodeDescriptor`, one per node id.
+    """A bounded collection of descriptors, one per node id.
 
     The view never contains its owner and never holds two descriptors for
     the same node; inserting a duplicate keeps the younger descriptor.
@@ -58,8 +37,8 @@ class PartialView:
     Ages are kept as a view-level epoch: an entry stores the epoch at which
     its descriptor would have had age zero, so a shuffle round ages the whole
     view by bumping one counter.  Every descriptor handed out is a fresh
-    snapshot (``age = epoch - birth`` at that moment) and never changes when
-    the view ages afterwards.
+    ``(node_id, epoch - birth)`` pair and never changes when the view ages
+    afterwards.
     """
 
     def __init__(self, owner_id: str, capacity: int = 20) -> None:
@@ -72,22 +51,20 @@ class PartialView:
         self._ids: List[str] = []
         #: node id -> birth epoch
         self._births: Dict[str, int] = {}
-        #: node id -> topics, for the entries that carry any
-        self._topics: Dict[str, Tuple[str, ...]] = {}
 
     # ------------------------------------------------------------ mutation
 
-    def add(self, descriptor: NodeDescriptor) -> bool:
+    def add(self, descriptor: Descriptor) -> bool:
         """Insert a descriptor, respecting capacity.
 
         Returns ``True`` if the view changed.  When full, the oldest entry is
         evicted only if the incoming descriptor is younger than it.
         """
-        node_id = descriptor.node_id
+        node_id, age = descriptor
         if node_id == self.owner_id:
             return False
         births = self._births
-        birth = self._epoch - descriptor.age
+        birth = self._epoch - age
         existing = births.get(node_id)
         if existing is None:
             if len(births) >= self.capacity:
@@ -99,10 +76,6 @@ class PartialView:
         elif birth <= existing:
             return False
         births[node_id] = birth
-        if descriptor.topics:
-            self._topics[node_id] = descriptor.topics
-        elif existing is not None:
-            self._topics.pop(node_id, None)
         return True
 
     def remove(self, node_id: str) -> bool:
@@ -111,22 +84,35 @@ class PartialView:
             return False
         ids = self._ids
         del ids[bisect_left(ids, node_id)]
-        self._topics.pop(node_id, None)
         return True
 
-    def merge(self, received: Sequence[NodeDescriptor], offered: Sequence[NodeDescriptor]) -> None:
+    def merge(self, received: Sequence[Descriptor], offered: Sequence[Descriptor]) -> None:
         """CYCLON's merge of a shuffle: a new entry takes a spare slot, else
         the slot of the first ``offered`` entry still present, else
         :meth:`add`'s age rule decides (evict the oldest only for a younger
         descriptor)."""
-        births = self._births
-        for descriptor in received:
-            node_id = descriptor.node_id
-            if node_id not in births and node_id != self.owner_id and len(births) >= self.capacity:
-                for candidate in offered:
-                    if self.remove(candidate.node_id):
+        births, ids, epoch, capacity = self._births, self._ids, self._epoch, self.capacity
+        for node_id, age in received:
+            birth = epoch - age
+            existing = births.get(node_id)
+            if existing is not None:
+                if birth > existing:
+                    births[node_id] = birth
+                continue
+            if node_id == self.owner_id:
+                continue
+            if len(births) >= capacity:
+                for candidate, _ in offered:
+                    if candidate in births:
                         break
-            self.add(descriptor)
+                else:
+                    candidate = self.oldest_id()
+                    if birth <= births[candidate]:
+                        continue
+                del births[candidate]
+                del ids[bisect_left(ids, candidate)]
+            births[node_id] = birth
+            insort(ids, node_id)
 
     def age_all(self, increment: int = 1) -> None:
         """Increase the age of every descriptor (one shuffle round passed)."""
@@ -144,13 +130,14 @@ class PartialView:
         """Ids of all described nodes, sorted for determinism."""
         return list(self._ids)
 
-    def descriptors(self) -> List[NodeDescriptor]:
+    def descriptors(self) -> List[Descriptor]:
         """All descriptors, sorted by node id."""
         return self._describe(self._ids)
 
-    def get(self, node_id: str) -> Optional[NodeDescriptor]:
+    def get(self, node_id: str) -> Optional[Descriptor]:
         """Descriptor for ``node_id`` if present."""
-        return self._describe((node_id,))[0] if node_id in self._births else None
+        birth = self._births.get(node_id)
+        return None if birth is None else (node_id, self._epoch - birth)
 
     def oldest_id(self) -> Optional[str]:
         """Id of the entry with the highest age, the highest id on a tie."""
@@ -167,7 +154,7 @@ class PartialView:
             return list(candidates)
         return rng.sample(candidates, count)
 
-    def sample_descriptors(self, rng: random.Random, count: int) -> List[NodeDescriptor]:
+    def sample_descriptors(self, rng: random.Random, count: int) -> List[Descriptor]:
         """Uniformly sample up to ``count`` descriptors."""
         node_ids = self._ids
         if count < len(node_ids):
@@ -176,6 +163,6 @@ class PartialView:
 
     # ------------------------------------------------------------ internals
 
-    def _describe(self, node_ids: Iterable[str]) -> List[NodeDescriptor]:
-        epoch, births, topics = self._epoch, self._births, self._topics
-        return [NodeDescriptor(i, epoch - births[i], topics.get(i, ())) for i in node_ids]
+    def _describe(self, node_ids: Iterable[str]) -> List[Descriptor]:
+        epoch, births = self._epoch, self._births
+        return [(node_id, epoch - births[node_id]) for node_id in node_ids]

@@ -57,8 +57,9 @@ __all__ = [
 ]
 
 #: Bumped whenever the frame layout or a payload encoding changes (2: payload
-#: keys are the payload classes' field names, nested records are lists).
-WIRE_VERSION = 2
+#: keys are the payload classes' field names, nested records are lists; 3: a
+#: membership descriptor is an ``[id, age]`` pair).
+WIRE_VERSION = 3
 
 #: Upper bound on a single frame; protects receivers from hostile prefixes.
 MAX_FRAME_SIZE = 16 * 1024 * 1024

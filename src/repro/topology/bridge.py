@@ -21,8 +21,9 @@ serves the simulator and the live runtime:
   injection path every received payload takes), from where normal
   intra-domain gossip takes over.
 
-Bridge traffic is infrastructure: it bypasses the nodes' ``send`` overrides,
-so it never counts towards the paper's per-node fairness contribution.
+Bridge traffic is infrastructure that no ledger is charged for: it goes
+straight to ``network.send``, so it never counts towards the paper's per-node
+fairness contribution.
 Observability: ``bridge.relayed`` / ``bridge.absorbed`` /
 ``bridge.duplicate`` counters (tagged with the origin/target domain) and
 ``topology.bridge`` spans parented into the event's infection tree.

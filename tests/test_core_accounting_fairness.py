@@ -59,16 +59,6 @@ class TestWorkLedger:
         ledger.ensure_node("ghost")
         assert "ghost" in ledger.node_ids()
 
-    def test_snapshot_is_unaffected_by_later_recording(self):
-        ledger = WorkLedger()
-        ledger.record_delivery("a", events=2)
-        snapshot = ledger.snapshot(taken_at=1.0)
-        ledger.record_delivery("a", events=3)
-        ledger.record_gossip_send("b", messages=1)
-        assert ledger.account("a").events_delivered == 5
-        assert snapshot.account("a").events_delivered == 2
-        assert snapshot.account("b").gossip_messages_sent == 0
-
     def test_totals(self):
         ledger = WorkLedger()
         ledger.record_publish("a")

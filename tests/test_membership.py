@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import WorkLedger
+from repro.experiments import get_scenario, run_experiment
 from repro.membership import (
     CyclonMembership,
     FullMembership,
     InterestAwareMembership,
     LpbcastMembership,
-    NodeDescriptor,
+    MembershipComponent,
     PartialView,
     cyclon_provider,
     full_membership_provider,
@@ -19,10 +21,14 @@ from repro.sim import Network, Process, Simulator
 
 
 class MemberNode(Process):
-    """Process that hosts a membership component and runs it every round."""
+    """Process that hosts a membership component and runs it every round.
+
+    A component charges what it sends to its owner's ledger.
+    """
 
     def __init__(self, node_id, simulator, network, provider):
         super().__init__(node_id, simulator, network)
+        self.ledger = WorkLedger()
         self.membership = provider(self)
 
     def on_start(self):
@@ -52,38 +58,38 @@ def build_overlay(simulator, network, provider, count=20, seeds=4):
 class TestPartialView:
     def test_never_contains_owner(self):
         view = PartialView("me", capacity=5)
-        assert not view.add(NodeDescriptor("me"))
+        assert not view.add(("me", 0))
         assert len(view) == 0
 
     def test_capacity_respected_with_age_based_eviction(self):
         view = PartialView("me", capacity=2)
-        view.add(NodeDescriptor("a", age=5))
-        view.add(NodeDescriptor("b", age=1))
-        assert view.add(NodeDescriptor("c", age=0))
+        view.add(("a", 5))
+        view.add(("b", 1))
+        assert view.add(("c", 0))
         assert len(view) == 2
         assert "a" not in view
         # An older descriptor than everything in the view is rejected.
-        assert not view.add(NodeDescriptor("d", age=9))
+        assert not view.add(("d", 9))
 
     def test_duplicate_keeps_younger(self):
         view = PartialView("me", capacity=5)
-        view.add(NodeDescriptor("a", age=5))
-        assert view.add(NodeDescriptor("a", age=1))
-        assert view.get("a").age == 1
-        assert not view.add(NodeDescriptor("a", age=7))
+        view.add(("a", 5))
+        assert view.add(("a", 1))
+        assert view.get("a")[1] == 1
+        assert not view.add(("a", 7))
 
     def test_age_all_and_oldest(self):
         view = PartialView("me", capacity=5)
-        view.add(NodeDescriptor("a", age=0))
-        view.add(NodeDescriptor("b", age=3))
+        view.add(("a", 0))
+        view.add(("b", 3))
         view.age_all()
-        assert view.get("a").age == 1
+        assert view.get("a")[1] == 1
         assert view.oldest_id() == "b"
 
     def test_sample_excludes_and_bounds(self):
         view = PartialView("me", capacity=10)
         for name in "abcde":
-            view.add(NodeDescriptor(name))
+            view.add((name, 0))
         import random
 
         rng = random.Random(1)
@@ -96,28 +102,28 @@ class TestPartialView:
         view = PartialView("me", capacity=5)
         assert view.oldest_id() is None
         for name in "bca":
-            view.add(NodeDescriptor(name, age=2))
-        view.add(NodeDescriptor("d", age=1))
+            view.add((name, 2))
+        view.add(("d", 1))
         assert view.oldest_id() == "c"
 
     def test_merge_takes_a_spare_slot_then_the_first_offered_entry_still_present(self):
         view = PartialView("me", capacity=3)
         for name in "abc":
-            view.add(NodeDescriptor(name, age=1))
-        offered = (NodeDescriptor("x"), NodeDescriptor("b"), NodeDescriptor("a"))
-        view.merge((NodeDescriptor("me"), NodeDescriptor("d", age=5), NodeDescriptor("e", age=5)), offered)
+            view.add((name, 1))
+        offered = (("x", 0), ("b", 0), ("a", 0))
+        view.merge((("me", 0), ("d", 5), ("e", 5)), offered)
         # "x" is not in the view, so "d" takes "b"'s slot and "e" takes "a"'s.
         assert view.node_ids() == ["c", "d", "e"]
         # Nothing offered is left: the age rule keeps "f" (age 9) out.
-        view.merge((NodeDescriptor("f", age=9),), offered)
+        view.merge((("f", 9),), offered)
         assert view.node_ids() == ["c", "d", "e"]
 
     def test_merge_trades_an_offered_entry_again_once_it_came_back(self):
         view = PartialView("me", capacity=2)
-        view.add(NodeDescriptor("a", age=2))
-        view.add(NodeDescriptor("b", age=5))
-        offered = (NodeDescriptor("a"), NodeDescriptor("x"))
-        received = (NodeDescriptor("c", age=1), NodeDescriptor("a", age=0), NodeDescriptor("d", age=0))
+        view.add(("a", 2))
+        view.add(("b", 5))
+        offered = (("a", 0), ("x", 0))
+        received = (("c", 1), ("a", 0), ("d", 0))
         view.merge(received, offered)
         # "c" takes "a"'s slot; "a" comes back by the age rule (evicting "b");
         # "d" then takes "a"'s slot again rather than evicting "c".
@@ -129,23 +135,24 @@ class TestPartialView:
 
     def test_handed_out_descriptors_are_snapshots(self):
         view = PartialView("me", capacity=5)
-        view.add(NodeDescriptor("a", age=2, topics=("t",)))
-        view.add(NodeDescriptor("b", age=0))
+        view.add(("a", 2))
+        view.add(("b", 0))
         import random
 
         handed_out = [view.get("a"), *view.descriptors()]
         handed_out += view.sample_descriptors(random.Random(1), 1)
-        ages = [descriptor.age for descriptor in handed_out]
+        ages = [age for _, age in handed_out]
         view.age_all(3)
-        assert [descriptor.age for descriptor in handed_out] == ages
-        assert view.get("a") == NodeDescriptor("a", age=5, topics=("t",))
+        assert [age for _, age in handed_out] == ages
+        assert view.get("a") == ("a", 5)
+        assert view.get("x") is None
 
     def test_sample_descriptors_draws_like_sampling_the_descriptor_list(self):
         import random
 
         view = PartialView("me", capacity=10)
         for index, name in enumerate("abcdefg"):
-            view.add(NodeDescriptor(name, age=index % 3))
+            view.add((name, index % 3))
         view.age_all()
         for count in (0, 3, 7, 9):
             ours, reference = random.Random(5), random.Random(5)
@@ -153,10 +160,6 @@ class TestPartialView:
             expected = descriptors if count >= len(descriptors) else reference.sample(descriptors, count)
             assert view.sample_descriptors(ours, count) == expected
             assert ours.getstate() == reference.getstate()
-
-    def test_refreshed_keeps_the_other_fields(self):
-        descriptor = NodeDescriptor("a", age=2, topics=("t",))
-        assert descriptor.refreshed() == NodeDescriptor("a", age=0, topics=("t",))
 
 
 class TestFullMembership:
@@ -233,7 +236,7 @@ class TestLpbcastMembership:
         provider = lpbcast_provider(view_size=10, digest_size=4)
         nodes = build_overlay(simulator, network, provider, count=10, seeds=3)
         digest = nodes["n0"].membership.digest_for_gossip()
-        assert any(descriptor.node_id == "n0" for descriptor in digest.descriptors)
+        assert any(node_id == "n0" for node_id, _ in digest.descriptors)
         assert len(digest.descriptors) <= 4
 
     def test_absorb_digest_learns_new_peers(self, simulator, network):
@@ -305,3 +308,25 @@ class TestInterestAwareMembership:
     def test_invalid_bias(self, simulator, network):
         with pytest.raises(ValueError):
             self._build(simulator, network, bias=2.0)
+
+
+class TestInfrastructureConservation:
+    """Every membership message the network carried is charged to its sender's ledger.
+
+    No shipped scenario selects lpbcast, so the fingerprint runs never
+    exercise its standalone digest; this runs ``smoke`` with both views.
+    """
+
+    @pytest.mark.parametrize("kind", ["scenario default", "lpbcast"])
+    def test_ledger_infrastructure_equals_membership_sends(self, kind):
+        spec = get_scenario("smoke").spec
+        if kind == "lpbcast":
+            spec = spec.with_value("membership.kind", kind)
+        system = run_experiment(spec.to_config(), keep_system=True).system
+        sent = sum(
+            count
+            for message_kind, count in system.network.stats.sent_by_kind.items()
+            if message_kind.startswith(MembershipComponent.MESSAGE_PREFIX)
+        )
+        assert sent > 0
+        assert system.ledger.totals().infrastructure_messages == sent

@@ -18,7 +18,7 @@ from repro.core import (
 )
 from repro.dht import IdSpace, PastryRouter
 from repro.gossip import EventBuffer
-from repro.membership import NodeDescriptor, PartialView
+from repro.membership import PartialView
 from repro.pubsub import (
     AttributeCondition,
     ContentFilter,
@@ -145,7 +145,7 @@ class TestPartialViewProperties:
     def test_capacity_and_owner_exclusion_invariants(self, descriptors, capacity):
         view = PartialView("owner", capacity=capacity)
         for name, age in descriptors:
-            view.add(NodeDescriptor(node_id=name, age=age))
+            view.add((name, age))
         assert len(view) <= capacity
         assert "owner" not in view
         assert len(set(view.node_ids())) == len(view.node_ids())
@@ -154,14 +154,14 @@ class TestPartialViewProperties:
     def test_sample_never_exceeds_request_or_content(self, capacity, count):
         view = PartialView("owner", capacity=capacity)
         for index in range(capacity):
-            view.add(NodeDescriptor(f"n{index}"))
+            view.add((f"n{index}", 0))
         sample = view.sample(random.Random(0), count)
         assert len(sample) <= min(count, len(view))
         assert len(set(sample)) == len(sample)
 
 
 class _ReagingView:
-    """Reference partial view: descriptors in a dict, really rebuilt on ``age_all``.
+    """Reference partial view: ``id -> age`` in a dict, really rebuilt on ``age_all``.
 
     Every query sorts, scans or samples the dict afresh, and ``merge`` is
     CYCLON's merge written with the view's public calls: for a new entry
@@ -172,26 +172,23 @@ class _ReagingView:
     def __init__(self, owner_id, capacity):
         self.owner_id, self.capacity, self.entries = owner_id, capacity, {}
 
-    def oldest(self):
+    def oldest_id(self):
         if not self.entries:
             return None
-        return max(self.entries.values(), key=lambda d: (d.age, d.node_id))
-
-    def oldest_id(self):
-        oldest = self.oldest()
-        return None if oldest is None else oldest.node_id
+        return max(self.entries, key=lambda node_id: (self.entries[node_id], node_id))
 
     def add(self, descriptor):
-        if descriptor.node_id == self.owner_id:
+        node_id, age = descriptor
+        if node_id == self.owner_id:
             return False
-        existing = self.entries.get(descriptor.node_id)
+        existing = node_id if node_id in self.entries else None
         if existing is None and len(self.entries) >= self.capacity:
-            existing = self.oldest()
-        if existing is not None and descriptor.age >= existing.age:
+            existing = self.oldest_id()
+        if existing is not None and age >= self.entries[existing]:
             return False
         if existing is not None:
-            del self.entries[existing.node_id]
-        self.entries[descriptor.node_id] = descriptor
+            del self.entries[existing]
+        self.entries[node_id] = age
         return True
 
     def remove(self, node_id):
@@ -199,25 +196,22 @@ class _ReagingView:
 
     def merge(self, received, offered):
         for descriptor in received:
-            if descriptor.node_id == self.owner_id:
+            if descriptor[0] == self.owner_id:
                 continue
-            if descriptor.node_id not in self.entries and len(self.entries) >= self.capacity:
-                for candidate in offered:
-                    if self.remove(candidate.node_id):
+            if descriptor[0] not in self.entries and len(self.entries) >= self.capacity:
+                for candidate, _ in offered:
+                    if self.remove(candidate):
                         break
             self.add(descriptor)
 
     def age_all(self, increment):
-        self.entries = {
-            node_id: NodeDescriptor(node_id, descriptor.age + increment, descriptor.topics)
-            for node_id, descriptor in self.entries.items()
-        }
+        self.entries = {node_id: age + increment for node_id, age in self.entries.items()}
 
     def node_ids(self):
         return sorted(self.entries)
 
     def descriptors(self):
-        return [self.entries[node_id] for node_id in sorted(self.entries)]
+        return [(node_id, self.entries[node_id]) for node_id in sorted(self.entries)]
 
     def sample(self, rng, count, exclude):
         candidates = [
@@ -231,12 +225,7 @@ class _ReagingView:
 
 
 _VIEW_IDS = [f"n{index}" for index in range(8)]
-_view_descriptors = st.builds(
-    NodeDescriptor,
-    node_id=st.sampled_from(["owner"] + _VIEW_IDS),
-    age=st.integers(min_value=0, max_value=6),
-    topics=st.sampled_from([(), ("a",), ("a", "b")]),
-)
+_view_descriptors = st.tuples(st.sampled_from(["owner"] + _VIEW_IDS), st.integers(min_value=0, max_value=6))
 _view_operations = st.one_of(
     st.tuples(st.just("add"), _view_descriptors),
     st.tuples(st.just("age_all"), st.integers(min_value=0, max_value=3)),
@@ -275,7 +264,7 @@ class TestEpochAgeingAgainstReagingModel:
             assert view.descriptors() == model.descriptors()
             assert view.oldest_id() == model.oldest_id()
             assert len(view) == len(model.entries)
-            assert [view.get(d.node_id) for d in model.descriptors()] == model.descriptors()
+            assert [view.get(node_id) for node_id, _ in model.descriptors()] == model.descriptors()
             assert view.sample(view_rng, count, exclude) == model.sample(model_rng, count, set(exclude))
             assert view.sample_descriptors(view_rng, count) == model.sample_descriptors(model_rng, count)
         assert view_rng.getstate() == model_rng.getstate()

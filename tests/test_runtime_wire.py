@@ -18,7 +18,6 @@ from repro.gossip.pushpull import DigestMessage, PullRequest
 from repro.jsonio import wire_codec
 from repro.membership.cyclon import ShufflePayload
 from repro.membership.lpbcast import MembershipDigest
-from repro.membership.views import NodeDescriptor
 from repro.pubsub import events as events_module
 from repro.pubsub.events import Event
 from repro.pubsub.filters import (
@@ -177,8 +176,10 @@ def values(annotation):
             **{field.name: values(hints[field.name]) for field in dataclasses.fields(annotation)},
         )
     origin = typing.get_origin(annotation)
-    if origin is tuple:
+    if origin is tuple and annotation.__args__[-1] is Ellipsis:
         return st.lists(values(annotation.__args__[0]), max_size=4).map(tuple)
+    if origin is tuple:
+        return st.tuples(*map(values, annotation.__args__))
     if origin is typing.Union:  # Optional[X]
         return st.none() | values(annotation.__args__[0])
     return SCALARS[annotation]
@@ -216,9 +217,7 @@ class TestPayloadCodecs:
     def test_every_kind_round_trips(self, kind, data):
         assert_round_trips(data.draw(messages(kind)))
 
-    DIGEST = MembershipDigest(
-        descriptors=(NodeDescriptor("n1", age=3, topics=("news", "sport")), NodeDescriptor("n2", age=0))
-    )
+    DIGEST = MembershipDigest(descriptors=(("n1", 3), ("n2", 0)))
     CONTENT_FILTER = ContentFilter(
         conditions=(
             AttributeCondition("category", "==", "metals"),
@@ -234,9 +233,9 @@ class TestPayloadCodecs:
             ("gossip.pull-reply", GossipMessage(events=(make_event(),))),
             ("gossip.digest", DigestMessage(event_ids=("e1", "e2"), sender_benefit_rate=1.25)),
             ("gossip.pull-request", PullRequest(event_ids=("e2",))),
-            ("membership.cyclon.request", ShufflePayload((NodeDescriptor("n3", 1), NodeDescriptor("n4", 7)))),
-            ("membership.cyclon.reply", ShufflePayload((NodeDescriptor("n3", 1),))),
-            ("membership.lpbcast.digest", MembershipDigest((NodeDescriptor("n5", age=2),))),
+            ("membership.cyclon.request", ShufflePayload((("n3", 1), ("n4", 7)))),
+            ("membership.cyclon.reply", ShufflePayload((("n3", 1),))),
+            ("membership.lpbcast.digest", MembershipDigest((("n5", 2),))),
             (PUBLISH_KIND, make_event(9)),
             (SUBSCRIBE_KIND, TopicFilter("news")),
             (UNSUBSCRIBE_KIND, CONTENT_FILTER),
@@ -248,10 +247,11 @@ class TestPayloadCodecs:
     def test_layout_keys_are_field_names_and_nested_records_are_lists(self):
         payload = GossipMessage(events=(), membership_digest=self.DIGEST)
         body = json.loads(encode_message(Message("a", "b", "gossip.push", payload=payload)))
-        # sender_benefit_rate is at its default, so it costs no bytes.
+        # sender_benefit_rate is at its default, so it costs no bytes; a
+        # descriptor is an [id, age] pair.
         assert body["payload"] == {
             "events": [],
-            "membership_digest": [[["n1", 3, ["news", "sport"]], ["n2", 0, []]]],
+            "membership_digest": [[["n1", 3], ["n2", 0]]],
         }
 
     def test_plain_payload_passthrough(self):
@@ -429,7 +429,8 @@ def mutate(data, value):
 
 
 def assert_declared_strings(value) -> None:
-    """Every field declared ``str`` or ``Tuple[str, ...]`` holds strings, recursively."""
+    """Every field declared ``str``, ``Tuple[str, ...]`` or a tuple of
+    ``(str, int)`` descriptors holds strings where it declares them, recursively."""
     if dataclasses.is_dataclass(value):
         hints = typing.get_type_hints(type(value))
         for field in dataclasses.fields(value):
@@ -438,6 +439,8 @@ def assert_declared_strings(value) -> None:
                 assert type(entry) is str, (field.name, entry)
             elif hints[field.name] == typing.Tuple[str, ...]:
                 assert all(type(item) is str for item in entry), (field.name, entry)
+            elif hints[field.name] == typing.Tuple[typing.Tuple[str, int], ...]:
+                assert all(type(node_id) is str for node_id, _ in entry), (field.name, entry)
             assert_declared_strings(entry)
     elif isinstance(value, tuple):
         for entry in value:

@@ -5,8 +5,8 @@ Figure 4: a repeat is dropped).  It keeps one byte per event in
 ``Participant._seen``, indexed by the number its :class:`DeliveryLog` gave
 the event id on first sight.  A reference set per node is the oracle here,
 across the three classes that ask the question (push gossip, data-aware
-multicast, brokers), through crashes, and for a live host node added after
-events were numbered.
+multicast, brokers), through crashes, for a live host node added after
+events were numbered, and for a whole received gossip payload.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from repro.brokers import BrokerSystem
 from repro.damulticast import DataAwareMulticastSystem
 from repro.damulticast.dam import DamNode
 from repro.gossip import GossipSystem, PushGossipNode
+from repro.gossip.push import GOSSIP_MESSAGE_KIND, GossipMessage
 from repro.membership import full_membership_provider
 from repro.pubsub import DeliveryLog, Event
 from repro.runtime import MemoryTransport, NodeHost
-from repro.sim import Network, Simulator
+from repro.sim import Message, Network, Simulator
 
 EVENT_IDS = [f"e{index}" for index in range(8)]
 
@@ -101,12 +102,41 @@ def sight(node, event: Event) -> None:
         node._handle_publish(event, from_broker=True)
 
 
+def absorb_payload(node: PushGossipNode, reference: set, first: int) -> None:
+    """``absorb_events`` on one payload: a seen id, a new id, another new id twice.
+
+    Only a first sight may reach ``_absorb_event``, once per id, in payload
+    order, however often the payload carries the id.
+    """
+    rotated = EVENT_IDS[first:] + EVENT_IDS[:first]
+    new = [event_id for event_id in rotated if event_id not in reference][:2]
+    carried = sorted(reference)[:1] + new[:1] + new[1:] * 2
+    absorbed = []
+    absorb_event = node._absorb_event
+
+    def counted(event, *args):
+        absorbed.append(event.event_id)
+        return absorb_event(event, *args)
+
+    node._absorb_event = counted
+    try:
+        payload = GossipMessage(tuple(make_event(event_id) for event_id in carried))
+        count = node.absorb_events(Message("g", node.node_id, GOSSIP_MESSAGE_KIND, payload))
+    finally:
+        del node._absorb_event
+    assert absorbed == new
+    assert count == len(new)
+    reference.update(carried)
+
+
 #: ("sight", node, event) runs the node's protocol path, ("mark", node, event)
-#: calls mark_seen, ("crash", node, _) crashes and recovers the node, and
-#: ("join", _, _) adds a live host node after events were numbered.
+#: calls mark_seen, ("payload", node, event) has a gossip node absorb a payload
+#: (the event's position picks its ids), ("crash", node, _) crashes and
+#: recovers the node, and ("join", _, _) adds a live host node after events
+#: were numbered.
 operations = st.lists(
     st.tuples(
-        st.sampled_from(["sight", "sight", "mark", "crash", "join"]),
+        st.sampled_from(["sight", "sight", "mark", "payload", "crash", "join"]),
         st.integers(min_value=0, max_value=63),
         st.sampled_from(EVENT_IDS),
     ),
@@ -146,6 +176,9 @@ class TestMatchesASetPerNode:
             elif kind == "mark":
                 assert node.mark_seen(event_id) is (event_id not in reference[node.node_id])
                 reference[node.node_id].add(event_id)
+            elif kind == "payload":
+                receiver = nodes[index % 2]  # the two gossip nodes come first
+                absorb_payload(receiver, reference[receiver.node_id], EVENT_IDS.index(event_id))
             else:
                 sight(node, events[event_id])
                 reference[node.node_id].add(event_id)
