@@ -183,9 +183,9 @@ campaign-smoke:
 bench-campaign:
 	$(PYTHON) -m pytest benchmarks/bench_campaign.py -q -s
 
-# Scale curve: writes the "result" rows of BENCH_scale.json (fig4-push and
-# fig1 on scribe / dam against nodes, fig3-expressive against publication
-# rate; one child process per row, ~2 min).  PARENT=<checkout> measures that
+# Scale curve: writes the "result" rows of BENCH_scale.json (fig4-push, lazy
+# push and fig1 on scribe / dam against nodes, fig3-expressive against
+# publication rate; one child process per row, ~4 min).  PARENT=<checkout> measures that
 # checkout too, as the "parent" rows, alternating the side that goes first
 # point by point.  The quick size (~5 s, what CI runs) only checks the schema.
 bench-scale:

@@ -1,10 +1,14 @@
 """Scale curve of the simulator: wall time against nodes and against buffered events.
 
-Three curves, one row per point, every row in a fresh child process (so peak
+Four curves, one row per point, every row in a fresh child process (so peak
 RSS is the row's own and nothing is warm from the previous one):
 
 * ``fig4-push`` at :data:`NODE_COUNTS` nodes — cost against population at a
   low publication rate, where engine, network and membership do the work;
+* lazy push at :data:`LAZY_NODE_COUNTS` nodes — perfbench's
+  ``sim-lazy-domains-faults`` run (``smoke-domains`` on ``lazy-push`` with
+  loss, a healing partition and a crash wave of the same share of nodes) at
+  each size: digest and pull recovery, bridges and the fault controller;
 * ``fig3-expressive`` at 128 nodes with ``publication_rate``
   :data:`PUBLICATION_RATES` — cost against what every node *holds*: the rate
   sets how many events sit in each gossip buffer, while a round still sends
@@ -15,7 +19,8 @@ RSS is the row's own and nothing is warm from the previous one):
   is ``null``) and spend their time routing and fanning out messages.
 
 A row's wall time is :func:`perfbench.stats.undisturbed_median` over
-:data:`REPS` repetitions of the same deterministic run.  Rows carry a
+:data:`REPS` repetitions of the same deterministic run, and ``wall_min_s`` /
+``wall_max_s`` give their spread.  Rows carry a
 ``label`` (the code they were measured on); a run replaces the rows of its
 own label in ``BENCH_scale.json`` and keeps the others, so the file can hold
 a change and the parent it is compared against::
@@ -33,7 +38,7 @@ alike instead of between them; the rows of both labels are replaced.
 delivers every same-instant send wave as one event, so its count says how
 the messages were grouped rather than how much work was done.
 
-Open on ROADMAP item 2(a): N = 8192 and the lazy / multi-domain rows.
+Open on ROADMAP item 9: N = 8192.
 """
 
 from __future__ import annotations
@@ -49,17 +54,21 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, _ROOT)  # perfbench
 sys.path.append(os.path.join(_ROOT, "src"))  # repro, unless PYTHONPATH already has one
 
+from perfbench import workloads  # noqa: E402
 from perfbench.stats import undisturbed_median  # noqa: E402
 
 ARTIFACT = "BENCH_scale.json"
-SCHEMA = "bench-scale/v2"
+SCHEMA = "bench-scale/v3"
 REPS = 3
 NODE_COUNTS = (128, 512, 2048)
+LAZY_NODE_COUNTS = (256, 1024, 2048)
+LAZY_WORKLOAD = "sim-lazy-domains-faults"
+LAZY_SEED = 1000
 PUBLICATION_RATES = (5.0, 20.0, 80.0)
 STRUCTURED_SYSTEMS = ("scribe", "dam")
 ROW_FIELDS = (
-    "label", "scenario", "system", "nodes", "publication_rate", "reps", "wall_s", "peak_rss_mb",
-    "messages_per_s", "ms_per_node", "ms_per_gossip_round", "gossip_rounds", "delivery_ratio",
+    "label", "scenario", "system", "nodes", "publication_rate", "reps", "wall_s", "wall_min_s", "wall_max_s",
+    "peak_rss_mb", "messages_per_s", "ms_per_node", "ms_per_gossip_round", "gossip_rounds", "delivery_ratio",
 )
 
 
@@ -69,6 +78,8 @@ def points(quick: bool) -> List[Dict[str, object]]:
     rates = (5.0, 20.0) if quick else PUBLICATION_RATES
     return [
         {"scenario": "fig4-push", "overrides": {"nodes": nodes}} for nodes in node_counts
+    ] + [
+        lazy_point(nodes) for nodes in ((48,) if quick else LAZY_NODE_COUNTS)
     ] + [
         {
             "scenario": "fig3-expressive",
@@ -82,15 +93,35 @@ def points(quick: bool) -> List[Dict[str, object]]:
     ]
 
 
+def lazy_point(nodes: int) -> Dict[str, object]:
+    """perfbench's lazy workload run at ``nodes`` nodes.
+
+    Its overrides, with ``nodes`` replaced, and its crash wave drawn the way
+    perfbench draws it (``max(2, nodes // 48)`` victims, bridges spared);
+    at 256 nodes this is the workload's own run for :data:`LAZY_SEED`.
+    """
+    run = workloads.build_inputs(LAZY_WORKLOAD, LAZY_SEED)["runs"][0]
+    victims = max(2, nodes // 48)
+    crash_rng = workloads._rng(LAZY_WORKLOAD, LAZY_SEED, "crash")
+    return {
+        **run,
+        "overrides": {**run["overrides"], "nodes": nodes},
+        "crash_victims": victims,
+        "crash_order": workloads._crash_order(crash_rng, nodes, victims, bridges=8),
+    }
+
+
 def measure_point(point: Dict[str, object], reps: int) -> Dict[str, object]:
     """Child side: run one point ``reps`` times in this process and describe it."""
     import gc
     import resource
     import time
 
-    from repro.experiments import get_scenario, run_experiment
+    import repro
+    from cpu_ab import build_configs
+    from repro.experiments import run_experiment
 
-    config = get_scenario(point["scenario"]).config.with_overrides(**point["overrides"])
+    (config,) = build_configs(repro, [point])
     walls = []
     for _ in range(reps):
         gc.collect()
@@ -106,6 +137,8 @@ def measure_point(point: Dict[str, object], reps: int) -> Dict[str, object]:
         "publication_rate": config.publication_rate,
         "reps": reps,
         "wall_s": round(wall, 4),
+        "wall_min_s": round(min(walls), 4),
+        "wall_max_s": round(max(walls), 4),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         "messages_per_s": round(result.system.network.stats.sent / wall),
         "ms_per_node": round(wall * 1000.0 / config.nodes, 4),
@@ -144,6 +177,7 @@ def check_schema(artifact: Dict[str, object]) -> None:
     for row in artifact["rows"]:
         assert set(row) == set(ROW_FIELDS), sorted(set(row) ^ set(ROW_FIELDS))
         assert row["wall_s"] > 0 and row["messages_per_s"] > 0 and row["peak_rss_mb"] > 0
+        assert row["wall_min_s"] <= row["wall_s"] <= row["wall_max_s"]
         assert (row["ms_per_gossip_round"] is None) == (row["gossip_rounds"] == 0)
 
 

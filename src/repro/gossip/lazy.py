@@ -21,7 +21,8 @@ drops the payload when the eager budget is spent and keeps just the id.
 Recovery requests are therefore directed at store nodes.  Per-node payload
 memory is bounded by the store capacity, and aged ids are garbage-collected
 after ``id_gc_rounds`` so neither the digests nor the stores grow with the
-run length.
+run length.  Nor does a node's state grow with the population: one id table
+serves both phases, and every node reads one shared sorted store order.
 
 Sending, serving and absorbing are the exchange primitives of
 :class:`~repro.gossip.push.PushGossipNode` (``push_events``, ``advertise``,
@@ -45,8 +46,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_left
 from itertools import islice, takewhile
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional
 
 from ..pubsub.events import Event
 from ..sim.network import Message
@@ -114,13 +116,13 @@ class LazyPushGossipNode(PushGossipNode):
     Extra parameters on top of :class:`PushGossipNode`:
 
     alpha:
-        Store fraction in ``(0, 1]``.  Only used to derive defaults when
-        ``store_ids`` is not supplied; the system factory normally passes
-        the precomputed store set.
+        Store fraction in ``(0, 1]``, checked; the set itself is ``store_ids``.
     store_ids:
-        The deterministic store set (see :func:`lazy_store_ids`).  When
-        ``None`` (standalone construction in unit tests) the node treats
-        itself as a store so it can always serve its own pulls.
+        The deterministic store set (see :func:`lazy_store_ids`): a tuple is
+        taken as sorted and kept, so the factory shares one among all nodes;
+        other collections are sorted into the node's own.  When ``None``
+        (standalone construction in unit tests) the node treats itself as a
+        store so it can always serve its own pulls.
     population:
         Total node count, feeding the infection estimator.  Defaults to a
         small population when unknown.
@@ -142,30 +144,25 @@ class LazyPushGossipNode(PushGossipNode):
         super().__init__(*args, **kwargs)
         if not 0.0 < float(alpha) <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
-        self.alpha = float(alpha)
-        self.store_ids: FrozenSet[str] = (
-            frozenset(store_ids) if store_ids is not None else frozenset((self.node_id,))
-        )
-        self.is_store = self.node_id in self.store_ids
-        #: Store nodes other than this one, in the fixed order pulls draw from.
-        self._pull_candidates = sorted(self.store_ids - {self.node_id})
-        self.population = max(2, int(population)) if population else max(2, len(self.store_ids))
+        order = (self.node_id,) if store_ids is None else store_ids
+        #: The store ids, sorted (membership is a bisect), and this node's slot in them.
+        self._store_order = order if isinstance(order, tuple) else tuple(sorted(set(order)))
+        self._store_slot = bisect_left(self._store_order, self.node_id)
+        self.is_store = self._stores(self.node_id)
+        self.population = max(2, int(population)) if population else max(2, len(self._store_order))
         self.eager_rounds = eager_push_rounds(self.population, max(1, self.fanout))
-        self.id_gc_rounds = (
-            int(id_gc_rounds) if id_gc_rounds else self.buffer.max_rounds
-        )
+        self.id_gc_rounds = int(id_gc_rounds) if id_gc_rounds else self.buffer.max_rounds
         self.store_capacity = self.buffer.capacity
         #: Event payloads retained past the eager phase (store nodes only),
         #: oldest first, and the sum of their sizes.
         self.store: Dict[str, Event] = {}
         self._store_bytes = 0
-        #: Rounds finished (``after_round`` calls).  The three tables below hold a round
+        #: Rounds finished (``after_round`` calls).  The two tables below hold a round
         #: per id and fill in round order, so what is due is a prefix (:func:`_pop_due`).
         self._rounds_done = 0
-        #: id → the round it was first seen after (oldest first).
+        #: id → the round it was first seen after (oldest first).  An id is hot (in its
+        #: eager budget) while ``first seen + eager_rounds > _rounds_done``: a tail.
         self._first_seen: Dict[str, int] = {}
-        #: id → the round that spends its eager-push budget.
-        self._hot_until: Dict[str, int] = {}
         #: Ids per digest message (caps digest size on long runs).
         self.digest_cap = max(8, 4 * self.gossip_size)
         #: Digests go out every this many rounds — the recovery phase is
@@ -208,31 +205,28 @@ class LazyPushGossipNode(PushGossipNode):
             self.advertise(partners, self._advertised_ids(), LAZY_DIGEST_KIND)
 
     def _hot_events(self) -> List[Event]:
-        """Phase 1: the events still inside their eager budget, newest first."""
-        # Budgets are granted on first sight, so the tail is the newest.
-        hot_ids = list(islice(reversed(self._hot_until), self.current_gossip_size()))[::-1]
+        """Phase 1: the newest events still inside their eager budget, oldest first."""
+        hot = self._seen_since(self._rounds_done - self.eager_rounds + 1)
+        hot_ids = list(islice(hot, self.current_gossip_size()))[::-1]
         return [
             event for event in map(self._event_payload, hot_ids) if event is not None
         ]
 
     def _advertised_ids(self) -> List[str]:
         """Phase 2: recently seen ids, so receivers can pull their gaps."""
-        first_seen, oldest = self._first_seen, self._rounds_done - self.advert_rounds
-        recent = takewhile(lambda event_id: first_seen[event_id] >= oldest, reversed(first_seen))
+        recent = self._seen_since(self._rounds_done - self.advert_rounds)
         return list(islice(recent, self.digest_cap))[::-1]
 
+    def _seen_since(self, oldest: int) -> Iterator[str]:
+        """The ids first seen after round ``oldest`` or later, newest first."""
+        first_seen = self._first_seen
+        return takewhile(lambda event_id: first_seen[event_id] >= oldest, reversed(first_seen))
+
     def after_round(self) -> None:
-        """Finish the round: retire spent eager budgets and retries, garbage-collect."""
+        """Finish the round: retire retries, garbage-collect, spend eager budgets."""
         self._rounds_done = now = self._rounds_done + 1
-        spent = _pop_due(self._hot_until, now)
-        if not self.is_store:
-            # The eager phase is over: non-store nodes drop the payload and
-            # keep only the id for digests.
-            for event_id in spent:
-                self.buffer.remove(event_id)
         _pop_due(self._pending_pull, now)
         for event_id in _pop_due(self._first_seen, now - self.id_gc_rounds - 1):
-            self._hot_until.pop(event_id, None)
             stored = self.store.pop(event_id, None)
             if stored is not None:
                 self._store_bytes -= stored.size
@@ -241,7 +235,16 @@ class LazyPushGossipNode(PushGossipNode):
             # so its trace anchor is dead weight; dropping it bounds the
             # trace state the same way _first_seen bounds the digests.
             self._trace_state.pop(event_id, None)
-        self._hot_gauge.set(len(self._hot_until))
+        # Ids first seen after round ``spent`` spend their eager budget now; later ones stay hot.
+        first_seen, spent, hot = self._first_seen, now - self.eager_rounds, 0
+        for event_id in reversed(first_seen):
+            if first_seen[event_id] > spent:
+                hot += 1
+            elif first_seen[event_id] < spent or self.is_store:
+                break
+            else:  # a non-store keeps only the id, for digests
+                self.buffer.remove(event_id)
+        self._hot_gauge.set(hot)
         self._store_gauge.set(len(self.store))
         self._store_bytes_gauge.set(float(self._store_bytes))
 
@@ -287,11 +290,20 @@ class LazyPushGossipNode(PushGossipNode):
 
     def _recovery_target(self, sender: str) -> Optional[str]:
         """Who to pull from: the digest sender if it stores, else a store node."""
-        if sender in self.store_ids:
+        if self._stores(sender):
             return sender
-        if not self._pull_candidates:
+        others = len(self._store_order) - self.is_store
+        if not others:
             return sender if sender != self.node_id else None
-        return self._rng.choice(self._pull_candidates)
+        # The same draw as ``rng.choice(sorted(stores - {self}))``: a position
+        # among the other stores, stepped past this node's own slot.
+        index = self._rng.choice(range(others))
+        return self._store_order[index + (self.is_store and index >= self._store_slot)]
+
+    def _stores(self, node_id: str) -> bool:
+        """Whether ``node_id`` is in the store set."""
+        index = bisect_left(self._store_order, node_id)
+        return self._store_order[index:index + 1] == (node_id,)
 
     # ----------------------------------------------------------- event state
 
@@ -299,7 +311,6 @@ class LazyPushGossipNode(PushGossipNode):
         """A new event starts its eager budget and its id clock; stores keep it."""
         self._pending_pull.pop(event.event_id, None)
         self._first_seen[event.event_id] = self._rounds_done
-        self._hot_until[event.event_id] = self._rounds_done + self.eager_rounds
         if self.is_store:
             self._store_put(event)
 

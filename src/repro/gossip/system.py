@@ -26,11 +26,17 @@ __all__ = ["GossipSystem", "bootstrap_views"]
 
 
 def bootstrap_views(nodes: Dict[str, PushGossipNode], rng, degree: int) -> None:
-    """Give every node ``degree`` random initial contacts (all others if fewer)."""
+    """Give every node ``degree`` random initial contacts (all others if fewer).
+
+    It samples positions among the other ``N - 1`` ids, stepped past the node's
+    own index: the draws a list of the others gave, without that list per node."""
     ids = list(nodes)
-    for node_id, node in nodes.items():
-        others = [candidate for candidate in ids if candidate != node_id]
-        node.bootstrap(others if degree >= len(others) else rng.sample(others, degree))
+    others = len(ids) - 1
+    for index, node in enumerate(nodes.values()):
+        if degree >= others:
+            node.bootstrap(ids[:index] + ids[index + 1:])
+        else:
+            node.bootstrap([ids[pick + (pick >= index)] for pick in rng.sample(range(others), degree)])
 
 
 class GossipSystem(DisseminationSystem):

@@ -130,15 +130,6 @@ class PartialView:
         """Ids of all described nodes, sorted for determinism."""
         return list(self._ids)
 
-    def descriptors(self) -> List[Descriptor]:
-        """All descriptors, sorted by node id."""
-        return self._describe(self._ids)
-
-    def get(self, node_id: str) -> Optional[Descriptor]:
-        """Descriptor for ``node_id`` if present."""
-        birth = self._births.get(node_id)
-        return None if birth is None else (node_id, self._epoch - birth)
-
     def oldest_id(self) -> Optional[str]:
         """Id of the entry with the highest age, the highest id on a tie."""
         return min(reversed(self._ids), key=self._births.__getitem__, default=None)
@@ -155,14 +146,9 @@ class PartialView:
         return rng.sample(candidates, count)
 
     def sample_descriptors(self, rng: random.Random, count: int) -> List[Descriptor]:
-        """Uniformly sample up to ``count`` descriptors."""
-        node_ids = self._ids
+        """Uniformly sample up to ``count`` descriptors; all of them, in id order
+        and without a draw, when ``count`` is at least the view's size."""
+        node_ids, epoch, births = self._ids, self._epoch, self._births
         if count < len(node_ids):
             node_ids = rng.sample(node_ids, count)
-        return self._describe(node_ids)
-
-    # ------------------------------------------------------------ internals
-
-    def _describe(self, node_ids: Iterable[str]) -> List[Descriptor]:
-        epoch, births = self._epoch, self._births
         return [(node_id, epoch - births[node_id]) for node_id in node_ids]

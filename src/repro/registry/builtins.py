@@ -227,7 +227,7 @@ def _build_lazy_push(ctx: BuildContext) -> GossipSystem:
         ctx,
         LazyPushGossipNode,
         alpha=alpha,
-        store_ids=lazy_store_ids(ctx.node_ids, alpha),
+        store_ids=tuple(sorted(lazy_store_ids(ctx.node_ids, alpha))),
         population=len(ctx.node_ids),
     )
 

@@ -2,7 +2,8 @@
 
 Instruments are keyed by ``(name, tags)`` where tags are structured
 ``key=value`` pairs (``node="node-007"``, ``topic="t3"``,
-``system="fair-gossip"``) normalised into a sorted tuple.  Hot-path
+``system="fair-gossip"``) normalised into a sorted tuple; a store keeps one
+such tuple per distinct tag set, so the instruments of a node share theirs.  Hot-path
 callers fetch an instrument once and hold it (``self._latency =
 telemetry.histogram("rt.delivery_latency_units")``); the shortcut methods
 (:meth:`increment`, :meth:`observe`, :meth:`set_gauge`) exist for cold
@@ -31,35 +32,30 @@ class Telemetry:
         self._counters: Dict[Tuple[str, TagTuple], Counter] = {}
         self._gauges: Dict[Tuple[str, TagTuple], Gauge] = {}
         self._histograms: Dict[Tuple[str, TagTuple], Histogram] = {}
+        #: Each distinct normalised tag tuple, keyed by itself.
+        self._tags: Dict[TagTuple, TagTuple] = {}
         self._snapshot_sequence = 0
 
     # --------------------------------------------------------------- access
 
     def counter(self, name: str, **tags: object) -> Counter:
         """Return (creating if needed) the counter ``name`` for ``tags``."""
-        key = (name, _normalise_tags(tags))
-        metric = self._counters.get(key)
-        if metric is None:
-            metric = Counter()
-            self._counters[key] = metric
-        return metric
+        return self._instrument(self._counters, Counter, name, tags)
 
     def gauge(self, name: str, **tags: object) -> Gauge:
         """Return (creating if needed) the gauge ``name`` for ``tags``."""
-        key = (name, _normalise_tags(tags))
-        metric = self._gauges.get(key)
-        if metric is None:
-            metric = Gauge()
-            self._gauges[key] = metric
-        return metric
+        return self._instrument(self._gauges, Gauge, name, tags)
 
     def histogram(self, name: str, **tags: object) -> Histogram:
         """Return (creating if needed) the histogram ``name`` for ``tags``."""
-        key = (name, _normalise_tags(tags))
-        metric = self._histograms.get(key)
+        return self._instrument(self._histograms, Histogram, name, tags)
+
+    def _instrument(self, table: Dict, kind: type, name: str, tags: Dict[str, object]):
+        normalised = _normalise_tags(tags)
+        key = (name, self._tags.setdefault(normalised, normalised))
+        metric = table.get(key)
         if metric is None:
-            metric = Histogram()
-            self._histograms[key] = metric
+            metric = table[key] = kind()
         return metric
 
     # ------------------------------------------------------------ shortcuts

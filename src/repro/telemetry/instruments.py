@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class Counter:
     """Monotonically increasing counter."""
 
@@ -52,7 +52,7 @@ class Counter:
         self.value += amount
 
 
-@dataclass
+@dataclass(slots=True)
 class Gauge:
     """Latest-value metric."""
 

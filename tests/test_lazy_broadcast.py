@@ -238,7 +238,10 @@ class TestNodeMechanics:
             event = make_event()
             node._absorb_event(event)
             assert node._first_seen[event.event_id] == 0
-            assert node._hot_until[event.event_id] == node.eager_rounds
+            for _ in range(node.eager_rounds):
+                assert node._hot_events() == [event]
+                node.after_round()
+            assert node._hot_events() == []
         assert make_event().event_id in store.store
         assert make_event().event_id not in plain.store
 

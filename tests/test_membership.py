@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core import WorkLedger
@@ -18,6 +20,11 @@ from repro.membership import (
     lpbcast_provider,
 )
 from repro.sim import Network, Process, Simulator
+
+
+def every_descriptor(view):
+    """The view's descriptors in id order: a sample of all of them draws nothing."""
+    return view.sample_descriptors(random.Random(0), len(view))
 
 
 class MemberNode(Process):
@@ -75,7 +82,7 @@ class TestPartialView:
         view = PartialView("me", capacity=5)
         view.add(("a", 5))
         assert view.add(("a", 1))
-        assert view.get("a")[1] == 1
+        assert every_descriptor(view) == [("a", 1)]
         assert not view.add(("a", 7))
 
     def test_age_all_and_oldest(self):
@@ -83,15 +90,13 @@ class TestPartialView:
         view.add(("a", 0))
         view.add(("b", 3))
         view.age_all()
-        assert view.get("a")[1] == 1
+        assert every_descriptor(view) == [("a", 1), ("b", 4)]
         assert view.oldest_id() == "b"
 
     def test_sample_excludes_and_bounds(self):
         view = PartialView("me", capacity=10)
         for name in "abcde":
             view.add((name, 0))
-        import random
-
         rng = random.Random(1)
         sample = view.sample(rng, 3, exclude=["a"])
         assert len(sample) == 3
@@ -137,26 +142,20 @@ class TestPartialView:
         view = PartialView("me", capacity=5)
         view.add(("a", 2))
         view.add(("b", 0))
-        import random
-
-        handed_out = [view.get("a"), *view.descriptors()]
-        handed_out += view.sample_descriptors(random.Random(1), 1)
+        handed_out = every_descriptor(view) + view.sample_descriptors(random.Random(1), 1)
         ages = [age for _, age in handed_out]
         view.age_all(3)
         assert [age for _, age in handed_out] == ages
-        assert view.get("a") == ("a", 5)
-        assert view.get("x") is None
+        assert every_descriptor(view) == [("a", 5), ("b", 3)]
 
     def test_sample_descriptors_draws_like_sampling_the_descriptor_list(self):
-        import random
-
         view = PartialView("me", capacity=10)
         for index, name in enumerate("abcdefg"):
             view.add((name, index % 3))
         view.age_all()
+        descriptors = [(name, index % 3 + 1) for index, name in enumerate("abcdefg")]
         for count in (0, 3, 7, 9):
             ours, reference = random.Random(5), random.Random(5)
-            descriptors = view.descriptors()
             expected = descriptors if count >= len(descriptors) else reference.sample(descriptors, count)
             assert view.sample_descriptors(ours, count) == expected
             assert ours.getstate() == reference.getstate()
