@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test startup-smoke bench bench-smoke bench-metrics bench-faults bench-lazy bench-trace bench-domains bench-campaign bench-scale bench-scale-quick perfbench perfbench-quick rss-ab cpu-ab serve-smoke loadgen-smoke serve-scenario-smoke registry-smoke report-smoke parity-smoke fault-smoke lazy-smoke trace-smoke domains-smoke campaign-smoke fingerprint fingerprint-diff clean-cache
+.PHONY: test startup-smoke bench bench-smoke bench-metrics bench-faults bench-lazy bench-trace bench-domains bench-campaign bench-scale bench-scale-quick perfbench perfbench-quick rss-ab cpu-ab census serve-smoke loadgen-smoke serve-scenario-smoke registry-smoke report-smoke parity-smoke fault-smoke lazy-smoke trace-smoke domains-smoke campaign-smoke fingerprint fingerprint-diff clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -40,17 +40,28 @@ bench-metrics:
 serve-smoke:
 	$(PYTHON) -m repro serve --set nodes=25 --transport memory --duration 5
 
-# Short open-loop load run against a live cluster (memory transport).
+# Short open-loop load runs against a live cluster: the memory transport, then
+# real UDP sockets on loopback (the grep wants every datagram decoded; UDP may
+# lose some, so no delivery ratio is asserted).
 loadgen-smoke:
 	$(PYTHON) -m repro loadgen --set nodes=10 --transport memory --duration 2 --rate 300 --drain 0.5
+	$(PYTHON) -m repro loadgen --set nodes=8 --transport udp --duration 1 --rate 100 --drain 0.3 | grep -E " 0 decode errors"
 
 # Registry/StackSpec sanity: list, describe, then run a registered scenario
 # live on the memory transport — once as gossip, once as a non-gossip baseline.
-# A swept value outside its field's declared bound is refused in one line
-# before any point is computed (the output is that line and nothing else).
+# The smoke scenario also runs on the two membership kinds no scenario
+# declares (lpbcast at 48 nodes, so its 25-entry view fills and truncates;
+# the full view) and with a 4-entry gossip buffer, so the buffer evicts; every
+# structured baseline takes subscribe / unsubscribe churn.  A swept value
+# outside its field's declared bound is refused in one line before any point
+# is computed (the output is that line and nothing else).
 registry-smoke:
 	$(PYTHON) -m repro list-scenarios
 	$(PYTHON) -m repro describe smoke
+	$(PYTHON) -m repro run smoke --no-cache --set membership.kind=lpbcast --set nodes=48
+	$(PYTHON) -m repro run smoke --no-cache --set membership.kind=full
+	$(PYTHON) -m repro run smoke --no-cache --set system.buffer_capacity=4
+	$(PYTHON) -m repro compare subscription-churn --no-cache --systems scribe,splitstream,dks,brokers,dam
 	test "$$($(PYTHON) -m repro sweep smoke --no-cache --param topology.cross_loss --values 0,3 2>&1)" \
 		= "service 'sweep': topology.cross_loss must be within [0, 1], got 3.0"
 
@@ -75,9 +86,10 @@ serve-scenario-smoke: registry-smoke
 # Telemetry + report round trip: run a scenario with a JSON-lines snapshot
 # sink and a result artifact, then render tables from both — and from a cache
 # entry, a live cluster's snapshot stream and a loadgen --json artifact —
-# without re-running anything.
+# without re-running anything.  The CSV and Prometheus sinks write once too.
 report-smoke:
 	$(PYTHON) -m repro run smoke --no-cache --telemetry jsonl:out/smoke_metrics.jsonl --json out/smoke_results.json
+	$(PYTHON) -m repro run smoke --no-cache --telemetry csv:out/smoke_metrics.csv --telemetry prom:out/smoke_metrics.prom
 	$(PYTHON) -m repro report out/smoke_metrics.jsonl
 	$(PYTHON) -m repro report out/smoke_results.json
 	$(PYTHON) -m repro run smoke --cache-dir out/cache
@@ -96,10 +108,12 @@ parity-smoke:
 
 # Fault-injection round trip: the registered fault scenarios on the
 # simulator (churn + a mid-run partition, with a fault timeline in the
-# report), then the SAME fault plan JSON driving a simulated run and a
-# short live cluster (memory transport).
+# report; churn on every structured baseline, whose crash and recover hooks
+# repair their trees and groups), then the SAME fault plan JSON driving a
+# simulated run and a short live cluster (memory transport).
 fault-smoke:
 	$(PYTHON) -m repro run smoke-churn --no-cache --set faults.partition.at=2 --set faults.partition.heal_after=2
+	$(PYTHON) -m repro compare churn --no-cache --systems scribe,splitstream,dks,brokers,dam
 	$(PYTHON) -m repro run smoke-partition --no-cache --telemetry jsonl:out/fault_metrics.jsonl
 	$(PYTHON) -m repro report out/fault_metrics.jsonl | grep "fault timeline"
 	$(PYTHON) -m repro run smoke --no-cache --fault examples/fault_plan.json
@@ -225,6 +239,14 @@ rss-ab:
 cpu-ab:
 	test -n "$(PARENT)" || { echo "usage: make cpu-ab PARENT=<checkout> [W=...] [SEED=...] [N=...]"; exit 2; }
 	$(PYTHON) benchmarks/cpu_ab.py --parent $(PARENT) --workload $(W) --seed $(SEED) --pairs $(N)
+
+# Call census (~10-15 min, not in CI): every *-smoke target above, fingerprint,
+# bench-scale-quick, perfbench-quick, the examples and the benchmarks run in a
+# scratch copy of the tree with a call hook; rewrites the tracked CENSUS.txt,
+# one src/repro/<module>.py:<qualname> line per function none of them ran
+# (benchmarks/census.py).
+census:
+	$(PYTHON) benchmarks/census.py
 
 # Behaviour fingerprint (~8 s): the --json / --telemetry / --trace files of
 # six scenarios (gossip, lazy recovery under loss, domains, expressive

@@ -33,8 +33,8 @@ NODES = 1024
 
 #: A plan that keeps the controller busy every round without changing
 #: anything: zero-probability churn walks the registry and draws from its
-#: own isolated RNG stream each tick (the exact legacy ChurnInjector draw
-#: sequence), so nothing observable changes — the honest worst case for
+#: own isolated RNG stream each tick (one draw per unprotected node, as
+#: pinned churn runs draw), so nothing observable changes — the honest worst case for
 #: "idle".
 IDLE_PLAN_ENTRIES = (
     (("kind", "churn"), ("down_probability", 0.0), ("up_probability", 0.0)),

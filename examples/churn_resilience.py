@@ -23,7 +23,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 from repro.analysis import Table
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.pubsub import TopicFilter
-from repro.faults import PartitionInjector
+from repro.faults import FaultController, FaultPlan, FaultSpec
 from repro.workloads import TopicPopularity, TopicPublicationWorkload
 from repro.experiments.scenarios import build_simulation, build_system
 
@@ -76,9 +76,9 @@ def partition_demo() -> None:
         system, simulator, popularity, publishers=system.node_ids()[:3], rate=2.0
     )
     workload.start(duration=40.0, start_at=1.0)
-    PartitionInjector(simulator, network).split_in_two(
-        system.node_ids(), time=10.0, heal_after=10.0
-    )
+    # One plan entry: the first half of the nodes is cut off at t=10 for 10 units.
+    split = FaultPlan((FaultSpec(kind="partition", at=10.0, heal_after=10.0, fraction=0.5),))
+    FaultController.for_system(system, split).start()
     simulator.run(until=70.0)
     delivered = system.delivery_log.total_deliveries()
     expected = len(workload.schedule.events) * len(system.node_ids())

@@ -22,6 +22,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro.experiments import ExperimentConfig, results_table, run_experiment
+from repro.pubsub import AttributeCondition, ContentFilter
 
 
 def main() -> None:
@@ -62,6 +63,14 @@ def main() -> None:
         f"fanout min/mean/max = {min(fanouts)}/{sum(fanouts)/len(fanouts):.1f}/{max(fanouts)}, "
         f"payload min/mean/max = {min(payloads)}/{sum(payloads)/len(payloads):.1f}/{max(payloads)}"
     )
+    # The workload's filters test ``==`` and ``>=``; a subscriber may also
+    # write ``prefix`` and ``in`` conditions.  Count the ticks one would take.
+    watch = ContentFilter(
+        conditions=(AttributeCondition("category", "prefix", "me"), AttributeCondition("level", "in", (4, 5, 6))),
+        name="metals-mid",
+    )
+    ticks = results[-1].published_events
+    print(f"{sum(watch.matches(tick) for tick in ticks)} of {len(ticks)} published ticks match {watch.filter_id}")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ _EXPORTS = {
     "EventReliability": ".reliability",
     "ReliabilityReport": ".reliability",
     "measure_reliability": ".reliability",
-    "latency_summary_from_snapshot": ".reliability",
     "Table": ".tables",
     "format_table": ".tables",
     "format_mapping": ".tables",

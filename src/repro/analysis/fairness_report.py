@@ -41,16 +41,6 @@ class NodeFairnessRow:
     forwarded_messages: int
     crashes: int
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form; inverse of :meth:`from_dict`."""
-        return encode(self)
-
-    @staticmethod
-    def from_dict(payload: Mapping[str, object]) -> "NodeFairnessRow":
-        """Rebuild a row from :meth:`to_dict` output."""
-        return decode(NodeFairnessRow, payload, ValueError, "fairness row")
-
-
 @dataclass(frozen=True)
 class SystemFairnessSummary:
     """Everything a benchmark needs to report about one run of one system."""

@@ -17,13 +17,12 @@ from ..jsonio import decode, encode
 from ..pubsub.events import Event
 from ..pubsub.interfaces import DeliveryLog
 from ..pubsub.subscriptions import SubscriptionTable
-from ..telemetry import HistogramSummary, percentile
+from ..telemetry import percentile
 
 __all__ = [
     "EventReliability",
     "ReliabilityReport",
     "measure_reliability",
-    "latency_summary_from_snapshot",
 ]
 
 
@@ -36,26 +35,9 @@ class EventReliability:
     delivered: int
 
     @property
-    def ratio(self) -> float:
-        """Fraction of interested nodes that delivered the event."""
-        if self.interested == 0:
-            return 1.0
-        return self.delivered / self.interested
-
-    @property
     def complete(self) -> bool:
         """Whether every interested node delivered the event."""
         return self.delivered >= self.interested
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form; inverse of :meth:`from_dict`."""
-        return encode(self)
-
-    @staticmethod
-    def from_dict(payload: Mapping[str, object]) -> "EventReliability":
-        """Rebuild a per-event record from :meth:`to_dict` output."""
-        return decode(EventReliability, payload, ValueError, "event reliability")
-
 
 @dataclass(frozen=True)
 class ReliabilityReport:
@@ -69,18 +51,6 @@ class ReliabilityReport:
     max_latency: float
     mean_rounds: float
     p95_rounds: float
-
-    def summary_row(self) -> Dict[str, float]:
-        """Compact dictionary used by benchmark tables."""
-        return {
-            "events": float(len(self.events)),
-            "delivery_ratio": self.delivery_ratio,
-            "complete_fraction": self.complete_fraction,
-            "mean_latency": self.mean_latency,
-            "p95_latency": self.p95_latency,
-            "mean_rounds": self.mean_rounds,
-            "p95_rounds": self.p95_rounds,
-        }
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable form; inverse of :meth:`from_dict`."""
@@ -148,18 +118,3 @@ def measure_reliability(
         mean_rounds=mean_rounds,
         p95_rounds=p95_rounds,
     )
-
-
-def latency_summary_from_snapshot(
-    snapshot, name: str = "sim.delivery_latency", **tags
-) -> HistogramSummary:
-    """Delivery-latency summary read from a telemetry snapshot.
-
-    The experiment runner streams every delivery latency into the
-    ``sim.delivery_latency`` histogram (the live runtime uses
-    ``rt.delivery_latency_units``), so mid-run snapshots answer the latency
-    questions this module otherwise answers from the delivery log after the
-    run.  Returns an all-zero summary when the snapshot has no such
-    histogram.
-    """
-    return snapshot.histogram_summary(name, **tags)

@@ -92,25 +92,5 @@ class Table:
         ]
         return format_table(self.columns, materialised, precision=precision, title=self.title)
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form; inverse of :meth:`from_dict`.
-
-        Used by the CLI's ``--json`` artifact output and by the result cache,
-        so a table can be re-rendered without re-running the experiments.
-        """
-        return {
-            "columns": list(self.columns),
-            "title": self.title,
-            "rows": [dict(row) for row in self.rows],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "Table":
-        """Rebuild a table from :meth:`to_dict` output."""
-        table = cls(payload["columns"], title=payload.get("title", ""))
-        for row in payload.get("rows", []):
-            table.add_row(**row)
-        return table
-
     def __str__(self) -> str:
         return self.render()

@@ -106,15 +106,6 @@ class Connector:
         ]
         return f"{self.op.upper()}({', '.join(parts)})"
 
-    def to_json(self) -> object:
-        """The JSON form (shorthand collapses are not re-applied)."""
-        return {
-            self.op: [
-                child.to_json() if isinstance(child, Connector) else child
-                for child in self.children
-            ]
-        }
-
     @staticmethod
     def parse(payload: object, context: str) -> "Connector":
         """Parse a connector tree from its JSON form (with shorthands)."""
@@ -197,22 +188,6 @@ class ServiceSpec:
     seeds: Tuple[int, ...] = ()
     reseed: bool = False
     after: Tuple[str, ...] = ()
-
-    def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {"scenario": self.scenario}
-        if self.set:
-            payload["set"] = {key: value for key, value in self.set}
-        if self.compare:
-            payload["compare"] = list(self.compare)
-        if self.sweep:
-            payload["sweep"] = {key: list(values) for key, values in self.sweep}
-        if self.seeds:
-            payload["seeds"] = list(self.seeds)
-        if self.reseed:
-            payload["reseed"] = True
-        if self.after:
-            payload["after"] = list(self.after)
-        return payload
 
     def validate(self) -> "ServiceSpec":
         """Check names, paths and points before anything runs; returns ``self``.
@@ -307,14 +282,6 @@ class TargetSpec:
     inputs: Connector
     kind: str = "table"
     title: str = ""
-
-    def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {"inputs": self.inputs.to_json()}
-        if self.kind != "table":
-            payload["kind"] = self.kind
-        if self.title:
-            payload["title"] = self.title
-        return payload
 
     @staticmethod
     def from_dict(name: str, payload: Mapping[str, object]) -> "TargetSpec":
@@ -469,17 +436,6 @@ class CampaignSpec:
             visit(node, [])
 
     # --------------------------------------------------------- round trips
-
-    def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "schema": CAMPAIGN_SCHEMA,
-            "name": self.name,
-            "services": {service.name: service.to_dict() for service in self.services},
-            "targets": {target.name: target.to_dict() for target in self.targets},
-        }
-        if self.description:
-            payload["description"] = self.description
-        return payload
 
     @staticmethod
     def from_dict(payload: Mapping[str, object]) -> "CampaignSpec":

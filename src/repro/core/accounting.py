@@ -173,14 +173,6 @@ class WorkLedger:
         """All nodes with an account, sorted."""
         return sorted(self._accounts)
 
-    def contributions(self, weights: ContributionWeights) -> Dict[str, float]:
-        """Per-node scalar contributions under ``weights``."""
-        return {node_id: weights.contribution(account) for node_id, account in self._accounts.items()}
-
-    def benefits(self, weights: BenefitWeights) -> Dict[str, float]:
-        """Per-node scalar benefits under ``weights``."""
-        return {node_id: weights.benefit(account) for node_id, account in self._accounts.items()}
-
     def totals(self) -> NodeAccount:
         """System-wide totals (summed over every node)."""
         total = NodeAccount(node_id="<total>")

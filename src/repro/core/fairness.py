@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-from ..jsonio import decode, encode
+from typing import Dict, Iterable, Mapping
 
 __all__ = [
     "FairnessReport",
@@ -221,32 +219,6 @@ class FairnessReport:
     mean_benefit: float = 0.0
     freeriders: int = 0
     exploited: int = 0
-
-    def summary_row(self) -> Dict[str, float]:
-        """Compact dictionary used by benchmark tables."""
-        return {
-            "nodes": float(self.node_count),
-            "ratio_jain": self.ratio_jain,
-            "ratio_gini": self.ratio_gini,
-            "ratio_spread": self.ratio_spread,
-            "benefiting_ratio_jain": self.benefiting_ratio_jain,
-            "wasted_share": self.wasted_share,
-            "contribution_jain": self.contribution_jain,
-            "mean_contribution": self.mean_contribution,
-            "mean_benefit": self.mean_benefit,
-            "freeriders": float(self.freeriders),
-            "exploited": float(self.exploited),
-        }
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form; inverse of :meth:`from_dict`."""
-        return encode(self)
-
-    @staticmethod
-    def from_dict(payload: Mapping[str, object]) -> "FairnessReport":
-        """Rebuild a report from :meth:`to_dict` output."""
-        return decode(FairnessReport, payload, ValueError, "fairness report")
-
 
 def evaluate_fairness(
     contributions: Mapping[str, float],

@@ -88,10 +88,6 @@ class ParallelSweepExecutor:
         self.mp_context = mp_context
         self.last_report: Optional[ExecutionReport] = None
 
-    def run(self, config: ExperimentConfig, keep_system: bool = False) -> ExperimentResult:
-        """Run a single config (cache-aware)."""
-        return self.run_many([config], keep_system=keep_system)[0]
-
     def run_many(
         self,
         configs: Sequence[ExperimentConfig],

@@ -55,19 +55,6 @@ class ExperimentResult:
         repr=False, compare=False, default=None
     )
 
-    @property
-    def delivery_ratio(self) -> float:
-        """Fraction of oracle-interested (node, event) pairs actually delivered."""
-        return self.reliability.delivery_ratio
-
-    def summary_row(self) -> Dict[str, float]:
-        """One flat dictionary combining fairness and reliability headline numbers."""
-        row = {"name": self.config.name, "system": self.config.system, "nodes": self.config.nodes}
-        row.update(self.fairness.report.summary_row())
-        row.update(self.reliability.summary_row())
-        row["total_messages"] = self.total_messages
-        return row
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable artifact; inverse of :meth:`from_dict`.
 

@@ -16,10 +16,6 @@ Typical wiring::
     plan = FaultPlan.from_file("plan.json")
     controller = FaultController.for_system(system, plan)  # validates, binds
     controller.start()
-
-The imperative injectors (:class:`CrashSchedule`, :class:`ChurnInjector`,
-:class:`PartitionInjector`) are the independent reference the plan-parity
-tests compare the controller against, and serve hand-wired experiments.
 """
 
 from .._exports import lazy_exports
@@ -31,9 +27,5 @@ _EXPORTS = {
     "FaultPlanError": ".plan",
     "FaultSpec": ".plan",
     "FaultController": ".controller",
-    "CrashEvent": ".injectors",
-    "CrashSchedule": ".injectors",
-    "ChurnInjector": ".injectors",
-    "PartitionInjector": ".injectors",
 }
 __getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -24,16 +24,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .actions import (
-    FAULT_EVENTS_METRIC,
-    FAULT_SKIPPED_METRIC,
-    apply_node_action,
-    churn_tick,
-)
 from ..telemetry import Telemetry
 from .plan import FaultPlan, FaultPlanError, FaultSpec
 
 __all__ = ["FaultController"]
+
+#: Telemetry counter names of applied and skipped faults (tagged by
+#: ``action``); the report's fault timeline reads exactly these.
+FAULT_EVENTS_METRIC = "fault.events"
+FAULT_SKIPPED_METRIC = "fault.skipped"
 
 
 class FaultController:
@@ -225,15 +224,21 @@ class FaultController:
                 for timer in timers:
                     timer.stop()
                 return
-            churn_tick(
-                self._registry,
-                self._scheduler.rng.stream(stream_name),
-                entry.down_probability,
-                entry.up_probability,
-                protected,
-                on_crash=lambda node_id: self._record("crash"),
-                on_recover=lambda node_id: self._record("recover"),
-            )
+            # Exactly one draw per unprotected process, every tick, whatever
+            # the probabilities: the draw sequence is part of the determinism
+            # contract (pinned traces reproduce only if it never changes), so
+            # do not guard the draws.
+            rng = self._scheduler.rng.stream(stream_name)
+            for process in self._registry.all():
+                if process.node_id in protected:
+                    continue
+                if process.alive:
+                    if rng.random() < entry.down_probability:
+                        process.crash()
+                        self._record("crash")
+                elif rng.random() < entry.up_probability:
+                    process.recover()
+                    self._record("recover")
 
         timers: List = []
 
@@ -311,11 +316,27 @@ class FaultController:
     # ------------------------------------------------------------ actuation
 
     def _apply_node(self, action: str, node_id: str) -> None:
-        """Apply one crash/recover/leave; unknown targets become ``skipped``."""
-        if apply_node_action(self._registry, node_id, action):
-            self._record(action)
-        else:
+        """Apply one crash/recover/leave; unknown targets become ``skipped``.
+
+        A leave is for good: the process leaves the registry, and its active
+        subscriptions are cancelled at the leave time in the registry's
+        subscription table, which from then on counts it interested in nothing.
+        """
+        registry = self._registry
+        if registry is None or node_id not in registry:
             self._skip(action)
+            return
+        process = registry.get(node_id)
+        if action == "crash":
+            process.crash()
+        elif action == "recover":
+            process.recover()
+        else:
+            process.leave()
+            registry.remove(node_id)
+            if registry.subscriptions is not None:
+                registry.subscriptions.unsubscribe_all(node_id, timestamp=process.simulator.now)
+        self._record(action)
 
     # -------------------------------------------------------- observability
 

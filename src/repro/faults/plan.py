@@ -39,11 +39,10 @@ schedules nothing and draws nothing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
-from typing import Annotated, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Annotated, List, Mapping, Optional, Sequence, Tuple
 
-from ..jsonio import ALL_FIELDS, Bound, decode, encode, load_json, refit, reject_unknown, suggest
+from ..jsonio import Bound, decode, load_json, refit, reject_unknown, suggest
 
 __all__ = [
     "FAULT_KINDS",
@@ -133,14 +132,10 @@ class FaultSpec:
     loss_rate: Annotated[float, Bound(0, 1)] = 0.0
     #: Named RNG stream; empty picks ``fault-<index>-<kind>``
     #: (:meth:`FaultPlan.from_spec` pins ``"churn"`` for the spec's churn
-    #: section, matching the legacy ``ChurnInjector`` byte for byte).
+    #: section, so pinned churn runs reproduce byte for byte).
     rng_stream: str = ""
 
     # ------------------------------------------------------------- codecs
-
-    def to_dict(self) -> Dict[str, object]:
-        """Compact JSON form: ``kind`` plus every non-default field."""
-        return {"kind": self.kind, **encode(self, sparse=ALL_FIELDS)}
 
     @staticmethod
     def from_dict(payload: Mapping[str, object]) -> "FaultSpec":
@@ -200,17 +195,7 @@ class FaultPlan:
         """Whether any entry acts on the network fabric."""
         return any(entry.kind in ("partition", "perturb") for entry in self.entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     # ------------------------------------------------------------- codecs
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form; inverse of :meth:`from_dict`."""
-        return {
-            "schema": PLAN_SCHEMA,
-            "faults": [entry.to_dict() for entry in self.entries],
-        }
 
     @staticmethod
     def from_dict(payload) -> "FaultPlan":
@@ -231,10 +216,6 @@ class FaultPlan:
             )
         return FaultPlan(tuple(FaultSpec.from_dict(entry) for entry in entries))
 
-    def to_json(self) -> str:
-        """Canonical JSON text of the plan."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
     @staticmethod
     def from_file(path: str) -> "FaultPlan":
         """Load a plan from a JSON file (``--fault plan.json``)."""
@@ -251,9 +232,9 @@ class FaultPlan:
         """Compile the ``faults`` section of a :class:`~repro.registry.specs.StackSpec`.
 
         Each enabled fixed sub-spec becomes one entry, then the ``plan``
-        entries follow.  The churn entry reproduces the legacy
-        ``ChurnInjector`` wiring exactly (``"churn"`` RNG stream, one gossip
-        round by default, publishers protected), byte for byte.
+        entries follow.  The churn entry keeps the wiring pinned churn runs
+        were drawn with (``"churn"`` RNG stream, one gossip round by
+        default, publishers protected), byte for byte.
         """
         faults = spec.faults
         churn, partition, perturb = faults.churn, faults.partition, faults.perturb
@@ -430,17 +411,3 @@ class FaultPlan:
                 f"{where}: unknown node ids {unknown}"
                 f"{suggest(unknown[0], universe)}; the run has {len(universe)} nodes"
             )
-
-    # ------------------------------------------------------------- helpers
-
-    def describe(self) -> str:
-        """Readable one-line-per-entry listing."""
-        if not self.entries:
-            return "(empty fault plan)"
-        lines = []
-        for index, entry in enumerate(self.entries):
-            detail = ", ".join(
-                f"{key}={value!r}" for key, value in entry.to_pairs() if key != "kind"
-            )
-            lines.append(f"#{index} {entry.kind}: {detail or '(defaults)'}")
-        return "\n".join(lines)

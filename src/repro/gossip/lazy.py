@@ -115,8 +115,6 @@ class LazyPushGossipNode(PushGossipNode):
 
     Extra parameters on top of :class:`PushGossipNode`:
 
-    alpha:
-        Store fraction in ``(0, 1]``, checked; the set itself is ``store_ids``.
     store_ids:
         The deterministic store set (see :func:`lazy_store_ids`): a tuple is
         taken as sorted and kept, so the factory shares one among all nodes;
@@ -135,15 +133,12 @@ class LazyPushGossipNode(PushGossipNode):
     def __init__(
         self,
         *args,
-        alpha: float = 0.5,
         store_ids: Optional[Iterable[str]] = None,
         population: Optional[int] = None,
         id_gc_rounds: Optional[int] = None,
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
-        if not 0.0 < float(alpha) <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
         order = (self.node_id,) if store_ids is None else store_ids
         #: The store ids, sorted (membership is a bisect), and this node's slot in them.
         self._store_order = order if isinstance(order, tuple) else tuple(sorted(set(order)))

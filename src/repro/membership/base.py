@@ -79,9 +79,6 @@ class MembershipComponent:
         """All peers currently known to this component (sorted)."""
         raise NotImplementedError
 
-    def notify_left(self, node_id: str) -> None:
-        """Hint that ``node_id`` is suspected dead (e.g. a send failed)."""
-
 
 #: Factory signature: given the owning process, build its membership component.
 MembershipProvider = Callable[[Process], MembershipComponent]

@@ -133,9 +133,6 @@ class CyclonMembership(MembershipComponent):
     def known_peers(self) -> List[str]:
         return self.view.node_ids()
 
-    def notify_left(self, node_id: str) -> None:
-        self.view.remove(node_id)
-
 
 def cyclon_provider(view_size: int = 20, shuffle_size: int = 5):
     """Return a provider building :class:`CyclonMembership` components."""

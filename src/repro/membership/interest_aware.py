@@ -74,9 +74,6 @@ class InterestAwareMembership(MembershipComponent):
     def known_peers(self) -> List[str]:
         return self.base.known_peers()
 
-    def notify_left(self, node_id: str) -> None:
-        self.base.notify_left(node_id)
-
     # ------------------------------------------------------------ selection
 
     def _overlap(self, peer_id: str, own: Set[str]) -> int:

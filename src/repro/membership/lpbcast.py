@@ -113,9 +113,6 @@ class LpbcastMembership(MembershipComponent):
     def known_peers(self) -> List[str]:
         return self.view.node_ids()
 
-    def notify_left(self, node_id: str) -> None:
-        self.view.remove(node_id)
-
 
 def lpbcast_provider(view_size: int = 25, digest_size: int = 4, standalone_refresh: bool = True):
     """Return a provider building :class:`LpbcastMembership` components."""

@@ -17,11 +17,6 @@ _EXPORTS = {
     "TopicFilter": ".filters",
     "ContentFilter": ".filters",
     "AttributeCondition": ".filters",
-    "AndFilter": ".filters",
-    "OrFilter": ".filters",
-    "NotFilter": ".filters",
-    "MatchAllFilter": ".filters",
-    "MatchNoneFilter": ".filters",
     "InterestFunction": ".filters",
     "filter_from_dict": ".filters",
     "DeliveryCallback": ".interfaces",

@@ -8,10 +8,9 @@ Section 2 defines two levels of expressiveness:
   that must all hold (:class:`ContentFilter` built from
   :class:`AttributeCondition` predicates).
 
-Composite filters (:class:`AndFilter`, :class:`OrFilter`, :class:`NotFilter`)
-let workloads express richer interests, and :class:`InterestFunction` bundles
-a process's complete set of filters into the paper's ``ISINTERESTED(e)``
-predicate used by the gossip algorithm of Figure 4.
+:class:`InterestFunction` bundles a process's complete set of filters into
+the paper's ``ISINTERESTED(e)`` predicate used by the gossip algorithm of
+Figure 4.
 """
 
 from __future__ import annotations
@@ -28,11 +27,6 @@ __all__ = [
     "TopicFilter",
     "AttributeCondition",
     "ContentFilter",
-    "AndFilter",
-    "OrFilter",
-    "NotFilter",
-    "MatchAllFilter",
-    "MatchNoneFilter",
     "InterestFunction",
     "filter_from_dict",
 ]
@@ -208,105 +202,6 @@ class ContentFilter(Filter):
         return pinned
 
 
-@dataclass(frozen=True)
-class AndFilter(Filter):
-    """Matches when every child filter matches."""
-
-    children: Tuple[Filter, ...]
-
-    def matches(self, event: Event) -> bool:
-        return all(child.matches(event) for child in self.children)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "and", "children": [child.to_dict() for child in self.children]}
-
-    @property
-    def filter_id(self) -> str:
-        return "and(" + ",".join(child.filter_id for child in self.children) + ")"
-
-    @property
-    def topics(self) -> Tuple[str, ...]:
-        pinned: List[str] = []
-        for child in self.children:
-            pinned.extend(child.topics)
-        return tuple(pinned)
-
-
-@dataclass(frozen=True)
-class OrFilter(Filter):
-    """Matches when at least one child filter matches."""
-
-    children: Tuple[Filter, ...]
-
-    def matches(self, event: Event) -> bool:
-        return any(child.matches(event) for child in self.children)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "or", "children": [child.to_dict() for child in self.children]}
-
-    @property
-    def filter_id(self) -> str:
-        return "or(" + ",".join(child.filter_id for child in self.children) + ")"
-
-    @property
-    def topics(self) -> Tuple[str, ...]:
-        # An OR only pins topics down when *every* branch pins one.
-        branch_topics = [child.topics for child in self.children]
-        if all(branch_topics):
-            flattened: List[str] = []
-            for topics in branch_topics:
-                flattened.extend(topics)
-            return tuple(flattened)
-        return ()
-
-
-@dataclass(frozen=True)
-class NotFilter(Filter):
-    """Matches when the child filter does not."""
-
-    child: Filter
-
-    def matches(self, event: Event) -> bool:
-        return not self.child.matches(event)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "not", "child": self.child.to_dict()}
-
-    @property
-    def filter_id(self) -> str:
-        return f"not({self.child.filter_id})"
-
-
-@dataclass(frozen=True)
-class MatchAllFilter(Filter):
-    """Matches every event — models a process interested in everything."""
-
-    def matches(self, event: Event) -> bool:
-        return True
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "all"}
-
-    @property
-    def filter_id(self) -> str:
-        return "all"
-
-
-@dataclass(frozen=True)
-class MatchNoneFilter(Filter):
-    """Matches nothing — a pure forwarder with no interest of its own."""
-
-    def matches(self, event: Event) -> bool:
-        return False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "none"}
-
-    @property
-    def filter_id(self) -> str:
-        return "none"
-
-
 def filter_from_dict(payload: Mapping[str, Any]) -> Filter:
     """Rebuild a filter from its :meth:`Filter.to_dict` form.
 
@@ -323,16 +218,6 @@ def filter_from_dict(payload: Mapping[str, Any]) -> Filter:
             ),
             name=fit(str, payload.get("name", ""), "filter field 'name'", ValueError),
         )
-    if kind == "and":
-        return AndFilter(children=tuple(filter_from_dict(child) for child in payload["children"]))
-    if kind == "or":
-        return OrFilter(children=tuple(filter_from_dict(child) for child in payload["children"]))
-    if kind == "not":
-        return NotFilter(child=filter_from_dict(payload["child"]))
-    if kind == "all":
-        return MatchAllFilter()
-    if kind == "none":
-        return MatchNoneFilter()
     raise ValueError(f"unknown filter kind {kind!r}")
 
 
@@ -376,19 +261,6 @@ class InterestFunction:
             for subscription_filter in self._filters.values()
             if subscription_filter.matches(event)
         ]
-
-    @property
-    def filters(self) -> List[Filter]:
-        """Snapshot of the active filters."""
-        return list(self._filters.values())
-
-    @property
-    def topics(self) -> List[str]:
-        """Topics pinned by the active filters (duplicates removed, sorted)."""
-        names = set()
-        for subscription_filter in self._filters.values():
-            names.update(subscription_filter.topics)
-        return sorted(names)
 
     def __contains__(self, subscription_filter: Filter) -> bool:
         return subscription_filter.filter_id in self._filters

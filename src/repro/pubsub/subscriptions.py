@@ -88,10 +88,6 @@ class Subscription:
         """Whether the subscription has not been cancelled."""
         return self.unsubscribed_at is None
 
-    def matches(self, event: Event) -> bool:
-        """Whether the subscription's filter matches the event."""
-        return self.subscription_filter.matches(event)
-
 
 class SubscriptionTable:
     """Tracks every subscription in the system, active and historical.

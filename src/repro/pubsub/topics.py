@@ -97,18 +97,6 @@ class TopicHierarchy:
         for name in sorted(self._topics):
             yield self._topics[name]
 
-    def get(self, name: str) -> Topic:
-        """Return the topic with the given name (KeyError if absent)."""
-        return self._topics[name]
-
-    def names(self) -> List[str]:
-        """All topic names, sorted."""
-        return sorted(self._topics)
-
-    def children(self, name: str) -> List[Topic]:
-        """Direct children of a topic, sorted by name."""
-        return [self._topics[child] for child in sorted(self._children.get(name, ()))]
-
     def descendants(self, name: str) -> List[Topic]:
         """All strict descendants of a topic, sorted by name."""
         result: List[Topic] = []

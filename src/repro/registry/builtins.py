@@ -222,12 +222,10 @@ def _build_pushpull_gossip(ctx: BuildContext) -> GossipSystem:
 def _build_lazy_push(ctx: BuildContext) -> GossipSystem:
     from ..gossip.lazy import LazyPushGossipNode, lazy_store_ids
 
-    alpha = float(ctx.spec.system.alpha)
     return _gossip_system(
         ctx,
         LazyPushGossipNode,
-        alpha=alpha,
-        store_ids=tuple(sorted(lazy_store_ids(ctx.node_ids, alpha))),
+        store_ids=tuple(sorted(lazy_store_ids(ctx.node_ids, ctx.spec.system.alpha))),
         population=len(ctx.node_ids),
     )
 

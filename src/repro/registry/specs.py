@@ -137,8 +137,7 @@ class FaultChurnSpec:
 
     ``period`` of 0 means "one gossip round" (``system.round_period``);
     ``start``/``stop`` bound the churn window, with 0 meaning run start /
-    run end.  Publishers are protected automatically, as the legacy
-    ``ChurnInjector`` wiring always did.
+    run end.  Publishers are protected automatically.
     """
 
     down_probability: Annotated[float, Bound(0, 1)] = 0.0

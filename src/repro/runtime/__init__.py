@@ -47,9 +47,6 @@ _EXPORTS = {
     "LoadReport": ".loadgen",
     "WIRE_VERSION": ".wire",
     "MAX_FRAME_SIZE": ".wire",
-    "PUBLISH_KIND": ".wire",
-    "SUBSCRIBE_KIND": ".wire",
-    "UNSUBSCRIBE_KIND": ".wire",
     "WireError": ".wire",
     "FrameDecoder": ".wire",
     "encode_message": ".wire",

@@ -8,14 +8,6 @@ classes are the *simulator's* node classes, unmodified — the host simply
 hands them an :class:`~repro.runtime.scheduler.AsyncScheduler` where they
 expect a ``Simulator`` and a :class:`~repro.runtime.network.RuntimeNetwork`
 where they expect a ``Network``.
-
-The host also answers the runtime's control frames, so a remote peer (for
-example a standalone load generator) can publish events and exchange
-subscriptions over the wire:
-
-* ``runtime.publish`` — publish the carried event from the addressed node;
-* ``runtime.subscribe`` / ``runtime.unsubscribe`` — add or remove the
-  carried filter on the addressed node.
 """
 
 from __future__ import annotations
@@ -47,7 +39,6 @@ from .clock import WallClock
 from .network import RuntimeNetwork
 from .scheduler import AsyncScheduler
 from .transport import Transport
-from .wire import PUBLISH_KIND, SUBSCRIBE_KIND, UNSUBSCRIBE_KIND
 
 if TYPE_CHECKING:  # annotations only: _start_faults imports it for a non-empty plan
     from ..faults.controller import FaultController
@@ -106,7 +97,6 @@ class NodeHost(DisseminationSystem):
         super().__init__(
             self.scheduler, RuntimeNetwork(self.scheduler, transport), ledger, delivery_log
         )
-        self.network.control_handler = self._handle_control
         #: Dissemination tracer, attached on :meth:`start` once the nodes
         #: exist.  Tracing is observability, not configuration — it never
         #: appears in the spec.
@@ -330,19 +320,6 @@ class NodeHost(DisseminationSystem):
             self.system.unsubscribe(node_id, subscription_filter)
         elif self.nodes[node_id].unsubscribe(subscription_filter):
             self._unsubscribed(node_id, subscription_filter)
-
-    # -------------------------------------------------------------- control
-
-    def _handle_control(self, message) -> None:
-        """Apply a ``runtime.*`` control frame addressed to a hosted node."""
-        if message.recipient not in self.nodes:
-            return
-        if message.kind == PUBLISH_KIND:
-            self.publish(message.recipient, event=message.payload)
-        elif message.kind == SUBSCRIBE_KIND:
-            self.subscribe(message.recipient, message.payload)
-        elif message.kind == UNSUBSCRIBE_KIND:
-            self.unsubscribe(message.recipient, message.payload)
 
     # -------------------------------------------------------------- metrics
 

@@ -15,10 +15,7 @@ counterpart by design.  A fault's extra latency holds the encoded frame back on 
 runtime's own scheduler.
 
 Frames arriving from remote peers are checked against the partition map
-again (see :meth:`RuntimeNetwork._deliver`).  Control frames (kinds starting
-with ``runtime.``) bypass fault injection and are routed to the host's
-control handler instead of a node, which is how remote publish and
-subscription exchanges enter a live cluster.
+again (see :meth:`RuntimeNetwork._deliver`).
 """
 
 from __future__ import annotations
@@ -31,10 +28,7 @@ from .scheduler import AsyncScheduler
 from .transport import Transport
 from .wire import WireError, decode_message, encode_message
 
-__all__ = ["RuntimeNetwork", "CONTROL_PREFIX"]
-
-#: Message kinds owned by the runtime itself rather than a protocol node.
-CONTROL_PREFIX = "runtime."
+__all__ = ["RuntimeNetwork"]
 
 
 class RuntimeNetwork(FaultInjectionSurface):
@@ -54,8 +48,6 @@ class RuntimeNetwork(FaultInjectionSurface):
         self.transport = transport
         self.decode_errors = 0
         self._init_fabric(scheduler)
-        #: Installed by the host; receives decoded ``runtime.*`` messages.
-        self.control_handler: Optional[Callable[[Message], None]] = None
         transport.set_receiver(self._on_frame)
 
     def register(self, node_id: str, handler: Callable[[Message], None]) -> None:
@@ -77,14 +69,12 @@ class RuntimeNetwork(FaultInjectionSurface):
         """Encode a message and hand it to the transport."""
         message = Message(sender, recipient, kind, payload, size, self.simulator.now, trace)
         self.stats.record_sent(message)
-        extra_latency = 0.0
-        if not kind.startswith(CONTROL_PREFIX):
-            if not self._same_partition(sender, recipient):
-                self._drop(message, "partition")
-                return message
-            extra_latency = self._link_fate(message)
-            if extra_latency is None:
-                return message
+        if not self._same_partition(sender, recipient):
+            self._drop(message, "partition")
+            return message
+        extra_latency = self._link_fate(message)
+        if extra_latency is None:
+            return message
         body = encode_message(message)
         if extra_latency > 0.0:
             self.simulator.schedule(
@@ -114,10 +104,6 @@ class RuntimeNetwork(FaultInjectionSurface):
         self._deliver(message)
 
     def _deliver(self, message: Message) -> None:
-        if message.kind.startswith(CONTROL_PREFIX):
-            if self.control_handler is not None:
-                self.control_handler(message)
-            return
         # Frames from remote peers are filtered here too: in a multi-host
         # cluster only the host running the fault controller knows about the
         # partition, so the receive side must enforce it as well.

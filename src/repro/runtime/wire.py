@@ -6,7 +6,7 @@ length prefix followed by a UTF-8 JSON object holding the
 sent_at; ``trace`` on traced frames only) and a ``payload``.  Each kind that
 carries a payload class is coded by the codec :func:`repro.jsonio.wire_codec`
 derives from that class's annotations; payloads of other kinds pass through
-as plain JSON.  The gossip, membership and runtime kinds are declared here;
+as plain JSON.  The gossip and membership kinds are declared here;
 the structured baselines declare theirs next to their protocol code, in a
 ``WIRE_PAYLOADS`` table that :data:`PAYLOAD_MODULES` names by kind prefix and
 that is imported the first time a kind with that prefix is seen, so a gossip
@@ -36,8 +36,6 @@ from ..gossip.pushpull import DigestMessage, PullRequest
 from ..jsonio import fit, wire_codec
 from ..membership.cyclon import ShufflePayload
 from ..membership.lpbcast import MembershipDigest
-from ..pubsub.events import Event
-from ..pubsub.filters import Filter
 from ..sim.network import Message
 from ..tracing.context import TraceContext
 
@@ -45,11 +43,7 @@ __all__ = [
     "WIRE_VERSION",
     "PAYLOAD_MODULES",
     "MAX_FRAME_SIZE",
-    "PUBLISH_KIND",
-    "SUBSCRIBE_KIND",
-    "UNSUBSCRIBE_KIND",
     "WireError",
-    "wire_payloads",
     "encode_message",
     "decode_message",
     "frame",
@@ -63,11 +57,6 @@ WIRE_VERSION = 3
 
 #: Upper bound on a single frame; protects receivers from hostile prefixes.
 MAX_FRAME_SIZE = 16 * 1024 * 1024
-
-#: Control frame kinds understood by :class:`~repro.runtime.host.NodeHost`.
-PUBLISH_KIND = "runtime.publish"
-SUBSCRIBE_KIND = "runtime.subscribe"
-UNSUBSCRIBE_KIND = "runtime.unsubscribe"
 
 _LENGTH = struct.Struct(">I")
 
@@ -89,7 +78,7 @@ PAYLOAD_MODULES = {
     "dam.": "..damulticast.dam",
 }
 
-#: ``kind -> payload class`` of the kinds resolved so far; see :func:`wire_payloads`.
+#: ``kind -> payload class`` of the kinds resolved so far (a baseline's merged on first use).
 _PAYLOADS: Dict[str, type] = {
     "gossip.push": GossipMessage,
     "gossip.pull-reply": GossipMessage,
@@ -107,9 +96,6 @@ _PAYLOADS: Dict[str, type] = {
     "membership.cyclon.request": ShufflePayload,
     "membership.cyclon.reply": ShufflePayload,
     "membership.lpbcast.digest": MembershipDigest,
-    PUBLISH_KIND: Event,
-    SUBSCRIBE_KIND: Filter,
-    UNSUBSCRIBE_KIND: Filter,
 }
 
 _CODECS = {kind: wire_codec(payload_class) for kind, payload_class in _PAYLOADS.items()}
@@ -134,17 +120,6 @@ def _codec(kind: str) -> Optional[Tuple[Callable, Callable]]:
             _load(prefix)
             codec = _CODECS.get(kind)
     return codec
-
-
-def wire_payloads() -> Dict[str, type]:
-    """``kind -> payload class`` of every kind that has one, the baselines' included.
-
-    Imports every module of :data:`PAYLOAD_MODULES`; the codec itself only
-    imports the one a frame's kind needs.
-    """
-    for prefix in list(_UNLOADED):
-        _load(prefix)
-    return dict(_PAYLOADS)
 
 
 # ------------------------------------------------------------------ envelope

@@ -222,17 +222,6 @@ class PeriodicTimer:
         self._stopped = True
         self.fire_count = 0
 
-    @property
-    def period(self) -> float:
-        """Current period between firings."""
-        return self._period
-
-    @period.setter
-    def period(self, value: float) -> None:
-        if not value > 0:
-            raise SimulationError("period must be positive")
-        self._period = value
-
     def start(self, initial_delay: Optional[float] = None) -> None:
         """Arm the timer; the first firing happens after ``initial_delay``."""
         self._stopped = False

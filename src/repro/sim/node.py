@@ -161,7 +161,7 @@ class Process:
 class ProcessRegistry:
     """Keeps track of all processes in a simulation run.
 
-    Workload generators and failure injectors operate on the registry rather
+    Workload generators and the fault controller operate on the registry rather
     than holding their own node lists, so late joins and leaves are visible to
     everyone.
     """

@@ -46,11 +46,6 @@ class RngRegistry:
         self._seed = int(seed)
         self._streams: Dict[str, random.Random] = {}
 
-    @property
-    def seed(self) -> int:
-        """The master seed this registry was built with."""
-        return self._seed
-
     def stream(self, name: str) -> random.Random:
         """Return the named random stream, creating it on first use."""
         rng = self._streams.get(name)

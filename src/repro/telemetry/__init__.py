@@ -10,7 +10,7 @@ JSON-serializable :class:`TelemetrySnapshot`, and a
 :class:`SnapshotScheduler` emits periodic snapshots to pluggable
 :class:`TelemetrySink` implementations (in-memory ring buffer, JSON-lines,
 CSV, Prometheus text exposition).  The facade only writes: a reader asks a
-snapshot (``counter_total``, ``gauges_by_tag``, ``histogram_summary``, ...)
+snapshot (``counter_total``, ``gauges_by_tag``, its ``histograms``, ...)
 or reads an instrument it holds (``counter.value``, ``histogram.summary()``).
 
 Design constraints, in order:

@@ -26,9 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
-
-from ..jsonio import decode, encode
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -135,15 +133,6 @@ class HistogramState:
     zeros: int = 0
     positive: Tuple[Tuple[int, int], ...] = ()
     negative: Tuple[Tuple[int, int], ...] = ()
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form; inverse of :meth:`from_dict`."""
-        return encode(self)
-
-    @staticmethod
-    def from_dict(payload: Mapping[str, object]) -> "HistogramState":
-        """Rebuild a state from :meth:`to_dict` output."""
-        return decode(HistogramState, payload, ValueError, "histogram state")
 
     # ------------------------------------------------------------- summaries
 
@@ -307,11 +296,6 @@ class Histogram:
         self._zeros += _count_span(ordered, size, self._positive, self._negative)
 
     # -------------------------------------------------------------- reading
-
-    @property
-    def count(self) -> int:
-        """Number of observations recorded so far."""
-        return self._count + self._pending_len()
 
     @property
     def pending_count(self) -> int:

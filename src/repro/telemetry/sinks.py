@@ -208,13 +208,13 @@ class PrometheusSink:
 def parse_sink_spec(spec: str):
     """Build a sink from a compact CLI spec (``kind`` or ``kind:argument``).
 
-    Supported kinds: ``jsonl:PATH``, ``csv:PATH``, ``prom:PATH`` (alias
-    ``prometheus:PATH``), and ``memory`` (optional ``memory:CAPACITY``).
+    Supported kinds: ``jsonl:PATH``, ``csv:PATH``, ``prom:PATH`` and
+    ``memory`` (optional ``memory:CAPACITY``).
     """
     kind, _, argument = spec.partition(":")
     kind = kind.strip().lower()
     argument = argument.strip()
-    if kind not in ("memory", "jsonl", "csv", "prom", "prometheus"):
+    if kind not in ("memory", "jsonl", "csv", "prom"):
         raise ValueError(
             f"unknown telemetry sink kind {kind!r}; expected jsonl, csv, prom, or memory"
         )

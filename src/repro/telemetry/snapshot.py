@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..jsonio import decode, encode
-from .instruments import HistogramState, HistogramSummary
+from .instruments import HistogramState
 from .sinks import DEFAULT_SNAPSHOT_PERIOD, parse_sink_spec
 
 __all__ = ["SNAPSHOT_SCHEMA", "TelemetrySnapshot", "SnapshotScheduler"]
@@ -107,18 +107,6 @@ class TelemetrySnapshot:
             if tag in tag_map:
                 result[tag_map[tag]] = value
         return result
-
-    def histogram_state(self, name: str, **tags: object) -> HistogramState:
-        """State of one histogram (empty state if absent)."""
-        wanted = _normalise_tags(tags)
-        for entry_name, entry_tags, state in self.histograms:
-            if entry_name == name and entry_tags == wanted:
-                return state
-        return HistogramState()
-
-    def histogram_summary(self, name: str, **tags: object) -> HistogramSummary:
-        """Summary of one histogram (empty summary if absent)."""
-        return self.histogram_state(name, **tags).summary()
 
 
 class SnapshotScheduler:

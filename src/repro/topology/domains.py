@@ -107,19 +107,6 @@ class DomainMap:
             for node in nodes
         }
 
-    def describe(self) -> str:
-        """One line per domain: members, bridges, and cross-link defaults."""
-        lines = []
-        for domain in self.domains:
-            nodes = self.members[domain]
-            bridges = ", ".join(self.bridges[domain])
-            lines.append(f"{domain}: {len(nodes)} node(s), bridges [{bridges}]")
-        lines.append(
-            f"cross-domain default: latency +{self.spec.cross_latency}, "
-            f"loss {self.spec.cross_loss}"
-        )
-        return "\n".join(lines)
-
 
 def compile_domain_map(spec: TopologySpec, node_ids: Sequence[str]) -> DomainMap:
     """Compile a spec against the run's node ids; raise :class:`TopologyError`."""

@@ -72,9 +72,6 @@ class DomainScopedMembership(MembershipComponent):
     def known_peers(self) -> List[str]:
         return [peer for peer in self.inner.known_peers() if peer not in self._foreign]
 
-    def notify_left(self, node_id: str) -> None:
-        self.inner.notify_left(node_id)
-
     # ------------------------------------------------------------- helpers
 
     def _ring_neighbours(self) -> List[str]:

@@ -17,9 +17,9 @@ protocol code into that import graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Annotated, Dict, Mapping, Tuple
+from typing import Annotated, Mapping, Tuple
 
-from ..jsonio import ALL_FIELDS, Bound, decode, encode, load_json, refit, suggest
+from ..jsonio import Bound, decode, load_json, refit, suggest
 
 __all__ = ["TOPOLOGY_SCHEMA", "TopologyError", "TopologySpec", "BRIDGE_POLICIES"]
 
@@ -102,10 +102,6 @@ class TopologySpec:
             seen_nodes.add(node)
 
     # ------------------------------------------------------------ dict codecs
-
-    def to_dict(self) -> Dict[str, object]:
-        """Nested JSON form; fields at their defaults are omitted."""
-        return encode(self, sparse=ALL_FIELDS)
 
     @staticmethod
     def from_dict(payload: Mapping[str, object]) -> "TopologySpec":

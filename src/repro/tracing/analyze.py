@@ -94,9 +94,6 @@ class TraceAnalysis:
     events: Dict[str, EventTrace]
     total_spans: int
 
-    def event_ids(self) -> List[str]:
-        return list(self.events)
-
     def totals(self) -> Dict[str, float]:
         """Aggregate dissemination numbers over every traced event."""
         deliveries = duplicates = drops = recoveries = relays = adverts = bridge_hops = 0

@@ -37,11 +37,6 @@ class ChurnStats:
             self.unsubscribes += 1
         self.by_topic[topic] = self.by_topic.get(topic, 0) + 1
 
-    @property
-    def total(self) -> int:
-        """Total churn operations."""
-        return self.subscribes + self.unsubscribes
-
 
 class SubscriptionChurnWorkload:
     """Drives ongoing subscribe/unsubscribe operations on a system.

@@ -10,7 +10,7 @@ of front-loading all events at time zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from ..pubsub.events import Event
 from ..sim.engine import Simulator
@@ -28,18 +28,6 @@ class PublicationSchedule:
 
     def add(self, event: Event) -> None:
         self.events.append(event)
-
-    def count(self) -> int:
-        """Number of events published so far."""
-        return len(self.events)
-
-    def by_topic(self) -> Dict[str, int]:
-        """Events per topic."""
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            topic = event.topic or "<none>"
-            counts[topic] = counts.get(topic, 0) + 1
-        return counts
 
 
 class _PublicationWorkload:

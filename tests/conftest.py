@@ -20,6 +20,7 @@ if _SRC not in sys.path:  # pragma: no cover - environment shim
 from repro.core import WorkLedger
 from repro.pubsub import AttributeCondition, ContentFilter, DeliveryLog, Event
 from repro.sim import Network, Simulator
+from repro.telemetry.instruments import HistogramState
 
 
 @pytest.fixture
@@ -59,6 +60,20 @@ def result_sha(result) -> str:
     """sha256 of an ``ExperimentResult``'s canonical JSON: the pinned-result digest."""
     blob = json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def histogram_summary(snapshot, name: str, **tags):
+    """Summary of one histogram of a telemetry snapshot (an empty summary if absent)."""
+    wanted = tuple(sorted((key, str(value)) for key, value in tags.items()))
+    for entry_name, entry_tags, state in snapshot.histograms:
+        if entry_name == name and entry_tags == wanted:
+            return state.summary()
+    return HistogramState().summary()
+
+
+def plan_json(plan) -> str:
+    """``plan`` as the text of a ``--fault`` file: each entry its kind and non-default fields."""
+    return json.dumps({"schema": "fault-plan/v1", "faults": [dict(entry.to_pairs()) for entry in plan.entries]})
 
 
 def equality_filter(name: str = "", **equalities) -> ContentFilter:

@@ -94,7 +94,7 @@ class TestReliabilityMeasurement:
     def test_no_events_is_vacuously_reliable(self):
         report = measure_reliability([], DeliveryLog(), SubscriptionTable())
         assert report.delivery_ratio == 1.0
-        assert report.summary_row()["events"] == 0.0
+        assert report.events == []
 
 
 class TestFairnessSummaries:
@@ -178,9 +178,8 @@ class TestExperimentHarness:
         assert result.reliability.delivery_ratio > 0.9
         assert result.fairness.report.node_count == self.BASE.nodes
         assert result.total_deliveries == result.system is None or True
-        row = result.summary_row()
-        assert row["system"] == "gossip"
-        assert 0.0 <= row["delivery_ratio"] <= 1.0
+        assert result.config.system == "gossip"
+        assert 0.0 <= result.reliability.delivery_ratio <= 1.0
 
     def test_run_experiment_is_deterministic(self):
         first = run_experiment(self.BASE)

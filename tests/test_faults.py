@@ -32,8 +32,6 @@ from repro.experiments import (
 )
 from repro.cli import main as cli_main
 from repro.faults import (
-    ChurnInjector,
-    CrashSchedule,
     FaultController,
     FaultPlan,
     FaultPlanError,
@@ -44,9 +42,9 @@ from repro.pubsub import TopicFilter
 from repro.registry import SYSTEMS, parse_spec_overrides
 from repro.runtime.host import NodeHost
 from repro.runtime.transport import MemoryTransport
-from repro.sim import Network, ProcessRegistry, Simulator
+from repro.sim import Network, Simulator
 from repro.telemetry import Telemetry
-from tests.conftest import SMOKE_CONFIG_HASH, result_sha, settle
+from tests.conftest import SMOKE_CONFIG_HASH, plan_json, result_sha, settle
 
 
 def _physics(result) -> dict:
@@ -71,7 +69,7 @@ class TestFaultPlanCodec:
                 FaultSpec(kind="perturb", at=4.0, until=6.0, loss_rate=0.5),
             )
         )
-        assert FaultPlan.from_dict(json.loads(plan.to_json())) == plan
+        assert FaultPlan.from_dict(json.loads(plan_json(plan))) == plan
 
     def test_from_dict_accepts_bare_list_and_schema_wrapper(self):
         entries = [{"kind": "crash", "at": 1.0, "nodes": ["n0"]}]
@@ -118,7 +116,7 @@ class TestFaultPlanCodec:
     def test_file_round_trip(self, tmp_path):
         plan = FaultPlan((FaultSpec(kind="leave", at=1.0, nodes=("n3",)),))
         path = tmp_path / "plan.json"
-        path.write_text(plan.to_json())
+        path.write_text(plan_json(plan))
         assert FaultPlan.from_file(str(path)) == plan
 
     def test_missing_file_is_a_plan_error(self):
@@ -227,6 +225,48 @@ class TestFaultPlanValidation:
 # ---------------------------------------------------------------------------
 
 
+class ReferenceFaults:
+    """The node-action and churn rules, restated without ``repro.faults``.
+
+    The oracle of the plan-parity tests: a node action changes one process
+    at its time, and every ``period`` a churn tick takes one draw from the
+    ``churn`` stream per unprotected process in registry order, whatever the
+    probabilities (a probability of 0 still draws), crashing an alive
+    process below ``down`` and recovering a crashed one below ``up``.
+    """
+
+    def __init__(self, simulator, registry):
+        self.simulator, self.registry = simulator, registry
+
+    def node_action(self, at, node_id, action):
+        def apply():
+            process = self.registry.get(node_id)
+            if action == "crash":
+                process.crash()
+            elif action == "recover":
+                process.recover()
+            else:
+                process.leave()
+                self.registry.remove(node_id)
+                self.registry.subscriptions.unsubscribe_all(node_id, timestamp=self.simulator.now)
+
+        self.simulator.schedule_at(at, apply)
+
+    def churn(self, period, down_probability, up_probability, protected=()):
+        def tick():
+            rng = self.simulator.rng.stream("churn")
+            for process in self.registry.all():
+                if process.node_id in protected:
+                    continue
+                if process.alive:
+                    if rng.random() < down_probability:
+                        process.crash()
+                elif rng.random() < up_probability:
+                    process.recover()
+
+        self.simulator.schedule_periodic(period, tick)
+
+
 def _gossip_fixture(seed: int = 11, nodes: int = 12):
     simulator = Simulator(seed=seed)
     network = Network(simulator)
@@ -260,16 +300,16 @@ class TestSimulatorFaults:
         assert "n2" not in system.registry
         assert controller.counts == {"crash": 1, "recover": 1, "leave": 1}
 
-    def test_leave_cancels_the_leavers_subscriptions_on_both_injectors(self):
-        """The plan's controller and the imperative schedule apply a leave alike."""
+    def test_leave_cancels_the_leavers_subscriptions_like_the_reference(self):
+        """The plan's controller applies a leave as the reference does."""
         cancelled = {}
-        for injector in ("controller", "schedule"):
+        for injector in ("controller", "reference"):
             simulator, network, system = _gossip_fixture()
             if injector == "controller":
                 plan = FaultPlan((FaultSpec(kind="leave", at=4.0, nodes=("n2",)),))
                 FaultController(simulator, network, system.registry, plan).start()
             else:
-                CrashSchedule(simulator, system.registry).add(4.0, "n2", "leave")
+                ReferenceFaults(simulator, system.registry).node_action(4.0, "n2", "leave")
             simulator.run(until=5.0)
             event = system.publish("n0", topic="news")
             assert "n2" not in system.subscriptions.interested_nodes(event)
@@ -277,7 +317,7 @@ class TestSimulatorFaults:
                 node_id for node_id in system.node_ids() if node_id != "n2"
             )
             cancelled[injector] = system.subscriptions.total_unsubscribes
-        assert cancelled == {"controller": 1, "schedule": 1}
+        assert cancelled == {"controller": 1, "reference": 1}
 
     def test_a_node_that_left_is_in_no_interested_set(self):
         def interested(spec):
@@ -376,7 +416,7 @@ class TestSimulatorFaults:
 
     @pytest.mark.parametrize("up_probability", [0.5, 0.0])
     def test_churn_draw_sequence_is_unconditional(self, up_probability):
-        """Probability-0 branches still draw, exactly like ChurnInjector.
+        """Probability-0 branches still draw, exactly like the reference.
 
         Guarding the draws behind ``probability > 0`` would shift every
         subsequent draw in the 'churn' stream for configs with one
@@ -394,7 +434,7 @@ class TestSimulatorFaults:
                 )
                 FaultController(simulator, network, system.registry, plan).start()
             else:
-                ChurnInjector(simulator, system.registry, **kwargs).start()
+                ReferenceFaults(simulator, system.registry).churn(**kwargs)
             simulator.run(until=10.0)
             down = sorted(p.node_id for p in system.registry.all() if not p.alive)
             return down, simulator.processed_events, network.stats.sent
@@ -409,7 +449,7 @@ class TestSimulatorFaults:
         )
         baseline = run_experiment(base)
         blackout = run_experiment(lossy)
-        assert blackout.delivery_ratio < baseline.delivery_ratio
+        assert blackout.reliability.delivery_ratio < baseline.reliability.delivery_ratio
         assert blackout.total_deliveries < baseline.total_deliveries
 
     def test_perturb_extra_latency_shifts_delivery_latency(self):
@@ -430,8 +470,8 @@ class TestSimulatorFaults:
         )
         assert _physics(run_experiment(idle)) == _physics(run_experiment(base))
 
-    def test_churn_plan_matches_legacy_churn_injector_byte_for_byte(self):
-        """Plan-driven churn reproduces the ChurnInjector draw sequence."""
+    def test_churn_plan_matches_the_reference_byte_for_byte(self):
+        """Plan-driven churn reproduces the reference's draw sequence."""
 
         def run(use_plan: bool):
             simulator, network, system = _gossip_fixture(seed=5, nodes=10)
@@ -450,14 +490,9 @@ class TestSimulatorFaults:
                 )
                 FaultController(simulator, network, system.registry, plan).start()
             else:
-                ChurnInjector(
-                    simulator,
-                    system.registry,
-                    period=1.0,
-                    down_probability=0.3,
-                    up_probability=0.5,
-                    protected=["n0"],
-                ).start()
+                ReferenceFaults(simulator, system.registry).churn(
+                    period=1.0, down_probability=0.3, up_probability=0.5, protected=("n0",)
+                )
             simulator.run(until=12.0)
             down = sorted(p.node_id for p in system.registry.all() if not p.alive)
             return down, simulator.processed_events, network.stats.sent
@@ -482,19 +517,6 @@ class TestSimulatorFaults:
 
 
 class TestSkipIsLoud:
-    def test_crash_schedule_records_skip_for_unknown_node(self):
-        simulator = Simulator(seed=3)
-        network = Network(simulator)
-        registry = ProcessRegistry()
-        telemetry = Telemetry()
-        schedule = CrashSchedule(simulator, registry, telemetry=telemetry)
-        schedule.add(1.0, "ghost", "crash")
-        simulator.run(until=2.0)
-        assert schedule.skipped == 1
-        snapshot = telemetry.snapshot()
-        assert snapshot.counter_value("fault.skipped", action="crash") == 1
-        assert snapshot.counter_total("fault.events") == 0
-
     def test_controller_records_skip_when_target_left(self):
         simulator, network, system = _gossip_fixture(nodes=4)
         telemetry = Telemetry()
@@ -624,7 +646,7 @@ class TestSpecFaultIntegration:
         kinds = [entry.kind for entry in plan.entries]
         assert kinds == ["churn", "partition", "perturb"]
         churn = plan.entries[0]
-        assert churn.rng_stream == "churn"  # ChurnInjector parity
+        assert churn.rng_stream == "churn"  # the stream pinned traces were drawn from
         assert churn.period == config.round_period
         assert churn.protected == config.publisher_ids()
         assert plan.needs_registry()
@@ -671,16 +693,14 @@ class TestFaultCli:
             (FaultSpec(kind="crash", at=2.0, nodes=("node-001",)),)
         )
         path = tmp_path / "plan.json"
-        path.write_text(plan.to_json())
+        path.write_text(plan_json(plan))
         code = cli_main(["run", "smoke", "--no-cache", "--fault", str(path)])
         assert code == 0
         assert "smoke" in capsys.readouterr().out
 
     def test_run_with_invalid_fault_plan_is_clean_error(self, tmp_path):
         path = tmp_path / "plan.json"
-        path.write_text(
-            FaultPlan((FaultSpec(kind="crash", at=2.0, nodes=("node-999",)),)).to_json()
-        )
+        path.write_text(plan_json(FaultPlan((FaultSpec(kind="crash", at=2.0, nodes=("node-999",)),))))
         with pytest.raises(SystemExit, match="unknown node ids"):
             cli_main(["run", "smoke", "--no-cache", "--fault", str(path)])
 

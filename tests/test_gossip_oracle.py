@@ -23,7 +23,7 @@ from repro.sim.rng import RngRegistry
 # ------------------------------------------------------------ the reference
 
 
-def reference_gossip(rngs, nodes, fanout, rounds, publications, interested,
+def reference_gossip(seed, nodes, fanout, rounds, publications, interested,
                      eager_rounds=None, stores=(), loss=0.0):
     """Infected sets after every round, and the final delivered sets.
 
@@ -37,7 +37,8 @@ def reference_gossip(rngs, nodes, fanout, rounds, publications, interested,
     """
     age = {node: {} for node in nodes}  # node -> {event: rounds since first sight}
     delivered = {node: set() for node in nodes}
-    drops = random.Random(rngs.seed)
+    rngs = RngRegistry(seed)
+    drops = random.Random(seed)
 
     def absorb(node, event):  # lines 12-20 of Figure 4
         if event not in age[node]:
@@ -153,7 +154,7 @@ def reference_run(seed, fanout, topic_of, publications=PUBLICATIONS, rounds=ROUN
         for round_number, pairs in sorted(publications.items())
     }
     return reference_gossip(
-        RngRegistry(seed), NODES, fanout, rounds, schedule,
+        seed, NODES, fanout, rounds, schedule,
         lambda node, event: subscribed(node, topic_of[event]), **algo,
     )
 

@@ -18,7 +18,6 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.pubsub import TopicFilter
-from repro.faults import ChurnInjector
 from repro.workloads import TopicPopularity, TopicPublicationWorkload, ZipfInterest
 
 
@@ -165,7 +164,7 @@ class TestDeterminism:
         config = ExperimentConfig(name="repro", nodes=20, duration=8.0, drain_time=5.0, seed=29)
         first = run_experiment(config)
         second = run_experiment(config)
-        assert first.summary_row() == second.summary_row()
+        assert first.to_dict() == second.to_dict()
         assert [event.event_id for event in first.published_events] == [
             event.event_id for event in second.published_events
         ]

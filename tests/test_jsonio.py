@@ -24,20 +24,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.reliability import EventReliability
+from repro.analysis.reliability import ReliabilityReport, measure_reliability
 from repro.campaign.spec import CampaignError, CampaignSpec
 from repro.cli import main as cli_main
 from repro.faults import FAULT_KINDS, FaultPlan, FaultPlanError, FaultSpec
 from repro.gossip.buffers import SELECTION_STRATEGIES
 from repro.jsonio import (
+    ALL_FIELDS,
     JsonlSink,
     MemorySink,
     annotation_at,
     bound_of,
+    encode,
     load_json,
     read_jsonl,
     write_json,
 )
+from repro.pubsub import DeliveryLog, SubscriptionTable
 from repro.registry import RegistryError, StackSpec
 from repro.registry.builtins import check_kinds
 from repro.registry.specs import (
@@ -212,13 +215,13 @@ def through_json(payload):
 class TestRoundTrips:
     @given(fault_specs)
     def test_fault_spec(self, spec):
-        assert FaultSpec.from_dict(through_json(spec.to_dict())) == spec
+        assert FaultSpec.from_dict(through_json(dict(spec.to_pairs()))) == spec
         assert FaultSpec.from_pairs(through_json(spec.to_pairs())) == spec
-        assert FaultPlan.from_dict(through_json(FaultPlan((spec,)).to_dict())).entries == (spec,)
+        assert FaultPlan.from_dict(through_json({"faults": [dict(spec.to_pairs())]})).entries == (spec,)
 
     @given(topology_specs)
     def test_topology_spec(self, spec):
-        assert TopologySpec.from_dict(through_json(spec.to_dict())) == spec
+        assert TopologySpec.from_dict(through_json(encode(spec, sparse=ALL_FIELDS))) == spec
 
     @settings(max_examples=60)
     @given(stack_specs())
@@ -235,8 +238,8 @@ class TestRoundTrips:
             assert StackSpec.from_dict(payload) == spec
 
     def test_defaults_encode_to_nothing_and_sections_stay_out(self):
-        assert TopologySpec().to_dict() == {}
-        assert FaultSpec().to_dict() == {"kind": "crash"}
+        assert encode(TopologySpec(), sparse=ALL_FIELDS) == {}
+        assert FaultSpec().to_pairs() == (("kind", "crash"),)
         payload = StackSpec().to_dict()
         assert not {"faults", "topology", "telemetry"} & set(payload)
         assert StackSpec().with_value("topology.domains", 2).to_dict()["topology"] == {"domains": 2}
@@ -253,8 +256,9 @@ class TestRoundTrips:
         assert TelemetrySnapshot.from_dict(payload) == snapshot
         with pytest.raises(ValueError, match="'counters'.* must be a number"):
             TelemetrySnapshot.from_dict({**payload, "counters": [["events", [], "3"]]})
-        with pytest.raises(ValueError, match="invalid event reliability: .*'interested' and 'delivered'"):
-            EventReliability.from_dict({"event_id": "e"})
+        reliability = through_json(measure_reliability([], DeliveryLog(), SubscriptionTable()).to_dict())
+        with pytest.raises(ValueError, match="invalid .*'interested' and 'delivered'"):
+            ReliabilityReport.from_dict({**reliability, "events": [{"event_id": "e"}]})
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ from repro.sim.rng import RngRegistry
 from repro.telemetry.report import _recovery_table, load_artifact, render_snapshots
 from repro.telemetry.snapshot import TelemetrySnapshot
 from repro.workloads import TopicPopularity, TopicPublicationWorkload
-from tests.conftest import SMOKE_BROKERS_CONFIG_HASH, SMOKE_CONFIG_HASH, geo_network, settle
+from tests.conftest import SMOKE_BROKERS_CONFIG_HASH, SMOKE_CONFIG_HASH, geo_network, plan_json, settle
 
 
 def make_event(index: int = 0, topic: str = "news", size: int = 32) -> Event:
@@ -90,7 +90,6 @@ def quiet_lazy_system(nodes: int = 8, seed: int = 3, **node_overrides):
     kwargs = {
         "fanout": 0,
         "gossip_size": 8,
-        "alpha": 0.5,
         "store_ids": lazy_store_ids(node_ids, 0.5),
         "population": nodes,
     }
@@ -211,10 +210,6 @@ class TestLazyWireCodecs:
 
 
 class TestNodeMechanics:
-    def test_node_constructor_rejects_bad_alpha(self):
-        with pytest.raises(ValueError, match="alpha"):
-            quiet_lazy_system(alpha=1.5, store_ids=None)
-
     def test_standalone_node_is_its_own_store(self):
         # Without an explicit store set every node stores itself, so unit
         # fixtures can always serve their own pulls.
@@ -420,7 +415,7 @@ def lossy_run(system: str, seed: int, loss: float):
 class TestEndToEndInvariants:
     def test_smoke_lazy_scenario_recovers_to_full_delivery(self):
         result = run_experiment(get_scenario("smoke-lazy").config, keep_system=True)
-        assert result.delivery_ratio == pytest.approx(1.0)
+        assert result.reliability.delivery_ratio == pytest.approx(1.0)
         nodes = result.system.nodes.values()
         assert sum(node.pulls_issued for node in nodes) > 0
         assert sum(node.pulls_served for node in nodes) > 0
@@ -450,13 +445,13 @@ class TestEndToEndInvariants:
     def test_delivery_ratio_matches_or_beats_plain_push(self, seed, loss):
         lazy = lossy_run("lazy-push", seed, loss)
         push = lossy_run("gossip", seed, loss)
-        assert lazy.delivery_ratio >= push.delivery_ratio
+        assert lazy.reliability.delivery_ratio >= push.reliability.delivery_ratio
 
     def test_reliability_per_byte_beats_plain_push_under_loss(self):
         lazy = lossy_run("lazy-push", seed=7, loss=0.15)
         push = lossy_run("gossip", seed=7, loss=0.15)
-        lazy_rpb = lazy.delivery_ratio / lazy.system.network.stats.bytes_sent
-        push_rpb = push.delivery_ratio / push.system.network.stats.bytes_sent
+        lazy_rpb = lazy.reliability.delivery_ratio / lazy.system.network.stats.bytes_sent
+        push_rpb = push.reliability.delivery_ratio / push.system.network.stats.bytes_sent
         assert lazy_rpb > push_rpb
 
 
@@ -491,7 +486,6 @@ def run_traced_lazy(seed: int) -> bytes:
         node_kwargs={
             "fanout": 3,
             "gossip_size": 8,
-            "alpha": 0.5,
             "store_ids": lazy_store_ids(node_ids, 0.5),
             "population": len(node_ids),
         },
@@ -665,7 +659,7 @@ LOSS_PLAN = FaultPlan(
 class TestFaultPlanAcceptance:
     def test_sim_run_with_fault_plan_reports_recoveries(self, tmp_path, capsys):
         plan_path = tmp_path / "loss_plan.json"
-        plan_path.write_text(LOSS_PLAN.to_json())
+        plan_path.write_text(plan_json(LOSS_PLAN))
         stream = tmp_path / "metrics.jsonl"
         code = cli_main(
             [
@@ -798,7 +792,7 @@ class TestLiveParity:
         sim_result = run_experiment(
             spec.to_config().with_overrides(name="lazy-parity-sim")
         )
-        assert sim_result.delivery_ratio > 0.9
+        assert sim_result.reliability.delivery_ratio > 0.9
         sim_per_event = sim_result.total_deliveries / len(sim_result.published_events)
         host = self._run_live(
             publications=publications,

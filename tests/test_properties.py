@@ -316,7 +316,7 @@ class TestFilterProperties:
         interest = InterestFunction([TopicFilter(topic) for topic in topics])
         probe = Event(event_id="e", publisher="p", attributes={"topic": "a"})
         assert interest.is_interested(probe) == ("a" in topics)
-        assert len(interest.filters) == len(set(topics))
+        assert len(interest) == len(set(topics))
 
 
 class TestTopicHierarchyProperties:
@@ -435,7 +435,7 @@ class TestLazyBroadcastProperties:
             alpha=alpha,
         )
         result = run_experiment(config, keep_system=True)
-        assert 0.0 <= result.delivery_ratio <= 1.0
+        assert 0.0 <= result.reliability.delivery_ratio <= 1.0
         nodes = list(result.system.nodes.values())
         assert sum(node.is_store for node in nodes) == max(1, ceil(alpha * len(nodes)))
         for node in nodes:

@@ -90,9 +90,8 @@ class TestTopicHierarchy:
         assert "sports/football" in hierarchy
         assert len(hierarchy) == 3
 
-    def test_children_and_descendants(self):
+    def test_descendants(self):
         hierarchy = TopicHierarchy(["a/x/1", "a/x/2", "a/y"])
-        assert [topic.name for topic in hierarchy.children("a")] == ["a/x", "a/y"]
         assert [topic.name for topic in hierarchy.descendants("a")] == [
             "a/x",
             "a/x/1",
@@ -103,8 +102,3 @@ class TestTopicHierarchy:
     def test_iteration_is_sorted(self):
         hierarchy = TopicHierarchy(["z", "a/b", "a"])
         assert [topic.name for topic in hierarchy] == ["a", "a/b", "z"]
-
-    def test_get_unknown_raises(self):
-        hierarchy = TopicHierarchy(["a"])
-        with pytest.raises(KeyError):
-            hierarchy.get("missing")

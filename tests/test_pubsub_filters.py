@@ -9,16 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.pubsub import (
-    AndFilter,
     AttributeCondition,
     ContentFilter,
     Event,
     InterestFunction,
-    MatchAllFilter,
-    MatchNoneFilter,
-    NotFilter,
-    OrFilter,
     TopicFilter,
+    filter_from_dict,
 )
 from tests.conftest import equality_filter
 
@@ -129,16 +125,11 @@ _values = st.one_of(
 _attribute_names = st.sampled_from(["x", "y", "z"])
 _conditions = st.builds(AttributeCondition, _attribute_names, st.sampled_from(_OPERATOR_NAMES), _values)
 
-#: One filter of every kind, nested ones included.
+#: One filter of every kind.
 EVERY_KIND = (
     TopicFilter("news"),
     equality_filter(name="metals", category="metals", level=5),
     ContentFilter(conditions=tuple(AttributeCondition("x", name, "ab") for name in _OPERATOR_NAMES)),
-    AndFilter((TopicFilter("news"), equality_filter(level=5))),
-    OrFilter((TopicFilter("news"), equality_filter(level=5))),
-    NotFilter(equality_filter(level=5)),
-    MatchAllFilter(),
-    MatchNoneFilter(),
 )
 _PROBES = (
     make_event(topic="news"),
@@ -192,36 +183,12 @@ class TestCompiledContentFilter:
             assert carried and any(f.matches(event) for f in filters for event in carried.values())
 
 
-class TestCompositeFilters:
-    def test_and_or_not(self):
-        news = TopicFilter("news")
-        urgent = equality_filter(priority="high")
-        both = AndFilter(children=(news, urgent))
-        either = OrFilter(children=(news, urgent))
-        negated = NotFilter(child=news)
-        event_news_high = make_event(topic="news", priority="high")
-        event_news_low = make_event(topic="news", priority="low")
-        event_other = make_event(topic="sports", priority="low")
-        assert both.matches(event_news_high)
-        assert not both.matches(event_news_low)
-        assert either.matches(event_news_low)
-        assert not either.matches(event_other)
-        assert negated.matches(event_other)
-        assert not negated.matches(event_news_low)
-
-    def test_match_all_and_none(self):
-        assert MatchAllFilter().matches(make_event(x=1))
-        assert not MatchNoneFilter().matches(make_event(x=1))
-
-    def test_or_topics_only_when_all_branches_pin(self):
-        pinned = OrFilter(children=(TopicFilter("a"), TopicFilter("b")))
-        unpinned = OrFilter(children=(TopicFilter("a"), MatchAllFilter()))
-        assert set(pinned.topics) == {"a", "b"}
-        assert unpinned.topics == ()
-
-    def test_and_topics_union(self):
-        combined = AndFilter(children=(TopicFilter("a"), equality_filter(level=1)))
-        assert combined.topics == ("a",)
+@pytest.mark.parametrize("kind", ["and", "or", "not", "all", "none"])
+def test_a_retired_filter_kind_is_refused(kind):
+    # Only the paper's topic and content filters decode; a combinator that an
+    # older peer or artifact still carries is an error, never some other filter.
+    with pytest.raises(ValueError, match=f"unknown filter kind '{kind}'"):
+        filter_from_dict({"kind": kind, "children": [TopicFilter("news").to_dict()]})
 
 
 class TestInterestFunction:
@@ -235,22 +202,21 @@ class TestInterestFunction:
         interest = InterestFunction()
         assert interest.add(TopicFilter("news"))
         assert not interest.add(TopicFilter("news"))
-        assert len(interest.filters) == 1
+        assert len(interest) == 1
 
     def test_remove(self):
         interest = InterestFunction([TopicFilter("news")])
         assert interest.remove(TopicFilter("news"))
         assert not interest.remove(TopicFilter("news"))
-        assert interest.filters == []
+        assert len(interest) == 0
         assert not interest.is_interested(make_event(topic="news"))
 
-    def test_matching_filters_and_topics(self):
+    def test_matching_filters(self):
         news = TopicFilter("news")
         high = equality_filter(priority="high")
         interest = InterestFunction([news, high])
         matched = interest.matching_filters(make_event(topic="news", priority="high"))
         assert {f.filter_id for f in matched} == {news.filter_id, high.filter_id}
-        assert interest.topics == ["news"]
 
     def test_contains_and_len(self):
         interest = InterestFunction([TopicFilter("news")])

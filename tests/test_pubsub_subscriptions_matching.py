@@ -7,15 +7,11 @@ import random
 import pytest
 
 from repro.pubsub import (
-    AndFilter,
     AttributeCondition,
     ContentFilter,
     DeliveryLog,
     Event,
-    MatchAllFilter,
     MatchingEngine,
-    NotFilter,
-    OrFilter,
     SubscriptionTable,
     TopicFilter,
 )
@@ -35,11 +31,9 @@ CHURN_FILTERS = [
     equality_filter(topic="a", level=2),
     equality_filter(topic=5),  # pins "5", matches only the integer 5
     _LEVEL_AT_LEAST_2,
-    AndFilter((TopicFilter("b"), _LEVEL_AT_LEAST_2)),
-    OrFilter((TopicFilter("a"), TopicFilter("b"))),
-    OrFilter((TopicFilter("a"), _LEVEL_AT_LEAST_2)),  # one unpinned branch
-    NotFilter(TopicFilter("a")),
-    MatchAllFilter(),
+    # pins two topics (indexed under both), and matches nothing
+    ContentFilter(conditions=(AttributeCondition("topic", "==", "a"), AttributeCondition("topic", "==", "b"))),
+    ContentFilter(),  # the empty conjunction: unpinned, matches everything
 ]
 #: String, non-string and absent topics.
 CHURN_EVENTS = [
@@ -119,7 +113,7 @@ class TestSubscriptionTable:
                 table.unsubscribe_all(rng.choice(nodes), timestamp=step)
             for event in CHURN_EVENTS:
                 expected = sorted(
-                    {s.node_id for s in placed if s.active and s.matches(event)}
+                    {s.node_id for s in placed if s.active and s.subscription_filter.matches(event)}
                 )
                 assert table.interested_nodes(event) == expected
                 matched.update((event.event_id, node) for node in expected)
@@ -199,24 +193,24 @@ class TestMatchingEngine:
         engine = MatchingEngine()
         engine.add("a", TopicFilter("news"))
         engine.add("b", equality_filter(level=2))
-        engine.add("c", MatchAllFilter())
+        engine.add("c", ContentFilter())
         assert engine.match(make_event(topic="news", level=2)) == {"a", "b", "c"}
 
     def test_remove_each_kind(self):
         engine = MatchingEngine()
         engine.add("a", TopicFilter("news"))
         engine.add("b", equality_filter(level=2))
-        engine.add("c", MatchAllFilter())
+        engine.add("c", ContentFilter())
         engine.remove("a", TopicFilter("news"))
         engine.remove("b", equality_filter(level=2))
-        engine.remove("c", MatchAllFilter())
+        engine.remove("c", ContentFilter())
         assert engine.match(make_event(topic="news", level=2)) == set()
 
     def test_match_equals_brute_force_under_add_remove_churn(self):
         # The engine holds the first filter added per (node, filter_id);
         # TopicFilter("5") and TopicFilter(5) share the id "topic:5", so
         # whichever came first decides for an event of topic "5" or 5.
-        filters = CHURN_FILTERS + [TopicFilter("5"), ContentFilter()]
+        filters = CHURN_FILTERS + [TopicFilter("5")]
         nodes = [f"n{index}" for index in range(6)]
         rng = random.Random(23)
         engine = MatchingEngine()

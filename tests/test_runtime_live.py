@@ -15,17 +15,16 @@ import json
 import pytest
 
 from repro.analysis import fairness_table_from_snapshot
+from repro.brokers.broker import WIRE_PAYLOADS as BROKER_PAYLOADS
 from repro.core import EXPRESSIVE_POLICY, TOPIC_BASED_POLICY
 from repro.experiments import ExperimentConfig, get_scenario, run_experiment
-from repro.pubsub import TopicFilter
+from repro.pubsub import Event, TopicFilter
 from repro.registry import StackSpec
 from repro.runtime import (
     AsyncScheduler,
     LoadGenerator,
     MemoryTransport,
     NodeHost,
-    PUBLISH_KIND,
-    SUBSCRIBE_KIND,
     TcpTransport,
     UdpTransport,
     WallClock,
@@ -38,7 +37,7 @@ from repro.runtime.host import DELIVERIES_METRIC, DELIVERY_LATENCY_METRIC
 from repro.sim.rng import RngRegistry
 from repro.telemetry.report import load_artifact
 from repro.workloads import TopicPopularity, TopicPublicationWorkload
-from tests.conftest import settle, subscribed
+from tests.conftest import histogram_summary, settle, subscribed
 
 #: Documented tolerance of the runtime-vs-simulator parity check: the live
 #: run shares the simulator's protocol code, seeds, interest assignment, and
@@ -164,43 +163,67 @@ class TestNodeHostMemory:
         assert totals.gossip_messages_sent > 0
         assert host.transport.frames_sent > 0
         # Delivery latency landed in the metrics registry.
-        latency = host.telemetry.snapshot().histogram_summary("rt.delivery_latency_units")
+        latency = histogram_summary(host.telemetry.snapshot(), "rt.delivery_latency_units")
         assert latency.count == host.delivery_log.total_deliveries()
         assert latency.p50 > 0
         # The live fairness summary is readable and covers every node.
         summary = host.fairness_summary()
         assert len(summary.per_node) == 8
 
-    def test_control_frames_publish_and_subscribe_over_the_wire(self):
+    @staticmethod
+    def _frame_from_a_peer(body: bytes, until):
+        """Hand a 5-node host ``body`` as a frame from a peer and run it until
+        ``until(host, delivered)`` holds; returns the host, the messages its
+        network handed to a node, and every exception the event loop reported."""
+
         async def scenario():
+            errors, delivered = [], []
+            asyncio.get_running_loop().set_exception_handler(lambda loop, context: errors.append(context))
             host = build_memory_host(nodes=5)
+            host.subscribe("node-001", TopicFilter("wire"))
+            host.network.add_delivery_hook(lambda message, now: delivered.append(message))
             await host.start()
             client = MemoryTransport(hub=host.transport._hub)
             await client.start()
-
-            subscribe = Message(
-                sender="client",
-                recipient="node-001",
-                kind=SUBSCRIBE_KIND,
-                payload=TopicFilter("wire"),
-            )
-            assert client.send("node-001", encode_message(subscribe))
-            await settle(lambda: subscribed(host.subscriptions, "node-001", "wire"))
-
-            event = host._factories["node-000"].create(topic="wire")
-            publish = Message(
-                sender="client", recipient="node-000", kind=PUBLISH_KIND, payload=event
-            )
-            assert client.send("node-000", encode_message(publish))
-            await settle(lambda: host.delivery_log.delivery_count("node-001") == 1)
+            assert client.send("node-000", body)
+            await settle(lambda: until(host, delivered))
             await host.stop()
             await client.stop()
-            return host
+            return host, delivered, errors
 
-        host = run_async(scenario())
-        assert subscribed(host.subscriptions, "node-001", "wire")
-        assert host.delivery_log.delivery_count("node-001") == 1
-        assert host.ledger.account("node-000").events_published == 1
+        return run_async(scenario())
+
+    @pytest.mark.parametrize("kind", ["runtime.publish", "runtime.subscribe", "runtime.unsubscribe"])
+    def test_a_frame_of_a_retired_runtime_kind_publishes_and_raises_nothing(self, kind):
+        # ``runtime.*`` once were control frames the host acted on; now such a
+        # frame is a plain-JSON message for the addressed node, which ignores it.
+        event = Event(event_id="wire-1", publisher="node-000", attributes={"topic": "wire"})
+        payload = event.to_dict() if kind == "runtime.publish" else TopicFilter("wire").to_dict()
+        body = encode_message(Message("client", "node-000", kind, payload=payload))
+        host, _, errors = self._frame_from_a_peer(
+            body, lambda host, delivered: any(message.kind == kind for message in delivered)
+        )
+        assert not errors
+        assert host.network.decode_errors == 0
+        assert host.ledger.account("node-000").events_published == 0
+        assert host.delivery_log.total_deliveries() == 0
+        assert not subscribed(host.subscriptions, "node-000", "wire")
+
+    def test_a_subscription_frame_with_a_retired_filter_kind_is_one_decode_error(self):
+        valid = Message(
+            "client", "node-000", "broker.subscribe",
+            payload=BROKER_PAYLOADS["broker.subscribe"]("node-000", TopicFilter("wire"), True),
+        )
+        envelope = json.loads(encode_message(valid))
+        envelope["payload"]["subscription_filter"] = {"kind": "and", "children": [TopicFilter("wire").to_dict()]}
+        host, delivered, errors = self._frame_from_a_peer(
+            json.dumps(envelope).encode(), lambda host, delivered: host.network.decode_errors == 1
+        )
+        assert not errors
+        assert host.network.decode_errors == 1
+        assert not [message for message in delivered if message.kind.startswith("broker.")]
+        assert host.delivery_log.total_deliveries() == 0
+        assert not subscribed(host.subscriptions, "node-000", "wire")
 
     def test_loadgen_paces_and_measures(self):
         async def scenario():
@@ -221,7 +244,7 @@ class TestNodeHostMemory:
         # Catch-up pacing achieves the offered rate within ~15%.
         assert report.published == pytest.approx(100, rel=0.15)
         assert report.events_per_second == pytest.approx(200, rel=0.2)
-        assert generator.schedule.count() == report.published
+        assert len(generator.schedule.events) == report.published
         assert report.deliveries > 0
         assert 0 < report.latency_p50_seconds < 1.0
 
@@ -249,7 +272,7 @@ class TestNodeHostMemory:
         assert report.deliveries == (
             after.counter_total(DELIVERIES_METRIC) - before.counter_total(DELIVERIES_METRIC)
         )
-        latency = after.histogram_summary(DELIVERY_LATENCY_METRIC)
+        latency = histogram_summary(after, DELIVERY_LATENCY_METRIC)
         assert report.latency_mean_seconds == pytest.approx(host.clock.units_to_seconds(latency.mean))
 
 
@@ -377,7 +400,7 @@ class TestRuntimeSimulatorParity:
         rt_report = runtime_summary.report
 
         # Both disseminated it: a broken runtime would show here first.
-        assert sim_result.delivery_ratio > 0.7
+        assert sim_result.reliability.delivery_ratio > 0.7
         assert host.delivery_log.total_deliveries() > 0.5 * sim_result.total_deliveries
 
         # The headline fairness number agrees within the documented bound,

@@ -1,10 +1,10 @@
-"""Tests for the imperative failure injectors and the metric primitives."""
+"""Tests for churn and partition fault entries on a bare population, and the metric primitives."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.faults import ChurnInjector, CrashSchedule, PartitionInjector
+from repro.faults import FaultController, FaultPlan, FaultSpec
 from repro.sim import Network, Process, ProcessRegistry, Simulator
 from repro.telemetry import Histogram, Telemetry, percentile
 
@@ -22,108 +22,42 @@ def build_population(simulator, network, count=10):
     return registry
 
 
-class TestCrashSchedule:
-    def test_crash_and_recover_at_scheduled_times(self, simulator, network):
-        registry = build_population(simulator, network, 3)
-        schedule = CrashSchedule(simulator, registry)
-        schedule.add(1.0, "n0", "crash")
-        schedule.add(2.0, "n0", "recover")
-        simulator.run(until=1.5)
-        assert not registry.get("n0").alive
-        simulator.run(until=2.5)
-        assert registry.get("n0").alive
-
-    def test_leave_removes_from_registry(self, simulator, network):
-        registry = build_population(simulator, network, 2)
-        schedule = CrashSchedule(simulator, registry)
-        schedule.add(1.0, "n1", "leave")
-        simulator.run(until=2.0)
-        assert "n1" not in registry
-
-    def test_unknown_action_rejected(self, simulator, network):
-        registry = build_population(simulator, network, 1)
-        schedule = CrashSchedule(simulator, registry)
-        with pytest.raises(ValueError):
-            schedule.add(1.0, "n0", "explode")
-
-    def test_telemetry_counts_events(self, simulator, network):
-        registry = build_population(simulator, network, 1)
-        telemetry = Telemetry()
-        schedule = CrashSchedule(simulator, registry, telemetry=telemetry)
-        schedule.add(1.0, "n0", "crash")
-        simulator.run(until=2.0)
-        assert telemetry.snapshot().counter_value("fault.events", action="crash") == 1
+def run_plan(simulator, network, registry, *entries, until):
+    """Drive ``entries`` as one fault plan up to ``until``; returns the controller."""
+    controller = FaultController(simulator, network, registry, FaultPlan(entries).validate())
+    controller.start()
+    simulator.run(until=until)
+    return controller
 
 
-class TestChurnInjector:
+class TestChurnEntries:
     def test_churn_takes_nodes_down_and_back(self, simulator, network):
         registry = build_population(simulator, network, 30)
-        injector = ChurnInjector(
-            simulator, registry, period=1.0, down_probability=0.5, up_probability=0.5
-        )
-        injector.start()
-        simulator.run(until=10.0)
-        assert injector.crashes > 0
-        assert injector.recoveries > 0
+        churn = FaultSpec(kind="churn", period=1.0, down_probability=0.5, up_probability=0.5)
+        controller = run_plan(simulator, network, registry, churn, until=10.0)
+        assert controller.counts["crash"] > 0
+        assert controller.counts["recover"] > 0
 
     def test_protected_nodes_never_crash(self, simulator, network):
         registry = build_population(simulator, network, 10)
-        injector = ChurnInjector(
-            simulator,
-            registry,
-            period=1.0,
-            down_probability=1.0,
-            up_probability=0.0,
-            protected=["n0"],
-        )
-        injector.start()
-        simulator.run(until=5.0)
+        churn = FaultSpec(kind="churn", period=1.0, down_probability=1.0, up_probability=0.0, protected=("n0",))
+        run_plan(simulator, network, registry, churn, until=5.0)
         assert registry.get("n0").alive
         assert not registry.get("n1").alive
 
-    def test_stop_halts_churn(self, simulator, network):
+    def test_churn_ends_at_its_window(self, simulator, network):
         registry = build_population(simulator, network, 10)
-        injector = ChurnInjector(simulator, registry, period=1.0, down_probability=1.0)
-        injector.start()
-        simulator.run(until=1.0)
-        crashes = injector.crashes
-        injector.stop()
-        simulator.run(until=5.0)
-        assert injector.crashes == crashes
-
-    def test_invalid_probabilities_rejected(self, simulator, network):
-        registry = build_population(simulator, network, 1)
-        with pytest.raises(ValueError):
-            ChurnInjector(simulator, registry, down_probability=1.5)
+        churn = FaultSpec(kind="churn", period=1.0, down_probability=1.0, up_probability=1.0, until=2.5)
+        controller = run_plan(simulator, network, registry, churn, until=8.0)
+        # t=1 crashes all ten, t=2 recovers them, the tick at t=3 is past the window.
+        assert controller.counts == {"crash": 10, "recover": 10}
 
 
-class TestPartitionInjector:
-    def test_partition_and_heal(self, simulator, network):
-        build_population(simulator, network, 4)
-        injector = PartitionInjector(simulator, network)
-        injector.split_in_two(["n0", "n1", "n2", "n3"], time=1.0, heal_after=2.0)
-        simulator.run(until=1.5)
-        assert network._same_partition("n0", "n1")
-        assert not network._same_partition("n0", "n3")
-        simulator.run(until=4.0)
-        assert network._same_partition("n0", "n3")
-        assert injector.partitions_installed == 1
-
-    def test_invalid_fraction_rejected(self, simulator, network):
-        injector = PartitionInjector(simulator, network)
-        with pytest.raises(ValueError):
-            injector.split_in_two(["a", "b"], time=1.0, heal_after=1.0, fraction=1.5)
-
-    def test_invalid_heal_after_rejected(self, simulator, network):
-        injector = PartitionInjector(simulator, network)
-        with pytest.raises(ValueError):
-            injector.partition_at(1.0, {"a": 1}, heal_after=0.0)
-
+class TestPartitionEntries:
     def test_messages_dropped_across_partition_and_flow_after_heal(self, simulator, network):
         build_population(simulator, network, 2)
-        injector = PartitionInjector(simulator, network)
-        injector.partition_at(1.0, {"n0": 0, "n1": 1}, heal_after=2.0)
-        simulator.run(until=1.5)
+        split = FaultSpec(kind="partition", at=1.0, heal_after=2.0, groups=(("n0", 0), ("n1", 1)))
+        run_plan(simulator, network, None, split, until=1.5)
         network.send("n0", "n1", "ping")
         simulator.run(until=2.0)
         assert network.stats.dropped_partition == 1
@@ -136,27 +70,16 @@ class TestPartitionInjector:
 
     def test_nodes_absent_from_assignment_default_to_group_zero(self, simulator, network):
         build_population(simulator, network, 3)
-        injector = PartitionInjector(simulator, network)
-        injector.partition_at(1.0, {"n1": 1}, heal_after=10.0)
-        simulator.run(until=1.5)
+        split = FaultSpec(kind="partition", at=1.0, heal_after=10.0, groups=(("n1", 1),))
+        run_plan(simulator, network, None, split, until=1.5)
         # n0 and n2 are unassigned, hence both in group 0 and connected.
         assert network._same_partition("n0", "n2")
         assert not network._same_partition("n0", "n1")
 
-    def test_overlapping_partitions_last_installed_wins(self, simulator, network):
-        build_population(simulator, network, 2)
-        injector = PartitionInjector(simulator, network)
-        injector.partition_at(1.0, {"n0": 0, "n1": 1}, heal_after=10.0)
-        injector.partition_at(2.0, {"n0": 0, "n1": 0}, heal_after=10.0)
-        simulator.run(until=2.5)
-        assert injector.partitions_installed == 2
-        assert network._same_partition("n0", "n1")
-
-    def test_split_in_two_respects_fraction(self, simulator, network):
-        build_population(simulator, network, 4)
-        injector = PartitionInjector(simulator, network)
-        injector.split_in_two(["n0", "n1", "n2", "n3"], time=1.0, heal_after=5.0, fraction=0.25)
-        simulator.run(until=1.5)
+    def test_a_split_respects_its_fraction(self, simulator, network):
+        registry = build_population(simulator, network, 4)
+        split = FaultSpec(kind="partition", at=1.0, heal_after=5.0, fraction=0.25)
+        run_plan(simulator, network, registry, split, until=1.5)
         # One node (the first) is cut off; the remaining three stay together.
         assert not network._same_partition("n0", "n1")
         assert network._same_partition("n1", "n2")

@@ -42,7 +42,7 @@ from repro.telemetry import (
     render_prometheus,
 )
 from repro.telemetry.report import load_artifact, render_report, render_results
-from tests.conftest import settle
+from tests.conftest import histogram_summary, settle
 
 
 def read_snapshots_jsonl(path):
@@ -79,7 +79,7 @@ class TestStreamingHistogram:
             histogram.observe(float(index % 9973) + 0.5)
         # O(buckets): the raw buffer never exceeds the fold threshold and the
         # bucket dictionaries are bounded by the (shared) boundary table.
-        assert histogram.count == 1_000_000
+        assert histogram.summary().count == 1_000_000
         assert histogram.pending_count < 1024
         assert histogram.bucket_count < 800
         state = histogram.state()
@@ -173,7 +173,7 @@ class TestTelemetryFacade:
 
     def test_snapshot_queries_of_absent_instruments_are_empty(self):
         snapshot = Telemetry().snapshot(at=1.0)
-        assert snapshot.histogram_summary("never.observed", node="a").count == 0
+        assert histogram_summary(snapshot, "never.observed", node="a").count == 0
         assert snapshot.counter_value("never.counted") == 0.0
         assert snapshot.gauge_value("never.set", node="a") == 0.0
         assert snapshot.histograms == ()
@@ -225,7 +225,7 @@ class TestSnapshotRoundTrip:
         assert snapshot.counter_total("gossip.messages_sent") == 7.0
         assert snapshot.gauge_value("fairness.ratio_jain") == 0.875
         assert snapshot.gauges_by_tag("node.benefit", "node") == {"node-001": 3.0}
-        summary = snapshot.histogram_summary("lat", node="node-001")
+        summary = histogram_summary(snapshot, "lat", node="node-001")
         assert summary.count == 6
         assert summary.minimum == -2.0
 
@@ -264,7 +264,9 @@ class TestSnapshotRoundTrip:
         with pytest.raises(ValueError, match="needs a path"):
             parse_sink_spec("jsonl")
         assert isinstance(parse_sink_spec("memory:16"), MemorySink)
-        assert isinstance(parse_sink_spec("prometheus:x.prom"), PrometheusSink)
+        assert isinstance(parse_sink_spec("prom:x.prom"), PrometheusSink)
+        with pytest.raises(ValueError, match="unknown telemetry sink kind 'prometheus'; expected jsonl, csv, prom"):
+            parse_sink_spec("prometheus:x.prom")
 
 
 # ---------------------------------------------------------------------------
@@ -348,17 +350,14 @@ class TestSimulatorSnapshots:
         assert len(read_snapshots_jsonl(str(tmp_path / "one.jsonl"))) >= 3
 
     def test_result_totals_come_from_the_final_snapshot(self):
-        from repro.analysis import latency_summary_from_snapshot
-
         result = run_experiment(_fast_config())
         snapshot = result.final_snapshot
         assert snapshot is not None
         assert snapshot.at == result.config.total_time
         assert result.total_messages == snapshot.gauge_value("sim.messages.total")
         assert result.total_deliveries == int(snapshot.gauge_value("sim.deliveries"))
-        # The streamed latency histogram agrees with the delivery log, and
-        # the analysis-layer constructor reads it under its default name.
-        summary = latency_summary_from_snapshot(snapshot)
+        # The streamed latency histogram agrees with the delivery log.
+        summary = histogram_summary(snapshot, "sim.delivery_latency")
         assert summary.count == result.total_deliveries
         assert summary.maximum == result.reliability.max_latency
 

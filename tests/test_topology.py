@@ -33,6 +33,7 @@ from repro.experiments import (
     get_scenario,
     run_experiment,
 )
+from repro.jsonio import ALL_FIELDS, encode
 from repro.pubsub import TopicFilter
 from repro.registry import RegistryError, parse_spec_overrides
 from repro.runtime.host import NodeHost
@@ -61,7 +62,7 @@ class TestTopologySpecCodec:
     def test_default_spec_is_disabled_and_serialises_empty(self):
         spec = TopologySpec()
         assert not spec.enabled
-        assert spec.to_dict() == {}
+        assert encode(spec, sparse=ALL_FIELDS) == {}
         assert TopologySpec.from_dict({}) == spec
 
     def test_dict_round_trip(self):
@@ -73,13 +74,14 @@ class TestTopologySpecCodec:
             cross_loss=0.05,
             geo=(("d0", "d1", 0.4, 0.0), ("d2", "d3", 0.6, 0.01)),
         )
-        assert TopologySpec.from_dict(spec.to_dict()) == spec
-        json.dumps(spec.to_dict())  # encoding must be JSON-clean
+        payload = encode(spec, sparse=ALL_FIELDS)
+        assert TopologySpec.from_dict(payload) == spec
+        json.dumps(payload)  # encoding must be JSON-clean
 
     def test_file_round_trip_with_schema_tag(self, tmp_path):
         spec = TopologySpec(domains=2, cross_latency=1.0)
         path = tmp_path / "topo.json"
-        path.write_text(json.dumps({"schema": "topology/v1", **spec.to_dict()}))
+        path.write_text(json.dumps({"schema": "topology/v1", **encode(spec, sparse=ALL_FIELDS)}))
         assert TopologySpec.from_file(str(path)) == spec
 
     def test_wrong_schema_tag_rejected(self, tmp_path):
