@@ -1,9 +1,11 @@
 """The call census's two halves: how it names definitions and how it sees calls.
 
 ``make census`` itself runs for minutes and stays out of tier-1; these tests
-check, in about a second, that its key for a definition is the key of the
-code object the interpreter runs, and that its hook records a call made in a
-sweep worker that the pool ends with SIGTERM.
+check, in a few seconds, that its key for a definition is the key of the
+code object the interpreter runs, that its hook records a call made in a
+sweep worker that the pool ends with SIGTERM, that it runs every entry point
+it promises, that a run with a stand-in command set counts what that set
+called, and that the tracked ``CENSUS.txt`` names only functions that exist.
 """
 
 from __future__ import annotations
@@ -11,13 +13,15 @@ from __future__ import annotations
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from importlib import import_module
 from pathlib import Path
 
 import repro
-from benchmarks.census import HOOK, definitions
+from benchmarks import census
+from benchmarks.census import HOOK, ROOT, commands, definitions
 
 SOURCE = Path(repro.__file__).resolve().parent
 
@@ -124,3 +128,51 @@ def test_the_hook_sees_a_pool_workers_call_and_each_code_object_once(tmp_path):
     # there (a spawned worker re-imports the module and records it again).
     assert "in_worker" in calls
     assert calls.count("twice") in (1, 2)
+
+
+def test_the_tracked_census_is_sorted_unique_and_one_function_a_line():
+    lines = (ROOT / "CENSUS.txt").read_text().splitlines()
+    assert lines == sorted(set(lines))
+    assert all(line.startswith("src/repro/") and ".py:" in line for line in lines)
+
+
+def test_the_tracked_census_names_only_functions_that_exist():
+    # A function deleted or renamed without a new census leaves a stale line.
+    stale = set((ROOT / "CENSUS.txt").read_text().splitlines()) - set(definitions(SOURCE).values())
+    assert not stale, sorted(stale)
+
+
+def test_commands_run_every_smoke_target_and_the_rest_of_the_entry_points():
+    runs = commands(ROOT, Path("hook"))
+    targets = [argv[-1] for argv in runs if argv[0] == "make"]
+    smoke = re.findall(r"^([a-z-]+-smoke):", (ROOT / "Makefile").read_text(), re.M)
+    assert smoke and targets == [*smoke, "fingerprint", "bench-scale-quick", "perfbench-quick"]
+    assert all(f"PYTHONPATH=hook{os.pathsep}src" in argv for argv in runs if argv[0] == "make")
+    scripts = [argv[1] for argv in runs if argv[0] == sys.executable and argv[1].endswith(".py")]
+    assert scripts == sorted(str(path) for path in (ROOT / "examples").glob("*.py"))
+    assert runs[-1] == [sys.executable, "-m", "pytest", "benchmarks/", "-q", "-p", "no:cacheprovider", "--benchmark-disable"]
+
+
+def test_a_census_run_drops_what_its_commands_called_and_reports_a_failed_one(monkeypatch):
+    called = "src/repro/runtime/clock.py:WallClock.__repr__"
+    untouched = "src/repro/sim/clock.py:VirtualClock.__repr__"
+    stand_in = [
+        [sys.executable, "-c", "from repro.runtime.clock import WallClock; repr(WallClock())"],
+        [sys.executable, "-c", "raise SystemExit(3)"],
+    ]
+    monkeypatch.setattr(census, "commands", lambda tree, hook: stand_in)
+    never, total, failed = census.run_census()
+    assert total == len(definitions(SOURCE))
+    assert called not in never and untouched in never
+    assert never == sorted(never)
+    assert failed == ["-c raise SystemExit(3)"]
+
+
+def test_main_writes_the_census_even_when_a_command_failed(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(census, "run_census", lambda: (["src/repro/a.py:b", "src/repro/c.py:d"], 7, ["bench-smoke"]))
+    out = tmp_path / "census.txt"
+    assert census.main(["--out", str(out)]) == 1
+    assert out.read_text() == "src/repro/a.py:b\nsrc/repro/c.py:d\n"
+    printed = capsys.readouterr().out
+    assert "2 of 7 named functions in src/repro never ran" in printed
+    assert "census: FAILED bench-smoke" in printed

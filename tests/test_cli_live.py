@@ -62,6 +62,13 @@ class TestLiveRuns:
         assert artifact["seed"] == get_scenario("live").spec.seed
         assert artifact["delivery_ratio"] > 0
 
+    def test_loadgen_over_udp_decodes_every_frame(self, capsys):
+        argv = ["loadgen", "--set", "nodes=8", "--transport", "udp", "--duration", "0.6", "--rate", "150", "--drain", "0.3"]
+        assert cli_main(argv) == 0
+        transport = re.search(r"transport udp \((\d+) frames, \d+ bytes sent, \d+ send failures, (\d+) decode errors\)", capsys.readouterr().out)
+        assert transport and int(transport.group(1)) > 0
+        assert transport.group(2) == "0"
+
     def test_serve_prints_live_report_lines(self, capsys):
         assert cli_main(["serve", "--set", "nodes=6", *FAST, "--report-interval", "0.2"]) == 0
         assert "[serve +" in capsys.readouterr().out

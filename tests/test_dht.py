@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core import EXPRESSIVE_POLICY, evaluate_fairness
 from repro.dht import DksSystem, IdSpace, PastryRouter, ScribeSystem, SplitStreamSystem
+from repro.experiments import get_scenario, run_experiment
 from repro.pubsub import TopicFilter
 from repro.sim import Network, Simulator
 from tests.conftest import equality_filter
@@ -313,6 +314,17 @@ class TestScribeSystem:
         rendezvous = system.router.root_of(system.router.key_for("some-topic"))
         assert rendezvous in ids
 
+    def test_a_crashed_rendezvous_leaves_routing_until_it_recovers(self):
+        system, _, ids = self.build(count=16, seed=12)
+        key = system.router.key_for("some-topic")
+        rendezvous = system.router.root_of(key)
+        system.nodes[rendezvous].crash()
+        assert rendezvous not in system.router.alive_nodes()
+        assert system.router.root_of(key) not in (rendezvous, None)
+        system.nodes[rendezvous].recover()
+        assert system.router.alive_nodes() == sorted(ids)
+        assert system.router.root_of(key) == rendezvous
+
 
 class TestSplitStreamSystem:
     def build(self, count=32, stripes=4, seed=13):
@@ -410,3 +422,26 @@ class TestDksSystem:
         system, _, ids = self.build(count=4, seed=21)
         with pytest.raises(TypeError):
             system.subscribe(ids[0], equality_filter(level=1))
+
+    def test_a_crashed_coordinator_leaves_routing_until_it_recovers(self):
+        system, _, ids = self.build(count=16, seed=21)
+        key = system.router.key_for("t")
+        coordinator = system.router.root_of(key)
+        system.nodes[coordinator].crash()
+        assert coordinator not in system.router.alive_nodes()
+        assert system.router.root_of(key) not in (coordinator, None)
+        system.nodes[coordinator].recover()
+        assert system.router.alive_nodes() == sorted(ids)
+        assert system.router.root_of(key) == coordinator
+
+
+@pytest.mark.parametrize("kind", ["scribe", "dks"])
+def test_churn_keeps_the_routers_live_set_equal_to_the_alive_processes(kind):
+    """A churn run crashes and recovers nodes; routing follows every change."""
+    spec = get_scenario("smoke-churn").spec.with_value("system.kind", kind)
+    result = run_experiment(spec.to_config(), keep_system=True)
+    system = result.system
+    alive = sorted(process.node_id for process in system.registry.alive())
+    assert result.final_snapshot.counter_value("fault.events", action="recover") > 0
+    assert len(alive) < len(system.registry.all())  # the run ends with a node down
+    assert system.router.alive_nodes() == alive

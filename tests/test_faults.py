@@ -300,6 +300,31 @@ class TestSimulatorFaults:
         assert "n2" not in system.registry
         assert controller.counts == {"crash": 1, "recover": 1, "leave": 1}
 
+    def test_node_actions_match_the_reference_byte_for_byte(self):
+        """Plan-driven crash and recover entries act as the reference's node actions."""
+        actions = ((1.0, "n1", "crash"), (1.0, "n4", "crash"), (2.5, "n7", "crash"), (4.0, "n1", "recover"))
+
+        def run(use_plan: bool):
+            simulator, network, system = _gossip_fixture(seed=7)
+            if use_plan:
+                plan = FaultPlan(
+                    tuple(FaultSpec(kind=action, at=at, nodes=(node_id,)) for at, node_id, action in actions)
+                ).validate(node_ids=system.node_ids())
+                FaultController(simulator, network, system.registry, plan).start()
+            else:
+                reference = ReferenceFaults(simulator, system.registry)
+                for at, node_id, action in actions:
+                    reference.node_action(at, node_id, action)
+            for index in range(6):
+                simulator.schedule_at(0.5 + index, lambda: system.publish("n0", topic="news"))
+            simulator.run(until=8.0)
+            down = sorted(p.node_id for p in system.registry.all() if not p.alive)
+            return down, simulator.processed_events, network.stats.sent, system.delivery_log.total_deliveries()
+
+        planned, reference = run(True), run(False)
+        assert planned == reference
+        assert planned[0] == ["n4", "n7"]
+
     def test_leave_cancels_the_leavers_subscriptions_like_the_reference(self):
         """The plan's controller applies a leave as the reference does."""
         cancelled = {}
@@ -517,6 +542,20 @@ class TestSimulatorFaults:
 
 
 class TestSkipIsLoud:
+    def test_controller_records_skip_for_unknown_node(self):
+        simulator, network, system = _gossip_fixture(nodes=4)
+        telemetry = Telemetry()
+        # Not validated against the registry, so the unknown id reaches fire time.
+        plan = FaultPlan((FaultSpec(kind="crash", at=1.0, nodes=("ghost",)),)).validate()
+        controller = FaultController(simulator, network, system.registry, plan, telemetry=telemetry)
+        controller.start()
+        simulator.run(until=2.0)
+        assert controller.counts == {"skipped": 1}
+        snapshot = telemetry.snapshot()
+        assert snapshot.counter_value("fault.skipped", action="crash") == 1
+        assert snapshot.counter_total("fault.events") == 0
+        assert len(system.registry.alive()) == 4
+
     def test_controller_records_skip_when_target_left(self):
         simulator, network, system = _gossip_fixture(nodes=4)
         telemetry = Telemetry()

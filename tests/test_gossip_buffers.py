@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import get_scenario, run_experiment
 from repro.gossip import EventBuffer, SELECTION_STRATEGIES
 from repro.pubsub import Event
 
@@ -179,6 +180,14 @@ class TestEventBuffer:
         assert len(buffer) == 2
         assert "e1" not in buffer
         assert buffer.evictions == 1
+
+    def test_smoke_with_a_four_event_buffer_evicts_and_never_holds_more(self):
+        spec = get_scenario("smoke").spec.with_value("system.buffer_capacity", 4)
+        system = run_experiment(spec.to_config(), keep_system=True).system
+        buffers = [node.buffer for node in system.nodes.values()]
+        assert {buffer.capacity for buffer in buffers} == {4}
+        assert max(len(buffer) for buffer in buffers) <= 4
+        assert sum(buffer.evictions for buffer in buffers) > 0
 
     def test_round_expiration(self):
         buffer = EventBuffer(capacity=10, max_rounds=2)

@@ -567,6 +567,14 @@ class TestCacheNeutrality:
         assert spec.get("system.alpha") == 0.5
         assert spec.with_value("system.alpha", 0.25).system.alpha == 0.25
 
+    def test_a_bad_alpha_is_refused_before_any_lazy_node_is_built(self):
+        # The nodes take only the store set; the fraction is checked by the
+        # spec's bound and, for a flat config, by the store-set selection.
+        with pytest.raises(RegistryError, match="system.alpha must be within"):
+            StackSpec().with_value("system.alpha", 1.5)
+        with pytest.raises(ValueError, match="alpha must be in"):
+            run_experiment(ExperimentConfig(system="lazy-push", alpha=1.5, nodes=8, duration=1.0))
+
     def test_cli_accepts_the_readme_override_spelling(self, capsys):
         code = cli_main(
             [

@@ -329,3 +329,11 @@ class TestInfrastructureConservation:
         )
         assert sent > 0
         assert system.ledger.totals().infrastructure_messages == sent
+
+    def test_full_membership_on_smoke_sends_no_membership_message(self):
+        spec = get_scenario("smoke").spec.with_value("membership.kind", "full")
+        result = run_experiment(spec.to_config(), keep_system=True)
+        kinds = result.system.network.stats.sent_by_kind
+        assert kinds and not [kind for kind in kinds if kind.startswith(MembershipComponent.MESSAGE_PREFIX)]
+        assert result.system.ledger.totals().infrastructure_messages == 0
+        assert result.reliability.delivery_ratio > 0.9

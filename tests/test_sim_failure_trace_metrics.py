@@ -1,16 +1,21 @@
-"""Tests for churn and partition fault entries on a bare population, and the metric primitives."""
+"""Tests for node, churn, partition and perturb fault entries on a bare population, and the metric primitives."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.faults import FaultController, FaultPlan, FaultSpec
+from repro.faults import FaultController, FaultPlan, FaultPlanError, FaultSpec
 from repro.sim import Network, Process, ProcessRegistry, Simulator
 from repro.telemetry import Histogram, Telemetry, percentile
 
 
 class Dummy(Process):
-    pass
+    def on_start(self) -> None:
+        #: Simulated time of every message this process received.
+        self.received = []
+
+    def on_message(self, message) -> None:
+        self.received.append(self.simulator.now)
 
 
 def build_population(simulator, network, count=10):
@@ -22,12 +27,47 @@ def build_population(simulator, network, count=10):
     return registry
 
 
-def run_plan(simulator, network, registry, *entries, until):
+def run_plan(simulator, network, registry, *entries, until, telemetry=None):
     """Drive ``entries`` as one fault plan up to ``until``; returns the controller."""
-    controller = FaultController(simulator, network, registry, FaultPlan(entries).validate())
+    plan = FaultPlan(entries).validate()
+    controller = FaultController(simulator, network, registry, plan, telemetry=telemetry)
     controller.start()
     simulator.run(until=until)
     return controller
+
+
+class TestNodeEntries:
+    def test_crash_and_recover_at_scheduled_times(self, simulator, network):
+        registry = build_population(simulator, network, 3)
+        crash = FaultSpec(kind="crash", at=1.0, nodes=("n0",))
+        recover = FaultSpec(kind="recover", at=2.0, nodes=("n0",))
+        controller = run_plan(simulator, network, registry, crash, recover, until=1.5)
+        assert not registry.get("n0").alive
+        assert registry.get("n1").alive
+        simulator.run(until=2.5)
+        assert registry.get("n0").alive
+        assert controller.counts == {"crash": 1, "recover": 1}
+
+    def test_leave_removes_from_registry(self, simulator, network):
+        registry = build_population(simulator, network, 2)
+        run_plan(simulator, network, registry, FaultSpec(kind="leave", at=1.0, nodes=("n1",)), until=2.0)
+        assert "n1" not in registry
+        assert "n0" in registry
+
+    def test_unknown_action_rejected(self, simulator, network):
+        registry = build_population(simulator, network, 1)
+        with pytest.raises(FaultPlanError, match="unknown fault kind"):
+            run_plan(simulator, network, registry, FaultSpec(kind="explode", at=1.0, nodes=("n0",)), until=2.0)
+        assert registry.get("n0").alive
+
+    def test_telemetry_counts_events(self, simulator, network):
+        registry = build_population(simulator, network, 2)
+        telemetry = Telemetry()
+        crash = FaultSpec(kind="crash", at=1.0, nodes=("n0", "n1"))
+        run_plan(simulator, network, registry, crash, until=2.0, telemetry=telemetry)
+        snapshot = telemetry.snapshot()
+        assert snapshot.counter_value("fault.events", action="crash") == 2
+        assert snapshot.gauge_value("fault.nodes_down") == 2.0
 
 
 class TestChurnEntries:
@@ -52,8 +92,45 @@ class TestChurnEntries:
         # t=1 crashes all ten, t=2 recovers them, the tick at t=3 is past the window.
         assert controller.counts == {"crash": 10, "recover": 10}
 
+    def test_stop_halts_churn(self, simulator, network):
+        registry = build_population(simulator, network, 10)
+        churn = FaultSpec(kind="churn", period=1.0, down_probability=1.0, up_probability=1.0)
+        controller = run_plan(simulator, network, registry, churn, until=1.0)
+        assert controller.counts == {"crash": 10}
+        controller.stop()
+        simulator.run(until=5.0)
+        assert controller.counts == {"crash": 10}
+        assert not registry.alive()
+
+    def test_invalid_probabilities_rejected(self, simulator, network):
+        registry = build_population(simulator, network, 1)
+        for field, value in (("up_probability", -0.1), ("down_probability", float("nan")), ("period", 0.0)):
+            with pytest.raises(FaultPlanError, match=field):
+                run_plan(simulator, network, registry, FaultSpec(kind="churn", **{field: value}), until=1.0)
+
 
 class TestPartitionEntries:
+    def test_partition_and_heal(self, simulator, network):
+        registry = build_population(simulator, network, 4)
+        split = FaultSpec(kind="partition", at=1.0, heal_after=2.0)
+        controller = run_plan(simulator, network, registry, split, until=1.5)
+        assert network._same_partition("n0", "n1")
+        assert not network._same_partition("n0", "n3")
+        simulator.run(until=4.0)
+        assert network._same_partition("n0", "n3")
+        assert controller.counts == {"partition": 1, "heal": 1}
+
+    def test_invalid_fraction_rejected(self, simulator, network):
+        for fraction in (0.0, 1.0, 1.5):
+            with pytest.raises(FaultPlanError, match="fraction"):
+                run_plan(simulator, network, None, FaultSpec(kind="partition", at=1.0, heal_after=1.0, fraction=fraction), until=2.0)
+
+    def test_invalid_heal_after_rejected(self, simulator, network):
+        for heal_after in (0.0, -1.0):
+            with pytest.raises(FaultPlanError, match="heal_after"):
+                run_plan(simulator, network, None, FaultSpec(kind="partition", at=1.0, heal_after=heal_after), until=2.0)
+        assert not network.stats.dropped_partition
+
     def test_messages_dropped_across_partition_and_flow_after_heal(self, simulator, network):
         build_population(simulator, network, 2)
         split = FaultSpec(kind="partition", at=1.0, heal_after=2.0, groups=(("n0", 0), ("n1", 1)))
@@ -84,6 +161,31 @@ class TestPartitionEntries:
         assert not network._same_partition("n0", "n1")
         assert network._same_partition("n1", "n2")
         assert network._same_partition("n2", "n3")
+
+
+class TestPerturbEntries:
+    def test_extra_latency_holds_only_inside_its_window(self, simulator, network):
+        registry = build_population(simulator, network, 2)
+        slow = FaultSpec(kind="perturb", at=1.0, until=3.0, extra_latency=2.0)
+        run_plan(simulator, network, None, slow, until=1.5)
+        network.send("n0", "n1", "ping")  # in the window: link latency plus 2
+        simulator.run(until=4.0)
+        network.send("n0", "n1", "ping")  # lifted at t=3
+        simulator.run(until=5.0)
+        assert registry.get("n1").received == [pytest.approx(1.5 + network.latency + 2.0), pytest.approx(4.0 + network.latency)]
+
+    def test_full_loss_drops_every_message_inside_its_window(self, simulator, network):
+        registry = build_population(simulator, network, 2)
+        blackout = FaultSpec(kind="perturb", at=1.0, until=3.0, loss_rate=1.0)
+        controller = run_plan(simulator, network, None, blackout, until=1.5)
+        for _ in range(5):
+            network.send("n0", "n1", "ping")
+        simulator.run(until=3.5)
+        network.send("n0", "n1", "ping")
+        simulator.run(until=4.0)
+        assert network.stats.lost == 5
+        assert len(registry.get("n1").received) == 1
+        assert controller.counts["perturb"] == 1
 
 
 class TestMetrics:

@@ -554,6 +554,20 @@ class TestReport:
         result = run_experiment(_fast_config())
         assert render_results([result]) == render_results([result])
 
+    def test_run_cli_writes_a_csv_and_a_prometheus_sink_at_once(self, tmp_path, capsys):
+        csv_path, prom_path = tmp_path / "smoke.csv", tmp_path / "smoke.prom"
+        argv = ["run", "smoke", "--no-cache", "--telemetry", f"csv:{csv_path}", "--telemetry", f"prom:{prom_path}"]
+        assert cli_main(argv) == 0
+        header, *rows = csv_path.read_text().strip().splitlines()
+        assert header.startswith("sequence,at,") and "gauge:fairness.ratio_jain" in header
+        assert rows and all(len(row.split(",")) == len(header.split(",")) for row in rows)
+        # The exposition holds the last snapshot, the CSV's last row.
+        exposition = prom_path.read_text()
+        last = rows[-1].split(",")
+        assert exposition.startswith(f"# repro telemetry snapshot sequence={last[0]} at={last[1]}\n")
+        deliveries = header.split(",").index("gauge:sim.deliveries")
+        assert f"repro_sim_deliveries {last[deliveries]}\n" in exposition
+
     def test_run_cli_rejects_bad_telemetry_specs_cleanly(self):
         with pytest.raises(SystemExit, match="unknown telemetry sink kind"):
             cli_main(["run", "smoke", "--no-cache", "--telemetry", "bogus:x"])

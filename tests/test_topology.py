@@ -532,22 +532,22 @@ class TestDomainPartitionHeal:
             for node_id in node_ids:
                 host.subscribe(node_id, TopicFilter("news"))
 
-            def delivered_to():
+            def delivered_to(before=float("inf")):
                 return {
                     record.node_id
                     for record in host.delivery_log.ordered_records()
-                    if record.event_id == event.event_id
+                    if record.event_id == event.event_id and record.delivered_at < before
                 }
 
             # The partition is installed and active...
             await settle(lambda: host.fault_controller.counts.get("partition"))
             event = host.publish("node-000", topic="news")  # publisher in d0
-            await asyncio.sleep(0.1)  # still split: d1 stays dark
-            mid_run = delivered_to()
-            # ...healed at 0.2s; bridges catch up.
+            # ...healed at t=4 (0.2 s); bridges catch up.
             await settle(lambda: d1 <= delivered_to())
             await host.stop()
-            return host, mid_run, delivered_to(), set(node_ids)
+            # Deliveries carry the host clock's time, so "dark while split"
+            # reads the same however late this loop ran.
+            return host, delivered_to(before=4.0), delivered_to(), set(node_ids)
 
         d1 = {"node-004", "node-005", "node-006", "node-007"}
         host, mid_run, delivered_to, universe = asyncio.run(scenario())
